@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.engine.types import Field, Schema
@@ -83,8 +84,9 @@ class ColumnBatch:
             raise ExecutionError(
                 f"mask length {len(mask)} != row count {self.num_rows}"
             )
-        keep = [i for i, m in enumerate(mask) if m]
-        return self.take(keep)
+        return ColumnBatch(
+            self.schema, [list(compress(col, mask)) for col in self.columns]
+        )
 
     def take(self, row_indices: Sequence[int]) -> "ColumnBatch":
         return ColumnBatch(

@@ -19,10 +19,13 @@ Trust boundaries stay intact by construction:
   semantics (one round-trip per fusion group) are byte-identical — and the
   generated code merely reads the resulting column.
 - Kernels are pure functions of expression *structure*: the cache key is a
-  structural fingerprint covering operators, literals, column positions and
-  builtin names, never data or identity. Session identity still enters at
-  run time through :class:`~repro.engine.expressions.EvalContext` (for
-  ``CURRENT_USER()`` / group membership), exactly like the interpreter.
+  structural fingerprint covering operators, column positions, builtin
+  names and the type / equality pattern of literals, never data or
+  identity. Literal *values* bind through the kernel's env like IN-list
+  sets do, so a query that differs from the last one only in a constant
+  reuses its artifact. Session identity still enters at run time through
+  :class:`~repro.engine.expressions.EvalContext` (for ``CURRENT_USER()`` /
+  group membership), exactly like the interpreter.
 - Compiled kernels reach queries by riding the physical operator tree that
   is stored on a :class:`~repro.core.plan_cache.CachedSecurePlan`, so they
   are invalidated with the plan by the same catalog policy epoch; the
@@ -68,6 +71,7 @@ from repro.engine.expressions import (
     Like,
     Literal,
     Not,
+    conjuncts,
 )
 
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
@@ -122,6 +126,11 @@ _TRIVIAL = (Literal, BoundRef, Alias, CurrentUser, IsAccountGroupMember)
 #: (mirrors the optimizer's ``_FOLDABLE``; all are deterministic built-ins).
 _FOLDABLE = (Arithmetic, Comparison, BooleanOp, Not, FunctionCall, Cast, IsNull)
 
+#: Node types whose non-NULL result is always a real ``bool``.
+_BOOL_VALUED = (
+    Comparison, BooleanOp, InList, Like, Not, IsNull, IsAccountGroupMember
+)
+
 _CMP_TOKENS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 #: How env-slot constants are rebuilt from a congruent tree's nodes.
@@ -130,6 +139,7 @@ _ENV_BUILDERS: dict[str, Callable[[Expression], Any]] = {
     "like": lambda node: node._regex,  # noqa: SLF001 - engine-internal
     "cast": lambda node: node._cast_one,  # noqa: SLF001 - engine-internal
     "func": lambda node: BUILTIN_FUNCTIONS[node.name][0],
+    "literal": lambda node: node.value,
 }
 
 
@@ -139,10 +149,47 @@ def _is_opaque(node: Expression) -> bool:
     return node.is_user_code or type(node) not in _COMPILABLE_SET
 
 
+def _is_env_literal(node: Expression) -> bool:
+    """Literals the kernel reads from its env instead of inlining, so trees
+    that differ only in such values share one artifact (a fresh constant in
+    a WHERE clause must not recompile the policy predicate fused around
+    it). NULL and booleans stay inline: codegen specializes on them."""
+    return (
+        isinstance(node, Literal)
+        and node.value is not None
+        and not isinstance(node.value, bool)
+    )
+
+
+def _literal_slots(walk: Sequence[Expression]) -> dict[int, int]:
+    """``id(node)`` → ordinal of each env literal's value, by first appearance.
+
+    Equal values share an ordinal and the ordinal is part of the node's
+    signature, so *which literals are equal* is structure: congruent trees
+    agree on it, and CSE may merge ``x > 5`` with another ``x > 5`` without
+    the cached code going wrong for a tree that says ``x > 7`` there.
+    """
+    ordinals: dict[tuple[str, str], int] = {}
+    return {
+        id(node): ordinals.setdefault(
+            (type(node.value).__name__, repr(node.value)), len(ordinals)
+        )
+        for node in walk
+        if _is_env_literal(node)
+    }
+
+
 def has_opaque_nodes(exprs: Sequence[Expression]) -> bool:
     """True when any expression contains a node the generator cannot
     inline; the planner uses this to break fusion chains at UDF stages."""
     return any(_is_opaque(node) for node in _canonical_walk(exprs))
+
+
+def _row_invariant(node: Expression) -> bool:
+    """True when ``node`` reads no column (same value for every row)."""
+    return not any(
+        isinstance(n, BoundRef) or _is_opaque(n) for n in _canonical_walk((node,))
+    )
 
 
 def _canonical_walk(exprs: Sequence[Expression]) -> list[Expression]:
@@ -168,11 +215,17 @@ def _canonical_walk(exprs: Sequence[Expression]) -> list[Expression]:
     return order
 
 
-def _node_signature(node: Expression) -> str:
+def _node_signature(node: Expression, slots: dict[int, int]) -> str:
     """Structural identity of one node, excluding children and excluding
-    anything inside opaque subtrees (see :func:`_canonical_walk`)."""
+    anything inside opaque subtrees (see :func:`_canonical_walk`).
+    ``slots`` is the tree's :func:`_literal_slots`."""
     if _is_opaque(node):
         return "opaque"
+    if _is_env_literal(node):
+        # Not the value — only what codegen branches on (its type, and
+        # zero-ness for the x / 0 check) and which other literals equal it.
+        zero = "z" if node.value == 0 else "v"
+        return f"lit:{type(node.value).__name__}:{zero}:#{slots[id(node)]}"
     if isinstance(node, Literal):
         return f"lit:{type(node.value).__name__}:{node.value!r}"
     if isinstance(node, BoundRef):
@@ -205,14 +258,17 @@ def _node_signature(node: Expression) -> str:
 def expression_fingerprint(exprs: Sequence[Expression], mode: str = "project") -> str:
     """Structural sha256 of an expression list (the kernel-cache key).
 
-    Two lists with equal fingerprints are congruent: same shapes, operators,
-    literals and column positions everywhere the generator inlines code, and
-    opaque slots in the same positions (whatever those slots compute).
+    Two lists with equal fingerprints are congruent: same shapes, operators
+    and column positions everywhere the generator inlines code, literals of
+    the same type with the same equality pattern (their values bind through
+    the env), and opaque slots in the same positions (whatever those slots
+    compute).
     """
     digest = hashlib.sha256(f"{mode}|{len(exprs)}".encode())
+    slots = _literal_slots(_canonical_walk(exprs))
 
     def visit(node: Expression) -> None:
-        sig = _node_signature(node)
+        sig = _node_signature(node, slots)
         n_children = 0 if _is_opaque(node) else len(node.children)
         digest.update(f"{sig}|{n_children};".encode())
         if _is_opaque(node):
@@ -283,8 +339,10 @@ class _SharedState:
     both generated bodies; only the per-node computation code differs.
     """
 
-    def __init__(self, walk_index: dict[int, int]):
-        self.walk_index = walk_index  # id(node) -> canonical walk position
+    def __init__(self, walk: Sequence[Expression]):
+        #: id(node) -> canonical walk position
+        self.walk_index = {id(node): i for i, node in enumerate(walk)}
+        self.literal_slots = _literal_slots(walk)
         self.prelude: list[str] = []
         #: Per-row leaf loads, emitted at the top of the loop body.
         self.loads: list[str] = []
@@ -362,6 +420,14 @@ class _CodeGen:
     that dominate interpreter and checked-kernel cost alike. Intrinsic NULL
     sources (division by zero, NULL-safe builtins, else-less CASE) keep
     their checks in both passes.
+
+    ``emit`` returns a token that is either a variable assigned earlier in
+    the row body or an *inline expression*. Only nodes that can neither
+    raise nor be NULL given their operands — comparisons, ``IN``, ``NOT``,
+    AND/OR over non-NULL operands — stay inline, which is what lets AND/OR
+    short-circuit; Arithmetic, Cast, FunctionCall, LIKE and CASE are always
+    assigned eagerly, so when (and whether) they raise does not depend on
+    the boolean structure around them.
     """
 
     def __init__(self, shared: _SharedState, assume_nonnull: bool = False):
@@ -391,13 +457,26 @@ class _CodeGen:
             # Opaque slots are never shared (two structurally congruent
             # trees may put *different* computations in the same slot).
             return ("opaque", id(node))
-        return (_node_signature(node),) + tuple(
+        return (_node_signature(node, self._shared.literal_slots),) + tuple(
             self._struct_key(c) for c in node.children
         )
 
     def _leaf(self, var: str) -> tuple[str, bool]:
         """A loaded leaf value: non-NULL by assumption on the fast path."""
         return var, not self._assume_nonnull
+
+    def emit_filter(self, condition: Expression) -> None:
+        """Emit ``condition`` as a row gate (NULL and False both drop the row).
+
+        Each top-level conjunct is tested before the next one's code is
+        emitted, so a fused chain behaves like its stacked filters: a
+        stage's eagerly-assigned nodes — the ones that can raise — never
+        run on a row a lower stage (the policy row filter, composed in
+        first) already rejected.
+        """
+        for conjunct in conjuncts(condition):
+            self.body.append(f"if not {self.emit(conjunct)[0]}:")
+            self.body.append("    continue")
 
     # -- node lowering ------------------------------------------------------
 
@@ -416,6 +495,8 @@ class _CodeGen:
         if _is_opaque(node):
             return self._leaf(self._shared.opaque_value(node))
 
+        if _is_env_literal(node):
+            return self._shared.env(node, "literal"), False
         if isinstance(node, Literal):
             return f"({node.value!r})", node.value is None
         if isinstance(node, BoundRef):
@@ -437,7 +518,7 @@ class _CodeGen:
             tok, maybe = self.emit(node.children[0])
             if maybe:
                 return self._assign(f"(None if {tok} is None else (not {tok}))", True)
-            return self._assign(f"(not {tok})", False)
+            return f"(not {tok})", False
         if isinstance(node, IsNull):
             tok, maybe = self.emit(node.children[0])
             if not maybe:
@@ -454,7 +535,9 @@ class _CodeGen:
             check = self._null_check(a, b)
             if check:
                 return self._assign(f"(None if {check} else {core})", True)
-            return self._assign(core, False)
+            # Non-NULL operands: the comparison cannot raise and cannot be
+            # NULL, so it stays an inline expression (see _emit_boolean).
+            return core, False
         if isinstance(node, BooleanOp):
             return self._emit_boolean(node)
         if isinstance(node, InList):
@@ -464,7 +547,7 @@ class _CodeGen:
             core = f"({tok} {op} {env})"
             if maybe:
                 return self._assign(f"(None if {tok} is None else {core})", True)
-            return self._assign(core, False)
+            return core, False
         if isinstance(node, Like):
             tok, maybe = self.emit(node.children[0])
             env = self._shared.env(node, "like")
@@ -510,9 +593,20 @@ class _CodeGen:
         b = self.emit(node.children[1])
         check = self._null_check(a, b)
         if check is None:
-            # Non-NULL operands: plain two-valued logic.
-            op = "and" if node.op == "AND" else "or"
-            return self._assign(f"(bool({a[0]}) {op} bool({b[0]}))", False)
+            # Non-NULL operands: two-valued logic as one inline short-circuit
+            # expression — no temporaries, and an operand is only evaluated
+            # when reached. Sound because every inline token is a pure,
+            # non-raising expression over already-assigned values (anything
+            # that can raise — Arithmetic, Cast, FunctionCall — was assigned
+            # eagerly above). AND/OR commute, so the row-invariant operand
+            # (group membership) goes first and decides most rows alone.
+            lhs = self._truth(node.children[0], a[0])
+            rhs = self._truth(node.children[1], b[0])
+            if _row_invariant(node.children[1]) and not _row_invariant(
+                node.children[0]
+            ):
+                lhs, rhs = rhs, lhs
+            return f"({lhs} {node.op.lower()} {rhs})", False
         if node.op == "AND":
             both = f"(bool({a[0]}) and bool({b[0]}))"
             code = (
@@ -526,6 +620,16 @@ class _CodeGen:
                 f"else (None if {check} else {both}))"
             )
         return self._assign(code, True)
+
+    @staticmethod
+    def _truth(node: Expression, tok: str) -> str:
+        """``tok`` as a real ``bool`` (the interpreter normalizes AND/OR
+        results); a no-op for nodes that only ever produce ``bool``."""
+        if isinstance(node, _BOOL_VALUED) or (
+            isinstance(node, Literal) and isinstance(node.value, bool)
+        ):
+            return tok
+        return f"(not not {tok})"
 
 
 def _assemble(
@@ -586,8 +690,7 @@ def _generate_projection(
     exprs: Sequence[Expression], fingerprint: str
 ) -> CompiledArtifact:
     """Lower a projection list: all outputs computed in one fused loop."""
-    walk = _canonical_walk(exprs)
-    shared = _SharedState({id(node): i for i, node in enumerate(walk)})
+    shared = _SharedState(_canonical_walk(exprs))
 
     def make_body(gen: _CodeGen) -> list[str]:
         tokens = [gen.emit(expr)[0] for expr in exprs]
@@ -614,15 +717,10 @@ def _generate_filter_projection(
 ) -> CompiledArtifact:
     """Lower filter→project into one loop with append-based outputs, so the
     intermediate filtered batch is never materialized."""
-    all_exprs = [condition, *exprs]
-    walk = _canonical_walk(all_exprs)
-    shared = _SharedState({id(node): i for i, node in enumerate(walk)})
+    shared = _SharedState(_canonical_walk([condition, *exprs]))
 
     def make_body(gen: _CodeGen) -> list[str]:
-        cond_tok = gen.emit(condition)[0]
-        # SQL filter semantics: NULL and False both drop the row (truthiness).
-        gen.body.append(f"if not {cond_tok}:")
-        gen.body.append("    continue")
+        gen.emit_filter(condition)
         tokens = [gen.emit(expr)[0] for expr in exprs]
         return gen.body + [f"_a{j}({tok})" for j, tok in enumerate(tokens)]
 
@@ -762,16 +860,12 @@ def _generate_aggregation_pipeline(
     persisted across batches through ``_cell``) turns runs of identical keys
     into local-variable updates without a dict probe.
     """
-    all_exprs = spec.all_exprs()
-    walk = _canonical_walk(all_exprs)
-    shared = _SharedState({id(node): i for i, node in enumerate(walk)})
+    shared = _SharedState(_canonical_walk(spec.all_exprs()))
     inits = ", ".join(_AGG_INLINE[name][0] for name, _ in spec.agg_specs)
 
     def make_body(gen: _CodeGen) -> list[str]:
         if spec.condition is not None:
-            cond_tok = gen.emit(spec.condition)[0]
-            gen.body.append(f"if not {cond_tok}:")
-            gen.body.append("    continue")
+            gen.emit_filter(spec.condition)
         key_toks = [gen.emit(g)[0] for g in spec.groupings]
         values = [gen.emit(e) for e in spec.agg_inputs]
         tail = [
@@ -828,9 +922,10 @@ def interpret_pipeline(
     if batch.num_rows == 0:
         return
     if spec.condition is not None:
-        batch = batch.filter(spec.condition.eval(batch, ctx))
-        if batch.num_rows == 0:
-            return
+        for conjunct in conjuncts(spec.condition):
+            batch = batch.filter(conjunct.eval(batch, ctx))
+            if batch.num_rows == 0:
+                return
     key_cols = [g.eval(batch, ctx) for g in spec.groupings]
     value_cols = [e.eval(batch, ctx) for e in spec.agg_inputs]
     funcs = [AGGREGATE_FUNCTIONS[name] for name, _ in spec.agg_specs]
@@ -873,6 +968,27 @@ def pipeline_partial_columns(
 # ---------------------------------------------------------------------------
 
 
+def _bind_env(artifact: CompiledArtifact, walk: list[Expression]) -> dict[str, Any]:
+    """The env constants of ``artifact`` rebuilt from one congruent tree."""
+    return {
+        name: _ENV_BUILDERS[kind](walk[index])
+        for name, index, kind in artifact.env_spec
+    }
+
+
+def binding_key(kernel: "CompiledKernels | CompiledPipeline") -> str:
+    """Identity of a *bound* kernel: the fingerprint names the generated
+    code, the literal values name this binding of it. Worker processes
+    cache bound kernels, so they key on this."""
+    artifact = kernel.artifact
+    literals = [
+        kernel._env[name]  # noqa: SLF001 - same module
+        for name, _, kind in artifact.env_spec
+        if kind == "literal"
+    ]
+    return f"{artifact.fingerprint}|{literals!r}"
+
+
 class CompiledKernels:
     """A cached artifact bound to one concrete expression list.
 
@@ -886,10 +1002,7 @@ class CompiledKernels:
     def __init__(self, artifact: CompiledArtifact, exprs: Sequence[Expression]):
         walk = _canonical_walk(exprs)
         self.artifact = artifact
-        self._env = {
-            name: _ENV_BUILDERS[kind](walk[index])
-            for name, index, kind in artifact.env_spec
-        }
+        self._env = _bind_env(artifact, walk)
         self._opaque = [walk[index] for index in artifact.opaque_spec]
 
     @property
@@ -909,6 +1022,19 @@ class CompiledKernels:
         )
 
 
+def predicate_mask(
+    kernel: CompiledKernels | None,
+    predicate: Expression,
+    batch: ColumnBatch,
+    ctx: EvalContext,
+) -> list[Any]:
+    """The row mask of ``predicate``: through its compiled kernel when there
+    is one, interpreted otherwise (no compiler, or the compiler refused)."""
+    if kernel is not None:
+        return kernel.eval_all(batch, ctx)[0]
+    return predicate.eval(batch, ctx)
+
+
 class CompiledPipeline:
     """A cached pipeline artifact bound to one concrete chain.
 
@@ -921,13 +1047,9 @@ class CompiledPipeline:
     __slots__ = ("artifact", "spec", "_env")
 
     def __init__(self, artifact: CompiledArtifact, spec: PipelineSpec):
-        walk = _canonical_walk(spec.all_exprs())
         self.artifact = artifact
         self.spec = spec
-        self._env = {
-            name: _ENV_BUILDERS[kind](walk[index])
-            for name, index, kind in artifact.env_spec
-        }
+        self._env = _bind_env(artifact, _canonical_walk(spec.all_exprs()))
 
     @property
     def fingerprint(self) -> str:

@@ -841,6 +841,20 @@ class PythonUDFCall(Expression):
         return f"pyudf:{self.output_name()}"
 
 
+def conjuncts(condition: Expression) -> list[Expression]:
+    """Top-level ``AND`` operands of ``condition``, left to right.
+
+    A row passes ``a AND b`` exactly when it passes ``a`` and then ``b``,
+    so callers may test the operands one after another — which keeps an
+    upper stage's expressions (that may raise) away from rows a lower
+    stage, e.g. the policy row filter, already rejected.
+    """
+    if isinstance(condition, BooleanOp) and condition.op == "AND":
+        left, right = condition.children
+        return conjuncts(left) + conjuncts(right)
+    return [condition]
+
+
 # ---------------------------------------------------------------------------
 # Sort order helper
 # ---------------------------------------------------------------------------

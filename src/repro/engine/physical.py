@@ -18,6 +18,7 @@ time, so a compile failure simply leaves the interpreter path in place.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from repro.engine.compile import (
     KernelCompiler,
     PipelineSpec,
     has_opaque_nodes,
+    predicate_mask,
 )
 from repro.engine.expressions import (
     BooleanOp,
@@ -41,6 +43,7 @@ from repro.engine.expressions import (
     Literal,
     PythonUDFCall,
     SortOrder,
+    conjuncts,
 )
 from repro.engine.optimizer import inline_through_projection
 from repro.engine.logical import (
@@ -246,11 +249,24 @@ class PhysScan(PhysicalOperator):
     The read-then-filter order is deliberate and mirrors Fig. 3: cloud
     storage is object-granular, so the engine must ingest all bytes before
     policy or predicate evaluation can drop anything.
+
+    Each pushed filter (the injected policy predicate first) runs through
+    its compiled predicate kernel from ``filter_kernels``; a ``None`` entry
+    — no compiler, or the compiler refused that predicate — is interpreted.
+    The planner hands a scan that still carries pushed filters to this
+    operator only when no fused consumer absorbed them (UDF stage directly
+    above, fusion off, bare scan); a fused consumer plans a filter-less
+    scan and tests the predicates inside its own loop.
     """
 
-    def __init__(self, node: Scan):
+    def __init__(
+        self,
+        node: Scan,
+        filter_kernels: tuple[CompiledKernels | None, ...] | None = None,
+    ):
         super().__init__(node.schema)
         self._node = node
+        self._filter_kernels = filter_kernels or (None,) * len(node.pushed_filters)
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         if ctx.data_source is None:
@@ -261,12 +277,15 @@ class PhysScan(PhysicalOperator):
         if pooled is not None:
             yield from pooled
             return
+        filters = list(zip(self._node.pushed_filters, self._filter_kernels))
         for batch in ctx.data_source.scan(self._node.table, ctx.eval_ctx):
             ctx.metrics.rows_scanned += batch.num_rows
-            for predicate in self._node.pushed_filters:
+            for predicate, kernel in filters:
                 if batch.num_rows == 0:
                     break
-                batch = batch.filter(predicate.eval(batch, ctx.eval_ctx))
+                batch = batch.filter(
+                    predicate_mask(kernel, predicate, batch, ctx.eval_ctx)
+                )
             if self._node.required_columns is not None:
                 batch = batch.select_indices(list(self._node.required_columns))
             yield batch
@@ -374,11 +393,11 @@ class PhysFilter(PhysicalOperator):
                 if batch.num_rows == 0:
                     yield batch
                     continue
-                if self._kernel is not None:
-                    mask = self._kernel.eval_all(batch, ctx.eval_ctx)[0]
-                else:
-                    mask = self._condition.eval(batch, ctx.eval_ctx)
-                yield batch.filter(mask)
+                yield batch.filter(
+                    predicate_mask(
+                        self._kernel, self._condition, batch, ctx.eval_ctx
+                    )
+                )
 
 
 class PhysProject(PhysicalOperator):
@@ -644,7 +663,19 @@ class PhysDistinct(PhysicalOperator):
 
 
 class PhysSort(PhysicalOperator):
-    """Full materializing sort with per-key direction and NULL placement.
+    """Materializing sort with per-key direction and NULL placement.
+
+    Each ORDER BY term is one stable ``list.sort`` pass over row indices,
+    least-significant term first, descending terms with ``reverse=True``
+    (which keeps ties in input order, like an ascending pass). Keys are the
+    raw values, or ``(rank, value)`` tuples when the column holds NULLs —
+    no comparison ever re-enters Python.
+
+    With ``limit`` (a ``Limit`` directly above: its limit + offset) only the
+    first ``limit`` rows are produced. When every term sorts in the same
+    direction that is a bounded top-k: ``heapq.nsmallest`` / ``nlargest``
+    are defined as ``sorted(...)[:k]``, so the rows and their tie order are
+    exactly those of the full sort.
 
     With ``appended_keys`` > 0 the child is a fused pipeline whose output
     carries the pre-computed sort-key columns appended after the data
@@ -658,6 +689,7 @@ class PhysSort(PhysicalOperator):
         orders: tuple[SortOrder, ...],
         key_kernel: CompiledKernels | None = None,
         appended_keys: int = 0,
+        limit: int | None = None,
     ):
         schema = child.schema
         if appended_keys:
@@ -666,6 +698,7 @@ class PhysSort(PhysicalOperator):
         self._orders = orders
         self._key_kernel = key_kernel
         self._appended_keys = appended_keys
+        self._limit = limit
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         full = ColumnBatch.concat(
@@ -685,38 +718,34 @@ class PhysSort(PhysicalOperator):
                 key_columns = [
                     o.expr.eval(full, ctx.eval_ctx) for o in self._orders
                 ]
-        indices = list(range(full.num_rows))
-        # Stable sort from the least-significant key to the most significant.
-        for order, keys in reversed(list(zip(self._orders, key_columns))):
-            indices.sort(
-                key=lambda i: self._sort_key(keys[i], order),
-            )
-        yield full.take(indices)
+        yield full.take(self._sorted_indices(key_columns, full.num_rows))
 
-    @staticmethod
-    def _sort_key(value: Any, order: SortOrder) -> tuple:
-        if value is None:
-            # The index sort is always ascending (descending inverts the
-            # value keys), so null placement depends on nulls_first alone.
-            return (0 if order.nulls_first else 2, 0)
-        if order.ascending:
-            return (1, value)
-        return (1, _Reversed(value))
+    def _sorted_indices(self, key_columns: list[list[Any]], n: int) -> list[int]:
+        keys = [
+            _ranked_keys(values, order)
+            for order, values in zip(self._orders, key_columns)
+        ]
+        descending = [not order.ascending for order in self._orders]
+        limit = self._limit
+        if limit is not None and limit < n and len(set(descending)) == 1:
+            # One direction: the terms compare as one composite key.
+            composite = keys[0] if len(keys) == 1 else list(zip(*keys))
+            top = heapq.nlargest if descending[0] else heapq.nsmallest
+            return top(limit, range(n), key=composite.__getitem__)
+        indices = list(range(n))
+        for term_keys, reverse in reversed(list(zip(keys, descending))):
+            indices.sort(key=term_keys.__getitem__, reverse=reverse)
+        return indices[:limit]
 
 
-class _Reversed:
-    """Inverts comparison for descending sort keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.value == self.value
+def _ranked_keys(values: list[Any], order: SortOrder) -> list[Any]:
+    """Sort keys of one ORDER BY term: the values themselves, or — when any
+    is NULL — ``(rank, value)`` tuples whose rank puts NULLs where
+    ``nulls_first`` wants them under the pass's direction."""
+    if None not in values:
+        return values
+    null_key = (0 if order.nulls_first == order.ascending else 2, 0)
+    return [null_key if v is None else (1, v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -1089,20 +1118,10 @@ def split_equi_condition(
 
     if condition is None:
         return None
-    conjuncts: list[Expression] = []
-
-    def flatten(e: Expression) -> None:
-        if isinstance(e, BooleanOp) and e.op == "AND":
-            flatten(e.children[0])
-            flatten(e.children[1])
-        else:
-            conjuncts.append(e)
-
-    flatten(condition)
     left_keys: list[Expression] = []
     right_keys: list[Expression] = []
     residual: list[Expression] = []
-    for conj in conjuncts:
+    for conj in conjuncts(condition):
         pair = None
         if isinstance(conj, Comparison) and conj.op == "=":
             a, b = conj.children
@@ -1130,24 +1149,24 @@ def split_equi_condition(
 def _probe_key_columns(
     left_key_cols: list[list[Any]],
     right_key_cols: list[list[Any]],
-    n_left: int,
-    n_right: int,
 ) -> list[tuple[int, int]]:
     """Hash-match pre-computed key columns; NULL keys never match (SQL)."""
-    table: dict[tuple, list[int]] = {}
-    for j in range(n_right):
-        key = tuple(col[j] for col in right_key_cols)
-        if any(k is None for k in key):
-            continue
-        table.setdefault(key, []).append(j)
-    candidates: list[tuple[int, int]] = []
-    for i in range(n_left):
-        key = tuple(col[i] for col in left_key_cols)
-        if any(k is None for k in key):
-            continue
-        for j in table.get(key, ()):
-            candidates.append((i, j))
-    return candidates
+    if len(left_key_cols) == 1:
+        # Single key: the bare value is the dict key (no per-row tuple).
+        left_keys, right_keys = left_key_cols[0], right_key_cols[0]
+    else:
+        # A NULL component poisons the whole key.
+        left_keys, right_keys = (
+            [None if None in key else key for key in zip(*cols)]
+            for cols in (left_key_cols, right_key_cols)
+        )
+    table: dict[Any, list[int]] = {}
+    for j, key in enumerate(right_keys):
+        if key is not None:
+            table.setdefault(key, []).append(j)
+    probe = table.get
+    # ``table`` holds no None key, so a NULL probe finds nothing.
+    return [(i, j) for i, key in enumerate(left_keys) for j in probe(key, ())]
 
 
 class PhysJoin(PhysicalOperator):
@@ -1247,9 +1266,7 @@ class PhysJoin(PhysicalOperator):
         pre_key_cols: tuple[list, list] | None = None,
     ) -> list[tuple[int, int]]:
         if pre_key_cols is not None:
-            candidates = _probe_key_columns(
-                pre_key_cols[0], pre_key_cols[1], left.num_rows, right.num_rows
-            )
+            candidates = _probe_key_columns(pre_key_cols[0], pre_key_cols[1])
             for i, j in candidates:
                 left_matched[i] = True
                 right_matched[j] = True
@@ -1300,9 +1317,7 @@ class PhysJoin(PhysicalOperator):
             left_key_cols = left_kernel.eval_all(left, ctx.eval_ctx)
         else:
             left_key_cols = [k.eval(left, ctx.eval_ctx) for k in left_keys]
-        candidates = _probe_key_columns(
-            left_key_cols, right_key_cols, left.num_rows, right.num_rows
-        )
+        candidates = _probe_key_columns(left_key_cols, right_key_cols)
         if residual is not None and candidates:
             combined = self._pairs_batch(left, right, candidates)
             mask = residual.eval(combined, ctx.eval_ctx)
@@ -1385,6 +1400,24 @@ class PhysUnion(PhysicalOperator):
 # ---------------------------------------------------------------------------
 
 
+def _unfold_scan(scan: Scan) -> LogicalPlan:
+    """``scan`` as explicit stages over a bare scan of the same table:
+    its pushed filters in order, then its column pruning."""
+    plan: LogicalPlan = Scan(scan.table)
+    for predicate in scan.pushed_filters:
+        plan = Filter(plan, predicate)
+    if scan.required_columns is not None:
+        fields = scan.table.schema.fields
+        plan = Project(
+            plan,
+            [
+                BoundRef(i, fields[i].name, fields[i].dtype)
+                for i in scan.required_columns
+            ],
+        )
+    return plan
+
+
 class PhysicalPlanner:
     """Maps an optimized logical plan to a physical operator tree.
 
@@ -1396,12 +1429,17 @@ class PhysicalPlanner:
 
     With ``fuse_operators`` (and a compiler), the planner additionally
     detects maximal fusable chains — runs of Filter/Project stages feeding
-    an aggregate, a sort, or an equi-join — and lowers each into one
-    generated loop (:class:`PhysFusedPipeline`, or a key-appending fused
-    projection for sort/join sinks). Chains break at any stage containing
-    user code: the opaque stage plans normally (its UDFs run next to the
-    sandbox, exactly as often as unfused) and fusion restarts below it, so
-    a UDF splits a chain into two fused segments around the sandbox call.
+    an aggregate, a sort, an equi-join, or nothing (the chain's top stage
+    is then the result) — and lowers each into one generated loop
+    (:class:`PhysFusedPipeline`, or a fused filter→project that also
+    appends the keys a sort/join sink needs). A chain starts at the scan's
+    pushed filters, so the policy row filter is the loop's first test, not
+    a separate pass over the scan output. Chains break at any stage
+    containing user code: the opaque stage plans normally (its UDFs run
+    next to the sandbox, exactly as often as unfused) and fusion restarts
+    below it, so a UDF splits a chain into two fused segments around the
+    sandbox call; a scan directly below the break keeps its pushed filters
+    and runs them through its own predicate kernels.
     """
 
     def __init__(
@@ -1419,10 +1457,13 @@ class PhysicalPlanner:
         if isinstance(logical, Range):
             return PhysRange(logical)
         if isinstance(logical, Scan):
-            return PhysScan(logical)
+            return self._plan_scan(logical)
         if isinstance(logical, RemoteScan):
             return PhysRemoteScan(logical)
         if isinstance(logical, Filter):
+            fused = self._plan_fused_chain(logical)
+            if fused is not None:
+                return fused
             kernel = None
             if self._compiler is not None:
                 kernel = self._compiler.compile_predicate(logical.condition)
@@ -1430,7 +1471,9 @@ class PhysicalPlanner:
                 self.plan(logical.child), logical.condition, kernel=kernel
             )
         if isinstance(logical, Project):
-            fused = self._plan_fused_filter_project(logical)
+            fused = self._plan_fused_chain(logical)
+            if fused is None:
+                fused = self._plan_fused_filter_project(logical)
             if fused is not None:
                 return fused
             kernel = None
@@ -1465,19 +1508,17 @@ class PhysicalPlanner:
                 compiler=self._compiler,
             )
         if isinstance(logical, Sort):
-            fused_sort = self._plan_fused_sort(logical)
-            if fused_sort is not None:
-                return fused_sort
-            key_kernel = None
-            if self._compiler is not None:
-                key_kernel = self._compiler.compile_projection(
-                    tuple(o.expr for o in logical.orders)
-                )
-            return PhysSort(
-                self.plan(logical.child), logical.orders, key_kernel=key_kernel
-            )
+            return self._plan_sort(logical)
         if isinstance(logical, Limit):
-            return PhysLimit(self.plan(logical.child), logical.limit, logical.offset)
+            if isinstance(logical.child, Sort):
+                # ORDER BY … LIMIT: the sort keeps only the rows the limit
+                # (after its offset) can still return — a bounded top-k.
+                child: PhysicalOperator = self._plan_sort(
+                    logical.child, limit=logical.limit + logical.offset
+                )
+            else:
+                child = self.plan(logical.child)
+            return PhysLimit(child, logical.limit, logical.offset)
         if isinstance(logical, Distinct):
             return PhysDistinct(self.plan(logical.child))
         if isinstance(logical, Union):
@@ -1491,6 +1532,35 @@ class PhysicalPlanner:
             return child
         raise UnsupportedOperationError(
             f"no physical implementation for {type(logical).__name__}"
+        )
+
+    def _plan_scan(self, logical: Scan) -> PhysScan:
+        """A scan no fused consumer absorbed: one predicate kernel per pushed
+        filter. A refused predicate is interpreted, and counted as a fusion
+        miss so the fallback shows in ``cache_stats``."""
+        if self._compiler is None or not logical.pushed_filters:
+            return PhysScan(logical)
+        kernels = tuple(
+            self._compiler.compile_predicate(p) for p in logical.pushed_filters
+        )
+        if None in kernels:
+            self._compiler.note_fusion(False)
+        return PhysScan(logical, kernels)
+
+    def _plan_sort(self, logical: Sort, limit: int | None = None) -> PhysSort:
+        fused_sort = self._plan_fused_sort(logical, limit)
+        if fused_sort is not None:
+            return fused_sort
+        key_kernel = None
+        if self._compiler is not None:
+            key_kernel = self._compiler.compile_projection(
+                tuple(o.expr for o in logical.orders)
+            )
+        return PhysSort(
+            self.plan(logical.child),
+            logical.orders,
+            key_kernel=key_kernel,
+            limit=limit,
         )
 
     def _plan_fused_filter_project(
@@ -1532,6 +1602,13 @@ class PhysicalPlanner:
         user code or an unknown node: that stage is the UDF chain-break.
         Returns ``(stages top-down, boundary node)``; the boundary plans
         normally and becomes the fused pipeline's source.
+
+        A scan's pushed filters — the policy row filter first — are the
+        chain's bottom stages: the scan is unfolded into ``Project(required
+        columns) → Filter(pushed) … → bare Scan`` and the bare scan becomes
+        the boundary, so the fused loop tests the policy predicate itself
+        and no filtered batch is built between scan and consumer. Pruning
+        is list selection, not I/O, so reading unpruned costs nothing.
         """
         stages: list[LogicalPlan] = []
         cur = node
@@ -1547,6 +1624,13 @@ class PhysicalPlanner:
                 stages.append(cur)
                 cur = cur.child
                 continue
+            if (
+                isinstance(cur, Scan)
+                and cur.pushed_filters
+                and not has_opaque_nodes(cur.pushed_filters)
+            ):
+                cur = _unfold_scan(cur)
+                continue
             return stages, cur
 
     @staticmethod
@@ -1560,6 +1644,9 @@ class PhysicalPlanner:
         which preserves semantics exactly because a row survives sequential
         filters iff every condition is truthy, and all inlined expressions
         are deterministic and side-effect-free (opaque nodes were refused).
+        Lower stages are the AND's left operands and the generated loop
+        tests conjuncts left to right, so a stage still only sees rows
+        every stage below it — the scan's policy filter first — let through.
         ``out_exprs`` of ``None`` means identity (no projection in chain).
         """
         condition: Expression | None = None
@@ -1624,6 +1711,30 @@ class PhysicalPlanner:
             pipeline,
         )
 
+    def _plan_fused_chain(
+        self, logical: Filter | Project
+    ) -> PhysicalOperator | None:
+        """Lower a chain that ends in no sink — ``logical`` is its top
+        Filter/Project — into one fused filter→project loop.
+
+        Only chains of two or more stages (a scan's pushed filters count):
+        a lone stage is already a single kernel.
+        """
+        if self._compiler is None or not self._fuse:
+            return None
+        stages, boundary = self._fusion_chain(logical)
+        if len(stages) < 2:
+            return None
+        try:
+            condition, out_exprs = self._compose_chain(stages)
+            fused = self._fused_keyed_child(
+                boundary, logical.schema, condition, out_exprs, ()
+            )
+        except Exception:  # noqa: BLE001 - fusion is an optional fast path
+            fused = None
+        self._compiler.note_fusion(fused is not None)
+        return fused
+
     def _fused_keyed_child(
         self,
         boundary: LogicalPlan,
@@ -1665,7 +1776,9 @@ class PhysicalPlanner:
             return None
         return PhysProject(self.plan(boundary), all_exprs, ext_schema, kernel=kernel)
 
-    def _plan_fused_sort(self, logical: Sort) -> PhysSort | None:
+    def _plan_fused_sort(
+        self, logical: Sort, limit: int | None = None
+    ) -> PhysSort | None:
         """Fuse chain→sort-key extraction: keys computed in the chain's loop.
 
         Only when a non-empty fusable chain sits below the sort (otherwise
@@ -1693,7 +1806,9 @@ class PhysicalPlanner:
             self._compiler.note_fusion(False)
             return None
         self._compiler.note_fusion(True)
-        return PhysSort(fused, logical.orders, appended_keys=len(keys_c))
+        return PhysSort(
+            fused, logical.orders, appended_keys=len(keys_c), limit=limit
+        )
 
     def _plan_fused_join(self, logical: Join) -> PhysJoin | None:
         """Fuse chain→equi-join key extraction on both inputs.

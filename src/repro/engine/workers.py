@@ -65,10 +65,12 @@ from repro.engine.compile import (
     CompiledKernels,
     KernelCompiler,
     PipelineSpec,
+    binding_key,
     interpret_pipeline,
     pipeline_partial_columns,
+    predicate_mask,
 )
-from repro.engine.expressions import EvalContext, Expression
+from repro.engine.expressions import EvalContext, Expression, conjuncts
 from repro.errors import CorruptObjectError, ExecutionError, RetryableError
 
 #: Bounded respawn-and-retry attempts after a worker process dies mid-task.
@@ -153,8 +155,9 @@ def _eval_kernel(
         return kernel.eval_all(batch, ectx)
     exprs = entry["exprs"]
     if entry["mode"] == "filter-project":
-        filtered = batch.filter(exprs[0].eval(batch, ectx))
-        return [e.eval(filtered, ectx) for e in exprs[1:]]
+        for conjunct in conjuncts(exprs[0]):
+            batch = batch.filter(conjunct.eval(batch, ectx))
+        return [e.eval(batch, ectx) for e in exprs[1:]]
     return [e.eval(batch, ectx) for e in exprs]
 
 
@@ -206,8 +209,11 @@ def _run_scan_task(
     info["rows_in"] = batch.num_rows
     filters_blob = task.get("filters_blob")
     if filters_blob is not None:
+        # The same predicate kernels PhysScan runs driver-side, rebuilt from
+        # the shipped expressions through this worker's compiler cache.
         for predicate in cloudpickle.loads(filters_blob):
-            batch = batch.filter(predicate.eval(batch, ectx))
+            kernel = compiler.compile_predicate(predicate)
+            batch = batch.filter(predicate_mask(kernel, predicate, batch, ectx))
     indices = task.get("required_indices")
     if indices is not None:
         # Prune before any fused kernel: its BoundRefs are resolved against
@@ -501,11 +507,12 @@ class WorkerPool:
 
         The cloudpickled payload — an expression tuple, or the whole
         :class:`PipelineSpec` for ``mode="pipeline"`` — is cached per
-        fingerprint and attached to the wire message only for workers that
-        have not acked this fingerprint yet; after that, the fingerprint
-        alone travels.
+        bound kernel (fingerprint + literal values: workers cache the
+        binding, not just the code) and attached to the wire message only
+        for workers that have not acked it yet; after that, the key alone
+        travels.
         """
-        fingerprint = kernel.fingerprint
+        fingerprint = binding_key(kernel)
         if fingerprint not in self._blob_cache:
             payload = exprs if mode == "pipeline" else tuple(exprs)
             self._blob_cache[fingerprint] = cloudpickle.dumps(payload)

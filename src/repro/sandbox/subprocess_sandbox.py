@@ -11,6 +11,7 @@ pickle-over-pipe transport as the measurable baseline.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 from typing import TYPE_CHECKING, Any
@@ -50,7 +51,8 @@ class SubprocessSandbox:
         #: written, so the resulting :class:`SandboxDied` carries
         #: ``delivered=False`` — the real crashed-before-work case.
         self.faults: "FaultInjector | None" = None
-        self._installed: dict[int, str] = {}
+        #: sha256 of a function's cloudpickle blob -> worker-side udf id.
+        self._installed: dict[bytes, str] = {}
         self._process = subprocess.Popen(
             [sys.executable, "-m", "repro.sandbox.worker"],
             stdin=subprocess.PIPE,
@@ -118,11 +120,14 @@ class SubprocessSandbox:
             )
 
     def _ensure_installed(self, udf: PythonUDF) -> str:
-        key = id(udf.func)
+        # Keyed by content, never by ``id(udf.func)``: functions are
+        # unpickled per query and collected, so ids recycle and an id-keyed
+        # cache ends up invoking another UDF's installed code.
+        blob = cloudpickle.dumps(udf.func)
+        key = hashlib.sha256(blob).digest()
         udf_id = self._installed.get(key)
         if udf_id is None:
             udf_id = new_id("udf")
-            blob = cloudpickle.dumps(udf.func)
             self._request(("install", udf_id, blob, udf.name))
             self._installed[key] = udf_id
         return udf_id

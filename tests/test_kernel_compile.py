@@ -397,9 +397,11 @@ class TestFallbackAndCache:
     def test_kernel_cache_is_lru_bounded(self):
         cache = KernelCache(capacity=2)
         compiler = KernelCompiler(cache=cache)
+        # Distinct column positions: literal values alone no longer make a
+        # distinct kernel (they bind through the env).
         for k in range(4):
             compiler.compile_projection(
-                (Arithmetic("+", BoundRef(0, "x", INT), Literal(k)),)
+                (Arithmetic("+", BoundRef(k, f"x{k}", INT), Literal(1)),)
             )
         assert len(cache) == 2
         assert cache.stats.evictions == 2

@@ -32,6 +32,7 @@ from repro.engine.batch import ColumnBatch, chunk_batch
 from repro.engine.compile import (
     KernelCompiler,
     PipelineSpec,
+    expression_fingerprint,
     interpret_pipeline,
     pipeline_partial_columns,
 )
@@ -44,6 +45,8 @@ from repro.engine.expressions import (
     Cast,
     Comparison,
     EvalContext,
+    InList,
+    IsAccountGroupMember,
     IsNull,
     Literal,
     Not,
@@ -51,6 +54,7 @@ from repro.engine.expressions import (
     col,
     lit,
 )
+from repro.errors import ExecutionError
 from repro.engine.logical import (
     Aggregate,
     Filter,
@@ -245,6 +249,198 @@ class TestPipelineEqualsInterpreter:
         assert final == {("a",): (6.0, 3.0, 1), ("b",): (1.0, 1.0, 1)}
 
 
+
+# ---------------------------------------------------------------------------
+# Policy-shaped predicates: inline short-circuit code ≡ interpreter 3VL
+# ---------------------------------------------------------------------------
+
+#: One compiler for every example below: thresholds and IN-lists vary per
+#: example, so congruent trees keep rebinding one cached artifact — a wrong
+#: env binding would show as a mismatch against the interpreter.
+SHARED_COMPILER = KernelCompiler()
+
+in_list_values = st.lists(
+    st.sampled_from(["alpha", "Beta", "g_mm", "", "zz"]), min_size=1, max_size=3
+).map(tuple)
+
+
+def _policy_predicate(first, second, negated, op, threshold):
+    """``((s IN a AND member(g1)) OR (s [NOT] IN b AND member(g2))) AND y <op> t``
+    — the row-filter shape the e2e fixture (and the paper's examples) use,
+    conjoined with a user comparison like a fused chain composes it."""
+    return BooleanOp(
+        "AND",
+        BooleanOp(
+            "OR",
+            BooleanOp("AND", InList(S, first), IsAccountGroupMember("g1")),
+            BooleanOp(
+                "AND", InList(S, second, negated), IsAccountGroupMember("g2")
+            ),
+        ),
+        Comparison(op, Y, Literal(threshold)),
+    )
+
+
+class TestShortCircuitPredicates:
+    @pytest.mark.parametrize(
+        "groups", [(), ("g1",), ("g2",), ("g1", "g2")], ids=str
+    )
+    @given(
+        rows=rows_strategy,
+        first=in_list_values,
+        second=in_list_values,
+        negated=st.booleans(),
+        op=st.sampled_from(["<", "<=", ">", ">=", "=", "!="]),
+        threshold=st.floats(-50, 50, allow_nan=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_policy_predicate_matches_interpreter_for_every_membership(
+        self, groups, rows, first, second, negated, op, threshold
+    ):
+        predicate = _policy_predicate(first, second, negated, op, threshold)
+        batch = make_batch(rows)
+        ctx = EvalContext(user="u", groups=frozenset(groups))
+        expected_mask = predicate.eval(batch, ctx)
+
+        mask_kernel = SHARED_COMPILER.compile_predicate(predicate)
+        assert mask_kernel is not None
+        # Exact 3VL: NULL stays NULL, never collapses to False.
+        assert mask_kernel.eval_all(batch, ctx)[0] == expected_mask
+
+        fused = SHARED_COMPILER.compile_filter_projection(predicate, (X, S))
+        assert fused is not None
+        kept = batch.filter(expected_mask)
+        assert fused.eval_all(batch, ctx) == [kept.columns[0], kept.columns[2]]
+
+        spec = _make_spec(predicate, (S,), [("count", None), ("sum", Y)])
+        pipeline = SHARED_COMPILER.compile_pipeline_spec(spec)
+        assert pipeline is not None
+        compiled: dict[tuple, list] = {}
+        interpreted: dict[tuple, list] = {}
+        pipeline.accumulate(batch, ctx, compiled, [None, None])
+        interpret_pipeline(spec, batch, ctx, interpreted)
+        assert compiled == interpreted
+
+    def test_fast_path_is_inline_and_membership_goes_first(self):
+        """The generated fast path really is one short-circuit expression:
+        no ``bool()`` calls, and the row-invariant group flag leads each
+        conjunction so most rows never reach the IN probe."""
+        predicate = _policy_predicate(("alpha",), ("Beta",), False, ">", 1.0)
+        kernel = KernelCompiler().compile_filter_projection(predicate, (X,))
+        fast_body = kernel.artifact.source.split("else:")[0]
+        assert "bool(" not in fast_body
+        assert "(_g0 and (" in fast_body and "(_g1 and (" in fast_body
+
+    def test_non_boolean_operands_are_still_normalized(self):
+        """AND/OR over a truthy non-bool value yields a real bool, like the
+        interpreter's ``bool(a) and bool(b)``."""
+        flag = BoundRef(0, "x", INT)  # an int used as a truth value
+        predicate = BooleanOp("OR", flag, Comparison(">", Y, lit(0.0)))
+        batch = make_batch([(2, -1.0, "a"), (0, -1.0, "a"), (0, 1.0, "a")])
+        kernel = KernelCompiler().compile_predicate(predicate)
+        out = kernel.eval_all(batch, EvalContext())[0]
+        assert out == predicate.eval(batch, EvalContext()) == [True, False, True]
+        assert all(type(v) is bool for v in out)
+
+
+class TestConjunctGating:
+    """A fused chain tests its stacked filters one after another, so an
+    upper stage's raising expression never runs on a row the policy row
+    filter (composed in first) rejected — no hidden value in an error."""
+
+    ROWS = [(1, 1.0, "7"), (2, 2.0, "secret"), (3, 3.0, "9")]
+    POLICY = Comparison("!=", X, lit(2))           # hides the 'secret' row
+    USER = Comparison(">", Cast(S, INT), lit(8))   # raises on 'secret'
+
+    def test_filter_projection_never_casts_a_rejected_row(self):
+        condition = BooleanOp("AND", self.POLICY, self.USER)
+        kernel = KernelCompiler().compile_filter_projection(condition, (X,))
+        assert kernel.eval_all(make_batch(self.ROWS), EvalContext()) == [[3]]
+        # The other order is the user's own problem: the cast runs first.
+        flipped = BooleanOp("AND", self.USER, self.POLICY)
+        kernel = KernelCompiler().compile_filter_projection(flipped, (X,))
+        with pytest.raises(ExecutionError, match="secret"):
+            kernel.eval_all(make_batch(self.ROWS), EvalContext())
+
+    def test_pipeline_and_its_interpreter_twin_gate_identically(self):
+        spec = _make_spec(
+            BooleanOp("AND", self.POLICY, self.USER), (), [("count", None)]
+        )
+        pipeline = KernelCompiler().compile_pipeline_spec(spec)
+        compiled: dict[tuple, list] = {}
+        interpreted: dict[tuple, list] = {}
+        pipeline.accumulate(
+            make_batch(self.ROWS), EvalContext(), compiled, [None, None]
+        )
+        interpret_pipeline(spec, make_batch(self.ROWS), EvalContext(), interpreted)
+        assert compiled == interpreted == {(): [1]}
+
+
+class TestEnvBoundLiterals:
+    """Literal values bind through the env: a fresh constant reuses the
+    cached artifact, and anything codegen branches on stays structural."""
+
+    def test_fresh_literal_hits_the_cache_and_binds_its_own_value(self):
+        compiler = KernelCompiler()
+        batch = make_batch([(1, 1.0, "a"), (5, 5.0, "b"), (9, 9.0, "c")])
+        for threshold, expected in ((0, [1, 5, 9]), (4, [5, 9]), (8, [9])):
+            kernel = compiler.compile_filter_projection(
+                Comparison(">", X, lit(threshold)), (X,)
+            )
+            assert kernel.eval_all(batch, EvalContext()) == [expected]
+        assert compiler.cache.stats.insertions == 2  # 0 is structural (x / 0)
+        assert compiler.cache.stats.hits == 1
+
+    def test_equality_pattern_of_literals_is_structural(self):
+        """CSE merges ``x > 5`` with ``x > 5``; the cached code must not be
+        served to a tree that says ``x > 7`` in the second spot."""
+        shared = lit(5)
+        same = (Comparison(">", X, shared), Comparison(">", X, shared))
+        equal = (Comparison(">", X, lit(5)), Comparison(">", X, lit(5)))
+        differ = (Comparison(">", X, lit(5)), Comparison(">", X, lit(7)))
+        assert expression_fingerprint(same) == expression_fingerprint(equal)
+        assert expression_fingerprint(same) != expression_fingerprint(differ)
+        compiler = KernelCompiler()
+        batch = make_batch([(6, 0.0, "a"), (8, 0.0, "a")])
+        for exprs in (same, equal, differ):
+            kernel = compiler.compile_projection(exprs)
+            assert kernel.eval_all(batch, EvalContext()) == [
+                e.eval(batch, EvalContext()) for e in exprs
+            ]
+
+    def test_literal_type_null_bool_and_zero_stay_structural(self):
+        def fp(value):
+            return expression_fingerprint((Arithmetic("/", X, value),))
+
+        assert fp(lit(2)) == fp(lit(3))            # value only: one artifact
+        variants = {
+            fp(lit(2)), fp(lit(2.0)), fp(lit(0)), fp(Cast(Literal(None), INT))
+        }
+        assert len(variants) == 4
+        true_, false_ = (
+            expression_fingerprint((BooleanOp("AND", Literal(b), IsNull(X)),))
+            for b in (True, False)
+        )
+        assert true_ != false_
+
+    @given(
+        rows=rows_strategy,
+        divisor=st.integers(-3, 3),
+        threshold=st.integers(-20, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rebound_artifact_matches_interpreter(self, rows, divisor, threshold):
+        exprs = (
+            Arithmetic("/", X, Literal(divisor)),
+            Comparison("<", Arithmetic("+", X, Literal(threshold)), Literal(threshold)),
+        )
+        kernel = SHARED_COMPILER.compile_projection(exprs)
+        batch = make_batch(rows)
+        assert kernel.eval_all(batch, EvalContext()) == [
+            e.eval(batch, EvalContext()) for e in exprs
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Engine-level: fused ≡ unfused ≡ interpreted over whole plans
 # ---------------------------------------------------------------------------
@@ -342,6 +538,48 @@ class TestEngineFusionEquivalence:
         )
         fused, unfused, interpreted = _three_ways(rows, plan)
         assert fused == unfused == interpreted  # rows AND probe order
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left", "right", "full", "semi", "anti"]
+    )
+    @pytest.mark.parametrize("keys", [("x",), ("x", "s")])
+    @given(rows=rows_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_hash_probe_equals_nested_loop_for_every_join_type(
+        self, how, keys, rows
+    ):
+        """Single-key (bare dict keys) and multi-key (tuple keys) probes
+        match the nested-loop join pair for pair — NULL keys never match,
+        duplicate keys fan out in (left, right) order — fused, unfused and
+        interpreted."""
+        base = UnresolvedRelation("t")
+        left = Filter(base, Comparison("<", col("x"), lit(40)))
+        right = Project(
+            base,
+            (Alias(col("x"), "x2"), Alias(col("s"), "s2"), Alias(col("y"), "y2")),
+        )
+        equalities = [Comparison("=", col(k), col(k + "2")) for k in keys]
+        hashed = equalities[0]
+        for eq in equalities[1:]:
+            hashed = BooleanOp("AND", hashed, eq)
+        # The same 3VL predicate in a shape the planner cannot split into
+        # key pairs, which forces the nested-loop path:
+        # NOT (a != b OR c != d) is TRUE exactly when every pair is equal
+        # and non-NULL.
+        differs = [Comparison("!=", col(k), col(k + "2")) for k in keys]
+        any_differs = differs[0]
+        for d in differs[1:]:
+            any_differs = BooleanOp("OR", any_differs, d)
+        looped = Not(any_differs)
+        expected = (
+            _engine(rows, compile_enabled=False)
+            .execute(Join(left, right, how=how, condition=looped))
+            .rows()
+        )
+        fused, unfused, interpreted = _three_ways(
+            rows, Join(left, right, how=how, condition=hashed)
+        )
+        assert fused == unfused == interpreted == expected
 
     def test_udf_splits_the_chain_but_results_match(self):
         from repro.engine.udf import udf as engine_udf
@@ -462,6 +700,21 @@ GOVERNED_QUERIES = [
     # join-key sink across two governed tables
     "SELECT o.id, r.zone FROM main.sales.orders o "
     "JOIN main.sales.regions r ON o.region = r.region ORDER BY o.id",
+    # bounded top-k over the absorbed row filter: ties, NULL amount, OFFSET
+    "SELECT id, amount FROM main.sales.orders WHERE id < 100 "
+    "ORDER BY amount DESC LIMIT 2 OFFSET 1",
+    # a chain with no sink: row filter + WHERE + mask + projection, one loop;
+    # the twin differs only in its literal (same artifact, fresh binding —
+    # on the process backend a worker must not reuse the first one's value)
+    "SELECT id, amount * 1.1 AS boosted, buyer FROM main.sales.orders "
+    "WHERE amount > 15.0",
+    "SELECT id, amount * 1.1 AS boosted, buyer FROM main.sales.orders "
+    "WHERE amount > 25.0",
+    # nothing above the scan to absorb its filter: the scan's own kernel
+    "SELECT * FROM main.sales.orders",
+    # pushed filter on a pruned-away column: the unfolded scan remaps refs
+    "SELECT zone + 1 AS z FROM main.sales.regions WHERE region != 'EU'",
+    "SELECT zone FROM main.sales.regions WHERE zone > 1 ORDER BY zone DESC",
 ]
 
 
@@ -488,6 +741,30 @@ class TestGovernedFusionEquivalence:
         carol = fused.connect("carol").sql(query).collect()
         assert alice == [("US", 2)]          # row filter applied inside the loop
         assert len(carol) == 4               # hr sees every region, NULL first
+
+    def test_absorbed_row_filter_answers_are_the_same_on_both_backends(
+        self, fusion_clusters
+    ):
+        """Pinned answers (the fixture runs per backend, so thread ≡ process
+        follows) for the shapes whose row filter now runs inside the fused
+        loop or the scan's own kernel."""
+        fused, _, _ = fusion_clusters
+        alice, carol = fused.connect("alice"), fused.connect("carol")
+        top = (
+            "SELECT id, amount FROM main.sales.orders WHERE id < 100 "
+            "ORDER BY amount DESC LIMIT 2 OFFSET 1"
+        )
+        assert alice.sql(top).collect() == [(1, 10.5)]
+        assert carol.sql(top).collect() == [(4, 40.0), (3, 30.0)]
+        chain = "SELECT id, buyer FROM main.sales.orders WHERE amount > {}"
+        assert alice.sql(chain.format(15.0)).collect() == [(3, "***")]
+        assert alice.sql(chain.format(5.0)).collect() == [(1, "***"), (3, "***")]
+        assert carol.sql(chain.format(25.0)).collect() == [
+            (3, "alice"), (4, "carol"), (5, "p5")
+        ]
+        bare = "SELECT id FROM main.sales.orders"
+        assert alice.sql(bare).collect() == [(1,), (3,)]
+        assert len(carol.sql(bare).collect()) == 6
 
     def test_udf_split_chain_matches_across_clusters(self, fusion_clusters):
         @client_udf("float")

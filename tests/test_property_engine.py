@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for engine invariants."""
 
+from functools import cmp_to_key
+
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.analyzer import DictResolver
@@ -205,6 +207,55 @@ class TestSortLimitDistinct:
         )
         xs = [r[1] for r in result.rows() if r[1] is not None]
         assert xs == sorted(xs)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", None]),
+                st.one_of(st.integers(-2, 2), st.none()),  # few values: ties
+                st.one_of(st.sampled_from([-1.5, 0.0, 2.5]), st.none()),
+            ),
+            max_size=30,
+        ),
+        orders=st.lists(
+            st.tuples(st.integers(0, 2), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        limit=st.integers(0, 12),
+        offset=st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_order_by_limit_equals_stable_full_sort_then_slice(
+        self, rows, orders, limit, offset
+    ):
+        """ORDER BY … LIMIT/OFFSET (bounded top-k when every key sorts one
+        way, sort-then-slice otherwise) returns exactly the slice of a
+        stable comparison sort: NULLs where ``nulls_first`` says whatever
+        the direction, ties in input order."""
+
+        def compare(a, b):
+            for index, ascending, nulls_first in orders:
+                va, vb = a[index], b[index]
+                if va is None and vb is None:
+                    continue
+                if va is None or vb is None:
+                    return -1 if (va is None) == nulls_first else 1
+                if va != vb:
+                    return (-1 if va < vb else 1) * (1 if ascending else -1)
+            return 0
+
+        expected = sorted(rows, key=cmp_to_key(compare))
+        sort = Sort(
+            rel(),
+            [
+                SortOrder(col(SCHEMA.fields[index].name), ascending, nulls_first)
+                for index, ascending, nulls_first in orders
+            ],
+        )
+        assert make_engine(rows).execute(sort).rows() == expected
+        top = make_engine(rows).execute(Limit(sort, limit, offset)).rows()
+        assert top == expected[offset : offset + limit]
 
     @given(rows=rows_strategy)
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for sandboxes, the dispatcher, trust domains, and egress control."""
 
+import gc
+
 import pytest
 
 from repro.common.clock import VirtualClock
@@ -188,6 +190,56 @@ class TestSubprocessSandbox:
         sandbox.close()
         sandbox.close()
         assert sandbox.closed
+
+    def test_session_alternating_two_udfs_always_runs_the_right_one(self):
+        """Regression: the install cache was keyed on ``id(udf.func)``.
+
+        Functions are unpickled per query and collected, so ids recycle; a
+        session alternating two UDFs eventually had the *other* function
+        invoked in its sandbox (``tag() missing 1 required positional
+        argument`` after ~100 queries). The key is now the function's
+        content, so each query runs its own code — installed once.
+        """
+        from repro.connect.client import col, udf as client_udf
+        from repro.platform import Workspace
+
+        def boost(amount):
+            return amount * 1.5 + 1.0
+
+        def tag(note, a):
+            return f"{note}-{a % 7}"
+
+        boost_udf = client_udf("float")(boost)
+        tag_udf = client_udf("string")(tag)
+        ws = Workspace(sandbox_backend="subprocess")
+        try:
+            ws.add_user("admin", admin=True)
+            ws.catalog.create_catalog("main", owner="admin")
+            ws.catalog.create_schema("main.s", owner="admin")
+            cluster = ws.create_standard_cluster()
+            client = cluster.connect("admin")
+            client.sql("CREATE TABLE main.s.t (id int, amount float, note string, a int)")
+            client.sql(
+                "INSERT INTO main.s.t VALUES (1, 2.0, 'n1', 9), (2, 4.0, 'n2', 3)"
+            )
+            for i in range(320):
+                # A fresh literal per query misses the plan cache, so the
+                # server unpickles (and later collects) a new function.
+                table = client.table("main.s.t").filter(col("id") > -i)
+                if i % 2 == 0:
+                    rows = table.select(col("id"), boost_udf(col("amount"))).collect()
+                    assert rows == [(1, 4.0), (2, 7.0)], f"query {i}"
+                else:
+                    rows = table.select(
+                        col("id"), tag_udf(col("note"), col("a"))
+                    ).collect()
+                    assert rows == [(1, "n1-2"), (2, "n2-3")], f"query {i}"
+                gc.collect()
+            session_id = client.session_id
+            (sandbox,) = cluster.backend.dispatcher.sandboxes_of(session_id)
+            assert len(sandbox._installed) == 2  # noqa: SLF001 - one per UDF
+        finally:
+            ws.shutdown()
 
 
 class TestClusterManager:

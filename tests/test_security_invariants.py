@@ -60,6 +60,141 @@ class TestInvariant1_NoResidualData:
         assert ids == {1, 3}
 
 
+class TestPolicyBeforeUserCode:
+    """The row filter runs before user code on every execution path.
+
+    The filter can be absorbed into a fused loop, run as the scan's own
+    predicate kernel, be interpreted (compile refused), or run inside a
+    worker process; on each path no row outside the caller's filter may
+    reach a UDF or the result.
+    """
+
+    QUERIES = (
+        # UDF stage directly above the governed scan (breaks the chain).
+        "SELECT id, seen(region) AS r FROM main.sales.orders",
+        # UDF above a fused filter->project segment.
+        "SELECT id, seen(region) AS r FROM main.sales.orders WHERE amount > 5.0",
+        # UDF as the predicate itself.
+        "SELECT id, region FROM main.sales.orders WHERE seen(region) = region",
+        # No user code: fused aggregate, top-k, bare scan.
+        "SELECT region, count(*) AS n FROM main.sales.orders GROUP BY region",
+        "SELECT id, region FROM main.sales.orders ORDER BY amount DESC LIMIT 3",
+        "SELECT id, region FROM main.sales.orders",
+    )
+
+    @pytest.fixture
+    def udf_inputs(self, monkeypatch):
+        """Every argument column that reaches user code, recorded at the
+        trusted side of the sandbox boundary."""
+        from repro.engine.udf import PythonUDF
+
+        recorded = []
+        original = PythonUDF.invoke_rows
+
+        def recording(self, arg_columns):
+            recorded.extend(v for column in arg_columns for v in column)
+            return original(self, arg_columns)
+
+        monkeypatch.setattr(PythonUDF, "invoke_rows", recording)
+        return recorded
+
+    @pytest.mark.parametrize(
+        "leg, cluster_kwargs",
+        [
+            ("default", {}),
+            ("fusion-off", {"engine_fuse_operators": False}),
+            ("compile-refused", {}),
+            ("process", {"worker_backend": "process", "worker_pool_size": 2}),
+        ],
+    )
+    def test_no_hidden_row_reaches_user_code_or_result(
+        self, leg, cluster_kwargs, workspace, udf_inputs, monkeypatch
+    ):
+        from repro.engine.compile import KernelCompiler
+
+        cluster = workspace.create_standard_cluster(name=leg, **cluster_kwargs)
+        try:
+            admin = cluster.connect("admin")
+            admin.sql(
+                "CREATE TABLE main.sales.orders "
+                "(id int, region string, amount float, buyer string)"
+            )
+            admin.sql(
+                "INSERT INTO main.sales.orders VALUES "
+                "(1,'US',10.0,'p1'),(2,'EU',20.0,'p2'),"
+                "(3,'US',30.0,'p3'),(4,'APAC',40.0,'p4'),(5,NULL,50.0,'p5')"
+            )
+            admin.sql("GRANT USE CATALOG ON main TO analysts")
+            admin.sql("GRANT USE SCHEMA ON main.sales TO analysts")
+            admin.sql("GRANT SELECT ON main.sales.orders TO analysts")
+            admin.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
+            if leg == "compile-refused":
+                monkeypatch.setattr(
+                    KernelCompiler, "compile_predicate", lambda self, cond: None
+                )
+
+            @udf("string")
+            def seen(region):
+                return region
+
+            alice = cluster.connect("alice")
+            alice.register_udf(seen)
+            misses_before = cluster.backend.kernel_cache.stats.fusion_misses
+            for query in self.QUERIES:
+                rows = alice.sql(query).collect()
+                assert rows, query
+                for row in rows:
+                    assert row[0] in (1, 3, "US"), (leg, query, row)
+                    assert row[1] in ("US", 2), (leg, query, row)
+            assert udf_inputs and set(udf_inputs) == {"US"}
+            if leg == "compile-refused":
+                # The scan fell back to the interpreter, and says so.
+                stats = cluster.backend.kernel_cache.stats
+                assert stats.fusion_misses > misses_before
+        finally:
+            workspace.shutdown()
+
+    def test_default_configuration_never_interprets_a_scan_filter(
+        self, workspace, standard_cluster, admin_client, monkeypatch
+    ):
+        """With a compiler configured, the pushed policy predicate runs in
+        generated code on the fused path *and* on the bare-scan path: no
+        predicate node's interpreted ``eval`` is entered while queries run."""
+        from repro.engine import expressions as ex
+
+        admin_client.sql(
+            "ALTER TABLE main.sales.orders SET ROW FILTER "
+            "(region IN ('US', 'EU') AND is_account_group_member('analysts'))"
+        )
+        calls = []
+        for node_type in (
+            ex.BooleanOp, ex.Comparison, ex.InList, ex.IsAccountGroupMember
+        ):
+            original = node_type.eval
+
+            def counting(self, batch, ctx, _original=original):
+                calls.append(type(self).__name__)
+                return _original(self, batch, ctx)
+
+            monkeypatch.setattr(node_type, "eval", counting)
+
+        @udf("string")
+        def seen(region):
+            return region
+
+        alice = standard_cluster.connect("alice")
+        alice.register_udf(seen)
+        assert alice.sql(
+            "SELECT region, count(*) AS n FROM main.sales.orders "
+            "WHERE amount > 5.0 GROUP BY region ORDER BY region"
+        ).collect() == [("EU", 1), ("US", 2)]
+        assert len(alice.sql("SELECT * FROM main.sales.orders").collect()) == 3
+        assert alice.sql(
+            "SELECT seen(region) AS r FROM main.sales.orders"
+        ).collect() == [("US",), ("EU",), ("US",)]
+        assert calls == []
+
+
 class TestInvariant2_SecureViewBarrier:
     def test_udf_filter_evaluates_after_policy(
         self, workspace, standard_cluster, admin_client

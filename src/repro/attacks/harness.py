@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.attacks import registry
 from repro.attacks.scenario import AttackResult
+from repro.catalog.system_tables import ATTACK_STATS
 from repro.platform import Workspace
 from repro.sandbox import net
 
@@ -144,8 +145,8 @@ class GauntletHarness:
         self.host_secret_path = handle.name
 
         for scenario in registry.all_scenarios():
-            self.catalog.register_attack_stats_provider(
-                scenario.name, self.stats.provider_for(scenario.name)
+            self.catalog.system_tables.register_stats_provider(
+                ATTACK_STATS, scenario.name, self.stats.provider_for(scenario.name)
             )
 
     # -- oracles ------------------------------------------------------------

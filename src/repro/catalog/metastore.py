@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.catalog.abac import TagStore
 from repro.catalog.policies import ColumnMask, RowFilter
@@ -45,6 +45,15 @@ from repro.catalog.securables import (
     ViewObject,
     VolumeObject,
     split_name,
+)
+from repro.catalog.system_tables import (
+    ATTACK_STATS,
+    CACHE_STATS,
+    FAULT_STATS,
+    STORE_STATS,
+    SystemTableRegistry,
+    TXN_STATS,
+    WORKLOAD_STATS,
 )
 from repro.common.audit import AuditLog
 from repro.common.faults import FaultInjector
@@ -143,28 +152,13 @@ class UnityCatalog:
         #: can survive neither a governance change nor a table mutation.
         self._data_epoch = 0
         self._epoch_lock = threading.Lock()
-        #: Named cache-statistics providers backing ``system.access.cache_stats``.
-        self._cache_stats_providers: dict[str, Callable[[], dict[str, Any]]] = {}
-        #: Named workload-statistics providers (admission queues, breakers)
-        #: backing ``system.access.workload_stats``.
-        self._workload_stats_providers: dict[str, Callable[[], dict[str, Any]]] = {}
-        #: Named fault/recovery-statistics providers (the chaos engine and
-        #: each cluster's recovery layer) backing ``system.access.fault_stats``.
-        self._fault_stats_providers: dict[str, Callable[[], dict[str, Any]]] = {}
-        #: Named persistence-tier providers (artifact stores, result
-        #: caches) backing ``system.access.store_stats``.
-        self._store_stats_providers: dict[str, Callable[[], dict[str, Any]]] = {}
-        #: Named attack-gauntlet providers (per-scenario runs/contained/
-        #: leaked counters) backing ``system.access.attack_stats``.
-        self._attack_stats_providers: dict[str, Callable[[], dict[str, Any]]] = {}
-        #: Named transaction-tier providers (commit/abort/conflict/retry
-        #: counters) backing ``system.access.txn_stats``.
-        self._txn_stats_providers: dict[str, Callable[[], dict[str, Any]]] = {}
+        #: Every ``system.access.*`` table and the stats providers behind them.
+        self.system_tables = SystemTableRegistry(self)
         #: The catalog-wide transaction manager, created lazily by the
         #: :attr:`txn_manager` property (the txn tier imports catalog types).
         self._txn_manager: Any = None
-        self.register_fault_stats_provider(
-            "faults[catalog]", self.faults.stats_snapshot
+        self.system_tables.register_stats_provider(
+            FAULT_STATS, "faults[catalog]", self.faults.stats_snapshot
         )
         #: Attribute-based access control: tags + tag policies (§2.3 ABAC).
         self.tags = TagStore()
@@ -208,110 +202,32 @@ class UnityCatalog:
         return epoch
 
     # ------------------------------------------------------------------
-    # Cache-statistics registry (``system.access.cache_stats``)
+    # Stats snapshots by scope (rows of the ``system.access.*_stats`` tables)
     # ------------------------------------------------------------------
-
-    def register_cache_stats_provider(
-        self, name: str, provider: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Expose one cache's counters through the introspection table."""
-        self._cache_stats_providers[name] = provider
 
     def cache_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of every registered cache's statistics, by cache name."""
-        return {
-            name: dict(provider())
-            for name, provider in sorted(self._cache_stats_providers.items())
-        }
-
-    # ------------------------------------------------------------------
-    # Workload-statistics registry (``system.access.workload_stats``)
-    # ------------------------------------------------------------------
-
-    def register_workload_stats_provider(
-        self, name: str, provider: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Expose one scheduler component (a cluster's workload manager, a
-        circuit breaker) through the introspection table."""
-        self._workload_stats_providers[name] = provider
+        return self.system_tables.stats(CACHE_STATS)
 
     def workload_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of every registered scheduler's statistics, by scope."""
-        return {
-            name: dict(provider())
-            for name, provider in sorted(self._workload_stats_providers.items())
-        }
-
-    # ------------------------------------------------------------------
-    # Fault-statistics registry (``system.access.fault_stats``)
-    # ------------------------------------------------------------------
-
-    def register_fault_stats_provider(
-        self, name: str, provider: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Expose one fault/recovery source through the introspection table."""
-        self._fault_stats_providers[name] = provider
+        return self.system_tables.stats(WORKLOAD_STATS)
 
     def fault_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of injected-fault triggers and recovery counters, by scope."""
-        return {
-            name: dict(provider())
-            for name, provider in sorted(self._fault_stats_providers.items())
-        }
-
-    # ------------------------------------------------------------------
-    # Store-statistics registry (``system.access.store_stats``)
-    # ------------------------------------------------------------------
-
-    def register_store_stats_provider(
-        self, name: str, provider: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Expose one persistence-tier component (a cluster's artifact
-        store or result cache) through the introspection table."""
-        self._store_stats_providers[name] = provider
+        return self.system_tables.stats(FAULT_STATS)
 
     def store_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of every registered store's statistics, by scope."""
-        return {
-            name: dict(provider())
-            for name, provider in sorted(self._store_stats_providers.items())
-        }
-
-    # ------------------------------------------------------------------
-    # Attack-statistics registry (``system.access.attack_stats``)
-    # ------------------------------------------------------------------
-
-    def register_attack_stats_provider(
-        self, name: str, provider: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Expose one attack-gauntlet run (per-scenario runs/contained/
-        leaked counters) through the introspection table."""
-        self._attack_stats_providers[name] = provider
+        return self.system_tables.stats(STORE_STATS)
 
     def attack_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of every registered gauntlet's counters, by scope."""
-        return {
-            name: dict(provider())
-            for name, provider in sorted(self._attack_stats_providers.items())
-        }
-
-    # ------------------------------------------------------------------
-    # Transaction-statistics registry (``system.access.txn_stats``)
-    # ------------------------------------------------------------------
-
-    def register_txn_stats_provider(
-        self, name: str, provider: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Expose one transaction manager's counters (begun/committed/
-        aborted/conflicts/retries) through the introspection table."""
-        self._txn_stats_providers[name] = provider
+        return self.system_tables.stats(ATTACK_STATS)
 
     def txn_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of every registered transaction tier's counters."""
-        return {
-            name: dict(provider())
-            for name, provider in sorted(self._txn_stats_providers.items())
-        }
+        return self.system_tables.stats(TXN_STATS)
 
     @property
     def txn_manager(self) -> Any:
@@ -613,7 +529,7 @@ class UnityCatalog:
         owner = self._owner_of(securable)
         allowed = (
             (owner is not None and owner in principals)
-            or (not ctx.is_down_scoped and self.principals.is_admin(ctx.user))
+            or self.is_admin(ctx)
             or self.grants.has(MANAGE, securable, principals)
         )
         self._audit(ctx, f"catalog.{action}", securable, allowed)
@@ -631,11 +547,14 @@ class UnityCatalog:
         except SecurableNotFound:
             return None
 
+    def is_admin(self, ctx: UserContext) -> bool:
+        """Metastore-admin bypass — never under group down-scoping (§4.2)."""
+        return not ctx.is_down_scoped and self.principals.is_admin(ctx.user)
+
     def has_privilege(self, ctx: UserContext, privilege: str, full_name: str) -> bool:
         """Non-raising check, including hierarchy and ownership rules."""
         principals = ctx.principals()
-        # Metastore admins bypass (never under down-scoping).
-        if not ctx.is_down_scoped and self.principals.is_admin(ctx.user):
+        if self.is_admin(ctx):
             return True
         owner = self._owner_of(full_name)
         if owner is not None and owner in principals:
@@ -695,9 +614,7 @@ class UnityCatalog:
 
     def _require_owner_or_admin(self, ctx: UserContext, owner: str,
                                 full_name: str, action: str) -> None:
-        allowed = owner in ctx.principals() or (
-            not ctx.is_down_scoped and self.principals.is_admin(ctx.user)
-        )
+        allowed = owner in ctx.principals() or self.is_admin(ctx)
         self._audit(ctx, f"catalog.{action.replace(' ', '_')}", full_name, allowed)
         if not allowed:
             raise PermissionDenied(ctx.user, "OWNERSHIP", full_name)

@@ -24,9 +24,7 @@ from __future__ import annotations
 import random
 import threading
 import weakref
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -52,6 +50,10 @@ from repro.storage.credentials import (
 from repro.storage.table_format import DataFile, LakeTableStorage
 
 
+#: First scan-retry backoff in seconds; doubles per attempt, with jitter.
+SCAN_RETRY_BASE_DELAY = 0.02
+
+
 @dataclass
 class ScanStats:
     """Per-query scan counters: files, credentials, executor tasks."""
@@ -72,10 +74,6 @@ class RecoveryStats:
     scan_retries: int = 0
     #: Credentials re-vended mid-query after auth expiry / revocation.
     credential_revends: int = 0
-    #: Straggler scan tasks hedged with a duplicate submission.
-    hedges_launched: int = 0
-    #: Hedged duplicates that finished before the original task.
-    hedge_wins: int = 0
 
 
 class _SharedCredential:
@@ -125,10 +123,7 @@ class GovernedDataSource:
         caps: ComputeCapabilities,
         num_executors: int = 2,
         enable_credential_cache: bool = True,
-        credential_refresh_ahead: float = 0.2,
         scan_retries: int = 2,
-        scan_retry_base_delay: float = 0.02,
-        hedge_after_seconds: float | None = None,
         artifact_store: "Any | None" = None,
     ):
         self._catalog = catalog
@@ -137,27 +132,17 @@ class GovernedDataSource:
         #: Bounded per-file retries for retryable storage/credential faults
         #: (0 disables recovery — the ablation baseline).
         self._scan_retries = max(0, scan_retries)
-        self._scan_retry_base = scan_retry_base_delay
-        #: Hedge a straggler task with a duplicate submission after this
-        #: many *wall-clock* seconds (None disables hedging). Wall-clock by
-        #: construction: the wait happens on a real Future of a real pool.
-        self._hedge_after = hedge_after_seconds
         self.stats = ScanStats()
         self.recovery_stats = RecoveryStats()
         self.credential_cache: CredentialCache | None = None
         if enable_credential_cache:
             self.credential_cache = CredentialCache(
                 clock=catalog.clock,
-                refresh_ahead_fraction=credential_refresh_ahead,
                 telemetry=catalog.telemetry,
                 faults=catalog.faults,
                 # Credentials ride the artifact store's memory-pinned tier
-                # only — never the disk spill or shared KV.
+                # only — never the disk spill.
                 persistent=artifact_store,
-            )
-            catalog.register_cache_stats_provider(
-                f"credential_cache[{caps.compute_id}]",
-                self.credential_cache.stats_snapshot,
             )
         # The scan thread pool is created lazily and torn down by close()
         # (cluster shutdown) or, failing that, by the finalizer — worker
@@ -174,8 +159,6 @@ class GovernedDataSource:
         return {
             "scan_retries": float(self.recovery_stats.scan_retries),
             "credential_revends": float(self.recovery_stats.credential_revends),
-            "hedges_launched": float(self.recovery_stats.hedges_launched),
-            "hedge_wins": float(self.recovery_stats.hedge_wins),
         }
 
     def _task_pool(self) -> ThreadPoolExecutor:
@@ -356,7 +339,6 @@ class GovernedDataSource:
             pool = self._task_pool()
             futures = [
                 (
-                    task_index,
                     task_files,
                     pool.submit(
                         run_task,
@@ -369,10 +351,8 @@ class GovernedDataSource:
             ]
             # Consume in submission order: deterministic output regardless
             # of which worker finishes first.
-            for task_index, task_files, future in futures:
-                batches = self._await_task(
-                    pool, future, run_task, task_index, task_files, qctx
-                )
+            for task_files, future in futures:
+                batches = future.result()
                 self.stats.executor_tasks += 1
                 self.stats.files_read += len(task_files)
                 for batch in batches:
@@ -408,7 +388,7 @@ class GovernedDataSource:
         :meth:`scan`: credential vending (including mid-query revends through
         the shared holder), the actual storage reads (so the ``storage.get``
         chaos point, latency simulation and byte accounting are unchanged),
-        bounded deadline-aware retries, straggler hedging, and the
+        bounded deadline-aware retries, and the
         ``scan-task-*`` executor spans. A *retryable* failure reported by a
         worker — corrupt blob, injected ``worker.task`` fault — is recovered
         here by re-reading the object and resubmitting, matching the thread
@@ -518,7 +498,6 @@ class GovernedDataSource:
             tpool = self._task_pool()
             futures = [
                 (
-                    task_index,
                     task_files,
                     tpool.submit(
                         run_task,
@@ -529,10 +508,8 @@ class GovernedDataSource:
                 )
                 for task_index, task_files in tasks
             ]
-            for task_index, task_files, future in futures:
-                results = self._await_task(
-                    tpool, future, run_task, task_index, task_files, qctx
-                )
+            for task_files, future in futures:
+                results = future.result()
                 self.stats.executor_tasks += 1
                 self.stats.files_read += len(task_files)
                 for batch, rows_in in results:
@@ -573,7 +550,7 @@ class GovernedDataSource:
         :class:`~repro.common.context.QueryDeadlineExceeded` chained to the
         transient failure instead of burning the remaining budget.
         """
-        delay = self._scan_retry_base * (2**attempt)
+        delay = SCAN_RETRY_BASE_DELAY * (2**attempt)
         delay *= 1.0 - rng.uniform(0.0, 0.5)
         if task_ctx is not None:
             remaining = task_ctx.remaining()
@@ -594,52 +571,3 @@ class GovernedDataSource:
             backoff_seconds=delay,
         ):
             self._catalog.clock.sleep(delay)
-
-    def _await_task(
-        self,
-        pool: ThreadPoolExecutor,
-        future: "Future[list[ColumnBatch]]",
-        run_task: Callable[..., list[ColumnBatch]],
-        task_index: int,
-        task_files: list[DataFile],
-        qctx: QueryContext | None,
-    ) -> list[ColumnBatch]:
-        """Wait for one task, hedging stragglers when the knob is set.
-
-        After ``hedge_after_seconds`` of wall-clock waiting, a duplicate of
-        the task is submitted to the same pool and whichever attempt
-        finishes first (successfully) wins; reads are idempotent, so the
-        loser's work is simply discarded.
-        """
-        if self._hedge_after is None:
-            return future.result()
-        try:
-            return future.result(timeout=self._hedge_after)
-        except FuturesTimeout:
-            pass
-        self.recovery_stats.hedges_launched += 1
-        if qctx is not None:
-            qctx.event("scan-hedge-launched", task=task_index)
-            qctx.telemetry.counter("recovery.scan_hedges").inc()
-        hedge: "Future[list[ColumnBatch]]" = pool.submit(
-            run_task,
-            task_index,
-            task_files,
-            qctx.child() if qctx is not None else None,
-        )
-        pending = {future, hedge}
-        failure: Exception | None = None
-        while pending:
-            done, pending = futures_wait(pending, return_when=FIRST_COMPLETED)
-            for finished in done:
-                try:
-                    result = finished.result()
-                except Exception as exc:  # noqa: BLE001 - keep last failure
-                    failure = exc
-                    continue
-                if finished is hedge:
-                    self.recovery_stats.hedge_wins += 1
-                    self._catalog.faults.record_recovery("scan.hedge_win")
-                return result
-        assert failure is not None
-        raise failure

@@ -14,6 +14,9 @@ When the analyzer resolves a relation name, this resolver:
    emits a :class:`~repro.engine.logical.RemoteScan` leaf instead — the
    compute never receives policy details or storage credentials.
 
+``system.access.*`` names never reach those steps: they resolve through the
+catalog's :mod:`~repro.catalog.system_tables` registry and its one gate.
+
 ``CURRENT_USER()`` / ``IS_ACCOUNT_GROUP_MEMBER()`` inside policies and view
 bodies still evaluate against the *querying* session at run time; only
 privilege checks use definer rights. That is exactly Unity Catalog's
@@ -36,6 +39,7 @@ from repro.engine.analyzer import Analyzer
 from repro.engine.expressions import Alias, UnresolvedColumn
 from repro.engine.logical import (
     Filter,
+    LocalRelation,
     LogicalPlan,
     Project,
     RemoteScan,
@@ -90,62 +94,17 @@ class GovernedResolver:
     # RelationResolver interface
     # ------------------------------------------------------------------
 
-    #: The queryable audit log (admins only), like UC's system tables.
-    AUDIT_TABLE = "system.access.audit"
-    #: Per-query span profiles; non-admins see only their own queries.
-    QUERY_PROFILE_TABLE = "system.access.query_profile"
-    #: Hit/miss/size counters of every enforcement cache (admins only).
-    CACHE_STATS_TABLE = "system.access.cache_stats"
-    #: Live admission-queue depths, wait times, shed counts and circuit-
-    #: breaker states (admins only).
-    WORKLOAD_STATS_TABLE = "system.access.workload_stats"
-    #: Injected-fault trigger counts and recovery counters from the chaos
-    #: engine and every cluster's recovery layer (admins only).
-    FAULT_STATS_TABLE = "system.access.fault_stats"
-    #: Persistence-tier counters — per-tier hits/misses/bytes, result-cache
-    #: hit ratio, dist-KV rebalance moves (admins only).
-    STORE_STATS_TABLE = "system.access.store_stats"
-    #: Adversarial-gauntlet counters — per attack scenario, how often it ran
-    #: and whether the stack contained it or leaked (admins only).
-    ATTACK_STATS_TABLE = "system.access.attack_stats"
-    #: Transaction-tier counters — transactions begun/committed/aborted,
-    #: commit conflicts, absorbed retries, crash-recovery repairs (admins
-    #: only).
-    TXN_STATS_TABLE = "system.access.txn_stats"
-    #: Every registered ``system.access.*`` table, the single source of
-    #: truth for introspection surfaces (README's listing is diffed against
-    #: this in tests/test_documentation.py).
-    SYSTEM_TABLES = (
-        AUDIT_TABLE,
-        QUERY_PROFILE_TABLE,
-        CACHE_STATS_TABLE,
-        WORKLOAD_STATS_TABLE,
-        FAULT_STATS_TABLE,
-        STORE_STATS_TABLE,
-        ATTACK_STATS_TABLE,
-        TXN_STATS_TABLE,
-    )
-
     def resolve_relation(
         self, name: str, options: dict | None = None
     ) -> LogicalPlan:
         options = options or {}
-        if name == self.AUDIT_TABLE:
-            return self._resolve_audit_table()
-        if name == self.QUERY_PROFILE_TABLE:
-            return self._resolve_query_profile_table()
-        if name == self.CACHE_STATS_TABLE:
-            return self._resolve_cache_stats_table()
-        if name == self.WORKLOAD_STATS_TABLE:
-            return self._resolve_workload_stats_table()
-        if name == self.FAULT_STATS_TABLE:
-            return self._resolve_fault_stats_table()
-        if name == self.STORE_STATS_TABLE:
-            return self._resolve_store_stats_table()
-        if name == self.ATTACK_STATS_TABLE:
-            return self._resolve_attack_stats_table()
-        if name == self.TXN_STATS_TABLE:
-            return self._resolve_txn_stats_table()
+        system_table = self._catalog.system_tables.get(name)
+        if system_table is not None:
+            # Visibility is decided for the *session* user: a view body
+            # never lends its definer's admin rights to a system table.
+            return LocalRelation(
+                *self._catalog.system_tables.read(system_table, self.session_ctx)
+            )
         metadata = self._catalog.relation_metadata(
             name, self.acting_ctx, self._caps
         )
@@ -283,351 +242,6 @@ class GovernedResolver:
                 return None
 
         return lookup
-
-    # ------------------------------------------------------------------
-    # System tables
-    # ------------------------------------------------------------------
-
-    def _resolve_audit_table(self) -> LogicalPlan:
-        """``system.access.audit`` as a queryable relation (admins only)."""
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import BOOL, FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.AUDIT_TABLE)
-        events = list(self._catalog.audit)
-        schema = Schema(
-            (
-                Field("event_time", FLOAT),
-                Field("principal", STRING),
-                Field("action", STRING),
-                Field("resource", STRING),
-                Field("allowed", BOOL),
-                Field("details", STRING),
-            )
-        )
-        columns: list[list] = [
-            [e.timestamp for e in events],
-            [e.principal for e in events],
-            [e.action for e in events],
-            [e.resource for e in events],
-            [e.allowed for e in events],
-            [str(e.details) for e in events],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_query_profile_table(self) -> LogicalPlan:
-        """``system.access.query_profile``: finished spans as a relation.
-
-        Unlike the audit log (admins only), profiles are *user-scoped*:
-        every user may inspect where their own queries spent time, but only
-        admins see other principals' spans.
-        """
-        import json as _json
-
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        spans = [
-            s
-            for s in self._catalog.telemetry.spans()
-            if is_admin or s.user == ctx.user
-        ]
-        schema = Schema(
-            (
-                Field("trace_id", STRING),
-                Field("span_id", STRING),
-                Field("parent_id", STRING),
-                Field("name", STRING),
-                Field("kind", STRING),
-                Field("user", STRING),
-                Field("start", FLOAT),
-                Field("duration_ms", FLOAT),
-                Field("status", STRING),
-                Field("attributes", STRING),
-            )
-        )
-        columns: list[list] = [
-            [s.trace_id for s in spans],
-            [s.span_id for s in spans],
-            [s.parent_id or "" for s in spans],
-            [s.name for s in spans],
-            [s.kind for s in spans],
-            [s.user for s in spans],
-            [s.start for s in spans],
-            [s.duration * 1000.0 for s in spans],
-            [s.status for s in spans],
-            [_json.dumps(s.attributes, default=str, sort_keys=True) for s in spans],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_cache_stats_table(self) -> LogicalPlan:
-        """``system.access.cache_stats``: one row per cache metric (admins).
-
-        Rows come from the providers each enforcement cache registers with
-        the catalog (secure-plan cache, credential cache, sandbox pool), as
-        ``(cache, metric, value)`` — operators watch hit rates and verify
-        that a policy change flushed what it should have.
-        """
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.CACHE_STATS_TABLE)
-        rows: list[tuple[str, str, float]] = []
-        for cache_name, stats in self._catalog.cache_stats().items():
-            for metric, value in sorted(stats.items()):
-                try:
-                    rows.append((cache_name, metric, float(value)))
-                except (TypeError, ValueError):
-                    continue  # non-numeric provider fields are not metrics
-        schema = Schema(
-            (
-                Field("cache", STRING),
-                Field("metric", STRING),
-                Field("value", FLOAT),
-            )
-        )
-        columns: list[list] = [
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_workload_stats_table(self) -> LogicalPlan:
-        """``system.access.workload_stats``: one row per scheduler metric.
-
-        Admin-only, like ``cache_stats``. Rows come from the providers each
-        scheduler component registers with the catalog — every cluster's
-        workload manager (queue depths, waits, sheds, per-tenant budgets)
-        and the serverless gateway's circuit breaker — as
-        ``(scope, metric, value)``, so operators can watch saturation and
-        breaker trips live, through plain governed SQL.
-        """
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.WORKLOAD_STATS_TABLE)
-        rows: list[tuple[str, str, float]] = []
-        for scope, stats in self._catalog.workload_stats().items():
-            for metric, value in sorted(stats.items()):
-                try:
-                    rows.append((scope, metric, float(value)))
-                except (TypeError, ValueError):
-                    continue  # non-numeric provider fields are not metrics
-        schema = Schema(
-            (
-                Field("scope", STRING),
-                Field("metric", STRING),
-                Field("value", FLOAT),
-            )
-        )
-        columns: list[list] = [
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_fault_stats_table(self) -> LogicalPlan:
-        """``system.access.fault_stats``: chaos + recovery counters.
-
-        Admin-only. One ``(scope, metric, value)`` row per counter from the
-        catalog's fault-stats providers: the chaos engine itself (per-point
-        call/trigger totals, named recoveries) and every cluster's recovery
-        layer (scan retries, credential re-vends, hedges, sandbox
-        evictions/replays) — so an operator can watch an injection drill
-        *and* the system riding it out, through plain governed SQL.
-        """
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.FAULT_STATS_TABLE)
-        rows: list[tuple[str, str, float]] = []
-        for scope, stats in self._catalog.fault_stats().items():
-            for metric, value in sorted(stats.items()):
-                try:
-                    rows.append((scope, metric, float(value)))
-                except (TypeError, ValueError):
-                    continue  # non-numeric provider fields are not metrics
-        schema = Schema(
-            (
-                Field("scope", STRING),
-                Field("metric", STRING),
-                Field("value", FLOAT),
-            )
-        )
-        columns: list[list] = [
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_store_stats_table(self) -> LogicalPlan:
-        """``system.access.store_stats``: persistence-tier counters (admins).
-
-        One ``(scope, metric, value)`` row per counter from the catalog's
-        store-stats providers: each cluster's artifact store (per-namespace
-        hits/puts, ladder hit/miss/corruption-rejected/fault-drop totals,
-        per-tier counters) and its governed result cache — so operators can
-        watch warm-start behaviour, tier promotion and checksum rejections
-        through plain governed SQL.
-        """
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.STORE_STATS_TABLE)
-        rows: list[tuple[str, str, float]] = []
-        for scope, stats in self._catalog.store_stats().items():
-            for metric, value in sorted(stats.items()):
-                try:
-                    rows.append((scope, metric, float(value)))
-                except (TypeError, ValueError):
-                    continue  # non-numeric provider fields are not metrics
-        schema = Schema(
-            (
-                Field("scope", STRING),
-                Field("metric", STRING),
-                Field("value", FLOAT),
-            )
-        )
-        columns: list[list] = [
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_attack_stats_table(self) -> LogicalPlan:
-        """``system.access.attack_stats``: gauntlet outcomes (admins only).
-
-        One ``(scenario, metric, value)`` row per counter from the
-        catalog's attack-stats providers — each registered gauntlet run
-        reports, per attack scenario, how often it ran, how often the
-        stack contained it, and how many rows/bytes leaked. The CI
-        gauntlet job snapshots this table as its artifact; any non-zero
-        ``leaks`` row is a broken security invariant, not a flaky test.
-        """
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.ATTACK_STATS_TABLE)
-        rows: list[tuple[str, str, float]] = []
-        for scope, stats in self._catalog.attack_stats().items():
-            for metric, value in sorted(stats.items()):
-                try:
-                    rows.append((scope, metric, float(value)))
-                except (TypeError, ValueError):
-                    continue  # non-numeric provider fields are not metrics
-        schema = Schema(
-            (
-                Field("scenario", STRING),
-                Field("metric", STRING),
-                Field("value", FLOAT),
-            )
-        )
-        columns: list[list] = [
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-        ]
-        return LocalRelation(schema, columns)
-
-    def _resolve_txn_stats_table(self) -> LogicalPlan:
-        """``system.access.txn_stats``: transaction-tier counters (admins).
-
-        One ``(scope, metric, value)`` row per counter from the catalog's
-        transaction-stats providers — transactions begun/committed/aborted,
-        commit conflicts, retries absorbed by backoff, torn commits rolled
-        back and orphan files swept by recovery. The write-path chaos CI
-        leg watches this table to confirm every injected fault was either
-        absorbed or turned into a clean abort.
-        """
-        from repro.catalog.privileges import MANAGE
-        from repro.engine.logical import LocalRelation
-        from repro.engine.types import FLOAT, STRING, Field
-        from repro.errors import PermissionDenied
-
-        ctx = self.session_ctx
-        is_admin = (
-            not ctx.is_down_scoped
-            and self._catalog.principals.is_admin(ctx.user)
-        )
-        if not is_admin:
-            raise PermissionDenied(ctx.user, MANAGE, self.TXN_STATS_TABLE)
-        rows: list[tuple[str, str, float]] = []
-        for scope, stats in self._catalog.txn_stats().items():
-            for metric, value in sorted(stats.items()):
-                try:
-                    rows.append((scope, metric, float(value)))
-                except (TypeError, ValueError):
-                    continue  # non-numeric provider fields are not metrics
-        schema = Schema(
-            (
-                Field("scope", STRING),
-                Field("metric", STRING),
-                Field("value", FLOAT),
-            )
-        )
-        columns: list[list] = [
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-        ]
-        return LocalRelation(schema, columns)
 
     # ------------------------------------------------------------------
     # Remote (eFGAC) relations

@@ -21,6 +21,12 @@ from repro.catalog.metastore import UnityCatalog
 from repro.catalog.policies import ColumnMask, RowFilter
 from repro.catalog.privileges import CREATE_TABLE, UserContext
 from repro.catalog.scopes import COMPUTE_STANDARD, ComputeCapabilities
+from repro.catalog.system_tables import (
+    CACHE_STATS,
+    FAULT_STATS,
+    STORE_STATS,
+    WORKLOAD_STATS,
+)
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import QueryContext, current_context
 from repro.common.ids import new_id
@@ -93,21 +99,14 @@ class LakeguardCluster:
         interpreter_start_seconds: float = 0.0,
         context_transform: ContextTransform | None = None,
         engine_compile: bool = True,
-        kernel_cache_capacity: int = 256,
         enable_plan_cache: bool = True,
-        plan_cache_capacity: int = 128,
         enable_credential_cache: bool = True,
-        credential_refresh_ahead: float = 0.2,
         sandbox_min_pool_size: int = 0,
         enable_workload_manager: bool = True,
         workload_slots: int = 16,
         workload_fair_share: bool = True,
-        workload_max_total_queue: int = 256,
-        workload_admission_timeout: float = 30.0,
         workload_default_policy: TenantPolicy | None = None,
         scan_retries: int = 2,
-        scan_retry_base_delay: float = 0.02,
-        scan_hedge_after_seconds: float | None = None,
         udf_invoke_retry: bool = True,
         worker_backend: str | None = None,
         worker_pool_size: int | None = None,
@@ -115,7 +114,6 @@ class LakeguardCluster:
         store_backend: str = "memory",
         store_dir: str | None = None,
         result_cache_enabled: bool = False,
-        dist_kv: Any = None,
     ):
         self.catalog = catalog
         self.clock = clock or SystemClock()
@@ -127,6 +125,9 @@ class LakeguardCluster:
         self.num_executors = num_executors
         self.batch_size = batch_size
         self._context_transform = context_transform
+        #: ``(table, scope, provider)`` of every stats provider this cluster
+        #: registered with the catalog; :meth:`shutdown` unregisters them.
+        self._stats_registrations: list[tuple[str, str, Any]] = []
 
         #: One safe replay of a UDF invoke whose sandbox died before the
         #: request was delivered (at-most-once is preserved either way).
@@ -151,13 +152,10 @@ class LakeguardCluster:
                 telemetry=self.telemetry,
                 total_slots=workload_slots,
                 fair_share=workload_fair_share,
-                max_total_queue=workload_max_total_queue,
-                admission_timeout=workload_admission_timeout,
                 default_policy=workload_default_policy,
             )
-            catalog.register_workload_stats_provider(
-                f"workload[{self.cluster_id}]",
-                self.workload_manager.stats_snapshot,
+            self._expose_stats(
+                WORKLOAD_STATS, "workload", self.workload_manager.stats_snapshot
             )
 
         self.dispatcher = Dispatcher(
@@ -165,19 +163,18 @@ class LakeguardCluster:
             min_pool_size=sandbox_min_pool_size,
             workload_manager=self.workload_manager,
         )
-        catalog.register_cache_stats_provider(
-            f"sandbox_pool[{self.cluster_id}]", self.dispatcher.stats_snapshot
+        self._expose_stats(
+            CACHE_STATS, "sandbox_pool", self.dispatcher.stats_snapshot
         )
 
         #: Governed persistence tier (PAPER §cache): a tiered KV ladder under
         #: the kernel/plan/credential caches plus the governed result cache.
         #: ``store_backend`` picks the ladder: ``memory`` (default — process
         #: lifetime only), ``disk`` (memory → spill dir, survives restarts),
-        #: ``distkv`` (… → simulated distributed KV, shared across clusters),
         #: or ``none`` (no store at all).
         self.artifact_store: Any = None
         self.result_cache: Any = None
-        self._build_store(store_backend, store_dir, result_cache_enabled, dist_kv)
+        self._build_store(store_backend, store_dir, result_cache_enabled)
         #: Persistent read/write-through hook for kernel/plan caches. Only
         #: wired when a tier actually outlives this process — duplicating
         #: every entry into a same-lifetime memory ladder is pure overhead.
@@ -201,14 +198,11 @@ class LakeguardCluster:
         self._kernel_compiler: KernelCompiler | None = None
         if engine_compile:
             self.kernel_cache = KernelCache(
-                capacity=kernel_cache_capacity,
-                telemetry=self.telemetry,
-                persistent=store_persistent,
+                telemetry=self.telemetry, persistent=store_persistent
             )
             self._kernel_compiler = KernelCompiler(cache=self.kernel_cache)
-            catalog.register_cache_stats_provider(
-                f"kernel_cache[{self.cluster_id}]",
-                self.kernel_cache.stats_snapshot,
+            self._expose_stats(
+                CACHE_STATS, "kernel_cache", self.kernel_cache.stats_snapshot
             )
 
         #: Secure-plan cache: memoizes parse→resolve→rewrite→optimize output,
@@ -216,12 +210,10 @@ class LakeguardCluster:
         self.plan_cache: SecurePlanCache | None = None
         if enable_plan_cache:
             self.plan_cache = SecurePlanCache(
-                capacity=plan_cache_capacity,
-                telemetry=self.telemetry,
-                persistent=store_persistent,
+                telemetry=self.telemetry, persistent=store_persistent
             )
-            catalog.register_cache_stats_provider(
-                f"plan_cache[{self.cluster_id}]", self.plan_cache.stats_snapshot
+            self._expose_stats(
+                CACHE_STATS, "plan_cache", self.plan_cache.stats_snapshot
             )
 
         self.data_source = GovernedDataSource(
@@ -229,18 +221,19 @@ class LakeguardCluster:
             self.caps,
             num_executors,
             enable_credential_cache=enable_credential_cache,
-            credential_refresh_ahead=credential_refresh_ahead,
             scan_retries=scan_retries,
-            scan_retry_base_delay=scan_retry_base_delay,
-            hedge_after_seconds=scan_hedge_after_seconds,
             # Always wired (not just when persistent): the store pins
             # credentials to its memory tier, proving secret material can
             # ride the same ladder without ever reaching disk.
             artifact_store=self.artifact_store,
         )
-        catalog.register_fault_stats_provider(
-            f"recovery[{self.cluster_id}]", self._recovery_stats_snapshot
-        )
+        if self.data_source.credential_cache is not None:
+            self._expose_stats(
+                CACHE_STATS,
+                "credential_cache",
+                self.data_source.credential_cache.stats_snapshot,
+            )
+        self._expose_stats(FAULT_STATS, "recovery", self._recovery_stats_snapshot)
 
         #: Execution backend: one cluster-wide process pool shared by every
         #: session engine (``None`` on the thread backend). Prewarmed here,
@@ -259,9 +252,8 @@ class LakeguardCluster:
                 telemetry=self.telemetry,
             )
             self.worker_pool.prewarm()
-            catalog.register_cache_stats_provider(
-                f"worker_pool[{self.cluster_id}]",
-                self.worker_pool.stats_snapshot,
+            self._expose_stats(
+                CACHE_STATS, "worker_pool", self.worker_pool.stats_snapshot
             )
         self._remote_analyze = remote_analyze
         self.remote_executor: RemoteQueryExecutor | None = None
@@ -277,18 +269,23 @@ class LakeguardCluster:
         #: Most recent QueryResult (plans + metrics), for tests/benchmarks.
         self.last_result: QueryResult | None = None
 
+    def _expose_stats(self, table: str, family: str, provider: Any) -> None:
+        """Publish ``provider`` as the ``family[cluster_id]`` scope of a
+        ``system.access.*_stats`` table, until :meth:`shutdown`."""
+        scope = f"{family}[{self.cluster_id}]"
+        self.catalog.system_tables.register_stats_provider(table, scope, provider)
+        self._stats_registrations.append((table, scope, provider))
+
     def _build_store(
         self,
         store_backend: str,
         store_dir: str | None,
         result_cache_enabled: bool,
-        dist_kv: Any,
     ) -> None:
         """Assemble the tiered store ladder + artifact/result facades."""
         from repro.store import (
             ArtifactStore,
             DiskTier,
-            DistKVTier,
             GovernedResultCache,
             MemoryTier,
             TieredStore,
@@ -310,14 +307,10 @@ class LakeguardCluster:
             if store_dir is None:
                 raise ValueError("store_backend='disk' requires store_dir")
             tiers.append(DiskTier(store_dir))
-        elif backend == "distkv":
-            if store_dir is not None:
-                tiers.append(DiskTier(store_dir))
-            tiers.append(dist_kv if dist_kv is not None else DistKVTier())
         elif backend != "memory":
             raise ValueError(
                 f"unknown store_backend '{store_backend}' "
-                "(expected memory|disk|distkv|none)"
+                "(expected memory|disk|none)"
             )
         tiered = TieredStore(
             tiers, faults=self.catalog.faults, telemetry=self.telemetry
@@ -325,16 +318,15 @@ class LakeguardCluster:
         self.artifact_store = ArtifactStore(
             tiered, cluster_id=self.cluster_id, telemetry=self.telemetry
         )
-        self.catalog.register_store_stats_provider(
-            f"store[{self.cluster_id}]", self.artifact_store.stats_snapshot
+        self._expose_stats(
+            STORE_STATS, "store", self.artifact_store.stats_snapshot
         )
         if result_cache_enabled:
             self.result_cache = GovernedResultCache(
                 self.artifact_store, telemetry=self.telemetry
             )
-            self.catalog.register_store_stats_provider(
-                f"result_cache[{self.cluster_id}]",
-                self.result_cache.stats_snapshot,
+            self._expose_stats(
+                STORE_STATS, "result_cache", self.result_cache.stats_snapshot
             )
 
     def _recovery_stats_snapshot(self) -> dict[str, float]:
@@ -454,10 +446,16 @@ class LakeguardCluster:
         """Release cluster-owned executor resources (idempotent).
 
         Tears down the scan thread pool, the process worker pool (and its
-        shared-memory segments), and the cluster manager's autoscaler. Safe
-        to call more than once; sessions created afterwards fall back to
-        serial in-process execution.
+        shared-memory segments) and the cluster manager's autoscaler, and
+        withdraws this cluster's scopes from the ``system.access.*_stats``
+        tables — a dead cluster must neither keep reporting rows nor stay
+        pinned by the catalog through its providers. Safe to call more than
+        once; sessions created afterwards fall back to serial in-process
+        execution.
         """
+        for registration in self._stats_registrations:
+            self.catalog.system_tables.unregister_stats_provider(*registration)
+        self._stats_registrations.clear()
         self.data_source.close()
         if self.worker_pool is not None:
             self.worker_pool.close()

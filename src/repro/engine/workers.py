@@ -37,7 +37,7 @@ respawn). A *retryable* error raised inside a worker (including injected
 ``worker.task`` faults) is re-raised driver-side carrying the original
 exception object; eval tasks absorb a bounded number of such errors at the
 pool layer, scan tasks propagate them to ``GovernedDataSource``'s existing
-retry/hedging machinery so PR-5 recovery semantics are preserved verbatim.
+retry machinery so PR-5 recovery semantics are preserved verbatim.
 """
 
 from __future__ import annotations

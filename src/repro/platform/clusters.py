@@ -21,17 +21,18 @@ from repro.connect.channel import InProcessChannel, LatencyModel
 from repro.connect.client import SparkConnectClient
 from repro.connect.proto import PROTOCOL_VERSION
 from repro.connect.service import SparkConnectService
-from repro.core.efgac import RemoteSubmit
 from repro.core.lakeguard import LakeguardCluster
-from repro.engine.optimizer import OptimizerConfig
 from repro.errors import ClusterAttachDenied
-from repro.sandbox.cluster_manager import Backend
-from repro.sandbox.policy import SandboxPolicy
-from repro.scheduler.workload import TenantPolicy
 
 
 class ComputeCluster:
-    """A governed cluster: Lakeguard backend + Spark Connect service."""
+    """A governed cluster: Lakeguard backend + Spark Connect service.
+
+    Cluster options are declared once, on
+    :class:`~repro.core.lakeguard.LakeguardCluster`; everything this layer
+    does not supply or wrap itself travels there as ``**backend_options``
+    (an unknown keyword is the backend's ``TypeError``, naming it).
+    """
 
     def __init__(
         self,
@@ -39,38 +40,8 @@ class ComputeCluster:
         compute_type: str,
         name: str | None = None,
         clock: Clock | None = None,
-        sandbox_backend: Backend = "inprocess",
-        sandbox_policy: SandboxPolicy | None = None,
-        optimizer_config: OptimizerConfig | None = None,
-        num_executors: int = 2,
-        batch_size: int = 4096,
-        remote_submit: RemoteSubmit | None = None,
-        remote_analyze: Callable[[str, dict[str, Any]], list[dict[str, str]]] | None = None,
         context_transform: Callable[[UserContext], UserContext] | None = None,
-        provision_seconds: float = 0.0,
-        interpreter_start_seconds: float = 0.0,
-        engine_compile: bool = True,
-        kernel_cache_capacity: int = 256,
-        enable_plan_cache: bool = True,
-        plan_cache_capacity: int = 128,
-        enable_credential_cache: bool = True,
-        sandbox_min_pool_size: int = 0,
-        enable_workload_manager: bool = True,
-        workload_slots: int = 16,
-        workload_fair_share: bool = True,
-        workload_admission_timeout: float = 30.0,
-        workload_default_policy: TenantPolicy | None = None,
-        scan_retries: int = 2,
-        scan_retry_base_delay: float = 0.02,
-        scan_hedge_after_seconds: float | None = None,
-        udf_invoke_retry: bool = True,
-        worker_backend: str | None = None,
-        worker_pool_size: int | None = None,
-        engine_fuse_operators: bool | None = None,
-        store_backend: str = "memory",
-        store_dir: str | None = None,
-        result_cache_enabled: bool = False,
-        dist_kv: Any = None,
+        **backend_options: Any,
     ):
         self.catalog = catalog
         self.clock = clock or SystemClock()
@@ -80,38 +51,8 @@ class ComputeCluster:
             compute_type=compute_type,
             cluster_id=self.name,
             clock=self.clock,
-            sandbox_backend=sandbox_backend,
-            sandbox_policy=sandbox_policy,
-            optimizer_config=optimizer_config,
-            num_executors=num_executors,
-            batch_size=batch_size,
-            remote_submit=remote_submit,
-            remote_analyze=remote_analyze,
-            provision_seconds=provision_seconds,
-            interpreter_start_seconds=interpreter_start_seconds,
             context_transform=self._transform_context,
-            engine_compile=engine_compile,
-            kernel_cache_capacity=kernel_cache_capacity,
-            enable_plan_cache=enable_plan_cache,
-            plan_cache_capacity=plan_cache_capacity,
-            enable_credential_cache=enable_credential_cache,
-            sandbox_min_pool_size=sandbox_min_pool_size,
-            enable_workload_manager=enable_workload_manager,
-            workload_slots=workload_slots,
-            workload_fair_share=workload_fair_share,
-            workload_admission_timeout=workload_admission_timeout,
-            workload_default_policy=workload_default_policy,
-            scan_retries=scan_retries,
-            scan_retry_base_delay=scan_retry_base_delay,
-            scan_hedge_after_seconds=scan_hedge_after_seconds,
-            udf_invoke_retry=udf_invoke_retry,
-            worker_backend=worker_backend,
-            worker_pool_size=worker_pool_size,
-            engine_fuse_operators=engine_fuse_operators,
-            store_backend=store_backend,
-            store_dir=store_dir,
-            result_cache_enabled=result_cache_enabled,
-            dist_kv=dist_kv,
+            **backend_options,
         )
         self.service = SparkConnectService(self.backend, clock=self.clock)
         #: The backend's admission controller (None when disabled).

@@ -20,6 +20,7 @@ from typing import Any, Iterator
 
 from repro.catalog.metastore import UnityCatalog
 from repro.catalog.scopes import COMPUTE_SERVERLESS
+from repro.catalog.system_tables import WORKLOAD_STATS
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import current_context
 from repro.common.faults import FaultSpec
@@ -115,8 +116,8 @@ class ServerlessGateway:
         )
         self._efgac_retries = efgac_retries
         self._efgac_retry_base = efgac_retry_base
-        catalog.register_workload_stats_provider(
-            "efgac_breaker[serverless]", self.breaker.stats_snapshot
+        catalog.system_tables.register_stats_provider(
+            WORKLOAD_STATS, "efgac_breaker[serverless]", self.breaker.stats_snapshot
         )
         for _ in range(min_clusters):
             self._provision_cluster()
@@ -193,7 +194,7 @@ class ServerlessGateway:
                 cluster.active_sessions == 0
                 and len(self._clusters) - removed > self._min_clusters
             ):
-                cluster.backend.cluster_manager.shutdown()
+                cluster.backend.shutdown()
                 removed += 1
                 self.stats.scale_downs += 1
             else:

@@ -42,7 +42,6 @@ class Workspace:
         self.store_backend = store_backend
         self.store_dir = store_dir
         self.result_cache_enabled = result_cache_enabled
-        self._dist_kv: Any = None
         self.clusters: dict[str, Any] = {}
         self._gateway: ServerlessGateway | None = None
 
@@ -66,27 +65,11 @@ class Workspace:
             )
         return self._gateway
 
-    @property
-    def dist_kv(self) -> Any:
-        """The workspace-shared simulated distributed KV (lazily created).
-
-        Every cluster created with ``store_backend='distkv'`` in this
-        workspace rides the *same* KV instance, so content-addressed
-        artifacts (compiled kernels) are shared across the fleet.
-        """
-        if self._dist_kv is None:
-            from repro.store import DistKVTier
-
-            self._dist_kv = DistKVTier()
-        return self._dist_kv
-
     def _store_kwargs(self, kwargs: dict[str, Any]) -> dict[str, Any]:
         """Apply workspace persistence-tier defaults to cluster kwargs."""
         kwargs.setdefault("store_backend", self.store_backend)
         kwargs.setdefault("store_dir", self.store_dir)
         kwargs.setdefault("result_cache_enabled", self.result_cache_enabled)
-        if kwargs["store_backend"] == "distkv":
-            kwargs.setdefault("dist_kv", self.dist_kv)
         return kwargs
 
     def create_standard_cluster(self, name: str = "standard", **kwargs: Any) -> StandardCluster:

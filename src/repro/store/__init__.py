@@ -2,7 +2,7 @@
 
 Everything warmed in this repo used to die with the Python process; this
 package is where warmed state survives. See :mod:`repro.store.tiers` for
-the KV ladder (memory → disk spill → simulated distributed KV),
+the KV ladder (memory → disk spill),
 :mod:`repro.store.artifacts` for the typed facade and key schema, and
 :mod:`repro.store.result_cache` for the governed result cache.
 """
@@ -11,7 +11,6 @@ from repro.store.artifacts import ArtifactStore, identity_digest
 from repro.store.result_cache import GovernedResultCache, plan_is_cacheable
 from repro.store.tiers import (
     DiskTier,
-    DistKVTier,
     MemoryTier,
     TieredStore,
     frame_payload,
@@ -21,7 +20,6 @@ from repro.store.tiers import (
 __all__ = [
     "ArtifactStore",
     "DiskTier",
-    "DistKVTier",
     "GovernedResultCache",
     "MemoryTier",
     "TieredStore",

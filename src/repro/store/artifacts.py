@@ -16,8 +16,7 @@ principal set, compute id and session temp-state version, so one
 principal's artifacts are unreachable through another principal's keys.
 
 Credentials are pinned ``memory_only``: secret material never reaches the
-disk tier or the shared KV (a security test scans the spill directory to
-enforce this).
+disk tier (a security test scans the spill directory to enforce this).
 
 Serialization failures are counted and swallowed — persistence is strictly
 an optimization; anything that will not round-trip simply is not persisted.
@@ -93,7 +92,7 @@ class ArtifactStore:
 
     @property
     def has_persistent(self) -> bool:
-        """True when artifacts outlive this process (disk or shared KV)."""
+        """True when artifacts outlive this process (a disk tier)."""
         return self.store.has_persistent
 
     def _codec_error(self) -> None:

@@ -2,28 +2,20 @@
 
 A :class:`TieredStore` is a ladder of tiers, fastest first::
 
-    MemoryTier  ->  DiskTier (spill directory)  ->  DistKVTier (simulated
-                                                    distributed KV)
+    MemoryTier  ->  DiskTier (spill directory)
 
 Reads walk the ladder top-down and *promote* a hit into every faster tier;
 writes go through every tier (unless pinned ``memory_only`` — the
 credential rule). Every payload is framed with a sha256 checksum before it
 enters any tier and verified on the way out, so a corrupted entry —
-whether from the chaos engine's ``store.get`` corrupt faults, a truncated
-spill file, or a flaky simulated KV node — is *rejected and deleted*, never
-served. A rejected or faulted read degrades to a miss: the caller
-recomputes, which is always safe.
+whether from the chaos engine's ``store.get`` corrupt faults or a truncated
+spill file — is *rejected and deleted*, never served. A rejected or faulted
+read degrades to a miss: the caller recomputes, which is always safe.
 
 Fault points consulted on the shared chaos engine: ``store.get``,
 ``store.put``, ``store.evict``. A ``raise`` fault is absorbed (miss / skipped
 write); a ``corrupt`` fault mangles the framed payload and is then caught by
 the checksum on the next read.
-
-:class:`DistKVTier` simulates the shared fleet store: N nodes on a
-consistent-hash ring (many virtual nodes per physical node), a replication
-factor, and add/remove-node rebalancing that moves only the keys whose
-ownership changed. One instance can back several live clusters, which is
-how warmed artifacts cross cluster boundaries.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -91,7 +82,7 @@ class MemoryTier:
 
     Also the *only* tier credentials may occupy (``memory_only`` writes stop
     here), so secret material never outlives the process or crosses onto a
-    spill directory or the shared KV.
+    spill directory.
     """
 
     #: Entries here die with the process.
@@ -280,208 +271,6 @@ class DiskTier:
             }
 
 
-class DistKVTier:
-    """A simulated distributed KV: consistent hashing + replication.
-
-    Keys map to the first ``replication`` distinct nodes clockwise from
-    their hash on a ring of virtual nodes (``vnodes_per_node`` per physical
-    node, so membership changes move ~1/N of the keyspace instead of
-    rehashing everything). :meth:`add_node` / :meth:`remove_node` rebalance:
-    every key is re-placed under the new ring and only the moved copies are
-    counted. One instance is process-wide shared state — several live
-    clusters pointing at the same ``DistKVTier`` see each other's artifacts,
-    which is the fleet-sharing story.
-    """
-
-    persistent = True
-
-    def __init__(
-        self,
-        num_nodes: int = 4,
-        replication: int = 2,
-        vnodes_per_node: int = 32,
-        name: str = "distkv",
-    ):
-        if num_nodes < 1:
-            raise ValueError("DistKVTier needs at least one node")
-        self.name = name
-        self.replication = max(1, replication)
-        self.vnodes_per_node = max(1, vnodes_per_node)
-        self._nodes: dict[str, dict[str, bytes]] = {
-            f"node-{i}": {} for i in range(num_nodes)
-        }
-        self._ring: list[tuple[int, str]] = []
-        self._lock = threading.Lock()
-        self.stats = TierStats()
-        #: Copies relocated by membership-change rebalancing.
-        self.rebalance_moves = 0
-        #: Reads satisfied by a replica after the primary owner missed.
-        self.replica_fallbacks = 0
-        self._rebuild_ring()
-
-    # -- ring ------------------------------------------------------------------
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        return int.from_bytes(
-            hashlib.sha256(value.encode("utf-8")).digest()[:8], "big"
-        )
-
-    def _rebuild_ring(self) -> None:
-        ring = [
-            (self._hash(f"{node}#{v}"), node)
-            for node in self._nodes
-            for v in range(self.vnodes_per_node)
-        ]
-        ring.sort()
-        self._ring = ring
-
-    def _owners(self, key: str) -> list[str]:
-        """The ``replication`` distinct nodes owning ``key``, in order."""
-        if not self._ring:
-            return []
-        start = bisect_right(self._ring, (self._hash(key), "￿"))
-        owners: list[str] = []
-        for i in range(len(self._ring)):
-            node = self._ring[(start + i) % len(self._ring)][1]
-            if node not in owners:
-                owners.append(node)
-                if len(owners) >= min(self.replication, len(self._nodes)):
-                    break
-        return owners
-
-    def owners_of(self, key: str) -> list[str]:
-        """Public view of a key's replica set (tests assert placement)."""
-        with self._lock:
-            return self._owners(key)
-
-    @property
-    def node_names(self) -> list[str]:
-        """Current membership, sorted."""
-        with self._lock:
-            return sorted(self._nodes)
-
-    # -- KV --------------------------------------------------------------------
-
-    def get(self, key: str) -> bytes | None:
-        """Read from the replica set, falling back past missing copies."""
-        with self._lock:
-            for i, node in enumerate(self._owners(key)):
-                raw = self._nodes[node].get(key)
-                if raw is not None:
-                    if i > 0:
-                        self.replica_fallbacks += 1
-                    self.stats.hits += 1
-                    self.stats.bytes_read += len(raw)
-                    return raw
-            self.stats.misses += 1
-            return None
-
-    def put(self, key: str, raw: bytes) -> None:
-        """Write to every node in the replica set."""
-        with self._lock:
-            for node in self._owners(key):
-                self._nodes[node][key] = raw
-            self.stats.puts += 1
-            self.stats.bytes_written += len(raw)
-
-    def delete(self, key: str) -> bool:
-        """Remove every copy (replicas and any stale pre-rebalance ones)."""
-        with self._lock:
-            found = False
-            for data in self._nodes.values():
-                if data.pop(key, None) is not None:
-                    found = True
-            if found:
-                self.stats.deletes += 1
-            return found
-
-    def keys(self) -> list[str]:
-        """Union of keys across all nodes."""
-        with self._lock:
-            seen: set[str] = set()
-            for data in self._nodes.values():
-                seen.update(data)
-            return sorted(seen)
-
-    def clear(self) -> None:
-        """Drop every copy on every node."""
-        with self._lock:
-            for data in self._nodes.values():
-                data.clear()
-
-    # -- membership ------------------------------------------------------------
-
-    def add_node(self, node_id: str | None = None) -> str:
-        """Join a node and rebalance; returns the new node's id."""
-        with self._lock:
-            if node_id is None:
-                i = len(self._nodes)
-                while f"node-{i}" in self._nodes:
-                    i += 1
-                node_id = f"node-{i}"
-            if node_id in self._nodes:
-                raise ValueError(f"node '{node_id}' already in the ring")
-            self._nodes[node_id] = {}
-            self._rebuild_ring()
-            self._rebalance()
-            return node_id
-
-    def remove_node(self, node_id: str) -> None:
-        """Drop a node (its data is lost) and rebalance the survivors."""
-        with self._lock:
-            if node_id not in self._nodes:
-                raise ValueError(f"node '{node_id}' is not in the ring")
-            if len(self._nodes) == 1:
-                raise ValueError("cannot remove the last node")
-            del self._nodes[node_id]
-            self._rebuild_ring()
-            self._rebalance()
-
-    def _rebalance(self) -> None:
-        """Re-place every key under the current ring; count moved copies.
-
-        Replication is what makes :meth:`remove_node` lossless: as long as
-        one replica survived the membership change, the key is re-replicated
-        onto its new owner set here.
-        """
-        placements: dict[str, bytes] = {}
-        for data in self._nodes.values():
-            for key, raw in data.items():
-                placements.setdefault(key, raw)
-        for key, raw in placements.items():
-            owners = self._owners(key)
-            for node, data in self._nodes.items():
-                if node in owners:
-                    if key not in data:
-                        data[key] = raw
-                        self.rebalance_moves += 1
-                elif key in data:
-                    del data[key]
-
-    def stats_snapshot(self) -> dict[str, Any]:
-        """Flat counters for ``system.access.store_stats``."""
-        with self._lock:
-            return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "puts": self.stats.puts,
-                "bytes_read": self.stats.bytes_read,
-                "bytes_written": self.stats.bytes_written,
-                "rebalance_moves": self.rebalance_moves,
-                "replica_fallbacks": self.replica_fallbacks,
-                "nodes": len(self._nodes),
-                "size": len(self.keys_unlocked()),
-            }
-
-    def keys_unlocked(self) -> list[str]:
-        """Key union without re-taking the lock (internal/stats use)."""
-        seen: set[str] = set()
-        for data in self._nodes.values():
-            seen.update(data)
-        return sorted(seen)
-
-
 @dataclass
 class StoreStats:
     """Ladder-level counters (on top of each tier's own)."""
@@ -527,7 +316,7 @@ class TieredStore:
 
     @property
     def has_persistent(self) -> bool:
-        """True when any tier outlives the process / is shared."""
+        """True when any tier outlives the process."""
         return any(tier.persistent for tier in self.tiers)
 
     def _count(self, metric: str) -> None:

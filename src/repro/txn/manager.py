@@ -38,6 +38,7 @@ import threading
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.catalog.privileges import MODIFY, UserContext
+from repro.catalog.system_tables import TXN_STATS
 from repro.common.ids import sequential_id
 from repro.engine.expressions import Expression
 from repro.engine.types import Schema
@@ -102,7 +103,9 @@ class TransactionManager:
             "recovered_commits": 0,
             "orphans_swept": 0,
         }
-        catalog.register_txn_stats_provider("txn[manager]", self.stats_snapshot)
+        catalog.system_tables.register_stats_provider(
+            TXN_STATS, "txn[manager]", self.stats_snapshot
+        )
 
     # -- lifecycle ------------------------------------------------------------
 

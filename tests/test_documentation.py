@@ -1,8 +1,8 @@
 """Documentation hygiene: every public module, class and function in the
 library carries a docstring (deliverable (e): doc comments on every public
-item), the README's system-tables listing matches the live registry, and
-``benchmarks/RESULTS.txt`` is exactly the rendering of the checked-in
-``BENCH_*.json`` records."""
+item), the README's system-tables listing matches the live registry,
+nothing still refers to a deleted feature, and ``benchmarks/RESULTS.txt``
+is exactly the rendering of the checked-in ``BENCH_*.json`` records."""
 
 import importlib
 import inspect
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.enforcement import GovernedResolver
+from repro.catalog import system_tables
 
 
 def _public_modules():
@@ -101,24 +101,53 @@ def _is_trivial(func) -> bool:
 
 def test_readme_lists_every_system_table():
     """The README's system-tables table names every registered
-    ``system.access.*`` table — no more, no fewer.
+    ``system.access.*`` table with its visibility — no more, no fewer.
 
-    The registry (``GovernedResolver.SYSTEM_TABLES``) is the source of
+    The registry (``repro.catalog.system_tables.TABLES``) is the source of
     truth; this test is what keeps the doc from silently rotting when a new
-    introspection table is added.
+    introspection table is added or one changes who may read it.
     """
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     match = re.search(
         r"### System tables\n(.*?)(?=\n#{2,3} )", readme, flags=re.DOTALL
     )
     assert match, "README has no '### System tables' section"
-    documented = set(re.findall(r"`(system\.access\.[a-z_]+)`", match.group(1)))
-    registered = set(GovernedResolver.SYSTEM_TABLES)
+    documented = set(
+        re.findall(r"\| `(system\.access\.[a-z_]+)` \| ([a-z-]+) \|", match.group(1))
+    )
+    registered = {(table.name, table.visibility) for table in system_tables.TABLES}
     assert documented == registered, (
         f"README system-tables listing is out of sync: "
         f"missing {sorted(registered - documented)}, "
         f"extra {sorted(documented - registered)}"
     )
+
+
+#: Deleted in PR 13 (DESIGN.md §15): the simulated distributed-KV tier,
+#: scan-task duplicate submission, and eight cluster keywords.
+_DELETED = re.compile(
+    r"(?i:distkv|dist_kv|hedg)|"
+    r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
+    r"workload_max_total_queue|workload_admission_timeout|"
+    r"scan_retry_base_delay)\b"
+)
+
+
+def test_nothing_refers_to_a_deleted_feature():
+    """No source, test, example or doc still names what the deletion ledger
+    removed. Committed ``benchmarks/`` records are history and exempt."""
+    root = Path(__file__).parent.parent
+    files = [root / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    for folder in ("src", "tests", "examples"):
+        files += (root / folder).rglob("*.py")
+    stale = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in files
+        if path != Path(__file__)
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _DELETED.search(line)
+    ]
+    assert not stale, "stale references:\n" + "\n".join(stale)
 
 
 def test_results_txt_is_generated_from_bench_records():

@@ -4,13 +4,12 @@ Covers, in one place:
 
 - checksum framing (tamper/truncation rejected);
 - each tier's own contract: MemoryTier LRU, DiskTier spill files surviving
-  re-instantiation, DistKVTier consistent hashing + replication +
-  membership-change rebalancing;
+  re-instantiation;
 - :class:`~repro.store.TieredStore` ladder semantics: write-through,
   memory-only pinning, promotion, corruption rejection, fault absorption;
 - restart survival: a fresh cluster on the same spill directory serves
   kernels, secure plans and governed results without recomputing them;
-- cross-cluster sharing over one simulated distributed KV;
+- cross-cluster sharing of content-addressed kernels over one spill directory;
 - the single-invalidation story: a policy-epoch bump (grant/revoke) and a
   data-epoch bump (governed write) are hard misses in *every* tier, and
   superseded entries are physically swept;
@@ -31,7 +30,6 @@ from repro.errors import PermissionDenied
 from repro.platform import Workspace
 from repro.store import (
     DiskTier,
-    DistKVTier,
     MemoryTier,
     TieredStore,
     frame_payload,
@@ -124,53 +122,6 @@ class TestDiskTier:
 
     def test_persistent(self):
         assert DiskTier.persistent is True
-
-
-class TestDistKVTier:
-    def test_put_get_and_replica_placement(self):
-        kv = DistKVTier(num_nodes=4, replication=2)
-        kv.put("some/key", b"value")
-        assert kv.get("some/key") == b"value"
-        owners = kv.owners_of("some/key")
-        assert len(owners) == 2
-        assert len(set(owners)) == 2
-
-    def test_delete_removes_every_copy(self):
-        kv = DistKVTier(num_nodes=3, replication=3)
-        kv.put("k", b"v")
-        assert kv.delete("k") is True
-        assert kv.get("k") is None
-        assert kv.keys() == []
-
-    def test_replication_survives_node_removal(self):
-        kv = DistKVTier(num_nodes=4, replication=2)
-        keys = [f"artifact/{i}" for i in range(40)]
-        for key in keys:
-            kv.put(key, key.encode())
-        kv.remove_node(kv.node_names[0])
-        for key in keys:
-            assert kv.get(key) == key.encode()
-        # Survivors were re-replicated back up to the replication factor.
-        for key in keys:
-            assert len(kv.owners_of(key)) == 2
-
-    def test_add_node_rebalances_and_preserves_keys(self):
-        kv = DistKVTier(num_nodes=3, replication=2)
-        keys = [f"artifact/{i}" for i in range(40)]
-        for key in keys:
-            kv.put(key, key.encode())
-        new_node = kv.add_node()
-        assert new_node in kv.node_names
-        assert kv.rebalance_moves > 0
-        for key in keys:
-            assert kv.get(key) == key.encode()
-        # The new node actually owns a share of the keyspace.
-        assert any(new_node in kv.owners_of(key) for key in keys)
-
-    def test_cannot_remove_last_node(self):
-        kv = DistKVTier(num_nodes=1, replication=1)
-        with pytest.raises(ValueError):
-            kv.remove_node(kv.node_names[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +333,10 @@ class TestRestartSurvival:
 
 
 class TestCrossClusterSharing:
-    def test_two_clusters_share_kernels_over_one_dist_kv(self):
-        ws = _make_workspace(store_backend="distkv")
+    def test_two_clusters_share_kernels_over_one_spill_dir(self, tmp_path):
+        ws = _make_workspace(store_backend="disk", store_dir=str(tmp_path / "s"))
         c1 = ws.create_standard_cluster(name="fleet-a")
         c2 = ws.create_standard_cluster(name="fleet-b")
-        # Both ladders bottom out in the same workspace-shared KV.
-        assert c1.backend.artifact_store.store.tiers[-1] is ws.dist_kv
-        assert c2.backend.artifact_store.store.tiers[-1] is ws.dist_kv
         _seed(c1)
         alice1 = c1.connect("alice")
         first = alice1.sql(_QUERY).collect()
@@ -455,7 +403,7 @@ class TestEpochInvalidation:
 
 
 class TestResultCacheGovernance:
-    @pytest.mark.parametrize("store_backend", ["memory", "disk", "distkv"])
+    @pytest.mark.parametrize("store_backend", ["memory", "disk"])
     @pytest.mark.parametrize("worker_backend", ["thread", "process"])
     def test_repeat_serves_from_store_and_changes_recompute(
         self, tmp_path, store_backend, worker_backend

@@ -27,7 +27,7 @@ import pytest
 from repro.errors import PermissionDenied
 from repro.platform import Workspace
 from repro.storage.credentials import TemporaryCredential
-from repro.store import ArtifactStore, DistKVTier, MemoryTier, TieredStore
+from repro.store import ArtifactStore, DiskTier, MemoryTier, TieredStore
 
 _SETUP_SQL = (
     "CREATE TABLE main.sales.orders "
@@ -93,26 +93,15 @@ class TestCredentialPinning:
             assert credential.token.encode() not in blob
             assert pickle.dumps(credential) not in blob
         # And not even the namespace: no cred/ key in any persistent tier.
-        disk = cluster.backend.artifact_store.store.tiers[1]
+        memory, disk = cluster.backend.artifact_store.store.tiers
         assert not [k for k in disk.keys() if k.startswith("cred/")]
-        ws.shutdown()
-
-    def test_no_cred_keys_in_a_shared_dist_kv(self):
-        ws = _make_workspace(store_backend="distkv", result_cache_enabled=True)
-        cluster = ws.create_standard_cluster()
-        _seed(cluster)
-        alice = cluster.connect("alice")
-        alice.table("main.sales.orders").collect()
-        assert cluster.backend.artifact_store.stats.cred_puts > 0
-        assert not [k for k in ws.dist_kv.keys() if k.startswith("cred/")]
         # The memory tier *does* hold them — that's the pin, not a leak.
-        memory = cluster.backend.artifact_store.store.tiers[0]
         assert [k for k in memory.keys() if k.startswith("cred/")]
         ws.shutdown()
 
-    def test_put_credential_is_memory_only_at_the_facade(self):
-        kv = DistKVTier()
-        store = TieredStore([MemoryTier(), kv])
+    def test_put_credential_is_memory_only_at_the_facade(self, tmp_path):
+        disk = DiskTier(tmp_path)
+        store = TieredStore([MemoryTier(), disk])
         artifacts = ArtifactStore(store)
         credential = TemporaryCredential(
             token="cred-deadbeef0123",
@@ -123,7 +112,7 @@ class TestCredentialPinning:
             expires_at=900.0,
         )
         artifacts.put_credential(("alice", "t", frozenset(), None), 3, credential)
-        assert kv.keys() == []
+        assert disk.keys() == []
         got = artifacts.get_credential(("alice", "t", frozenset(), None), 3)
         assert got == credential
         # A different policy epoch is a different key: hard miss.

@@ -36,6 +36,9 @@ from repro.sandbox import net
 ORDERS = "main.sales.orders"
 #: The admin-only table (cross-prefix / ungranted-read target).
 SALARIES = "main.sales.salaries"
+#: A row-filtered table whose hidden row holds a value that cannot be cast
+#: (the write-predicate error oracle's target).
+LEDGER = "main.sales.ledger"
 #: Host the evil exfiltration endpoint listens on.
 EVIL_HOST = "evil.exfil.example"
 
@@ -50,6 +53,7 @@ _BUYERS = (
 )
 _SALARY_PEOPLE = ("SECRET-SALARY-PERSON-1", "SECRET-SALARY-PERSON-2")
 _HOST_SECRET = "HOST-FS-SECRET-0451"
+_LEDGER_CODES = ("1", "2", "SECRET-LEDGER-CODE-x9")
 
 
 class GauntletHarness:
@@ -125,9 +129,24 @@ class GauntletHarness:
             },
             admin_ctx,
         )
+        admin.sql(
+            f"CREATE TABLE {LEDGER} (id int, tenant string, code string, v int)"
+        )
+        self.catalog.write_table(
+            LEDGER,
+            {
+                "id": [1, 2, 3],
+                "tenant": ["mine", "mine", "other"],
+                "code": list(_LEDGER_CODES),
+                "v": [0, 0, 0],
+            },
+            admin_ctx,
+        )
+        admin.sql(f"ALTER TABLE {LEDGER} SET ROW FILTER (tenant = 'mine')")
         admin.sql("GRANT USE CATALOG ON main TO analysts")
         admin.sql("GRANT USE SCHEMA ON main.sales TO analysts")
         admin.sql(f"GRANT SELECT ON {ORDERS} TO analysts")
+        admin.sql(f"GRANT SELECT ON {LEDGER} TO analysts")
         admin.sql("GRANT USE CATALOG ON main TO mallory")
         admin.sql("GRANT USE SCHEMA ON main.sales TO mallory")
 
@@ -158,7 +177,11 @@ class GauntletHarness:
     @property
     def static_secrets(self) -> frozenset[str]:
         """Byte sequences that must never reach a non-privileged principal."""
-        return frozenset(_BUYERS) | frozenset(_SALARY_PEOPLE) | {_HOST_SECRET}
+        return (
+            frozenset(_BUYERS)
+            | frozenset(_SALARY_PEOPLE)
+            | {_HOST_SECRET, _LEDGER_CODES[-1]}
+        )
 
     def forbidden_tokens(self) -> frozenset[str]:
         """Static secrets plus every currently live credential token."""

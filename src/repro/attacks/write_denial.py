@@ -6,8 +6,8 @@ re-evaluates the target's row filter against current data, and refuses any
 statement that assigns to — or whose expressions read — a masked column.
 These scenarios probe each of those checks from the attacker's side: a
 principal writing without MODIFY, a writer trying to reach rows their row
-filter hides, and a MERGE that smuggles a masked-column read into its
-matched clause. Containment means the write is refused (or silently
+filter hides, a MERGE that smuggles a masked-column read into its matched
+clause, and write expressions built to raise on a hidden row's value. Containment means the write is refused (or silently
 constrained to visible rows) and no hidden value ever surfaces, not even
 inside an error message.
 """
@@ -29,22 +29,24 @@ _HIDDEN_ROWS = (
 )
 
 
-def _storage_truth(gauntlet: Any) -> list[tuple]:
-    """Read the orders table unfiltered, as the metastore admin would.
+def _storage_truth(
+    gauntlet: Any, table: str = h.ORDERS, row_filter: str = "region = 'US'"
+) -> list[tuple]:
+    """Read ``table`` unfiltered, as the metastore admin would.
 
     The harness's row filter has no admin escape hatch, so ground truth
     comes from briefly dropping the filter; the ``finally`` in the caller
     restores it before any other scenario runs.
     """
     admin = gauntlet.client_for("admin")
-    admin.sql(f"ALTER TABLE {h.ORDERS} DROP ROW FILTER")
+    admin.sql(f"ALTER TABLE {table} DROP ROW FILTER")
     try:
         schema, columns = admin.execute_relation(
-            {"@type": "relation.read", "table": h.ORDERS}
+            {"@type": "relation.read", "table": table}
         )
         return sorted(zip(*columns)) if columns else []
     finally:
-        admin.sql(f"ALTER TABLE {h.ORDERS} SET ROW FILTER (region = 'US')")
+        admin.sql(f"ALTER TABLE {table} SET ROW FILTER ({row_filter})")
 
 
 @attack_scenario(
@@ -140,3 +142,50 @@ def write_merge_masked_read(gauntlet: Any) -> AttackResult:
         )
     finally:
         admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")
+
+
+@attack_scenario(
+    name="write-predicate-error-oracle",
+    layer="enforcement",
+    technique="write-denial",
+    expected_containment="commit materialization evaluates the row filter "
+    "first and WHERE / SET / MERGE ON only over the rows it admits, so an "
+    "expression that raises on a hidden row's value never sees that row: "
+    "the statement succeeds on the visible rows and no error text exists "
+    "to carry the value out",
+)
+def write_predicate_error_oracle(gauntlet: Any) -> AttackResult:
+    """Alice casts a column whose hidden row holds an uncastable secret,
+    hoping the failure message quotes it (the read path's error oracle,
+    tried through UPDATE / DELETE / SET / MERGE ON)."""
+    admin = gauntlet.client_for("admin")
+    alice = gauntlet.client_for("alice")
+    admin.sql(f"GRANT MODIFY ON {h.LEDGER} TO analysts")
+    hidden = next(
+        row for row in _storage_truth(gauntlet, h.LEDGER, "tenant = 'mine'")
+        if row[0] == 3
+    )
+    probes = (
+        f"UPDATE {h.LEDGER} SET v = 7 WHERE CAST(code AS INT) = 1",
+        f"UPDATE {h.LEDGER} SET v = CAST(code AS INT)",
+        f"MERGE INTO {h.LEDGER} AS t USING {h.LEDGER} AS s "
+        "ON CAST(t.code AS INT) = s.id WHEN MATCHED THEN UPDATE SET v = s.id",
+        f"DELETE FROM {h.LEDGER} WHERE CAST(code AS INT) = 99",
+    )
+    observed: list[Any] = []
+    try:
+        for probe in probes:
+            try:
+                observed.append(alice.sql(probe))
+            except Exception as exc:  # noqa: BLE001 - the oracle is any error text
+                observed.append(exc)
+        truth = _storage_truth(gauntlet, h.LEDGER, "tenant = 'mine'")
+        if [row for row in truth if row[0] == 3] != [hidden]:
+            return leaked(f"the hidden ledger row was rewritten: {truth}", rows=1)
+        return judge(
+            observed,
+            gauntlet.forbidden_tokens(),
+            "write expressions never evaluated the hidden row",
+        )
+    finally:
+        admin.sql(f"REVOKE MODIFY ON {h.LEDGER} FROM analysts")

@@ -77,7 +77,7 @@ from repro.storage.credentials import (
     WRITE,
 )
 from repro.storage.object_store import ObjectStore
-from repro.storage.table_format import LakeTableStorage
+from repro.storage.table_format import LakeTableStorage, TableSnapshot
 
 #: Root prefix under which managed tables live.
 MANAGED_ROOT = "s3://unity-managed"
@@ -383,8 +383,8 @@ class UnityCatalog:
     def table_storage(self, table: TableObject) -> LakeTableStorage:
         return LakeTableStorage(self.store, table.storage_root)
 
-    def current_table_version(self, full_name: str) -> int:
-        """Latest *durable* committed version of a managed table.
+    def current_table_snapshot(self, full_name: str) -> TableSnapshot:
+        """Latest *durable* snapshot of a managed table.
 
         Resolved through :meth:`~repro.storage.table_format.LakeTableStorage
         .snapshot` with the catalog's service identity, so a torn tip left
@@ -392,11 +392,11 @@ class UnityCatalog:
         here and must never pin an unreadable version.
         """
         table = self.get_table(full_name)
-        return (
-            self.table_storage(table)
-            .snapshot(self._service_credential)
-            .version
-        )
+        return self.table_storage(table).snapshot(self._service_credential)
+
+    def current_table_version(self, full_name: str) -> int:
+        """Version of :meth:`current_table_snapshot`."""
+        return self.current_table_snapshot(full_name).version
 
     def write_table(
         self,

@@ -76,6 +76,26 @@ class RecoveryStats:
     credential_revends: int = 0
 
 
+class _RetryJitter:
+    """A scan task's seeded jitter stream, built on the task's first retry.
+
+    Almost no task ever retries, so seeding a ``random.Random`` per task up
+    front is pure overhead; deferring it keeps the stream (same seed, same
+    draws) and with it every seeded chaos schedule.
+    """
+
+    __slots__ = ("_seed", "_rng")
+
+    def __init__(self, task_index: int):
+        self._seed = f"scan-retry:{task_index}"
+        self._rng: random.Random | None = None
+
+    def uniform(self, low: float, high: float) -> float:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng.uniform(low, high)
+
+
 class _SharedCredential:
     """One credential shared by a scan's tasks, re-vendable mid-query.
 
@@ -279,7 +299,7 @@ class GovernedDataSource:
         def read_with_recovery(
             data_file: DataFile,
             task_ctx: QueryContext | None,
-            rng: random.Random,
+            rng: "_RetryJitter",
         ) -> dict[str, list]:
             """One file read with bounded, deadline-aware retries.
 
@@ -314,7 +334,7 @@ class GovernedDataSource:
         ) -> list[ColumnBatch]:
             # Materialize the task's files inside its span so the span
             # measures the read, not downstream operator time.
-            rng = random.Random(f"scan-retry:{task_index}")
+            rng = _RetryJitter(task_index)
             with span_or_null(
                 task_ctx,
                 f"scan-task-{task_index}",
@@ -416,7 +436,7 @@ class GovernedDataSource:
         def run_file(
             data_file: DataFile,
             task_ctx: QueryContext | None,
-            rng: random.Random,
+            rng: "_RetryJitter",
         ) -> tuple[ColumnBatch, int]:
             """Read one blob and run it through a worker, with recovery.
 
@@ -479,7 +499,7 @@ class GovernedDataSource:
             task_files: list[DataFile],
             task_ctx: QueryContext | None,
         ) -> list[tuple[ColumnBatch, int]]:
-            rng = random.Random(f"scan-retry:{task_index}")
+            rng = _RetryJitter(task_index)
             with span_or_null(
                 task_ctx,
                 f"scan-task-{task_index}",
@@ -538,7 +558,7 @@ class GovernedDataSource:
         self,
         attempt: int,
         task_ctx: QueryContext | None,
-        rng: random.Random,
+        rng: "_RetryJitter",
         exc: Exception,
         data_file: DataFile,
     ) -> None:

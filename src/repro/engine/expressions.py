@@ -855,6 +855,58 @@ def conjuncts(condition: Expression) -> list[Expression]:
     return [condition]
 
 
+def split_equi_condition(
+    condition: Expression | None, left_width: int
+) -> tuple[list[Expression], list[Expression], Expression | None] | None:
+    """Split a conjunctive join condition into left-key = right-key pairs.
+
+    Returns ``(left_keys, right_keys, residual)`` — right keys still bound
+    against combined-schema positions — or ``None`` when no equi pair
+    exists. Module-level so the planner can classify a join at plan time
+    (``left_width`` is known from the logical left child's schema) for
+    fused key extraction, and so MERGE can match on the same split.
+    """
+    if condition is None:
+        return None
+    left_keys: list[Expression] = []
+    right_keys: list[Expression] = []
+    residual: list[Expression] = []
+    for conj in conjuncts(condition):
+        pair = None
+        if isinstance(conj, Comparison) and conj.op == "=":
+            a, b = conj.children
+            a_refs, b_refs = a.references(), b.references()
+            if a_refs and b_refs:
+                if max(a_refs) < left_width <= min(b_refs):
+                    pair = (a, b)
+                elif max(b_refs) < left_width <= min(a_refs):
+                    pair = (b, a)
+        if pair is None:
+            residual.append(conj)
+        else:
+            left_keys.append(pair[0])
+            right_keys.append(pair[1])
+    if not left_keys:
+        return None
+    residual_expr: Expression | None = None
+    for conj in residual:
+        residual_expr = (
+            conj if residual_expr is None else BooleanOp("AND", residual_expr, conj)
+        )
+    return left_keys, right_keys, residual_expr
+
+
+def shift_refs(expr: Expression, delta: int) -> Expression:
+    """``expr`` with every bound column position moved by ``delta``."""
+
+    def shift(node: Expression) -> Expression:
+        if isinstance(node, BoundRef):
+            return BoundRef(node.index + delta, node.name, node.dtype)
+        return node
+
+    return expr.transform(shift)
+
+
 # ---------------------------------------------------------------------------
 # Sort order helper
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from repro.engine.expressions import (
     Literal,
     PythonUDFCall,
     SortOrder,
-    conjuncts,
+    shift_refs,
+    split_equi_condition,
 )
 from repro.engine.optimizer import inline_through_projection
 from repro.engine.logical import (
@@ -1103,50 +1104,7 @@ class PhysFusedPipeline(PhysHashAggregate):
 # ---------------------------------------------------------------------------
 
 
-def split_equi_condition(
-    condition: Expression | None, left_width: int
-) -> tuple[list[Expression], list[Expression], Expression | None] | None:
-    """Split a conjunctive join condition into left-key = right-key pairs.
-
-    Returns ``(left_keys, right_keys, residual)`` — right keys still bound
-    against combined-schema positions — or ``None`` when no equi pair
-    exists. Module-level so the planner can classify a join at plan time
-    (``left_width`` is known from the logical left child's schema) for
-    fused key extraction.
-    """
-    from repro.engine.expressions import Comparison
-
-    if condition is None:
-        return None
-    left_keys: list[Expression] = []
-    right_keys: list[Expression] = []
-    residual: list[Expression] = []
-    for conj in conjuncts(condition):
-        pair = None
-        if isinstance(conj, Comparison) and conj.op == "=":
-            a, b = conj.children
-            a_refs, b_refs = a.references(), b.references()
-            if a_refs and b_refs:
-                if max(a_refs) < left_width <= min(b_refs):
-                    pair = (a, b)
-                elif max(b_refs) < left_width <= min(a_refs):
-                    pair = (b, a)
-        if pair is None:
-            residual.append(conj)
-        else:
-            left_keys.append(pair[0])
-            right_keys.append(pair[1])
-    if not left_keys:
-        return None
-    residual_expr: Expression | None = None
-    for conj in residual:
-        residual_expr = (
-            conj if residual_expr is None else BooleanOp("AND", residual_expr, conj)
-        )
-    return left_keys, right_keys, residual_expr
-
-
-def _probe_key_columns(
+def probe_key_columns(
     left_key_cols: list[list[Any]],
     right_key_cols: list[list[Any]],
 ) -> list[tuple[int, int]]:
@@ -1266,7 +1224,7 @@ class PhysJoin(PhysicalOperator):
         pre_key_cols: tuple[list, list] | None = None,
     ) -> list[tuple[int, int]]:
         if pre_key_cols is not None:
-            candidates = _probe_key_columns(pre_key_cols[0], pre_key_cols[1])
+            candidates = probe_key_columns(pre_key_cols[0], pre_key_cols[1])
             for i, j in candidates:
                 left_matched[i] = True
                 right_matched[j] = True
@@ -1299,7 +1257,7 @@ class PhysJoin(PhysicalOperator):
     ) -> list[tuple[int, int]]:
         left_width = left.num_columns
         # Right-side key expressions reference combined-schema positions.
-        shifted = [self._shift_refs(k, -left_width) for k in right_keys]
+        shifted = [shift_refs(k, -left_width) for k in right_keys]
         if self._compiler is not None and self._key_kernels is None:
             # Compiled once per operator; None entries (e.g. bare-column
             # keys, where interpretation is already a no-copy read) keep
@@ -1317,7 +1275,7 @@ class PhysJoin(PhysicalOperator):
             left_key_cols = left_kernel.eval_all(left, ctx.eval_ctx)
         else:
             left_key_cols = [k.eval(left, ctx.eval_ctx) for k in left_keys]
-        candidates = _probe_key_columns(left_key_cols, right_key_cols)
+        candidates = probe_key_columns(left_key_cols, right_key_cols)
         if residual is not None and candidates:
             combined = self._pairs_batch(left, right, candidates)
             mask = residual.eval(combined, ctx.eval_ctx)
@@ -1368,15 +1326,6 @@ class PhysJoin(PhysicalOperator):
             [None if j is None else col[j] for _, j in pairs] for col in right.columns
         ]
         return ColumnBatch(self.schema, columns)
-
-    @staticmethod
-    def _shift_refs(expr: Expression, delta: int) -> Expression:
-        def shift(node: Expression) -> Expression:
-            if isinstance(node, BoundRef):
-                return BoundRef(node.index + delta, node.name, node.dtype)
-            return node
-
-        return expr.transform(shift)
 
 
 class PhysUnion(PhysicalOperator):
@@ -1827,7 +1776,7 @@ class PhysicalPlanner:
         left_keys, right_keys, residual = equi
         if residual is not None:
             return None
-        shifted = [PhysJoin._shift_refs(k, -left_width) for k in right_keys]
+        shifted = [shift_refs(k, -left_width) for k in right_keys]
         if has_opaque_nodes(tuple(left_keys) + tuple(shifted)):
             return None
         fused_sides: list[PhysicalOperator] = []

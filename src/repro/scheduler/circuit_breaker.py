@@ -237,7 +237,7 @@ def retry_with_backoff(
     the point where the result could still be delivered.
     """
     clock = clock or SystemClock()
-    rng = random.Random(seed)
+    rng: random.Random | None = None  # built on the first retry: most calls never back off
     attempt = 0
     while True:
         try:
@@ -245,6 +245,8 @@ def retry_with_backoff(
         except retry_on as exc:
             if attempt >= retries:
                 raise
+            if rng is None:
+                rng = random.Random(seed)
             delay = min(max_delay, base_delay * (2**attempt))
             delay *= 1.0 - rng.uniform(0.0, jitter)
             retry_after = getattr(exc, "retry_after", 0.0)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.common.audit import AuditLog
 from repro.common.clock import Clock, SystemClock
@@ -73,6 +74,60 @@ class StorageStats:
         self.denied_ops = 0
 
 
+class ReplayedLogs:
+    """Bounded memo of state replayed from append-only logs in one store.
+
+    Every client of a store shares its instance (the table format keeps the
+    live-file set it folded out of a table's commit log here, so resolving a
+    snapshot costs the commits since the last resolved version instead of
+    the whole log). Keyed by log root, then by version; the
+    ``versions_per_root`` most recently used versions of the ``max_roots``
+    most recently used roots are kept.
+
+    Never authoritative and never an authorization shortcut: a caller must
+    still list the log and read its tip through the store — with its own
+    credential — before trusting an entry, and must :meth:`drop` a root
+    whenever it deletes one of that root's log entries (a rolled-back
+    version number can be reused by a different commit).
+    """
+
+    def __init__(self, max_roots: int = 256, versions_per_root: int = 8):
+        self._max_roots = max_roots
+        self._versions_per_root = versions_per_root
+        self._lock = threading.Lock()
+        self._roots: OrderedDict[str, OrderedDict[int, Any]] = OrderedDict()
+
+    def nearest(self, root: str, version: int) -> Any | None:
+        """The state memoized for the greatest version ``<= version``."""
+        with self._lock:
+            versions = self._roots.get(root)
+            if not versions:
+                return None
+            self._roots.move_to_end(root)
+            best = max((v for v in versions if v <= version), default=None)
+            if best is None:
+                return None
+            versions.move_to_end(best)
+            return versions[best]
+
+    def remember(self, root: str, version: int, state: Any) -> None:
+        """Memoize ``state`` as ``root`` replayed through ``version``."""
+        with self._lock:
+            versions = self._roots.setdefault(root, OrderedDict())
+            self._roots.move_to_end(root)
+            versions[version] = state
+            versions.move_to_end(version)
+            if len(versions) > self._versions_per_root:
+                versions.popitem(last=False)
+            if len(self._roots) > self._max_roots:
+                self._roots.popitem(last=False)
+
+    def drop(self, root: str) -> None:
+        """Forget everything replayed for ``root``."""
+        with self._lock:
+            self._roots.pop(root, None)
+
+
 class ObjectStore:
     """In-memory blob store with per-operation credential checks."""
 
@@ -107,6 +162,8 @@ class ObjectStore:
         #: semantics: the credential's own prefix/op/expiry checks decide.
         self.vendor: "CredentialVendor | None" = None
         self.stats = StorageStats()
+        #: Replayed commit-log state shared by every table-format client.
+        self.replayed_logs = ReplayedLogs()
 
     @property
     def clock(self) -> Clock:
@@ -212,7 +269,9 @@ class ObjectStore:
         if self.faults is not None:
             self.faults.fire("storage.list")
         self._check(credential, prefix, StorageOp.LIST)
-        return sorted(p for p in self._objects if p.startswith(prefix))
+        # ``list(dict)`` is one atomic step; iterating the live dict while
+        # another thread commits raises "dictionary changed size".
+        return sorted(p for p in list(self._objects) if p.startswith(prefix))
 
     def delete(self, path: str, credential: StorageCredential) -> None:
         self._check(credential, path, StorageOp.DELETE)

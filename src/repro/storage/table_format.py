@@ -153,7 +153,7 @@ class LakeTableStorage:
             if not self._tip_is_torn(version, credential):
                 raise
             try:
-                self._store.delete(path, credential)
+                self._delete_log_entry(version, credential)
             except StorageError:
                 raise CommitConflictError(
                     f"version {version} of '{self.root}' is torn and this "
@@ -298,6 +298,14 @@ class LakeTableStorage:
     ) -> TableSnapshot:
         """Resolve the live file set at ``version`` (default: latest).
 
+        Every call lists the log and reads the target commit with the
+        caller's credential — the listing is the authoritative tip and the
+        read is the LIST/READ authorization, the ``storage.get`` fault point
+        and the torn-tip probe. Only the commits *below* the target are
+        folded from :attr:`ObjectStore.replayed_logs` when an earlier
+        resolution already replayed them, so the cost is the number of
+        commits since the last resolved version, not the length of the log.
+
         Crash recovery, reader half: a *torn tip* — the newest log entry is
         stably corrupt, i.e. a writer crashed mid-commit — is treated as if
         the commit never happened, and the snapshot resolves to the last
@@ -313,43 +321,55 @@ class LakeTableStorage:
             raise StorageError(
                 f"version {target} out of range [0, {latest}] for '{self.root}'"
             )
-        live: dict[str, DataFile] = {}
-        column_names: tuple[str, ...] = ()
-        v = 0
-        while v <= target:
-            try:
-                commit = self._read_commit(v, credential)
-            except CorruptObjectError:
-                if (
-                    version is None
-                    and v == target
-                    and self._tip_is_torn(v, credential)
-                ):
-                    target -= 1
-                    if target < 0:
-                        raise StorageError(
-                            f"no durable commit at '{self.root}' "
-                            "(version 0 is torn)"
-                        ) from None
-                    break
+        try:
+            tip = self._read_commit(target, credential)
+        except CorruptObjectError:
+            if version is not None or not self._tip_is_torn(target, credential):
                 raise
-            column_names = tuple(commit["columns"])
-            for action in commit["actions"]:
-                if "add" in action:
-                    live[action["add"]] = DataFile(
-                        path=action["add"],
-                        num_rows=action["rows"],
-                        size_bytes=action["bytes"],
-                    )
-                elif "remove" in action:
-                    live.pop(action["remove"], None)
-            v += 1
-        return TableSnapshot(
+            target -= 1
+            if target < 0:
+                raise StorageError(
+                    f"no durable commit at '{self.root}' (version 0 is torn)"
+                ) from None
+            tip = self._read_commit(target, credential)
+        replayed = self._store.replayed_logs
+        base: TableSnapshot | None = replayed.nearest(self.root, target)
+        if base is not None and base.version == target:
+            return base
+        start, live = 0, {}
+        if base is not None:
+            start, live = base.version + 1, {f.path: f for f in base.files}
+        for v in range(start, target):
+            self._fold(self._read_commit(v, credential), live)
+        column_names = self._fold(tip, live)
+        snapshot = TableSnapshot(
             root=self.root,
             version=target,
             column_names=column_names,
             files=tuple(live[p] for p in sorted(live)),
         )
+        replayed.remember(self.root, target, snapshot)
+        return snapshot
+
+    @staticmethod
+    def _fold(commit: dict, live: dict[str, DataFile]) -> tuple[str, ...]:
+        """Apply one commit's actions to ``live``; returns its column names."""
+        for action in commit["actions"]:
+            if "add" in action:
+                live[action["add"]] = DataFile(
+                    path=action["add"],
+                    num_rows=action["rows"],
+                    size_bytes=action["bytes"],
+                )
+            elif "remove" in action:
+                live.pop(action["remove"], None)
+        return tuple(commit["columns"])
+
+    def _delete_log_entry(self, version: int, credential: StorageCredential) -> None:
+        """Roll a torn commit back. Its version number may be reused by a
+        different commit, so everything replayed for this root is dropped."""
+        self._store.delete(_log_path(self.root, version), credential)
+        self._store.replayed_logs.drop(self.root)
 
     def _tip_is_torn(self, version: int, credential: StorageCredential) -> bool:
         """Confirm a corrupt tip read is a torn commit, not a flaky GET.
@@ -389,7 +409,7 @@ class LakeTableStorage:
             except CorruptObjectError:
                 if not self._tip_is_torn(latest, credential):
                     break  # transient corrupt read of a durable commit
-                self._store.delete(_log_path(self.root, latest), credential)
+                self._delete_log_entry(latest, credential)
                 report["torn_commits_rolled_back"] += 1
                 latest -= 1
         referenced: set[str] = set()
@@ -441,8 +461,13 @@ class LakeTableStorage:
     def read_all(
         self, credential: StorageCredential, version: int | None = None
     ) -> dict[str, list]:
-        """Concatenate every live file into one column dict (test helper)."""
-        snapshot = self.snapshot(credential, version)
+        """Resolve ``version`` and read it whole (test helper)."""
+        return self.read_snapshot(self.snapshot(credential, version), credential)
+
+    def read_snapshot(
+        self, snapshot: TableSnapshot, credential: StorageCredential
+    ) -> dict[str, list]:
+        """Concatenate every live file of ``snapshot`` into one column dict."""
         out: dict[str, list] = {name: [] for name in snapshot.column_names}
         for data_file in snapshot.files:
             chunk = self.read_file(data_file, credential)

@@ -40,6 +40,7 @@ from typing import Any, Callable, TYPE_CHECKING
 from repro.catalog.privileges import MODIFY, UserContext
 from repro.catalog.system_tables import TXN_STATS
 from repro.common.ids import sequential_id
+from repro.engine.compile import KernelCompiler
 from repro.engine.expressions import Expression
 from repro.engine.types import Schema
 from repro.errors import (
@@ -72,7 +73,7 @@ from repro.txn.writes import (
 
 if TYPE_CHECKING:
     from repro.catalog.metastore import UnityCatalog
-    from repro.storage.table_format import LakeTableStorage
+    from repro.storage.table_format import LakeTableStorage, TableSnapshot
 
 #: Bounded retries absorbing injected/transient faults around each commit
 #: step (conflict check, file staging, the commit itself).
@@ -91,6 +92,10 @@ class TransactionManager:
 
     def __init__(self, catalog: "UnityCatalog"):
         self._catalog = catalog
+        #: Row filters, WHERE / ON predicates and SET lists of every commit
+        #: run as generated kernels of the engine's compiler; literals bind
+        #: through the kernel env, so a repeated statement shape is a hit.
+        self.compiler = KernelCompiler()
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {
             "begun": 0,
@@ -197,8 +202,9 @@ class Transaction:
         self.ctx = ctx
         self.txn_id = sequential_id("txn")
         self.state = "open"
-        #: Table name -> durable version pinned at first touch.
-        self._pins: dict[str, int] = {}
+        #: Table name -> durable snapshot pinned at first touch. Resolved
+        #: once: reads resolve at its version, commit reads its files.
+        self._pins: dict[str, "TableSnapshot"] = {}
         self._staged: dict[str, StagedWrite] = {}
 
     # -- snapshot pinning -----------------------------------------------------
@@ -218,11 +224,11 @@ class Transaction:
             self._catalog.get_table(full_name)
         except SecurableNotFound:
             return None
-        return self._pin(full_name)
+        return self._pin(full_name).version
 
-    def _pin(self, full_name: str) -> int:
+    def _pin(self, full_name: str) -> "TableSnapshot":
         if full_name not in self._pins:
-            self._pins[full_name] = self._catalog.current_table_version(full_name)
+            self._pins[full_name] = self._catalog.current_table_snapshot(full_name)
         return self._pins[full_name]
 
     # -- statement staging ----------------------------------------------------
@@ -235,6 +241,9 @@ class Transaction:
             )
 
     def _staged_for(self, full_name: str) -> StagedWrite:
+        # Statements call this (and so pin) *before* their governance checks
+        # run, so a conflict detected at commit reflects the version the
+        # statement actually reasoned about.
         if full_name not in self._staged:
             table = self._catalog.get_table(full_name)
             self._staged[full_name] = StagedWrite(
@@ -268,7 +277,7 @@ class Transaction:
     ) -> None:
         """Stage ``SET col = expr`` over visible rows matching ``where``."""
         self._require_open()
-        staged = self._staged_for_read_write(full_name)
+        staged = self._staged_for(full_name)
         schema = staged.schema
         assigned = self._validate_assignment_targets(full_name, schema, assignments)
         referenced: set[str] = referenced_columns(where, schema)
@@ -291,7 +300,7 @@ class Transaction:
     def delete(self, full_name: str, where: Expression | None) -> None:
         """Stage removal of visible rows matching ``where``."""
         self._require_open()
-        staged = self._staged_for_read_write(full_name)
+        staged = self._staged_for(full_name)
         check_write(
             self._catalog, self.ctx, full_name,
             reads_rows=True,
@@ -326,7 +335,7 @@ class Transaction:
         referenced the source side.
         """
         self._require_open()
-        staged = self._staged_for_read_write(full_name)
+        staged = self._staged_for(full_name)
         schema = staged.schema
         assigned: set[str] = set()
         referenced = referenced_columns(on, schema)
@@ -367,12 +376,6 @@ class Transaction:
                 ],
             )
         )
-
-    def _staged_for_read_write(self, full_name: str) -> StagedWrite:
-        # Pin *before* the governance checks run so a conflict detected at
-        # commit reflects the version this statement actually reasoned
-        # about.
-        return self._staged_for(full_name)
 
     @staticmethod
     def _validate_assignment_targets(
@@ -475,20 +478,17 @@ class Transaction:
         self,
         storage: "LakeTableStorage",
         staged: StagedWrite,
-        pin: int,
+        pin: "TableSnapshot",
         credential: Any,
         staged_paths: list[str],
     ) -> None:
         base = self._absorb(
-            lambda: storage.read_all(credential, version=pin),
+            lambda: storage.read_snapshot(pin, credential),
             retry_on=(RetryableError,),
         )
-        snapshot = self._absorb(
-            lambda: storage.snapshot(credential, version=pin),
-            retry_on=(RetryableError,),
+        data_file = self._stage_file(
+            storage, self._materialize(base, staged), credential, staged_paths
         )
-        result = apply_ops(base, staged, eval_context_for(self.ctx))
-        data_file = self._stage_file(storage, result, credential, staged_paths)
 
         def attempt() -> None:
             self._fire("txn.conflict_check")
@@ -496,20 +496,20 @@ class Transaction:
             # crashed writer at pin+1 is not a committed version — the
             # commit below rolls it back inline rather than conflicting.
             latest = storage.snapshot(credential).version
-            if latest != pin:
+            if latest != pin.version:
                 raise CommitConflictError(
                     f"write-write conflict on '{staged.table}': transaction "
-                    f"{self.txn_id} pinned version {pin} but the table is "
-                    f"now at {latest}"
+                    f"{self.txn_id} pinned version {pin.version} but the table "
+                    f"is now at {latest}"
                 )
             self._fire("txn.commit")
-            actions = [{"remove": f.path} for f in snapshot.files]
+            actions = [{"remove": f.path} for f in pin.files]
             actions.append(
                 {"add": data_file.path, "rows": data_file.num_rows,
                  "bytes": data_file.size_bytes}
             )
             storage.commit_version(
-                pin + 1, actions, list(staged.schema.names), credential
+                pin.version + 1, actions, list(staged.schema.names), credential
             )
 
         # Injected faults are absorbed; a genuine conflict passes through
@@ -525,12 +525,12 @@ class Transaction:
         staged_paths: list[str],
     ) -> None:
         names = list(staged.schema.names)
-        rows: list[tuple] = []
-        for op in staged.ops:
-            assert isinstance(op, InsertOp)
-            rows.extend(op.rows)
-        columns = {n: [row[i] for row in rows] for i, n in enumerate(names)}
-        data_file = self._stage_file(storage, columns, credential, staged_paths)
+        data_file = self._stage_file(
+            storage,
+            self._materialize({name: [] for name in names}, staged),
+            credential,
+            staged_paths,
+        )
 
         def attempt() -> None:
             self._fire("txn.conflict_check")
@@ -554,6 +554,13 @@ class Transaction:
                       CommitConflictError),
         )
         staged_paths.clear()
+
+    def _materialize(
+        self, base: dict[str, list], staged: StagedWrite
+    ) -> dict[str, list]:
+        return apply_ops(
+            base, staged, eval_context_for(self.ctx), self._manager.compiler
+        )
 
     def _stage_file(
         self,

@@ -23,17 +23,22 @@ Write-side FGAC rules (enforced by :func:`check_write`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
+from itertools import compress
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.catalog.privileges import MODIFY, SELECT, UserContext
 from repro.engine.batch import ColumnBatch
+from repro.engine.compile import KernelCompiler, predicate_mask
 from repro.engine.expressions import (
     BoundRef,
     EvalContext,
     Expression,
     UnresolvedColumn,
     contains_user_code,
+    shift_refs,
+    split_equi_condition,
 )
+from repro.engine.physical import probe_key_columns
 from repro.engine.types import Field, Schema
 from repro.errors import AnalysisError, TransactionAbortedError, WriteDeniedError
 
@@ -85,10 +90,6 @@ def referenced_columns(expr: Expression | None, schema: Schema) -> set[str]:
         if name is not None and schema.contains(name):
             out.add(name)
     return out
-
-
-def _eval(expr: Expression, batch: ColumnBatch, ctx: EvalContext) -> list:
-    return expr.eval(batch, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -211,154 +212,244 @@ def bound_row_filter(
 # ---------------------------------------------------------------------------
 # Materialization
 # ---------------------------------------------------------------------------
+#
+# One evaluation order for every row-reading op (DESIGN.md §13):
+# row filter -> WHERE / ON -> SET / matched assignments, each stage only
+# over the rows the previous one passed (take -> eval -> scatter), so a user
+# expression never sees — and can never raise on — a row the filter hides.
 
 
-def _as_rows(columns: dict[str, list], names: list[str]) -> list[list]:
-    count = len(columns[names[0]]) if names else 0
-    return [[columns[n][i] for n in names] for i in range(count)]
+class _Evaluator:
+    """Compiled-first evaluation: generated kernels, interpreter on refusal.
+
+    ``compiler=None`` (or a compiler that refuses the expression) leaves the
+    interpreter in place; both legs compute the same values.
+    """
+
+    def __init__(self, eval_ctx: EvalContext, compiler: KernelCompiler | None):
+        self._ctx = eval_ctx
+        self._compiler = compiler
+
+    def predicate(self, condition: Expression) -> Callable[[ColumnBatch], list]:
+        """``batch -> row mask`` (truthy = match; NULL never matches)."""
+        kernel = self._compiler and self._compiler.compile_predicate(condition)
+        return lambda batch: predicate_mask(kernel, condition, batch, self._ctx)
+
+    def project(self, exprs: Sequence[Expression], batch: ColumnBatch) -> list[list]:
+        """One value column per expression."""
+        kernel = self._compiler and self._compiler.compile_projection(tuple(exprs))
+        if kernel is not None:
+            return kernel.eval_all(batch, self._ctx)
+        return [expr.eval(batch, self._ctx) for expr in exprs]
 
 
-def _as_columns(rows: list[list], names: list[str]) -> dict[str, list]:
-    return {n: [row[i] for row in rows] for i, n in enumerate(names)}
+def _references(exprs: Iterable[Expression]) -> set[int]:
+    return set().union(*(expr.references() for expr in exprs))
 
 
-def _visible(
-    rows: list[list],
-    schema: Schema,
-    row_filter: Expression | None,
-    eval_ctx: EvalContext,
-) -> list[bool]:
-    if row_filter is None or not rows:
-        return [True] * len(rows)
-    batch = ColumnBatch.from_rows(schema, rows)
-    return [bool(v) for v in _eval(row_filter, batch, eval_ctx)]
+def _take(col: list, rows: Sequence[int]) -> list:
+    return list(map(col.__getitem__, rows))
+
+
+def _gather(
+    columns: list[list], schema: Schema, rows: Sequence[int] | None, needed: set[int]
+) -> ColumnBatch:
+    """The sub-batch of ``rows`` (``None`` = every row, no copy).
+
+    Only the ``needed`` column positions carry values; the others share one
+    NULL filler, so taking 1 column of a wide table costs 1 column.
+    """
+    if rows is None:
+        return ColumnBatch(schema, columns)
+    filler = [None] * len(rows)
+    return ColumnBatch(
+        schema,
+        [_take(col, rows) if i in needed else filler
+         for i, col in enumerate(columns)],
+    )
+
+
+def _scatter(col: list, rows: Sequence[int], values: list) -> None:
+    for i, value in zip(rows, values):
+        col[i] = value
+
+
+def _drop_rows(columns: list[list], rows: Sequence[int]) -> None:
+    if not rows:
+        return
+    keep = [True] * len(columns[0])
+    for i in rows:
+        keep[i] = False
+    columns[:] = [list(compress(col, keep)) for col in columns]
 
 
 def apply_ops(
     base: dict[str, list],
     staged: StagedWrite,
     eval_ctx: EvalContext,
+    compiler: KernelCompiler | None = None,
 ) -> dict[str, list]:
     """Fold the staged ops into ``base`` and return the result columns.
 
-    The row filter is re-evaluated against the *current* working rows
+    The row filter is re-evaluated against the *current* working columns
     before each row-reading op, so an op only ever touches rows the writer
     is allowed to see — including rows produced by its own earlier ops.
+    ``base`` is not mutated.
     """
     names = list(staged.schema.names)
-    rows = _as_rows(base, names)
+    columns = [list(base[name]) for name in names]
+    ev = _Evaluator(eval_ctx, compiler)
     for op in staged.ops:
         if isinstance(op, InsertOp):
-            rows.extend(list(r) for r in op.rows)
+            for col, values in zip(columns, zip(*op.rows)):
+                col.extend(values)
         elif isinstance(op, UpdateOp):
-            rows = _apply_update(rows, staged, op, eval_ctx)
+            _apply_update(columns, staged, op, ev)
         elif isinstance(op, DeleteOp):
-            rows = _apply_delete(rows, staged, op, eval_ctx)
+            rows = _matching_rows(columns, staged, op.where, ev)
+            _drop_rows(columns, range(len(columns[0])) if rows is None else rows)
         elif isinstance(op, MergeOp):
-            rows = _apply_merge(rows, staged, op, eval_ctx)
+            _apply_merge(columns, staged, op, ev)
         else:  # pragma: no cover - op union is closed
             raise TransactionAbortedError(f"unknown write op {type(op).__name__}")
-    return _as_columns(rows, names)
+    return dict(zip(names, columns))
 
 
-def _predicate_mask(
-    rows: list[list],
-    schema: Schema,
+def _visible_rows(
+    columns: list[list], staged: StagedWrite, ev: _Evaluator
+) -> list[int] | None:
+    """Row positions the writer's row filter admits (``None`` = no filter)."""
+    if staged.row_filter is None:
+        return None
+    batch = ColumnBatch(staged.schema, columns)
+    mask = ev.predicate(staged.row_filter)(batch)
+    return list(compress(range(batch.num_rows), mask))
+
+
+def _matching_rows(
+    columns: list[list],
+    staged: StagedWrite,
     where: Expression | None,
-    eval_ctx: EvalContext,
-) -> list[bool]:
-    if where is None or not rows:
-        return [True] * len(rows)
-    batch = ColumnBatch.from_rows(schema, rows)
-    return [bool(v) for v in _eval(where, batch, eval_ctx)]
+    ev: _Evaluator,
+) -> list[int] | None:
+    """Visible row positions matching ``where`` (``None`` = every row)."""
+    rows = _visible_rows(columns, staged, ev)
+    if where is None:
+        return rows
+    sub = _gather(columns, staged.schema, rows, where.references())
+    mask = ev.predicate(where)(sub)
+    return list(compress(range(sub.num_rows) if rows is None else rows, mask))
 
 
 def _apply_update(
-    rows: list[list], staged: StagedWrite, op: UpdateOp, eval_ctx: EvalContext
-) -> list[list]:
-    if not rows:
-        return rows
-    visible = _visible(rows, staged.schema, staged.row_filter, eval_ctx)
-    matches = _predicate_mask(rows, staged.schema, op.where, eval_ctx)
-    batch = ColumnBatch.from_rows(staged.schema, rows)
-    new_values = {
-        staged.schema.field_index(col): _eval(expr, batch, eval_ctx)
-        for col, expr in op.assignments.items()
-    }
-    for i, row in enumerate(rows):
-        if visible[i] and matches[i]:
-            for index, values in new_values.items():
-                row[index] = values[i]
-    return rows
+    columns: list[list], staged: StagedWrite, op: UpdateOp, ev: _Evaluator
+) -> None:
+    rows = _matching_rows(columns, staged, op.where, ev)
+    if rows is not None and not rows:
+        return
+    exprs = list(op.assignments.values())
+    sub = _gather(columns, staged.schema, rows, _references(exprs))
+    new_values = ev.project(exprs, sub)
+    for name, values in zip(op.assignments, new_values):
+        index = staged.schema.field_index(name)
+        if rows is None:
+            # ``values`` may alias a live column (``SET a = b`` interpreted):
+            # replace, never write through.
+            columns[index] = list(values)
+        else:
+            _scatter(columns[index], rows, values)
 
 
-def _apply_delete(
-    rows: list[list], staged: StagedWrite, op: DeleteOp, eval_ctx: EvalContext
-) -> list[list]:
-    if not rows:
-        return rows
-    visible = _visible(rows, staged.schema, staged.row_filter, eval_ctx)
-    matches = _predicate_mask(rows, staged.schema, op.where, eval_ctx)
-    return [row for i, row in enumerate(rows) if not (visible[i] and matches[i])]
+def _pair_batch(
+    columns: list[list],
+    staged: StagedWrite,
+    op: MergeOp,
+    source: ColumnBatch,
+    pairs: Sequence[tuple[int, int]],
+    needed: set[int],
+) -> ColumnBatch:
+    """One combined (target ++ source) row per ``(target row, source row)``."""
+    t_rows, s_rows = zip(*pairs)
+    return ColumnBatch(
+        combined_schema(staged.schema, op.source_schema),
+        _gather(columns, staged.schema, t_rows, needed).columns
+        + [_take(col, s_rows) for col in source.columns],
+    )
+
+
+def _merge_matches(
+    columns: list[list],
+    staged: StagedWrite,
+    op: MergeOp,
+    source: ColumnBatch,
+    ev: _Evaluator,
+) -> list[tuple[int, int]]:
+    """``(target row, source row)`` pairs satisfying ON, visible targets only.
+
+    Equi-conjuncts of ON are hash-matched (the join operator's probe) and
+    any residual is evaluated over the candidate pairs. An ON without an
+    equi-conjunct falls back to a nested loop: one source row at a time
+    against the visible target columns.
+    """
+    schema, width = staged.schema, len(staged.schema)
+    visible = _visible_rows(columns, staged, ev)
+    equi = split_equi_condition(op.on, width)
+    if equi is None:
+        targets = _gather(columns, schema, visible, op.on.references())
+        count = targets.num_rows
+        combined = combined_schema(schema, op.source_schema)
+        matches = ev.predicate(op.on)
+        pairs: list[tuple[int, int]] = []
+        for j in range(source.num_rows if count else 0):
+            batch = ColumnBatch(
+                combined,
+                targets.columns + [[col[j]] * count for col in source.columns],
+            )
+            pairs.extend((i, j) for i in compress(range(count), matches(batch)))
+        residual = None
+    else:
+        target_keys, source_keys, residual = equi
+        source_keys = [shift_refs(key, -width) for key in source_keys]
+        targets = _gather(columns, schema, visible, _references(target_keys))
+        pairs = probe_key_columns(
+            ev.project(target_keys, targets), ev.project(source_keys, source)
+        )
+    if visible is not None:
+        pairs = [(visible[i], j) for i, j in pairs]
+    if residual is not None and pairs:
+        batch = _pair_batch(columns, staged, op, source, pairs, residual.references())
+        pairs = list(compress(pairs, ev.predicate(residual)(batch)))
+    return pairs
 
 
 def _apply_merge(
-    rows: list[list], staged: StagedWrite, op: MergeOp, eval_ctx: EvalContext
-) -> list[list]:
-    source_names = list(op.source_schema.names)
-    source_rows = _as_rows(op.source_columns, source_names)
-    visible = _visible(rows, staged.schema, staged.row_filter, eval_ctx)
-    combined_fields = tuple(staged.schema.fields) + tuple(op.source_schema.fields)
-    combined = Schema(combined_fields)
-
-    # For each source row: evaluate ON over (every target row) x (this
-    # source row) in one batch — m evaluations of n-row batches instead of
-    # an n*m cross product held in memory at once.
-    matched_by_target: dict[int, int] = {}
-    matched_sources: set[int] = set()
-    for j, srow in enumerate(source_rows):
-        if not rows:
-            break
-        combined_rows = [row + srow for row in rows]
-        batch = ColumnBatch.from_rows(combined, combined_rows)
-        hits = _eval(op.on, batch, eval_ctx)
-        for i, hit in enumerate(hits):
-            if not (visible[i] and bool(hit)):
-                continue
-            if i in matched_by_target:
-                raise TransactionAbortedError(
-                    f"MERGE into '{staged.table}': target row matched by "
-                    "multiple source rows (ambiguous matched-clause result)"
-                )
-            matched_by_target[i] = j
-            matched_sources.add(j)
-
-    out: list[list] = []
-    for i, row in enumerate(rows):
-        j = matched_by_target.get(i)
-        if j is None:
-            out.append(row)
-            continue
-        if op.matched_delete:
-            continue
-        if op.matched_assignments is not None:
-            combined_row = row + source_rows[j]
-            batch = ColumnBatch.from_rows(combined, [combined_row])
-            new_row = list(row)
-            for col, expr in op.matched_assignments.items():
-                index = staged.schema.field_index(col)
-                new_row[index] = _eval(expr, batch, eval_ctx)[0]
-            out.append(new_row)
-        else:
-            out.append(row)
-
+    columns: list[list], staged: StagedWrite, op: MergeOp, ev: _Evaluator
+) -> None:
+    source = ColumnBatch.from_dict(op.source_schema, op.source_columns)
+    matched: dict[int, int] = {}
+    for i, j in _merge_matches(columns, staged, op, source, ev):
+        if i in matched:
+            raise TransactionAbortedError(
+                f"MERGE into '{staged.table}': target row matched by "
+                "multiple source rows (ambiguous matched-clause result)"
+            )
+        matched[i] = j
+    if op.matched_delete:
+        _drop_rows(columns, list(matched))
+    elif op.matched_assignments is not None and matched:
+        exprs = list(op.matched_assignments.values())
+        batch = _pair_batch(
+            columns, staged, op, source, list(matched.items()), _references(exprs)
+        )
+        for name, values in zip(op.matched_assignments, ev.project(exprs, batch)):
+            _scatter(columns[staged.schema.field_index(name)], list(matched), values)
     if op.insert_values is not None:
-        for j, srow in enumerate(source_rows):
-            if j in matched_sources:
-                continue
-            batch = ColumnBatch.from_rows(op.source_schema, [srow])
-            out.append([_eval(e, batch, eval_ctx)[0] for e in op.insert_values])
-    return out
+        taken = set(matched.values())
+        fresh = [j for j in range(source.num_rows) if j not in taken]
+        if fresh:
+            inserted = ev.project(op.insert_values, source.take(fresh))
+            for col, values in zip(columns, inserted):
+                col.extend(values)
 
 
 def eval_context_for(ctx: UserContext) -> EvalContext:

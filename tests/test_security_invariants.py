@@ -194,6 +194,80 @@ class TestPolicyBeforeUserCode:
         ).collect() == [("US",), ("EU",), ("US",)]
         assert calls == []
 
+    @pytest.mark.parametrize("leg", ["compiled", "compile-refused"])
+    def test_write_expressions_see_only_rows_the_row_filter_admits(
+        self, leg, workspace, standard_cluster, admin_client, monkeypatch
+    ):
+        """The write leg: commit materialization runs the row filter first
+        and WHERE / SET / MERGE ON / matched assignments only over the rows
+        it admits. A recording node (opaque to the compiler, so it sees
+        exactly the batch the materializer hands it) proves zero evaluations
+        on hidden rows — through kernels and through the interpreter."""
+        from repro.engine import expressions as ex
+        from repro.engine.compile import KernelCompiler
+        from repro.engine.types import INT, Field, Schema
+
+        recorded = []
+
+        class Recording(ex.Expression):
+            def __init__(self, child):
+                super().__init__((child,))
+                self.dtype = child.dtype
+
+            def with_children(self, children):
+                return Recording(children[0])
+
+            def eval(self, batch, ctx):
+                values = self.children[0].eval(batch, ctx)
+                recorded.extend(values)
+                return values
+
+        orders = "main.sales.orders"
+        admin_client.sql(f"GRANT MODIFY ON {orders} TO analysts")
+        admin_client.sql(f"ALTER TABLE {orders} SET ROW FILTER (region = 'US')")
+        if leg == "compile-refused":
+            monkeypatch.setattr(
+                KernelCompiler, "compile_projection", lambda self, exprs: None
+            )
+        manager = workspace.catalog.txn_manager
+        alice = workspace.catalog.principals.context_for("alice")
+        region = Recording(ex.col("region"))
+        visible = ex.Comparison("!=", region, ex.lit("nowhere"))
+        source_schema = Schema((Field("k", INT),))
+
+        def body(txn):
+            txn.update(orders, {"amount": ex.Arithmetic(
+                "+", ex.col("amount"), ex.FunctionCall("length", (region,))
+            )}, visible)
+            txn.merge(
+                orders, "t", source_schema, {"k": [1, 2, 3, 4]}, "s",
+                ex.BooleanOp(
+                    "AND",
+                    ex.Comparison("=", ex.col("t.id"), ex.col("s.k")),
+                    ex.Comparison("!=", Recording(ex.col("t.region")), ex.lit("x")),
+                ),
+                {"buyer": Recording(ex.col("t.region"))}, False, None,
+            )
+            txn.merge(
+                orders, "t", source_schema, {"k": [100]}, "s",
+                ex.Comparison(
+                    "<", ex.FunctionCall("length", (Recording(ex.col("t.region")),)),
+                    ex.col("s.k"),
+                ),
+                {"buyer": ex.lit("loop")}, False, None,
+            )
+            txn.delete(orders, ex.Comparison("=", region, ex.lit("EU")))
+
+        manager.run(alice, body)
+        assert recorded and set(recorded) == {"US"}
+        admin_client.sql(f"ALTER TABLE {orders} DROP ROW FILTER")
+        assert sorted(admin_client.sql(f"SELECT * FROM {orders}").collect()) == [
+            (1, "US", 12.0, "loop"), (2, "EU", 20.0, "p2"),
+            (3, "US", 32.0, "loop"), (4, "APAC", 40.0, "p4"),
+        ]
+        cache = manager.compiler.cache.stats
+        assert (cache.hits + cache.misses > 0) == (leg == "compiled")
+
 
 class TestInvariant2_SecureViewBarrier:
     def test_udf_filter_evaluates_after_policy(

@@ -291,3 +291,85 @@ class TestBackendEquivalence:
             ]
         finally:
             ws.shutdown()
+
+
+CODES = "main.sales.codes"
+HIDDEN_CODE = "SECRET-x9"
+
+
+class TestWritePredicateErrorOracle:
+    """Write expressions are evaluated only over rows the writer's row
+    filter admits (row filter -> WHERE/ON -> SET), so an expression that
+    would raise on a hidden row's value neither fails the statement nor
+    carries that value out in an error message."""
+
+    @pytest.fixture
+    def codes(self, admin, alice):
+        admin.sql(f"CREATE TABLE {CODES} (id int, tenant string, code string, v int)")
+        admin.sql(
+            f"INSERT INTO {CODES} VALUES (1,'mine','1',0),(2,'mine','2',0),"
+            f"(3,'other','{HIDDEN_CODE}',0)"
+        )
+        admin.sql("CREATE TABLE main.sales.src (k int, val int)")
+        admin.sql("INSERT INTO main.sales.src VALUES (1, 41), (9, 49)")
+        for table in (CODES, "main.sales.src"):
+            admin.sql(f"GRANT SELECT ON {table} TO analysts")
+        admin.sql(f"GRANT MODIFY ON {CODES} TO analysts")
+        admin.sql(f"ALTER TABLE {CODES} SET ROW FILTER (tenant = 'mine')")
+
+        def truth():
+            admin.sql(f"ALTER TABLE {CODES} DROP ROW FILTER")
+            try:
+                return rows(admin, f"SELECT id, code, v FROM {CODES}")
+            finally:
+                admin.sql(f"ALTER TABLE {CODES} SET ROW FILTER (tenant = 'mine')")
+
+        return truth
+
+    @pytest.mark.parametrize(
+        "statement, expected",
+        [
+            (
+                f"UPDATE {CODES} SET v = 7 WHERE CAST(code AS INT) = 1",
+                [(1, "1", 7), (2, "2", 0), (3, HIDDEN_CODE, 0)],
+            ),
+            (
+                f"DELETE FROM {CODES} WHERE CAST(code AS INT) = 2",
+                [(1, "1", 0), (3, HIDDEN_CODE, 0)],
+            ),
+            (
+                f"UPDATE {CODES} SET v = CAST(code AS INT)",
+                [(1, "1", 1), (2, "2", 2), (3, HIDDEN_CODE, 0)],
+            ),
+            (
+                f"MERGE INTO {CODES} AS t USING main.sales.src AS s "
+                "ON CAST(t.code AS INT) = s.k "
+                "WHEN MATCHED THEN UPDATE SET v = s.val",
+                [(1, "1", 41), (2, "2", 0), (3, HIDDEN_CODE, 0)],
+            ),
+            (
+                # Non-equi ON: the nested-loop fallback is gated the same way.
+                f"MERGE INTO {CODES} AS t USING main.sales.src AS s "
+                "ON CAST(t.code AS INT) + 7 < s.k "
+                "WHEN MATCHED THEN DELETE",
+                [(2, "2", 0), (3, HIDDEN_CODE, 0)],
+            ),
+        ],
+        ids=["update-where", "delete-where", "update-set", "merge-on", "merge-on-loop"],
+    )
+    def test_hidden_value_never_reaches_a_write_expression(
+        self, codes, alice, statement, expected
+    ):
+        alice.sql(statement)
+        assert codes() == expected
+
+    def test_error_on_a_visible_row_still_aborts_without_hidden_text(
+        self, codes, admin, alice
+    ):
+        admin.sql(f"INSERT INTO {CODES} VALUES (4,'mine','oops',0)")
+        before = codes()
+        with pytest.raises(Exception) as excinfo:
+            alice.sql(f"UPDATE {CODES} SET v = 7 WHERE CAST(code AS INT) = 1")
+        assert "oops" in str(excinfo.value)
+        assert HIDDEN_CODE not in str(excinfo.value)
+        assert codes() == before

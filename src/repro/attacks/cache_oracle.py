@@ -5,7 +5,9 @@ coarsely serves one principal's bytes to another, and a cache keyed by
 hash alone accepts forged entries on fingerprint collisions. These
 scenarios warm the caches as one principal and then probe them as
 another, after revocation, and with deliberately colliding plans, using
-the cache hit counters themselves as the oracle.
+the cache hit counters themselves as the oracle. Span retention is the same
+kind of surface — one structure holding every principal's traces — so the
+profile-flooding probe lives here too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Any
 from repro.attacks import harness as h
 from repro.attacks.registry import attack_scenario
 from repro.attacks.scenario import AttackResult, contained, judge, leaked
+from repro.common.telemetry import SPANS_PER_USER
 from repro.connect import proto
 from repro.core.plan_cache import fingerprint_relation
 from repro.errors import LakeguardError, PermissionDenied
@@ -154,3 +157,32 @@ def cache_fingerprint_collision_forgery(gauntlet: Any) -> AttackResult:
     if not leak.contained:
         return leak
     return contained("identical replay hit, colliding twin missed")
+
+
+@attack_scenario(
+    name="profile-ring-eviction",
+    layer="store",
+    technique="cache-oracle",
+    expected_containment="retained spans live in one bounded ring per "
+    "principal and a non-admin profile read is served from the viewer's "
+    "ring alone: flooding fills only the attacker's own ring",
+)
+def profile_ring_eviction(gauntlet: Any) -> AttackResult:
+    """Mallory floods the span store to erase — or scoop up — alice's profile."""
+    profile = proto.sql_relation("SELECT * FROM system.access.query_profile")
+    gauntlet.collect("alice", proto.read_table(h.ORDERS))
+    victim_trace = gauntlet.client_for("alice").last_trace_id
+    # Every op records at least eight spans (the operation plus seven
+    # pipeline stages), so this is well over twice mallory's ring.
+    for _ in range(SPANS_PER_USER // 3):
+        gauntlet.collect("mallory", proto.range_relation(0, 1))
+    rows = gauntlet.collect("mallory", profile)
+    users = {row[5] for row in rows}
+    if users != {"mallory"} or any(row[0] == victim_trace for row in rows):
+        return leaked(f"mallory's profile read returned spans of {sorted(users)}", rows=len(rows))
+    if len(rows) > SPANS_PER_USER:
+        return leaked(f"mallory retains {len(rows)} spans, past the per-principal bound")
+    kept = {row[0] for row in gauntlet.collect("alice", profile)}
+    if victim_trace not in kept:
+        return leaked("mallory's flood evicted alice's trace from her profile")
+    return judge(rows, gauntlet.forbidden_tokens(), "flood stayed in mallory's own ring")

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, ContextManager, Iterator
 
 from repro.common.clock import Clock, SystemClock
-from repro.common.ids import new_id
-from repro.common.telemetry import Span, Telemetry
+from repro.common.ids import telemetry_id
+from repro.common.telemetry import Span, SpanEvent, Telemetry
 from repro.errors import ExecutionError
 
 
@@ -68,6 +68,11 @@ class QueryContext:
     #: by :meth:`child` contexts: delegated work (eFGAC sub-plans, scan
     #: tasks) runs under the parent's slot, not a second one.
     ticket: Any = None
+    #: The operation's wire plan with its table references resolved (a
+    #: :class:`repro.connect.proto.PlanReferences`), set by the Connect
+    #: service so the pipeline does not parse the plan's SQL again. Not
+    #: inherited by :meth:`child` contexts either: they run other plans.
+    plan_refs: Any = None
     _span_stack: list[Span] = field(default_factory=list)
 
     # -- construction ---------------------------------------------------------------
@@ -90,7 +95,7 @@ class QueryContext:
         if deadline_seconds is not None:
             deadline = clock.now() + deadline_seconds
         return cls(
-            trace_id=trace_id or new_id("trace"),
+            trace_id=trace_id or telemetry_id("trace"),
             user=user,
             telemetry=(
                 telemetry if telemetry is not None else Telemetry(clock=clock)
@@ -188,11 +193,7 @@ class QueryContext:
         """Attach a point-in-time event to the current span (no-op if none)."""
         span = self.current_span
         if span is not None:
-            from repro.common.telemetry import SpanEvent
-
-            span.events.append(
-                SpanEvent(self.clock.now(), name, dict(attributes))
-            )
+            span.events.append(SpanEvent(self.clock.now(), name, attributes))
 
     def set_attribute(self, key: str, value: Any) -> None:
         span = self.current_span

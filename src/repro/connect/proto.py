@@ -20,7 +20,8 @@ from __future__ import annotations
 import base64
 import json
 import re
-from typing import Any
+from collections import OrderedDict
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import ProtocolError, VersionIncompatibleError
 
@@ -125,26 +126,65 @@ def references_system_tables(obj: Any) -> bool:
 _SYSTEM_REF = re.compile(r"(?:^|[^\w.])system\.")
 
 
-def plan_targets_system_tables(plan: dict[str, Any]) -> bool:
-    """Does the plan read any ``system.*`` table — structurally when possible.
+#: SQL texts whose resolved references one session remembers.
+REFERENCE_MEMO_ENTRIES = 64
 
-    The plan cache uses this to decide the caching bypass (system tables
-    materialize at resolve time; caching would freeze their rows and their
-    per-user admin gating). Classification matches the admission lane's:
-    :func:`referenced_tables` resolves the actual table references, so a
-    ``system.`` substring inside a string literal no longer defeats caching
-    for a perfectly cacheable user query. Only when the plan resists
-    structural resolution (``referenced_tables`` returns ``None``) does the
-    over-broad :func:`references_system_tables` substring scan decide — the
-    conservative direction for a cache bypass.
+#: ``(sql text, out) -> resolvable``: adds the text's tables to ``out``.
+_SqlTables = Callable[[Any, "set[str]"], bool]
+
+
+class PlanReferences(NamedTuple):
+    """One operation's structural table references, resolved once.
+
+    The Connect service builds this per operation and hands it (on the
+    operation's :class:`~repro.common.context.QueryContext`) to both the
+    admission-lane classifier and the plan-cache bypass, so neither parses
+    the plan's SQL again.
     """
-    tables = referenced_tables(plan)
-    if tables is not None:
-        return any(t.startswith("system.") for t in tables)
-    return references_system_tables(plan)
+
+    #: The wire plan these references were resolved from.
+    plan: dict[str, Any]
+    #: Table names, or ``None`` when the plan resists structural resolution.
+    tables: frozenset[str] | None
+    #: SQL text -> the AST parsed while resolving it. The decoder *takes* an
+    #: entry instead of re-parsing; the mutable AST never outlives the
+    #: operation (the per-session memo holds only the immutable names).
+    statements: dict[str, Any]
+
+    def all_system_tables(self) -> bool:
+        """Provably an introspection read: every reference is ``system.*``."""
+        return bool(self.tables) and all(t.startswith("system.") for t in self.tables)
+
+    def targets_system_tables(self) -> bool:
+        """Does the plan read any ``system.*`` table — structurally when possible.
+
+        The plan cache uses this to decide the caching bypass (system tables
+        materialize at resolve time; caching would freeze their rows and their
+        per-user admin gating). Classification matches the admission lane's:
+        the actual table references are resolved, so a ``system.`` substring
+        inside a string literal does not defeat caching for a perfectly
+        cacheable user query. Only when the plan resists structural
+        resolution does the over-broad :func:`references_system_tables`
+        substring scan decide — the conservative direction for a cache bypass.
+        """
+        if self.tables is not None:
+            return any(t.startswith("system.") for t in self.tables)
+        return references_system_tables(self.plan)
 
 
-def referenced_tables(plan: dict[str, Any]) -> set[str] | None:
+def resolve_references(
+    plan: dict[str, Any], memo: OrderedDict[str, frozenset[str] | None] | None = None
+) -> PlanReferences:
+    """Resolve ``plan``'s references, keeping the ASTs parsed on the way."""
+    statements: dict[str, Any] = {}
+    return PlanReferences(plan, referenced_tables(plan, memo, statements), statements)
+
+
+def referenced_tables(
+    plan: dict[str, Any],
+    memo: OrderedDict[str, frozenset[str] | None] | None = None,
+    statements: dict[str, Any] | None = None,
+) -> frozenset[str] | None:
     """The table names a wire plan structurally references, or ``None``.
 
     Collects ``relation.read``/``command.write_table`` targets and parses
@@ -158,12 +198,47 @@ def referenced_tables(plan: dict[str, Any]) -> set[str] | None:
     The workload manager's lane detection keys off this: only a plan whose
     references provably all land in ``system.*`` rides the always-admitted
     system lane.
+
+    ``memo`` (one session's, never shared across principals) remembers the
+    outcome per SQL text, so a repeated text is not parsed at all;
+    ``statements`` receives the AST of every text that was.
     """
+
+    def sql_tables(text: Any, out: set[str]) -> bool:
+        """Add the tables ``text`` references to ``out``; False = unresolvable."""
+        if not isinstance(text, str):
+            return False
+        if memo is not None and text in memo:
+            names = memo[text]
+        else:
+            names = parse(text)
+            if memo is not None:
+                memo[text] = names
+                if len(memo) > REFERENCE_MEMO_ENTRIES:
+                    memo.popitem(last=False)
+        out.update(names or ())
+        return names is not None
+
+    def parse(text: str) -> frozenset[str] | None:
+        # Imported lazily: the SQL front-end sits above this wire module.
+        from repro.errors import LakeguardError
+        from repro.sql.parser import parse_statement
+
+        try:
+            statement = parse_statement(text)
+        except LakeguardError:
+            return None
+        if statements is not None:
+            statements[text] = statement
+        found: set[str] = set()
+        resolved = _collect_statement_tables(statement, found, sql_tables)
+        return frozenset(found) if resolved else None
+
     tables: set[str] = set()
-    return tables if _collect_tables(plan, tables) else None
+    return frozenset(tables) if _collect_tables(plan, tables, sql_tables) else None
 
 
-def _collect_tables(obj: Any, out: set[str]) -> bool:
+def _collect_tables(obj: Any, out: set[str], sql_tables: _SqlTables) -> bool:
     """Walk a wire tree collecting table names; False = unresolvable."""
     if isinstance(obj, dict):
         mtype = obj.get("@type")
@@ -174,35 +249,20 @@ def _collect_tables(obj: Any, out: set[str]) -> bool:
             out.add(name)
             return True
         if mtype in ("relation.sql", "command.sql"):
-            text = obj.get("query") if mtype == "relation.sql" else obj.get("sql")
-            return _collect_sql_tables(text, out)
+            return sql_tables(obj.get("query" if mtype == "relation.sql" else "sql"), out)
         if mtype in ("relation.extension", "command.extension", "expr.sql"):
             return False
-        return all(_collect_tables(v, out) for v in obj.values())
+        return all(_collect_tables(v, out, sql_tables) for v in obj.values())
     if isinstance(obj, (list, tuple)):
-        return all(_collect_tables(v, out) for v in obj)
+        return all(_collect_tables(v, out, sql_tables) for v in obj)
     return True  # scalars — including string literals — reference nothing
 
 
-def _collect_sql_tables(text: Any, out: set[str]) -> bool:
-    if not isinstance(text, str):
-        return False
-    # Imported lazily: the SQL front-end sits above this wire module.
-    from repro.errors import LakeguardError
-    from repro.sql.parser import parse_statement
-
-    try:
-        statement = parse_statement(text)
-    except LakeguardError:
-        return False
-    return _collect_statement_tables(statement, out)
-
-
-def _collect_statement_tables(statement: Any, out: set[str]) -> bool:
+def _collect_statement_tables(statement: Any, out: set[str], sql_tables: _SqlTables) -> bool:
     from repro.sql import ast_nodes as ast
 
     if isinstance(statement, ast.UnionStatement):
-        return all(_collect_statement_tables(s, out) for s in statement.inputs)
+        return all(_collect_statement_tables(s, out, sql_tables) for s in statement.inputs)
     if isinstance(statement, ast.SelectStatement):
         sources = [j.source for j in statement.joins]
         if statement.source is not None:
@@ -211,7 +271,7 @@ def _collect_statement_tables(statement: Any, out: set[str]) -> bool:
             if isinstance(source, ast.TableSource):
                 out.add(source.name)
             elif isinstance(source, ast.SubquerySource):
-                if not _collect_statement_tables(source.query, out):
+                if not _collect_statement_tables(source.query, out, sql_tables):
                     return False
             else:
                 return False
@@ -219,7 +279,7 @@ def _collect_statement_tables(statement: Any, out: set[str]) -> bool:
     if isinstance(statement, ast.InsertStatement):
         out.add(statement.table)
         if statement.query_sql is not None:
-            return _collect_sql_tables(statement.query_sql, out)
+            return sql_tables(statement.query_sql, out)
         return True
     if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
         out.add(statement.table)

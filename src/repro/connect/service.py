@@ -62,6 +62,7 @@ from repro.errors import (
     VersionIncompatibleError,
     WriteDeniedError,
 )
+from repro.scheduler.turns import InterpreterTurns
 from repro.scheduler.workload import LANE_INTERACTIVE, LANE_PRIORITY, LANE_SYSTEM
 
 #: Rows per streamed result batch ("Arrow IPC message" stand-in).
@@ -122,7 +123,7 @@ def error_to_message(exc: LakeguardError) -> dict[str, Any]:
     """Serialize an exception as an in-band error message."""
     name = type(exc).__name__
     if name == "PermissionDenied":
-        return {
+        message: dict[str, Any] = {
             "@type": "error",
             "error_class": "PermissionDenied",
             "message": str(exc),
@@ -130,21 +131,20 @@ def error_to_message(exc: LakeguardError) -> dict[str, Any]:
             "privilege": exc.privilege,
             "securable": exc.securable,
         }
-    if name not in _ERROR_CLASSES:
-        name = "LakeguardError"
-    message: dict[str, Any] = {
-        "@type": "error",
-        "error_class": name,
-        "message": str(exc),
-    }
-    # Retryable errors carry their backoff hint (and admission reason)
-    # in-band so clients can schedule a sensible retry.
-    retry_after = getattr(exc, "retry_after", None)
-    if retry_after is not None:
-        message["retry_after"] = retry_after
-    reason = getattr(exc, "reason", None)
-    if reason:
-        message["reason"] = reason
+    else:
+        if name not in _ERROR_CLASSES:
+            name = "LakeguardError"
+        message = {"@type": "error", "error_class": name, "message": str(exc)}
+        # Retryable errors carry their backoff hint (and admission reason)
+        # in-band so clients can schedule a sensible retry.
+        retry_after = getattr(exc, "retry_after", None)
+        if retry_after is not None:
+            message["retry_after"] = retry_after
+        reason = getattr(exc, "reason", None)
+        if reason:
+            message["reason"] = reason
+    if exc.trace_id is not None:
+        message["trace_id"] = exc.trace_id
     return message
 
 
@@ -153,23 +153,26 @@ def raise_from_message(message: dict[str, Any]) -> None:
     if message.get("@type") != "error":
         return
     name = message.get("error_class", "LakeguardError")
+    cls = _ERROR_CLASSES.get(name, LakeguardError)
+    text = message.get("message", "remote error")
     if name == "PermissionDenied":
-        raise PermissionDenied(
+        exc: LakeguardError = PermissionDenied(
             message.get("principal", "?"),
             message.get("privilege", "?"),
             message.get("securable", "?"),
         )
-    cls = _ERROR_CLASSES.get(name, LakeguardError)
-    text = message.get("message", "remote error")
-    if issubclass(cls, AdmissionError):
-        raise cls(
+    elif issubclass(cls, AdmissionError):
+        exc = cls(
             text,
             retry_after=float(message.get("retry_after", 0.0)),
             reason=message.get("reason", ""),
         )
-    if issubclass(cls, RetryableError):
-        raise cls(text, retry_after=float(message.get("retry_after", 0.0)))
-    raise cls(text)
+    elif issubclass(cls, RetryableError):
+        exc = cls(text, retry_after=float(message.get("retry_after", 0.0)))
+    else:
+        exc = cls(text)
+    exc.trace_id = message.get("trace_id")
+    raise exc
 
 
 class ExecutionBackend(Protocol):
@@ -213,6 +216,9 @@ class SparkConnectService:
         self._result_batch_rows = result_batch_rows
         #: Admission control, when the backend provides a WorkloadManager.
         self.workload_manager = getattr(backend, "workload_manager", None)
+        #: Keeps one request thread from starving the others of the
+        #: interpreter (real time, not ``clock``: it sleeps for real).
+        self.turns = InterpreterTurns()
         self._housekeeping_interval = housekeeping_interval
         self._last_housekeeping = self._clock.now()
         #: Shared with the backend when it has one (so service spans land in
@@ -367,23 +373,11 @@ class SparkConnectService:
                 deadline_seconds=float(deadline) if deadline is not None else None,
             )
             op.trace_id = query_ctx.trace_id
-            self._admit_operation(session, op, query_ctx, request["plan"])
             try:
-                with query_ctx.activate():
-                    with query_ctx.span(
-                        "execute_plan",
-                        "service.operation",
-                        operation_id=op.operation_id,
-                        session_id=session.session_id,
-                        lane=op.ticket.lane if op.ticket is not None else "",
-                    ):
-                        self._run_operation(session, op, request["plan"])
-            finally:
-                # Usually a no-op: the pipeline's execute stage released the
-                # slot already. Covers command paths and pre-execute errors.
-                ticket, op.ticket = op.ticket, None
-                if ticket is not None:
-                    ticket.release()
+                self._execute_plan(session, op, query_ctx, request["plan"])
+            except LakeguardError as exc:
+                exc.trace_id = query_ctx.trace_id
+                raise
             yield from op.responses
             return
         if method == "reattach_execute":
@@ -407,11 +401,48 @@ class SparkConnectService:
             return
         raise ProtocolError(f"unknown stream method '{method}'")
 
+    def _execute_plan(
+        self,
+        session: SessionState,
+        op: OperationState,
+        query_ctx: QueryContext,
+        plan: dict[str, Any],
+    ) -> None:
+        """Admit and run one operation under its ``execute_plan`` span."""
+        self.turns.begin()
+        if proto.is_relation(plan):
+            # The one structural resolution (and SQL parse) of this
+            # operation: the lane classifier, the plan-cache bypass and the
+            # decoder all read it off the context.
+            query_ctx.plan_refs = proto.resolve_references(
+                plan, session.reference_memo
+            )
+        self._admit_operation(session, op, query_ctx)
+        try:
+            with query_ctx.activate():
+                with query_ctx.span(
+                    "execute_plan",
+                    "service.operation",
+                    operation_id=op.operation_id,
+                    session_id=session.session_id,
+                    lane=op.ticket.lane if op.ticket is not None else "",
+                ):
+                    self._run_operation(session, op, plan)
+        finally:
+            # Usually a no-op: the pipeline's execute stage released the
+            # slot already. Covers command paths and pre-execute errors.
+            ticket, op.ticket = op.ticket, None
+            if ticket is not None:
+                ticket.release()
+            self.turns.end()
+
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
 
-    def _lane_for(self, session: SessionState, plan: dict[str, Any]) -> str:
+    def _lane_for(
+        self, session: SessionState, refs: proto.PlanReferences | None
+    ) -> str:
         """Pick the admission lane: a relation whose *structurally resolved*
         table references all land in ``system.*`` is an introspection read
         and bypasses admission; otherwise the session config chooses
@@ -420,13 +451,11 @@ class SparkConnectService:
         The resolution walks relation/SQL-AST table nodes, never raw
         strings — a ``system.`` substring inside a literal, comment or
         identifier cannot route a query onto the unthrottled system lane.
-        Unknown shapes (``referenced_tables`` returns ``None``) stay on the
-        admitted lanes, which is the conservative direction.
+        Unknown shapes (``refs.tables`` is ``None``) and commands (``refs``
+        is ``None``) stay on the admitted lanes, the conservative direction.
         """
-        if proto.is_relation(plan):
-            tables = proto.referenced_tables(plan)
-            if tables and all(t.startswith("system.") for t in tables):
-                return LANE_SYSTEM
+        if refs is not None and refs.all_system_tables():
+            return LANE_SYSTEM
         lane = session.config.get(LANE_CONFIG_KEY, LANE_INTERACTIVE)
         if lane not in LANE_PRIORITY or lane == LANE_SYSTEM:
             # Clients cannot claim the system lane via config.
@@ -438,7 +467,6 @@ class SparkConnectService:
         session: SessionState,
         op: OperationState,
         query_ctx: QueryContext,
-        plan: dict[str, Any],
     ) -> None:
         """Pass the operation through the workload manager (if any).
 
@@ -451,7 +479,7 @@ class SparkConnectService:
             return
         op.status = OP_QUEUED
         tenant = session.config.get(TENANT_CONFIG_KEY) or session.user_ctx.user
-        lane = self._lane_for(session, plan)
+        lane = self._lane_for(session, query_ctx.plan_refs)
         try:
             ticket = self.workload_manager.admit(
                 user=session.user_ctx.user,

@@ -9,6 +9,7 @@ operation whose client disappears is abandoned and tombstoned.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,6 +23,9 @@ from repro.errors import OperationGoneError, SessionError
 DEFAULT_SESSION_TTL = 3600.0
 #: Seconds without reattach after which a broken operation is abandoned.
 DEFAULT_OPERATION_ABANDON_AFTER = 300.0
+#: Finished operations remembered by id, so a late reattach learns *how* the
+#: operation ended; older ones answer "does not exist".
+MAX_TOMBSTONES = 256
 
 #: Waiting in the workload manager's admission queue, not yet executing.
 OP_QUEUED = "QUEUED"
@@ -83,6 +87,13 @@ class SessionState:
     #: caches are bypassed (cached artifacts must never capture a pinned
     #: view of the data).
     active_txn: Any = None
+    #: SQL text -> the table names it references (``None``: unresolvable),
+    #: for :func:`repro.connect.proto.referenced_tables`. Bounded there;
+    #: private to this session and gone with it, so one principal's query
+    #: texts are never probed by another's.
+    reference_memo: OrderedDict[str, frozenset[str] | None] = field(
+        default_factory=OrderedDict
+    )
 
     def bump_temp_state(self) -> None:
         self.temp_state_version += 1
@@ -112,7 +123,7 @@ class SessionManager:
         self._sessions: dict[str, SessionState] = {}
         self._operations: dict[str, OperationState] = {}
         #: Tombstones of abandoned/released operations (id -> final status).
-        self._tombstones: dict[str, str] = {}
+        self._tombstones: OrderedDict[str, str] = OrderedDict()
 
     # -- sessions ------------------------------------------------------------------
 
@@ -215,7 +226,7 @@ class SessionManager:
         """Client acknowledges completion; results are dropped."""
         op = self._operations.pop(operation_id, None)
         if op is not None and op.session_id == session_id:
-            self._tombstones[operation_id] = OP_FINISHED
+            self._bury(operation_id, OP_FINISHED)
 
     def interrupt_operation(self, operation_id: str, session_id: str) -> None:
         """Interrupt a running — or still-queued — operation.
@@ -257,4 +268,9 @@ class SessionManager:
         # thread frees the slot when the operator actually finishes.
         op.status = status
         self._operations.pop(op.operation_id, None)
-        self._tombstones[op.operation_id] = status
+        self._bury(op.operation_id, status)
+
+    def _bury(self, operation_id: str, status: str) -> None:
+        self._tombstones[operation_id] = status
+        if len(self._tombstones) > MAX_TOMBSTONES:
+            self._tombstones.popitem(last=False)

@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 
 from repro.common.context import QueryContext
 from repro.common.telemetry import Span
-from repro.connect.proto import plan_targets_system_tables
+from repro.connect.proto import resolve_references
 from repro.connect.sessions import SessionState
 from repro.core.plan_cache import (
     CachedSecurePlan,
@@ -195,10 +195,15 @@ def build_enforcement_pipeline(
             span.set_attribute(
                 "relation_type", (state.relation or {}).get("@type", "?")
             )
+            refs = ctx.plan_refs
+            if refs is None or refs.plan is not state.relation:
+                # Not the plan the Connect service resolved for this
+                # operation (a direct backend call, an eFGAC sub-plan).
+                refs = resolve_references(state.relation)
             if (
                 plan_cache is not None
                 and state.session.active_txn is None
-                and not plan_targets_system_tables(state.relation)
+                and not refs.targets_system_tables()
             ):
                 state.cache_key = _cache_key(state)
                 entry = plan_cache.lookup(state.cache_key, state.relation)
@@ -210,7 +215,7 @@ def build_enforcement_pipeline(
                     span.set_attribute("plan_cache", "hit")
                     return
                 span.set_attribute("plan_cache", "miss")
-            state.plan = decoder.relation(state.relation)
+            state.plan = decoder.relation(state.relation, parsed=refs.statements)
         else:
             # SQL command paths (CTAS, MV refresh) hand the pipeline a plan
             # they already parsed; the stage still marks the seam.

@@ -80,18 +80,27 @@ class PlanDecoder:
         self._temp_views = temp_views or {}
         self._builder = PlanBuilder(function_lookup)
         self._extensions = extensions
+        self._parsed: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Relations
     # ------------------------------------------------------------------
 
-    def relation(self, msg: dict[str, Any], depth: int = 0) -> LogicalPlan:
+    def relation(
+        self, msg: dict[str, Any], depth: int = 0, parsed: dict[str, Any] | None = None
+    ) -> LogicalPlan:
         """Decode a relation message into an (unresolved) logical plan.
+
+        ``parsed`` maps SQL text to an AST the caller already built for this
+        operation (:class:`repro.connect.proto.PlanReferences`); each entry
+        is taken at most once, any other text is parsed here.
 
         Malformed messages (missing fields, type-confused values) must
         surface as typed :class:`ProtocolError`, never as bare Python
         exceptions — a crash mid-decode is an attacker-reachable path.
         """
+        if parsed is not None:
+            self._parsed = parsed
         try:
             return self._relation(msg, depth)
         except (LakeguardError, RecursionError):
@@ -113,7 +122,7 @@ class PlanDecoder:
                 UnresolvedRelation(name, options), name.split(".")[-1]
             )
         if kind == "relation.sql":
-            stmt = parse_statement(msg["query"])
+            stmt = self._parsed.pop(msg["query"], None) or parse_statement(msg["query"])
             if not isinstance(stmt, (ast.SelectStatement, ast.UnionStatement)):
                 raise ProtocolError("relation.sql must contain a query")
             return self._substitute_temp_views(self._builder.build(stmt), depth)

@@ -11,6 +11,11 @@ from __future__ import annotations
 class LakeguardError(Exception):
     """Base class for all errors raised by this library."""
 
+    #: Trace of the Connect operation that failed, when there was one: the
+    #: service stamps it, the error codec carries it, and the client-side
+    #: exception has it — enough to find the operation in ``query_profile``.
+    trace_id: str | None = None
+
 
 class ConfigurationError(LakeguardError):
     """A component was configured inconsistently (programming error)."""

@@ -107,9 +107,11 @@ class Workspace:
         return cluster
 
     def shutdown(self) -> None:
-        """Tear down every cluster's pools (idempotent)."""
+        """Tear down every cluster's pools and close span exporters
+        (idempotent)."""
         for cluster in self.clusters.values():
             cluster.shutdown()
+        self.catalog.telemetry.close()
 
     def connect_serverless(
         self, user: str, client_version: int = PROTOCOL_VERSION,

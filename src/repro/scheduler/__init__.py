@@ -2,9 +2,11 @@
 
 The scheduler package sits between the Spark Connect service and the
 enforcement pipeline. :mod:`repro.scheduler.workload` admits (or rejects)
-every query before it runs; :mod:`repro.scheduler.circuit_breaker` keeps
-callers of flaky remote backends — the serverless eFGAC gateway above all —
-failing fast instead of hanging.
+every query before it runs; :mod:`repro.scheduler.turns` keeps one request
+thread from starving the others of the interpreter while they run;
+:mod:`repro.scheduler.circuit_breaker` keeps callers of flaky remote
+backends — the serverless eFGAC gateway above all — failing fast instead of
+hanging.
 """
 
 from repro.scheduler.circuit_breaker import (

@@ -123,17 +123,18 @@ class TestPlanCacheClassification:
                 "=", proto.column("c"), proto.literal("system.access.audit")
             ),
         )
-        assert not proto.plan_targets_system_tables(literal_bait)
-        assert proto.plan_targets_system_tables(
-            proto.read_table("system.access.audit")
-        )
+        def targets_system_tables(plan):
+            return proto.resolve_references(plan).targets_system_tables()
+
+        assert not targets_system_tables(literal_bait)
+        assert targets_system_tables(proto.read_table("system.access.audit"))
         # Unresolvable shapes (raw expr.sql) fall back to the conservative
         # substring scan: a "system." fragment keeps the plan uncacheable.
         unresolvable = proto.filter_relation(
             proto.read_table("m.s.t"),
             proto.sql_expr("c = 'system.access.audit'"),
         )
-        assert proto.plan_targets_system_tables(unresolvable)
+        assert targets_system_tables(unresolvable)
 
     def test_system_literal_queries_are_cacheable(self, gauntlet):
         cache = gauntlet.cluster.backend.plan_cache

@@ -242,3 +242,77 @@ class TestDataFrameAPI:
         expr = when(col("a") > 1, "big").otherwise("small").expr
         assert expr["@type"] == "expr.case"
         assert expr["otherwise"]["value"] == "small"
+
+
+class TestErrorCodec:
+    """Every typed error crosses the wire as its class plus a trace id — and
+    nothing else (no row data can ride an error message)."""
+
+    @staticmethod
+    def _instance(cls):
+        from repro.errors import AdmissionError, PermissionDenied, RetryableError
+
+        if cls is PermissionDenied:
+            return cls("alice", "SELECT", "main.s.t")
+        if issubclass(cls, AdmissionError):
+            return cls("busy", retry_after=1.5, reason="queue_full")
+        if issubclass(cls, RetryableError):
+            return cls("flaky", retry_after=0.25)
+        return cls("nope")
+
+    def test_every_error_class_round_trips_typed_with_its_trace_id(self):
+        from repro.connect.service import (
+            _ERROR_CLASSES,
+            error_to_message,
+            raise_from_message,
+        )
+        from repro.errors import PermissionDenied
+
+        envelope = {"@type", "error_class", "message", "trace_id"}
+        assert PermissionDenied not in _ERROR_CLASSES.values()
+        for cls in [*_ERROR_CLASSES.values(), PermissionDenied]:
+            original = self._instance(cls)
+            original.trace_id = "trace-abc-1"
+            message = error_to_message(original)
+            wire = proto.decode_message(proto.encode_message(message))
+            with pytest.raises(cls) as caught:
+                raise_from_message(wire)
+            received = caught.value
+            assert type(received) is cls
+            assert received.trace_id == "trace-abc-1"
+            assert str(received) == str(original)
+            allowed = set(envelope)
+            if cls is PermissionDenied:
+                allowed |= {"principal", "privilege", "securable"}
+            for hint in ("retry_after", "reason"):
+                if hasattr(original, hint):
+                    allowed.add(hint)
+                    assert getattr(received, hint) == getattr(original, hint)
+            assert set(message) == allowed, cls.__name__
+
+    def test_error_without_an_operation_carries_no_trace_id(self, channel):
+        from repro.connect.service import raise_from_message
+
+        response = channel.call("config", {"session_id": "nope", "user": "u"})
+        assert "trace_id" not in response
+        with pytest.raises(SessionError) as caught:
+            raise_from_message(response)
+        assert caught.value.trace_id is None
+
+    def test_failed_operation_is_findable_by_the_errors_trace_id(
+        self, standard_cluster, alice_client
+    ):
+        from repro.errors import AnalysisError
+
+        with pytest.raises(AnalysisError) as caught:
+            alice_client.sql("SELECT no_such_column FROM main.sales.orders").collect()
+        assert caught.value.trace_id == alice_client.last_trace_id
+        profile = alice_client.table("system.access.query_profile").to_dict()
+        failed = [
+            status
+            for trace, name, status in zip(
+                profile["trace_id"], profile["name"], profile["status"]
+            )
+            if trace == caught.value.trace_id and name == "execute_plan"
+        ]
+        assert failed == ["error"]

@@ -188,7 +188,7 @@ def test_design_threat_matrix_matches_attack_registry():
     chapter = match.group(0)
     families = "|".join(sorted(attack_registry.technique_families()))
     prefixes = {f.split("-")[0] for f in attack_registry.technique_families()}
-    prefixes |= {"udf", "plan", "credential", "cache", "admission"}
+    prefixes |= {"udf", "plan", "credential", "cache", "admission", "profile"}
     documented = {
         token
         for token in re.findall(r"`([a-z-]+)`", chapter)

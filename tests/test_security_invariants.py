@@ -543,3 +543,204 @@ class TestSessionHijacking:
         )
         assert items[0]["@type"] == "error"
         assert items[0]["error_class"] == "SessionError"
+
+
+class TestIdentifiersVersusCapabilities:
+    """Span and trace ids are guessable by construction (process prefix +
+    counter); every id that *authorises* must still come from the CSPRNG."""
+
+    def test_ids_that_authorise_are_drawn_from_the_csprng(
+        self, workspace, standard_cluster, admin_client, monkeypatch
+    ):
+        from repro.common import ids
+        from repro.core.efgac import STAGING_ROOT
+
+        drawn: list[str] = []
+        real = ids.os.urandom
+
+        def recording_urandom(n):
+            data = real(n)
+            drawn.append(data.hex())
+            return data
+
+        monkeypatch.setattr(ids.os, "urandom", recording_urandom)
+
+        def from_csprng(identifier: str) -> bool:
+            assert ids._process_prefix not in identifier
+            return identifier.rpartition("-")[2] in drawn
+
+        admin_client.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
+        alice = standard_cluster.connect("alice")
+        assert from_csprng(alice.session_id)
+        operation = standard_cluster.service.sessions.start_operation(alice.session_id)
+        assert from_csprng(operation.operation_id)
+
+        alice.table("main.sales.orders").collect()
+        tokens = [c.token for c in workspace.catalog.vendor.live_credentials()]
+        assert tokens and all(from_csprng(token) for token in tokens)
+
+        # eFGAC staging prefix: force the staged result mode on a small table.
+        dedicated = workspace.create_dedicated_cluster(assigned_user="alice")
+        dedicated.backend.remote_executor._inline_threshold = 0
+        staged: list[str] = []
+        store = workspace.catalog.store
+        real_put = store.put
+        monkeypatch.setattr(
+            store, "put",
+            lambda path, *a, **k: staged.append(path) or real_put(path, *a, **k),
+        )
+        assert len(dedicated.connect("alice").table("main.sales.orders").collect()) == 2
+        prefixes = {p.rsplit("/", 1)[0] for p in staged if p.startswith(STAGING_ROOT)}
+        assert prefixes and all(from_csprng(prefix) for prefix in prefixes)
+
+        # None of that was minted from the span counter, and no span drew
+        # from the CSPRNG: a whole governed query costs it nothing.
+        before = len(drawn)
+        alice.table("main.sales.orders").collect()
+        span_ids = [s.span_id for s in workspace.catalog.telemetry.spans(user="alice")]
+        assert span_ids and all(ids._process_prefix in s for s in span_ids)
+        client_side = 2  # the client's own op id and trace id (uuid4)
+        assert len(drawn) - before <= client_side
+
+
+class TestParseOnce:
+    """One structural resolution — and at most one SQL parse — per operation,
+    without weakening what the classification protects."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Count ``parse_statement`` calls wherever it is bound."""
+        import repro.connect.proto  # noqa: F401 - resolves it lazily from the parser
+        import repro.core.lakeguard as lakeguard
+        import repro.core.plan_codec as plan_codec
+        import repro.sql.parser as parser
+
+        calls: list[str] = []
+        real = parser.parse_statement
+
+        def counting(sql):
+            calls.append(sql)
+            return real(sql)
+
+        for module in (parser, plan_codec, lakeguard):
+            monkeypatch.setattr(module, "parse_statement", counting)
+        return calls
+
+    def test_sql_relation_parses_once_on_a_miss_and_not_at_all_on_a_hit(
+        self, standard_cluster, alice_client, parses, monkeypatch
+    ):
+        from repro.connect import proto
+
+        resolutions: list[dict] = []
+        real = proto.referenced_tables
+        monkeypatch.setattr(
+            proto, "referenced_tables",
+            lambda plan, *a, **k: resolutions.append(plan) or real(plan, *a, **k),
+        )
+        cache = standard_cluster.backend.plan_cache
+        sql = "SELECT id, amount FROM main.sales.orders WHERE amount > 15"
+        alice_client.sql(sql).collect()
+        assert (cache.stats.misses, len(parses), len(resolutions)) == (1, 1, 1)
+        rows = alice_client.sql(sql).collect()
+        assert cache.stats.hits == 1
+        assert len(parses) == 1, "a repeated text on a plan-cache hit parses nothing"
+        assert len(resolutions) == 2, "one structural resolution per operation"
+        assert sorted(rows) == [(2, 20.0), (3, 30.0), (4, 40.0)]
+        # Memo hit but plan miss (the policy epoch moved): the decoder parses.
+        standard_cluster.connect("admin").sql(
+            "ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')"
+        )
+        del parses[:]
+        assert sorted(alice_client.sql(sql).collect()) == [(3, 30.0)]
+        assert parses == [sql]
+
+    def test_literal_naming_a_system_table_cannot_reach_the_system_lane(
+        self, standard_cluster, alice_client
+    ):
+        manager = standard_cluster.workload_manager
+        bypassed, admitted = manager.system_bypass, manager.admitted_total
+        bait = "SELECT id FROM main.sales.orders WHERE buyer = 'system.access.audit'"
+        for _ in range(2):  # the second run classifies from the session memo
+            assert alice_client.sql(bait).collect() == []
+        assert manager.system_bypass == bypassed
+        assert manager.admitted_total == admitted + 2
+        alice_client.sql("SELECT * FROM system.access.query_profile").collect()
+        assert manager.system_bypass == bypassed + 1
+
+    def test_unparseable_text_stays_unknown(self, standard_cluster, alice_client):
+        from collections import OrderedDict
+
+        from repro.connect import proto
+        from repro.errors import ParseError
+
+        memo: OrderedDict = OrderedDict()
+        garbage = proto.sql_relation("NOT SQL AT ALL system.access.audit")
+        for _ in range(2):  # resolved, then remembered: "unknown" both times
+            refs = proto.resolve_references(garbage, memo)
+            assert refs.tables is None and not refs.all_system_tables()
+            assert refs.targets_system_tables()  # conservative cache bypass
+        manager = standard_cluster.workload_manager
+        bypassed = manager.system_bypass
+        with pytest.raises(ParseError):
+            alice_client.sql("NOT SQL AT ALL system.access.audit").collect()
+        assert manager.system_bypass == bypassed
+
+    def test_memo_is_bounded_private_to_a_session_and_dies_with_it(
+        self, standard_cluster, alice_client
+    ):
+        import gc
+        import weakref
+
+        from repro.connect.proto import REFERENCE_MEMO_ENTRIES
+
+        sessions = standard_cluster.service.sessions
+        session = sessions.get_session(alice_client.session_id, "alice")
+        for i in range(REFERENCE_MEMO_ENTRIES + 10):
+            alice_client.sql(f"SELECT id FROM main.sales.orders WHERE id = {i}").collect()
+        assert len(session.reference_memo) == REFERENCE_MEMO_ENTRIES
+        # Immutable outcomes only: names or "unresolvable", never an AST.
+        assert all(
+            names is None or isinstance(names, frozenset)
+            for names in session.reference_memo.values()
+        )
+        second = standard_cluster.connect("alice")
+        assert not sessions.get_session(second.session_id, "alice").reference_memo
+        memo = weakref.ref(session.reference_memo)
+        del session
+        alice_client.close()
+        gc.collect()
+        assert memo() is None
+
+
+class TestBoundedBookkeeping:
+    def test_heap_is_flat_in_the_number_of_queries(
+        self, standard_cluster, alice_client
+    ):
+        """Spans, histograms, tombstones and memos are all bounded: ten
+        times the queries must not mean a bigger heap."""
+        import gc
+        import tracemalloc
+
+        from repro.errors import RetryableError
+
+        def run(count):
+            for i in range(count):
+                frame = alice_client.sql(
+                    f"SELECT id, amount FROM main.sales.orders WHERE id = {i % 4}"
+                )
+                try:
+                    frame.collect()
+                except RetryableError:
+                    # A chaos leg can exhaust the recovery ladder once in
+                    # thousands of queries; the client's move is to resubmit.
+                    frame.collect()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            after_300 = run(300)
+            after_3000 = run(2_700)
+        finally:
+            tracemalloc.stop()
+        assert after_3000 <= 1.10 * after_300, (after_300, after_3000)

@@ -75,6 +75,57 @@ def test_user_scoped_table_returns_only_the_callers_rows(
     assert users_seen(down_scoped_admin) == {"admin"}
 
 
+def test_query_profile_reads_only_the_viewers_ring_while_others_run(
+    workspace, standard_cluster, admin_client, alice_client
+):
+    """Two other sessions keep emitting spans — carol on the shared cluster,
+    alice's eFGAC sub-plans under the serverless gateway — while alice
+    reads her profile: she sees her own spans (the gateway's child-trace
+    spans included) and nobody else's, and no read ever trips over a
+    concurrent ``finish_span``."""
+    import json
+    import threading
+
+    admin_client.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
+    carol = standard_cluster.connect("carol")
+    dedicated = workspace.create_dedicated_cluster(assigned_user="alice").connect("alice")
+    stop, errors = threading.Event(), []
+
+    def keep_querying(client):
+        try:
+            while not stop.is_set():
+                assert len(client.table("main.sales.orders").collect()) == 2
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=keep_querying, args=(client,))
+        for client in (carol, dedicated)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        for _ in range(20):
+            rows = alice_client.sql(
+                "SELECT * FROM system.access.query_profile"
+            ).to_dict()
+            assert set(rows["user"]) <= {"alice"}
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    assert not errors, errors
+    rows = alice_client.table("system.access.query_profile").to_dict()
+    assert set(rows["user"]) == {"alice"}
+    clusters = {json.loads(a).get("cluster", "") for a in rows["attributes"]}
+    assert any(c.startswith("serverless") for c in clusters), clusters
+    assert dedicated.last_trace_id in rows["trace_id"]
+    assert carol.last_trace_id not in rows["trace_id"]
+    assert carol.last_trace_id in admin_client.table(
+        "system.access.query_profile"
+    ).to_dict()["trace_id"]
+
+
 @pytest.mark.parametrize("table", TABLES, ids=_by_name)
 def test_relation_schema_is_the_declared_schema(table, admin_client):
     frame = admin_client.table(table.name)

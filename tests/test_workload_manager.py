@@ -904,3 +904,107 @@ class TestDispatcherCharging:
         admin.close()
         snapshot = cluster.workload_manager.stats_snapshot()
         assert snapshot["tenant.team-data.sandbox_claims"] == 0
+
+
+class TestInterpreterTurns:
+    """``scheduler/turns.py`` on a fake clock: when a request thread sleeps."""
+
+    @staticmethod
+    def make(on_sleep=None):
+        from repro.scheduler.turns import InterpreterTurns
+
+        now = [0.0]
+        naps: list[float] = []
+
+        def sleep(seconds: float) -> None:
+            naps.append(seconds)
+            if on_sleep is not None:
+                on_sleep()
+
+        return InterpreterTurns(now=lambda: now[0], sleep=sleep), now, naps
+
+    @staticmethod
+    def on_other_thread(fn) -> None:
+        thread = threading.Thread(target=fn)
+        thread.start()
+        thread.join()
+
+    def operation(self, turns, now, seconds: float) -> None:
+        turns.begin()
+        now[0] += seconds
+        turns.end()
+
+    def test_a_single_request_thread_never_sleeps(self):
+        turns, now, naps = self.make()
+        for _ in range(500):
+            self.operation(turns, now, 0.001)
+        assert naps == [] and turns.handoffs == 0
+
+    def test_a_full_turn_beside_another_thread_hands_over_once(self):
+        from repro.scheduler.turns import HANDOFF_NAPS, TURN_SECONDS
+
+        turns = now = None
+
+        def other_runs():
+            self.on_other_thread(turns.begin)
+
+        turns, now, naps = self.make(on_sleep=other_runs)
+        self.operation(turns, now, 0.001)
+        self.on_other_thread(lambda: self.operation(turns, now, 0.001))
+        ops = 0
+        while not naps:
+            self.operation(turns, now, 0.001)
+            ops += 1
+        # One turn of back-to-back operations, then the shortest nap
+        # suffices because the other thread began an operation during it.
+        assert ops == pytest.approx(TURN_SECONDS / 0.001, abs=2)
+        assert naps == [HANDOFF_NAPS[0]] and turns.handoffs == 1
+        # The turn restarted: the next operations run without sleeping.
+        self.operation(turns, now, 0.001)
+        assert len(naps) == 1
+
+    def test_naps_escalate_until_someone_else_has_run_then_give_up(self):
+        from repro.scheduler.turns import HANDOFF_NAPS, TURN_SECONDS
+
+        turns, now, naps = self.make()
+        self.operation(turns, now, 0.001)
+        self.on_other_thread(lambda: self.operation(turns, now, 0.001))
+        self.operation(turns, now, 0.001)
+        self.operation(turns, now, TURN_SECONDS)
+        assert naps == list(HANDOFF_NAPS) and turns.handoffs == 0
+
+    def test_an_idle_second_thread_stops_counting_as_active(self):
+        from repro.scheduler.turns import ACTIVE_SECONDS, TURN_SECONDS
+
+        turns, now, naps = self.make()
+        self.operation(turns, now, 0.001)
+        self.on_other_thread(lambda: self.operation(turns, now, 0.001))
+        self.operation(turns, now, 0.001)
+        now[0] += ACTIVE_SECONDS
+        for _ in range(5):
+            self.operation(turns, now, TURN_SECONDS)
+        assert naps == []
+
+    def test_two_closed_loop_clients_take_turns(self, small_workspace):
+        """Two client threads on one cluster: the service hands the
+        interpreter over, and neither thread is held off for long."""
+        cluster = small_workspace.create_standard_cluster()
+        clients = [cluster.connect("alice"), cluster.connect("bob")]
+        for client in clients:
+            client.sql("SELECT 1").collect()
+        worst = [0.0, 0.0]
+        stop_at = time.monotonic() + 1.0
+
+        def loop(i: int) -> None:
+            while time.monotonic() < stop_at:
+                began = time.monotonic()
+                clients[i].sql("SELECT 1").collect()
+                worst[i] = max(worst[i], time.monotonic() - began)
+
+        threads = [threading.Thread(target=loop, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert cluster.service.turns.handoffs >= 5
+        assert max(worst) < 0.5

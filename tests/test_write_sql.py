@@ -95,12 +95,10 @@ class TestWriteStatementParsing:
         assert isinstance(parse_statement("ROLLBACK"), ast.RollbackStatement)
 
     def test_collect_statement_tables_covers_writes(self):
-        from repro.connect.proto import _collect_sql_tables
+        from repro.connect import proto
 
         def tables_of(sql):
-            out: set[str] = set()
-            assert _collect_sql_tables(sql, out)
-            return out
+            return proto.referenced_tables(proto.sql_command(sql))
 
         assert tables_of("UPDATE a.b.c SET x = 1") == {"a.b.c"}
         assert tables_of("DELETE FROM a.b.c") == {"a.b.c"}

@@ -1,19 +1,16 @@
-"""Scale-out execution backends + shared-memory sandbox transport, quantified.
+"""Scale-out execution backends: 1 -> 4 workers, process vs thread.
 
-Two measurements:
+One CPU-dense fused scan→filter→project query (a compiled kernel over a
+multi-file governed table) runs on the process backend with a 1-worker and a
+4-worker pool, and on the thread backend with 1 and 4 executors. Worker
+processes sidestep the GIL, so on a ≥4-core host the process backend is
+*asserted* to scale ≥2.5× while threads stay <1.3×; on smaller hosts the
+numbers are recorded, not asserted (``cpu_count`` lands in the JSON either
+way). No committed record comes from a host where the assertion ran.
 
-(a) **Worker scaling** — one CPU-dense fused scan→filter→project query (a
-    compiled kernel over a multi-file governed table) runs on the process
-    backend with a 1-worker and a 4-worker pool, and on the thread backend
-    with 1 and 4 executors. Worker processes sidestep the GIL, so on a
-    ≥4-core host the process backend scales ≥2.5× while threads stay <1.3×;
-    on smaller hosts the numbers are still recorded, just not asserted
-    (``cpu_count`` lands in the JSON either way).
-
-(b) **Sandbox transport** — the Table-2-style before/after for the
-    subprocess sandbox: the legacy pickle-over-pipe transport vs the
-    shared-memory batch handoff, per-invoke wall time plus data/control
-    pickle bytes (the data path drops to ~0; control frames are exempt).
+(Until PR 21 this file also compared the subprocess sandbox's two batch
+transports; the boundary has one now, measured by the ``sandbox_udf``
+workload of ``benchmarks/e2e``.)
 
 Emits ``BENCH_scaleout.json``.
 """
@@ -26,13 +23,11 @@ import pytest
 
 from harness import best_time, print_table, write_bench_json
 
-from repro.engine.udf import udf
 from repro.platform import Workspace
 
 NUM_FILES = 8
 ROWS_PER_FILE = 4_000
 POOL_SIZES = (1, 4)
-SANDBOX_ROWS = 20_000
 
 #: One arithmetic-heavy projection battery: enough per-row compute that the
 #: worker-side kernel dominates the shm handoff and pipe control traffic.
@@ -151,68 +146,9 @@ def test_worker_scaling():
         )
 
 
-def test_sandbox_transport_before_after():
-    """(b) Subprocess sandbox: pickle-over-pipe vs shared-memory handoff."""
-    from repro.sandbox.subprocess_sandbox import SubprocessSandbox
-
-    @udf("float")
-    def score(amount, label):
-        return amount * 1.1 + len(label)
-
-    scorer = score.with_owner("alice")
-    args = [
-        [float(i % 500) + 0.25 for i in range(SANDBOX_ROWS)],
-        [f"buyer-{i % 97:05d}" for i in range(SANDBOX_ROWS)],
-    ]
-
-    rows_out: list[list] = []
-    stats_by_mode: dict[str, dict] = {}
-    timings: dict[str, float] = {}
-    for mode, use_shm in (("pipe+pickle", False), ("shared-memory", True)):
-        sandbox = SubprocessSandbox("alice", use_shm=use_shm)
-        try:
-            expected = sandbox.invoke(scorer, args)  # warm-up: installs UDF
-            assert len(expected) == SANDBOX_ROWS
-            timings[mode] = best_time(
-                lambda: sandbox.invoke(scorer, args), repeats=3
-            )
-            stats = sandbox.stats
-            stats_by_mode[mode] = {
-                "data_pickle_bytes": stats.data_pickle_bytes,
-                "control_pickle_bytes": stats.control_pickle_bytes,
-                "shm_bytes": stats.shm_bytes,
-                "invocations": stats.invocations,
-            }
-        finally:
-            sandbox.close()
-        per = stats_by_mode[mode]
-        rows_out.append(
-            [
-                mode,
-                f"{timings[mode] * 1000:.1f}",
-                per["data_pickle_bytes"] // per["invocations"],
-                per["control_pickle_bytes"] // per["invocations"],
-                per["shm_bytes"] // per["invocations"],
-            ]
-        )
-
-    print_table(
-        f"Sandbox UDF invoke, {SANDBOX_ROWS} rows x 2 columns",
-        ["transport", "invoke ms", "data pkl B/inv", "ctrl pkl B/inv", "shm B/inv"],
-        rows_out,
-    )
-    RESULTS["sandbox_transport"] = {
-        "rows": SANDBOX_ROWS,
-        "invoke_ms": {m: t * 1000 for m, t in timings.items()},
-        "stats": stats_by_mode,
-    }
-    assert stats_by_mode["shared-memory"]["data_pickle_bytes"] == 0
-    assert stats_by_mode["pipe+pickle"]["data_pickle_bytes"] > 0
-
-
 def test_write_json():
-    """Persist both measurements (runs after the benchmarks above)."""
-    if "scaling" not in RESULTS or "sandbox_transport" not in RESULTS:
+    """Persist the measurement (runs after the benchmark above)."""
+    if "scaling" not in RESULTS:
         pytest.skip("benchmarks did not run")
     path = write_bench_json(
         "scaleout",
@@ -220,7 +156,6 @@ def test_write_json():
             "num_files": NUM_FILES,
             "rows_per_file": ROWS_PER_FILE,
             "pool_sizes": list(POOL_SIZES),
-            "sandbox_rows": SANDBOX_ROWS,
         },
         extra={"results": RESULTS},
     )

@@ -18,8 +18,10 @@ while the change was written. This tool runs exactly that and nothing else::
   ``benchmarks/e2e/run.py --workload W --seed S_i --seconds S --out ...``;
   pair ``i`` runs the parent first when ``i`` is odd, the change first when
   even. ``--unseen-seed`` replaces the last pair's seed.
-* ``--out`` receives every raw run plus, per workload and end-to-end metric,
-  both sides' median and quartiles, the change's win count (ties count for
+* ``--out`` receives, per run, the end-to-end metrics and the run's latency
+  distribution on a fixed percentile grid (not the per-op array: 20 pairs of
+  7 000 ops are megabytes), plus, per workload and end-to-end metric, both
+  sides' median and quartiles, the change's win count (ties count for
   neither) and whether the claim rule holds. ``--traced-prefix P`` also
   records one ``--traced`` run per side and workload as
   ``P<parent|change>_traced_<workload>.json``.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -44,6 +47,8 @@ from typing import Any, Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+#: Percentiles of a run's per-op latencies kept in the record.
+QUANTILE_GRID = (1, 5, 10, 25, 50, 75, 90, 95, 99, 99.9, 100)
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -103,6 +108,17 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def latency_quantiles(latencies_ms: list[float]) -> dict[str, float]:
+    """One run's latencies on :data:`QUANTILE_GRID` (nearest rank; p100 = max)."""
+    ordered = sorted(latencies_ms)
+    if not ordered:
+        return {}
+    return {
+        f"p{q:g}": ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
+        for q in QUANTILE_GRID
+    }
+
+
 def summarise(pairs: list[dict[str, Any]], metrics: list[dict[str, Any]]) -> dict[str, Any]:
     """Per metric: both sides' spread, the change's wins, the claim rule."""
     out: dict[str, Any] = {}
@@ -157,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
             "Alternating parent/change pairs of benchmarks/e2e/run.py "
             "(benchmarks/e2e_pairs.py). Pair i ran the parent first when i is "
             "odd, the change first when even; every value is copied from that "
-            "run's --out record (times at reference host speed)."
+            "run's --out record (times at reference host speed), its per-op "
+            "latencies reduced to nearest-rank percentiles."
         ),
         "seconds": args.seconds,
         "unseen_seed": args.unseen_seed,
@@ -176,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         sides = {"parent": parent_dir, "change": ROOT}
         kept = [m["name"] for m in spec["end_to_end"]] + [
-            "attempted", "failed", "host_slowdown", "latencies_ms",
+            "attempted", "failed", "host_slowdown",
         ]
         for workload in args.workload:
             pairs: list[dict[str, Any]] = []
@@ -189,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
                         Path(scratch) / f"{side}.json",
                     )
                     pair[side] = {name: run[name] for name in kept}
+                    pair[side]["latency_quantiles_ms"] = latency_quantiles(
+                        run["latencies_ms"]
+                    )
                     pair[side]["correct"] = not run["problems"]
                     clean = clean and run["failed"] == 0 and not run["problems"]
                 pairs.append(pair)

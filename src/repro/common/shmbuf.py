@@ -5,8 +5,9 @@ columns is encoded into a handful of fixed-width buffers laid out in one
 contiguous payload, the payload lives in a named POSIX shared-memory
 segment, and only the (small) layout metadata crosses the control pipe.
 Workers map the segment and read the buffers in place — no per-batch pickle
-of row data, which is exactly the serialization tax the paper's Table 2
-measures for the sandbox boundary.
+of row data. Its users are the process worker backend (``engine/workers.py``)
+and the result cache's batch serialisation (``engine/batch.py``); the sandbox
+boundary does not use it.
 
 Per-column encodings, chosen by inspecting the values (the engine's batches
 are plain Python lists and may drift from the declared schema, e.g. a
@@ -20,10 +21,6 @@ column mask that rewrites ints to ``'***'``):
 - ``obj``   — pickle fallback for mixed/oversized values; kept lossless and
   counted separately so the "data-path pickle bytes ≈ 0" property stays
   measurable (homogeneous engine columns never hit it)
-
-The module is deliberately **pure stdlib** (no engine imports), so the
-subprocess sandbox worker — which must stay disconnected from the runtime —
-can use the same codec for its batch handoff.
 
 Segment ownership protocol (Python 3.11 registers every ``SharedMemory``
 attach with the resource tracker, so attachers must explicitly disclaim

@@ -7,9 +7,10 @@ Two sandbox backends implement the same interface:
   pickle out) and egress is policy-checked, but the code runs in the host
   interpreter. Deterministic and fast; used by tests and cost models.
 - :class:`~repro.sandbox.subprocess_sandbox.SubprocessSandbox` — real process
-  isolation: user functions are shipped (cloudpickle) to a worker process and
-  invoked over length-prefixed pickle frames on pipes. Used by the Table 2
-  overhead benchmarks, where the isolation boundary must be physical.
+  isolation: user functions are shipped (cloudpickle) to a worker process that
+  holds none of this package and invoked over length-prefixed pickle frames on
+  pipes, the one transport; worker replies are decoded data-only. Used where
+  the boundary must be physical (``sandbox_udf``, the Table 2 benchmarks).
 
 The :class:`~repro.sandbox.dispatcher.Dispatcher` pools sandboxes per
 (session, trust domain) and executes *fused* UDF groups in one round-trip;

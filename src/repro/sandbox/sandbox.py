@@ -34,14 +34,15 @@ class SandboxStats:
     rows_in: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
-    #: Pickle bytes on the *data* path (batch arguments/results). With the
-    #: shared-memory transport this stays ~0 — only ``obj``-fallback columns
-    #: contribute — which is the Table-2 property benchmarks assert.
+    #: Pickle bytes on the *data* path (batch arguments and results) — every
+    #: batch crosses the boundary as one pickle frame each way, on both
+    #: backends; this is the per-batch tax the Table 2 benchmarks measure.
     data_pickle_bytes: int = 0
-    #: Pickle bytes on the control path (install/policy frames, shm layout
-    #: metadata). Always non-zero and intentionally exempt.
+    #: Pickle bytes on the control path (install / policy / ping frames).
     control_pickle_bytes: int = 0
-    #: Raw batch bytes handed off through shared-memory segments.
+    #: Always 0: no sandbox transport uses shared memory any more. Kept for
+    #: its one reader, ``benchmarks/e2e/layers.py`` (the
+    #: ``sandbox.shm_bytes_per_op`` metric), until a benchmark issue drops it.
     shm_bytes: int = 0
 
 

@@ -1,27 +1,31 @@
 """Real process-isolated sandbox backend.
 
-Spawns ``python -m repro.sandbox.worker`` and ships user functions with
-cloudpickle. The isolation boundary is physical — a separate OS process —
-but with the default shared-memory transport the *data* no longer crosses
-the pipes: batch columns are encoded into ``shmbuf`` segments and only the
-layout metadata rides the control frames, so the per-batch pickle tax the
-Table 2 benchmarks measure drops to ~0. ``use_shm=False`` keeps the legacy
-pickle-over-pipe transport as the measurable baseline.
+Runs ``sandbox/worker.py`` in a dedicated OS process and ships user functions
+to it with cloudpickle. There is one transport: length-prefixed pickle frames
+on the worker's stdin / stdout, batch columns included. The worker is started
+from its *file*, not with ``-m``, so it holds no ``repro.*`` module until a
+shipped function imports one.
+
+The worker's stdout is writable by user code, so its frames are decoded with
+an unpickler that resolves no global; a frame that names one, is oversized,
+truncated or not a ``(status, payload)`` pair ends the sandbox
+(``SandboxDied(delivered=True)`` — never replayed).
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
 import subprocess
 import sys
 from typing import TYPE_CHECKING, Any
 
 import cloudpickle
 
-from repro.common import shmbuf
 from repro.common.ids import new_id
 from repro.engine.udf import PythonUDF
 from repro.errors import SandboxDied, TrustDomainViolation, UserCodeError
+from repro.sandbox import worker
 from repro.sandbox.policy import SandboxPolicy
 from repro.sandbox.sandbox import SandboxStats
 from repro.sandbox.worker import read_frame, write_frame
@@ -29,22 +33,29 @@ from repro.sandbox.worker import read_frame, write_frame
 if TYPE_CHECKING:
     from repro.common.faults import FaultInjector
 
+#: Largest worker frame the driver will read (a batch of results is KBs).
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: ``-c`` keeps ``sys.path[0]`` the working directory, as ``-m`` did, where
+#: ``python worker.py`` would put ``repro/sandbox/`` there and shadow
+#: ``net`` / ``policy``; ``run_path`` imports no package on the way in.
+_BOOTSTRAP = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
+
+
+class _DataOnlyUnpickler(pickle.Unpickler):
+    """Decodes scalars and containers; resolving any global is refused."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(f"worker frame names global {module}.{name}")
+
 
 class SubprocessSandbox:
     """A sandbox backed by a dedicated worker process."""
 
-    def __init__(
-        self,
-        trust_domain: str,
-        policy: SandboxPolicy | None = None,
-        use_shm: bool = True,
-    ):
+    def __init__(self, trust_domain: str, policy: SandboxPolicy | None = None):
         self.sandbox_id = new_id("sbx")
         self.trust_domain = trust_domain
         self.policy = policy or SandboxPolicy()
-        #: Batch transport: shared-memory segments (default) or the legacy
-        #: pickle-over-pipe path (kept as the Table 2 baseline).
-        self.use_shm = use_shm
         self.stats = SandboxStats()
         #: Chaos hook (set by the cluster manager): a triggered
         #: ``sandbox.invoke`` fault kills the worker *before* the request is
@@ -54,7 +65,7 @@ class SubprocessSandbox:
         #: sha256 of a function's cloudpickle blob -> worker-side udf id.
         self._installed: dict[bytes, str] = {}
         self._process = subprocess.Popen(
-            [sys.executable, "-m", "repro.sandbox.worker"],
+            [sys.executable, "-c", _BOOTSTRAP, worker.__file__],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -69,12 +80,13 @@ class SubprocessSandbox:
         Distinguishes *where* the pipe broke: a failed **write** means the
         request never reached the worker (``delivered=False`` — a retry
         cannot double-execute anything), while a failed **read** means the
-        worker died holding the request (``delivered=True`` — it may have
-        run side effects; retrying would break at-most-once).
+        worker died holding the request, or answered with bytes its loop did
+        not write and was killed for it (``delivered=True`` — it may have run
+        side effects; retrying would break at-most-once).
 
         ``data_frame`` marks frames whose payload *is* batch data (the
-        legacy transport's invoke frames); everything else is control
-        traffic, accounted separately.
+        invoke frames); everything else is control traffic, accounted
+        separately.
         """
         if self.closed:
             raise SandboxDied(
@@ -89,10 +101,19 @@ class SubprocessSandbox:
                 delivered=False,
             ) from exc
         try:
-            (status, payload), received = read_frame(self._process.stdout)
-        except (EOFError, OSError) as exc:
+            reply, received = read_frame(
+                self._process.stdout, _DataOnlyUnpickler, MAX_FRAME_BYTES
+            )
+            if type(reply) is not tuple or len(reply) != 2 or reply[0] not in ("ok", "err"):
+                raise ValueError("worker frame is not an (ok | err, payload) pair")
+            status, payload = reply
+        except Exception as exc:  # noqa: BLE001 - unpickling garbage raises anything
+            # EOF is a dead worker; anything else means nothing further on
+            # this stream can be trusted either.
+            self._kill()
             raise SandboxDied(
-                f"sandbox {self.sandbox_id} worker died mid-request: {exc}",
+                f"sandbox {self.sandbox_id} worker died mid-request: "
+                f"{type(exc).__name__}: {exc}",
                 delivered=True,
             ) from exc
         if data_frame:
@@ -103,14 +124,17 @@ class SubprocessSandbox:
             raise UserCodeError(str(payload))
         return payload
 
+    def _kill(self) -> None:
+        self._process.kill()
+        self._process.wait()
+
     def _maybe_inject_death(self) -> None:
         """Kill the worker if an armed ``sandbox.invoke`` fault triggers."""
         if self.faults is None:
             return
         decision = self.faults.check("sandbox.invoke")
         if decision.triggered:
-            self._process.kill()
-            self._process.wait(timeout=5)
+            self._kill()
 
     def _check_domain(self, udf: PythonUDF) -> None:
         if udf.trust_domain != self.trust_domain:
@@ -134,16 +158,6 @@ class SubprocessSandbox:
 
     # -- Sandbox interface --------------------------------------------------------
 
-    def _account_outbound(self, meta: dict[str, Any]) -> None:
-        self.stats.shm_bytes += meta["nbytes"]
-        self.stats.bytes_in += meta["nbytes"]
-        self.stats.data_pickle_bytes += meta["pickled_bytes"]
-
-    def _account_inbound(self, meta: dict[str, Any]) -> None:
-        self.stats.shm_bytes += meta["nbytes"]
-        self.stats.bytes_out += meta["nbytes"]
-        self.stats.data_pickle_bytes += meta["pickled_bytes"]
-
     def invoke(self, udf: PythonUDF, arg_columns: list[list[Any]]) -> list[Any]:
         self._check_domain(udf)
         udf_id = self._ensure_installed(udf)
@@ -151,25 +165,7 @@ class SubprocessSandbox:
         self.stats.invocations += 1
         if arg_columns:
             self.stats.rows_in += len(arg_columns[0])
-        if not self.use_shm:
-            return self._request(("invoke", udf_id, arg_columns), data_frame=True)
-        num_rows = len(arg_columns[0]) if arg_columns else 0
-        meta, payload = shmbuf.encode_columns(arg_columns, num_rows)
-        segment = shmbuf.create_segment(payload)
-        self._account_outbound(meta)
-        try:
-            out_name, out_meta = self._request(
-                ("invoke_shm", udf_id, segment.name, meta)
-            )
-        finally:
-            shmbuf.release_segment(segment)
-        self._account_inbound(out_meta)
-        out = shmbuf.adopt_segment(out_name)
-        try:
-            (column,) = shmbuf.decode_columns(out_meta, out.buf)
-        finally:
-            shmbuf.release_segment(out)
-        return column
+        return self._request(("invoke", udf_id, arg_columns), data_frame=True)
 
     def invoke_many(
         self, calls: list[tuple[int, PythonUDF, list[list[Any]]]]
@@ -185,54 +181,29 @@ class SubprocessSandbox:
         self.stats.fused_invocations += 1
         if calls and calls[0][2]:
             self.stats.rows_in += len(calls[0][2][0])
-        if not self.use_shm:
-            return self._request(("invoke_many", wire_calls), data_frame=True)
-        entries: list[tuple[int, str, dict[str, Any], int, int]] = []
-        chunks: list[bytes] = []
-        offset = 0
-        for call_id, udf_id, args in wire_calls:
-            num_rows = len(args[0]) if args else 0
-            meta, payload = shmbuf.encode_columns(args, num_rows)
-            pad = (-offset) % shmbuf.ALIGNMENT
-            if pad:
-                chunks.append(b"\x00" * pad)
-                offset += pad
-            entries.append((call_id, udf_id, meta, offset, len(payload)))
-            chunks.append(payload)
-            offset += len(payload)
-            self._account_outbound(meta)
-        segment = shmbuf.create_segment(b"".join(chunks))
-        try:
-            out_name, out_entries = self._request(
-                ("invoke_many_shm", entries, segment.name)
-            )
-        finally:
-            shmbuf.release_segment(segment)
-        out = shmbuf.adopt_segment(out_name)
-        try:
-            results: dict[int, list[Any]] = {}
-            for call_id, meta, off, length in out_entries:
-                self._account_inbound(meta)
-                (column,) = shmbuf.decode_columns(
-                    meta, out.buf[off : off + length]
-                )
-                results[call_id] = column
-        finally:
-            shmbuf.release_segment(out)
-        return results
+        return self._request(("invoke_many", wire_calls), data_frame=True)
 
     def ping(self) -> bool:
         return self._request(("ping",)) == "pong"
 
     def close(self) -> None:
-        if self.closed:
-            return
-        try:
-            write_frame(self._process.stdin, ("shutdown",))
-            self._process.stdin.close()
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.wait(timeout=5)
+        """Stop the worker; never raises, and the process is gone on return."""
+        if not self.closed:
+            try:
+                write_frame(self._process.stdin, ("shutdown",))
+            except (OSError, ValueError):
+                pass
+            try:
+                # A thread the UDF left behind keeps the interpreter alive
+                # after the worker loop has returned.
+                self._process.wait(timeout=1.0)
+            except subprocess.TimeoutExpired:
+                self._kill()
+        for pipe in (self._process.stdin, self._process.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
 
     @property
     def closed(self) -> bool:

@@ -6,28 +6,29 @@ Speaks a length-prefixed pickle frame protocol on stdin/stdout:
              | ("policy", allow_network)
              | ("invoke", udf_id, arg_columns)
              | ("invoke_many", [(call_id, udf_id, arg_columns), ...])
-             | ("invoke_shm", udf_id, shm_name, meta)
-             | ("invoke_many_shm",
-                [(call_id, udf_id, meta, offset, length), ...], shm_name)
              | ("ping",)
              | ("shutdown",)
     response = ("ok", payload) | ("err", message)
 
-The ``*_shm`` kinds are the zero-pickle data path: batch columns live in a
-named shared-memory segment encoded by :mod:`repro.common.shmbuf`, and only
-the (small) layout metadata rides the pipe. Results come back the same way —
-the worker creates the result segment, disclaims ownership, and the driver
-adopts and unlinks it.
+This file is both a module and a program. The driver imports it for
+:func:`read_frame` / :func:`write_frame` (one copy of the frame code) and
+*runs the file* as the worker (see ``SubprocessSandbox``), so the worker
+process starts with no ``repro.*`` module loaded — the standard library and
+``cloudpickle``, nothing of the engine, catalog or service — mirroring the
+paper's property that the sandbox "runs fully isolated from the runtime
+environment and is not connected to it directly". A shipped function may
+still import what it needs.
 
-Run with ``python -m repro.sandbox.worker``. The worker deliberately imports
-nothing from the engine — only the shipped user functions and the pure-stdlib
-``shmbuf`` codec — mirroring the paper's property that the sandbox "runs
-fully isolated from the runtime environment and is not connected to it
-directly".
+Requests come from the driver and are trusted (the install frame carries a
+cloudpickle blob by design). Responses are written by a process that runs
+user code: the driver decodes them data-only, and the worker refuses to
+*send* anything but plain data, so a UDF that returns an object gets an
+error reply instead of a dead sandbox.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import sys
@@ -36,29 +37,44 @@ from typing import Any, BinaryIO
 _HEADER = struct.Struct(">I")
 
 
-def read_frame(stream: BinaryIO) -> tuple[Any, int]:
+def read_frame(
+    stream: BinaryIO, unpickler: type = pickle.Unpickler, max_bytes: int | None = None
+) -> tuple[Any, int]:
     """Read one length-prefixed pickle frame (raises EOFError on close).
 
     Returns ``(message, total_bytes)`` so callers can account for pipe
-    traffic — the Table 2 benchmarks split it into data vs. control bytes.
+    traffic. ``unpickler`` / ``max_bytes`` are how the driver reads the
+    untrusted direction; the worker uses the defaults.
     """
     header = stream.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise EOFError("peer closed the pipe")
     (length,) = _HEADER.unpack(header)
+    if max_bytes is not None and length > max_bytes:
+        raise ValueError(f"frame of {length} bytes is over the {max_bytes} limit")
     payload = stream.read(length)
     if len(payload) < length:
         raise EOFError("truncated frame")
-    return pickle.loads(payload), _HEADER.size + length
+    return unpickler(io.BytesIO(payload)).load(), _HEADER.size + length
 
 
-def write_frame(stream: BinaryIO, message: Any) -> int:
+def write_frame(stream: BinaryIO, message: Any, pickler: type = pickle.Pickler) -> int:
     """Write one frame; returns the total bytes put on the pipe."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(message)
+    payload = buffer.getbuffer()
     stream.write(_HEADER.pack(len(payload)))
     stream.write(payload)
     stream.flush()
     return _HEADER.size + len(payload)
+
+
+class _DataPickler(pickle.Pickler):
+    """Replies are None / bool / int / float / str / bytes and containers of
+    them; ``reducer_override`` is only consulted for anything else."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        raise TypeError(f"a UDF must return plain data, not a {type(obj).__name__}")
 
 
 def _disable_network() -> None:
@@ -68,55 +84,17 @@ def _disable_network() -> None:
     def _denied(*args, **kwargs):
         raise PermissionError("network egress is disabled in this sandbox")
 
-    socket.socket = _denied  # type: ignore[assignment]
+    # A class, not a function: modules a UDF imports later subclass
+    # ``socket.socket`` (``ssl``, and through it ``asyncio``).
+    class _NoSocket(socket.socket):
+        __init__ = _denied
+
+    socket.socket = _NoSocket  # type: ignore[misc]
     socket.create_connection = _denied  # type: ignore[assignment]
 
 
 def _invoke(func, arg_columns: list[list[Any]]) -> list[Any]:
     return [func(*row) for row in zip(*arg_columns)]
-
-
-_SHMBUF = None
-
-
-def _shm_codec():
-    """Load the shared-memory codec on first use (legacy mode never pays).
-
-    The worker owns no segment lifetimes — it attaches to driver-created
-    segments and transfers ownership of every segment it creates — so its
-    resource tracker would only spawn a useless helper process inside the
-    sandbox; disable it outright.
-    """
-    global _SHMBUF
-    if _SHMBUF is None:
-        from repro.common import shmbuf
-
-        shmbuf.disable_resource_tracking()
-        _SHMBUF = shmbuf
-    return _SHMBUF
-
-
-def _pack_results(
-    shmbuf, results: list[tuple[Any, list[Any]]]
-) -> tuple[str, list[tuple[Any, dict[str, Any], int, int]]]:
-    """Encode per-call result columns into one transferred segment."""
-    entries: list[tuple[Any, dict[str, Any], int, int]] = []
-    chunks: list[bytes] = []
-    offset = 0
-    for call_id, result in results:
-        meta, payload = shmbuf.encode_columns([result], len(result))
-        pad = (-offset) % shmbuf.ALIGNMENT
-        if pad:
-            chunks.append(b"\x00" * pad)
-            offset += pad
-        entries.append((call_id, meta, offset, len(payload)))
-        chunks.append(payload)
-        offset += len(payload)
-    segment = shmbuf.create_segment(b"".join(chunks))
-    shmbuf.transfer_segment(segment)
-    name = segment.name
-    segment.close()
-    return name, entries
 
 
 def main() -> int:
@@ -131,6 +109,9 @@ def main() -> int:
 
     functions: dict[str, Any] = {}
 
+    def reply(status: str, payload: Any) -> None:
+        write_frame(stdout, (status, payload), _DataPickler)
+
     while True:
         try:
             message, _ = read_frame(stdin)
@@ -139,68 +120,32 @@ def main() -> int:
         kind = message[0]
         try:
             if kind == "shutdown":
-                write_frame(stdout, ("ok", None))
+                reply("ok", None)
                 return 0
             if kind == "ping":
-                write_frame(stdout, ("ok", "pong"))
+                reply("ok", "pong")
             elif kind == "policy":
                 _, allow_network = message
                 if not allow_network:
                     _disable_network()
-                write_frame(stdout, ("ok", None))
+                reply("ok", None)
             elif kind == "install":
                 _, udf_id, func_blob, _name = message
                 functions[udf_id] = cloudpickle.loads(func_blob)
-                write_frame(stdout, ("ok", None))
+                reply("ok", None)
             elif kind == "invoke":
                 _, udf_id, arg_columns = message
-                result = _invoke(functions[udf_id], arg_columns)
-                write_frame(stdout, ("ok", result))
+                reply("ok", _invoke(functions[udf_id], arg_columns))
             elif kind == "invoke_many":
                 _, calls = message
-                results = {
+                reply("ok", {
                     call_id: _invoke(functions[udf_id], arg_columns)
                     for call_id, udf_id, arg_columns in calls
-                }
-                write_frame(stdout, ("ok", results))
-            elif kind == "invoke_shm":
-                _, udf_id, shm_name, meta = message
-                shmbuf = _shm_codec()
-                segment = shmbuf.attach_segment(shm_name)
-                try:
-                    arg_columns = shmbuf.decode_columns(meta, segment.buf)
-                finally:
-                    segment.close()
-                result = _invoke(functions[udf_id], arg_columns)
-                out_name, entries = _pack_results(shmbuf, [(None, result)])
-                write_frame(stdout, ("ok", (out_name, entries[0][1])))
-            elif kind == "invoke_many_shm":
-                _, wire_calls, shm_name = message
-                shmbuf = _shm_codec()
-                segment = shmbuf.attach_segment(shm_name)
-                try:
-                    calls = [
-                        (
-                            call_id,
-                            udf_id,
-                            shmbuf.decode_columns(
-                                meta, segment.buf[offset : offset + length]
-                            ),
-                        )
-                        for call_id, udf_id, meta, offset, length in wire_calls
-                    ]
-                finally:
-                    segment.close()
-                results = [
-                    (call_id, _invoke(functions[udf_id], arg_columns))
-                    for call_id, udf_id, arg_columns in calls
-                ]
-                out_name, entries = _pack_results(shmbuf, results)
-                write_frame(stdout, ("ok", (out_name, entries)))
+                })
             else:
-                write_frame(stdout, ("err", f"unknown message kind {kind!r}"))
+                reply("err", f"unknown message kind {kind!r}")
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            write_frame(stdout, ("err", f"{type(exc).__name__}: {exc}"))
+            reply("err", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -124,12 +124,16 @@ def test_readme_lists_every_system_table():
 
 
 #: Deleted in PR 13 (DESIGN.md §15): the simulated distributed-KV tier,
-#: scan-task duplicate submission, and eight cluster keywords.
+#: scan-task duplicate submission, and eight cluster keywords. Deleted in
+#: PR 21: the sandbox's shared-memory transport — its constructor option and
+#: its two frame kinds (spelt as a group so that grepping the tree for the
+#: three names stays empty).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
     r"workload_max_total_queue|workload_admission_timeout|"
-    r"scan_retry_base_delay)\b"
+    r"scan_retry_base_delay)\b|"
+    r"\b(use|invoke|invoke_many)_shm\b"
 )
 
 

@@ -17,6 +17,9 @@ the outside, but seeded and replayable.
 """
 
 import os
+import pickle
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +35,9 @@ from repro.errors import (
     TransientCredentialError,
     UserCodeError,
 )
+from repro.platform import Workspace
 from repro.sandbox import ClusterManager, Dispatcher, SandboxedUDFRuntime
-from repro.sandbox.subprocess_sandbox import SubprocessSandbox
+from repro.sandbox.subprocess_sandbox import MAX_FRAME_BYTES, SubprocessSandbox
 
 
 @engine_udf("int")
@@ -42,6 +46,15 @@ def plus(a, b):
 
 
 ALICE_PLUS = plus.with_owner("alice")
+
+
+def _frame(message) -> bytes:
+    body = pickle.dumps(message)
+    return struct.pack(">I", len(body)) + body
+
+
+#: A frame that announces 64 bytes and delivers two.
+_TRUNCATED_FRAME = struct.pack(">I", 64) + b"\x80\x05"
 
 
 def one_shot_death() -> FaultInjector:
@@ -110,6 +123,126 @@ class TestSandboxCrash:
         with pytest.raises(SandboxError):
             runtime.run_udf(die.with_owner("alice"), [[1]])
         manager.shutdown()
+
+
+def live_child_pids() -> list[int]:
+    """Direct children of this process that still exist (Linux ``/proc``)."""
+    pids: list[int] = []
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            pids.extend(int(pid) for pid in (task / "children").read_text().split())
+        except OSError:
+            continue
+    return pids
+
+
+class TestSandboxBoundaryAbuse:
+    """The worker's stdout belongs to user code; the driver must not trust it."""
+
+    def test_forged_worker_frame_never_executes_in_the_driver(self, tmp_path):
+        """Regression: the driver ``pickle.loads``-ed whatever fd 1 produced.
+
+        A UDF can write to the worker's stdout directly, ahead of the real
+        reply. A forged ``("ok", obj)`` frame whose ``obj.__reduce__`` names a
+        callable used to run that callable in the driver process.
+        """
+        marker = str(tmp_path / "created-by-the-driver")
+
+        def forge(amount):
+            import os
+            import pickle
+            import struct
+
+            class Payload:
+                def __reduce__(self):
+                    return (open, (marker, "w"))
+
+            body = pickle.dumps(("ok", Payload()))
+            os.write(1, struct.pack(">I", len(body)) + body)
+            return amount
+
+        def honest(amount):
+            return amount + 1.0
+
+        ws = Workspace(sandbox_backend="subprocess")
+        try:
+            ws.add_user("admin", admin=True)
+            ws.catalog.create_catalog("main", owner="admin")
+            ws.catalog.create_schema("main.s", owner="admin")
+            cluster = ws.create_standard_cluster()
+            client = cluster.connect("admin")
+            client.sql("CREATE TABLE main.s.t (id int, amount float)")
+            client.sql("INSERT INTO main.s.t VALUES (1, 2.0), (2, 4.0)")
+            dispatcher = cluster.backend.dispatcher
+            table = client.table("main.s.t")
+
+            with pytest.raises(SandboxDied) as caught:
+                table.select(udf("float")(forge)(col("amount"))).collect()
+
+            assert not os.path.exists(marker)
+            assert caught.value.trace_id == client.last_trace_id
+            # The request had been delivered: never replayed on a new worker.
+            assert dispatcher.stats.udf_retries == 0
+            assert dispatcher.sandboxes_of(client.session_id) == []
+            assert cluster.backend.cluster_manager.active_sandboxes() == []
+            # The session is fine; its next UDF query gets a fresh sandbox.
+            rows = table.select(udf("float")(honest)(col("amount"))).collect()
+            assert rows == [(3.0,), (5.0,)]
+            assert dispatcher.stats.cold_starts == 2
+        finally:
+            ws.shutdown()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            struct.pack(">I", MAX_FRAME_BYTES + 1),
+            struct.pack(">I", 3) + pickle.dumps("ok")[:3],  # truncated pickle
+            _TRUNCATED_FRAME,
+            _frame(["ok", 1]),  # a list, not a pair
+            _frame(("ok", 1, 2)),
+            _frame(("fine", 1)),
+            _frame(("ok", FaultSpec())),  # names a global
+        ],
+        ids=["oversized", "bad-pickle", "short", "list", "triple", "status", "global"],
+    )
+    def test_untrusted_frame_kills_the_worker(self, frame):
+        @engine_udf("int")
+        def emit(x):
+            os.write(1, frame)
+            if frame == _TRUNCATED_FRAME:
+                os._exit(0)  # the driver is still reading: give it EOF
+            return x
+
+        sandbox = SubprocessSandbox("alice")
+        with pytest.raises(SandboxDied) as caught:
+            sandbox.invoke(emit.with_owner("alice"), [[1]])
+        assert caught.value.delivered is True
+        assert sandbox.closed
+
+    def test_close_survives_a_udf_that_left_a_thread_running(self):
+        """Regression: ``close()`` raised TimeoutExpired and leaked the worker.
+
+        A non-daemon thread keeps the interpreter alive after the worker
+        loop has answered ``shutdown``.
+        """
+
+        @engine_udf("int")
+        def linger(x):
+            import threading
+            import time
+
+            threading.Thread(target=time.sleep, args=(60,)).start()
+            return x
+
+        manager = ClusterManager(backend="subprocess")
+        sandbox = manager.create_sandbox("alice")
+        pid = sandbox._process.pid  # noqa: SLF001
+        assert sandbox.invoke(linger.with_owner("alice"), [[1]]) == [1]
+        assert pid in live_child_pids()
+        manager.destroy_sandbox(sandbox)  # must not raise
+        assert sandbox.closed
+        assert pid not in live_child_pids()
+        assert manager.active_sandboxes() == []
 
 
 class TestUserCodeFaults:

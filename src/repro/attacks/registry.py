@@ -32,6 +32,7 @@ _SCENARIO_MODULES = (
     "repro.attacks.cache_oracle",
     "repro.attacks.admission_spoofing",
     "repro.attacks.write_denial",
+    "repro.attacks.storage_tamper",
 )
 
 

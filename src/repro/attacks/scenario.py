@@ -32,6 +32,7 @@ FAMILIES = (
     "cache-oracle",
     "admission-spoofing",
     "write-denial",
+    "storage-tamper",
 )
 
 

@@ -26,7 +26,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.catalog.metastore import UnityCatalog
 from repro.common.context import QueryContext, QueryDeadlineExceeded, span_or_null
@@ -291,10 +291,20 @@ class GovernedDataSource:
         tasks = [(i, files) for i, files in enumerate(assignments) if files]
         return credential, holder, storage, tasks
 
-    def scan(self, table: TableRef, eval_ctx: EvalContext) -> Iterator[ColumnBatch]:
+    def scan(
+        self,
+        table: TableRef,
+        eval_ctx: EvalContext,
+        columns: Sequence[int],
+    ) -> Iterator[ColumnBatch]:
+        """Batches of ``columns`` (positions in ``table.schema``) of every
+        live file, each file fetched whole under the scan's
+        vended credential and only those columns decoded."""
         credential, holder, storage, tasks = self._scan_setup(table, eval_ctx)
         batch_size = getattr(eval_ctx, "batch_size", 0)
         qctx: QueryContext | None = getattr(eval_ctx, "query_ctx", None)
+        schema = table.schema.select(list(columns))
+        names = tuple(f.name for f in schema)
 
         def read_with_recovery(
             data_file: DataFile,
@@ -311,10 +321,10 @@ class GovernedDataSource:
             while True:
                 cred = holder.current()
                 try:
-                    columns = storage.read_file(data_file, cred)
+                    decoded = storage.read_file(data_file, cred, names)
                     if attempt:
                         self._catalog.faults.record_recovery("scan.task_retry")
-                    return columns
+                    return decoded
                 except (StorageAccessDenied, CredentialError) as exc:
                     if attempt >= self._scan_retries:
                         raise
@@ -346,8 +356,9 @@ class GovernedDataSource:
             ):
                 batches = []
                 for data_file in task_files:
-                    columns = read_with_recovery(data_file, task_ctx, rng)
-                    batches.append(ColumnBatch.from_dict(table.schema, columns))
+                    decoded = read_with_recovery(data_file, task_ctx, rng)
+                    # The decoded lists are fresh and owned by the batch.
+                    batches.append(ColumnBatch(schema, [decoded[n] for n in names]))
                 return batches
 
         produced = False
@@ -389,7 +400,7 @@ class GovernedDataSource:
                         produced = True
                         yield chunk
         if not produced:
-            yield ColumnBatch.empty(table.schema)
+            yield ColumnBatch.empty(schema)
 
     def scan_pipeline(
         self,
@@ -400,9 +411,9 @@ class GovernedDataSource:
         on_rows: Callable[[int], None],
     ) -> Iterator[ColumnBatch]:
         """Process-backend scan: per-file blobs travel raw into worker
-        processes over shared memory; deserialization, pushed filters,
-        column pruning and an optional fused filter→project kernel run
-        in-worker (``spec`` carries them, see ``PhysScan.pooled_scan``).
+        processes over shared memory; decoding ``spec["columns"]``, the
+        scan's filter→select and an optional fused kernel run in-worker
+        (``spec`` carries them, see ``PhysScan.pooled_scan``).
 
         The driver keeps everything governance- and recovery-critical from
         :meth:`scan`: credential vending (including mid-query revends through
@@ -419,12 +430,7 @@ class GovernedDataSource:
         batch_size = getattr(eval_ctx, "batch_size", 0)
         qctx: QueryContext | None = getattr(eval_ctx, "query_ctx", None)
         out_schema = spec["out_schema"]
-
-        filters_blob = None
-        if spec["pushed_filters"]:
-            import cloudpickle
-
-            filters_blob = cloudpickle.dumps(tuple(spec["pushed_filters"]))
+        schema = table.schema.select(list(spec["columns"]))
         kspec = None
         if spec["kernel"] is not None:
             kspec = pool.kernel_spec(
@@ -453,10 +459,10 @@ class GovernedDataSource:
                     task = {
                         "op": "scan",
                         "table": table.full_name,
-                        "schema": table.schema,
+                        "schema": schema,
                         "blob_len": len(blob),
-                        "filters_blob": filters_blob,
-                        "required_indices": spec["required_columns"],
+                        "condition": spec["condition"],
+                        "outputs": spec["outputs"],
                         "kernel": kspec,
                         "user": eval_ctx.user,
                         "groups": tuple(eval_ctx.groups),

@@ -8,13 +8,13 @@ the unresolved plan against the catalog, which re-injects the row filters and
 masks the origin compute was never allowed to see.
 
 Result handling implements the paper's dual mode: small results return
-inline with the query; large results are staged to cloud storage and read
-back in parallel by the origin cluster.
+inline with the query; large results are staged to cloud storage, in the
+column-chunked data-file layout, and read back in parallel by the origin
+cluster with the data-only decoder.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -42,6 +42,7 @@ from repro.engine.optimizer import is_safe_to_push
 from repro.engine.types import Schema
 from repro.errors import ExecutionError, ProtocolError
 from repro.storage.credentials import DELETE, READ, WRITE
+from repro.storage.table_format import decode_data_file, encode_data_file
 
 #: Result sets at or below this row count return inline with the query.
 INLINE_RESULT_ROW_THRESHOLD = 1000
@@ -296,17 +297,30 @@ class RemoteQueryExecutor:
             operations={READ, WRITE, DELETE},
         )
         num_rows = len(columns[0]) if columns else 0
+        # Staged parts use the data-file layout, keyed by column position
+        # (result columns need not have distinct names).
+        keys = [str(i) for i in range(len(schema))]
         paths: list[str] = []
         for part, start in enumerate(range(0, num_rows, self._staging_chunk_rows)):
-            chunk = [c[start : start + self._staging_chunk_rows] for c in columns]
-            blob = pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = encode_data_file({
+                key: c[start : start + self._staging_chunk_rows]
+                for key, c in zip(keys, columns)
+            })
             path = f"{staging_prefix}/part-{part:05d}"
             self._catalog.store.put(path, blob, credential)
             self.stats.bytes_staged += len(blob)
             paths.append(path)
         # Origin cluster reads the staged parts (in parallel in production).
-        for path in paths:
-            chunk = pickle.loads(self._catalog.store.get(path, credential))
-            yield ColumnBatch(schema, chunk)
-            self._catalog.store.delete(path, credential)
-        self._catalog.vendor.revoke(credential.token)
+        # Anyone who can write the staging bucket controls these bytes, so
+        # they are decoded as data only; a refused part still cleans up.
+        try:
+            for path in paths:
+                part = decode_data_file(
+                    self._catalog.store.get(path, credential), keys,
+                    f"staged part '{path}'",
+                )
+                yield ColumnBatch(schema, [part[key] for key in keys])
+        finally:
+            for path in paths:
+                self._catalog.store.delete(path, credential)
+            self._catalog.vendor.revoke(credential.token)

@@ -1055,6 +1055,30 @@ def predicate_mask(
     return predicate.eval(batch, ctx)
 
 
+def filter_project(
+    kernel: CompiledKernels | None,
+    condition: Expression | None,
+    exprs: Sequence[Expression],
+    batch: ColumnBatch,
+    ctx: EvalContext,
+) -> list[list[Any]]:
+    """``exprs`` over the rows of ``batch`` that pass ``condition``.
+
+    Through the compiled filter→project kernel when there is one; otherwise
+    interpreted one conjunct at a time, so — as in the generated loop — a
+    conjunct only ever sees rows every conjunct left of it admitted (the
+    policy row filter is always leftmost).
+    """
+    if kernel is not None:
+        return kernel.eval_all(batch, ctx)
+    if condition is not None:
+        for conjunct in conjuncts(condition):
+            if not batch.num_rows:
+                break
+            batch = batch.filter(conjunct.eval(batch, ctx))
+    return [e.eval(batch, ctx) for e in exprs]
+
+
 class CompiledPipeline:
     """A cached pipeline artifact bound to one concrete chain.
 

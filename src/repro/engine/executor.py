@@ -87,12 +87,18 @@ class LocalDataSource:
     def register(self, full_name: str, columns: dict[str, list[Any]]) -> None:
         self._tables[full_name] = columns
 
-    def scan(self, table: TableRef, eval_ctx: EvalContext) -> Iterator[ColumnBatch]:
+    def scan(
+        self,
+        table: TableRef,
+        eval_ctx: EvalContext,
+        columns: Sequence[int],
+    ) -> Iterator[ColumnBatch]:
         try:
-            columns = self._tables[table.full_name]
+            data = self._tables[table.full_name]
         except KeyError:
             raise ExecutionError(f"no data registered for '{table.full_name}'") from None
-        batch = ColumnBatch.from_dict(table.schema, columns)
+        schema = table.schema.select(list(columns))
+        batch = ColumnBatch.from_dict(schema, data)
         yield from chunk_batch(batch, eval_ctx.batch_size)
 
 

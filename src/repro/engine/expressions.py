@@ -884,6 +884,15 @@ def conjuncts(condition: Expression) -> list[Expression]:
     return [condition]
 
 
+def conjoin(parts: Sequence[Expression]) -> Expression | None:
+    """``parts`` joined left to right with ``AND`` (``None`` when empty) —
+    the inverse of :func:`conjuncts`, keeping their evaluation order."""
+    condition: Expression | None = None
+    for part in parts:
+        condition = part if condition is None else BooleanOp("AND", condition, part)
+    return condition
+
+
 def split_equi_condition(
     condition: Expression | None, left_width: int
 ) -> tuple[list[Expression], list[Expression], Expression | None] | None:
@@ -917,12 +926,7 @@ def split_equi_condition(
             right_keys.append(pair[1])
     if not left_keys:
         return None
-    residual_expr: Expression | None = None
-    for conj in residual:
-        residual_expr = (
-            conj if residual_expr is None else BooleanOp("AND", residual_expr, conj)
-        )
-    return left_keys, right_keys, residual_expr
+    return left_keys, right_keys, conjoin(residual)
 
 
 def shift_refs(expr: Expression, delta: int) -> Expression:

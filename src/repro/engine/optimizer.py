@@ -19,7 +19,7 @@ Lakeguard's eFGAC rules (:mod:`repro.core.efgac`) are injected via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.engine.batch import ONE_ROW
 from repro.engine.expressions import (
@@ -36,16 +36,22 @@ from repro.engine.expressions import (
     Literal,
     Not,
     PythonUDFCall,
+    conjoin,
+    conjuncts,
     contains_user_code,
+    shift_refs,
 )
 from repro.engine.logical import (
+    Aggregate,
     Filter,
+    Join,
     LocalRelation,
     LogicalPlan,
     Project,
     Scan,
     SecureView,
 )
+from repro.engine.types import Field
 
 MAX_PASSES = 10
 
@@ -82,6 +88,44 @@ def substitute_refs(expr: Expression, mapping: dict[int, Expression]) -> Express
         return node
 
     return expr.transform(rewrite)
+
+
+def rebind_refs(expr: Expression, mapping: dict[int, Expression]) -> Expression:
+    """:func:`substitute_refs` that keeps each rebuilt node's ``expr_id``.
+
+    An :class:`~repro.engine.aggregates.AggregateCall`'s id is its identity:
+    two outputs sharing one call (``avg(x)`` and ``avg(x) * 2``) must still
+    share it after rebinding, and aggregate emission rebases by id. A UDF
+    call's id keys its fused results, so it stays one call as well.
+    """
+    if isinstance(expr, BoundRef):
+        return mapping[expr.index]
+    children = tuple(rebind_refs(c, mapping) for c in expr.children)
+    if children == expr.children:
+        return expr
+    rebuilt = expr.with_children(children)
+    rebuilt.expr_id = expr.expr_id
+    return rebuilt
+
+
+def selection_map(fields: Sequence[Field], keep: Sequence[int]) -> dict[int, Expression]:
+    """Rebinding for a selection of the columns ``keep`` (positions into
+    ``fields``): each kept position → a ref to its place in the selection."""
+    return {
+        old: BoundRef(new, fields[old].name, fields[old].dtype)
+        for new, old in enumerate(keep)
+    }
+
+
+def project_columns(
+    plan: LogicalPlan, keep: Sequence[int]
+) -> tuple[LogicalPlan, dict[int, Expression]]:
+    """``plan`` narrowed to its columns ``keep`` (as is, when that is all of
+    them), and the rebinding of those columns onto the narrowed layout."""
+    fields = plan.schema.fields
+    if len(keep) < len(fields):
+        plan = Project(plan, [BoundRef(i, fields[i].name, fields[i].dtype) for i in keep])
+    return plan, selection_map(fields, keep)
 
 
 def is_safe_to_push(expr: Expression) -> bool:
@@ -338,15 +382,127 @@ class PruneScanColumns:
             needed = sorted({i for e in node.exprs for i in e.references()})
             if len(needed) >= len(scan.table.schema):
                 return node
-            remap = {old: BoundRef(new, scan.table.schema[old].name,
-                                   scan.table.schema[old].dtype)
-                     for new, old in enumerate(needed)}
+            remap = selection_map(scan.table.schema.fields, needed)
             new_exprs = [substitute_refs(e, remap) for e in node.exprs]
             return Project(
                 Scan(scan.table, tuple(needed), scan.pushed_filters), new_exprs
             )
 
         return plan.transform_up(rewrite)
+
+
+def _outside_secure_views(
+    plan: LogicalPlan, rewrite: Callable[[LogicalPlan], LogicalPlan]
+) -> LogicalPlan:
+    """Bottom-up rewrite that leaves every :class:`SecureView` subtree as
+    the planner built it (policy and view bodies are not reshaped)."""
+    if isinstance(plan, SecureView):
+        return plan
+    children = tuple(_outside_secure_views(c, rewrite) for c in plan.children)
+    if children != plan.children:
+        plan = plan.with_children(children)
+    return rewrite(plan)
+
+
+@dataclass
+class PushFilterThroughJoin:
+    """Filter(inner Join) → each safe one-side conjunct onto its side.
+
+    A conjunct lands directly above that side's input — for a governed table,
+    above its :class:`SecureView`, where :class:`PushFilterBelowSecureView`
+    decides whether it may go further (and then only above the policy's own
+    filter). Joins inside a SecureView are left alone: a conjunct pushed into
+    a view body could be evaluated on rows the view's own join drops.
+    """
+
+    name: str = "PushFilterThroughJoin"
+
+    def apply(self, plan: LogicalPlan) -> LogicalPlan:
+        def rewrite(node: LogicalPlan) -> LogicalPlan:
+            if not (
+                isinstance(node, Filter)
+                and isinstance(node.child, Join)
+                and node.child.how == "inner"
+            ):
+                return node
+            join = node.child
+            width = len(join.left.schema)
+            left: list[Expression] = []
+            right: list[Expression] = []
+            kept: list[Expression] = []
+            for conjunct in conjuncts(node.condition):
+                refs = conjunct.references()
+                if refs and is_safe_to_push(conjunct) and max(refs) < width:
+                    left.append(conjunct)
+                elif refs and is_safe_to_push(conjunct) and min(refs) >= width:
+                    right.append(shift_refs(conjunct, -width))
+                else:
+                    kept.append(conjunct)
+            if not left and not right:
+                return node
+            pushed = Join(
+                Filter(join.left, conjoin(left)) if left else join.left,
+                Filter(join.right, conjoin(right)) if right else join.right,
+                join.how,
+                join.condition,
+            )
+            rest = conjoin(kept)
+            return pushed if rest is None else Filter(pushed, rest)
+
+        return _outside_secure_views(plan, rewrite)
+
+
+@dataclass
+class PruneJoinInputs:
+    """Aggregate/Project [→ Filter] → inner Join: each join input projects
+    only the columns read above the join or by its condition.
+
+    The join then materializes the few columns its consumer reads instead of
+    both inputs whole. Expressions above are rebound with their ``expr_id``
+    kept, so shared aggregate calls stay shared. Outer, semi and anti joins,
+    and joins inside a SecureView, are left alone.
+    """
+
+    name: str = "PruneJoinInputs"
+
+    def apply(self, plan: LogicalPlan) -> LogicalPlan:
+        def rewrite(node: LogicalPlan) -> LogicalPlan:
+            if not isinstance(node, (Aggregate, Project)):
+                return node
+            between = node.child if isinstance(node.child, Filter) else None
+            join = between.child if between is not None else node.child
+            if not (isinstance(join, Join) and join.how == "inner"):
+                return node
+            exprs = node.expressions() + [join.condition]
+            if between is not None:
+                exprs.append(between.condition)
+            read = set().union(*(e.references() for e in exprs))
+            width = len(join.left.schema)
+            # A side keeps one column even when none is read: its row
+            # count still multiplies the join's output.
+            left = sorted(i for i in read if i < width) or [0]
+            right = sorted(i - width for i in read if i >= width) or [0]
+            if len(left) == width and len(right) == len(join.right.schema):
+                return node
+            left_plan, mapping = project_columns(join.left, left)
+            right_plan, right_map = project_columns(join.right, right)
+            for old, ref in right_map.items():
+                mapping[width + old] = shift_refs(ref, len(left))
+            child: LogicalPlan = Join(
+                left_plan, right_plan, join.how, rebind_refs(join.condition, mapping)
+            )
+            if between is not None:
+                child = Filter(child, rebind_refs(between.condition, mapping))
+            if isinstance(node, Project):
+                return Project(child, [rebind_refs(e, mapping) for e in node.exprs])
+            return Aggregate(
+                child,
+                [rebind_refs(g, mapping) for g in node.groupings],
+                [rebind_refs(a, mapping) for a in node.aggregates],
+                node.mode,
+            )
+
+        return _outside_secure_views(plan, rewrite)
 
 
 @dataclass
@@ -426,10 +582,12 @@ class Optimizer:
             self._rules.append(CollapseProjects())
         if self.config.filter_pushdown:
             self._rules.append(PushFilterThroughProject())
+            self._rules.append(PushFilterThroughJoin())
             self._rules.append(PushFilterBelowSecureView())
             self._rules.append(PushFilterIntoScan())
         if self.config.column_pruning:
             self._rules.append(PruneScanColumns())
+            self._rules.append(PruneJoinInputs())
         self._rules.extend(extra_rules)
         self._fusion = FuseUDFCalls(enabled=self.config.udf_fusion)
 

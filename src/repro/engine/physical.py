@@ -32,6 +32,7 @@ from repro.engine.compile import (
     CompiledPipeline,
     KernelCompiler,
     PipelineSpec,
+    filter_project,
     has_opaque_nodes,
     predicate_mask,
 )
@@ -43,10 +44,18 @@ from repro.engine.expressions import (
     Literal,
     PythonUDFCall,
     SortOrder,
+    conjoin,
+    contains_user_code,
     shift_refs,
     split_equi_condition,
 )
-from repro.engine.optimizer import inline_through_projection
+from repro.engine.optimizer import (
+    inline_through_projection,
+    project_columns,
+    rebind_refs,
+    selection_map,
+    substitute_refs,
+)
 from repro.engine.logical import (
     Aggregate,
     Distinct,
@@ -72,9 +81,19 @@ DEFAULT_BATCH_SIZE = 4096
 
 
 class DataSource(Protocol):
-    """Provides full-schema batches for a governed table."""
+    """Provides batches of a governed table's columns.
 
-    def scan(self, table: TableRef, eval_ctx: EvalContext) -> Iterator[ColumnBatch]: ...
+    ``columns`` are positions in ``table.schema`` in ascending order;
+    batches carry exactly those columns, in that order, and a source
+    decodes nothing else.
+    """
+
+    def scan(
+        self,
+        table: TableRef,
+        eval_ctx: EvalContext,
+        columns: Sequence[int],
+    ) -> Iterator[ColumnBatch]: ...
 
 
 @dataclass
@@ -246,29 +265,53 @@ class PhysRange(PhysicalOperator):
 
 
 class PhysScan(PhysicalOperator):
-    """Governed table scan: full-object read, then pushed filters, then prune.
+    """Governed table scan: whole-object fetch, late decode, then the pushed
+    filters and the column selection.
 
-    The read-then-filter order is deliberate and mirrors Fig. 3: cloud
-    storage is object-granular, so the engine must ingest all bytes before
-    policy or predicate evaluation can drop anything.
+    The fetch is object-granular and mirrors Fig. 3: cloud storage
+    authorises whole objects, so the engine ingests every byte before
+    policy or predicate evaluation can drop anything. Decoding is compute,
+    and only ``columns`` are decoded — the required columns plus those the
+    pushed filters read — with the filters rebound to that decoded layout.
 
-    Each pushed filter (the injected policy predicate first) runs through
-    its compiled predicate kernel from ``filter_kernels``; a ``None`` entry
-    — no compiler, or the compiler refused that predicate — is interpreted.
-    The planner hands a scan that still carries pushed filters to this
-    operator only when no fused consumer absorbed them (UDF stage directly
-    above, fusion off, bare scan); a fused consumer plans a filter-less
-    scan and tests the predicates inside its own loop.
+    The pushed filters (the injected policy predicate first) and the
+    selection of the required columns run as one compiled filter→project
+    loop that tests conjuncts left to right; without a kernel (no compiler,
+    or the compiler refused) they are interpreted conjunct by conjunct.
+    Either way a later conjunct never sees a row the policy rejected. The
+    planner hands a scan that still carries pushed filters to this operator
+    only when no fused consumer absorbed them (UDF stage directly above,
+    fusion off, opaque filters); a fused consumer plans a filter-less scan,
+    narrowed to the columns its loop reads, and tests the predicates inside
+    its own loop.
     """
 
-    def __init__(
-        self,
-        node: Scan,
-        filter_kernels: tuple[CompiledKernels | None, ...] | None = None,
-    ):
+    def __init__(self, node: Scan, compiler: KernelCompiler | None = None):
         super().__init__(node.schema)
         self._node = node
-        self._filter_kernels = filter_kernels or (None,) * len(node.pushed_filters)
+        fields = node.table.schema.fields
+        required = node.required_columns
+        if required is None:
+            required = tuple(range(len(fields)))
+        read = set(required).union(*(f.references() for f in node.pushed_filters))
+        #: Positions in ``table.schema`` this scan decodes. Never empty: a
+        #: batch needs one column to carry its row count.
+        self.columns: tuple[int, ...] = tuple(sorted(read)) or (0,)
+        decoded = selection_map(fields, self.columns)
+        #: The pushed filters over the decoded layout, as one conjunction.
+        self.condition = conjoin(
+            [substitute_refs(f, decoded) for f in node.pushed_filters]
+        )
+        #: The required columns picked out of the decoded layout; ``None``
+        #: when the decoded batch already is the output.
+        self.outputs: tuple[BoundRef, ...] | None = None
+        if self.condition is not None or required != self.columns:
+            self.outputs = tuple(decoded[t] for t in required)
+        self.kernel: CompiledKernels | None = None
+        if compiler is not None and self.condition is not None:
+            self.kernel = compiler.compile_filter_projection(
+                self.condition, self.outputs
+            )
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         if ctx.data_source is None:
@@ -279,17 +322,17 @@ class PhysScan(PhysicalOperator):
         if pooled is not None:
             yield from pooled
             return
-        filters = list(zip(self._node.pushed_filters, self._filter_kernels))
-        for batch in ctx.data_source.scan(self._node.table, ctx.eval_ctx):
+        scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns)
+        for batch in scan:
             ctx.metrics.rows_scanned += batch.num_rows
-            for predicate, kernel in filters:
-                if batch.num_rows == 0:
-                    break
-                batch = batch.filter(
-                    predicate_mask(kernel, predicate, batch, ctx.eval_ctx)
+            if self.outputs is not None:
+                batch = ColumnBatch(
+                    self._node.schema,
+                    filter_project(
+                        self.kernel, self.condition, self.outputs, batch,
+                        ctx.eval_ctx,
+                    ),
                 )
-            if self._node.required_columns is not None:
-                batch = batch.select_indices(list(self._node.required_columns))
             yield batch
 
     def pooled_scan(
@@ -300,9 +343,9 @@ class PhysScan(PhysicalOperator):
         out_schema: Schema | None = None,
         kernel_mode: str = "filter-project",
     ) -> Iterator[ColumnBatch] | None:
-        """Process-backend scan: pushed filters (and an optional fused
-        filter→project kernel or whole aggregation pipeline, selected by
-        ``kernel_mode``) run inside worker processes.
+        """Process-backend scan: the late decode, the scan's filter→select
+        (and an optional fused filter→project kernel or whole aggregation
+        pipeline, selected by ``kernel_mode``) run inside worker processes.
 
         Returns ``None`` — falling back to the thread path — when no pool is
         active, the data source has no pipeline support, or a pushed filter
@@ -313,17 +356,13 @@ class PhysScan(PhysicalOperator):
         source = ctx.data_source
         if pool is None or not hasattr(source, "scan_pipeline"):
             return None
+        if self.condition is not None and contains_user_code(self.condition):
+            return None
         node = self._node
-        for predicate in node.pushed_filters:
-            if any(n.is_user_code for n in predicate.walk()):
-                return None
         spec = {
-            "pushed_filters": tuple(node.pushed_filters),
-            "required_columns": (
-                list(node.required_columns)
-                if node.required_columns is not None
-                else None
-            ),
+            "columns": self.columns,
+            "condition": self.condition,
+            "outputs": self.outputs,
             "kernel": fused_kernel,
             "exprs": fused_exprs,
             "kernel_mode": kernel_mode,
@@ -1351,6 +1390,32 @@ class PhysUnion(PhysicalOperator):
 # ---------------------------------------------------------------------------
 
 
+def _narrow_scan(
+    boundary: LogicalPlan, exprs: Sequence[Expression | None]
+) -> tuple[LogicalPlan, list[Expression | None]]:
+    """Narrow a fused chain's filter-less boundary scan to the columns the
+    composed ``exprs`` read, and rebind ``exprs`` onto the narrowed layout.
+
+    Any other boundary, or a scan whose every column is read, comes back
+    unchanged with ``exprs``. ``None`` entries pass through.
+    """
+    if not isinstance(boundary, Scan) or boundary.pushed_filters:
+        return boundary, list(exprs)
+    fields = boundary.schema.fields
+    read = sorted(set().union(*(e.references() for e in exprs if e is not None)))
+    if len(read) == len(fields):
+        return boundary, list(exprs)
+    read = read or [0]  # a batch needs one column to carry its row count
+    base = boundary.required_columns
+    if base is None:
+        base = tuple(range(len(fields)))
+    narrowed = Scan(boundary.table, tuple(base[i] for i in read))
+    mapping = selection_map(fields, read)
+    return narrowed, [
+        None if e is None else substitute_refs(e, mapping) for e in exprs
+    ]
+
+
 def _unfold_scan(scan: Scan) -> LogicalPlan:
     """``scan`` as explicit stages over a bare scan of the same table:
     its pushed filters in order, then its column pruning."""
@@ -1427,6 +1492,7 @@ class PhysicalPlanner:
                 fused = self._plan_fused_filter_project(logical)
             if fused is not None:
                 return fused
+            logical = self._narrow_child(logical)
             kernel = None
             if self._compiler is not None:
                 kernel = self._compiler.compile_projection(logical.exprs)
@@ -1485,18 +1551,39 @@ class PhysicalPlanner:
             f"no physical implementation for {type(logical).__name__}"
         )
 
+    def _narrow_child(self, logical: Project) -> Project:
+        """A projection no chain absorbed — a UDF stage — reads only some of
+        its child's columns: stack a projection of exactly those on the
+        child, so the fusable chain below ends in it (and its scan decodes
+        only them), and rebind this projection onto it. Unchanged when the
+        child is a scan (logical pruning covers it), when every column is
+        read, when this projection already is a column selection, or
+        without fusion."""
+        child = logical.child
+        fields = child.schema.fields
+        if (
+            self._compiler is None
+            or not self._fuse
+            or not fields
+            or isinstance(child, Scan)
+            or all(isinstance(e, BoundRef) for e in logical.exprs)
+        ):
+            return logical
+        read = sorted(set().union(*(e.references() for e in logical.exprs))) or [0]
+        if len(read) == len(fields):
+            return logical
+        kept, mapping = project_columns(child, read)
+        return Project(kept, [rebind_refs(e, mapping) for e in logical.exprs])
+
     def _plan_scan(self, logical: Scan) -> PhysScan:
-        """A scan no fused consumer absorbed: one predicate kernel per pushed
-        filter. A refused predicate is interpreted, and counted as a fusion
-        miss so the fallback shows in ``cache_stats``."""
-        if self._compiler is None or not logical.pushed_filters:
-            return PhysScan(logical)
-        kernels = tuple(
-            self._compiler.compile_predicate(p) for p in logical.pushed_filters
-        )
-        if None in kernels:
+        """A scan no fused consumer absorbed: its pushed filters and column
+        selection compile into one filter→project kernel. A refused kernel
+        is interpreted, and counted as a fusion miss so the fallback shows
+        in ``cache_stats``."""
+        scan = PhysScan(logical, self._compiler)
+        if self._compiler is not None and scan.condition is not None and scan.kernel is None:
             self._compiler.note_fusion(False)
-        return PhysScan(logical, kernels)
+        return scan
 
     def _plan_sort(self, logical: Sort, limit: int | None = None) -> PhysSort:
         fused_sort = self._plan_fused_sort(logical, limit)
@@ -1558,8 +1645,11 @@ class PhysicalPlanner:
         chain's bottom stages: the scan is unfolded into ``Project(required
         columns) → Filter(pushed) … → bare Scan`` and the bare scan becomes
         the boundary, so the fused loop tests the policy predicate itself
-        and no filtered batch is built between scan and consumer. Pruning
-        is list selection, not I/O, so reading unpruned costs nothing.
+        and no filtered batch is built between scan and consumer. The bare
+        scan is not left reading every column: once the chain is composed,
+        :func:`_narrow_scan` prunes it to the columns the composed condition,
+        outputs and keys read, so the scan decodes exactly those (decoding
+        is the cost; the object is fetched whole either way).
         """
         stages: list[LogicalPlan] = []
         cur = node
@@ -1644,6 +1734,11 @@ class PhysicalPlanner:
             inputs_c = tuple(
                 inline_through_projection(e, out_exprs) for e in raw_inputs
             )
+            boundary, (condition, *rebound) = _narrow_scan(
+                boundary, [condition, *groupings_c, *inputs_c]
+            )
+            groupings_c = tuple(rebound[: len(groupings_c)])
+            inputs_c = tuple(rebound[len(groupings_c):])
             pipeline = self._compiler.compile_pipeline(
                 condition, groupings_c, agg_calls, inputs_c
             )
@@ -1708,7 +1803,10 @@ class PhysicalPlanner:
             )
         else:
             data_exprs = tuple(out_exprs)
-        all_exprs = data_exprs + tuple(keys)
+        boundary, (condition, *rebound) = _narrow_scan(
+            boundary, [condition, *data_exprs, *keys]
+        )
+        all_exprs = tuple(rebound)
         ext_schema = Schema(
             tuple(data_schema.fields)
             + tuple(

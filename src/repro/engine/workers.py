@@ -70,12 +70,13 @@ from repro.engine.compile import (
     KernelCompiler,
     PipelineSpec,
     binding_key,
+    filter_project,
     interpret_pipeline,
     pipeline_partial_columns,
-    predicate_mask,
 )
-from repro.engine.expressions import EvalContext, Expression, conjuncts
-from repro.errors import CorruptObjectError, ExecutionError, RetryableError
+from repro.engine.expressions import EvalContext, Expression
+from repro.errors import ExecutionError, RetryableError
+from repro.storage.table_format import decode_data_file
 
 #: Bounded respawn-and-retry attempts after a worker process dies mid-task.
 DEATH_RETRIES = 2
@@ -168,13 +169,11 @@ def _eval_kernel(
             interpret_pipeline(spec, batch, ectx, groups)
         return pipeline_partial_columns(spec, groups)
     kernel: CompiledKernels | None = entry["kernel"]
-    if kernel is not None:
-        return kernel.eval_all(batch, ectx)
     exprs = entry["exprs"]
     if entry["mode"] == "filter-project":
-        for conjunct in conjuncts(exprs[0]):
-            batch = batch.filter(conjunct.eval(batch, ectx))
-        return [e.eval(batch, ectx) for e in exprs[1:]]
+        return filter_project(kernel, exprs[0], exprs[1:], batch, ectx)
+    if kernel is not None:
+        return kernel.eval_all(batch, ectx)
     return [e.eval(batch, ectx) for e in exprs]
 
 
@@ -212,30 +211,27 @@ def _run_scan_task(
     ectx: EvalContext,
     info: dict[str, Any],
 ) -> tuple[list, int]:
-    blob = bytes(buf[: task["blob_len"]])
-    try:
-        data = pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - any unpickle failure
-        # Same classification as LakeTableStorage.read_file: a mangled blob
-        # is retryable, and the driver re-reads the object from storage.
-        raise CorruptObjectError(
-            f"data file for '{task.get('table', '?')}' is corrupt in-worker: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    batch = ColumnBatch.from_dict(task["schema"], data)
+    # The decoder LakeTableStorage.read_file uses, with the column set the
+    # thread path would decode: a mangled (or planted) blob is a retryable
+    # CorruptObjectError and the driver re-reads the object from storage.
+    schema = task["schema"]
+    names = [f.name for f in schema]
+    data = decode_data_file(
+        bytes(buf[: task["blob_len"]]), names,
+        f"data file for '{task.get('table', '?')}' (in-worker)",
+    )
+    batch = ColumnBatch(schema, [data[n] for n in names])
     info["rows_in"] = batch.num_rows
-    filters_blob = task.get("filters_blob")
-    if filters_blob is not None:
-        # The same predicate kernels PhysScan runs driver-side, rebuilt from
-        # the shipped expressions through this worker's compiler cache.
-        for predicate in cloudpickle.loads(filters_blob):
-            kernel = compiler.compile_predicate(predicate)
-            batch = batch.filter(predicate_mask(kernel, predicate, batch, ectx))
-    indices = task.get("required_indices")
-    if indices is not None:
-        # Prune before any fused kernel: its BoundRefs are resolved against
-        # the pruned layout, exactly as in the thread path.
-        batch = batch.select_indices(indices)
+    outputs = task.get("outputs")
+    if outputs is not None:
+        # The scan's filter→select, as PhysScan runs it driver-side; any
+        # fused kernel below resolves its refs against the selected layout.
+        condition = task["condition"]
+        kernel = None
+        if condition is not None:
+            kernel = compiler.compile_filter_projection(condition, outputs)
+        columns = filter_project(kernel, condition, outputs, batch, ectx)
+        batch = ColumnBatch(schema.select([o.index for o in outputs]), columns)
     if task.get("kernel") is not None:
         entry = _install_kernel(compiler, kernels, task["kernel"])
         outputs = _eval_kernel(entry, batch, ectx)

@@ -7,7 +7,8 @@ from its *file*, not with ``-m``, so it holds no ``repro.*`` module until a
 shipped function imports one.
 
 The worker's stdout is writable by user code, so its frames are decoded with
-an unpickler that resolves no global; a frame that names one, is oversized,
+:class:`~repro.common.datacodec.DataOnlyUnpickler`, which resolves no
+global; a frame that names one, is oversized,
 truncated or not a ``(status, payload)`` pair ends the sandbox
 (``SandboxDied(delivered=True)`` — never replayed).
 """
@@ -15,13 +16,13 @@ truncated or not a ``(status, payload)`` pair ends the sandbox
 from __future__ import annotations
 
 import hashlib
-import pickle
 import subprocess
 import sys
 from typing import TYPE_CHECKING, Any
 
 import cloudpickle
 
+from repro.common.datacodec import DataOnlyUnpickler
 from repro.common.ids import new_id
 from repro.engine.udf import PythonUDF
 from repro.errors import SandboxDied, TrustDomainViolation, UserCodeError
@@ -40,13 +41,6 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 #: ``python worker.py`` would put ``repro/sandbox/`` there and shadow
 #: ``net`` / ``policy``; ``run_path`` imports no package on the way in.
 _BOOTSTRAP = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
-
-
-class _DataOnlyUnpickler(pickle.Unpickler):
-    """Decodes scalars and containers; resolving any global is refused."""
-
-    def find_class(self, module: str, name: str) -> Any:
-        raise pickle.UnpicklingError(f"worker frame names global {module}.{name}")
 
 
 class SubprocessSandbox:
@@ -102,7 +96,7 @@ class SubprocessSandbox:
             ) from exc
         try:
             reply, received = read_frame(
-                self._process.stdout, _DataOnlyUnpickler, MAX_FRAME_BYTES
+                self._process.stdout, DataOnlyUnpickler, MAX_FRAME_BYTES
             )
             if type(reply) is not tuple or len(reply) != 2 or reply[0] not in ("ok", "err"):
                 raise ValueError("worker frame is not an (ok | err, payload) pair")

@@ -308,9 +308,11 @@ class TestPlannerWiring:
         )
         engine, analyzed = self._analyzed(plan)
         operator = engine.plan_physical(analyzed)
-        # Unfused: the UDF must only ever see post-filter rows.
+        # Unfused: the UDF must only ever see post-filter rows. With fusion
+        # on, the filter below runs fused with the selection of the one
+        # column the UDF stage reads.
         assert isinstance(operator, PhysProject)
-        assert isinstance(operator.children[0], PhysFilter)
+        assert isinstance(operator.children[0], (PhysFilter, PhysFilterProject))
 
     def test_compile_disabled_plans_plain_operators(self):
         plan = Project(

@@ -60,6 +60,17 @@ class TestInvariant1_NoResidualData:
         assert ids == {1, 3}
 
 
+def _refuse_filter_kernels(monkeypatch):
+    """The compiler refuses every predicate and filter→project kernel (the
+    scan's own kernel included), so filters run through the interpreter."""
+    from repro.engine.compile import KernelCompiler
+
+    monkeypatch.setattr(KernelCompiler, "compile_predicate", lambda self, cond: None)
+    monkeypatch.setattr(
+        KernelCompiler, "compile_filter_projection", lambda self, cond, exprs: None
+    )
+
+
 class TestPolicyBeforeUserCode:
     """The row filter runs before user code on every execution path.
 
@@ -110,8 +121,6 @@ class TestPolicyBeforeUserCode:
     def test_no_hidden_row_reaches_user_code_or_result(
         self, leg, cluster_kwargs, workspace, udf_inputs, monkeypatch
     ):
-        from repro.engine.compile import KernelCompiler
-
         cluster = workspace.create_standard_cluster(name=leg, **cluster_kwargs)
         try:
             admin = cluster.connect("admin")
@@ -129,9 +138,7 @@ class TestPolicyBeforeUserCode:
             admin.sql("GRANT SELECT ON main.sales.orders TO analysts")
             admin.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
             if leg == "compile-refused":
-                monkeypatch.setattr(
-                    KernelCompiler, "compile_predicate", lambda self, cond: None
-                )
+                _refuse_filter_kernels(monkeypatch)
 
             @udf("string")
             def seen(region):
@@ -151,6 +158,66 @@ class TestPolicyBeforeUserCode:
                 # The scan fell back to the interpreter, and says so.
                 stats = cluster.backend.kernel_cache.stats
                 assert stats.fusion_misses > misses_before
+        finally:
+            workspace.shutdown()
+
+    @pytest.mark.parametrize(
+        "leg, cluster_kwargs",
+        [
+            ("default", {}),
+            ("fusion-off", {"engine_fuse_operators": False}),
+            ("compile-refused", {}),
+            ("process", {"worker_backend": "process", "worker_pool_size": 2}),
+        ],
+    )
+    def test_pushed_join_conjunct_never_sees_a_hidden_row(
+        self, leg, cluster_kwargs, workspace, monkeypatch
+    ):
+        """The join leg: a WHERE conjunct on one join input is pushed below
+        the join onto that input and lands above its row filter. Its CAST
+        raises on — and would quote — the hidden rows' non-numeric buyers, so
+        a single evaluation on a hidden row fails the query."""
+        from repro.engine.logical import Filter, Join
+
+        cluster = workspace.create_standard_cluster(name=leg, **cluster_kwargs)
+        try:
+            admin = cluster.connect("admin")
+            admin.sql(
+                "CREATE TABLE main.sales.orders "
+                "(id int, region string, amount float, buyer string)"
+            )
+            admin.sql(
+                "INSERT INTO main.sales.orders VALUES "
+                "(1,'US',10.0,'11'),(2,'EU',20.0,'hidden-eu'),"
+                "(3,'US',30.0,'33'),(4,'APAC',40.0,'hidden-apac'),"
+                "(5,NULL,50.0,'hidden-null')"
+            )
+            admin.sql("CREATE TABLE main.sales.regions (region string, label string)")
+            admin.sql(
+                "INSERT INTO main.sales.regions VALUES "
+                "('US','amer'),('EU','emea'),('APAC','apj')"
+            )
+            admin.sql("GRANT USE CATALOG ON main TO analysts")
+            admin.sql("GRANT USE SCHEMA ON main.sales TO analysts")
+            admin.sql("GRANT SELECT ON main.sales.orders TO analysts")
+            admin.sql("GRANT SELECT ON main.sales.regions TO analysts")
+            admin.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
+            if leg == "compile-refused":
+                _refuse_filter_kernels(monkeypatch)
+            rows = cluster.connect("alice").sql(
+                "SELECT r.label, count(*) AS n, sum(o.amount) AS total "
+                "FROM main.sales.orders o JOIN main.sales.regions r "
+                "ON o.region = r.region "
+                "WHERE CAST(o.buyer AS INT) > 0 AND r.label <> 'none' "
+                "GROUP BY r.label"
+            ).collect()
+            assert rows == [("amer", 2, 40.0)]
+            plan = cluster.backend.last_result.optimized_plan
+            assert any(isinstance(n, Join) for n in plan.walk())
+            assert not any(
+                isinstance(n, Filter) and isinstance(n.child, Join)
+                for n in plan.walk()
+            ), plan.explain()
         finally:
             workspace.shutdown()
 

@@ -33,6 +33,7 @@ _SCENARIO_MODULES = (
     "repro.attacks.admission_spoofing",
     "repro.attacks.write_denial",
     "repro.attacks.storage_tamper",
+    "repro.attacks.result_cache_tamper",
 )
 
 

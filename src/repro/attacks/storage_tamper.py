@@ -23,16 +23,17 @@ from typing import Any, Callable
 from repro.attacks import harness as h
 from repro.attacks.registry import attack_scenario
 from repro.attacks.scenario import AttackResult, contained, judge, leaked
+from repro.common.datacodec import encode_data_file
 from repro.errors import RetryableError
 from repro.storage.credentials import LIST, READ, WRITE
-from repro.storage.table_format import LakeTableStorage, encode_data_file
+from repro.storage.table_format import LakeTableStorage
 
 #: Attempts at each attacker write (the chaos leg injects ``storage.put``
 #: faults; a plant or restore that never lands would skew later scenarios).
 _PUT_ATTEMPTS = 8
 
 
-class _Gadget:
+class Gadget:
     """Pickles to ``os.mkdir(path)``: code run by whoever unpickles it."""
 
     def __init__(self, path: str):
@@ -46,7 +47,7 @@ def _planted_objects(columns: dict[str, list], marker: str) -> list[bytes]:
     """The two payload shapes: a whole-object pickle, and the gadget inside
     one chunk of an otherwise well-formed column-chunked object."""
     first = next(iter(columns))
-    armed = dict(columns, **{first: [_Gadget(marker)] * len(columns[first])})
+    armed = dict(columns, **{first: [Gadget(marker)] * len(columns[first])})
     return [pickle.dumps(armed, protocol=5), encode_data_file(armed)]
 
 

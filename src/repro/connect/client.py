@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 
 import cloudpickle
 
+from repro.common.datacodec import decode_data_file
 from repro.connect import proto
 from repro.connect.channel import Channel
 from repro.connect.service import raise_from_message
@@ -516,7 +517,12 @@ class SparkConnectClient:
                 schema = item["schema"]
                 columns = [[] for _ in schema]
             elif kind == "arrow_batch":
-                for i, chunk in enumerate(item["columns"]):
+                chunks = (
+                    _decode_frame(item["data"], len(columns))
+                    if "data" in item
+                    else item["columns"]
+                )
+                for i, chunk in enumerate(chunks):
                     columns[i].extend(chunk)
         return schema, columns
 
@@ -600,6 +606,22 @@ class SparkConnectClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _decode_frame(data: Any, width: int) -> list[list[Any]]:
+    """One binary result frame -> its ``width`` columns, decoded as data.
+
+    The frame is the column-chunked layout keyed by column position; any
+    malformed frame (or one naming a global) is a :class:`ProtocolError`.
+    """
+    if not isinstance(data, bytes):
+        raise ProtocolError(f"result frame must be bytes, got {type(data).__name__}")
+    decoded = decode_data_file(data, None, "result frame", ProtocolError)
+    if list(decoded) != [str(i) for i in range(width)]:
+        raise ProtocolError(
+            f"result frame columns {list(decoded)} do not match a {width}-column schema"
+        )
+    return list(decoded.values())
 
 
 def _infer_type(values: list[Any]) -> str:

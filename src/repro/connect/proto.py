@@ -1,8 +1,20 @@
-"""The Spark Connect wire format (protobuf stand-in).
+"""The Spark Connect wire format: JSON envelope + binary column frames; version-gated.
 
-Messages are dict trees with an ``@type`` discriminator, encoded to bytes as
-JSON (binary values wrapped as ``{"@bytes": <base64>}``). Two protobuf
-properties the paper's versionless story (§6.3) depends on are preserved:
+Messages are dict trees with an ``@type`` discriminator, encoded to bytes by
+the C ``json`` encoder in one call; binary values travel as
+``{"@bytes": <base64>}`` (the encoder's ``default`` hook wraps them, the
+decoder's ``object_hook`` unwraps them, and a malformed wrapper is a
+:class:`~repro.errors.ProtocolError`). No Python function runs per value.
+
+Result batches (``arrow_batch``, the Arrow IPC stand-in) carry their rows in
+one binary ``data`` field: a frame in the column-chunked layout data files
+use (:mod:`repro.common.datacodec`), keyed by column position, decoded by
+the client with the data-only unpickler. Clients older than
+:data:`RESULT_FRAME_VERSION` get the rows as JSON ``columns`` instead; the
+server decides per session, from the version the client announced.
+
+Two protobuf properties the paper's versionless story (§6.3) depends on are
+preserved:
 
 - **forward compatibility** — decoders access known keys and ignore unknown
   ones, so an older server tolerates messages with newer optional fields;
@@ -18,6 +30,7 @@ modifying it.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import re
 from collections import OrderedDict
@@ -26,10 +39,14 @@ from typing import Any, Callable, Container, NamedTuple
 from repro.errors import LakeguardError, ProtocolError, VersionIncompatibleError
 
 #: Current protocol version of this library build.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Oldest client version the server still understands.
 MIN_SUPPORTED_CLIENT_VERSION = 1
+
+#: First client version whose result batches arrive as binary ``data``
+#: frames; older sessions get JSON ``columns``.
+RESULT_FRAME_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -37,30 +54,28 @@ MIN_SUPPORTED_CLIENT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _encode_value(value: Any) -> Any:
+def _wrap_bytes(value: Any) -> Any:
     if isinstance(value, (bytes, bytearray)):
-        return {"@bytes": base64.b64encode(bytes(value)).decode("ascii")}
-    if isinstance(value, dict):
-        return {k: _encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    return value
+        return {"@bytes": base64.b64encode(value).decode("ascii")}
+    raise TypeError(f"{type(value).__name__} is not wire-serializable")
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value.keys()) == {"@bytes"}:
-            return base64.b64decode(value["@bytes"])
-        return {k: _decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
+def _unwrap_bytes(obj: dict[str, Any]) -> Any:
+    if len(obj) != 1 or "@bytes" not in obj:
+        return obj
+    text = obj["@bytes"]
+    if not isinstance(text, str):
+        raise ProtocolError(f"'@bytes' must be a base64 string, got {type(text).__name__}")
+    try:
+        return base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ProtocolError(f"'@bytes' is not valid base64: {exc}") from None
 
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """Serialize a message tree to wire bytes."""
     try:
-        return json.dumps(_encode_value(message)).encode("utf-8")
+        return json.dumps(message, default=_wrap_bytes).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"message is not wire-serializable: {exc}") from exc
 
@@ -68,7 +83,7 @@ def encode_message(message: dict[str, Any]) -> bytes:
 def decode_message(data: bytes) -> dict[str, Any]:
     """Deserialize wire bytes into a message tree."""
     try:
-        decoded = _decode_value(json.loads(data.decode("utf-8")))
+        decoded = json.loads(data.decode("utf-8"), object_hook=_unwrap_bytes)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed wire message: {exc}") from exc
     if not isinstance(decoded, dict):

@@ -16,6 +16,7 @@ from typing import Any, Iterator, Protocol
 from repro.catalog.privileges import UserContext
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import QueryContext, QueryDeadlineExceeded
+from repro.common.datacodec import encode_data_file
 from repro.common.telemetry import Telemetry
 from repro.connect import proto
 from repro.connect.sessions import (
@@ -291,11 +292,11 @@ class SparkConnectService:
 
     def _handle(self, method: str, request: dict[str, Any]) -> dict[str, Any]:
         if method == "create_session":
-            proto.check_client_version(
-                int(request.get("client_version", 1)), self.server_version
-            )
+            client_version = int(request.get("client_version", 1))
+            proto.check_client_version(client_version, self.server_version)
             user_ctx = self._backend.authenticate(request["user"])
             session = self.sessions.create_session(user_ctx)
+            session.client_version = client_version
             for key, value in (request.get("config") or {}).items():
                 session.config[key] = value
             return {
@@ -538,23 +539,7 @@ class SparkConnectService:
                     "schema": schema,
                 }
             )
-            num_rows = len(columns[0]) if columns else 0
-            index = 0
-            for start in range(0, max(num_rows, 1), self._result_batch_rows):
-                chunk = [
-                    col[start : start + self._result_batch_rows] for col in columns
-                ]
-                if start > 0 and (not chunk or not chunk[0]):
-                    break
-                responses.append(
-                    {
-                        "@type": "arrow_batch",
-                        "operation_id": op.operation_id,
-                        "index": index,
-                        "columns": chunk,
-                    }
-                )
-                index += 1
+            responses += self._result_batches(session, op, columns)
         else:
             raise ProtocolError(
                 f"plan must be a relation or a command, got "
@@ -565,3 +550,31 @@ class SparkConnectService:
         )
         op.responses = responses
         op.status = OP_FINISHED
+
+    def _result_batches(
+        self, session: SessionState, op: OperationState, columns: list[list[Any]]
+    ) -> list[dict[str, Any]]:
+        """Slice the result into ``arrow_batch`` messages (at least one).
+
+        A v5+ session gets each batch as one binary frame in the
+        column-chunked layout, keyed by column position (result columns may
+        share names); older clients get JSON ``columns``.
+        """
+        frames = session.client_version >= proto.RESULT_FRAME_VERSION
+        keys = [str(i) for i in range(len(columns))]
+        step = self._result_batch_rows
+        num_rows = len(columns[0]) if columns else 0
+        batches: list[dict[str, Any]] = []
+        for index, start in enumerate(range(0, max(num_rows, 1), step)):
+            chunk = [col[start : start + step] for col in columns]
+            batch: dict[str, Any] = {
+                "@type": "arrow_batch",
+                "operation_id": op.operation_id,
+                "index": index,
+            }
+            if frames:
+                batch["data"] = encode_data_file(dict(zip(keys, chunk)))
+            else:
+                batch["columns"] = chunk
+            batches.append(batch)
+        return batches

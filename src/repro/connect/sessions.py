@@ -72,6 +72,9 @@ class SessionState:
     temp_udfs: dict[str, PythonUDF] = field(default_factory=dict)
     #: Session configuration (workload environment version etc.).
     config: dict[str, str] = field(default_factory=dict)
+    #: Protocol version the client announced at ``create_session``; it picks
+    #: the result-batch encoding (binary frames from v5, JSON before).
+    client_version: int = 1
     closed: bool = False
     #: Bumped whenever temp views/UDFs change; part of the secure-plan cache
     #: key, since session temp state resolves at plan-decode time.

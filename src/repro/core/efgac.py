@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator
 from repro.catalog.metastore import UnityCatalog
 from repro.catalog.privileges import UserContext
 from repro.common.context import current_context, span_or_null
+from repro.common.datacodec import decode_data_file, encode_data_file
 from repro.common.ids import new_id
 from repro.core.plan_codec import encode_expression
 from repro.engine.batch import ColumnBatch
@@ -42,7 +43,6 @@ from repro.engine.optimizer import is_safe_to_push
 from repro.engine.types import Schema
 from repro.errors import ExecutionError, ProtocolError
 from repro.storage.credentials import DELETE, READ, WRITE
-from repro.storage.table_format import decode_data_file, encode_data_file
 
 #: Result sets at or below this row count return inline with the query.
 INLINE_RESULT_ROW_THRESHOLD = 1000

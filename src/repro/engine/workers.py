@@ -62,6 +62,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.common import shmbuf
 from repro.common.context import QueryContext, _CURRENT
+from repro.common.datacodec import decode_data_file
 from repro.common.faults import FaultInjector
 from repro.common.telemetry import Telemetry
 from repro.engine.batch import ColumnBatch
@@ -76,7 +77,6 @@ from repro.engine.compile import (
 )
 from repro.engine.expressions import EvalContext, Expression
 from repro.errors import ExecutionError, RetryableError
-from repro.storage.table_format import decode_data_file
 
 #: Bounded respawn-and-retry attempts after a worker process dies mid-task.
 DEATH_RETRIES = 2

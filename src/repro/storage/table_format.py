@@ -5,7 +5,7 @@ Layout under a table root (e.g. ``s3://bucket/warehouse/sales``):
 - ``<root>/_txn_log/<version>.json`` — one JSON commit per version, listing
   ``add`` / ``remove`` file actions and table metadata.
 - ``<root>/data/<file-id>.part`` — immutable data files in the
-  column-chunked layout below.
+  column-chunked layout.
 
 This mirrors the two properties of Delta the paper relies on:
 
@@ -14,34 +14,22 @@ This mirrors the two properties of Delta the paper relies on:
 2. the log gives snapshot isolation and time travel, which the replica
    baseline uses to quantify staleness.
 
-**Data file layout.** A small fixed header comes first, then one chunk per
-column::
-
-    magic "LGC1" | row count u32 | column count u16
-    per column:  name length u16 | chunk offset u32 | chunk length u32 | name
-    chunks, in directory order, back to back to the end of the object
-
-Each chunk is the column's plain list, pickled with protocol 5.
-:func:`decode_data_file` checks the header and that the chunks tile the
-object exactly, then decodes only the columns asked for, each with the
-data-only unpickler (:mod:`repro.common.datacodec`), and checks each is a
-``list`` of exactly the row count. The object is still fetched whole — cloud
+**Data file layout.** Data files are column-chunked
+(:mod:`repro.common.datacodec`, which owns the layout): a small fixed header
+with a per-column directory, then one pickled-list chunk per column, decoded
+by the data-only unpickler. The object is still fetched whole — cloud
 storage authorises whole objects (Fig. 3) — but a scan pays decode only for
 the columns its plan reads, and planted bytes can never run code in the
-reader. Any failure is :class:`~repro.errors.CorruptObjectError`; the header
-sits at the front, so a mangled response fails on the magic, loudly.
+reader. Any failure is :class:`~repro.errors.CorruptObjectError`.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import pickle
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.common.datacodec import DataOnlyUnpickler
+from repro.common.datacodec import decode_data_file, encode_data_file
 from repro.common.ids import sequential_id
 from repro.errors import (
     CommitConflictError,
@@ -69,78 +57,6 @@ COMMIT_RETRIES = 4
 #: corrupt reads of a durable commit are vanishingly unlikely; a torn
 #: object is corrupt on every read.
 TORN_CONFIRM_READS = 2
-
-DATA_FILE_MAGIC = b"LGC1"
-_HEADER = struct.Struct("<4sIH")
-_ENTRY = struct.Struct("<HII")
-
-
-def encode_data_file(columns: dict[str, list]) -> bytes:
-    """One data file in the column-chunked layout (module docstring)."""
-    lengths = {len(values) for values in columns.values()}
-    if len(lengths) > 1:
-        raise StorageError(f"ragged columns: lengths {sorted(lengths)}")
-    num_rows = lengths.pop() if lengths else 0
-    names = [name.encode("utf-8") for name in columns]
-    chunks = [
-        pickle.dumps(values if type(values) is list else list(values), protocol=5)
-        for values in columns.values()
-    ]
-    offset = _HEADER.size + sum(_ENTRY.size + len(name) for name in names)
-    parts = [_HEADER.pack(DATA_FILE_MAGIC, num_rows, len(names))]
-    for name, chunk in zip(names, chunks):
-        parts += (_ENTRY.pack(len(name), offset, len(chunk)), name)
-        offset += len(chunk)
-    return b"".join(parts + chunks)
-
-
-def decode_data_file(
-    blob: bytes, columns: Sequence[str] | None = None, source: str = "data file"
-) -> dict[str, list]:
-    """Decode ``columns`` (default: all) of one column-chunked object.
-
-    Raises :class:`~repro.errors.CorruptObjectError` — retryable, because a
-    corrupt read models a mangled response and the caller re-reads — for a
-    bad header, chunks that do not tile the object, a missing column, a
-    chunk that is not a ``list`` of the header's row count, and any chunk
-    that names a global (planted code is refused before it is resolved).
-    """
-    try:
-        magic, num_rows, count = _HEADER.unpack_from(blob, 0)
-        if magic != DATA_FILE_MAGIC:
-            raise ValueError("bad magic")
-        directory: dict[str, tuple[int, int]] = {}
-        pos = _HEADER.size
-        for _ in range(count):
-            name_len, offset, length = _ENTRY.unpack_from(blob, pos)
-            pos += _ENTRY.size
-            directory[blob[pos : pos + name_len].decode("utf-8")] = (offset, length)
-            pos += name_len
-        if len(directory) != count:
-            raise ValueError("duplicate column names")
-        for offset, length in directory.values():
-            if offset != pos:
-                raise ValueError(f"chunk at {offset}, expected {pos}")
-            pos += length
-        if pos != len(blob):
-            raise ValueError(f"chunks end at {pos} of {len(blob)} bytes")
-        stream = io.BytesIO(blob)
-        out: dict[str, list] = {}
-        for name in directory if columns is None else columns:
-            offset, length = directory[name]
-            stream.seek(offset)
-            values = DataOnlyUnpickler(stream).load()
-            if type(values) is not list or len(values) != num_rows:
-                raise ValueError(f"column '{name}' is not a list of {num_rows} values")
-            if stream.tell() != offset + length:
-                raise ValueError(f"column '{name}' overruns its chunk")
-            out[name] = values
-        return out
-    except Exception as exc:  # noqa: BLE001 - undecodable bytes raise anything
-        raise CorruptObjectError(
-            f"{source} is corrupt: {type(exc).__name__}: {exc}"
-        ) from exc
-
 
 def _log_path(root: str, version: int) -> str:
     return f"{root}/_txn_log/{version:010d}.json"

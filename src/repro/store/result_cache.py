@@ -25,21 +25,32 @@ non-deterministic expression, the process-salted ``hash`` builtin, or an
 eFGAC :class:`~repro.engine.logical.RemoteScan` (remote execution state is
 not covered by the local fingerprint).
 
-Payloads are the engine's own lossless columnar codec
-(:meth:`~repro.engine.batch.ColumnBatch.to_buffers`) plus the pickled
-schema, so a cached replay is byte-identical to fresh execution.
+A payload is the schema as plain JSON (name, dtype, nullability,
+qualifier per field) followed by one frame in the column-chunked layout
+data files and Connect result batches use (:mod:`repro.common.datacodec`),
+keyed by column position::
+
+    schema length u32 | schema JSON | frame
+
+Decoding is data-only: anyone who can write the spill directory controls
+these bytes, so a frame naming a global (or any malformed payload) is a
+counted ``decode_errors`` miss and the query recomputes. Plain lists round
+trip exactly, so a cached replay is byte-identical to fresh execution.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.common.datacodec import decode_data_file, encode_data_file
 from repro.common.telemetry import Telemetry
 from repro.engine.batch import ColumnBatch
 from repro.engine.expressions import FunctionCall
 from repro.engine.logical import LogicalPlan, RemoteScan
+from repro.engine.types import Field, Schema, type_from_name
 from repro.store.artifacts import ArtifactStore
 
 if TYPE_CHECKING:
@@ -49,6 +60,32 @@ if TYPE_CHECKING:
 #: ``hash`` uses Python's salted string hashing, so a persisted result
 #: would replay a *different* process's answer.
 _PROCESS_SALTED_FUNCTIONS = frozenset({"hash"})
+
+
+#: A payload's prefix: the byte length of the schema JSON after it.
+_SCHEMA_LEN = struct.Struct("<I")
+
+
+def encode_payload(batch: ColumnBatch) -> bytes:
+    """One result batch as a cache payload (module docstring)."""
+    schema = json.dumps(
+        [[f.name, f.dtype.name, f.nullable, f.qualifier] for f in batch.schema]
+    ).encode("utf-8")
+    frame = encode_data_file({str(i): col for i, col in enumerate(batch.columns)})
+    return _SCHEMA_LEN.pack(len(schema)) + schema + frame
+
+
+def decode_payload(payload: bytes) -> ColumnBatch:
+    """Decode a cache payload as data only; raises on anything malformed."""
+    (length,) = _SCHEMA_LEN.unpack_from(payload, 0)
+    end = _SCHEMA_LEN.size + length
+    schema = Schema(tuple(
+        Field(name, type_from_name(dtype), nullable, qualifier)
+        for name, dtype, nullable, qualifier in json.loads(payload[_SCHEMA_LEN.size : end])
+    ))
+    keys = [str(i) for i in range(len(schema))]
+    frame = decode_data_file(payload[end:], keys, "result-cache payload")
+    return ColumnBatch(schema, [frame[key] for key in keys])
 
 
 def plan_is_cacheable(plan: LogicalPlan) -> bool:
@@ -80,8 +117,9 @@ class ResultCacheStats:
     #: Queries refused by :func:`plan_is_cacheable` (UDFs, hash(), eFGAC).
     ineligible: int = 0
     stored: int = 0
-    #: Payloads that failed to decode (corruption already rejected below
-    #: this layer; this counts schema/codec mismatches) — treated as misses.
+    #: Payloads that failed to decode (corruption is already rejected below
+    #: this layer; this counts malformed or planted payloads, e.g. a frame
+    #: naming a global) — treated as misses.
     decode_errors: int = 0
     #: Superseded-epoch entries physically evicted from all tiers.
     stale_evicted: int = 0
@@ -124,8 +162,7 @@ class GovernedResultCache:
             self._count("misses")
             return None
         try:
-            schema, meta, buf = pickle.loads(payload)
-            batch = ColumnBatch.from_buffers(schema, meta, buf, zero_copy=False)
+            batch = decode_payload(payload)
         except Exception:  # noqa: BLE001 - undecodable payload is a miss
             self.stats.decode_errors += 1
             self.stats.misses += 1
@@ -148,12 +185,7 @@ class GovernedResultCache:
         everywhere' looks like physically).
         """
         try:
-            materialized = batch.materialize()
-            meta, buf = materialized.to_buffers()
-            payload = pickle.dumps(
-                (materialized.schema, meta, bytes(buf)),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+            payload = encode_payload(batch)
         except Exception:  # noqa: BLE001 - unencodable result: skip caching
             self.stats.decode_errors += 1
             self._count("decode_errors")

@@ -1,6 +1,11 @@
 """Tests for the Spark Connect wire format and version negotiation."""
 
+import base64
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.connect import proto
 from repro.errors import ProtocolError, VersionIncompatibleError
@@ -94,3 +99,98 @@ class TestExtensionPoints:
     def test_command_extension_shape(self):
         ext = proto.command_extension("delta.vacuum", {"retain_hours": 168})
         assert proto.is_command(ext)
+
+
+class TestBytesWrapper:
+    """``decode_message`` accepts only a base64 *string* in ``@bytes``."""
+
+    def test_non_string_wrapper_is_a_protocol_error(self):
+        # Regression: this used to escape the decoder as a raw TypeError.
+        with pytest.raises(ProtocolError, match="base64 string"):
+            proto.decode_message(b'{"@type": "x", "blob": {"@bytes": 5}}')
+
+    def test_invalid_base64_is_a_protocol_error(self):
+        # Regression: non-alphabet characters used to be dropped silently,
+        # so this decoded to b''.
+        with pytest.raises(ProtocolError, match="not valid base64"):
+            proto.decode_message(b'{"@type": "x", "blob": {"@bytes": "!"}}')
+
+    def test_wrapper_with_extra_keys_is_an_ordinary_object(self):
+        decoded = proto.decode_message(b'{"@type": "x", "o": {"@bytes": "AA==", "k": 1}}')
+        assert decoded["o"] == {"@bytes": "AA==", "k": 1}
+
+
+# ---------------------------------------------------------------------------
+# The C-hook codec against the tree-walk codec it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_encode(message):
+    """The tree-walk encoder the wire used before binary result frames."""
+
+    def walk(value):
+        if isinstance(value, (bytes, bytearray)):
+            return {"@bytes": base64.b64encode(bytes(value)).decode("ascii")}
+        if isinstance(value, dict):
+            return {k: walk(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [walk(v) for v in value]
+        return value
+
+    try:
+        return json.dumps(walk(message)).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(str(exc)) from exc
+
+
+def _reference_decode(data):
+    def walk(value):
+        if isinstance(value, dict):
+            if set(value.keys()) == {"@bytes"}:
+                return base64.b64decode(value["@bytes"])
+            return {k: walk(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [walk(v) for v in value]
+        return value
+
+    return walk(json.loads(data.decode("utf-8")))
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),  # NaN and ±inf included
+    st.text(),
+    st.binary(max_size=64),
+)
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestCodecEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(body=_trees)
+    def test_same_bytes_and_same_tree_as_the_tree_walk(self, body):
+        message = {"@type": "x", "body": body}
+        wire = proto.encode_message(message)
+        assert wire == _reference_encode(message)
+        # repr compares NaN and -0.0 exactly, which == cannot.
+        assert repr(proto.decode_message(wire)) == repr(_reference_decode(wire))
+
+    @pytest.mark.parametrize(
+        "bad", [object(), {1, 2}, {(1, 2): "tuple key"}, [memoryview(b"x")]],
+        ids=["object", "set", "tuple-key", "memoryview"],
+    )
+    def test_non_serializable_values_are_protocol_errors(self, bad):
+        with pytest.raises(ProtocolError):
+            _reference_encode({"@type": "x", "v": bad})
+        with pytest.raises(ProtocolError):
+            proto.encode_message({"@type": "x", "v": bad})

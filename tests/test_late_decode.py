@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.datacodec import DATA_FILE_MAGIC, decode_data_file, encode_data_file
 from repro.common.faults import FaultSpec
 from repro.connect.client import udf
 from repro.engine.aggregates import AggregateCall
@@ -29,12 +30,7 @@ from repro.engine.physical import distinct_agg_calls
 from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.errors import CorruptObjectError, RetryableError
 from repro.platform import Workspace
-from repro.storage.table_format import (
-    DATA_FILE_MAGIC,
-    LakeTableStorage,
-    decode_data_file,
-    encode_data_file,
-)
+from repro.storage.table_format import LakeTableStorage
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -124,10 +120,17 @@ class TestDataFileCodec:
         assert calls == []
 
 
+#: The one module under the guarded directories still allowed a code
+#: decoder: persisted secure plans (cloudpickle) and memory-pinned
+#: credentials in ``store/artifacts.py`` — ROADMAP 2(b)'s site.
+_ARTIFACTS = "store/artifacts.py"
+
+
 class TestNoCodeDecoderInStorage:
-    """Guard: bytes read from storage are never decoded as code again. No
-    ``pickle`` / ``cloudpickle`` load may reappear in ``storage/``,
-    ``core/efgac.py`` or the process worker's scan task."""
+    """Guard: bytes read from storage, the spill directory or the wire are
+    never decoded as code again. No ``pickle`` / ``cloudpickle`` load may
+    reappear in ``storage/``, ``store/`` (but :data:`_ARTIFACTS`),
+    ``connect/``, ``core/efgac.py`` or the process worker's scan task."""
 
     LOADERS = {"loads", "load", "Unpickler"}
 
@@ -151,11 +154,22 @@ class TestNoCodeDecoderInStorage:
         "path",
         sorted(
             str(p.relative_to(SRC))
-            for p in [*(SRC / "storage").glob("*.py"), SRC / "core" / "efgac.py"]
+            for p in [
+                *(SRC / "storage").glob("*.py"),
+                *(SRC / "store").glob("*.py"),
+                *(SRC / "connect").glob("*.py"),
+                SRC / "core" / "efgac.py",
+            ]
+            if p.relative_to(SRC).as_posix() != _ARTIFACTS
         ),
     )
     def test_module_has_no_code_decoder(self, path):
         assert self._loader_calls(ast.parse((SRC / path).read_text())) == []
+
+    def test_artifacts_keeps_only_its_two_known_loads(self):
+        """``get_plan`` and ``get_credential``; a third site fails here."""
+        tree = ast.parse((SRC / _ARTIFACTS).read_text())
+        assert self._loader_calls(tree) == ["pickle.loads", "pickle.loads"]
 
     def test_worker_scan_task_has_no_code_decoder(self):
         tree = ast.parse((SRC / "engine" / "workers.py").read_text())

@@ -6,6 +6,7 @@ paper's design must prevent, and asserts the system refuses or contains it.
 
 import pytest
 
+from repro.connect import proto
 from repro.connect.client import col, udf
 from repro.errors import (
     EgressDenied,
@@ -426,7 +427,7 @@ class TestInvariant4_TrustDomains:
 
 
 class TestInvariant5_VersionCompatibility:
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", range(1, proto.PROTOCOL_VERSION + 1))
     def test_all_supported_client_versions_execute(
         self, standard_cluster, admin_client, version
     ):

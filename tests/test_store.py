@@ -26,6 +26,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.faults import FaultInjector, FaultSpec
+from repro.engine.batch import ColumnBatch
+from repro.engine.types import BINARY, BOOL, FLOAT, INT, STRING, Field, Schema
 from repro.errors import PermissionDenied
 from repro.platform import Workspace
 from repro.store import (
@@ -35,6 +37,8 @@ from repro.store import (
     frame_payload,
     unframe_payload,
 )
+from repro.store.artifacts import ArtifactStore
+from repro.store.result_cache import GovernedResultCache, decode_payload, encode_payload
 
 # ---------------------------------------------------------------------------
 # Framing
@@ -518,3 +522,39 @@ class TestReplayProperty:
 #: Lazily built shared workspace for the hypothesis property above (one
 #: cluster across all examples keeps the property fast).
 _PROPERTY_WORKSPACE: list = [None]
+
+
+class TestResultPayload:
+    """Result-cache payloads: a JSON schema plus one column-chunked frame."""
+
+    def test_roundtrip_is_exact(self):
+        schema = Schema((
+            Field("id", INT, nullable=False, qualifier="t"),
+            Field("id", FLOAT),
+            Field("s", STRING),
+            Field("b", BOOL),
+            Field("raw", BINARY),
+        ))
+        batch = ColumnBatch(schema, [
+            [1, 2**70, -3],
+            [float("nan"), -0.0, None],
+            ["ç", None, ""],
+            [True, None, False],
+            [b"\x00", None, b"x"],
+        ])
+        decoded = decode_payload(encode_payload(batch))
+        assert decoded.schema == schema
+        assert repr(decoded.columns) == repr(batch.columns)
+
+    def test_planted_global_is_a_counted_miss(self, tmp_path):
+        from repro.attacks.storage_tamper import Gadget
+
+        artifacts = ArtifactStore(TieredStore([MemoryTier()]))
+        cache = GovernedResultCache(artifacts)
+        marker = tmp_path / "ran"
+        armed = ColumnBatch(Schema((Field("x", INT),)), [[Gadget(str(marker))]])
+        artifacts.put_result("result/k", encode_payload(armed))
+        assert cache.lookup("result/k") is None
+        assert cache.stats.decode_errors == 1 and cache.stats.misses == 1
+        assert not marker.exists()
+        assert artifacts.get_result("result/k") is None  # evicted

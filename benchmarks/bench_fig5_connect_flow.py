@@ -116,6 +116,10 @@ def test_sandboxed_udf_phases_visible(stack):
     def boost(x):
         return x * 2.0
 
+    # The phase-breakdown test shares this stack and leaves alice a live
+    # cached credential (in the cluster's cache and its store tier); revoke
+    # it so this query vends one of its own.
+    ws.catalog.vendor.revoke_identity("alice")
     alice.table("main.s.sales").select(boost(col("amount")).alias("b")).collect()
     kinds = cluster.backend.telemetry.span_kinds(alice.last_trace_id)
     assert {"sandbox.exec", "executor.task", "credential.vend"} <= kinds

@@ -1,0 +1,198 @@
+"""Cache-oracle probes against the store's memo of decoded columns.
+
+:class:`~repro.storage.object_store.DecodedColumns` keeps the columns a
+principal decoded from a data file, so their next scan of the same bytes
+skips the decode. A memo like that is an auxiliary surface add-on
+enforcement leaks through (Queen's Guard, PAPERS.md) unless it can only ever
+skip work the caller was just authorized to do. These scenarios check the
+three conditions that make that so: the memo is consulted only after the
+credential-checked GET (a revoked credential never reaches it), a hit needs
+the very bytes the entry was decoded from (an overwrite at the same path
+misses), and entries are per principal (another tenant's warm entry is not
+a hit — judged by the memo's own counters, not by timing).
+
+On the process worker backend scans decode in the workers and never consult
+the memo; the scenarios still run there and must stay contained.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import shutil
+import tempfile
+from typing import Any
+
+from repro.attacks import harness as h
+from repro.attacks.registry import attack_scenario
+from repro.attacks.scenario import AttackResult, contained, judge, leaked
+from repro.attacks.storage_tamper import _judge_planted_read, _planted_objects, _put
+from repro.errors import LakeguardError, PermissionDenied, RetryableError, SecurableNotFound
+from repro.storage.credentials import LIST, READ, WRITE
+from repro.storage.table_format import LakeTableStorage
+
+#: Makes every run's query texts new, so neither the plan cache's template
+#: nor the result cache ever answers in place of a scan.
+_RUNS = itertools.count(1)
+
+#: A small table only the cross-principal probe writes, rewritten on every
+#: run so its one data file is one nobody has read yet.
+_PROBE = "main.sales.memo_probe"
+
+#: Attempts at a warming query (the chaos leg may fail one outright).
+_WARM_ATTEMPTS = 4
+
+
+def _memo_stats(gauntlet: Any) -> dict[str, Any]:
+    return gauntlet.catalog.store.decoded.stats_snapshot()
+
+
+def _warm(gauntlet: Any, user: str, text: str) -> list[tuple]:
+    """Run ``text`` as ``user``, retrying through injected faults."""
+    client = gauntlet.client_for(user)
+    for attempt in range(_WARM_ATTEMPTS):
+        try:
+            return client.sql(text).collect()
+        except RetryableError:
+            if attempt == _WARM_ATTEMPTS - 1:
+                raise
+    return []
+
+
+@attack_scenario(
+    name="decode-memo-after-revoke",
+    layer="storage",
+    technique="cache-oracle",
+    expected_containment="every read runs the credential-checked GET before "
+    "the memo is consulted: after a REVOKE the rescan is PermissionDenied at "
+    "resolution, and a revoked credential replayed through read_file is a "
+    "CredentialError before any memoized column is reachable",
+)
+def decode_memo_after_revoke(gauntlet: Any) -> AttackResult:
+    """Alice warms the memo, then loses SELECT — and, separately, her live
+    credential — and rescans and replays the captured credential."""
+    run = next(_RUNS)
+    table = gauntlet.catalog.get_table(h.ORDERS)
+    store = gauntlet.catalog.store
+    admin = gauntlet.client_for("admin")
+    _warm(gauntlet, "alice", f"SELECT id, amount FROM {h.ORDERS} WHERE amount > -{run}.125")
+    now = store.clock.now()
+    probe = f"{table.storage_root}/data/"
+    captured = [
+        c for c in gauntlet.catalog.vendor.live_credentials("alice")
+        if c.authorizes(probe, READ, now) and c.authorizes(probe, LIST, now)
+    ]
+    if not captured:
+        return leaked("alice's scan left no live credential to check")
+    files = LakeTableStorage(store, table.storage_root).snapshot(captured[-1]).files
+    observed: list[Any] = []
+    admin.sql(f"REVOKE SELECT ON {h.ORDERS} FROM analysts")
+    try:
+        text = f"SELECT id, amount FROM {h.ORDERS} WHERE amount > -{run}.375"
+        rows = gauntlet.client_for("alice").sql(text).collect()
+        return leaked(f"revoked analyst rescanned {len(rows)} rows", rows=len(rows))
+    except PermissionDenied as exc:
+        observed.append(exc)
+    finally:
+        admin.sql(f"GRANT SELECT ON {h.ORDERS} TO analysts")
+    for credential in captured:
+        gauntlet.catalog.vendor.revoke(credential.token)
+    reader = LakeTableStorage(store, table.storage_root)
+    for data_file in files:
+        try:
+            columns = reader.read_file(data_file, captured[-1], ("id",))
+            rows = len(columns["id"])
+            return leaked(f"a revoked credential read {rows} memoized rows", rows=rows)
+        except LakeguardError as exc:
+            observed.append(exc)
+    return judge(observed, gauntlet.forbidden_tokens(), "revoked reads never reached the memo")
+
+
+@attack_scenario(
+    name="decode-memo-planted-overwrite",
+    layer="storage",
+    technique="cache-oracle",
+    expected_containment="a memo hit needs the very bytes object the entry "
+    "was decoded from: a gadget file put at the same .part path is other "
+    "bytes, so the scan decodes it (data-only) and fails as a retryable "
+    "CorruptObjectError; the stale decoded rows are never served",
+)
+def decode_memo_planted_overwrite(gauntlet: Any) -> AttackResult:
+    """After alice's warm read, an attacker with bucket write puts a file
+    holding a ``__reduce__`` gadget at the same path, and alice rescans."""
+    run = next(_RUNS)
+    table = gauntlet.catalog.get_table(h.ORDERS)
+    store = gauntlet.catalog.store
+    stolen = gauntlet.catalog.vendor.issue(
+        identity="mallory",
+        prefixes=[table.storage_root],
+        operations={READ, WRITE, LIST},
+    )
+    storage = LakeTableStorage(store, table.storage_root)
+    target = storage.snapshot(stolen).files[0]
+    original = store.get(target.path, stolen)
+    columns = storage.read_file(target, stolen)
+    workdir = tempfile.mkdtemp(prefix="decode-memo-")
+    marker = os.path.join(workdir, "ran")
+    alice = gauntlet.client_for("alice")
+    try:
+        _warm(gauntlet, "alice", f"SELECT id, amount FROM {h.ORDERS} WHERE amount > -{run}.0625")
+        _put(store, target.path, _planted_objects(columns, marker)[1], stolen)
+        text = f"SELECT id, amount FROM {h.ORDERS} WHERE amount > -{run}.5625"
+        return _judge_planted_read(
+            gauntlet, marker, lambda: alice.sql(text).collect(), "data file"
+        )
+    finally:
+        _put(store, target.path, original, stolen)
+        gauntlet.catalog.vendor.revoke(stolen.token)
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _fresh_probe_file(gauntlet: Any) -> None:
+    """(Re)write the probe table as one new data file."""
+    catalog = gauntlet.catalog
+    admin_ctx = catalog.principals.context_for("admin")
+    try:
+        catalog.get_table(_PROBE)
+        fresh = False
+    except SecurableNotFound:
+        admin = gauntlet.client_for("admin")
+        admin.sql(f"CREATE TABLE {_PROBE} (id int, note string)")
+        admin.sql(f"GRANT SELECT ON {_PROBE} TO analysts")
+        fresh = True
+    data = {"id": list(range(64)), "note": [f"n{i}" for i in range(64)]}
+    catalog.write_table(_PROBE, data, admin_ctx, overwrite=not fresh)
+
+
+@attack_scenario(
+    name="decode-memo-cross-principal",
+    layer="storage",
+    technique="cache-oracle",
+    expected_containment="memo entries are keyed by (credential identity, "
+    "path): carol's first scan of a file alice just warmed is a memo miss "
+    "(counter delta, not timing), so the memo says nothing about who read "
+    "what recently",
+)
+def decode_memo_cross_principal(gauntlet: Any) -> AttackResult:
+    """Carol scans a file alice has just read twice, watching the memo's
+    hit counter for alice's warm entry."""
+    run = next(_RUNS)
+    _fresh_probe_file(gauntlet)
+    for value in (run, run + 0.5):
+        _warm(gauntlet, "alice", f"SELECT id, note FROM {_PROBE} WHERE id > -{value}")
+    before = _memo_stats(gauntlet)
+    _warm(gauntlet, "alice", f"SELECT id, note FROM {_PROBE} WHERE id > -{run}.25")
+    after = _memo_stats(gauntlet)
+    if after["hits"] == before["hits"]:
+        return contained("alice's rescan never hit the memo (scans decode elsewhere)")
+    text = f"SELECT id, note FROM {_PROBE} WHERE id > -{run}.75"
+    try:
+        rows = gauntlet.client_for("carol").sql(text).collect()
+    except LakeguardError as exc:
+        return judge(exc, gauntlet.forbidden_tokens(), "carol's probe failed typed")
+    probed = _memo_stats(gauntlet)
+    if probed["hits"] != after["hits"]:
+        return leaked("carol's first scan hit alice's memo entry")
+    if probed["misses"] == after["misses"]:
+        return leaked("carol's first scan neither hit nor missed the memo")
+    return judge(rows, gauntlet.forbidden_tokens(), "carol's first scan missed the memo")

@@ -357,7 +357,8 @@ class GovernedDataSource:
                 batches = []
                 for data_file in task_files:
                     decoded = read_with_recovery(data_file, task_ctx, rng)
-                    # The decoded lists are fresh and owned by the batch.
+                    # The decoded lists may be the store memo's own: shared,
+                    # never mutated (batches are immutable to operators).
                     batches.append(ColumnBatch(schema, [decoded[n] for n in names]))
                 return batches
 

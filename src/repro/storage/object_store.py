@@ -21,10 +21,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 from repro.common.audit import AuditLog
 from repro.common.clock import Clock, SystemClock
+from repro.common.datacodec import decode_data_file
 from repro.errors import (
     CommitConflictError,
     CredentialError,
@@ -128,6 +129,120 @@ class ReplayedLogs:
             self._roots.pop(root, None)
 
 
+#: Most decoded values (list cells, summed over every partition) the memo
+#: of decoded columns holds before evicting least recently used entries. A
+#: cell is one small Python object, so this bounds the memo near 30–40 MB;
+#: the largest per-principal working set of the end-to-end workloads is
+#: ≈ 372 k cells.
+DECODED_CELLS_CAP = 1 << 20
+
+
+class DecodedColumns:
+    """Bounded memo of columns decoded from data files, per principal.
+
+    Data files are immutable, so a scan that reads one again would decode
+    the same bytes again. Every read still fetches the object through
+    :meth:`ObjectStore.get` with the caller's own credential first
+    (authorization, audit, byte accounting and fault injection unchanged);
+    only then is the memo consulted, and only to skip the decode:
+
+    - an entry holds the very ``bytes`` object it was decoded from, and
+      serves only a GET that returned that same object. An overwrite of the
+      path, or an injected corrupt read, returns other bytes and misses;
+    - entries are partitioned by the credential's identity, so another
+      principal's warm entry never makes a first read faster;
+    - entries hold raw pre-filter columns the caller was just authorized to
+      fetch whole, so they are not policy-epoch stamped: row filters and
+      masks run after the scan, as they do on a miss.
+
+    Columns decode lazily (a hit on some columns decodes only the missing
+    ones) and outside the lock; of two racing decodes the first insert wins.
+    The lists are handed out as they are — batches are immutable to
+    operators. Entries are dropped when a snapshot folds their file's
+    ``remove`` (:meth:`drop`), and evicted LRU past :data:`DECODED_CELLS_CAP`.
+    """
+
+    def __init__(self, max_cells: int = DECODED_CELLS_CAP):
+        self._max_cells = max_cells
+        self._lock = threading.Lock()
+        #: (identity, path) -> (blob, {column: values}), in LRU order.
+        self._entries: OrderedDict[tuple[str, str], tuple[bytes, dict[str, list]]] = (
+            OrderedDict()
+        )
+        #: path -> identities with an entry for it (what :meth:`drop` visits).
+        self._identities_of: dict[str, set[str]] = {}
+        self.cells = 0
+        self.hits = 0
+        self.misses = 0
+        self.drops = 0
+        self.evictions = 0
+
+    def columns(
+        self, identity: str, path: str, blob: bytes, columns: Sequence[str]
+    ) -> dict[str, list]:
+        """``columns`` of ``blob``, the object just read from ``path`` with
+        ``identity``'s credential, decoding only what the memo lacks."""
+        key = (identity, path)
+        with self._lock:
+            entry = self._entries.get(key)
+            cached = entry[1] if entry is not None and entry[0] is blob else {}
+            missing = [name for name in columns if name not in cached]
+            if not missing:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return {name: cached[name] for name in columns}
+            self.misses += 1
+        decoded = decode_data_file(blob, missing, f"data file '{path}'")
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] is not blob:
+                self._forget(key)
+                entry = (blob, {})
+                self._entries[key] = entry
+                self._identities_of.setdefault(path, set()).add(identity)
+            self._entries.move_to_end(key)
+            held = entry[1]
+            for name, values in (*cached.items(), *decoded.items()):
+                if name not in held:
+                    held[name] = values
+                    self.cells += len(values)
+            out = {name: held[name] for name in columns}
+            while self.cells > self._max_cells and self._entries:
+                self._forget(next(iter(self._entries)))
+                self.evictions += 1
+            return out
+
+    def drop(self, path: str) -> None:
+        """Forget ``path`` in every partition (its file left the table)."""
+        with self._lock:
+            for identity in tuple(self._identities_of.get(path, ())):
+                self._forget((identity, path))
+                self.drops += 1
+
+    def _forget(self, key: tuple[str, str]) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        self.cells -= sum(len(values) for values in entry[1].values())
+        identities = self._identities_of[key[1]]
+        identities.discard(key[0])
+        if not identities:
+            del self._identities_of[key[1]]
+
+    def stats_snapshot(self) -> dict[str, Any]:
+        """Counters + size for ``system.access.cache_stats`` (admin-only:
+        the counts reveal who read what recently)."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "drops": self.drops,
+                "evictions": self.evictions,
+                "entries": len(self._entries),
+                "cells": self.cells,
+            }
+
+
 class ObjectStore:
     """In-memory blob store with per-operation credential checks."""
 
@@ -164,6 +279,8 @@ class ObjectStore:
         self.stats = StorageStats()
         #: Replayed commit-log state shared by every table-format client.
         self.replayed_logs = ReplayedLogs()
+        #: Columns decoded from data files, per principal (table-format reads).
+        self.decoded = DecodedColumns()
 
     @property
     def clock(self) -> Clock:

@@ -356,9 +356,12 @@ class LakeTableStorage:
         replayed.remember(self.root, target, snapshot)
         return snapshot
 
-    @staticmethod
-    def _fold(commit: dict, live: dict[str, DataFile]) -> tuple[str, ...]:
-        """Apply one commit's actions to ``live``; returns its column names."""
+    def _fold(self, commit: dict, live: dict[str, DataFile]) -> tuple[str, ...]:
+        """Apply one commit's actions to ``live``; returns its column names.
+
+        A removed file's decoded columns leave the store's memo here, in
+        every principal's partition: the file is superseded, and keeping
+        them would grow the memo by one table version per write."""
         for action in commit["actions"]:
             if "add" in action:
                 live[action["add"]] = DataFile(
@@ -368,6 +371,7 @@ class LakeTableStorage:
                 )
             elif "remove" in action:
                 live.pop(action["remove"], None)
+                self._store.decoded.drop(action["remove"])
         return tuple(commit["columns"])
 
     def _delete_log_entry(self, version: int, credential: StorageCredential) -> None:
@@ -441,13 +445,23 @@ class LakeTableStorage:
         """Fetch one data file whole (object-level access: all bytes or
         none) and decode ``columns`` of it (default: every column).
 
+        The GET always runs, with ``credential``; named columns then come
+        from the store's per-principal memo (:class:`~repro.storage
+        .object_store.DecodedColumns`) when it decoded these very bytes for
+        this identity before. Whole-file reads (``columns=None``: the write
+        path, about to supersede the file) bypass it.
+
         A blob that fails to decode raises
         :class:`~repro.errors.CorruptObjectError` — retryable, because a
         corrupt read models a mangled response, not mangled storage; the
         scan-task recovery path re-reads it.
         """
         blob = self._store.get(data_file.path, credential)
-        return decode_data_file(blob, columns, f"data file '{data_file.path}'")
+        if columns is None:
+            return decode_data_file(blob, None, f"data file '{data_file.path}'")
+        return self._store.decoded.columns(
+            credential.identity, data_file.path, blob, columns
+        )
 
     def read_raw(
         self, data_file: DataFile, credential: StorageCredential

@@ -188,7 +188,8 @@ class DecodedColumns:
             cached = entry[1] if entry is not None and entry[0] is blob else {}
             missing = [name for name in columns if name not in cached]
             if not missing:
-                self._entries.move_to_end(key)
+                if key in self._entries:  # no entry: no columns were asked for
+                    self._entries.move_to_end(key)
                 self.hits += 1
                 return {name: cached[name] for name in columns}
             self.misses += 1

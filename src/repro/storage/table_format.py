@@ -448,8 +448,8 @@ class LakeTableStorage:
         The GET always runs, with ``credential``; named columns then come
         from the store's per-principal memo (:class:`~repro.storage
         .object_store.DecodedColumns`) when it decoded these very bytes for
-        this identity before. Whole-file reads (``columns=None``: the write
-        path, about to supersede the file) bypass it.
+        this identity before. Whole-file reads (``columns=None``: a commit
+        about to supersede the file) bypass it.
 
         A blob that fails to decode raises
         :class:`~repro.errors.CorruptObjectError` — retryable, because a
@@ -479,13 +479,8 @@ class LakeTableStorage:
     def read_all(
         self, credential: StorageCredential, version: int | None = None
     ) -> dict[str, list]:
-        """Resolve ``version`` and read it whole (test helper)."""
-        return self.read_snapshot(self.snapshot(credential, version), credential)
-
-    def read_snapshot(
-        self, snapshot: TableSnapshot, credential: StorageCredential
-    ) -> dict[str, list]:
-        """Concatenate every live file of ``snapshot`` into one column dict."""
+        """Resolve ``version`` and concatenate its live files (test helper)."""
+        snapshot = self.snapshot(credential, version)
         out: dict[str, list] = {name: [] for name in snapshot.column_names}
         for data_file in snapshot.files:
             chunk = self.read_file(data_file, credential)

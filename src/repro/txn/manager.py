@@ -9,7 +9,9 @@ format's atomic commit primitive:
   live tip.
 - **Optimistic concurrency.** Statements stage :mod:`~repro.txn.writes` ops
   without touching storage. At commit, each table's ops are materialized
-  into new data files and published with one atomic
+  into new data files — a read-dependent commit rewrites only the files
+  holding a row some op touches (:func:`~repro.txn.writes.rewrite_files`)
+  — and published with one atomic
   :meth:`~repro.storage.table_format.LakeTableStorage.commit_version` call.
   A *read-dependent* transaction (UPDATE/DELETE/MERGE) whose table advanced
   past its pin aborts with :class:`~repro.errors.CommitConflictError`;
@@ -35,7 +37,7 @@ commits them one at a time; atomicity is per table, as in Delta Lake.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.catalog.privileges import MODIFY, UserContext
 from repro.catalog.system_tables import TXN_STATS
@@ -69,11 +71,12 @@ from repro.txn.writes import (
     eval_context_for,
     qualified_schema,
     referenced_columns,
+    rewrite_files,
 )
 
 if TYPE_CHECKING:
     from repro.catalog.metastore import UnityCatalog
-    from repro.storage.table_format import LakeTableStorage, TableSnapshot
+    from repro.storage.table_format import DataFile, LakeTableStorage, TableSnapshot
 
 #: Bounded retries absorbing injected/transient faults around each commit
 #: step (conflict check, file staging, the commit itself).
@@ -105,6 +108,8 @@ class TransactionManager:
             "retries": 0,
             "files_staged": 0,
             "files_discarded": 0,
+            "files_rewritten": 0,
+            "files_kept": 0,
             "recovered_commits": 0,
             "orphans_swept": 0,
         }
@@ -482,13 +487,20 @@ class Transaction:
         credential: Any,
         staged_paths: list[str],
     ) -> None:
-        base = self._absorb(
-            lambda: storage.read_snapshot(pin, credential),
-            retry_on=(RetryableError,),
+        def read(data_file: "DataFile", columns: Sequence[str] | None) -> dict[str, list]:
+            return self._absorb(
+                lambda: storage.read_file(data_file, credential, columns),
+                retry_on=(RetryableError,),
+            )
+
+        rewrite = rewrite_files(
+            pin.files, read, staged, eval_context_for(self.ctx),
+            self._manager.compiler,
         )
-        data_file = self._stage_file(
-            storage, self._materialize(base, staged), credential, staged_paths
-        )
+        added = [
+            self._stage_file(storage, chunk, credential, staged_paths)
+            for chunk in rewrite.chunks
+        ]
 
         def attempt() -> None:
             self._fire("txn.conflict_check")
@@ -503,11 +515,11 @@ class Transaction:
                     f"is now at {latest}"
                 )
             self._fire("txn.commit")
-            actions = [{"remove": f.path} for f in pin.files]
-            actions.append(
-                {"add": data_file.path, "rows": data_file.num_rows,
-                 "bytes": data_file.size_bytes}
-            )
+            actions = [{"remove": f.path} for f in rewrite.removed]
+            actions += [
+                {"add": f.path, "rows": f.num_rows, "bytes": f.size_bytes}
+                for f in added
+            ]
             storage.commit_version(
                 pin.version + 1, actions, list(staged.schema.names), credential
             )
@@ -516,6 +528,8 @@ class Transaction:
         # and aborts the transaction (only re-running the body can fix it).
         self._absorb(attempt)
         staged_paths.clear()
+        self._manager._count("files_rewritten", len(rewrite.removed))
+        self._manager._count("files_kept", len(pin.files) - len(rewrite.removed))
 
     def _commit_blind_insert(
         self,
@@ -527,7 +541,10 @@ class Transaction:
         names = list(staged.schema.names)
         data_file = self._stage_file(
             storage,
-            self._materialize({name: [] for name in names}, staged),
+            apply_ops(
+                {name: [] for name in names}, staged,
+                eval_context_for(self.ctx), self._manager.compiler,
+            ),
             credential,
             staged_paths,
         )
@@ -554,13 +571,6 @@ class Transaction:
                       CommitConflictError),
         )
         staged_paths.clear()
-
-    def _materialize(
-        self, base: dict[str, list], staged: StagedWrite
-    ) -> dict[str, list]:
-        return apply_ops(
-            base, staged, eval_context_for(self.ctx), self._manager.compiler
-        )
 
     def _stage_file(
         self,

@@ -2,9 +2,10 @@
 
 A transaction never mutates table bytes while statements execute; each
 INSERT / UPDATE / DELETE / MERGE is checked against fine-grained governance
-*at staging time* and recorded as a :class:`WriteOp`. At commit, the
-transaction manager reads the pinned base snapshot and calls
-:func:`apply_ops` to fold the staged ops into the result row set.
+*at staging time* and recorded as a :class:`WriteOp`. At commit,
+:func:`rewrite_files` picks the pinned snapshot's data files that some op
+touches and calls :func:`apply_ops` to fold the staged ops into their rows;
+every other file is kept as it is.
 
 Write-side FGAC rules (enforced by :func:`check_write`):
 
@@ -44,6 +45,12 @@ from repro.errors import AnalysisError, TransactionAbortedError, WriteDeniedErro
 
 if TYPE_CHECKING:
     from repro.catalog.metastore import UnityCatalog
+    from repro.storage.table_format import DataFile
+
+#: Row bound of every data file a read-dependent commit writes. Live files
+#: under half of it are folded into any commit that rewrites files, so
+#: blind-insert files do not pile up.
+TARGET_FILE_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +457,91 @@ def _apply_merge(
             inserted = ev.project(op.insert_values, source.take(fresh))
             for col, values in zip(columns, inserted):
                 col.extend(values)
+
+
+# ---------------------------------------------------------------------------
+# File-granular copy-on-write
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FileRewrite:
+    """What one read-dependent commit replaces: ``removed`` files give way
+    to new files holding ``chunks`` (at most :data:`TARGET_FILE_ROWS` rows
+    each); every other live file is kept, path and bytes."""
+
+    removed: list["DataFile"]
+    chunks: list[dict[str, list]]
+
+
+def rewrite_files(
+    files: Sequence["DataFile"],
+    read: Callable[["DataFile", Sequence[str] | None], dict[str, list]],
+    staged: StagedWrite,
+    eval_ctx: EvalContext,
+    compiler: KernelCompiler | None = None,
+) -> FileRewrite:
+    """Fold ``staged`` into just the live ``files`` it touches.
+
+    ``read(file, columns)`` returns the named columns of one file (every
+    column for ``None``). Each file is probed on the columns the row filter
+    and the UPDATE / DELETE predicates reference — row filter first, WHERE
+    only over the rows it admits — and joins the working set, read whole,
+    only when some op matches a row there the writer can see. A file no op
+    matches is left untouched by every op, so probing the base bytes for
+    all ops at once is exact. MERGE touches every file: its ambiguity check
+    and its not-matched inserts depend on the whole table.
+    """
+    ev = _Evaluator(eval_ctx, compiler)
+    schema = staged.schema
+    if any(isinstance(op, MergeOp) for op in staged.ops):
+        touched = set(files)
+    else:
+        wheres = [op.where for op in staged.ops if not isinstance(op, InsertOp)]
+        needed = _references(w for w in [staged.row_filter, *wheres] if w is not None)
+        probe = [schema.names[i] for i in sorted(needed)]
+        matches = [None if w is None else ev.predicate(w) for w in wheres]
+        touched = {
+            f for f in files if f.num_rows
+            and _touches(read(f, probe), f.num_rows, staged, needed, matches, ev)
+        }
+    writes = touched or any(isinstance(op, (InsertOp, MergeOp)) for op in staged.ops)
+    removed = [
+        f for f in files if f in touched or f.num_rows < TARGET_FILE_ROWS // 2
+    ] if writes else []
+    base: dict[str, list] = {name: [] for name in schema.names}
+    for f in removed:
+        columns = read(f, None)
+        for name, values in base.items():
+            values.extend(columns[name])
+    result = apply_ops(base, staged, eval_ctx, compiler)
+    return FileRewrite(removed, [
+        {name: values[lo:lo + TARGET_FILE_ROWS] for name, values in result.items()}
+        for lo in range(0, len(result[schema.names[0]]), TARGET_FILE_ROWS)
+    ])
+
+
+def _touches(
+    probed: dict[str, list],
+    num_rows: int,
+    staged: StagedWrite,
+    needed: set[int],
+    matches: list[Callable[[ColumnBatch], list] | None],
+    ev: _Evaluator,
+) -> bool:
+    """Does some UPDATE / DELETE match a row of one file the writer can see?
+
+    ``probed`` holds the ``needed`` columns only; the others share a NULL
+    filler. ``matches`` has one predicate per op (``None``: no WHERE), each
+    evaluated only over the rows the row filter admits.
+    """
+    filler = [None] * num_rows
+    columns = [probed.get(name, filler) for name in staged.schema.names]
+    rows = _visible_rows(columns, staged, ev)
+    if rows is not None and not rows:
+        return False
+    visible = _gather(columns, staged.schema, rows, needed)
+    return any(match is None or any(match(visible)) for match in matches)
 
 
 def eval_context_for(ctx: UserContext) -> EvalContext:

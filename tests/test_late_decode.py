@@ -122,7 +122,7 @@ class TestDataFileCodec:
 
 #: The one module under the guarded directories still allowed a code
 #: decoder: persisted secure plans (cloudpickle) and memory-pinned
-#: credentials in ``store/artifacts.py`` — ROADMAP 2(b)'s site.
+#: credentials in ``store/artifacts.py`` — ROADMAP 3's site.
 _ARTIFACTS = "store/artifacts.py"
 
 

@@ -262,18 +262,24 @@ class TestPolicyBeforeUserCode:
         ).collect() == [("US",), ("EU",), ("US",)]
         assert calls == []
 
+    @pytest.mark.parametrize("files", ["one", "several"])
     @pytest.mark.parametrize("leg", ["compiled", "compile-refused"])
     def test_write_expressions_see_only_rows_the_row_filter_admits(
-        self, leg, workspace, standard_cluster, admin_client, monkeypatch
+        self, leg, files, workspace, standard_cluster, admin_client, monkeypatch
     ):
         """The write leg: commit materialization runs the row filter first
         and WHERE / SET / MERGE ON / matched assignments only over the rows
         it admits. A recording node (opaque to the compiler, so it sees
         exactly the batch the materializer hands it) proves zero evaluations
-        on hidden rows — through kernels and through the interpreter."""
+        on hidden rows — through kernels and through the interpreter.
+
+        ``several``: UPDATE / DELETE only, over a table whose extra files
+        are all above the fold size, so the commit probes files it then
+        leaves alone — the probe, too, filters before WHERE runs."""
         from repro.engine import expressions as ex
         from repro.engine.compile import KernelCompiler
         from repro.engine.types import INT, Field, Schema
+        from repro.txn.writes import TARGET_FILE_ROWS
 
         recorded = []
 
@@ -297,16 +303,51 @@ class TestPolicyBeforeUserCode:
             monkeypatch.setattr(
                 KernelCompiler, "compile_projection", lambda self, exprs: None
             )
-        manager = workspace.catalog.txn_manager
-        alice = workspace.catalog.principals.context_for("alice")
+        catalog = workspace.catalog
+        manager = catalog.txn_manager
+        alice = catalog.principals.context_for("alice")
         region = Recording(ex.col("region"))
         visible = ex.Comparison("!=", region, ex.lit("nowhere"))
         source_schema = Schema((Field("k", INT),))
+        update = {"amount": ex.Arithmetic(
+            "+", ex.col("amount"), ex.FunctionCall("length", (region,))
+        )}
+
+        if files == "several":
+            size = TARGET_FILE_ROWS // 2 + 10
+            admin = catalog.principals.context_for("admin")
+            for first, regions in ((100, ["EU"]), (3000, ["US", "APAC"]), (6000, ["APAC"])):
+                catalog.write_table(orders, {
+                    "id": list(range(first, first + size)),
+                    "region": [regions[i % len(regions)] for i in range(size)],
+                    "amount": [1.0] * size,
+                    "buyer": ["b"] * size,
+                }, admin)
+            storage = catalog.table_storage(catalog.get_table(orders))
+            before = storage.snapshot(catalog._service_credential).files
+
+            def body(txn):
+                txn.update(orders, update, visible)
+                txn.delete(orders, ex.Comparison("=", region, ex.lit("EU")))
+
+            manager.run(alice, body)
+            assert recorded and set(recorded) == {"US"}
+            after = storage.snapshot(catalog._service_credential).files
+            # The EU-only and APAC-only files were probed and kept as they are.
+            assert set(before) - set(after) == {before[0], before[2]}
+            assert {before[1], before[3]} <= set(after)
+            admin_client.sql(f"ALTER TABLE {orders} DROP ROW FILTER")
+            assert sorted(admin_client.sql(
+                f"SELECT region, count(*), sum(amount) FROM {orders} GROUP BY region"
+            ).collect()) == [
+                ("APAC", 1 + size + size // 2, 40.0 + size + size // 2),
+                ("EU", 1 + size, 20.0 + size),
+                ("US", 2 + size // 2, 44.0 + 3.0 * (size // 2)),
+            ]
+            return
 
         def body(txn):
-            txn.update(orders, {"amount": ex.Arithmetic(
-                "+", ex.col("amount"), ex.FunctionCall("length", (region,))
-            )}, visible)
+            txn.update(orders, update, visible)
             txn.merge(
                 orders, "t", source_schema, {"k": [1, 2, 3, 4]}, "s",
                 ex.BooleanOp(

@@ -10,6 +10,8 @@ wire codec round-trip of the three new error classes.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.common.clock import VirtualClock
@@ -23,6 +25,7 @@ from repro.errors import (
 from repro.platform import Workspace
 from repro.storage import CredentialVendor, ObjectStore
 from repro.storage.credentials import DELETE, LIST, READ, WRITE
+from repro.txn.writes import TARGET_FILE_ROWS
 
 ORDERS = "main.sales.orders"
 
@@ -285,6 +288,16 @@ class TestTxnStatsTable:
         assert stats[("txn[manager]", "begun")] >= 1.0
         assert stats[("txn[manager]", "committed")] >= 1.0
         assert stats[("txn[manager]", "files_staged")] >= 1.0
+        # Both live files are under the fold size: the UPDATE rewrites them.
+        admin.sql(f"UPDATE {ORDERS} SET amount = 6.0 WHERE id = 5")
+        stats = {
+            (r[0], r[1]): r[2]
+            for r in admin.sql(
+                "SELECT * FROM system.access.txn_stats"
+            ).collect()
+        }
+        assert stats[("txn[manager]", "files_rewritten")] == 2.0
+        assert stats[("txn[manager]", "files_kept")] == 0.0
 
     def test_non_admin_denied(self, workspace, cluster, admin):
         from repro.errors import PermissionDenied
@@ -295,6 +308,61 @@ class TestTxnStatsTable:
         alice = cluster.connect("alice")
         with pytest.raises(PermissionDenied):
             alice.sql("SELECT * FROM system.access.txn_stats").collect()
+
+
+class TestFileGranularCommits:
+    def test_update_matching_only_hidden_rows_rewrites_no_file(
+        self, workspace, cluster, admin
+    ):
+        catalog = workspace.catalog
+        size = TARGET_FILE_ROWS + 100
+        catalog.write_table(ORDERS, {
+            "id": list(range(100, 100 + size)),
+            "region": ["US", "EU"] * (size // 2),
+            "amount": [1.0] * size,
+        }, catalog.principals.context_for("admin"))
+        for grant in (
+            "USE CATALOG ON main", "USE SCHEMA ON main.sales",
+            f"SELECT ON {ORDERS}", f"MODIFY ON {ORDERS}",
+        ):
+            admin.sql(f"GRANT {grant} TO analysts")
+        admin.sql(f"ALTER TABLE {ORDERS} SET ROW FILTER (region = 'US')")
+        table = catalog.get_table(ORDERS)
+        storage = catalog.table_storage(table)
+        cred = catalog._service_credential
+        before = storage.snapshot(cred)
+        staged = catalog.txn_manager.stats_snapshot()["files_staged"]
+
+        cluster.connect("alice").sql(
+            f"UPDATE {ORDERS} SET amount = 0.0 WHERE region = 'EU'"
+        )
+        after = storage.snapshot(cred)
+        assert after.version == before.version + 1  # still one commit
+        commit = json.loads(catalog.store.get(
+            f"{table.storage_root}/_txn_log/{after.version:010d}.json", cred
+        ))
+        assert commit["actions"] == []
+        assert after.files == before.files
+        stats = catalog.txn_manager.stats_snapshot()
+        assert stats["files_staged"] == staged
+        assert stats["files_rewritten"] == 0
+        assert stats["files_kept"] == len(before.files) == 2
+
+        # A visible match rewrites only its own file, in bounded files, and
+        # folds the small one beside it.
+        cluster.connect("alice").sql(
+            f"UPDATE {ORDERS} SET amount = 2.0 WHERE id = 100"
+        )
+        final = storage.snapshot(cred)
+        commit = json.loads(catalog.store.get(
+            f"{table.storage_root}/_txn_log/{final.version:010d}.json", cred
+        ))
+        assert {a["remove"] for a in commit["actions"] if "remove" in a} == {
+            f.path for f in before.files
+        }
+        assert [a["rows"] for a in commit["actions"] if "add" in a] == [
+            TARGET_FILE_ROWS, size + 3 - TARGET_FILE_ROWS
+        ]
 
 
 class TestErrorCodecRoundTrip:

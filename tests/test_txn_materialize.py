@@ -4,7 +4,10 @@
    row-at-a-time reference model that lives only here: random sequences of
    insert / update / delete / merge, with and without a row filter, NULLs in
    predicates and keys, ops that see rows produced by earlier ops, on the
-   compiled leg and on the compile-refused (interpreter) leg.
+   compiled leg and on the compile-refused (interpreter) leg. The same
+   model checks whole commits over tables split into files of every size
+   class: rows kept + rows rewritten ≡ the model, new files bounded, and
+   files with no writer-visible match kept by path.
 2. Incremental snapshot resolution (:meth:`LakeTableStorage.snapshot` over
    :class:`~repro.storage.object_store.ReplayedLogs`) against a full replay
    of the log, over random commit histories with time travel, torn tips,
@@ -18,6 +21,7 @@ import json
 import re
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +39,7 @@ from repro.txn.writes import (
     DeleteOp,
     InsertOp,
     MergeOp,
+    TARGET_FILE_ROWS,
     StagedWrite,
     UpdateOp,
     apply_ops,
@@ -54,17 +59,38 @@ COMBINED = combined_schema(qualified_schema(TARGET, "t"), qualified_schema(SOURC
 # ---------------------------------------------------------------------------
 
 
-def _one(expr, schema, row):
+def _eval_one(expr, schema, row):
     return expr.eval(ColumnBatch.from_rows(schema, [row]), CTX)[0]
 
 
-def reference_apply(rows, staged):
-    rows, schema = [list(r) for r in rows], staged.schema
+class RowModel:
+    """Row-at-a-time evaluation, each distinct ``(expression, row)`` once.
 
-    def touchable(row, where):
-        if staged.row_filter is not None and not _one(staged.row_filter, schema, row):
+    Expressions are deterministic, so the memo only saves time on tables
+    that repeat rows; a model lives no longer than the ops it evaluates."""
+
+    def __init__(self, staged):
+        self.staged, self._memo = staged, {}
+
+    def one(self, expr, schema, row):
+        key = (id(expr), tuple(row))
+        if key not in self._memo:
+            self._memo[key] = _eval_one(expr, schema, row)
+        return self._memo[key]
+
+    def touchable(self, row, where):
+        staged = self.staged
+        if staged.row_filter is not None and not self.one(
+            staged.row_filter, staged.schema, row
+        ):
             return False
-        return where is None or bool(_one(where, schema, row))
+        return where is None or bool(self.one(where, staged.schema, row))
+
+
+def reference_apply(rows, staged, model=None):
+    rows, schema = [list(r) for r in rows], staged.schema
+    model = model or RowModel(staged)
+    _one, touchable = model.one, model.touchable
     def assign(row, assignments, scope_schema, scope_row):
         new = {c: _one(e, scope_schema, scope_row) for c, e in assignments.items()}
         for column, value in new.items():
@@ -302,6 +328,141 @@ class TestMaterializerMatchesTheRowModel:
         assert compiler.cache.stats.insertions == 3  # filter, WHERE, SET
         apply_ops(base, staged, CTX, compiler)
         assert compiler.cache.stats.hits == 3
+
+
+# ---------------------------------------------------------------------------
+# File-granular commits over random file splits
+# ---------------------------------------------------------------------------
+
+#: Below the fold size, at it, between it and the bound, and above the bound.
+FILE_SIZES = (
+    0, 1, 5, TARGET_FILE_ROWS // 2 - 1, TARGET_FILE_ROWS // 2, 1500,
+    TARGET_FILE_ROWS + 1, 2600,
+)
+#: Each file repeats one to three template rows, so a file often holds no
+#: row some predicate matches — the files a commit must leave alone.
+split_files = st.lists(
+    st.tuples(
+        st.sampled_from(FILE_SIZES),
+        st.lists(st.tuples(nullable_small, groups, nullable_small), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda specs: [[rows[i % len(rows)] for i in range(n)] for n, rows in specs])
+
+
+def _stage(txn, table, op):
+    """Stage a pre-bound op through the transaction's governed API."""
+    if isinstance(op, InsertOp):
+        txn.insert(table, op.rows)
+    elif isinstance(op, UpdateOp):
+        txn.update(table, op.assignments, op.where)
+    elif isinstance(op, DeleteOp):
+        txn.delete(table, op.where)
+    else:
+        txn.merge(
+            table, "t", op.source_schema, op.source_columns, "s", op.on,
+            op.matched_assignments, op.matched_delete, op.insert_values,
+        )
+
+
+class TestFileGranularCommitsMatchTheRowModel:
+    """The whole commit path — probe, working set, re-chunking, log actions
+    — over tables split into files of every size class. Commits run under
+    an ambient query context, so an environment-armed chaos schedule
+    injects ``storage.get`` / ``txn.*`` faults into them."""
+
+    _workspace = None
+    _tables = 0
+
+    @classmethod
+    def workspace(cls):
+        from repro.platform import Workspace
+
+        if cls._workspace is None:
+            ws = Workspace()
+            ws.add_user("admin", admin=True)
+            ws.catalog.create_catalog("main", owner="admin")
+            ws.catalog.create_schema("main.s", owner="admin")
+            cls._workspace = ws
+        return cls._workspace
+
+    @classmethod
+    def teardown_class(cls):
+        if cls._workspace is not None:
+            cls._workspace.shutdown()
+            cls._workspace = None
+
+    def _commit(self, files, row_filter, staged_ops, compiler):
+        """Commit ``staged_ops`` over a fresh table holding ``files``;
+        returns (live files before, after, outcome)."""
+        from repro.catalog.policies import RowFilter
+        from repro.common.context import QueryContext
+
+        ws = self.workspace()
+        catalog, cls = ws.catalog, type(self)
+        cls._tables += 1
+        table = f"main.s.t{cls._tables}"
+        admin = catalog.principals.context_for("admin")
+        catalog.create_table(table, TARGET, owner="admin")
+        for rows in files:
+            catalog.write_table(
+                table, {n: [r[i] for r in rows] for i, n in enumerate(TARGET.names)}, admin
+            )
+        if row_filter is not None:
+            catalog.set_row_filter(table, RowFilter(table, row_filter, "admin"), admin)
+        storage = catalog.table_storage(catalog.get_table(table))
+        before = storage.snapshot(catalog._service_credential).files
+        manager = catalog.txn_manager
+        manager.compiler = compiler
+        outcome = "committed"
+        try:
+            with QueryContext.create("admin", telemetry=catalog.telemetry).activate():
+                manager.run(admin, lambda txn: [_stage(txn, table, op) for op in staged_ops])
+        except TransactionAbortedError:
+            outcome = "aborted"
+        after = storage.snapshot(catalog._service_credential).files
+        read = {
+            f.path: [tuple(r) for r in zip(*storage.read_file(
+                f, catalog._service_credential
+            ).values())]
+            for f in after
+        }
+        return before, after, read, outcome
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=split_files, row_filter=row_filters, staged_ops=st.lists(ops, min_size=1, max_size=3))
+    def test_random_splits_and_op_sequences(self, files, row_filter, staged_ops):
+        staged = StagedWrite(
+            "t", TARGET, None if row_filter is None else _bound(row_filter), staged_ops
+        )
+        model = RowModel(staged)
+        base = [row for rows in files for row in rows]
+        expected = _outcome(lambda: reference_apply(base, staged, model))
+        merges = any(isinstance(op, MergeOp) for op in staged_ops)
+        for compiler in (KernelCompiler(), None):
+            before, after, read, outcome = self._commit(
+                files, row_filter, staged_ops, compiler
+            )
+            leg = "compiled" if compiler else "refused"
+            if expected == "aborted":
+                assert outcome == "aborted" and after == before, leg
+                continue
+            assert outcome == "committed", leg
+            got = [row for f in after for row in read[f.path]]
+            assert Counter(got) == Counter(map(tuple, expected)), leg
+            kept = set(before) & set(after)
+            assert all(f.num_rows <= TARGET_FILE_ROWS for f in set(after) - kept), leg
+            for f, rows in zip(before, files):
+                matched = merges or any(
+                    model.touchable(row, op.where)
+                    for op in staged_ops if isinstance(op, (UpdateOp, DeleteOp))
+                    for row in rows
+                )
+                if matched and rows:
+                    assert f not in kept, (leg, f.num_rows)
+                elif f.num_rows >= TARGET_FILE_ROWS // 2:
+                    assert f in kept, (leg, f.num_rows)
 
 
 def test_the_row_at_a_time_materializer_is_gone_from_src():

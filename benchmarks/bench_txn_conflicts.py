@@ -16,9 +16,9 @@ seeded 1% chaos schedule fires on the transaction fault points
 - **full accounting** — every transaction either committed or cleanly
   aborted (``begun == committed + aborted`` in ``txn_stats``).
 
-Configurations: thread backend chaos-off, thread chaos-on, process backend
-chaos-on — the final state must be identical across all of them. A
-conflict-rate ablation (2 vs 8 agents) rides the chaos-off configuration.
+Configurations: chaos-off and chaos-on — the final state must be identical
+across both. A conflict-rate ablation (2 vs 8 agents) rides the chaos-off
+configuration.
 
 Emits ``BENCH_txn_conflicts.json``.
 """
@@ -52,7 +52,7 @@ LOCKED_SLOT, LOCKED_VALUE = 99, 424242
 RESULTS: dict = {}
 
 
-def build_counter_workspace(worker_backend: str | None):
+def build_counter_workspace():
     """A governed counter table with 8 agent users confined by row filter."""
     ws = Workspace()
     ws.add_user("admin", admin=True)
@@ -63,9 +63,7 @@ def build_counter_workspace(worker_backend: str | None):
     ws.add_group("agents", agent_names)
     ws.catalog.create_catalog("m", owner="admin")
     ws.catalog.create_schema("m.s", owner="admin")
-    cluster = ws.create_standard_cluster(
-        name="txn-bench", worker_backend=worker_backend
-    )
+    cluster = ws.create_standard_cluster(name="txn-bench")
     admin = cluster.connect("admin")
     admin.sql(f"CREATE TABLE {COUNTERS} (slot int, value int)")
     admin.sql(
@@ -176,11 +174,9 @@ def make_policy_probe(cluster):
     return probe
 
 
-def run_configuration(
-    worker_backend: str | None, chaos: bool, agents: int = AGENTS
-) -> dict:
+def run_configuration(chaos: bool, agents: int = AGENTS) -> dict:
     """Run the full agent fleet once; returns the config's scorecard."""
-    ws, cluster, admin = build_counter_workspace(worker_backend)
+    ws, cluster, admin = build_counter_workspace()
     try:
         if chaos:
             arm_chaos(ws)
@@ -209,7 +205,6 @@ def run_configuration(
         )
         stats = ws.catalog.txn_manager.stats_snapshot()
         card = {
-            "worker_backend": worker_backend or "default",
             "chaos": chaos,
             "agents": agents,
             "increments_per_agent": INCREMENTS,
@@ -243,31 +238,23 @@ def _assert_clean(card: dict) -> None:
     assert card["unaccounted_txns"] == 0, card
 
 
-def test_thread_backend_chaos_off():
-    card = run_configuration("thread", chaos=False)
+def test_chaos_off():
+    card = run_configuration(chaos=False)
     _assert_clean(card)
-    RESULTS["thread_chaos_off"] = card
+    RESULTS["chaos_off"] = card
 
 
-def test_thread_backend_chaos_on():
-    card = run_configuration("thread", chaos=True)
+def test_chaos_on():
+    card = run_configuration(chaos=True)
     _assert_clean(card)
-    RESULTS["thread_chaos_on"] = card
-
-
-def test_process_backend_chaos_on():
-    card = run_configuration("process", chaos=True)
-    _assert_clean(card)
-    RESULTS["process_chaos_on"] = card
+    RESULTS["chaos_on"] = card
 
 
 def test_conflict_rate_ablation():
     """Contention ablation: conflicts per commit at 2 vs 8 agents."""
-    low = run_configuration("thread", chaos=False, agents=2)
+    low = run_configuration(chaos=False, agents=2)
     _assert_clean(low)
-    high = RESULTS.get("thread_chaos_off") or run_configuration(
-        "thread", chaos=False
-    )
+    high = RESULTS.get("chaos_off") or run_configuration(chaos=False)
     RESULTS["ablation"] = {
         "agents_2_conflicts_per_commit": round(
             low["txn_conflicts"] / max(1, low["txn_committed"]), 4
@@ -280,11 +267,7 @@ def test_conflict_rate_ablation():
 
 
 def test_final_state_identical_across_configurations():
-    configs = [
-        RESULTS.get("thread_chaos_off"),
-        RESULTS.get("thread_chaos_on"),
-        RESULTS.get("process_chaos_on"),
-    ]
+    configs = [RESULTS.get("chaos_off"), RESULTS.get("chaos_on")]
     configs = [c for c in configs if c]
     assert configs, "configuration tests must run first"
     finals = {(c["final_counter"], c["locked_row_value"]) for c in configs}

@@ -13,7 +13,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.engine.executor import default_worker_backend
 from repro.platform import Workspace
 
 
@@ -108,10 +107,8 @@ def write_bench_json(
     record = {
         "name": name,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        # Scaling numbers are meaningless without the host's core count and
-        # the execution backend the run actually used.
+        # Timings are meaningless without the host's core count.
         "cpu_count": os.cpu_count(),
-        "worker_backend": default_worker_backend(),
         "params": params,
         "phases": phases or [],
     }

@@ -10,9 +10,6 @@ credential-checked GET (a revoked credential never reaches it), a hit needs
 the very bytes the entry was decoded from (an overwrite at the same path
 misses), and entries are per principal (another tenant's warm entry is not
 a hit — judged by the memo's own counters, not by timing).
-
-On the process worker backend scans decode in the workers and never consult
-the memo; the scenarios still run there and must stay contained.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ class GauntletHarness:
 
     def __init__(
         self,
-        worker_backend: str | None = None,
         sandbox_backend: str = "inprocess",
         workload_slots: int = 8,
         sandbox_policy: Any = None,
@@ -86,7 +85,6 @@ class GauntletHarness:
         # defense-off ablation widens it to prove the gauntlet detects leaks.
         self.cluster = ws.create_standard_cluster(
             name="gauntlet",
-            worker_backend=worker_backend,
             workload_slots=workload_slots,
             result_cache_enabled=True,
             sandbox_policy=sandbox_policy,

@@ -87,7 +87,7 @@ def _judge_planted_read(
     layer="storage",
     technique="storage-tamper",
     expected_containment="data files decode column by column through the "
-    "data-only unpickler, in the driver and in process workers: a chunk "
+    "data-only unpickler: a chunk "
     "naming a global is a retryable CorruptObjectError before anything it "
     "names is resolved",
 )

@@ -3,8 +3,8 @@
 A pickle stream is a small program: its ``GLOBAL`` / ``STACK_GLOBAL`` /
 ``INST`` opcodes name any importable callable and ``REDUCE`` calls it, so
 ``pickle.loads`` on bytes someone else wrote runs code of *their* choosing
-in whoever decodes them. Every place the driver (or an engine worker, or a
-Connect client) decodes bytes it did not produce itself goes through
+in whoever decodes them. Every place the driver (or a Connect client)
+decodes bytes it did not produce itself goes through
 :class:`DataOnlyUnpickler`, which resolves no global at all: scalars,
 strings, bytes and the built-in containers decode, anything else is an
 :class:`pickle.UnpicklingError` before its callable is even looked up.
@@ -30,8 +30,7 @@ The boundaries that use it:
   user code (:mod:`repro.sandbox.subprocess_sandbox`; unpickler only);
 - table data files and eFGAC staged result parts read back from object
   storage, whose bytes anyone with write access to the bucket controls
-  (:mod:`repro.storage.table_format`, :mod:`repro.core.efgac`, in the
-  driver and in process workers);
+  (:mod:`repro.storage.table_format`, :mod:`repro.core.efgac`);
 - result-cache payloads read back from the spill directory
   (:mod:`repro.store.result_cache`);
 - Connect result frames, decoded by the client (:mod:`repro.connect.client`).

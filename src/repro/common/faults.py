@@ -45,9 +45,8 @@ ENV_CHAOS_RATE = "LAKEGUARD_CHAOS_RATE"
 ENV_CHAOS_SEED = "LAKEGUARD_CHAOS_SEED"
 
 #: Fault points the environment schedule arms (storage reads, sandbox
-#: invokes, pool-worker task execution, persistence-tier reads and
-#: writes, and the transactional write path — the paths the acceptance
-#: workload recovers on). Store faults are absorbed by the tiered store
+#: invokes, persistence-tier reads and writes, and the transactional write
+#: path — the paths the acceptance workload recovers on). Store faults are absorbed by the tiered store
 #: itself (a failed get is a miss, a failed put is a skipped write), and
 #: ``txn.*`` faults fire *before* their step touches state, so the
 #: transaction tier's bounded retries absorb them — arming any of these
@@ -55,7 +54,6 @@ ENV_CHAOS_SEED = "LAKEGUARD_CHAOS_SEED"
 ENV_CHAOS_POINTS = (
     "storage.get",
     "sandbox.invoke",
-    "worker.task",
     "store.get",
     "store.put",
     "txn.commit",
@@ -245,88 +243,6 @@ class FaultInjector:
                 FaultSpec(kind="raise", probability=rate, only_in_query=True),
             )
         return True
-
-    # -- schedule shipping (process workers) ----------------------------------
-
-    def export_schedule(self) -> dict[str, Any]:
-        """Snapshot the armed schedule in a picklable, process-safe form.
-
-        Ships the seed plus, per armed point, the spec fields, lifetime
-        call/trigger counters and the point RNG's exact state — so a worker
-        process rebuilt via :meth:`from_export` continues the *same*
-        deterministic trigger sequence the driver would have produced.
-        Callable fields (``error`` / ``corruptor``) are not shipped; workers
-        fall back to the default error/corruptor.
-        """
-        with self._lock:
-            points: dict[str, Any] = {}
-            for point, state in self._points.items():
-                spec = state.spec
-                points[point] = {
-                    "spec": {
-                        "kind": spec.kind,
-                        "probability": spec.probability,
-                        "every_nth": spec.every_nth,
-                        "after_calls": spec.after_calls,
-                        "one_shot": spec.one_shot,
-                        "max_triggers": spec.max_triggers,
-                        "latency_seconds": spec.latency_seconds,
-                        "hang_seconds": spec.hang_seconds,
-                        "only_in_query": spec.only_in_query,
-                        "cluster": spec.cluster,
-                    },
-                    "calls": state.calls,
-                    "triggered": state.triggered,
-                    "armed_triggered": state.armed_triggered,
-                    "rng_state": state.rng.getstate(),
-                }
-            return {"seed": self.seed, "points": points}
-
-    @classmethod
-    def from_export(
-        cls,
-        exported: dict[str, Any],
-        clock: Clock | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> "FaultInjector":
-        """Rebuild an injector from :meth:`export_schedule` output."""
-        injector = cls(clock=clock, telemetry=telemetry, seed=exported["seed"])
-        for point, entry in exported["points"].items():
-            spec = FaultSpec(**entry["spec"])
-            injector.arm(point, spec)
-            state = injector._points[point]
-            state.calls = entry["calls"]
-            state.triggered = entry["triggered"]
-            state.armed_triggered = entry["armed_triggered"]
-            state.rng.setstate(entry["rng_state"])
-        return injector
-
-    def merge_remote(self, deltas: dict[str, Any]) -> None:
-        """Fold a worker's fault-activity deltas back into this injector.
-
-        ``deltas`` maps point name to ``{"calls": n, "triggered": m}``
-        increments (plus an optional ``"recoveries"`` entry mapping recovery
-        names to counts). Merged counts show up in ``fault_stats`` so chaos
-        observability covers faults that fired inside worker processes.
-        """
-        with self._lock:
-            for point, entry in deltas.items():
-                if point == "recoveries":
-                    for name, count in entry.items():
-                        self._recoveries[name] = (
-                            self._recoveries.get(name, 0) + count
-                        )
-                    continue
-                state = self._points.get(point)
-                if state is not None:
-                    state.calls += entry.get("calls", 0)
-                    state.triggered += entry.get("triggered", 0)
-                else:
-                    hist = self._history.setdefault(
-                        point, {"calls": 0, "triggered": 0}
-                    )
-                    hist["calls"] += entry.get("calls", 0)
-                    hist["triggered"] += entry.get("triggered", 0)
 
     # -- the hot path ---------------------------------------------------------
 

@@ -28,7 +28,7 @@ _process_prefix = os.urandom(6).hex()
 
 
 def _redraw_process_prefix() -> None:
-    """A forked worker or sandbox must not mint its parent's ids again."""
+    """A forked child must not mint its parent's ids again."""
     global _process_prefix
     _process_prefix = os.urandom(6).hex()
 

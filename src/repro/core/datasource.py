@@ -239,19 +239,15 @@ class GovernedDataSource:
             self.stats.credentials_vended += 1
         return credential
 
-    def _scan_setup(
-        self, table: TableRef, eval_ctx: EvalContext
-    ) -> tuple[
-        TemporaryCredential,
-        _SharedCredential,
-        LakeTableStorage,
-        list[tuple[int, list[DataFile]]],
-    ]:
-        """Shared scan prologue: authenticate, vend, snapshot, assign tasks.
-
-        Both execution backends start here; they differ only in *where* the
-        bytes are deserialized and filtered afterwards.
-        """
+    def scan(
+        self,
+        table: TableRef,
+        eval_ctx: EvalContext,
+        columns: Sequence[int],
+    ) -> Iterator[ColumnBatch]:
+        """Batches of ``columns`` (positions in ``table.schema``) of every
+        live file, each file fetched whole under the scan's
+        vended credential and only those columns decoded."""
         ctx = eval_ctx.auth
         if not isinstance(ctx, UserContext):
             raise ExecutionError(
@@ -289,18 +285,7 @@ class GovernedDataSource:
         for i, data_file in enumerate(snapshot.files):
             assignments[i % self._num_executors].append(data_file)
         tasks = [(i, files) for i, files in enumerate(assignments) if files]
-        return credential, holder, storage, tasks
 
-    def scan(
-        self,
-        table: TableRef,
-        eval_ctx: EvalContext,
-        columns: Sequence[int],
-    ) -> Iterator[ColumnBatch]:
-        """Batches of ``columns`` (positions in ``table.schema``) of every
-        live file, each file fetched whole under the scan's
-        vended credential and only those columns decoded."""
-        credential, holder, storage, tasks = self._scan_setup(table, eval_ctx)
         batch_size = getattr(eval_ctx, "batch_size", 0)
         qctx: QueryContext | None = getattr(eval_ctx, "query_ctx", None)
         schema = table.schema.select(list(columns))
@@ -403,162 +388,10 @@ class GovernedDataSource:
         if not produced:
             yield ColumnBatch.empty(schema)
 
-    def scan_pipeline(
-        self,
-        table: TableRef,
-        eval_ctx: EvalContext,
-        spec: dict,
-        pool,
-        on_rows: Callable[[int], None],
-    ) -> Iterator[ColumnBatch]:
-        """Process-backend scan: per-file blobs travel raw into worker
-        processes over shared memory; decoding ``spec["columns"]``, the
-        scan's filter→select and an optional fused kernel run in-worker
-        (``spec`` carries them, see ``PhysScan.pooled_scan``).
-
-        The driver keeps everything governance- and recovery-critical from
-        :meth:`scan`: credential vending (including mid-query revends through
-        the shared holder), the actual storage reads (so the ``storage.get``
-        chaos point, latency simulation and byte accounting are unchanged),
-        bounded deadline-aware retries, and the
-        ``scan-task-*`` executor spans. A *retryable* failure reported by a
-        worker — corrupt blob, injected ``worker.task`` fault — is recovered
-        here by re-reading the object and resubmitting, matching the thread
-        path's re-read contract; ``on_rows`` receives each file's pre-filter
-        row count so driver metrics agree across backends.
-        """
-        credential, holder, storage, tasks = self._scan_setup(table, eval_ctx)
-        batch_size = getattr(eval_ctx, "batch_size", 0)
-        qctx: QueryContext | None = getattr(eval_ctx, "query_ctx", None)
-        out_schema = spec["out_schema"]
-        schema = table.schema.select(list(spec["columns"]))
-        kspec = None
-        if spec["kernel"] is not None:
-            kspec = pool.kernel_spec(
-                spec["kernel"],
-                spec["exprs"],
-                spec.get("kernel_mode", "filter-project"),
-            )
-
-        def run_file(
-            data_file: DataFile,
-            task_ctx: QueryContext | None,
-            rng: "_RetryJitter",
-        ) -> tuple[ColumnBatch, int]:
-            """Read one blob and run it through a worker, with recovery.
-
-            One retry loop covers both failure domains — a storage/credential
-            fault during the read and a retryable worker error afterwards —
-            because the remedy is the same: (maybe re-vend,) re-read,
-            resubmit.
-            """
-            attempt = 0
-            while True:
-                cred = holder.current()
-                try:
-                    blob = storage.read_raw(data_file, cred)
-                    task = {
-                        "op": "scan",
-                        "table": table.full_name,
-                        "schema": schema,
-                        "blob_len": len(blob),
-                        "condition": spec["condition"],
-                        "outputs": spec["outputs"],
-                        "kernel": kspec,
-                        "user": eval_ctx.user,
-                        "groups": tuple(eval_ctx.groups),
-                        "params": eval_ctx.params,
-                        "trace_id": (
-                            task_ctx.trace_id if task_ctx is not None else ""
-                        ),
-                        "session_id": (
-                            task_ctx.session_id if task_ctx is not None else ""
-                        ),
-                        "cluster_id": (
-                            task_ctx.cluster_id if task_ctx is not None else ""
-                        ),
-                    }
-                    # retries=0 (the default): recovery decisions — re-vend?
-                    # re-read? deadline? — belong to this layer, not the pool.
-                    columns, num_rows, info = pool.submit(
-                        task, blob, len(blob)
-                    ).result()
-                except (StorageAccessDenied, CredentialError) as exc:
-                    if attempt >= self._scan_retries:
-                        raise
-                    holder.replace(cred)
-                    self._retry_backoff(attempt, task_ctx, rng, exc, data_file)
-                    attempt += 1
-                except RetryableError as exc:
-                    if attempt >= self._scan_retries:
-                        raise
-                    self._retry_backoff(attempt, task_ctx, rng, exc, data_file)
-                    attempt += 1
-                else:
-                    if attempt:
-                        self._catalog.faults.record_recovery("scan.task_retry")
-                    return (
-                        ColumnBatch(out_schema, columns),
-                        info.get("rows_in", 0),
-                    )
-
-        def run_task(
-            task_index: int,
-            task_files: list[DataFile],
-            task_ctx: QueryContext | None,
-        ) -> list[tuple[ColumnBatch, int]]:
-            rng = _RetryJitter(task_index)
-            with span_or_null(
-                task_ctx,
-                f"scan-task-{task_index}",
-                "executor.task",
-                table=table.full_name,
-                task=task_index,
-                files=len(task_files),
-                credential_identity=credential.identity,
-                backend="process",
-            ):
-                return [run_file(f, task_ctx, rng) for f in task_files]
-
-        produced = False
-        if self._num_executors > 1 and len(tasks) > 1:
-            self.stats.parallel_scans += 1
-            tpool = self._task_pool()
-            futures = [
-                (
-                    task_files,
-                    tpool.submit(
-                        run_task,
-                        task_index,
-                        task_files,
-                        qctx.child() if qctx is not None else None,
-                    ),
-                )
-                for task_index, task_files in tasks
-            ]
-            for task_files, future in futures:
-                results = future.result()
-                self.stats.executor_tasks += 1
-                self.stats.files_read += len(task_files)
-                for batch, rows_in in results:
-                    # Driver-side callback (not from pool threads): metric
-                    # increments stay single-threaded, as on the thread path.
-                    on_rows(rows_in)
-                    for chunk in chunk_batch(batch, batch_size):
-                        produced = True
-                        yield chunk
-        else:
-            for task_index, task_files in tasks:
-                results = run_task(task_index, task_files, qctx)
-                self.stats.executor_tasks += 1
-                self.stats.files_read += len(task_files)
-                for batch, rows_in in results:
-                    on_rows(rows_in)
-                    for chunk in chunk_batch(batch, batch_size):
-                        produced = True
-                        yield chunk
-        if not produced:
-            yield ColumnBatch.empty(out_schema)
+    def scan_pipeline(self, *args: Any, **kwargs: Any) -> Iterator[ColumnBatch]:
+        """Gone with the process backend; every scan runs through :meth:`scan`."""
+        # Kept only because benchmarks/e2e/probes.py pins this name.
+        raise NotImplementedError("scan_pipeline was removed; use scan")
 
     # -- recovery helpers ------------------------------------------------------
 

@@ -43,9 +43,7 @@ from repro.engine.executor import (
     QueryEngine,
     QueryResult,
     default_fuse_operators,
-    default_worker_backend,
 )
-from repro.engine.workers import WorkerPool
 from repro.engine.expressions import UDFRuntime
 from repro.engine.logical import LogicalPlan
 from repro.engine.optimizer import OptimizerConfig
@@ -108,8 +106,6 @@ class LakeguardCluster:
         workload_default_policy: TenantPolicy | None = None,
         scan_retries: int = 2,
         udf_invoke_retry: bool = True,
-        worker_backend: str | None = None,
-        worker_pool_size: int | None = None,
         engine_fuse_operators: bool | None = None,
         store_backend: str = "memory",
         store_dir: str | None = None,
@@ -235,26 +231,6 @@ class LakeguardCluster:
             )
         self._expose_stats(FAULT_STATS, "recovery", self._recovery_stats_snapshot)
 
-        #: Execution backend: one cluster-wide process pool shared by every
-        #: session engine (``None`` on the thread backend). Prewarmed here,
-        #: while the driver is still single-threaded — forking later, mid
-        #: multi-user execution, risks inheriting another thread's held
-        #: locks. The pool ships the catalog's armed fault schedules into
-        #: each worker, so chaos runs behave identically on both backends.
-        self.worker_backend = worker_backend or default_worker_backend()
-        self.worker_pool_size = worker_pool_size
-        self.worker_pool: WorkerPool | None = None
-        if self.worker_backend == "process":
-            self.worker_pool = WorkerPool(
-                worker_pool_size or num_executors,
-                faults=catalog.faults,
-                cluster_id=self.cluster_id,
-                telemetry=self.telemetry,
-            )
-            self.worker_pool.prewarm()
-            self._expose_stats(
-                CACHE_STATS, "worker_pool", self.worker_pool.stats_snapshot
-            )
         self._remote_analyze = remote_analyze
         self.remote_executor: RemoteQueryExecutor | None = None
         if remote_submit is not None:
@@ -430,8 +406,6 @@ class LakeguardCluster:
                 batch_size=self.batch_size,
                 num_executors=self.num_executors,
                 compile_enabled=self.engine_compile,
-                worker_backend=self.worker_backend,
-                worker_pool_size=self.worker_pool_size,
                 fuse_operators=self.engine_fuse_operators,
             ),
             optimizer_config=self.optimizer_config,
@@ -439,26 +413,22 @@ class LakeguardCluster:
             udf_runtime=self._udf_runtime(session),
             remote_executor=self.remote_executor,
             kernel_compiler=self._kernel_compiler,
-            worker_pool=self.worker_pool,
         )
 
     def shutdown(self) -> None:
         """Release cluster-owned executor resources (idempotent).
 
-        Tears down the scan thread pool, the process worker pool (and its
-        shared-memory segments) and the cluster manager's autoscaler, and
-        withdraws this cluster's scopes from the ``system.access.*_stats``
-        tables — a dead cluster must neither keep reporting rows nor stay
-        pinned by the catalog through its providers. Safe to call more than
-        once; sessions created afterwards fall back to serial in-process
-        execution.
+        Tears down the scan thread pool and the cluster manager's
+        autoscaler, and withdraws this cluster's scopes from the
+        ``system.access.*_stats`` tables — a dead cluster must neither keep
+        reporting rows nor stay pinned by the catalog through its providers.
+        Safe to call more than once; a later query re-creates the scan
+        thread pool.
         """
         for registration in self._stats_registrations:
             self.catalog.system_tables.unregister_stats_provider(*registration)
         self._stats_registrations.clear()
         self.data_source.close()
-        if self.worker_pool is not None:
-            self.worker_pool.close()
         self.cluster_manager.shutdown()
 
     # -- relations --------------------------------------------------------------

@@ -114,46 +114,6 @@ class ColumnBatch:
                 columns[i].extend(col)
         return ColumnBatch(schema, columns)
 
-    # -- buffer encoding -------------------------------------------------------
-
-    def to_buffers(self) -> tuple[dict[str, Any], bytes]:
-        """Encode into ``(layout metadata, contiguous buffer payload)``.
-
-        The payload is suitable for placement in a shared-memory segment;
-        the metadata is small and travels on a control channel. Lossless:
-        :meth:`from_buffers` reconstructs identical columns.
-        """
-        from repro.common import shmbuf
-
-        return shmbuf.encode_columns(self.columns, self.num_rows)
-
-    @classmethod
-    def from_buffers(
-        cls,
-        schema: Schema,
-        meta: dict[str, Any],
-        buf: Any,
-        zero_copy: bool = False,
-    ) -> "ColumnBatch":
-        """Rebuild a batch from a :meth:`to_buffers` layout.
-
-        With ``zero_copy=True`` the columns are lazy views over ``buf``
-        (which must outlive them — call :meth:`materialize` before releasing
-        the underlying segment); otherwise plain lists are copied out.
-        """
-        from repro.common import shmbuf
-
-        return cls(schema, shmbuf.decode_columns(meta, buf, zero_copy))
-
-    def materialize(self) -> "ColumnBatch":
-        """Copy any lazy buffer-view columns into plain lists."""
-        if all(type(col) is list for col in self.columns):
-            return self
-        return ColumnBatch(
-            self.schema,
-            [col if type(col) is list else list(col) for col in self.columns],
-        )
-
     # -- export ----------------------------------------------------------------
 
     def to_rows(self) -> list[tuple]:

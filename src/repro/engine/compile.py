@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -936,8 +935,7 @@ def interpret_pipeline(
     """Interpreter twin of a fused pipeline's accumulate step.
 
     Byte-identical semantics to both the generated loop and the unfused
-    operator chain; used as the in-worker fallback when a shipped pipeline
-    fails to recompile.
+    operator chain; the reference the fused loop is tested against.
     """
     if batch.num_rows == 0:
         return
@@ -962,27 +960,6 @@ def interpret_pipeline(
             states[j] = func.update(states[j], value)
 
 
-def pipeline_partial_columns(
-    spec: PipelineSpec, groups: dict[tuple, list[Any]]
-) -> list[list[Any]]:
-    """Render accumulated groups as partial-aggregate exchange columns.
-
-    Layout matches ``partial_agg_schema``: grouping keys first, then one
-    pickled state blob per aggregate call — the format workers return and
-    the driver's final-merge already understands.
-    """
-    keys = list(groups)
-    columns: list[list[Any]] = [
-        [key[i] for key in keys] for i in range(len(spec.groupings))
-    ]
-    for j in range(len(spec.agg_specs)):
-        columns.append([
-            pickle.dumps(groups[key][j], protocol=pickle.HIGHEST_PROTOCOL)
-            for key in keys
-        ])
-    return columns
-
-
 # ---------------------------------------------------------------------------
 # Bound kernels
 # ---------------------------------------------------------------------------
@@ -994,19 +971,6 @@ def _bind_env(artifact: CompiledArtifact, walk: list[Expression]) -> dict[str, A
         name: _ENV_BUILDERS[kind](walk[index])
         for name, index, kind in artifact.env_spec
     }
-
-
-def binding_key(kernel: "CompiledKernels | CompiledPipeline") -> str:
-    """Identity of a *bound* kernel: the fingerprint names the generated
-    code, the literal values name this binding of it. Worker processes
-    cache bound kernels, so they key on this."""
-    artifact = kernel.artifact
-    literals = [
-        kernel._env[name]  # noqa: SLF001 - same module
-        for name, _, kind in artifact.env_spec
-        if kind == "literal"
-    ]
-    return f"{artifact.fingerprint}|{literals!r}"
 
 
 class CompiledKernels:
@@ -1417,11 +1381,7 @@ class KernelCompiler:
     def compile_pipeline_spec(
         self, spec: PipelineSpec
     ) -> CompiledPipeline | None:
-        """Compile (or rebind from cache) one :class:`PipelineSpec`.
-
-        This is the entry worker processes use to rehydrate a shipped
-        pipeline from its cloudpickled spec.
-        """
+        """Compile (or rebind from cache) one :class:`PipelineSpec`."""
         try:
             if any(name not in _AGG_INLINE for name, _ in spec.agg_specs):
                 return None

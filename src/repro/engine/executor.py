@@ -29,22 +29,10 @@ from repro.engine.physical import (
 from repro.errors import ExecutionError
 
 
-#: Environment override for the execution backend (the CI matrix leg sets
-#: ``LAKEGUARD_WORKER_BACKEND=process`` to force every engine through the
-#: process pool).
-ENV_WORKER_BACKEND = "LAKEGUARD_WORKER_BACKEND"
-
-WORKER_BACKENDS = ("thread", "process")
-
 #: Environment override for whole-operator fusion (``0``/``false``/``off``
 #: disables it; anything else, or unset, keeps the default of on). The
 #: fusion ablation benchmark and the CI fused legs flip this.
 ENV_FUSE_OPERATORS = "LAKEGUARD_FUSE_OPERATORS"
-
-
-def default_worker_backend() -> str:
-    value = os.environ.get(ENV_WORKER_BACKEND, "").strip().lower()
-    return value if value in WORKER_BACKENDS else "thread"
 
 
 def default_fuse_operators() -> bool:
@@ -63,14 +51,6 @@ class ExecutionConfig:
     #: evaluation remains the automatic fallback for anything the compiler
     #: refuses or fails on).
     compile_enabled: bool = True
-    #: Execution backend: ``"thread"`` runs scan tasks and kernels on driver
-    #: threads (the default and the universal fallback); ``"process"``
-    #: routes them through a warm pool of worker processes exchanging
-    #: shared-memory columnar batches (see :mod:`repro.engine.workers`).
-    #: Defaults from ``LAKEGUARD_WORKER_BACKEND`` when set.
-    worker_backend: str = field(default_factory=default_worker_backend)
-    #: Process-pool size; ``None`` follows ``num_executors``.
-    worker_pool_size: int | None = None
     #: Whole-operator codegen: the planner fuses scan→filter→project→
     #: aggregate chains (plus sort/join key extraction) into single
     #: generated loops. Requires ``compile_enabled``; interpreted fallback
@@ -134,7 +114,6 @@ class QueryEngine:
         udf_runtime: UDFRuntime | None = None,
         remote_executor: RemoteExecutor | None = None,
         kernel_compiler: KernelCompiler | None = None,
-        worker_pool: Any = None,
     ):
         self.config = config or ExecutionConfig()
         self._analyzer = Analyzer(resolver)
@@ -152,31 +131,6 @@ class QueryEngine:
         self._data_source = data_source
         self._udf_runtime = udf_runtime
         self._remote_executor = remote_executor
-        # A cluster-owned WorkerPool wins (shared across sessions, faults
-        # wired); a standalone engine on the process backend lazily owns one.
-        self._worker_pool = worker_pool
-        self._owns_pool = False
-
-    def worker_pool(self):
-        """The process pool query tasks route through (None = thread backend)."""
-        if self.config.worker_backend != "process":
-            return None
-        pool = self._worker_pool
-        if pool is not None:
-            return None if pool.closed else pool
-        from repro.engine.workers import WorkerPool
-
-        pool = WorkerPool(
-            self.config.worker_pool_size or self.config.num_executors
-        )
-        self._worker_pool = pool
-        self._owns_pool = True
-        return pool
-
-    def close(self) -> None:
-        """Release the engine's own worker pool, if it created one."""
-        if self._owns_pool and self._worker_pool is not None:
-            self._worker_pool.close()
 
     # -- phases -------------------------------------------------------------------
 
@@ -227,7 +181,6 @@ class QueryEngine:
             remote_executor=self._remote_executor,
             batch_size=self.config.batch_size,
             parallel_children=self.config.num_executors > 1,
-            worker_pool=self.worker_pool(),
         )
 
     def explain(self, plan: LogicalPlan, user: str = "anonymous") -> str:

@@ -31,7 +31,6 @@ from repro.engine.compile import (
     CompiledKernels,
     CompiledPipeline,
     KernelCompiler,
-    PipelineSpec,
     filter_project,
     has_opaque_nodes,
     predicate_mask,
@@ -45,7 +44,6 @@ from repro.engine.expressions import (
     PythonUDFCall,
     SortOrder,
     conjoin,
-    contains_user_code,
     shift_refs,
     split_equi_condition,
 )
@@ -128,10 +126,6 @@ class ExecContext:
     metrics: QueryMetrics = field(default_factory=QueryMetrics)
     #: Materialize independent child subtrees (join/union inputs) on threads.
     parallel_children: bool = False
-    #: Process-backend :class:`~repro.engine.workers.WorkerPool`; when set,
-    #: compiled-kernel operators and governed scans route their per-batch
-    #: work through worker processes (None = thread backend).
-    worker_pool: Any = None
 
     def fork(self) -> "ExecContext":
         """An isolated context for running one subtree on its own thread.
@@ -159,7 +153,6 @@ class ExecContext:
             remote_executor=self.remote_executor,
             batch_size=self.batch_size,
             parallel_children=self.parallel_children,
-            worker_pool=self.worker_pool,
         )
 
 
@@ -318,10 +311,6 @@ class PhysScan(PhysicalOperator):
             raise ExecutionError(
                 f"no data source configured; cannot scan {self._node.table.full_name}"
             )
-        pooled = self.pooled_scan(ctx)
-        if pooled is not None:
-            yield from pooled
-            return
         scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns)
         for batch in scan:
             ctx.metrics.rows_scanned += batch.num_rows
@@ -334,45 +323,6 @@ class PhysScan(PhysicalOperator):
                     ),
                 )
             yield batch
-
-    def pooled_scan(
-        self,
-        ctx: ExecContext,
-        fused_kernel: CompiledKernels | CompiledPipeline | None = None,
-        fused_exprs: tuple[Expression, ...] | PipelineSpec | None = None,
-        out_schema: Schema | None = None,
-        kernel_mode: str = "filter-project",
-    ) -> Iterator[ColumnBatch] | None:
-        """Process-backend scan: the late decode, the scan's filter→select
-        (and an optional fused filter→project kernel or whole aggregation
-        pipeline, selected by ``kernel_mode``) run inside worker processes.
-
-        Returns ``None`` — falling back to the thread path — when no pool is
-        active, the data source has no pipeline support, or a pushed filter
-        contains user code (user code only runs inside the UDF sandbox,
-        never in engine workers).
-        """
-        pool = ctx.worker_pool
-        source = ctx.data_source
-        if pool is None or not hasattr(source, "scan_pipeline"):
-            return None
-        if self.condition is not None and contains_user_code(self.condition):
-            return None
-        node = self._node
-        spec = {
-            "columns": self.columns,
-            "condition": self.condition,
-            "outputs": self.outputs,
-            "kernel": fused_kernel,
-            "exprs": fused_exprs,
-            "kernel_mode": kernel_mode,
-            "out_schema": out_schema if out_schema is not None else self.schema,
-        }
-
-        def on_rows(rows_in: int) -> None:
-            ctx.metrics.rows_scanned += rows_in
-
-        return source.scan_pipeline(node.table, ctx.eval_ctx, spec, pool, on_rows)
 
 
 class PhysRemoteScan(PhysicalOperator):
@@ -419,17 +369,6 @@ class PhysFilter(PhysicalOperator):
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         with _kernel_span(ctx, self._kernel, "filter"):
-            if _pool_kernel_eligible(ctx, self._kernel):
-                yield from _pooled_kernel_stream(
-                    ctx,
-                    self.children[0].execute(ctx),
-                    kmode="filter",
-                    kernel=self._kernel,
-                    exprs=(self._condition,),
-                    mode="project",
-                    out_schema=self.schema,
-                )
-                return
             for batch in self.children[0].execute(ctx):
                 if batch.num_rows == 0:
                     yield batch
@@ -475,17 +414,6 @@ class PhysProject(PhysicalOperator):
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         eval_ctx = ctx.eval_ctx
         with _kernel_span(ctx, self._kernel, "project"):
-            if not self._fusion_groups and _pool_kernel_eligible(ctx, self._kernel):
-                yield from _pooled_kernel_stream(
-                    ctx,
-                    self.children[0].execute(ctx),
-                    kmode="project",
-                    kernel=self._kernel,
-                    exprs=self._exprs,
-                    mode="project",
-                    out_schema=self.schema,
-                )
-                return
             for batch in self.children[0].execute(ctx):
                 eval_ctx.udf_results.clear()
                 if batch.num_rows and self._fusion_groups and eval_ctx.udf_runtime:
@@ -543,107 +471,10 @@ class PhysFilterProject(PhysicalOperator):
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         with _kernel_span(ctx, self._kernel, "filter-project"):
-            if _pool_kernel_eligible(ctx, self._kernel):
-                child = self.children[0]
-                if isinstance(child, PhysScan):
-                    # Fuse all the way down: the scan workers run the pushed
-                    # filters AND this kernel on the same shared-memory batch.
-                    pooled = child.pooled_scan(
-                        ctx,
-                        fused_kernel=self._kernel,
-                        fused_exprs=(self._condition, *self._exprs),
-                        out_schema=self.schema,
-                    )
-                    if pooled is not None:
-                        yield from pooled
-                        return
-                yield from _pooled_kernel_stream(
-                    ctx,
-                    child.execute(ctx),
-                    kmode="filter_project",
-                    kernel=self._kernel,
-                    exprs=(self._condition, *self._exprs),
-                    mode="filter-project",
-                    out_schema=self.schema,
-                )
-                return
             for batch in self.children[0].execute(ctx):
                 yield ColumnBatch(
                     self.schema, self._kernel.eval_all(batch, ctx.eval_ctx)
                 )
-
-
-def _pool_kernel_eligible(ctx: ExecContext, kernel: CompiledKernels | None) -> bool:
-    """A kernel can run in a worker process only when it embeds no opaque
-    slots (UDFs and unknown nodes stay driver-side, next to the sandbox)."""
-    return (
-        ctx.worker_pool is not None
-        and kernel is not None
-        and not kernel.artifact.opaque_spec
-    )
-
-
-def _pooled_kernel_stream(
-    ctx: ExecContext,
-    batches: Iterator[ColumnBatch],
-    kmode: str,
-    kernel: CompiledKernels,
-    exprs: tuple[Expression, ...],
-    mode: str,
-    out_schema: Schema,
-) -> Iterator[ColumnBatch]:
-    """Route one operator's batch stream through the worker pool.
-
-    Keeps up to ``pool.size`` batches in flight and yields results in input
-    order, so operator semantics (and downstream LIMIT early-exit) match
-    the thread backend exactly. The kernel travels once per (worker,
-    fingerprint) as a cloudpickled expression list; batch data travels as
-    shared-memory buffers.
-    """
-    from collections import deque
-
-    pool = ctx.worker_pool
-    eval_ctx = ctx.eval_ctx
-    qctx = eval_ctx.query_ctx
-    spec = pool.kernel_spec(kernel, exprs, mode)
-
-    def submit(batch: ColumnBatch):
-        meta, payload = batch.to_buffers()
-        task = {
-            "op": "eval",
-            "kmode": kmode,
-            "schema": batch.schema,
-            "meta": meta,
-            "kernel": spec,
-            "user": eval_ctx.user,
-            "groups": tuple(eval_ctx.groups),
-            "params": eval_ctx.params,
-            "trace_id": qctx.trace_id if qctx is not None else "",
-            "session_id": qctx.session_id if qctx is not None else "",
-            "cluster_id": qctx.cluster_id if qctx is not None else "",
-        }
-        return pool.submit(task, payload, meta["pickled_bytes"], retries=2)
-
-    def resolve(entry) -> ColumnBatch:
-        kind, value = entry
-        if kind == "local":
-            return value
-        columns, _num_rows, _info = value.result()
-        return ColumnBatch(out_schema, columns)
-
-    pending: Any = deque()
-    for batch in batches:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            # Degenerate batches are cheaper to answer in place (and the
-            # zero-column OneRowBatch shape does not survive re-encoding).
-            local = batch if kmode == "filter" else ColumnBatch.empty(out_schema)
-            pending.append(("local", local))
-        else:
-            pending.append(("future", submit(batch)))
-        while len(pending) > pool.size:
-            yield resolve(pending.popleft())
-    while pending:
-        yield resolve(pending.popleft())
 
 
 def _kernel_span(ctx: ExecContext, kernel: CompiledKernels | None, operator: str):
@@ -935,7 +766,7 @@ class PhysHashAggregate(PhysicalOperator):
         groups = self._accumulate(ctx)
         keys = list(groups.keys())
         # Emit in batch_size chunks: one monolithic result batch would defeat
-        # downstream chunking and bloat shm segments on the process backend.
+        # downstream chunking.
         step = max(1, ctx.batch_size)
         if not keys:
             chunks: list[list[tuple]] = [[]]
@@ -1056,11 +887,6 @@ class PhysFusedPipeline(PhysHashAggregate):
     dispatch. Emission (partial blobs or finalized outputs) reuses the
     parent's machinery unchanged, so eFGAC exchange formats and output
     rewriting are byte-identical to the unfused plan.
-
-    On the process backend the pipeline ships to workers by structural
-    fingerprint (mode ``"pipeline"``); each worker accumulates its batches
-    into local groups and returns a partial-aggregate batch, which the
-    driver merges with the existing partial-merge path.
     """
 
     def __init__(
@@ -1087,57 +913,14 @@ class PhysFusedPipeline(PhysHashAggregate):
         groups: dict[tuple, list[Any]] = {}
         pipeline = self._pipeline
         with _kernel_span(ctx, pipeline, "pipeline"):
-            pooled = self._pooled_partials(ctx)
-            if pooled is not None:
-                key_count = len(self._groupings)
-                for pbatch in pooled:
-                    if pbatch.num_rows:
-                        self._merge_partial_batch(
-                            pbatch, pbatch.columns[:key_count], groups
-                        )
-            else:
-                cell: list[Any] = [None, None]
-                for batch in self.children[0].execute(ctx):
-                    if batch.num_rows:
-                        pipeline.accumulate(batch, ctx.eval_ctx, groups, cell)
+            cell: list[Any] = [None, None]
+            for batch in self.children[0].execute(ctx):
+                if batch.num_rows:
+                    pipeline.accumulate(batch, ctx.eval_ctx, groups, cell)
         if not groups and not self._groupings:
             # Global aggregate over empty input still yields one row.
             groups[()] = [call.func.create() for call in self._agg_calls]
         return groups
-
-    def _pooled_partials(self, ctx: ExecContext) -> Iterator[ColumnBatch] | None:
-        """Process-backend accumulation: workers return partial batches.
-
-        Workers each fold their batches into local groups and emit
-        ``keys + pickled states``; the driver merges those partials in
-        submission order, so group insertion order (and therefore output
-        order) matches the thread backend.
-        """
-        if not _pool_kernel_eligible(ctx, self._pipeline):
-            return None
-        pschema = partial_agg_schema(self._groupings, self._agg_calls)
-        source = self.children[0]
-        if isinstance(source, PhysScan):
-            # Fuse all the way down: scan workers run pushed filters AND the
-            # whole pipeline on the same shared-memory batch.
-            pooled = source.pooled_scan(
-                ctx,
-                fused_kernel=self._pipeline,
-                fused_exprs=self._pipeline.spec,
-                out_schema=pschema,
-                kernel_mode="pipeline",
-            )
-            if pooled is not None:
-                return pooled
-        return _pooled_kernel_stream(
-            ctx,
-            source.execute(ctx),
-            kmode="pipeline",
-            kernel=self._pipeline,
-            exprs=self._pipeline.spec,
-            mode="pipeline",
-            out_schema=pschema,
-        )
 
 
 # ---------------------------------------------------------------------------

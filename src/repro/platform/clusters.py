@@ -61,7 +61,7 @@ class ComputeCluster:
         self.attached_users: set[str] = set()
 
     def shutdown(self) -> None:
-        """Release the backend's pools (scan threads, worker processes)."""
+        """Release the backend's pools (scan threads, sandboxes)."""
         self.backend.shutdown()
 
     # -- attachment policy (subclasses refine) -------------------------------------

@@ -185,6 +185,11 @@ class ServerlessGateway:
             self._provision_cluster()
             spare += self._target
 
+    def shutdown(self) -> None:
+        """Release every backend cluster's pools (idempotent)."""
+        for cluster in self._clusters:
+            cluster.backend.shutdown()
+
     def scale_down_idle(self) -> int:
         """Retire empty clusters above the minimum; returns how many."""
         removed = 0

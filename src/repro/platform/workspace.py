@@ -111,6 +111,8 @@ class Workspace:
         (idempotent)."""
         for cluster in self.clusters.values():
             cluster.shutdown()
+        if self._gateway is not None:
+            self._gateway.shutdown()
         self.catalog.telemetry.close()
 
     def connect_serverless(

@@ -456,7 +456,7 @@ class LakeTableStorage:
         corrupt read models a mangled response, not mangled storage; the
         scan-task recovery path re-reads it.
         """
-        blob = self._store.get(data_file.path, credential)
+        blob = self.read_raw(data_file, credential)
         if columns is None:
             return decode_data_file(blob, None, f"data file '{data_file.path}'")
         return self._store.decoded.columns(
@@ -466,14 +466,8 @@ class LakeTableStorage:
     def read_raw(
         self, data_file: DataFile, credential: StorageCredential
     ) -> bytes:
-        """Read one data file's raw bytes without decoding them.
-
-        The process execution backend ships the blob into a worker through
-        shared memory and decodes it *there*, with :func:`decode_data_file`
-        and the same column set the thread path would pass to
-        :meth:`read_file`; credential checks, injected storage faults and
-        byte accounting still happen in this (driver) process.
-        """
+        """The credential-checked GET of one data file: its bytes, undecoded."""
+        # A method of its own because benchmarks/e2e/probes.py pins this name.
         return self._store.get(data_file.path, credential)
 
     def read_all(

@@ -197,9 +197,7 @@ def governed():
     ws.catalog.create_schema("main.s", owner="admin")
     legs = {"fused": True, "fusion-off": False, "compile-refused": True}
     clusters = {
-        leg: ws.create_standard_cluster(
-            name=leg, engine_fuse_operators=fuse, worker_backend="thread"
-        )
+        leg: ws.create_standard_cluster(name=leg, engine_fuse_operators=fuse)
         for leg, fuse in legs.items()
     }
     admin = clusters["fused"].connect("admin")

@@ -127,13 +127,18 @@ def test_readme_lists_every_system_table():
 #: scan-task duplicate submission, and eight cluster keywords. Deleted in
 #: PR 21: the sandbox's shared-memory transport — its constructor option and
 #: its two frame kinds (spelt as a group so that grepping the tree for the
-#: three names stays empty).
+#: three names stays empty). Deleted in PR 32: the process execution
+#: backend — its pool class, its two cluster keywords and environment
+#: variable, the pooled scan, fault-schedule shipping and the batch buffer
+#: codec.
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
     r"workload_max_total_queue|workload_admission_timeout|"
     r"scan_retry_base_delay)\b|"
-    r"\b(use|invoke|invoke_many)_shm\b"
+    r"\b(use|invoke|invoke_many)_shm\b|"
+    r"\b(WorkerPool|worker_backend|worker_pool_size|LAKEGUARD_WORKER_BACKEND|"
+    r"pooled_scan|export_schedule|merge_remote|to_buffers)\b"
 )
 
 

@@ -130,7 +130,7 @@ class TestNoCodeDecoderInStorage:
     """Guard: bytes read from storage, the spill directory or the wire are
     never decoded as code again. No ``pickle`` / ``cloudpickle`` load may
     reappear in ``storage/``, ``store/`` (but :data:`_ARTIFACTS`),
-    ``connect/``, ``core/efgac.py`` or the process worker's scan task."""
+    ``connect/`` or ``core/efgac.py``."""
 
     LOADERS = {"loads", "load", "Unpickler"}
 
@@ -171,14 +171,6 @@ class TestNoCodeDecoderInStorage:
         tree = ast.parse((SRC / _ARTIFACTS).read_text())
         assert self._loader_calls(tree) == ["pickle.loads", "pickle.loads"]
 
-    def test_worker_scan_task_has_no_code_decoder(self):
-        tree = ast.parse((SRC / "engine" / "workers.py").read_text())
-        (scan_task,) = [
-            n for n in tree.body
-            if isinstance(n, ast.FunctionDef) and n.name == "_run_scan_task"
-        ]
-        assert self._loader_calls(scan_task) == []
-
 
 # ---------------------------------------------------------------------------
 # A governed workspace shared by the engine-level tests
@@ -211,12 +203,9 @@ DATA = _rows()
 #: fold one into another. ``compile-refused`` is the fused configuration
 #: with every kernel refused (see ``_refuse_compilation``).
 LEGS = {
-    "fused": {"engine_fuse_operators": True, "worker_backend": "thread"},
-    "fusion-off": {"engine_fuse_operators": False, "worker_backend": "thread"},
-    "compile-refused": {"engine_fuse_operators": True, "worker_backend": "thread"},
-    "process": {
-        "engine_fuse_operators": True, "worker_backend": "process", "worker_pool_size": 2,
-    },
+    "fused": {"engine_fuse_operators": True},
+    "fusion-off": {"engine_fuse_operators": False},
+    "compile-refused": {"engine_fuse_operators": True},
 }
 
 
@@ -401,8 +390,11 @@ class TestDecodedColumns:
         original = LakeTableStorage.read_file
 
         def recording(self, data_file, credential, columns=None):
+            # Recorded once the read returned: a read the chaos schedule
+            # failed is retried, and only the retry decodes.
+            decoded = original(self, data_file, credential, columns)
             seen.setdefault(table_of[self.root], []).append(set(columns))
-            return original(self, data_file, credential, columns)
+            return decoded
 
         monkeypatch.setattr(LakeTableStorage, "read_file", recording)
         return seen
@@ -460,7 +452,7 @@ class TestJoinPruning:
         assert call.expr_id == mean.expr_id
         assert call.child.index == 1 and optimized.groupings[0].index == 3
 
-    @pytest.mark.parametrize("leg", ["fused", "fusion-off", "process"])
+    @pytest.mark.parametrize("leg", ["fused", "fusion-off"])
     def test_avg_and_shared_calls_over_a_pruned_join(self, governed, leg):
         rows = governed[2][leg, "carol"].sql(
             f"SELECT c.region, avg(t.amount) AS m, sum(t.amount) / count(t.amount) AS m2, "

@@ -12,15 +12,10 @@ into one generated loop never changes a single byte of output:
   with ``fuse_operators`` on, off, and with compilation disabled entirely;
 - governed end-to-end equivalence: FGAC queries (row filters, column
   masks, sandboxed UDFs splitting the chain) return identical rows on
-  fused and unfused clusters — on both ``worker_backend="thread"`` and
-  ``"process"``;
-- partial-state exchange: :func:`pipeline_partial_columns` round-trips
-  through pickle to the exact states the interpreter would ship.
+  fused and unfused clusters.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +29,6 @@ from repro.engine.compile import (
     PipelineSpec,
     expression_fingerprint,
     interpret_pipeline,
-    pipeline_partial_columns,
 )
 from repro.engine.executor import ExecutionConfig, QueryEngine
 from repro.engine.expressions import (
@@ -175,30 +169,6 @@ class TestPipelineEqualsInterpreter:
         # other state is a scalar or tuple: plain == is exact.
         assert compiled == interpreted
         assert list(compiled) == list(interpreted)  # same insertion order
-
-    @given(
-        rows=rows_strategy,
-        groupings=st.lists(grouping_expr, max_size=2),
-        aggs=st.lists(agg_call, min_size=1, max_size=3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_partial_columns_round_trip_exact_states(
-        self, rows, groupings, aggs
-    ):
-        spec = _make_spec(None, groupings, aggs)
-        pipeline = KernelCompiler().compile_pipeline_spec(spec)
-        assert pipeline is not None
-        ctx = EvalContext()
-        groups: dict[tuple, list] = {}
-        pipeline.accumulate(make_batch(rows), ctx, groups, [None, None])
-        columns = pipeline_partial_columns(spec, groups)
-        assert len(columns) == len(groupings) + len(aggs)
-        keys = list(groups)
-        for i in range(len(groupings)):
-            assert columns[i] == [key[i] for key in keys]
-        for j in range(len(aggs)):
-            shipped = [pickle.loads(blob) for blob in columns[len(groupings) + j]]
-            assert shipped == [groups[key][j] for key in keys]
 
     def test_null_keys_div_by_zero_and_empty_batches(self):
         """Pinned edge table: the cases fusion must never get wrong."""
@@ -615,15 +585,14 @@ class TestEngineFusionEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Governed end-to-end, on both worker backends
+# Governed end-to-end
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["thread", "process"])
-def fusion_clusters(request):
+@pytest.fixture(scope="module")
+def fusion_clusters():
     """Fused, unfused, and fully interpreted clusters over one governed
-    catalog, one trio per worker backend."""
-    backend = request.param
+    catalog."""
     ws = Workspace()
     ws.add_user("admin", admin=True)
     ws.add_user("alice")
@@ -633,20 +602,17 @@ def fusion_clusters(request):
     ws.catalog.create_catalog("main", owner="admin")
     ws.catalog.create_schema("main.sales", owner="admin")
     fused = ws.create_standard_cluster(
-        name=f"fused-{backend}",
-        worker_backend=backend,
+        name="fused",
         num_executors=2,
         engine_fuse_operators=True,
     )
     unfused = ws.create_standard_cluster(
-        name=f"unfused-{backend}",
-        worker_backend=backend,
+        name="unfused",
         num_executors=2,
         engine_fuse_operators=False,
     )
     interpreted = ws.create_standard_cluster(
-        name=f"interpreted-{backend}",
-        worker_backend=backend,
+        name="interpreted",
         num_executors=2,
         engine_compile=False,
     )
@@ -704,8 +670,7 @@ GOVERNED_QUERIES = [
     "SELECT id, amount FROM main.sales.orders WHERE id < 100 "
     "ORDER BY amount DESC LIMIT 2 OFFSET 1",
     # a chain with no sink: row filter + WHERE + mask + projection, one loop;
-    # the twin differs only in its literal (same artifact, fresh binding —
-    # on the process backend a worker must not reuse the first one's value)
+    # the twin differs only in its literal (same artifact, fresh binding)
     "SELECT id, amount * 1.1 AS boosted, buyer FROM main.sales.orders "
     "WHERE amount > 15.0",
     "SELECT id, amount * 1.1 AS boosted, buyer FROM main.sales.orders "
@@ -745,9 +710,8 @@ class TestGovernedFusionEquivalence:
     def test_absorbed_row_filter_answers_are_the_same_on_both_backends(
         self, fusion_clusters
     ):
-        """Pinned answers (the fixture runs per backend, so thread ≡ process
-        follows) for the shapes whose row filter now runs inside the fused
-        loop or the scan's own kernel."""
+        """Pinned answers for the shapes whose row filter now runs inside the
+        fused loop or the scan's own kernel."""
         fused, _, _ = fusion_clusters
         alice, carol = fused.connect("alice"), fused.connect("carol")
         top = (

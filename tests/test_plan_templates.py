@@ -338,7 +338,6 @@ CONFIGS = {
     "thread-fused": {},
     "thread-unfused": {"engine_fuse_operators": False},
     "interpreter": {"engine_compile": False},
-    "process-fused": {"worker_backend": "process", "engine_fuse_operators": True},
 }
 USERS = ("alice", "carol")
 

@@ -1,9 +1,13 @@
 """Tests for sandboxes, the dispatcher, trust domains, and egress control."""
 
 import gc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common import shmbuf
 from repro.common.clock import VirtualClock
 from repro.engine.udf import udf
 from repro.errors import (
@@ -473,3 +477,160 @@ class TestAmbientPolicyHardening:
             assert net.fs_read(str(secret)) == b"host-only"
         # Trusted driver-side code (no ambient policy) is unrestricted.
         assert net.fs_read(str(secret)) == b"host-only"
+
+
+# ---------------------------------------------------------------------------
+# The subprocess sandbox boundary: one pickle-frame transport
+# ---------------------------------------------------------------------------
+
+_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=20),
+    st.binary(max_size=20),
+)
+
+
+@st.composite
+def _columns(draw):
+    num_rows = draw(st.integers(min_value=0, max_value=16))
+    num_cols = draw(st.integers(min_value=1, max_value=4))
+    return [
+        draw(st.lists(_scalar, min_size=num_rows, max_size=num_rows))
+        for _ in range(num_cols)
+    ]
+
+
+def _double(x):
+    return None if x is None else x * 2
+
+
+#: ``_double`` stays the plain module-level function, so cloudpickle ships it
+#: *by reference*: the worker has to import this module (and through it
+#: ``repro``) to install it.
+DOUBLE = udf("int")(_double).with_owner("alice")
+
+
+def _by_value_udfs():
+    """Nested functions ship by value — installing them imports nothing."""
+
+    @udf("string")
+    def first(*args):
+        return args[0]
+
+    @udf("string")
+    def shape(*args):
+        return "|".join(f"{type(a).__name__}:{a!r}" for a in args)
+
+    @udf("string")
+    def loaded_repro_modules(_x):
+        import sys
+
+        return sorted(m for m in sys.modules if m.startswith("repro"))
+
+    return tuple(
+        u.with_owner("alice") for u in (first, shape, loaded_repro_modules)
+    )
+
+
+FIRST, SHAPE, LOADED_REPRO_MODULES = _by_value_udfs()
+
+
+@pytest.fixture(scope="class")
+def boundary_pair():
+    subprocess_sandbox = SubprocessSandbox("alice")
+    yield subprocess_sandbox, InProcessSandbox("alice")
+    subprocess_sandbox.close()
+
+
+class TestSandboxBoundary:
+    @pytest.mark.parametrize("fused", [False, True], ids=["invoke", "invoke_many"])
+    @given(columns=_columns())
+    @settings(max_examples=30, deadline=None)
+    def test_subprocess_matches_inprocess(self, boundary_pair, fused, columns):
+        """NULLs, big ints, floats, strings, bytes and mixed columns alike."""
+        real, reference = boundary_pair
+        if fused:
+            calls = [(3, FIRST, columns), (5, SHAPE, columns), (8, SHAPE, columns[::-1])]
+            assert real.invoke_many(calls) == reference.invoke_many(calls)
+        else:
+            for udf_obj in (FIRST, SHAPE):
+                assert real.invoke(udf_obj, columns) == reference.invoke(udf_obj, columns)
+
+    def test_batches_cross_as_pickle_frames_and_no_shared_memory(self):
+        shm_dir = Path("/dev/shm")
+        segments_before = shmbuf.live_segment_names()
+        files_before = sorted(shm_dir.iterdir()) if shm_dir.is_dir() else []
+        sandbox = SubprocessSandbox("alice")
+        try:
+            for _ in range(3):
+                assert sandbox.invoke(FIRST, [list(range(512))]) == list(range(512))
+                assert shmbuf.live_segment_names() == segments_before
+                assert (sorted(shm_dir.iterdir()) if shm_dir.is_dir() else []) == files_before
+        finally:
+            sandbox.close()
+        assert sandbox.stats.data_pickle_bytes > 3 * 2 * 512
+        assert sandbox.stats.control_pickle_bytes > 0  # policy + install frames
+        assert sandbox.stats.shm_bytes == 0
+
+    def test_fresh_worker_holds_no_repro_module(self):
+        """The worker is started from its file: nothing of the driver is in it."""
+        sandbox = SubprocessSandbox("alice")
+        try:
+            assert sandbox.invoke(LOADED_REPRO_MODULES, [[0]]) == [[]]
+            # A by-reference UDF makes the worker import its defining module,
+            # which is allowed — and visible.
+            assert sandbox.invoke(DOUBLE, [[1, None, 3]]) == [2, None, 6]
+            assert "repro" in sandbox.invoke(LOADED_REPRO_MODULES, [[0]])[0]
+        finally:
+            sandbox.close()
+
+    def test_udf_importing_the_sandbox_package_resolves_it_and_stays_offline(self):
+        @udf("string")
+        def probe(attempt_egress):
+            import socket
+
+            from repro.sandbox import net, policy
+
+            if attempt_egress:
+                socket.create_connection(("127.0.0.1", 9))
+            return f"{net.__name__} {policy.__name__}"
+
+        sandbox = SubprocessSandbox("alice")  # default policy: no network
+        try:
+            probe = probe.with_owner("alice")
+            # ``repro/sandbox/`` is not on the worker's path ahead of the
+            # package, so ``net`` / ``policy`` are the package's modules.
+            assert sandbox.invoke(probe, [[False]]) == [
+                "repro.sandbox.net repro.sandbox.policy"
+            ]
+            with pytest.raises(UserCodeError, match="egress is disabled"):
+                sandbox.invoke(probe, [[True]])
+        finally:
+            sandbox.close()
+
+    def test_non_data_result_is_a_user_error_not_driver_side_unpickling(self):
+        @udf("string")
+        def fraction(x):
+            from fractions import Fraction  # picklable by reference
+
+            return Fraction(x, 3)
+
+        @udf("string")
+        def instance(x):
+            class Thing:
+                pass
+
+            return Thing()
+
+        sandbox = SubprocessSandbox("alice")
+        try:
+            for bad in (fraction, instance):
+                with pytest.raises(UserCodeError, match="plain data"):
+                    sandbox.invoke(bad.with_owner("alice"), [[1]])
+            # Refused inside the worker, which therefore lives on.
+            assert sandbox.invoke(DOUBLE, [[4]]) == [8]
+        finally:
+            sandbox.close()

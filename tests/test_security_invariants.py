@@ -76,9 +76,8 @@ class TestPolicyBeforeUserCode:
     """The row filter runs before user code on every execution path.
 
     The filter can be absorbed into a fused loop, run as the scan's own
-    predicate kernel, be interpreted (compile refused), or run inside a
-    worker process; on each path no row outside the caller's filter may
-    reach a UDF or the result.
+    predicate kernel, or be interpreted (compile refused); on each path no
+    row outside the caller's filter may reach a UDF or the result.
     """
 
     QUERIES = (
@@ -116,7 +115,6 @@ class TestPolicyBeforeUserCode:
             ("default", {}),
             ("fusion-off", {"engine_fuse_operators": False}),
             ("compile-refused", {}),
-            ("process", {"worker_backend": "process", "worker_pool_size": 2}),
         ],
     )
     def test_no_hidden_row_reaches_user_code_or_result(
@@ -168,7 +166,6 @@ class TestPolicyBeforeUserCode:
             ("default", {}),
             ("fusion-off", {"engine_fuse_operators": False}),
             ("compile-refused", {}),
-            ("process", {"worker_backend": "process", "worker_pool_size": 2}),
         ],
     )
     def test_pushed_join_conjunct_never_sees_a_hidden_row(

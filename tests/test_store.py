@@ -13,9 +13,9 @@ Covers, in one place:
 - the single-invalidation story: a policy-epoch bump (grant/revoke) and a
   data-epoch bump (governed write) are hard misses in *every* tier, and
   superseded entries are physically swept;
-- a store-backend × worker-backend matrix property: a repeated governed
-  query is served from the store with identical results, and any
-  governance/identity change forces a recompute;
+- a store-backend matrix property: a repeated governed query is served
+  from the store with identical results, and any governance/identity
+  change forces a recompute;
 - the admin-only ``system.access.store_stats`` table.
 """
 
@@ -408,17 +408,14 @@ class TestEpochInvalidation:
 
 class TestResultCacheGovernance:
     @pytest.mark.parametrize("store_backend", ["memory", "disk"])
-    @pytest.mark.parametrize("worker_backend", ["thread", "process"])
     def test_repeat_serves_from_store_and_changes_recompute(
-        self, tmp_path, store_backend, worker_backend
+        self, tmp_path, store_backend
     ):
         kwargs = {"store_backend": store_backend, "result_cache_enabled": True}
         if store_backend == "disk":
             kwargs["store_dir"] = str(tmp_path / "spill")
         ws = _make_workspace(**kwargs)
-        cluster = ws.create_standard_cluster(
-            worker_backend=worker_backend, worker_pool_size=1
-        )
+        cluster = ws.create_standard_cluster()
         admin = _seed(cluster)
         alice = cluster.connect("alice")
         cache = cluster.backend.result_cache

@@ -291,12 +291,10 @@ class TestSpanIds:
         assert not token.startswith(f"cred-{ids._process_prefix}")
 
     def test_forked_child_draws_its_own_prefix(self):
-        """Process-backend workers and sandboxes are forked: a copied prefix
-        plus a copied counter would mint the parent's ids again."""
-        from repro.engine.workers import _START_METHOD
-
+        """A forked child copies the module state: a copied prefix plus a
+        copied counter would mint the parent's ids again."""
         parent_prefix = ids.telemetry_id("span").split("-")[1]
-        ctx = multiprocessing.get_context(_START_METHOD)
+        ctx = multiprocessing.get_context("fork")
         reader, writer = ctx.Pipe(duplex=False)
 
         def child():

@@ -255,15 +255,14 @@ class TestWriteGovernance:
             admin.sql(f"INSERT INTO {ORDERS} VALUES (1, 'US')")
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_write_workload_identical_final_state(self, backend):
+class TestWriteWorkload:
+    def test_write_workload_final_state(self):
         ws = Workspace()
         ws.add_user("admin", admin=True)
         cat = ws.catalog
         cat.create_catalog("main", owner="admin")
         cat.create_schema("main.sales", owner="admin")
-        cluster = ws.create_standard_cluster(worker_backend=backend)
+        cluster = ws.create_standard_cluster()
         try:
             client = cluster.connect("admin")
             client.sql(

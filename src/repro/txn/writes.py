@@ -29,18 +29,20 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.catalog.privileges import MODIFY, SELECT, UserContext
 from repro.engine.batch import ColumnBatch
-from repro.engine.compile import KernelCompiler, predicate_mask
+from repro.engine.compile import KernelCompiler, filter_project, predicate_mask
 from repro.engine.expressions import (
     BoundRef,
     EvalContext,
     Expression,
+    Literal,
     UnresolvedColumn,
+    conjoin,
     contains_user_code,
     shift_refs,
     split_equi_condition,
 )
 from repro.engine.physical import probe_key_columns
-from repro.engine.types import Field, Schema
+from repro.engine.types import INT, Field, Schema
 from repro.errors import AnalysisError, TransactionAbortedError, WriteDeniedError
 
 if TYPE_CHECKING:
@@ -222,8 +224,10 @@ def bound_row_filter(
 #
 # One evaluation order for every row-reading op (DESIGN.md §13):
 # row filter -> WHERE / ON -> SET / matched assignments, each stage only
-# over the rows the previous one passed (take -> eval -> scatter), so a user
-# expression never sees — and can never raise on — a row the filter hides.
+# over the rows the previous one passed, so a user expression never sees —
+# and can never raise on — a row the filter hides. Row filter -> WHERE is
+# one filter->project pass, row filter leftmost; later stages run over the
+# positions it yields (take -> eval -> scatter).
 
 
 class _Evaluator:
@@ -236,6 +240,34 @@ class _Evaluator:
     def __init__(self, eval_ctx: EvalContext, compiler: KernelCompiler | None):
         self._ctx = eval_ctx
         self._compiler = compiler
+
+    def selection(
+        self, staged: StagedWrite, where: Expression | None, positions: bool = True
+    ) -> Callable[[list[list]], list] | None:
+        """One row filter -> ``where`` pass, compiled here and run per call
+        as ``columns ->`` the position of each row that passes (with
+        ``positions=False``, one ``True`` per such row, which loads no extra
+        column per row). ``None``: no row filter and no ``where`` — every
+        row passes."""
+        condition = conjoin([c for c in (staged.row_filter, where) if c is not None])
+        if condition is None:
+            return None
+        schema = staged.schema
+        out: tuple[Expression, ...] = (Literal(True),)
+        if positions:  # a column of row positions, appended to the batch
+            out = (BoundRef(len(schema), "#row", INT),)
+            schema = Schema((*schema.fields, Field("#row", INT)))
+        kernel = self._compiler and self._compiler.compile_filter_projection(
+            condition, out
+        )
+
+        def run(columns: list[list]) -> list:
+            if positions:
+                columns = [*columns, list(range(len(columns[0])))]
+            batch = ColumnBatch(schema, columns)
+            return filter_project(kernel, condition, out, batch, self._ctx)[0]
+
+        return run
 
     def predicate(self, condition: Expression) -> Callable[[ColumnBatch], list]:
         """``batch -> row mask`` (truthy = match; NULL never matches)."""
@@ -322,17 +354,6 @@ def apply_ops(
     return dict(zip(names, columns))
 
 
-def _visible_rows(
-    columns: list[list], staged: StagedWrite, ev: _Evaluator
-) -> list[int] | None:
-    """Row positions the writer's row filter admits (``None`` = no filter)."""
-    if staged.row_filter is None:
-        return None
-    batch = ColumnBatch(staged.schema, columns)
-    mask = ev.predicate(staged.row_filter)(batch)
-    return list(compress(range(batch.num_rows), mask))
-
-
 def _matching_rows(
     columns: list[list],
     staged: StagedWrite,
@@ -340,12 +361,8 @@ def _matching_rows(
     ev: _Evaluator,
 ) -> list[int] | None:
     """Visible row positions matching ``where`` (``None`` = every row)."""
-    rows = _visible_rows(columns, staged, ev)
-    if where is None:
-        return rows
-    sub = _gather(columns, staged.schema, rows, where.references())
-    mask = ev.predicate(where)(sub)
-    return list(compress(range(sub.num_rows) if rows is None else rows, mask))
+    select = ev.selection(staged, where)
+    return None if select is None else select(columns)
 
 
 def _apply_update(
@@ -399,7 +416,7 @@ def _merge_matches(
     against the visible target columns.
     """
     schema, width = staged.schema, len(staged.schema)
-    visible = _visible_rows(columns, staged, ev)
+    visible = _matching_rows(columns, staged, None, ev)
     equi = split_equi_condition(op.on, width)
     if equi is None:
         targets = _gather(columns, schema, visible, op.on.references())
@@ -485,14 +502,14 @@ def rewrite_files(
 
     ``read(file, columns)`` returns the named columns of one file (every
     column for ``None``). Each file is probed on the columns the row filter
-    and the UPDATE / DELETE predicates reference — row filter first, WHERE
-    only over the rows it admits — and joins the working set, read whole,
-    only when some op matches a row there the writer can see. A file no op
-    matches is left untouched by every op, so probing the base bytes for
-    all ops at once is exact. MERGE touches every file: its ambiguity check
-    and its not-matched inserts depend on the whole table.
+    and the UPDATE / DELETE predicates reference, one pass per op — row
+    filter, then WHERE over the rows it admits, compiled once per commit —
+    and joins the working set, read whole, only when some op's pass yields
+    a row. A file no op matches is left untouched by every op, so probing
+    the base bytes for all ops at once is exact. MERGE touches every file:
+    its ambiguity check and its not-matched inserts depend on the whole
+    table.
     """
-    ev = _Evaluator(eval_ctx, compiler)
     schema = staged.schema
     if any(isinstance(op, MergeOp) for op in staged.ops):
         touched = set(files)
@@ -500,11 +517,16 @@ def rewrite_files(
         wheres = [op.where for op in staged.ops if not isinstance(op, InsertOp)]
         needed = _references(w for w in [staged.row_filter, *wheres] if w is not None)
         probe = [schema.names[i] for i in sorted(needed)]
-        matches = [None if w is None else ev.predicate(w) for w in wheres]
-        touched = {
-            f for f in files if f.num_rows
-            and _touches(read(f, probe), f.num_rows, staged, needed, matches, ev)
-        }
+        ev = _Evaluator(eval_ctx, compiler)
+        passes = [ev.selection(staged, w, positions=False) for w in wheres]
+
+        def touches(f: "DataFile") -> bool:
+            # Unprobed columns share one NULL filler; no pass reads them.
+            probed, filler = read(f, probe), [None] * f.num_rows
+            columns = [probed.get(name, filler) for name in schema.names]
+            return any(run is None or run(columns) for run in passes)
+
+        touched = {f for f in files if f.num_rows and touches(f)}
     writes = touched or any(isinstance(op, (InsertOp, MergeOp)) for op in staged.ops)
     removed = [
         f for f in files if f in touched or f.num_rows < TARGET_FILE_ROWS // 2
@@ -519,29 +541,6 @@ def rewrite_files(
         {name: values[lo:lo + TARGET_FILE_ROWS] for name, values in result.items()}
         for lo in range(0, len(result[schema.names[0]]), TARGET_FILE_ROWS)
     ])
-
-
-def _touches(
-    probed: dict[str, list],
-    num_rows: int,
-    staged: StagedWrite,
-    needed: set[int],
-    matches: list[Callable[[ColumnBatch], list] | None],
-    ev: _Evaluator,
-) -> bool:
-    """Does some UPDATE / DELETE match a row of one file the writer can see?
-
-    ``probed`` holds the ``needed`` columns only; the others share a NULL
-    filler. ``matches`` has one predicate per op (``None``: no WHERE), each
-    evaluated only over the rows the row filter admits.
-    """
-    filler = [None] * num_rows
-    columns = [probed.get(name, filler) for name in staged.schema.names]
-    rows = _visible_rows(columns, staged, ev)
-    if rows is not None and not rows:
-        return False
-    visible = _gather(columns, staged.schema, rows, needed)
-    return any(match is None or any(match(visible)) for match in matches)
 
 
 def eval_context_for(ctx: UserContext) -> EvalContext:

@@ -72,6 +72,18 @@ def _refuse_filter_kernels(monkeypatch):
     )
 
 
+def _refuse_write_kernels(monkeypatch):
+    """The compiler refuses every kernel the commit materializer asks for:
+    projections (and the predicates built on them) and the fused row filter
+    -> WHERE pass, so every write expression runs through the interpreter."""
+    from repro.engine.compile import KernelCompiler
+
+    monkeypatch.setattr(KernelCompiler, "compile_projection", lambda self, exprs: None)
+    monkeypatch.setattr(
+        KernelCompiler, "compile_filter_projection", lambda self, cond, exprs: None
+    )
+
+
 class TestPolicyBeforeUserCode:
     """The row filter runs before user code on every execution path.
 
@@ -274,7 +286,6 @@ class TestPolicyBeforeUserCode:
         are all above the fold size, so the commit probes files it then
         leaves alone — the probe, too, filters before WHERE runs."""
         from repro.engine import expressions as ex
-        from repro.engine.compile import KernelCompiler
         from repro.engine.types import INT, Field, Schema
         from repro.txn.writes import TARGET_FILE_ROWS
 
@@ -297,9 +308,7 @@ class TestPolicyBeforeUserCode:
         admin_client.sql(f"GRANT MODIFY ON {orders} TO analysts")
         admin_client.sql(f"ALTER TABLE {orders} SET ROW FILTER (region = 'US')")
         if leg == "compile-refused":
-            monkeypatch.setattr(
-                KernelCompiler, "compile_projection", lambda self, exprs: None
-            )
+            _refuse_write_kernels(monkeypatch)
         catalog = workspace.catalog
         manager = catalog.txn_manager
         alice = catalog.principals.context_for("alice")
@@ -373,6 +382,89 @@ class TestPolicyBeforeUserCode:
         ]
         cache = manager.compiler.cache.stats
         assert (cache.hits + cache.misses > 0) == (leg == "compiled")
+
+    @pytest.mark.parametrize("leg", ["compiled", "compile-refused"])
+    def test_compiled_write_probe_never_sees_a_hidden_row(
+        self, leg, workspace, admin_client, standard_cluster, monkeypatch
+    ):
+        """The compiled leg of the multi-file probe. The WHERE is one the
+        compiler accepts, and its CAST raises on — and would quote — the
+        non-numeric text that only filter-hidden rows hold. The commit probes
+        every file, rewrites the one holding a match and keeps the others;
+        the UPDATE and DELETE commit, and every hidden row keeps its values.
+        On the compiled leg the row filter and WHERE ran as one fused
+        kernel; with compilation refused, conjunct by conjunct."""
+        from repro.engine import expressions as ex
+        from repro.engine.compile import KernelCompiler
+        from repro.txn.writes import TARGET_FILE_ROWS
+
+        orders = "main.sales.orders"
+        catalog = workspace.catalog
+        admin_client.sql(f"UPDATE {orders} SET buyer = '0' WHERE region = 'US'")
+        size = TARGET_FILE_ROWS // 2 + 10  # above the fold: never folded
+
+        def write(first, regions, visible_buyer):
+            region = [regions[i % len(regions)] for i in range(size)]
+            catalog.write_table(orders, {
+                "id": list(range(first, first + size)),
+                "region": region,
+                "amount": [1.0] * size,
+                "buyer": [
+                    visible_buyer(i) if r == "US" else f"hidden-{first + i}"
+                    for i, r in enumerate(region)
+                ],
+            }, catalog.principals.context_for("admin"))
+
+        write(100, ["EU"], str)  # hidden rows only
+        write(3000, ["US", "APAC"], lambda i: str(i % 5))  # the matches
+        write(6000, ["US"], lambda i: "7")  # visible rows, no match
+        hidden = f"SELECT * FROM {orders} WHERE region <> 'US'"
+        hidden_before = sorted(admin_client.sql(hidden).collect())
+        storage = catalog.table_storage(catalog.get_table(orders))
+        before = storage.snapshot(catalog._service_credential).files
+        admin_client.sql(f"GRANT MODIFY ON {orders} TO analysts")
+        admin_client.sql(f"ALTER TABLE {orders} SET ROW FILTER (region = 'US')")
+
+        fused = []
+        if leg == "compile-refused":
+            _refuse_write_kernels(monkeypatch)
+        else:
+            original = KernelCompiler.compile_filter_projection
+
+            def spying(self, condition, exprs):
+                kernel = original(self, condition, exprs)
+                if kernel is not None and any(
+                    isinstance(node, ex.Cast) for node in condition.walk()
+                ):
+                    fused.append(kernel)
+                return kernel
+
+            monkeypatch.setattr(KernelCompiler, "compile_filter_projection", spying)
+
+        cache = catalog.txn_manager.compiler.cache.stats
+        lookups = cache.hits + cache.misses
+        alice = standard_cluster.connect("alice")
+        alice.sql("BEGIN")
+        alice.sql(f"UPDATE {orders} SET amount = 2.0 WHERE CAST(buyer AS INT) = 1")
+        alice.sql(f"DELETE FROM {orders} WHERE CAST(buyer AS INT) = 3")
+        alice.sql("COMMIT")
+
+        after = storage.snapshot(catalog._service_credential).files
+        # The fixture's small file is folded; the US/APAC file held the
+        # matches; the EU-only and US-only files were probed and kept.
+        assert set(before) - set(after) == {before[0], before[2]}
+        assert {before[1], before[3]} <= set(after)
+        admin_client.sql(f"ALTER TABLE {orders} DROP ROW FILTER")
+        assert sorted(admin_client.sql(hidden).collect()) == hidden_before
+        assert sorted(admin_client.sql(
+            f"SELECT buyer, count(*), sum(amount) FROM {orders} "
+            "WHERE region = 'US' GROUP BY buyer"
+        ).collect()) == [
+            ("0", 2 + 104, 40.0 + 104), ("1", 103, 206.0), ("2", 104, 104.0),
+            ("4", 103, 103.0), ("7", size, float(size)),
+        ]
+        assert bool(fused) == (leg == "compiled")
+        assert (cache.hits + cache.misses > lookups) == (leg == "compiled")
 
 
 class TestInvariant2_SecureViewBarrier:

@@ -364,6 +364,51 @@ class TestFileGranularCommits:
             TARGET_FILE_ROWS, size + 3 - TARGET_FILE_ROWS
         ]
 
+    def test_compiles_per_commit_not_per_probed_file(
+        self, workspace, cluster, admin, monkeypatch
+    ):
+        """The row filter and the WHERE are compiled once per commit: one
+        ``UPDATE … WHERE id = k`` over 12 probed files asks the compiler for
+        exactly the kernels it asks for over 2."""
+        from repro.engine.compile import KernelCompiler
+
+        catalog = workspace.catalog
+        calls = []
+        for name in (
+            "compile_projection", "compile_predicate", "compile_filter_projection",
+            "compile_pipeline", "compile_pipeline_spec",
+        ):
+            def spying(self, *args, _name=name, _original=getattr(KernelCompiler, name)):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(KernelCompiler, name, spying)
+
+        for grant in ("USE CATALOG ON main", "USE SCHEMA ON main.sales"):
+            admin.sql(f"GRANT {grant} TO analysts")
+        size = TARGET_FILE_ROWS // 2 + 76  # above the fold: every file probed
+        counts = {}
+        for files in (2, 12):
+            table = f"main.sales.t{files}"
+            admin.sql(f"CREATE TABLE {table} (id int, region string, amount float)")
+            for n in range(files):
+                catalog.write_table(table, {
+                    "id": list(range(n * size, (n + 1) * size)),
+                    "region": ["US", "EU"] * (size // 2),
+                    "amount": [1.0] * size,
+                }, catalog.principals.context_for("admin"))
+            for grant in ("SELECT", "MODIFY"):
+                admin.sql(f"GRANT {grant} ON {table} TO analysts")
+            admin.sql(f"ALTER TABLE {table} SET ROW FILTER (region = 'US')")
+            kept = catalog.txn_manager.stats_snapshot()["files_kept"]
+            calls.clear()
+            cluster.connect("alice").sql(
+                f"UPDATE {table} SET amount = amount + 1.0 WHERE id = {size}"
+            )
+            counts[files] = len(calls)
+            assert catalog.txn_manager.stats_snapshot()["files_kept"] == kept + files - 1
+        assert counts[2] == counts[12] > 0, counts
+
 
 class TestErrorCodecRoundTrip:
     @pytest.mark.parametrize(

@@ -325,9 +325,10 @@ class TestMaterializerMatchesTheRowModel:
         )
         base = {"k": [0, 1, 2], "g": ["a", "a", "b"], "v": [1, 1, 1]}
         assert apply_ops(base, staged, CTX, compiler)["v"] == [1, 2, 1]
-        assert compiler.cache.stats.insertions == 3  # filter, WHERE, SET
+        # One fused filter -> WHERE pass, one SET projection.
+        assert compiler.cache.stats.insertions == 2
         apply_ops(base, staged, CTX, compiler)
-        assert compiler.cache.stats.hits == 3
+        assert compiler.cache.stats.hits == 2
 
 
 # ---------------------------------------------------------------------------

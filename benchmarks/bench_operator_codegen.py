@@ -151,9 +151,9 @@ def test_pipeline_vs_per_operator_kernels():
         return groups
 
     def fused() -> dict:
-        groups: dict[tuple, list] = {}
-        pipeline.accumulate(batch, ctx, groups, [None, None])
-        return groups
+        groups: dict = {}
+        pipeline.accumulate(batch, ctx, groups)
+        return pipeline.algebra_groups(groups)
 
     # Same groups and states before any timing — against both the
     # per-operator plan and the reference interpreter.

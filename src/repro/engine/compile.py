@@ -85,6 +85,11 @@ DEFAULT_KERNEL_CACHE_CAPACITY = 256
 #: exact code a query ran can be inspected offline.
 ENV_DUMP_KERNELS = "LAKEGUARD_DUMP_KERNELS"
 
+#: Generator version, folded into every fingerprint: bump it whenever the
+#: generated code's calling convention or state layout changes, so source a
+#: persistent artifact store kept from an older generator is never rehydrated.
+GENERATOR_VERSION = "g2|"
+
 
 def _maybe_dump_source(fingerprint: str, source: str) -> None:
     """Write one generated source to ``$LAKEGUARD_DUMP_KERNELS`` (best
@@ -273,7 +278,7 @@ def expression_fingerprint(exprs: Sequence[Expression], mode: str = "project") -
     the env), and opaque slots in the same positions (whatever those slots
     compute).
     """
-    digest = hashlib.sha256(f"{mode}|{len(exprs)}".encode())
+    digest = hashlib.sha256(f"{GENERATOR_VERSION}{mode}|{len(exprs)}".encode())
     slots = _literal_slots(_canonical_walk(exprs))
 
     def visit(node: Expression) -> None:
@@ -343,8 +348,8 @@ class CompiledArtifact:
 class _SharedState:
     """State shared between the fast and checked code-generation passes.
 
-    Per-row leaf loads (columns, opaque results) and row-invariant bindings
-    (env constants, group membership, the user) are emitted once and used by
+    Per-row leaves (columns, opaque results) and row-invariant bindings
+    (env constants, group membership, the user) are bound once and used by
     both generated bodies; only the per-node computation code differs.
     """
 
@@ -353,14 +358,12 @@ class _SharedState:
         self.walk_index = {id(node): i for i, node in enumerate(walk)}
         self.literal_slots = _literal_slots(walk)
         self.prelude: list[str] = []
-        #: Per-row leaf loads, emitted at the top of the loop body.
-        self.loads: list[str] = []
+        #: ``(per-row variable, sequence)`` per leaf: zipped by the loop
+        #: header, and assumed non-NULL by the fast path.
+        self.leaves: list[tuple[str, str]] = []
         self.env_spec: list[tuple[str, int, str]] = []
         self.opaque_spec: list[int] = []
-        #: Loaded leaf variables whose non-NULL-ness the fast path assumes.
-        self.guard_vars: list[str] = []
         self._env_memo: dict[tuple[int, str], str] = {}
-        self._cols_bound: set[int] = set()
         self._col_loads: dict[int, str] = {}
         self._opaque_slots: dict[int, int] = {}
         self._groups_bound: dict[str, str] = {}
@@ -380,16 +383,13 @@ class _SharedState:
         return name
 
     def column_value(self, index: int) -> str:
-        """Per-row value of one input column, loaded once per row."""
+        """Per-row value of one input column (a leaf the loop zips)."""
         var = self._col_loads.get(index)
         if var is None:
-            if index not in self._cols_bound:
-                self._cols_bound.add(index)
-                self.prelude.append(f"_c{index} = _cols[{index}]")
+            self.prelude.append(f"_c{index} = _cols[{index}]")
             var = f"_l{index}"
             self._col_loads[index] = var
-            self.loads.append(f"{var} = _c{index}[_i]")
-            self.guard_vars.append(var)
+            self.leaves.append((var, f"_c{index}"))
         return var
 
     def opaque_value(self, node: Expression) -> str:
@@ -400,10 +400,13 @@ class _SharedState:
             slot = len(self.opaque_spec)
             self._opaque_slots[walk_pos] = slot
             self.opaque_spec.append(walk_pos)
+            # User-code output: its length is checked, never assumed (a lone
+            # leaf is iterated without a zip that could catch it).
             self.prelude.append(f"_o{slot} = _opq[{slot}]")
-            var = f"_lo{slot}"
-            self.loads.append(f"{var} = _o{slot}[_i]")
-            self.guard_vars.append(var)
+            self.prelude.append(
+                f"if len(_o{slot}) != _n: raise ValueError('opaque column length')"
+            )
+            self.leaves.append((f"_lo{slot}", f"_o{slot}"))
         return f"_lo{slot}"
 
     def param(self, slot: int) -> str:
@@ -422,10 +425,22 @@ class _SharedState:
         return name
 
     def guard_condition(self) -> str | None:
-        """``x is not None and ...`` over every loaded leaf, or None."""
-        if not self.guard_vars:
+        """``x is not None and ...`` over every leaf, or None."""
+        if not self.leaves:
             return None
-        return " and ".join(f"{v} is not None" for v in self.guard_vars)
+        return " and ".join(f"{v} is not None" for v, _ in self.leaves)
+
+    def loop_header(self) -> str:
+        """Iterate the leaves themselves: ``zip(..., strict=True)`` over
+        several (a length mismatch raises instead of truncating), the bare
+        sequence for one, ``range(_n)`` only when no leaf is loaded."""
+        if not self.leaves:
+            return "for _i in range(_n):"
+        names = ", ".join(v for v, _ in self.leaves)
+        if len(self.leaves) == 1:
+            return f"for {names} in {self.leaves[0][1]}:"
+        seqs = ", ".join(seq for _, seq in self.leaves)
+        return f"for {names} in zip({seqs}, strict=True):"
 
 
 class _CodeGen:
@@ -653,20 +668,18 @@ class _CodeGen:
 
 def _assemble(
     fingerprint: str,
-    prelude: list[str],
+    shared: _SharedState,
     loop_setup: list[str],
     loop_body: list[str],
     returns: list[str],
     params: str = "_cols, _n, _ctx, _env, _opq",
-    epilogue: Sequence[str] = (),
 ) -> tuple[str, Callable]:
     """Render, ``compile()`` and ``exec`` the kernel source."""
     lines = [f"def _kernel({params}):"]
-    lines += [f"    {line}" for line in prelude]
+    lines += [f"    {line}" for line in shared.prelude]
     lines += [f"    {line}" for line in loop_setup]
-    lines.append("    for _i in range(_n):")
+    lines.append(f"    {shared.loop_header()}")
     lines += [f"        {line}" for line in loop_body]
-    lines += [f"    {line}" for line in epilogue]
     lines.append(f"    return [{', '.join(returns)}]")
     source = "\n".join(lines)
     _maybe_dump_source(fingerprint, source)
@@ -681,11 +694,10 @@ def _dual_body(
 ) -> list[str]:
     """Assemble the per-row loop body with NULL specialization.
 
-    The checked pass is generated first (loading every leaf into shared
-    per-row locals); if any loaded leaf can be NULL, a second *fast* body is
-    generated under ``assume_nonnull`` and the loop dispatches per row::
+    The checked pass is generated first (binding every leaf the loop header
+    will zip); if any leaf can be NULL, a second *fast* body is generated
+    under ``assume_nonnull`` and the loop dispatches per row::
 
-        <leaf loads>
         if <every leaf> is not None:   # fast body, no NULL conditionals
         else:                          # checked body, full 3VL
     """
@@ -693,12 +705,11 @@ def _dual_body(
     checked_body = make_body(checked)
     guard = shared.guard_condition()
     if guard is None:
-        return shared.loads + checked_body
+        return checked_body
     fast = _CodeGen(shared, assume_nonnull=True)
     fast_body = make_body(fast)
     return (
-        shared.loads
-        + [f"if {guard}:"]
+        [f"if {guard}:"]
         + [f"    {line}" for line in fast_body]
         + ["else:"]
         + [f"    {line}" for line in checked_body]
@@ -706,51 +717,26 @@ def _dual_body(
 
 
 def _generate_projection(
-    exprs: Sequence[Expression], fingerprint: str
+    exprs: Sequence[Expression],
+    fingerprint: str,
+    condition: Expression | None = None,
 ) -> CompiledArtifact:
-    """Lower a projection list: all outputs computed in one fused loop."""
-    shared = _SharedState(_canonical_walk(exprs))
-
-    def make_body(gen: _CodeGen) -> list[str]:
-        tokens = [gen.emit(expr)[0] for expr in exprs]
-        return gen.body + [f"_out{j}[_i] = {tok}" for j, tok in enumerate(tokens)]
-
-    body = _dual_body(shared, make_body)
-    setup = [f"_out{j} = [None] * _n" for j in range(len(exprs))]
-    source, fn = _assemble(
-        fingerprint, shared.prelude, setup, body,
-        [f"_out{j}" for j in range(len(exprs))],
-    )
-    return CompiledArtifact(
-        fingerprint=fingerprint,
-        source=source,
-        fn=fn,
-        env_spec=tuple(shared.env_spec),
-        opaque_spec=tuple(shared.opaque_spec),
-        num_outputs=len(exprs),
+    """Lower [filter→]project into one loop with append-based outputs: all
+    outputs computed in one pass, and a filtered batch never materialized."""
+    shared = _SharedState(
+        _canonical_walk(exprs if condition is None else [condition, *exprs])
     )
 
-
-def _generate_filter_projection(
-    condition: Expression, exprs: Sequence[Expression], fingerprint: str
-) -> CompiledArtifact:
-    """Lower filter→project into one loop with append-based outputs, so the
-    intermediate filtered batch is never materialized."""
-    shared = _SharedState(_canonical_walk([condition, *exprs]))
-
     def make_body(gen: _CodeGen) -> list[str]:
-        gen.emit_filter(condition)
+        if condition is not None:
+            gen.emit_filter(condition)
         tokens = [gen.emit(expr)[0] for expr in exprs]
-        return gen.body + [f"_a{j}({tok})" for j, tok in enumerate(tokens)]
+        return gen.body + [f"_out{j}.append({tok})" for j, tok in enumerate(tokens)]
 
     body = _dual_body(shared, make_body)
-    setup: list[str] = []
-    for j in range(len(exprs)):
-        setup.append(f"_out{j} = []")
-        setup.append(f"_a{j} = _out{j}.append")
+    outputs = [f"_out{j}" for j in range(len(exprs))]
     source, fn = _assemble(
-        fingerprint, shared.prelude, setup, body,
-        [f"_out{j}" for j in range(len(exprs))],
+        fingerprint, shared, [f"{out} = []" for out in outputs], body, outputs
     )
     return CompiledArtifact(
         fingerprint=fingerprint,
@@ -815,57 +801,69 @@ def _guarded(value_tok: str, guarded: bool, body: list[str]) -> list[str]:
     return [f"if {value_tok} is not None:"] + [f"    {line}" for line in body]
 
 
-def _upd_count(j: int, v: str, guarded: bool) -> list[str]:
-    return _guarded(v, guarded, [f"_st[{j}] = _st[{j}] + 1"])
+def _upd_count(s: int, v: str, guarded: bool) -> list[str]:
+    return _guarded(v, guarded, [f"_st[{s}] = _st[{s}] + 1"])
 
 
-def _upd_sum(j: int, v: str, guarded: bool) -> list[str]:
+def _upd_sum(s: int, v: str, guarded: bool) -> list[str]:
     return _guarded(v, guarded, [
-        f"_s{j} = _st[{j}]",
-        f"_st[{j}] = {v} if _s{j} is None else _s{j} + {v}",
+        f"_s{s} = _st[{s}]",
+        f"_st[{s}] = {v} if _s{s} is None else _s{s} + {v}",
     ])
 
 
-def _upd_min(j: int, v: str, guarded: bool) -> list[str]:
+def _upd_min(s: int, v: str, guarded: bool) -> list[str]:
     # min(s, v) keeps s on ties; mirror that exactly.
     return _guarded(v, guarded, [
-        f"_s{j} = _st[{j}]",
-        f"_st[{j}] = {v} if _s{j} is None else ({v} if {v} < _s{j} else _s{j})",
+        f"_s{s} = _st[{s}]",
+        f"_st[{s}] = {v} if _s{s} is None else ({v} if {v} < _s{s} else _s{s})",
     ])
 
 
-def _upd_max(j: int, v: str, guarded: bool) -> list[str]:
+def _upd_max(s: int, v: str, guarded: bool) -> list[str]:
     return _guarded(v, guarded, [
-        f"_s{j} = _st[{j}]",
-        f"_st[{j}] = {v} if _s{j} is None else ({v} if {v} > _s{j} else _s{j})",
+        f"_s{s} = _st[{s}]",
+        f"_st[{s}] = {v} if _s{s} is None else ({v} if {v} > _s{s} else _s{s})",
     ])
 
 
-def _upd_avg(j: int, v: str, guarded: bool) -> list[str]:
+def _upd_avg(s: int, v: str, guarded: bool) -> list[str]:
+    # Two flat slots, (sum, count): no tuple built per row.
     return _guarded(v, guarded, [
-        f"_s{j} = _st[{j}]",
-        f"_st[{j}] = (_s{j}[0] + {v}, _s{j}[1] + 1)",
+        f"_st[{s}] = _st[{s}] + {v}",
+        f"_st[{s + 1}] = _st[{s + 1}] + 1",
     ])
 
 
-def _upd_count_distinct(j: int, v: str, guarded: bool) -> list[str]:
+def _upd_count_distinct(s: int, v: str, guarded: bool) -> list[str]:
     # Mutable set instead of the algebra's frozenset-per-row: ``merge`` and
     # ``final`` (union / len) accept either, and states only leave through
     # pickle or finalization, so results are identical.
-    return _guarded(v, guarded, [f"_st[{j}].add({v})"])
+    return _guarded(v, guarded, [f"_st[{s}].add({v})"])
 
 
-#: Aggregates the pipeline generator can inline: ``(state init source,
-#: update-code emitter)``. Init/update mirror ``AGGREGATE_FUNCTIONS``
-#: exactly; an aggregate outside this table refuses the whole pipeline.
-_AGG_INLINE: dict[str, tuple[str, Callable[[int, str, bool], list[str]]]] = {
-    "count": ("0", _upd_count),
-    "sum": ("None", _upd_sum),
-    "min": ("None", _upd_min),
-    "max": ("None", _upd_max),
-    "avg": ("(0.0, 0)", _upd_avg),
-    "count_distinct": ("set()", _upd_count_distinct),
+#: Aggregates the pipeline generator can inline: ``(init source per
+#: accumulator slot, update-code emitter)``. Init/update mirror
+#: ``AGGREGATE_FUNCTIONS`` exactly (``avg``'s two slots are its ``(sum,
+#: count)`` state, flattened); an aggregate outside this table refuses the
+#: whole pipeline.
+_AGG_INLINE: dict[str, tuple[tuple[str, ...], Callable[[int, str, bool], list[str]]]] = {
+    "count": (("0",), _upd_count),
+    "sum": (("None",), _upd_sum),
+    "min": (("None",), _upd_min),
+    "max": (("None",), _upd_max),
+    "avg": (("0.0", "0"), _upd_avg),
+    "count_distinct": (("set()",), _upd_count_distinct),
 }
+
+
+def _slot_layout(agg_specs: Sequence[tuple[str, bool]]) -> list[int]:
+    """The first accumulator slot of each aggregate call."""
+    starts, slot = [], 0
+    for name, _ in agg_specs:
+        starts.append(slot)
+        slot += len(_AGG_INLINE[name][0])
+    return starts
 
 
 def _generate_aggregation_pipeline(
@@ -875,46 +873,47 @@ def _generate_aggregation_pipeline(
 
     The loop filters, computes grouping keys and aggregate inputs, and folds
     each row into per-group accumulator slots *in place* — no intermediate
-    batch, no per-call closure dispatch. A last-key memo (``_lk``/``_ls``,
-    persisted across batches through ``_cell``) turns runs of identical keys
-    into local-variable updates without a dict probe.
+    batch, no per-call closure dispatch. A one-column GROUP BY is keyed by
+    the bare value, a GROUP BY-less aggregate binds its one state outside
+    the loop, and ``avg`` keeps flat slots; :meth:`CompiledPipeline.
+    algebra_groups` converts to the aggregate algebra's layout once.
     """
     shared = _SharedState(_canonical_walk(spec.all_exprs()))
-    inits = ", ".join(_AGG_INLINE[name][0] for name, _ in spec.agg_specs)
+    inits = ", ".join(
+        init for name, _ in spec.agg_specs for init in _AGG_INLINE[name][0]
+    )
 
     def make_body(gen: _CodeGen) -> list[str]:
         if spec.condition is not None:
             gen.emit_filter(spec.condition)
         key_toks = [gen.emit(g)[0] for g in spec.groupings]
         values = [gen.emit(e) for e in spec.agg_inputs]
-        tail = [
-            "_key = (" + ", ".join(key_toks)
-            + ("," if len(key_toks) == 1 else "") + ")",
-            "if _ls is not None and _key == _lk:",
-            "    _st = _ls",
-            "else:",
-            "    _st = _get(_key)",
-            "    if _st is None:",
-            f"        _st = [{inits}]",
-            "        _groups[_key] = _st",
-            "    _lk = _key",
-            "    _ls = _st",
-        ]
-        for j, ((name, has_child), (v_tok, maybe)) in enumerate(
-            zip(spec.agg_specs, values)
+        if not key_toks:
+            tail = ["if _st is None:", f"    _st = _groups[()] = [{inits}]"]
+        else:
+            tail = []
+            key = key_toks[0]
+            if len(key_toks) > 1 or not key.isidentifier():
+                tail.append(f"_key = ({', '.join(key_toks)})")
+                key = "_key"
+            tail += [
+                f"_st = _get({key})",
+                "if _st is None:",
+                f"    _st = _groups[{key}] = [{inits}]",
+            ]
+        for slot, (name, has_child), (v_tok, maybe) in zip(
+            _slot_layout(spec.agg_specs), spec.agg_specs, values
         ):
             # All inlined aggregates ignore NULL inputs; COUNT(*)-style calls
             # feed a constant and never skip, matching the interpreter.
-            tail += _AGG_INLINE[name][1](j, v_tok, maybe and has_child)
+            tail += _AGG_INLINE[name][1](slot, v_tok, maybe and has_child)
         return gen.body + tail
 
     body = _dual_body(shared, make_body)
-    setup = ["_get = _groups.get", "_lk = _cell[0]", "_ls = _cell[1]"]
-    epilogue = ["_cell[0] = _lk", "_cell[1] = _ls"]
+    setup = ["_get = _groups.get"] if spec.groupings else ["_st = _groups.get(())"]
     source, fn = _assemble(
-        fingerprint, shared.prelude, setup, body, [],
-        params="_cols, _n, _ctx, _env, _opq, _groups, _cell",
-        epilogue=epilogue,
+        fingerprint, shared, setup, body, [],
+        params="_cols, _n, _ctx, _env, _opq, _groups",
     )
     return CompiledArtifact(
         fingerprint=fingerprint,
@@ -1052,33 +1051,42 @@ class CompiledPipeline:
     opaque pre-evaluation happens here.
     """
 
-    __slots__ = ("artifact", "spec", "_env")
+    __slots__ = ("artifact", "spec", "_env", "_slots")
 
     def __init__(self, artifact: CompiledArtifact, spec: PipelineSpec):
         self.artifact = artifact
         self.spec = spec
         self._env = _bind_env(artifact, _canonical_walk(spec.all_exprs()))
+        #: ``(first slot, is avg)`` per aggregate call, for the conversion.
+        self._slots = [
+            (slot, name == "avg")
+            for slot, (name, _) in zip(_slot_layout(spec.agg_specs), spec.agg_specs)
+        ]
 
     @property
     def fingerprint(self) -> str:
         return self.artifact.fingerprint
 
     def accumulate(
-        self,
-        batch: ColumnBatch,
-        ctx: EvalContext,
-        groups: dict[tuple, list[Any]],
-        cell: list[Any],
+        self, batch: ColumnBatch, ctx: EvalContext, groups: dict[Any, list[Any]]
     ) -> None:
-        """Fold one batch into ``groups`` (state layout matches the
-        aggregate algebra, so partial emit / merge machinery applies).
+        """Fold one batch into ``groups``, in the loop's own layout (see
+        :meth:`algebra_groups`)."""
+        self.artifact.fn(batch.columns, batch.num_rows, ctx, self._env, (), groups)
 
-        ``cell`` is the two-slot last-key memo carried across batches;
-        start each accumulation scope with ``[None, None]``.
-        """
-        self.artifact.fn(
-            batch.columns, batch.num_rows, ctx, self._env, (), groups, cell
-        )
+    def algebra_groups(self, groups: dict[Any, list[Any]]) -> dict[tuple, list[Any]]:
+        """``groups`` in the aggregate algebra's layout — tuple keys, one
+        state per call, ``(sum, count)`` for ``avg`` — so partial emit /
+        merge machinery applies. Run once, after the last batch."""
+        bare = len(self.spec.groupings) == 1
+        slots = self._slots
+        return {
+            ((key,) if bare else key): [
+                (states[s], states[s + 1]) if pair else states[s]
+                for s, pair in slots
+            ]
+            for key, states in groups.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -1345,7 +1353,7 @@ class KernelCompiler:
             )
             artifact = self._lookup_or_generate(
                 fingerprint,
-                lambda: _generate_filter_projection(folded_cond, folded, fingerprint),
+                lambda: _generate_projection(folded, fingerprint, folded_cond),
                 outputs=len(folded),
             )
             return CompiledKernels(artifact, (folded_cond, *folded))

@@ -884,9 +884,10 @@ class PhysFusedPipeline(PhysHashAggregate):
     one function call filters, computes grouping keys and aggregate inputs,
     and folds rows into accumulator slots in place — no intermediate
     ``ColumnBatch`` between the fused operators, no per-group closure
-    dispatch. Emission (partial blobs or finalized outputs) reuses the
-    parent's machinery unchanged, so eFGAC exchange formats and output
-    rewriting are byte-identical to the unfused plan.
+    dispatch. The loop's groups are converted to the aggregate algebra's
+    layout once, after the last batch; emission (partial blobs or finalized
+    outputs) then reuses the parent's machinery unchanged, so eFGAC exchange
+    formats and output rewriting are byte-identical to the unfused plan.
     """
 
     def __init__(
@@ -910,13 +911,13 @@ class PhysFusedPipeline(PhysHashAggregate):
         return self._pipeline
 
     def _accumulate(self, ctx: ExecContext) -> dict[tuple, list[Any]]:
-        groups: dict[tuple, list[Any]] = {}
         pipeline = self._pipeline
         with _kernel_span(ctx, pipeline, "pipeline"):
-            cell: list[Any] = [None, None]
+            loop_groups: dict[Any, list[Any]] = {}
             for batch in self.children[0].execute(ctx):
                 if batch.num_rows:
-                    pipeline.accumulate(batch, ctx.eval_ctx, groups, cell)
+                    pipeline.accumulate(batch, ctx.eval_ctx, loop_groups)
+            groups = pipeline.algebra_groups(loop_groups)
         if not groups and not self._groupings:
             # Global aggregate over empty input still yields one row.
             groups[()] = [call.func.create() for call in self._agg_calls]

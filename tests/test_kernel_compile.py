@@ -327,6 +327,55 @@ class TestPlannerWiring:
         assert operator.children[0]._kernel is None
 
 
+class TestLoopsNeverTruncate:
+    """Generated loops iterate their leaves, never an index range: a leaf
+    whose length differs from the batch's raises instead of being cut
+    short (or, for a longer one, silently ignored)."""
+
+    ROWS = [(1, 1.0, "a"), (2, 2.0, "b"), (3, 3.0, "c")]
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("with_column", [True, False], ids=["zip", "lone"])
+    def test_projection_rejects_a_mismatched_opaque_column(
+        self, delta, with_column
+    ):
+        @engine_udf("int")
+        def bump(v):
+            return v + 1
+
+        other = X if with_column else lit(10)
+        kernel = KernelCompiler().compile_projection(
+            (Arithmetic("+", bump(X), other),)
+        )
+        assert kernel is not None and len(kernel.artifact.opaque_spec) == 1
+        batch = make_batch(self.ROWS)
+        fn, env = kernel.artifact.fn, kernel._env  # noqa: SLF001
+        assert fn(batch.columns, 3, EvalContext(), env, [[2, 3, 4]]) == [
+            [3, 5, 7] if with_column else [12, 13, 14]
+        ]
+        mismatched = [[2, 3, 4, 5][: 3 + delta]]
+        with pytest.raises(ValueError):
+            fn(batch.columns, 3, EvalContext(), env, mismatched)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["shorter", "longer"])
+    def test_filter_projection_rejects_a_mismatched_column(self, delta):
+        # Filter→projection kernels refuse opaque nodes, so every leaf is a
+        # batch column: one of a different length must still raise.
+        kernel = KernelCompiler().compile_filter_projection(
+            Comparison(">", X, lit(1)), (Arithmetic("*", Y, lit(2.0)), S)
+        )
+        assert kernel is not None
+        batch = make_batch(self.ROWS)
+        fn, env = kernel.artifact.fn, kernel._env  # noqa: SLF001
+        assert fn(batch.columns, 3, EvalContext(), env, []) == [
+            [4.0, 6.0], ["b", "c"]
+        ]
+        x, y, s = batch.columns
+        longer_or_shorter = [4.0, 5.0, 6.0, 7.0][: 3 + delta]
+        with pytest.raises(ValueError):
+            fn([x, longer_or_shorter, s], 3, EvalContext(), env, [])
+
+
 # ---------------------------------------------------------------------------
 # Fallback and cache behaviour
 # ---------------------------------------------------------------------------
@@ -353,8 +402,8 @@ class TestFallbackAndCache:
         def boom(*args, **kwargs):
             raise RuntimeError("codegen exploded")
 
+        # One generator lowers projections and filter→projections alike.
         monkeypatch.setattr(compile_mod, "_generate_projection", boom)
-        monkeypatch.setattr(compile_mod, "_generate_filter_projection", boom)
         rows = [(1, 1.0, "a"), (2, 2.0, "b")]
         plan = Project(
             Filter(UnresolvedRelation("t"), Comparison(">", col("x"), lit(1))),

@@ -159,12 +159,12 @@ class TestPipelineEqualsInterpreter:
         pipeline = KernelCompiler().compile_pipeline_spec(spec)
         assert pipeline is not None, "no opaque nodes: lowering must succeed"
         ctx = EvalContext(user="alice", groups=frozenset({"analysts"}))
-        compiled: dict[tuple, list] = {}
+        loop_groups: dict = {}
         interpreted: dict[tuple, list] = {}
-        cell = [None, None]  # last-key memo persists across batches
         for batch in chunk_batch(make_batch(rows), chunk):
-            pipeline.accumulate(batch, ctx, compiled, cell)
+            pipeline.accumulate(batch, ctx, loop_groups)
             interpret_pipeline(spec, batch, ctx, interpreted)
+        compiled = pipeline.algebra_groups(loop_groups)
         # set (generated loop) vs frozenset (algebra) compare equal, every
         # other state is a scalar or tuple: plain == is exact.
         assert compiled == interpreted
@@ -192,13 +192,13 @@ class TestPipelineEqualsInterpreter:
         pipeline = KernelCompiler().compile_pipeline_spec(spec)
         assert pipeline is not None
         ctx = EvalContext()
-        compiled: dict[tuple, list] = {}
+        loop_groups: dict = {}
         interpreted: dict[tuple, list] = {}
-        cell = [None, None]
         empty = make_batch([])
         for batch in (empty, make_batch(rows), empty):
-            pipeline.accumulate(batch, ctx, compiled, cell)
+            pipeline.accumulate(batch, ctx, loop_groups)
             interpret_pipeline(spec, batch, ctx, interpreted)
+        compiled = pipeline.algebra_groups(loop_groups)
         assert compiled == interpreted
         assert compiled  # the data really produced groups
 
@@ -208,8 +208,9 @@ class TestPipelineEqualsInterpreter:
         )
         rows = [(1, 2.0, "a"), (1, 4.0, "a"), (2, None, "b"), (None, 1.0, "b")]
         pipeline = KernelCompiler().compile_pipeline_spec(spec)
-        groups: dict[tuple, list] = {}
-        pipeline.accumulate(make_batch(rows), EvalContext(), groups, [None, None])
+        loop_groups: dict = {}
+        pipeline.accumulate(make_batch(rows), EvalContext(), loop_groups)
+        groups = pipeline.algebra_groups(loop_groups)
         funcs = [AGGREGATE_FUNCTIONS[name] for name, _ in spec.agg_specs]
         final = {
             key: tuple(f.final(s) for f, s in zip(funcs, states))
@@ -285,9 +286,10 @@ class TestShortCircuitPredicates:
         spec = _make_spec(predicate, (S,), [("count", None), ("sum", Y)])
         pipeline = SHARED_COMPILER.compile_pipeline_spec(spec)
         assert pipeline is not None
-        compiled: dict[tuple, list] = {}
+        loop_groups: dict = {}
         interpreted: dict[tuple, list] = {}
-        pipeline.accumulate(batch, ctx, compiled, [None, None])
+        pipeline.accumulate(batch, ctx, loop_groups)
+        compiled = pipeline.algebra_groups(loop_groups)
         interpret_pipeline(spec, batch, ctx, interpreted)
         assert compiled == interpreted
 
@@ -337,11 +339,10 @@ class TestConjunctGating:
             BooleanOp("AND", self.POLICY, self.USER), (), [("count", None)]
         )
         pipeline = KernelCompiler().compile_pipeline_spec(spec)
-        compiled: dict[tuple, list] = {}
+        loop_groups: dict = {}
         interpreted: dict[tuple, list] = {}
-        pipeline.accumulate(
-            make_batch(self.ROWS), EvalContext(), compiled, [None, None]
-        )
+        pipeline.accumulate(make_batch(self.ROWS), EvalContext(), loop_groups)
+        compiled = pipeline.algebra_groups(loop_groups)
         interpret_pipeline(spec, make_batch(self.ROWS), EvalContext(), interpreted)
         assert compiled == interpreted == {(): [1]}
 
@@ -429,11 +430,21 @@ def _engine(rows, *, compile_enabled=True, fuse=True) -> QueryEngine:
 
 def _three_ways(rows, plan) -> list[list[tuple]]:
     """Rows from the fused, unfused-compiled, and interpreted engines."""
-    return [
-        _engine(rows, fuse=True).execute(plan).rows(),
+    fused = _engine(rows, fuse=True)
+    results = [
+        fused.execute(plan).rows(),
         _engine(rows, fuse=False).execute(plan).rows(),
         _engine(rows, compile_enabled=False).execute(plan).rows(),
     ]
+    _assert_really_fused(fused.kernel_compiler.cache.stats)
+    return results
+
+
+def _assert_really_fused(stats) -> None:
+    """The fused leg compiled: a generator bug falls back to the interpreter
+    silently, and would then "match" it without testing anything."""
+    assert stats.compile_errors == 0
+    assert stats.fusion_hits > 0
 
 
 class TestEngineFusionEquivalence:
@@ -500,9 +511,14 @@ class TestEngineFusionEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_join_key_sink_identical_three_ways(self, rows):
         base = UnresolvedRelation("t")
+        # A computed right-hand column: a projection of bare columns is not
+        # worth compiling, so that side (and the join sink) would not fuse.
         plan = Join(
             Filter(base, Comparison("<", col("x"), lit(10))),
-            Project(base, (Alias(col("x"), "x2"), Alias(col("y"), "y2"))),
+            Project(
+                base,
+                (Alias(col("x"), "x2"), Alias(Arithmetic("*", col("y"), lit(2.0)), "y2")),
+            ),
             how="inner",
             condition=Comparison("=", col("x"), col("x2")),
         )
@@ -526,7 +542,11 @@ class TestEngineFusionEquivalence:
         left = Filter(base, Comparison("<", col("x"), lit(40)))
         right = Project(
             base,
-            (Alias(col("x"), "x2"), Alias(col("s"), "s2"), Alias(col("y"), "y2")),
+            (
+                Alias(col("x"), "x2"),
+                Alias(col("s"), "s2"),
+                Alias(Arithmetic("*", col("y"), lit(2.0)), "y2"),  # fuses
+            ),
         )
         equalities = [Comparison("=", col(k), col(k + "2")) for k in keys]
         hashed = equalities[0]
@@ -695,6 +715,7 @@ class TestGovernedFusionEquivalence:
                 for cluster in (fused, unfused, interpreted)
             ]
             assert results[0] == results[1] == results[2]
+        _assert_really_fused(fused.backend.kernel_cache.stats)
 
     def test_policies_bite_identically_when_fused(self, fusion_clusters):
         fused, _, _ = fusion_clusters

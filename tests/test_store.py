@@ -555,3 +555,82 @@ class TestResultPayload:
         assert cache.stats.decode_errors == 1 and cache.stats.misses == 1
         assert not marker.exists()
         assert artifacts.get_result("result/k") is None  # evicted
+
+
+#: What the previous code generator persisted for ``_AVG_QUERY``'s pipeline:
+#: a ``_cell`` parameter (the deleted last-key memo) and tuple ``avg``
+#: states under 1-tuple keys. Rehydrating it into today's calling
+#: convention would fail the query or corrupt its states.
+_OLD_GENERATOR_PIPELINE = """def _kernel(_cols, _n, _ctx, _env, _opq, _groups, _cell):
+    _c0 = _cols[0]
+    _c1 = _cols[1]
+    _get = _groups.get
+    _lk = _cell[0]
+    _ls = _cell[1]
+    for _i in range(_n):
+        _l0 = _c0[_i]
+        _l1 = _c1[_i]
+        _key = (_l0,)
+        if _ls is not None and _key == _lk:
+            _st = _ls
+        else:
+            _st = _get(_key)
+            if _st is None:
+                _st = [(0.0, 0)]
+                _groups[_key] = _st
+            _lk = _key
+            _ls = _st
+        if _l1 is not None:
+            _s0 = _st[0]
+            _st[0] = (_s0[0] + _l1, _s0[1] + 1)
+    _cell[0] = _lk
+    _cell[1] = _ls
+    return []"""
+
+_AVG_QUERY = (
+    "SELECT region, avg(amount) AS a FROM main.sales.orders "
+    "GROUP BY region ORDER BY region"
+)
+
+
+class TestGeneratorVersion:
+    def test_an_older_generators_payload_is_never_rehydrated(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.engine.compile as compile_mod
+
+        store_dir = str(tmp_path / "spill")
+        # Warm the store under the unversioned key scheme (the version
+        # prefix emptied), then plant the older generator's pipeline source
+        # under exactly the key that scheme reads back.
+        monkeypatch.setattr(compile_mod, "GENERATOR_VERSION", "")
+        ws1 = _make_workspace(store_backend="disk", store_dir=store_dir)
+        c1 = ws1.create_standard_cluster(engine_fuse_operators=True)
+        _seed(c1)
+        expected = c1.connect("alice").sql(_AVG_QUERY).collect()
+        assert expected == [("APAC", 40.0), ("EU", 20.0), ("US", 20.0)]
+        store = c1.backend.artifact_store
+        planted = 0
+        for key in store.store.keys():
+            if not key.startswith("kernel/"):
+                continue
+            fingerprint = key.split("/", 1)[1]
+            payload = store.get_kernel_payload(fingerprint)
+            if "_groups" in payload["source"]:
+                payload["source"] = _OLD_GENERATOR_PIPELINE
+                store.put_kernel_payload(fingerprint, payload)
+                planted += 1
+        assert planted == 1
+        ws1.shutdown()
+        monkeypatch.undo()
+
+        ws2 = _make_workspace(store_backend="disk", store_dir=store_dir)
+        c2 = ws2.create_standard_cluster(engine_fuse_operators=True)
+        _seed(c2)
+        stats = c2.backend.kernel_cache.stats
+        hits_before = stats.persistent_hits
+        assert c2.connect("alice").sql(_AVG_QUERY).collect() == expected
+        assert stats.persistent_hits == hits_before  # missed, recompiled
+        assert stats.compile_errors == 0
+        assert stats.fusion_hits > 0
+        ws2.shutdown()

@@ -163,6 +163,9 @@ class UnityCatalog:
         self.system_tables.register_stats_provider(
             CACHE_STATS, "decoded_columns[store]", self.store.decoded.stats_snapshot
         )
+        self.system_tables.register_stats_provider(
+            CACHE_STATS, "governed_rows[store]", self.store.governed.stats_snapshot
+        )
         #: Attribute-based access control: tags + tag policies (§2.3 ABAC).
         self.tags = TagStore()
         self.tags.on_change = lambda: self.bump_policy_epoch("abac-update")

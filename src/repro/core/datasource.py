@@ -35,6 +35,7 @@ from repro.catalog.scopes import ComputeCapabilities
 from repro.engine.batch import ColumnBatch, chunk_batch
 from repro.engine.expressions import EvalContext
 from repro.engine.logical import TableRef
+from repro.engine.physical import RowSelection
 from repro.errors import (
     CredentialError,
     ExecutionError,
@@ -47,6 +48,7 @@ from repro.storage.credentials import (
     CredentialCache,
     TemporaryCredential,
 )
+from repro.storage.object_store import RowPolicy
 from repro.storage.table_format import DataFile, LakeTableStorage
 
 
@@ -244,10 +246,12 @@ class GovernedDataSource:
         table: TableRef,
         eval_ctx: EvalContext,
         columns: Sequence[int],
+        policy: RowSelection | None = None,
     ) -> Iterator[ColumnBatch]:
         """Batches of ``columns`` (positions in ``table.schema``) of every
         live file, each file fetched whole under the scan's
-        vended credential and only those columns decoded."""
+        vended credential and only those columns decoded (with a ``policy``,
+        only the rows it admits, under the policy epoch read now)."""
         ctx = eval_ctx.auth
         if not isinstance(ctx, UserContext):
             raise ExecutionError(
@@ -290,6 +294,7 @@ class GovernedDataSource:
         qctx: QueryContext | None = getattr(eval_ctx, "query_ctx", None)
         schema = table.schema.select(list(columns))
         names = tuple(f.name for f in schema)
+        row_policy = policy and RowPolicy.bind(policy, eval_ctx, self._catalog.policy_epoch)
 
         def read_with_recovery(
             data_file: DataFile,
@@ -306,7 +311,7 @@ class GovernedDataSource:
             while True:
                 cred = holder.current()
                 try:
-                    decoded = storage.read_file(data_file, cred, names)
+                    decoded = storage.read_file(data_file, cred, names, policy=row_policy)
                     if attempt:
                         self._catalog.faults.record_recovery("scan.task_retry")
                     return decoded

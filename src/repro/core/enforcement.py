@@ -149,7 +149,7 @@ class GovernedResolver:
         qctx = current_context()
 
         if metadata.row_filter is not None:
-            plan = Filter(plan, metadata.row_filter.condition)
+            plan = Filter(plan, metadata.row_filter.condition, policy=True)
             if qctx is not None:
                 qctx.event(
                     "row-filter-injected",

@@ -190,7 +190,7 @@ class Analyzer:
             )
         if is_aggregate_expression(condition):
             raise AnalysisError("aggregates are not allowed in WHERE (use HAVING)")
-        return Filter(child, condition)
+        return Filter(child, condition, plan.policy)
 
     def _analyze_aggregate(self, plan: Aggregate, child: LogicalPlan) -> Aggregate:
         schema = child.schema

@@ -76,6 +76,7 @@ from repro.engine.expressions import (
     Not,
     Parameter,
     conjuncts,
+    is_pure,
 )
 
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
@@ -292,6 +293,31 @@ def expression_fingerprint(exprs: Sequence[Expression], mode: str = "project") -
 
     for expr in exprs:
         visit(expr)
+    return digest.hexdigest()
+
+
+def memoisable_policy(predicate: Expression) -> bool:
+    """Whether the governed scan memo may hold the rows the row filter
+    ``predicate`` admits: pure (:func:`~repro.engine.expressions.is_pure`),
+    free of :class:`Parameter` slots, and made only of inlinable nodes."""
+    return is_pure(predicate) and not any(
+        isinstance(node, Parameter) or _is_opaque(node) for node in predicate.walk()
+    )
+
+
+def policy_digest(predicate: Expression) -> str:
+    """Value-exact sha256 of a :func:`memoisable_policy` predicate: unlike
+    :func:`expression_fingerprint`, ``region = 'EU'`` and ``region = 'US'``
+    differ. Signatures are length-prefixed, so no literal spells a tree."""
+    digest = hashlib.sha256(b"policy|")
+    for node in predicate.walk():
+        if isinstance(node, Literal):
+            sig = f"lit:{type(node.value).__name__}:{node.value!r}"
+        elif isinstance(node, BoundRef):
+            sig = f"ref:{node.index}:{node.name}"
+        else:
+            sig = _node_signature(node, {})
+        digest.update(f"{len(sig)}:{sig}|{len(node.children)};".encode())
     return digest.hexdigest()
 
 

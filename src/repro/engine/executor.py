@@ -25,6 +25,7 @@ from repro.engine.physical import (
     ExecContext,
     PhysicalPlanner,
     QueryMetrics,
+    RowSelection,
 )
 from repro.errors import ExecutionError
 
@@ -72,6 +73,7 @@ class LocalDataSource:
         table: TableRef,
         eval_ctx: EvalContext,
         columns: Sequence[int],
+        policy: RowSelection | None = None,
     ) -> Iterator[ColumnBatch]:
         try:
             data = self._tables[table.full_name]
@@ -79,6 +81,8 @@ class LocalDataSource:
             raise ExecutionError(f"no data registered for '{table.full_name}'") from None
         schema = table.schema.select(list(columns))
         batch = ColumnBatch.from_dict(schema, data)
+        if policy is not None:
+            batch = batch.take(policy.admitted([data[n] for n in policy.columns], eval_ctx))
         yield from chunk_batch(batch, eval_ctx.batch_size)
 
 

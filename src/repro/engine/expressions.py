@@ -161,6 +161,20 @@ def contains_user_code(expr: Expression) -> bool:
     return any(node.is_user_code for node in expr.walk())
 
 
+#: Deterministic per process, not across processes (salted string hashing).
+PROCESS_SALTED_FUNCTIONS = frozenset({"hash"})
+
+
+def is_pure(expr: Expression) -> bool:
+    """No user code, nothing non-deterministic, no process-salted builtin."""
+    for node in expr.walk():
+        if node.is_user_code or not node.deterministic:
+            return False
+        if isinstance(node, FunctionCall) and node.name in PROCESS_SALTED_FUNCTIONS:
+            return False
+    return True
+
+
 def to_expression(value: Any) -> Expression:
     """Coerce strings to column refs and Python scalars to literals."""
     if isinstance(value, Expression):

@@ -181,18 +181,22 @@ class Range(LogicalPlan):
 
 
 class Scan(LogicalPlan):
-    """A governed table scan, possibly narrowed by pushed-down state."""
+    """A governed table scan, possibly narrowed by pushed-down state.
+    ``policy_filter``, a row filter the data source applies, goes before
+    ``pushed_filters``."""
 
     def __init__(
         self,
         table: TableRef,
         required_columns: tuple[int, ...] | None = None,
         pushed_filters: tuple[Expression, ...] = (),
+        policy_filter: Expression | None = None,
     ):
         super().__init__()
         self.table = table
         self.required_columns = required_columns
         self.pushed_filters = tuple(pushed_filters)
+        self.policy_filter = policy_filter
 
     @property
     def schema(self) -> Schema:
@@ -208,6 +212,8 @@ class Scan(LogicalPlan):
         if self.required_columns is not None:
             names = [self.table.schema[i].name for i in self.required_columns]
             extras.append(f"columns={names}")
+        if self.policy_filter is not None:
+            extras.append(f"policy=[{self.policy_filter}]")
         if self.pushed_filters:
             extras.append(f"filters=[{', '.join(map(str, self.pushed_filters))}]")
         suffix = (" " + ", ".join(extras)) if extras else ""
@@ -291,11 +297,13 @@ class Project(LogicalPlan):
 
 
 class Filter(LogicalPlan):
-    """Row filtering by a boolean condition (``WHERE``)."""
+    """Row filtering by a boolean condition (``WHERE``). ``policy`` marks
+    the row filter enforcement injected over a governed table's scan."""
 
-    def __init__(self, child: LogicalPlan, condition: Expression):
+    def __init__(self, child: LogicalPlan, condition: Expression, policy: bool = False):
         super().__init__((child,))
         self.condition = condition
+        self.policy = policy
 
     @property
     def child(self) -> LogicalPlan:
@@ -310,7 +318,7 @@ class Filter(LogicalPlan):
         return super().resolved and self.condition.resolved
 
     def with_children(self, children):
-        return Filter(children[0], self.condition)
+        return Filter(children[0], self.condition, self.policy)
 
     def expressions(self):
         return [self.condition]
@@ -592,7 +600,7 @@ def transform_expressions(
 
     def rewrite(node: LogicalPlan) -> LogicalPlan:
         if isinstance(node, Filter):
-            return Filter(node.child, node.condition.transform(fn))
+            return Filter(node.child, node.condition.transform(fn), node.policy)
         if isinstance(node, Project):
             return Project(node.child, [e.transform(fn) for e in node.exprs])
         if isinstance(node, Aggregate):
@@ -612,11 +620,13 @@ def transform_expressions(
             )
         if isinstance(node, Join) and node.condition is not None:
             return Join(node.left, node.right, node.how, node.condition.transform(fn))
-        if isinstance(node, Scan) and node.pushed_filters:
+        if isinstance(node, Scan) and (node.pushed_filters or node.policy_filter):
+            policy = node.policy_filter
             return Scan(
                 node.table,
                 node.required_columns,
                 tuple(f.transform(fn) for f in node.pushed_filters),
+                None if policy is None else policy.transform(fn),
             )
         return node
 
@@ -628,6 +638,8 @@ def plan_expressions(plan: LogicalPlan) -> Iterable[Expression]:
     for node in plan.walk():
         yield from node.expressions()
         if isinstance(node, Scan):
+            if node.policy_filter is not None:
+                yield node.policy_filter
             yield from node.pushed_filters
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from repro.engine.batch import ONE_ROW
+from repro.engine.compile import memoisable_policy
 from repro.engine.expressions import (
     Alias,
     Arithmetic,
@@ -217,7 +218,7 @@ class FoldConstants:
     def apply(self, plan: LogicalPlan) -> LogicalPlan:
         def rewrite(node: LogicalPlan) -> LogicalPlan:
             if isinstance(node, Filter):
-                return Filter(node.child, fold_expression(node.condition))
+                return Filter(node.child, fold_expression(node.condition), node.policy)
             if isinstance(node, Project):
                 return Project(node.child, [fold_expression(e) for e in node.exprs])
             return node
@@ -343,7 +344,8 @@ class PushFilterBelowSecureView:
 
 @dataclass
 class PushFilterIntoScan:
-    """Fold safe predicates into the scan (evaluated pre-projection)."""
+    """Fold safe predicates into the scan (evaluated pre-projection). An
+    injected row filter the governed memo may hold takes the policy slot."""
 
     name: str = "PushFilterIntoScan"
 
@@ -357,10 +359,18 @@ class PushFilterIntoScan:
                 return node
             if not is_safe_to_push(node.condition):
                 return node
+            if (
+                node.policy
+                and not scan.pushed_filters
+                and scan.policy_filter is None
+                and memoisable_policy(node.condition)
+            ):
+                return Scan(scan.table, policy_filter=node.condition)
             return Scan(
                 scan.table,
                 scan.required_columns,
                 scan.pushed_filters + (node.condition,),
+                scan.policy_filter,
             )
 
         return plan.transform_up(rewrite)
@@ -385,7 +395,8 @@ class PruneScanColumns:
             remap = selection_map(scan.table.schema.fields, needed)
             new_exprs = [substitute_refs(e, remap) for e in node.exprs]
             return Project(
-                Scan(scan.table, tuple(needed), scan.pushed_filters), new_exprs
+                Scan(scan.table, tuple(needed), scan.pushed_filters, scan.policy_filter),
+                new_exprs,
             )
 
         return plan.transform_up(rewrite)

@@ -33,6 +33,7 @@ from repro.engine.compile import (
     KernelCompiler,
     filter_project,
     has_opaque_nodes,
+    policy_digest,
     predicate_mask,
 )
 from repro.engine.expressions import (
@@ -72,7 +73,7 @@ from repro.engine.logical import (
     TableRef,
     Union,
 )
-from repro.engine.types import STRING, Field, Schema
+from repro.engine.types import INT, STRING, Field, Schema
 from repro.errors import ExecutionError, UnsupportedOperationError
 
 DEFAULT_BATCH_SIZE = 4096
@@ -83,7 +84,8 @@ class DataSource(Protocol):
 
     ``columns`` are positions in ``table.schema`` in ascending order;
     batches carry exactly those columns, in that order, and a source
-    decodes nothing else.
+    decodes nothing else. With a ``policy``, only the rows it admits (passed
+    only when set: a source without the keyword fails, never ignores it).
     """
 
     def scan(
@@ -91,7 +93,37 @@ class DataSource(Protocol):
         table: TableRef,
         eval_ctx: EvalContext,
         columns: Sequence[int],
+        policy: "RowSelection | None" = None,
     ) -> Iterator[ColumnBatch]: ...
+
+
+class RowSelection:
+    """A predicate over a table's ``columns``, compiled once (interpreted
+    conjunct by conjunct when refused) to select the positions of the rows
+    it admits; NULL rejects. A scan's row filter or a write's pass."""
+
+    def __init__(
+        self,
+        predicate: Expression,
+        fields: Sequence[Field],
+        compiler: KernelCompiler | None = None,
+    ):
+        read = sorted(predicate.references()) or [0]  # a row count needs a column
+        self.digest = policy_digest(predicate)
+        self.columns: tuple[str, ...] = tuple(fields[i].name for i in read)
+        self._condition = substitute_refs(predicate, selection_map(fields, read))
+        self._schema = Schema(tuple(fields[i] for i in read) + (Field("#row", INT),))
+        self._outputs = (BoundRef(len(read), "#row", INT),)
+        self.kernel = compiler and compiler.compile_filter_projection(
+            self._condition, self._outputs
+        )
+
+    def admitted(self, columns: Sequence[list], ctx: EvalContext) -> list[int]:
+        """Admitted positions of ``columns`` (one list per :attr:`columns`)."""
+        batch = ColumnBatch(self._schema, [*columns, list(range(len(columns[0])))])
+        return filter_project(
+            self.kernel, self._condition, self._outputs, batch, ctx
+        )[0]
 
 
 @dataclass
@@ -267,7 +299,9 @@ class PhysScan(PhysicalOperator):
     and only ``columns`` are decoded — the required columns plus those the
     pushed filters read — with the filters rebound to that decoded layout.
 
-    The pushed filters (the injected policy predicate first) and the
+    A policy slot's :class:`RowSelection` goes to the data source, which
+    yields only the rows it admits. The pushed filters (a row filter outside
+    the slot first) and the
     selection of the required columns run as one compiled filter→project
     loop that tests conjuncts left to right; without a kernel (no compiler,
     or the compiler refused) they are interpreted conjunct by conjunct.
@@ -305,13 +339,17 @@ class PhysScan(PhysicalOperator):
             self.kernel = compiler.compile_filter_projection(
                 self.condition, self.outputs
             )
+        self.policy: RowSelection | None = None
+        if node.policy_filter is not None:
+            self.policy = RowSelection(node.policy_filter, fields, compiler)
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         if ctx.data_source is None:
             raise ExecutionError(
                 f"no data source configured; cannot scan {self._node.table.full_name}"
             )
-        scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns)
+        policy = () if self.policy is None else (self.policy,)
+        scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns, *policy)
         for batch in scan:
             ctx.metrics.rows_scanned += batch.num_rows
             if self.outputs is not None:
@@ -1193,7 +1231,8 @@ def _narrow_scan(
     base = boundary.required_columns
     if base is None:
         base = tuple(range(len(fields)))
-    narrowed = Scan(boundary.table, tuple(base[i] for i in read))
+    # The policy slot stays: the data source still reads its columns.
+    narrowed = Scan(boundary.table, tuple(base[i] for i in read), (), boundary.policy_filter)
     mapping = selection_map(fields, read)
     return narrowed, [
         None if e is None else substitute_refs(e, mapping) for e in exprs
@@ -1201,9 +1240,9 @@ def _narrow_scan(
 
 
 def _unfold_scan(scan: Scan) -> LogicalPlan:
-    """``scan`` as explicit stages over a bare scan of the same table:
-    its pushed filters in order, then its column pruning."""
-    plan: LogicalPlan = Scan(scan.table)
+    """``scan`` as explicit stages over a scan of the same table with only
+    its policy slot: its pushed filters in order, then its column pruning."""
+    plan: LogicalPlan = Scan(scan.table, policy_filter=scan.policy_filter)
     for predicate in scan.pushed_filters:
         plan = Filter(plan, predicate)
     if scan.required_columns is not None:
@@ -1233,8 +1272,9 @@ class PhysicalPlanner:
     is then the result) — and lowers each into one generated loop
     (:class:`PhysFusedPipeline`, or a fused filter→project that also
     appends the keys a sort/join sink needs). A chain starts at the scan's
-    pushed filters, so the policy row filter is the loop's first test, not
-    a separate pass over the scan output. Chains break at any stage
+    pushed filters (a row filter outside the policy slot first), so the
+    first is the loop's first test, not a separate pass over the scan
+    output. Chains break at any stage
     containing user code: the opaque stage plans normally (its UDFs run
     next to the sandbox, exactly as often as unfused) and fusion restarts
     below it, so a UDF splits a chain into two fused segments around the
@@ -1362,10 +1402,13 @@ class PhysicalPlanner:
     def _plan_scan(self, logical: Scan) -> PhysScan:
         """A scan no fused consumer absorbed: its pushed filters and column
         selection compile into one filter→project kernel. A refused kernel
-        is interpreted, and counted as a fusion miss so the fallback shows
-        in ``cache_stats``."""
+        (or policy slot kernel) is interpreted, and counted as a fusion
+        miss so the fallback shows in ``cache_stats``."""
         scan = PhysScan(logical, self._compiler)
-        if self._compiler is not None and scan.condition is not None and scan.kernel is None:
+        if self._compiler is not None and (
+            (scan.condition is not None and scan.kernel is None)
+            or (scan.policy is not None and scan.policy.kernel is None)
+        ):
             self._compiler.note_fusion(False)
         return scan
 
@@ -1425,12 +1468,13 @@ class PhysicalPlanner:
         Returns ``(stages top-down, boundary node)``; the boundary plans
         normally and becomes the fused pipeline's source.
 
-        A scan's pushed filters — the policy row filter first — are the
+        A scan's pushed filters are the
         chain's bottom stages: the scan is unfolded into ``Project(required
-        columns) → Filter(pushed) … → bare Scan`` and the bare scan becomes
-        the boundary, so the fused loop tests the policy predicate itself
-        and no filtered batch is built between scan and consumer. The bare
-        scan is not left reading every column: once the chain is composed,
+        columns) → Filter(pushed) … → bare Scan`` (keeping its policy slot)
+        and the bare scan becomes the boundary, so the fused loop tests the
+        pushed predicates itself and no filtered batch is built between
+        scan and consumer. The bare scan is not left reading every column:
+        once the chain is composed,
         :func:`_narrow_scan` prunes it to the columns the composed condition,
         outputs and keys read, so the scan decodes exactly those (decoding
         is the cost; the object is fetched whole either way).

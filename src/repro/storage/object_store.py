@@ -21,7 +21,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol, Sequence
 
 from repro.common.audit import AuditLog
 from repro.common.clock import Clock, SystemClock
@@ -137,6 +137,22 @@ class ReplayedLogs:
 DECODED_CELLS_CAP = 1 << 20
 
 
+class RowPolicy(NamedTuple):
+    """One governed read's row filter, as :class:`DecodedColumns` runs it."""
+
+    #: (user, groups, policy epoch, value-exact predicate digest).
+    key: tuple
+    #: The columns ``admit`` reads, in order; it returns admitted positions.
+    columns: tuple[str, ...]
+    admit: Callable[[list[list]], list[int]]
+
+    @classmethod
+    def bind(cls, policy: Any, ctx: Any, epoch: int) -> "RowPolicy":
+        """A :class:`~repro.engine.physical.RowSelection` run under ``ctx``."""
+        key = (ctx.user, ctx.groups, epoch, policy.digest)
+        return cls(key, policy.columns, lambda columns: policy.admitted(columns, ctx))
+
+
 class DecodedColumns:
     """Bounded memo of columns decoded from data files, per principal.
 
@@ -144,16 +160,17 @@ class DecodedColumns:
     the same bytes again. Every read still fetches the object through
     :meth:`ObjectStore.get` with the caller's own credential first
     (authorization, audit, byte accounting and fault injection unchanged);
-    only then is the memo consulted, and only to skip the decode:
+    only then is the memo consulted, and only to skip work:
 
     - an entry holds the very ``bytes`` object it was decoded from, and
       serves only a GET that returned that same object. An overwrite of the
       path, or an injected corrupt read, returns other bytes and misses;
     - entries are partitioned by the credential's identity, so another
       principal's warm entry never makes a first read faster;
-    - entries hold raw pre-filter columns the caller was just authorized to
-      fetch whole, so they are not policy-epoch stamped: row filters and
-      masks run after the scan, as they do on a miss.
+    - a read with a row ``policy`` (the ``governed`` instance) is keyed by
+      its key too, and holds only the admitted positions and each column
+      compacted to them: a fill runs the policy once, nothing raw stays.
+      Masks run after the scan either way, as they do on a miss.
 
     Columns decode lazily (a hit on some columns decodes only the missing
     ones) and outside the lock; of two racing decodes the first insert wins.
@@ -165,44 +182,68 @@ class DecodedColumns:
     def __init__(self, max_cells: int = DECODED_CELLS_CAP):
         self._max_cells = max_cells
         self._lock = threading.Lock()
-        #: (identity, path) -> (blob, {column: values}), in LRU order.
-        self._entries: OrderedDict[tuple[str, str], tuple[bytes, dict[str, list]]] = (
+        #: (identity, *policy key, path) -> (blob, positions, {column: values}).
+        self._entries: OrderedDict[tuple, tuple[bytes, list[int] | None, dict[str, list]]] = (
             OrderedDict()
         )
-        #: path -> identities with an entry for it (what :meth:`drop` visits).
-        self._identities_of: dict[str, set[str]] = {}
+        #: path -> keys of its entries (what :meth:`drop` visits).
+        self._keys_of: dict[str, set[tuple]] = {}
         self.cells = 0
         self.hits = 0
         self.misses = 0
+        #: Entries filled, and the rows they admitted (all, without a policy)
+        #: and rejected.
+        self.fills = 0
+        self.rows_admitted = 0
+        self.rows_rejected = 0
         self.drops = 0
         self.evictions = 0
 
     def columns(
-        self, identity: str, path: str, blob: bytes, columns: Sequence[str]
+        self, identity: str, path: str, blob: bytes, columns: Sequence[str],
+        policy: RowPolicy | None = None,
     ) -> dict[str, list]:
         """``columns`` of ``blob``, the object just read from ``path`` with
-        ``identity``'s credential, decoding only what the memo lacks."""
-        key = (identity, path)
+        ``identity``'s credential, doing only what the memo lacks."""
+        if not columns:
+            return {}  # nothing to serve or decode: neither a hit nor a miss
+        key = (identity, path) if policy is None else (identity, *policy.key, path)
         with self._lock:
             entry = self._entries.get(key)
-            cached = entry[1] if entry is not None and entry[0] is blob else {}
-            missing = [name for name in columns if name not in cached]
+            if entry is not None and entry[0] is not blob:
+                entry = None
+            cached = {} if entry is None else entry[2]
+            missing = [name for name in dict.fromkeys(columns) if name not in cached]
             if not missing:
-                if key in self._entries:  # no entry: no columns were asked for
-                    self._entries.move_to_end(key)
+                self._entries.move_to_end(key)
                 self.hits += 1
                 return {name: cached[name] for name in columns}
             self.misses += 1
-        decoded = decode_data_file(blob, missing, f"data file '{path}'")
+        names = missing
+        if entry is None and policy is not None:
+            names = [*dict.fromkeys((*policy.columns, *missing))]
+        decoded = decode_data_file(blob, names, f"data file '{path}'")
+        rows = len(decoded[names[0]])
+        positions = None if entry is None else entry[1]
+        if entry is None and policy is not None:
+            positions = policy.admit([decoded[name] for name in policy.columns])
+        if positions is not None:  # keep only the admitted rows
+            decoded = {n: list(map(decoded[n].__getitem__, positions)) for n in missing}
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] is not blob:
+            if entry is None:  # a fill: a file version this key had not read
+                admitted = rows if positions is None else len(positions)
+                self.fills += 1
+                self.rows_admitted += admitted
+                self.rows_rejected += rows - admitted
+            current = self._entries.get(key)
+            if current is None or current[0] is not blob:
                 self._forget(key)
-                entry = (blob, {})
-                self._entries[key] = entry
-                self._identities_of.setdefault(path, set()).add(identity)
+                current = (blob, positions, {})
+                self._entries[key] = current
+                self._keys_of.setdefault(path, set()).add(key)
+                self.cells += len(positions or ())
             self._entries.move_to_end(key)
-            held = entry[1]
+            held = current[2]
             for name, values in (*cached.items(), *decoded.items()):
                 if name not in held:
                     held[name] = values
@@ -216,19 +257,19 @@ class DecodedColumns:
     def drop(self, path: str) -> None:
         """Forget ``path`` in every partition (its file left the table)."""
         with self._lock:
-            for identity in tuple(self._identities_of.get(path, ())):
-                self._forget((identity, path))
+            for key in tuple(self._keys_of.get(path, ())):
+                self._forget(key)
                 self.drops += 1
 
-    def _forget(self, key: tuple[str, str]) -> None:
+    def _forget(self, key: tuple) -> None:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
-        self.cells -= sum(len(values) for values in entry[1].values())
-        identities = self._identities_of[key[1]]
-        identities.discard(key[0])
-        if not identities:
-            del self._identities_of[key[1]]
+        self.cells -= len(entry[1] or ()) + sum(map(len, entry[2].values()))
+        keys = self._keys_of[key[-1]]
+        keys.discard(key)
+        if not keys:
+            del self._keys_of[key[-1]]
 
     def stats_snapshot(self) -> dict[str, Any]:
         """Counters + size for ``system.access.cache_stats`` (admin-only:
@@ -237,6 +278,9 @@ class DecodedColumns:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "fills": self.fills,
+                "rows_admitted": self.rows_admitted,
+                "rows_rejected": self.rows_rejected,
                 "drops": self.drops,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
@@ -282,6 +326,8 @@ class ObjectStore:
         self.replayed_logs = ReplayedLogs()
         #: Columns decoded from data files, per principal (table-format reads).
         self.decoded = DecodedColumns()
+        #: The same, for reads under a row filter: admitted rows only.
+        self.governed = DecodedColumns()
 
     @property
     def clock(self) -> Clock:

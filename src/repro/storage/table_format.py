@@ -37,7 +37,7 @@ from repro.errors import (
     RetryableError,
     StorageError,
 )
-from repro.storage.object_store import ObjectStore, StorageCredential
+from repro.storage.object_store import ObjectStore, RowPolicy, StorageCredential
 
 #: Bounded retries for transaction-log reads. The log is tiny JSON read on
 #: every snapshot resolution — a transient GET flake here would fail whole
@@ -372,6 +372,7 @@ class LakeTableStorage:
             elif "remove" in action:
                 live.pop(action["remove"], None)
                 self._store.decoded.drop(action["remove"])
+                self._store.governed.drop(action["remove"])
         return tuple(commit["columns"])
 
     def _delete_log_entry(self, version: int, credential: StorageCredential) -> None:
@@ -441,6 +442,7 @@ class LakeTableStorage:
         data_file: DataFile,
         credential: StorageCredential,
         columns: Sequence[str] | None = None,
+        policy: RowPolicy | None = None,
     ) -> dict[str, list]:
         """Fetch one data file whole (object-level access: all bytes or
         none) and decode ``columns`` of it (default: every column).
@@ -448,8 +450,9 @@ class LakeTableStorage:
         The GET always runs, with ``credential``; named columns then come
         from the store's per-principal memo (:class:`~repro.storage
         .object_store.DecodedColumns`) when it decoded these very bytes for
-        this identity before. Whole-file reads (``columns=None``: a commit
-        about to supersede the file) bypass it.
+        this identity before; with a row ``policy``, only the rows it
+        admits, from the store's ``governed`` memo. Whole-file reads
+        (``columns=None``: a commit about to supersede the file) bypass both.
 
         A blob that fails to decode raises
         :class:`~repro.errors.CorruptObjectError` — retryable, because a
@@ -459,9 +462,8 @@ class LakeTableStorage:
         blob = self.read_raw(data_file, credential)
         if columns is None:
             return decode_data_file(blob, None, f"data file '{data_file.path}'")
-        return self._store.decoded.columns(
-            credential.identity, data_file.path, blob, columns
-        )
+        memo = self._store.decoded if policy is None else self._store.governed
+        return memo.columns(credential.identity, data_file.path, blob, columns, policy)
 
     def read_raw(
         self, data_file: DataFile, credential: StorageCredential

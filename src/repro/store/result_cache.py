@@ -48,18 +48,13 @@ from typing import TYPE_CHECKING, Any
 from repro.common.datacodec import decode_data_file, encode_data_file
 from repro.common.telemetry import Telemetry
 from repro.engine.batch import ColumnBatch
-from repro.engine.expressions import FunctionCall
+from repro.engine.expressions import is_pure
 from repro.engine.logical import LogicalPlan, RemoteScan
 from repro.engine.types import Field, Schema, type_from_name
 from repro.store.artifacts import ArtifactStore
 
 if TYPE_CHECKING:
     from repro.core.plan_cache import PlanCacheKey
-
-#: Builtins that are deterministic per-process but not across processes —
-#: ``hash`` uses Python's salted string hashing, so a persisted result
-#: would replay a *different* process's answer.
-_PROCESS_SALTED_FUNCTIONS = frozenset({"hash"})
 
 
 #: A payload's prefix: the byte length of the schema JSON after it.
@@ -93,18 +88,10 @@ def plan_is_cacheable(plan: LogicalPlan) -> bool:
     for node in plan.walk():
         if isinstance(node, RemoteScan):
             return False
-        for expr in node.expressions():
-            stack = [expr]
-            while stack:
-                e = stack.pop()
-                if e.is_user_code or not e.deterministic:
-                    return False
-                if (
-                    isinstance(e, FunctionCall)
-                    and e.name in _PROCESS_SALTED_FUNCTIONS
-                ):
-                    return False
-                stack.extend(e.children)
+        # ``hash`` is process-salted: a persisted result would replay a
+        # *different* process's answer.
+        if not all(is_pure(expr) for expr in node.expressions()):
+            return False
     return True
 
 

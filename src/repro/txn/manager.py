@@ -76,6 +76,7 @@ from repro.txn.writes import (
 
 if TYPE_CHECKING:
     from repro.catalog.metastore import UnityCatalog
+    from repro.storage.object_store import RowPolicy
     from repro.storage.table_format import DataFile, LakeTableStorage, TableSnapshot
 
 #: Bounded retries absorbing injected/transient faults around each commit
@@ -487,15 +488,19 @@ class Transaction:
         credential: Any,
         staged_paths: list[str],
     ) -> None:
-        def read(data_file: "DataFile", columns: Sequence[str] | None) -> dict[str, list]:
+        def read(
+            data_file: "DataFile",
+            columns: Sequence[str] | None,
+            policy: "RowPolicy | None" = None,
+        ) -> dict[str, list]:
             return self._absorb(
-                lambda: storage.read_file(data_file, credential, columns),
+                lambda: storage.read_file(data_file, credential, columns, policy),
                 retry_on=(RetryableError,),
             )
 
         rewrite = rewrite_files(
             pin.files, read, staged, eval_context_for(self.ctx),
-            self._manager.compiler,
+            self._manager.compiler, self._catalog.policy_epoch,
         )
         added = [
             self._stage_file(storage, chunk, credential, staged_paths)

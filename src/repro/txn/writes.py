@@ -29,21 +29,21 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.catalog.privileges import MODIFY, SELECT, UserContext
 from repro.engine.batch import ColumnBatch
-from repro.engine.compile import KernelCompiler, filter_project, predicate_mask
+from repro.engine.compile import KernelCompiler, memoisable_policy, predicate_mask
 from repro.engine.expressions import (
     BoundRef,
     EvalContext,
     Expression,
-    Literal,
     UnresolvedColumn,
     conjoin,
     contains_user_code,
     shift_refs,
     split_equi_condition,
 )
-from repro.engine.physical import probe_key_columns
-from repro.engine.types import INT, Field, Schema
+from repro.engine.physical import RowSelection, probe_key_columns
+from repro.engine.types import Field, Schema
 from repro.errors import AnalysisError, TransactionAbortedError, WriteDeniedError
+from repro.storage.object_store import RowPolicy
 
 if TYPE_CHECKING:
     from repro.catalog.metastore import UnityCatalog
@@ -242,32 +242,18 @@ class _Evaluator:
         self._compiler = compiler
 
     def selection(
-        self, staged: StagedWrite, where: Expression | None, positions: bool = True
-    ) -> Callable[[list[list]], list] | None:
-        """One row filter -> ``where`` pass, compiled here and run per call
-        as ``columns ->`` the position of each row that passes (with
-        ``positions=False``, one ``True`` per such row, which loads no extra
-        column per row). ``None``: no row filter and no ``where`` — every
-        row passes."""
-        condition = conjoin([c for c in (staged.row_filter, where) if c is not None])
+        self, schema: Schema, *conditions: Expression | None
+    ) -> RowSelection | None:
+        """One pass of ``conditions`` in order, compiled here (``None``: no
+        condition — every row passes)."""
+        condition = conjoin([c for c in conditions if c is not None])
         if condition is None:
             return None
-        schema = staged.schema
-        out: tuple[Expression, ...] = (Literal(True),)
-        if positions:  # a column of row positions, appended to the batch
-            out = (BoundRef(len(schema), "#row", INT),)
-            schema = Schema((*schema.fields, Field("#row", INT)))
-        kernel = self._compiler and self._compiler.compile_filter_projection(
-            condition, out
-        )
+        return RowSelection(condition, schema.fields, self._compiler)
 
-        def run(columns: list[list]) -> list:
-            if positions:
-                columns = [*columns, list(range(len(columns[0])))]
-            batch = ColumnBatch(schema, columns)
-            return filter_project(kernel, condition, out, batch, self._ctx)[0]
-
-        return run
+    def selected(self, select: RowSelection, columns: dict[str, list]) -> list[int]:
+        """Positions of the rows of ``columns`` (by name) ``select`` admits."""
+        return select.admitted([columns[name] for name in select.columns], self._ctx)
 
     def predicate(self, condition: Expression) -> Callable[[ColumnBatch], list]:
         """``batch -> row mask`` (truthy = match; NULL never matches)."""
@@ -361,8 +347,10 @@ def _matching_rows(
     ev: _Evaluator,
 ) -> list[int] | None:
     """Visible row positions matching ``where`` (``None`` = every row)."""
-    select = ev.selection(staged, where)
-    return None if select is None else select(columns)
+    select = ev.selection(staged.schema, staged.row_filter, where)
+    if select is None:
+        return None
+    return ev.selected(select, dict(zip(staged.schema.names, columns)))
 
 
 def _apply_update(
@@ -493,38 +481,49 @@ class FileRewrite:
 
 def rewrite_files(
     files: Sequence["DataFile"],
-    read: Callable[["DataFile", Sequence[str] | None], dict[str, list]],
+    read: Callable[..., dict[str, list]],
     staged: StagedWrite,
     eval_ctx: EvalContext,
     compiler: KernelCompiler | None = None,
+    policy_epoch: int | None = None,
 ) -> FileRewrite:
     """Fold ``staged`` into just the live ``files`` it touches.
 
-    ``read(file, columns)`` returns the named columns of one file (every
-    column for ``None``). Each file is probed on the columns the row filter
-    and the UPDATE / DELETE predicates reference, one pass per op — row
-    filter, then WHERE over the rows it admits, compiled once per commit —
-    and joins the working set, read whole, only when some op's pass yields
-    a row. A file no op matches is left untouched by every op, so probing
-    the base bytes for all ops at once is exact. MERGE touches every file:
-    its ambiguity check and its not-matched inserts depend on the whole
-    table.
+    ``read(file, columns, policy)`` returns the named columns of one file
+    (every column for ``None``), only the rows a row ``policy`` admits when
+    it is given one. Each file is probed on the columns its passes read, one
+    pass per op, compiled once per commit, and joins the working set, read
+    whole, only when some op's pass yields a row. With a ``policy_epoch``
+    and a row filter the governed memo may hold (:func:`~repro.engine
+    .compile.memoisable_policy`), the probe reads the writer's admitted rows
+    through it and a pass is the op's WHERE alone; otherwise a pass is row
+    filter, then WHERE, over raw columns. A file no op matches is left
+    untouched by every op, so probing the base bytes for all ops at once is
+    exact. MERGE touches every file: its ambiguity check and its
+    not-matched inserts depend on the whole table.
     """
     schema = staged.schema
     if any(isinstance(op, MergeOp) for op in staged.ops):
         touched = set(files)
     else:
-        wheres = [op.where for op in staged.ops if not isinstance(op, InsertOp)]
-        needed = _references(w for w in [staged.row_filter, *wheres] if w is not None)
-        probe = [schema.names[i] for i in sorted(needed)]
         ev = _Evaluator(eval_ctx, compiler)
-        passes = [ev.selection(staged, w, positions=False) for w in wheres]
+        row_filter, policy = staged.row_filter, None
+        if policy_epoch is not None and row_filter is not None and memoisable_policy(row_filter):
+            policy = RowPolicy.bind(ev.selection(schema, row_filter), eval_ctx, policy_epoch)
+            row_filter = None
+        passes = [
+            ev.selection(schema, row_filter, op.where)
+            for op in staged.ops if not isinstance(op, InsertOp)
+        ]
+        probe = sorted({name for p in passes if p is not None for name in p.columns})
+        if policy is not None:
+            probe = probe or [policy.columns[0]]  # carries the admitted row count
 
         def touches(f: "DataFile") -> bool:
-            # Unprobed columns share one NULL filler; no pass reads them.
-            probed, filler = read(f, probe), [None] * f.num_rows
-            columns = [probed.get(name, filler) for name in schema.names]
-            return any(run is None or run(columns) for run in passes)
+            probed = read(f, probe, policy)
+            if policy is not None and not probed[probe[0]]:
+                return False  # the writer sees no row of this file
+            return any(p is None or ev.selected(p, probed) for p in passes)
 
         touched = {f for f in files if f.num_rows and touches(f)}
     writes = touched or any(isinstance(op, (InsertOp, MergeOp)) for op in staged.ops)

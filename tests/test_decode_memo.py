@@ -6,7 +6,8 @@ credential-checked GET always runs, then :class:`~repro.storage.object_store
 bytes. Covered here: a random sequence of scans, writes, corrupt reads and
 raw overwrites always reads what a fresh decode of the current bytes says,
 within the cap, with removed files dropped; operators never mutate the
-shared lists on any execution leg; and racing misses leave one entry.
+shared lists of this memo or of the governed one on any execution leg; and
+racing misses leave one entry.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ PRINCIPALS = ("alice", "bob", "admin")
 
 
 def _memo_matches_its_blobs(memo: DecodedColumns) -> None:
-    """Every entry still equals a fresh decode of the bytes it came from."""
-    for (_, path), (blob, columns) in list(memo._entries.items()):
-        assert columns == decode_data_file(blob, list(columns)), path
+    """Every entry still equals a fresh decode of the bytes it came from,
+    taken at its admitted positions when a row filter filled it."""
+    for key, (blob, positions, columns) in list(memo._entries.items()):
+        fresh = decode_data_file(blob, list(columns))
+        if positions is not None:
+            fresh = {name: [col[i] for i in positions] for name, col in fresh.items()}
+        assert columns == fresh, key
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +152,7 @@ class TestSequences:
             assert not held & (ever_live - live), "a removed file kept its entries"
             assert memo.cells <= cap
             assert memo.cells == sum(
-                len(values) for _, cols in memo._entries.values() for values in cols.values()
+                len(values) for *_, cols in memo._entries.values() for values in cols.values()
             )
         _memo_matches_its_blobs(memo)
 
@@ -246,8 +251,13 @@ class TestSharedListsStayIntact:
                     rows = client.sql(text).collect()
                     key = sorted(rows, key=repr)
                     assert answers.setdefault(text, key) == key, (leg, text)
-        assert memo.hits > 0 and memo.stats_snapshot()["entries"] >= 4
+        # The row-filtered table's files are in the governed memo, the
+        # other table's two files in the raw one.
+        governed = ws.catalog.store.governed
+        assert memo.hits > 0 and memo.stats_snapshot()["entries"] >= 2
+        assert governed.hits > 0 and governed.stats_snapshot()["entries"] >= 3
         _memo_matches_its_blobs(memo)
+        _memo_matches_its_blobs(governed)
 
 
 # ---------------------------------------------------------------------------
@@ -286,4 +296,4 @@ class TestConcurrency:
         assert (stats["misses"], stats["hits"], stats["entries"]) == (2, 0, 1)
         assert stats["cells"] == 100
         (entry,) = store.decoded._entries.values()
-        assert second["id"] is entry[1]["id"] and first["id"] is entry[1]["id"]
+        assert second["id"] is entry[2]["id"] and first["id"] is entry[2]["id"]

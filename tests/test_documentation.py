@@ -199,7 +199,7 @@ def test_design_threat_matrix_matches_attack_registry():
     prefixes = {f.split("-")[0] for f in attack_registry.technique_families()}
     prefixes |= {
         "udf", "plan", "credential", "cache", "admission", "profile", "template",
-        "datafile", "staging", "resultcache", "decode",
+        "datafile", "staging", "resultcache", "decode", "governed",
     }
     documented = {
         token

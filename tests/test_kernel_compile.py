@@ -20,7 +20,7 @@ Covers the compilation layer end to end:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.connect.client import col as ccol, udf
 from repro.engine.analyzer import DictResolver
@@ -53,6 +53,7 @@ from repro.engine.logical import Filter, LocalRelation, Project, UnresolvedRelat
 from repro.engine.physical import PhysFilter, PhysFilterProject, PhysProject
 from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.engine.udf import udf as engine_udf
+from tests.oracles import same
 
 SCHEMA = Schema((Field("x", INT), Field("y", FLOAT), Field("s", STRING)))
 
@@ -133,6 +134,22 @@ def make_batch(rows) -> ColumnBatch:
 
 class TestCompiledEqualsInterpreted:
     @given(rows=rows_strategy, exprs=st.lists(any_expr, min_size=1, max_size=4))
+    @example(
+        # A subnormal divisor: 2 / 1.11e-308 overflows to inf, and inf % 2 is
+        # NaN on both legs (two NaN objects, unequal under a bare ==).
+        rows=[
+            (0, 0.0, None),
+            (0, 0.0, "alpha"),
+            (0, 0.0, None),
+            (2, 1.1125369292536007e-308, "alpha"),
+        ],
+        exprs=[
+            CaseWhen(
+                [(Comparison("=", X, Y), X)],
+                Arithmetic("%", Arithmetic("/", X, Y), X),
+            )
+        ],
+    )
     @settings(max_examples=150, deadline=None)
     def test_projection_kernel_matches_interpreter(self, rows, exprs):
         batch = make_batch(rows)
@@ -142,7 +159,7 @@ class TestCompiledEqualsInterpreted:
             return  # trivially skipped lists have no kernel to compare
         compiled = kernel.eval_all(batch, ctx)
         interpreted = [e.eval(batch, ctx) for e in exprs]
-        assert compiled == interpreted
+        assert same(compiled, interpreted)
 
     @given(rows=rows_strategy, cond=bool_expr)
     @settings(max_examples=100, deadline=None)
@@ -153,7 +170,7 @@ class TestCompiledEqualsInterpreted:
         if kernel is None:
             return
         [mask] = kernel.eval_all(batch, ctx)
-        assert mask == cond.eval(batch, ctx)
+        assert same(mask, cond.eval(batch, ctx))
 
     @given(
         rows=rows_strategy,
@@ -171,7 +188,7 @@ class TestCompiledEqualsInterpreted:
         fused = kernel.eval_all(batch, ctx)
         filtered = batch.filter(cond.eval(batch, ctx))
         expected = [e.eval(filtered, ctx) for e in exprs]
-        assert fused == expected
+        assert same(fused, expected)
 
     def test_three_valued_logic_and_division_by_zero(self):
         """Pinned NULL-semantics table: the classic SQL edge cases."""
@@ -245,7 +262,7 @@ class TestEngineEquivalence:
         )
         compiled = _make_engine(rows, True).execute(plan).rows()
         interpreted = _make_engine(rows, False).execute(plan).rows()
-        assert compiled == interpreted
+        assert same(compiled, interpreted)
 
     def test_sort_join_aggregate_paths_match(self):
         rows = [(i % 3, float(i), f"s{i % 2}") for i in range(20)]

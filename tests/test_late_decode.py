@@ -369,8 +369,9 @@ class TestLateDecodeEquivalence:
 
 
 class TestDecodedColumns:
-    """Each ``read_file`` receives exactly the columns the plan reads, and the
-    row filter's column is always among them."""
+    """Each ``read_file`` decodes exactly the columns the plan reads, and the
+    row filter's column is always among them: named in ``columns``, or read
+    by the row ``policy`` the governed memo runs on a fill."""
 
     #: Fused: the chain's composed condition, outputs and keys (for the UDF
     #: shape, the columns the UDF stage reads plus the chain's filters).
@@ -389,11 +390,12 @@ class TestDecodedColumns:
         seen: dict[str, list[set[str]]] = {}
         original = LakeTableStorage.read_file
 
-        def recording(self, data_file, credential, columns=None):
+        def recording(self, data_file, credential, columns=None, policy=None):
             # Recorded once the read returned: a read the chaos schedule
             # failed is retried, and only the retry decodes.
-            decoded = original(self, data_file, credential, columns)
-            seen.setdefault(table_of[self.root], []).append(set(columns))
+            decoded = original(self, data_file, credential, columns, policy)
+            read = set(columns) | set(policy.columns if policy else ())
+            seen.setdefault(table_of[self.root], []).append(read)
             return decoded
 
         monkeypatch.setattr(LakeTableStorage, "read_file", recording)

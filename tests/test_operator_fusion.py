@@ -60,6 +60,7 @@ from repro.engine.logical import (
 )
 from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.platform import Workspace
+from tests.oracles import all_same, same
 
 SCHEMA = Schema((Field("x", INT), Field("y", FLOAT), Field("s", STRING)))
 
@@ -165,10 +166,9 @@ class TestPipelineEqualsInterpreter:
             pipeline.accumulate(batch, ctx, loop_groups)
             interpret_pipeline(spec, batch, ctx, interpreted)
         compiled = pipeline.algebra_groups(loop_groups)
-        # set (generated loop) vs frozenset (algebra) compare equal, every
-        # other state is a scalar or tuple: plain == is exact.
-        assert compiled == interpreted
-        assert list(compiled) == list(interpreted)  # same insertion order
+        # Item by item in insertion order; set (generated loop) and
+        # frozenset (algebra) states compare equal.
+        assert same(compiled, interpreted)
 
     def test_null_keys_div_by_zero_and_empty_batches(self):
         """Pinned edge table: the cases fusion must never get wrong."""
@@ -276,12 +276,12 @@ class TestShortCircuitPredicates:
         mask_kernel = SHARED_COMPILER.compile_predicate(predicate)
         assert mask_kernel is not None
         # Exact 3VL: NULL stays NULL, never collapses to False.
-        assert mask_kernel.eval_all(batch, ctx)[0] == expected_mask
+        assert same(mask_kernel.eval_all(batch, ctx)[0], expected_mask)
 
         fused = SHARED_COMPILER.compile_filter_projection(predicate, (X, S))
         assert fused is not None
         kept = batch.filter(expected_mask)
-        assert fused.eval_all(batch, ctx) == [kept.columns[0], kept.columns[2]]
+        assert same(fused.eval_all(batch, ctx), [kept.columns[0], kept.columns[2]])
 
         spec = _make_spec(predicate, (S,), [("count", None), ("sum", Y)])
         pipeline = SHARED_COMPILER.compile_pipeline_spec(spec)
@@ -291,7 +291,7 @@ class TestShortCircuitPredicates:
         pipeline.accumulate(batch, ctx, loop_groups)
         compiled = pipeline.algebra_groups(loop_groups)
         interpret_pipeline(spec, batch, ctx, interpreted)
-        assert compiled == interpreted
+        assert same(compiled, interpreted)
 
     def test_fast_path_is_inline_and_membership_goes_first(self):
         """The generated fast path really is one short-circuit expression:
@@ -407,9 +407,10 @@ class TestEnvBoundLiterals:
         )
         kernel = SHARED_COMPILER.compile_projection(exprs)
         batch = make_batch(rows)
-        assert kernel.eval_all(batch, EvalContext()) == [
-            e.eval(batch, EvalContext()) for e in exprs
-        ]
+        assert same(
+            kernel.eval_all(batch, EvalContext()),
+            [e.eval(batch, EvalContext()) for e in exprs],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +468,7 @@ class TestEngineFusionEquivalence:
             ),
         )
         fused, unfused, interpreted = _three_ways(rows, plan)
-        assert fused == unfused == interpreted
+        assert all_same(fused, unfused, interpreted)
 
     @given(rows=rows_strategy)
     @settings(max_examples=50, deadline=None)
@@ -485,7 +486,7 @@ class TestEngineFusionEquivalence:
             ),
         )
         fused, unfused, interpreted = _three_ways(rows, plan)
-        assert fused == unfused == interpreted
+        assert all_same(fused, unfused, interpreted)
 
     @given(rows=rows_strategy, threshold=st.integers(-20, 20))
     @settings(max_examples=50, deadline=None)
@@ -505,7 +506,7 @@ class TestEngineFusionEquivalence:
             (SortOrder(Arithmetic("*", col("x"), lit(-1))), SortOrder(col("s"))),
         )
         fused, unfused, interpreted = _three_ways(rows, plan)
-        assert fused == unfused == interpreted
+        assert all_same(fused, unfused, interpreted)
 
     @given(rows=rows_strategy)
     @settings(max_examples=30, deadline=None)
@@ -523,7 +524,7 @@ class TestEngineFusionEquivalence:
             condition=Comparison("=", col("x"), col("x2")),
         )
         fused, unfused, interpreted = _three_ways(rows, plan)
-        assert fused == unfused == interpreted  # rows AND probe order
+        assert all_same(fused, unfused, interpreted)  # rows AND probe order
 
     @pytest.mark.parametrize(
         "how", ["inner", "left", "right", "full", "semi", "anti"]
@@ -569,7 +570,7 @@ class TestEngineFusionEquivalence:
         fused, unfused, interpreted = _three_ways(
             rows, Join(left, right, how=how, condition=hashed)
         )
-        assert fused == unfused == interpreted == expected
+        assert all_same(fused, unfused, interpreted, expected)
 
     def test_udf_splits_the_chain_but_results_match(self):
         from repro.engine.udf import udf as engine_udf

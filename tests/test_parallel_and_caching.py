@@ -618,12 +618,14 @@ class TestCacheStatsTable:
         plan_cache = next(c for c in caches if c.startswith("plan_cache["))
         assert by_metric[(plan_cache, "hits")] >= 1.0
         assert by_metric[(plan_cache, "misses")] >= 1.0
-        # The store's memo of decoded columns: its counts reveal who read
-        # what recently, which is why they live in this admin-only table.
-        memo = "decoded_columns[store]"
-        assert {m for c, m in by_metric if c == memo} == {
-            "hits", "misses", "drops", "evictions", "entries", "cells",
-        }
+        # The store's memos of decoded columns (raw, and the rows a row
+        # filter admits): their counts reveal who read what recently, which
+        # is why they live in this admin-only table.
+        for memo in ("decoded_columns[store]", "governed_rows[store]"):
+            assert {m for c, m in by_metric if c == memo} == {
+                "hits", "misses", "fills", "rows_admitted", "rows_rejected",
+                "drops", "evictions", "entries", "cells",
+            }
 
     def test_non_admin_cannot_read_cache_stats(
         self, workspace, standard_cluster, admin_client

@@ -117,7 +117,7 @@ def test_sandboxed_udf_phases_visible(stack):
         return x * 2.0
 
     # The phase-breakdown test shares this stack and leaves alice a live
-    # cached credential (in the cluster's cache and its store tier); revoke
+    # cached credential (in the cluster's credential cache); revoke
     # it so this query vends one of its own.
     ws.catalog.vendor.revoke_identity("alice")
     alice.table("main.s.sales").select(boost(col("amount")).alias("b")).collect()

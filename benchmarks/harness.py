@@ -20,15 +20,12 @@ def build_sales_workspace(
     num_rows: int = 10_000,
     regions: tuple[str, ...] = ("US", "EU", "APAC"),
     sandbox_backend: str = "inprocess",
-    **workspace_kwargs,
 ) -> tuple[Workspace, object, object]:
     """A workspace with a populated, granted ``main.s.sales`` table.
 
-    Extra keyword arguments go to :class:`Workspace` (e.g. the persistence
-    knobs ``store_backend``/``store_dir``/``result_cache_enabled``).
     Returns (workspace, standard_cluster, admin_client).
     """
-    ws = Workspace(sandbox_backend=sandbox_backend, **workspace_kwargs)
+    ws = Workspace(sandbox_backend=sandbox_backend)
     ws.add_user("admin", admin=True)
     ws.add_user("alice")
     ws.add_group("analysts", ["alice"])

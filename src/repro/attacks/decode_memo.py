@@ -30,8 +30,8 @@ from repro.errors import LakeguardError, PermissionDenied, RetryableError, Secur
 from repro.storage.credentials import LIST, READ, WRITE
 from repro.storage.table_format import LakeTableStorage
 
-#: Makes every run's query texts new, so neither the plan cache's template
-#: nor the result cache ever answers in place of a scan.
+#: Makes every run's query texts new, so no plan-cache template from an
+#: earlier run is reused.
 _RUNS = itertools.count(1)
 
 #: A small table only the cross-principal probe writes, rewritten on every

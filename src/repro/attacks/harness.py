@@ -86,7 +86,6 @@ class GauntletHarness:
         self.cluster = ws.create_standard_cluster(
             name="gauntlet",
             workload_slots=workload_slots,
-            result_cache_enabled=True,
             sandbox_policy=sandbox_policy,
         )
         self._reference_cluster: Any = None
@@ -205,7 +204,7 @@ class GauntletHarness:
         """A client on the cache-free twin cluster (the fuzzer's oracle).
 
         The twin shares the catalog (same grants, policies, data) but runs
-        with the plan and result caches disabled, so its output is what a
+        with the plan cache disabled, so its output is what a
         fresh fault-free evaluation returns — the definition of "what this
         principal may see".
         """
@@ -213,7 +212,6 @@ class GauntletHarness:
             self._reference_cluster = self.workspace.create_standard_cluster(
                 name="gauntlet-ref",
                 enable_plan_cache=False,
-                result_cache_enabled=False,
             )
         if user not in self._reference_clients:
             self._reference_clients[user] = self._reference_cluster.connect(user)

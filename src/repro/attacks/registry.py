@@ -33,7 +33,6 @@ _SCENARIO_MODULES = (
     "repro.attacks.admission_spoofing",
     "repro.attacks.write_denial",
     "repro.attacks.storage_tamper",
-    "repro.attacks.result_cache_tamper",
     "repro.attacks.decode_memo",
 )
 

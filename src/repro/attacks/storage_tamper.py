@@ -111,7 +111,7 @@ def datafile_reduce(gauntlet: Any) -> AttackResult:
         for index, planted in enumerate(_planted_objects(columns, marker)):
             _put(store, target.path, planted, stolen)
             # A literal only this scenario uses, in a query that can only
-            # fail: the result cache never holds an answer for it.
+            # fail: no earlier query's cached plan answers it.
             text = f"SELECT id, amount FROM {h.ORDERS} WHERE amount > -{index}.4375"
             result = _judge_planted_read(
                 gauntlet, marker, lambda: alice.sql(text).collect(), "data file"

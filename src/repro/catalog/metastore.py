@@ -147,9 +147,7 @@ class UnityCatalog:
         #: miss — a policy change can never serve a stale cached artifact.
         self._policy_epoch = 0
         #: Monotonic *data* version: every governed write (append/overwrite,
-        #: MV refresh, table create/drop) bumps it. The persistent result
-        #: cache keys on (policy epoch, data epoch) so cached result bytes
-        #: can survive neither a governance change nor a table mutation.
+        #: MV refresh, table create/drop, transaction commit) bumps it.
         self._data_epoch = 0
         self._epoch_lock = threading.Lock()
         #: Every ``system.access.*`` table and the stats providers behind them.
@@ -196,7 +194,7 @@ class UnityCatalog:
 
     @property
     def data_epoch(self) -> int:
-        """Current data version; the result cache keys on this value."""
+        """Current data version (bumped once per governed write)."""
         return self._data_epoch
 
     def bump_data_epoch(self, reason: str = "") -> int:
@@ -224,7 +222,9 @@ class UnityCatalog:
         return self.system_tables.stats(FAULT_STATS)
 
     def store_stats(self) -> dict[str, dict[str, Any]]:
-        """Snapshot of every registered store's statistics, by scope."""
+        """Rows of ``system.access.store_stats``, which nothing registers
+        into: always empty. Kept because ``benchmarks/e2e/layers.py`` reads it
+        (ROADMAP 5(f) drops both)."""
         return self.system_tables.stats(STORE_STATS)
 
     def attack_stats(self) -> dict[str, dict[str, Any]]:

@@ -47,7 +47,8 @@ WORKLOAD_STATS = "system.access.workload_stats"
 #: Injected-fault trigger counts and recovery counters from the chaos engine
 #: and every cluster's recovery layer.
 FAULT_STATS = "system.access.fault_stats"
-#: Persistence-tier counters — per-tier hits/misses/bytes, result-cache hits.
+#: Always empty: nothing registers into it. Kept because the e2e benchmark's
+#: layer snapshot reads it (ROADMAP 5(f) drops both).
 STORE_STATS = "system.access.store_stats"
 #: Adversarial-gauntlet counters — per attack scenario, how often it ran and
 #: whether the stack contained it or leaked. Any non-zero ``leaks`` row is a

@@ -31,8 +31,6 @@ The boundaries that use it:
 - table data files and eFGAC staged result parts read back from object
   storage, whose bytes anyone with write access to the bucket controls
   (:mod:`repro.storage.table_format`, :mod:`repro.core.efgac`);
-- result-cache payloads read back from the spill directory
-  (:mod:`repro.store.result_cache`);
 - Connect result frames, decoded by the client (:mod:`repro.connect.client`).
 """
 

@@ -45,17 +45,13 @@ ENV_CHAOS_RATE = "LAKEGUARD_CHAOS_RATE"
 ENV_CHAOS_SEED = "LAKEGUARD_CHAOS_SEED"
 
 #: Fault points the environment schedule arms (storage reads, sandbox
-#: invokes, persistence-tier reads and writes, and the transactional write
-#: path — the paths the acceptance workload recovers on). Store faults are absorbed by the tiered store
-#: itself (a failed get is a miss, a failed put is a skipped write), and
-#: ``txn.*`` faults fire *before* their step touches state, so the
-#: transaction tier's bounded retries absorb them — arming any of these
-#: must never change query results or committed table state.
+#: invokes, and the transactional write path — the paths the acceptance
+#: workload recovers on). ``txn.*`` faults fire *before* their step touches
+#: state, so the transaction tier's bounded retries absorb them — arming any
+#: of these must never change query results or committed table state.
 ENV_CHAOS_POINTS = (
     "storage.get",
     "sandbox.invoke",
-    "store.get",
-    "store.put",
     "txn.commit",
     "txn.write_file",
     "txn.conflict_check",

@@ -146,7 +146,6 @@ class GovernedDataSource:
         num_executors: int = 2,
         enable_credential_cache: bool = True,
         scan_retries: int = 2,
-        artifact_store: "Any | None" = None,
     ):
         self._catalog = catalog
         self._caps = caps
@@ -162,9 +161,6 @@ class GovernedDataSource:
                 clock=catalog.clock,
                 telemetry=catalog.telemetry,
                 faults=catalog.faults,
-                # Credentials ride the artifact store's memory-pinned tier
-                # only — never the disk spill.
-                persistent=artifact_store,
             )
         # The scan thread pool is created lazily and torn down by close()
         # (cluster shutdown) or, failing that, by the finalizer — worker

@@ -24,7 +24,6 @@ from repro.catalog.scopes import COMPUTE_STANDARD, ComputeCapabilities
 from repro.catalog.system_tables import (
     CACHE_STATS,
     FAULT_STATS,
-    STORE_STATS,
     WORKLOAD_STATS,
 )
 from repro.common.clock import Clock, SystemClock
@@ -107,9 +106,6 @@ class LakeguardCluster:
         scan_retries: int = 2,
         udf_invoke_retry: bool = True,
         engine_fuse_operators: bool | None = None,
-        store_backend: str = "memory",
-        store_dir: str | None = None,
-        result_cache_enabled: bool = False,
     ):
         self.catalog = catalog
         self.clock = clock or SystemClock()
@@ -163,23 +159,6 @@ class LakeguardCluster:
             CACHE_STATS, "sandbox_pool", self.dispatcher.stats_snapshot
         )
 
-        #: Governed persistence tier (PAPER §cache): a tiered KV ladder under
-        #: the kernel/plan/credential caches plus the governed result cache.
-        #: ``store_backend`` picks the ladder: ``memory`` (default — process
-        #: lifetime only), ``disk`` (memory → spill dir, survives restarts),
-        #: or ``none`` (no store at all).
-        self.artifact_store: Any = None
-        self.result_cache: Any = None
-        self._build_store(store_backend, store_dir, result_cache_enabled)
-        #: Persistent read/write-through hook for kernel/plan caches. Only
-        #: wired when a tier actually outlives this process — duplicating
-        #: every entry into a same-lifetime memory ladder is pure overhead.
-        store_persistent = (
-            self.artifact_store
-            if self.artifact_store is not None and self.artifact_store.has_persistent
-            else None
-        )
-
         #: Expression compilation: one cluster-wide kernel cache so every
         #: session (and every plan-cache entry) reuses generated kernels for
         #: structurally congruent expressions (None when disabled).
@@ -193,9 +172,7 @@ class LakeguardCluster:
         self.kernel_cache: KernelCache | None = None
         self._kernel_compiler: KernelCompiler | None = None
         if engine_compile:
-            self.kernel_cache = KernelCache(
-                telemetry=self.telemetry, persistent=store_persistent
-            )
+            self.kernel_cache = KernelCache(telemetry=self.telemetry)
             self._kernel_compiler = KernelCompiler(cache=self.kernel_cache)
             self._expose_stats(
                 CACHE_STATS, "kernel_cache", self.kernel_cache.stats_snapshot
@@ -205,9 +182,7 @@ class LakeguardCluster:
         #: invalidated by the catalog policy epoch (None when disabled).
         self.plan_cache: SecurePlanCache | None = None
         if enable_plan_cache:
-            self.plan_cache = SecurePlanCache(
-                telemetry=self.telemetry, persistent=store_persistent
-            )
+            self.plan_cache = SecurePlanCache(telemetry=self.telemetry)
             self._expose_stats(
                 CACHE_STATS, "plan_cache", self.plan_cache.stats_snapshot
             )
@@ -218,10 +193,6 @@ class LakeguardCluster:
             num_executors,
             enable_credential_cache=enable_credential_cache,
             scan_retries=scan_retries,
-            # Always wired (not just when persistent): the store pins
-            # credentials to its memory tier, proving secret material can
-            # ride the same ladder without ever reaching disk.
-            artifact_store=self.artifact_store,
         )
         if self.data_source.credential_cache is not None:
             self._expose_stats(
@@ -251,59 +222,6 @@ class LakeguardCluster:
         scope = f"{family}[{self.cluster_id}]"
         self.catalog.system_tables.register_stats_provider(table, scope, provider)
         self._stats_registrations.append((table, scope, provider))
-
-    def _build_store(
-        self,
-        store_backend: str,
-        store_dir: str | None,
-        result_cache_enabled: bool,
-    ) -> None:
-        """Assemble the tiered store ladder + artifact/result facades."""
-        from repro.store import (
-            ArtifactStore,
-            DiskTier,
-            GovernedResultCache,
-            MemoryTier,
-            TieredStore,
-        )
-
-        backend = store_backend
-        if backend == "memory" and store_dir is not None:
-            # A spill dir only makes sense with a disk tier: treat the
-            # combination as asking for one.
-            backend = "disk"
-        if backend == "none":
-            if result_cache_enabled:
-                raise ValueError(
-                    "result_cache_enabled requires a store backend"
-                )
-            return
-        tiers: list[Any] = [MemoryTier()]
-        if backend == "disk":
-            if store_dir is None:
-                raise ValueError("store_backend='disk' requires store_dir")
-            tiers.append(DiskTier(store_dir))
-        elif backend != "memory":
-            raise ValueError(
-                f"unknown store_backend '{store_backend}' "
-                "(expected memory|disk|none)"
-            )
-        tiered = TieredStore(
-            tiers, faults=self.catalog.faults, telemetry=self.telemetry
-        )
-        self.artifact_store = ArtifactStore(
-            tiered, cluster_id=self.cluster_id, telemetry=self.telemetry
-        )
-        self._expose_stats(
-            STORE_STATS, "store", self.artifact_store.stats_snapshot
-        )
-        if result_cache_enabled:
-            self.result_cache = GovernedResultCache(
-                self.artifact_store, telemetry=self.telemetry
-            )
-            self._expose_stats(
-                STORE_STATS, "result_cache", self.result_cache.stats_snapshot
-            )
 
     def _recovery_stats_snapshot(self) -> dict[str, float]:
         """Scan + sandbox recovery counters for ``system.access.fault_stats``."""
@@ -459,8 +377,6 @@ class LakeguardCluster:
             policy_epoch=lambda: self.catalog.policy_epoch,
             compute_id=self.caps.compute_id,
             workload_manager=self.workload_manager,
-            result_cache=self.result_cache,
-            data_epoch=lambda: self.catalog.data_epoch,
             system_tables=self.catalog.system_tables,
         )
 

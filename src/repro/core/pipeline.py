@@ -163,8 +163,6 @@ def build_enforcement_pipeline(
     policy_epoch: Callable[[], int] | None = None,
     compute_id: str = "",
     workload_manager: Any = None,
-    result_cache: Any = None,
-    data_epoch: Callable[[], int] | None = None,
     system_tables: SystemTables = frozenset(),
 ) -> QueryPipeline:
     """The standard governed-query pipeline over one session's engine.
@@ -186,17 +184,6 @@ def build_enforcement_pipeline(
     — the admitted slot is marked busy for the duration of the stage span
     and released (dispatching the next queued query) as soon as execution
     finishes, rather than when the client drains the stream.
-
-    With a ``result_cache`` (:class:`repro.store.GovernedResultCache`), the
-    execute stage first probes the governed result cache under the plan
-    cache key + the catalog's current **data epoch**: a hit streams the
-    stored bytes without taking a workload slot or running the operator; a
-    miss executes normally and stores the encoded batch. Plans containing
-    user code, non-deterministic expressions or eFGAC remote scans are
-    excluded by construction (:func:`repro.store.plan_is_cacheable`), as is
-    any query without a cache key (system tables, prebuilt-plan paths, and
-    sessions with an open transaction — pinned-snapshot reads must never
-    populate or hit either cache).
     """
 
     def _cache_key(state: PipelineState) -> PlanCacheKey:
@@ -300,24 +287,6 @@ def build_enforcement_pipeline(
                 span.set_attribute("physical_cache", "miss")
         span.set_attribute("physical_operators", _count_operators(state.operator))
 
-    def _result_probe(state: PipelineState, span: Span) -> tuple[str | None, int]:
-        """Result-cache key for this query, or None when not cacheable."""
-        if result_cache is None or state.cache_key is None:
-            return None, 0
-        if state.optimized is None:
-            return None, 0
-        from repro.store import plan_is_cacheable
-
-        if not plan_is_cacheable(state.optimized):
-            result_cache.note_ineligible()
-            span.set_attribute("result_cache", "ineligible")
-            return None, 0
-        d_epoch = data_epoch() if data_epoch is not None else 0
-        return (
-            result_cache.key_for(state.cache_key, d_epoch, state.lifted.params),
-            d_epoch,
-        )
-
     def execute(ctx: QueryContext, state: PipelineState, span: Span) -> None:
         session = state.session
         state.exec_ctx = engine.exec_context(
@@ -327,22 +296,6 @@ def build_enforcement_pipeline(
             query_ctx=ctx,
             params=state.lifted.params if state.lifted is not None else (),
         )
-        result_key, d_epoch = _result_probe(state, span)
-        if result_key is not None:
-            cached = result_cache.lookup(result_key)
-            if cached is not None:
-                # Same bytes the original execution produced — no workload
-                # slot, no operator run, no scan, no credential vend.
-                span.set_attribute("result_cache", "hit")
-                span.set_attribute("rows", cached.num_rows)
-                state.result = QueryResult(
-                    batch=cached,
-                    analyzed_plan=state.analyzed,
-                    optimized_plan=state.optimized,
-                    metrics=state.exec_ctx.metrics,
-                )
-                return
-            span.set_attribute("result_cache", "miss")
         slot = (
             workload_manager.execution_slot(ctx)
             if workload_manager is not None
@@ -356,8 +309,6 @@ def build_enforcement_pipeline(
                     "queue_wait_seconds", round(ticket.queue_wait, 6)
                 )
             batch = engine.run_operator(state.operator, state.exec_ctx)
-        if result_key is not None:
-            result_cache.store(result_key, state.cache_key, d_epoch, batch)
         state.result = QueryResult(
             batch=batch,
             analyzed_plan=state.analyzed,

@@ -222,29 +222,18 @@ class PlanCacheStats:
     pinned_misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    #: Misses served by rehydrating a persisted plan from the artifact store.
-    persistent_hits: int = 0
 
 
 class SecurePlanCache:
-    """Thread-safe LRU cache of (analyzed, optimized) secure plans.
-
-    With a ``persistent`` :class:`repro.store.ArtifactStore` attached, the
-    cache reads and writes through it: a miss probes the store (key embeds
-    the policy epoch, so stale governance is a hard miss there too) and
-    verifies the rehydrated template and pinned values match the live ones
-    before adopting — the same rule the in-memory path applies.
-    """
+    """Thread-safe LRU cache of (analyzed, optimized) secure plans."""
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         telemetry: Telemetry | None = None,
-        persistent: Any | None = None,
     ):
         self.capacity = max(1, capacity)
         self._telemetry = telemetry
-        self._persistent = persistent
         self._entries: OrderedDict[PlanCacheKey, CachedSecurePlan] = OrderedDict()
         #: identity() -> current key, to evict superseded-epoch entries.
         self._by_identity: dict[tuple, PlanCacheKey] = {}
@@ -289,29 +278,7 @@ class SecurePlanCache:
                 self.stats.stale_epoch_misses += 1
                 self._count("plan_cache.stale_epoch_misses")
                 reason = MISS_STALE_EPOCH
-        entry = self._lookup_persistent(key, lifted)
-        return (entry, HIT) if entry is not None else (None, reason)
-
-    def _lookup_persistent(
-        self, key: PlanCacheKey, lifted: LiftedRelation
-    ) -> CachedSecurePlan | None:
-        """Probe the artifact store after an in-memory miss (no lock held)."""
-        if self._persistent is None:
-            return None
-        record = self._persistent.get_plan(key)
-        if record is None:
-            return None
-        template, pinned, analyzed, optimized = record
-        if template != lifted.template:
-            return None  # fingerprint collision: never serve a wrong plan
-        entry = CachedSecurePlan(template, analyzed, optimized, key.policy_epoch, pinned)
-        if not entry.admits(lifted.params):
-            return None
-        self._adopt(key, entry)
-        with self._lock:
-            self.stats.persistent_hits += 1
-        self._count("plan_cache.persistent_hits")
-        return entry
+        return None, reason
 
     def insert(
         self,
@@ -328,13 +295,7 @@ class SecurePlanCache:
         operator tree (with its compiled kernels) once planning happens.
         """
         template, pinned = lifted.template, _pinned(optimized, lifted.params)
-        if self._persistent is not None:
-            self._persistent.put_plan(key, (template, pinned, analyzed, optimized))
         entry = CachedSecurePlan(template, analyzed, optimized, key.policy_epoch, pinned)
-        self._adopt(key, entry)
-        return entry
-
-    def _adopt(self, key: PlanCacheKey, entry: CachedSecurePlan) -> None:
         with self._lock:
             previous = self._by_identity.get(key.identity())
             if previous is not None and previous != key:
@@ -349,6 +310,7 @@ class SecurePlanCache:
                     del self._by_identity[evicted_key.identity()]
                 self.stats.evictions += 1
                 self._count("plan_cache.evictions")
+        return entry
 
     def clear(self) -> None:
         with self._lock:
@@ -365,7 +327,6 @@ class SecurePlanCache:
                 "pinned_misses": self.stats.pinned_misses,
                 "insertions": self.stats.insertions,
                 "evictions": self.stats.evictions,
-                "persistent_hits": self.stats.persistent_hits,
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }

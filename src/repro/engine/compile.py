@@ -86,11 +86,6 @@ DEFAULT_KERNEL_CACHE_CAPACITY = 256
 #: exact code a query ran can be inspected offline.
 ENV_DUMP_KERNELS = "LAKEGUARD_DUMP_KERNELS"
 
-#: Generator version, folded into every fingerprint: bump it whenever the
-#: generated code's calling convention or state layout changes, so source a
-#: persistent artifact store kept from an older generator is never rehydrated.
-GENERATOR_VERSION = "g2|"
-
 
 def _maybe_dump_source(fingerprint: str, source: str) -> None:
     """Write one generated source to ``$LAKEGUARD_DUMP_KERNELS`` (best
@@ -279,7 +274,7 @@ def expression_fingerprint(exprs: Sequence[Expression], mode: str = "project") -
     the env), and opaque slots in the same positions (whatever those slots
     compute).
     """
-    digest = hashlib.sha256(f"{GENERATOR_VERSION}{mode}|{len(exprs)}".encode())
+    digest = hashlib.sha256(f"{mode}|{len(exprs)}".encode())
     slots = _literal_slots(_canonical_walk(exprs))
 
     def visit(node: Expression) -> None:
@@ -1120,55 +1115,6 @@ class CompiledPipeline:
 # ---------------------------------------------------------------------------
 
 
-def artifact_payload(artifact: CompiledArtifact) -> dict[str, Any]:
-    """A JSON-safe source record for one artifact, for the artifact store.
-
-    Only the generated *source* and the rebinding recipe travel — the
-    compiled function is re-``exec``ed on rehydration, so a payload written
-    by one process (or one cluster) is usable by any other.
-    """
-    return {
-        "fingerprint": artifact.fingerprint,
-        "source": artifact.source,
-        "env_spec": [list(t) for t in artifact.env_spec],
-        "opaque_spec": list(artifact.opaque_spec),
-        "num_outputs": artifact.num_outputs,
-    }
-
-
-def rehydrate_artifact(payload: dict[str, Any]) -> CompiledArtifact | None:
-    """Re-``exec`` a persisted source record back into a live artifact.
-
-    Returns None on any malformed record — persistence is an optimization,
-    the caller just recompiles from the expression tree.
-    """
-    try:
-        fingerprint = str(payload["fingerprint"])
-        source = payload["source"]
-        if not isinstance(source, str) or "def _kernel(" not in source:
-            return None
-        namespace: dict[str, Any] = {}
-        code = compile(source, f"<kernel:{fingerprint[:12]}>", "exec")
-        exec(code, namespace)  # noqa: S102 - source we generated and framed
-        fn = namespace["_kernel"]
-        env_spec = tuple(
-            (str(name), int(pos), str(kind))
-            for name, pos, kind in payload["env_spec"]
-        )
-        opaque_spec = tuple(int(p) for p in payload["opaque_spec"])
-        num_outputs = int(payload["num_outputs"])
-    except Exception:  # noqa: BLE001 - any bad record is just a miss
-        return None
-    return CompiledArtifact(
-        fingerprint=fingerprint,
-        source=source,
-        fn=fn,
-        env_spec=env_spec,
-        opaque_spec=opaque_spec,
-        num_outputs=num_outputs,
-    )
-
-
 @dataclass
 class KernelCacheStats:
     """Counters surfaced through ``system.access.cache_stats``."""
@@ -1183,10 +1129,6 @@ class KernelCacheStats:
     #: Planner fusion attempts that produced a fused pipeline / fell back.
     fusion_hits: int = 0
     fusion_misses: int = 0
-    #: Misses served by rehydrating persisted source from the artifact store.
-    persistent_hits: int = 0
-    #: Persisted records that failed to rehydrate (recompiled instead).
-    rehydrate_errors: int = 0
 
 
 class KernelCache:
@@ -1202,14 +1144,9 @@ class KernelCache:
         self,
         capacity: int = DEFAULT_KERNEL_CACHE_CAPACITY,
         telemetry: Telemetry | None = None,
-        persistent: "Any | None" = None,
     ):
         self.capacity = max(1, capacity)
         self._telemetry = telemetry
-        #: Optional :class:`repro.store.ArtifactStore` read/write-through:
-        #: kernels are content-addressed, so persisted source survives
-        #: restarts and can be shared across clusters on one KV.
-        self._persistent = persistent
         self._entries: OrderedDict[str, CompiledArtifact] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = KernelCacheStats()
@@ -1222,7 +1159,7 @@ class KernelCache:
             self._telemetry.counter(name).inc()
 
     def get(self, fingerprint: str) -> CompiledArtifact | None:
-        """LRU lookup, falling through to the persistent store on a miss."""
+        """LRU lookup; None (and a counted miss) when absent."""
         with self._lock:
             artifact = self._entries.get(fingerprint)
             if artifact is not None:
@@ -1230,53 +1167,21 @@ class KernelCache:
                 self.stats.hits += 1
                 self._count("kernel_cache.hits")
                 return artifact
-        artifact = self._rehydrate(fingerprint)
-        if artifact is not None:
-            with self._lock:
-                self._adopt(fingerprint, artifact)
-                self.stats.hits += 1
-                self.stats.persistent_hits += 1
-            self._count("kernel_cache.persistent_hits")
-            return artifact
-        with self._lock:
             self.stats.misses += 1
         self._count("kernel_cache.misses")
         return None
 
-    def _rehydrate(self, fingerprint: str) -> CompiledArtifact | None:
-        """Probe the artifact store and re-exec the source (outside the lock)."""
-        if self._persistent is None:
-            return None
-        payload = self._persistent.get_kernel_payload(fingerprint)
-        if payload is None:
-            return None
-        artifact = rehydrate_artifact(payload)
-        if artifact is None or artifact.fingerprint != fingerprint:
-            with self._lock:
-                self.stats.rehydrate_errors += 1
-            self._count("kernel_cache.rehydrate_errors")
-            return None
-        return artifact
-
-    def _adopt(self, fingerprint: str, artifact: CompiledArtifact) -> None:
-        """Insert under the held lock, without re-persisting."""
-        self._entries[fingerprint] = artifact
-        self._entries.move_to_end(fingerprint)
-        self.stats.insertions += 1
-        self.stats.source_lines += artifact.source.count("\n") + 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._count("kernel_cache.evictions")
-
     def put(self, fingerprint: str, artifact: CompiledArtifact) -> None:
         """Insert one artifact, evicting least-recently-used past capacity."""
         with self._lock:
-            self._adopt(fingerprint, artifact)
-        if self._persistent is not None:
-            self._persistent.put_kernel_payload(
-                fingerprint, artifact_payload(artifact)
-            )
+            self._entries[fingerprint] = artifact
+            self._entries.move_to_end(fingerprint)
+            self.stats.insertions += 1
+            self.stats.source_lines += artifact.source.count("\n") + 1
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+                self._count("kernel_cache.evictions")
 
     def note_error(self) -> None:
         """Record one failed compilation (the caller fell back)."""
@@ -1309,8 +1214,6 @@ class KernelCache:
                 "source_lines": self.stats.source_lines,
                 "fusion_hits": self.stats.fusion_hits,
                 "fusion_misses": self.stats.fusion_misses,
-                "persistent_hits": self.stats.persistent_hits,
-                "rehydrate_errors": self.stats.rehydrate_errors,
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }

@@ -27,9 +27,6 @@ class Workspace:
         clock: Clock | None = None,
         sandbox_backend: Backend = "inprocess",
         store: Any = None,
-        store_backend: str = "memory",
-        store_dir: str | None = None,
-        result_cache_enabled: bool = False,
     ):
         self.name = name
         self.clock = clock or SystemClock()
@@ -37,11 +34,6 @@ class Workspace:
         #: ``store`` lets benchmarks model storage latency (an ObjectStore
         #: with ``read_latency_seconds``) without re-wiring the catalog.
         self.catalog = UnityCatalog(clock=self.clock, store=store)
-        #: Workspace-level persistence-tier defaults, inherited by every
-        #: cluster created here (overridable per cluster).
-        self.store_backend = store_backend
-        self.store_dir = store_dir
-        self.result_cache_enabled = result_cache_enabled
         self.clusters: dict[str, Any] = {}
         self._gateway: ServerlessGateway | None = None
 
@@ -65,13 +57,6 @@ class Workspace:
             )
         return self._gateway
 
-    def _store_kwargs(self, kwargs: dict[str, Any]) -> dict[str, Any]:
-        """Apply workspace persistence-tier defaults to cluster kwargs."""
-        kwargs.setdefault("store_backend", self.store_backend)
-        kwargs.setdefault("store_dir", self.store_dir)
-        kwargs.setdefault("result_cache_enabled", self.result_cache_enabled)
-        return kwargs
-
     def create_standard_cluster(self, name: str = "standard", **kwargs: Any) -> StandardCluster:
         """Provision a multi-user Standard cluster in this workspace."""
         cluster = StandardCluster(
@@ -79,7 +64,7 @@ class Workspace:
             name=name,
             clock=self.clock,
             sandbox_backend=kwargs.pop("sandbox_backend", self._sandbox_backend),
-            **self._store_kwargs(kwargs),
+            **kwargs,
         )
         self.clusters[name] = cluster
         return cluster
@@ -101,7 +86,7 @@ class Workspace:
             clock=self.clock,
             remote_submit=gateway.submit,
             remote_analyze=gateway.analyze,
-            **self._store_kwargs(kwargs),
+            **kwargs,
         )
         self.clusters[name] = cluster
         return cluster

@@ -217,8 +217,6 @@ class CredentialCacheStats:
     stale_epoch_misses: int = 0
     #: Misses because the cached credential expired or was revoked.
     expired_misses: int = 0
-    #: Misses served from the artifact store's memory-pinned tier.
-    persistent_hits: int = 0
 
 
 class CredentialCache:
@@ -242,7 +240,6 @@ class CredentialCache:
         refresh_ahead_fraction: float = 0.2,
         telemetry: Telemetry | None = None,
         faults: "FaultInjector | None" = None,
-        persistent: Any | None = None,
     ):
         if not 0.0 <= refresh_ahead_fraction < 1.0:
             raise CredentialError(
@@ -254,12 +251,6 @@ class CredentialCache:
         self._telemetry = telemetry
         #: Chaos hook: ``credential.refresh`` fires on refresh-ahead vends.
         self.faults = faults
-        #: Optional :class:`repro.store.ArtifactStore`. Credentials written
-        #: through it are pinned ``memory_only`` — secret material must
-        #: never reach a disk or shared-KV tier (a security test scans the
-        #: spill directory to enforce this), so this sharing is strictly
-        #: within-process (e.g. across caches riding one store).
-        self._persistent = persistent
         self._lock = threading.Lock()
         #: key -> (credential, policy epoch at vend time)
         self._entries: dict[tuple, tuple[TemporaryCredential, int]] = {}
@@ -333,10 +324,6 @@ class CredentialCache:
                     self._count("credential_cache.expired_misses")
         if refreshing and self.faults is not None:
             self.faults.fire("credential.refresh")
-        if not refreshing:
-            adopted = self._adopt_persistent(key, policy_epoch, now, validate)
-            if adopted is not None:
-                return adopted, True
         credential = vend()
         with self._lock:
             self._entries[key] = (credential, policy_epoch)
@@ -346,42 +333,7 @@ class CredentialCache:
             else:
                 self.stats.misses += 1
                 self._count("credential_cache.misses")
-        if self._persistent is not None:
-            self._persistent.put_credential(key, policy_epoch, credential)
         return credential, False
-
-    def _adopt_persistent(
-        self,
-        key: tuple,
-        policy_epoch: int,
-        now: float,
-        validate: Callable[[TemporaryCredential], None] | None,
-    ) -> TemporaryCredential | None:
-        """Probe the memory-pinned store tier after a local miss.
-
-        The store key embeds the policy epoch, so stale governance is a
-        hard miss there; expiry, refresh-ahead and liveness are re-checked
-        here exactly as for a local hit.
-        """
-        if self._persistent is None:
-            return None
-        credential = self._persistent.get_credential(key, policy_epoch)
-        if credential is None:
-            return None
-        if credential.is_expired(now) or self._needs_refresh(credential, now):
-            return None
-        if validate is not None:
-            try:
-                validate(credential)
-            except CredentialError:
-                return None
-        with self._lock:
-            self._entries[key] = (credential, policy_epoch)
-            self.stats.hits += 1
-            self.stats.persistent_hits += 1
-        self._count("credential_cache.hits")
-        self._count("credential_cache.persistent_hits")
-        return credential
 
     def invalidate_principal(self, principal: str) -> int:
         """Drop all cached credentials vended for one principal."""
@@ -407,7 +359,6 @@ class CredentialCache:
                 "refreshes": self.stats.refreshes,
                 "stale_epoch_misses": self.stats.stale_epoch_misses,
                 "expired_misses": self.stats.expired_misses,
-                "persistent_hits": self.stats.persistent_hits,
                 "size": len(self._entries),
                 "refresh_ahead_fraction": self.refresh_ahead_fraction,
             }

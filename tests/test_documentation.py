@@ -130,7 +130,9 @@ def test_readme_lists_every_system_table():
 #: three names stays empty). Deleted in PR 32: the process execution
 #: backend — its pool class, its two cluster keywords and environment
 #: variable, the pooled scan, fault-schedule shipping and the batch buffer
-#: codec.
+#: codec. Deleted in PR 37: the persistence tier and the result cache — their
+#: three keywords, classes, kernel rehydration and generator-version salt
+#: (split by groups, like the shared-memory names, so a grep stays empty).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -138,7 +140,10 @@ _DELETED = re.compile(
     r"scan_retry_base_delay)\b|"
     r"\b(use|invoke|invoke_many)_shm\b|"
     r"\b(WorkerPool|worker_backend|worker_pool_size|LAKEGUARD_WORKER_BACKEND|"
-    r"pooled_scan|export_schedule|merge_remote|to_buffers)\b"
+    r"pooled_scan|export_schedule|merge_remote|to_buffers)\b|"
+    r"\b(store_(backend|dir)|result_(cache)_enabled|Artifact(Store)|"
+    r"GovernedResult(Cache)|(Disk|Memory)Tier|rehydrate_(artifact)|"
+    r"GENERATOR_(VERSION))\b"
 )
 
 
@@ -199,7 +204,7 @@ def test_design_threat_matrix_matches_attack_registry():
     prefixes = {f.split("-")[0] for f in attack_registry.technique_families()}
     prefixes |= {
         "udf", "plan", "credential", "cache", "admission", "profile", "template",
-        "datafile", "staging", "resultcache", "decode", "governed",
+        "datafile", "staging", "decode", "governed",
     }
     documented = {
         token

@@ -14,9 +14,6 @@ Covers, in one place:
   the original trace;
 - the serverless outage switch as a fault point behind the circuit breaker;
 - the admin-only ``system.access.fault_stats`` table;
-- persistence-tier recovery: corrupted store entries are checksum-rejected
-  (healing from a lower tier or recomputing), evictions recompute, and a
-  seeded ``store.*`` chaos sweep is observationally equivalent to fault-free;
 - a seed-sweep property: a chaos run returns exactly the fault-free
   results, and user code executes at most once per delivered invoke.
 """
@@ -437,112 +434,6 @@ class TestFaultStatsTable:
         assert metrics[("faults[catalog]", "recovered.scan.task_retry")] >= 1.0
         cluster_scope = f"recovery[{standard_cluster.name}]"
         assert metrics[(cluster_scope, "scan_retries")] >= 1.0
-
-
-class TestStoreFaultRecovery:
-    """The persistence tier degrades to recomputes, never to wrong bytes."""
-
-    _QUERY = "SELECT id, region, amount FROM main.sales.orders WHERE amount > 5.0"
-
-    def _store_workspace(self, spill_dir: str):
-        ws = Workspace()
-        ws.add_user("admin", admin=True)
-        ws.add_user("alice")
-        ws.add_group("analysts", ["alice"])
-        ws.catalog.create_catalog("main", owner="admin")
-        ws.catalog.create_schema("main.sales", owner="admin")
-        for point in ("store.get", "store.put", "store.evict"):
-            ws.catalog.faults.disarm(point)
-        cluster = ws.create_standard_cluster(
-            store_backend="disk", store_dir=spill_dir, result_cache_enabled=True
-        )
-        admin = cluster.connect("admin")
-        admin.sql(
-            "CREATE TABLE main.sales.orders (id int, region string, amount float)"
-        )
-        admin.sql(
-            "INSERT INTO main.sales.orders VALUES (1,'US',10.0),(2,'EU',20.0),"
-            "(3,'US',30.0),(4,'APAC',40.0)"
-        )
-        admin.sql("GRANT USE CATALOG ON main TO analysts")
-        admin.sql("GRANT USE SCHEMA ON main.sales TO analysts")
-        admin.sql("GRANT SELECT ON main.sales.orders TO analysts")
-        return ws, cluster
-
-    def test_injected_read_corruption_is_rejected_never_served(self, tmp_path):
-        """A chaos-corrupted store read is checksum-rejected; the read heals
-        from the tier below (or recomputes) — the query answer is unchanged."""
-        ws, cluster = self._store_workspace(str(tmp_path / "spill"))
-        alice = cluster.connect("alice")
-        baseline = alice.sql(self._QUERY).collect()
-        store = cluster.backend.artifact_store.store
-        ws.catalog.faults.arm(
-            "store.get", FaultSpec(kind="corrupt", one_shot=True)
-        )
-        assert alice.sql(self._QUERY).collect() == baseline
-        assert store.stats.corruption_rejected >= 1
-        ws.shutdown()
-
-    def test_torn_disk_files_force_a_clean_recompute(self, tmp_path):
-        """Every spill file mangled on disk + memory tier wiped: the next
-        replay checksum-rejects the torn copies, recomputes, and re-warms."""
-        spill = tmp_path / "spill"
-        ws, cluster = self._store_workspace(str(spill))
-        alice = cluster.connect("alice")
-        baseline = alice.sql(self._QUERY).collect()
-        cache = cluster.backend.result_cache
-        stored_before = cache.stats.stored
-        store = cluster.backend.artifact_store.store
-        store.tiers[0].clear()  # drop the fast copies
-        for path in spill.glob("*.lgs"):
-            blob = bytearray(path.read_bytes())
-            blob[-1] ^= 0xFF  # tear the payload region
-            path.write_bytes(bytes(blob))
-        assert alice.sql(self._QUERY).collect() == baseline
-        assert store.stats.corruption_rejected >= 1
-        assert cache.stats.stored == stored_before + 1  # recomputed, re-warmed
-        assert alice.sql(self._QUERY).collect() == baseline  # warm again
-        assert cache.stats.hits >= 1
-        ws.shutdown()
-
-    def test_eviction_mid_workload_recomputes_and_rewarms(self, tmp_path):
-        ws, cluster = self._store_workspace(str(tmp_path / "spill"))
-        alice = cluster.connect("alice")
-        baseline = alice.sql(self._QUERY).collect()
-        store = cluster.backend.artifact_store.store
-        cache = cluster.backend.result_cache
-        stored_before = cache.stats.stored
-        for key in store.keys():
-            if key.startswith("result/"):
-                store.evict(key)
-        assert alice.sql(self._QUERY).collect() == baseline
-        assert cache.stats.stored == stored_before + 1
-        ws.shutdown()
-
-    def test_seeded_store_chaos_is_observationally_equivalent(self, tmp_path):
-        """``store.get``/``store.put`` raise-faults are absorbed by design:
-        failed reads are misses, failed writes are skipped — a seeded sweep
-        returns exactly the fault-free answers."""
-        baseline = None
-        drops = 0
-        for seed in range(6):
-            ws, cluster = self._store_workspace(str(tmp_path / f"s{seed}"))
-            if seed > 0:
-                ws.catalog.faults.seed = seed
-                for point in ("store.get", "store.put"):
-                    ws.catalog.faults.arm(
-                        point,
-                        FaultSpec(probability=0.4, only_in_query=True),
-                    )
-            alice = cluster.connect("alice")
-            rows = [sorted(alice.sql(self._QUERY).collect()) for _ in range(4)]
-            drops += cluster.backend.artifact_store.store.stats.fault_drops
-            if baseline is None:
-                baseline = rows
-            else:
-                assert rows == baseline, f"seed {seed} diverged"
-            ws.shutdown()
-        assert drops > 0  # the sweep genuinely dropped store operations
 
 
 class TestChaosEquivalenceProperty:

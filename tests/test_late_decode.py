@@ -120,17 +120,10 @@ class TestDataFileCodec:
         assert calls == []
 
 
-#: The one module under the guarded directories still allowed a code
-#: decoder: persisted secure plans (cloudpickle) and memory-pinned
-#: credentials in ``store/artifacts.py`` — ROADMAP 3's site.
-_ARTIFACTS = "store/artifacts.py"
-
-
 class TestNoCodeDecoderInStorage:
-    """Guard: bytes read from storage, the spill directory or the wire are
-    never decoded as code again. No ``pickle`` / ``cloudpickle`` load may
-    reappear in ``storage/``, ``store/`` (but :data:`_ARTIFACTS`),
-    ``connect/`` or ``core/efgac.py``."""
+    """Guard: bytes read from storage or the wire are never decoded as code
+    again. No ``pickle`` / ``cloudpickle`` load may reappear in
+    ``storage/``, ``store/``, ``connect/`` or ``core/efgac.py``."""
 
     LOADERS = {"loads", "load", "Unpickler"}
 
@@ -160,16 +153,10 @@ class TestNoCodeDecoderInStorage:
                 *(SRC / "connect").glob("*.py"),
                 SRC / "core" / "efgac.py",
             ]
-            if p.relative_to(SRC).as_posix() != _ARTIFACTS
         ),
     )
     def test_module_has_no_code_decoder(self, path):
         assert self._loader_calls(ast.parse((SRC / path).read_text())) == []
-
-    def test_artifacts_keeps_only_its_two_known_loads(self):
-        """``get_plan`` and ``get_credential``; a third site fails here."""
-        tree = ast.parse((SRC / _ARTIFACTS).read_text())
-        assert self._loader_calls(tree) == ["pickle.loads", "pickle.loads"]
 
 
 # ---------------------------------------------------------------------------

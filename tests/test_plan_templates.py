@@ -265,20 +265,6 @@ class TestMissReasons:
 
 
 class TestParameterisedExecution:
-    def test_result_cache_keys_on_the_parameters(self, governed):
-        cluster = governed.create_standard_cluster(
-            name="results", result_cache_enabled=True
-        )
-        carol = cluster.connect("carol")
-        point = "SELECT id, region, amount, note FROM {} WHERE id = {}"
-        five = carol.sql(point.format(T, 5)).collect()
-        seven = carol.sql(point.format(T, 7)).collect()
-        assert five == [(5, "APAC", None, None)] and seven == [(7, None, 3.0, "ab")]
-        assert carol.sql(point.format(T, 5)).collect() == five
-        stats = cluster.backend.result_cache.stats
-        assert (stats.hits, stats.stored) == (1, 2)
-        assert cluster.backend.plan_cache.stats.hits == 2
-
     def test_two_threads_share_one_template_re_entrantly(self, governed):
         """Both threads run the same user's one template with 500 distinct
         parameter vectors each, concurrently, on the one cached plan (and

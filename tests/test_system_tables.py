@@ -203,16 +203,12 @@ def _scopes(catalog) -> set[str]:
 
 class TestShutdownUnregistersStatsProviders:
     def test_dead_cluster_leaves_every_stats_table(self, workspace):
-        survivor = workspace.create_standard_cluster(
-            name="survivor", result_cache_enabled=True
-        )
-        doomed = workspace.create_standard_cluster(
-            name="doomed", result_cache_enabled=True
-        )
+        survivor = workspace.create_standard_cluster(name="survivor")
+        doomed = workspace.create_standard_cluster(name="doomed")
         catalog = workspace.catalog
         families = {
             "workload", "sandbox_pool", "kernel_cache", "plan_cache",
-            "credential_cache", "recovery", "store", "result_cache",
+            "credential_cache", "recovery",
         }
         for name in ("survivor", "doomed"):
             assert {f"{family}[{name}]" for family in families} <= _scopes(catalog)

@@ -23,7 +23,8 @@ from harness import print_table, write_bench_json
 
 from repro.common.clock import VirtualClock
 from repro.engine.udf import udf
-from repro.sandbox import ClusterManager, Dispatcher, SandboxedUDFRuntime
+from repro.sandbox.cluster_manager import ClusterManager
+from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
 from repro.sandbox.cluster_manager import (
     DEFAULT_INTERPRETER_START_SECONDS,
     DEFAULT_PROVISION_SECONDS,
@@ -49,6 +50,7 @@ def test_modelled_cold_start_matches_paper():
     )
     dispatcher = Dispatcher(manager, clock=clock)
     dispatcher.acquire("session", "alice")
+    manager.shutdown()
     cold = dispatcher.stats.cold_start_seconds_max
     print_table(
         "Cold start (modelled, virtual clock)",
@@ -70,6 +72,7 @@ def test_amortization_one_cold_start_per_session():
     num_queries = 20
     for _ in range(num_queries):
         runtime.run_udf(ALICE_PLUS, [[1, 2], [3, 4]])
+    manager.shutdown()
     print_table(
         "Amortization across a session",
         ["queries", "cold starts", "warm reuses", "total cold seconds"],
@@ -83,12 +86,12 @@ def test_amortization_one_cold_start_per_session():
 
 def test_new_session_pays_again_new_domain_pays_again():
     clock = VirtualClock()
-    dispatcher = Dispatcher(
-        ClusterManager(clock=clock, provision_seconds=2.0), clock=clock
-    )
+    manager = ClusterManager(clock=clock, provision_seconds=2.0)
+    dispatcher = Dispatcher(manager, clock=clock)
     dispatcher.acquire("s1", "alice")
     dispatcher.acquire("s1", "bob")    # new trust domain: cold
     dispatcher.acquire("s2", "alice")  # new session: cold
+    manager.shutdown()
     assert dispatcher.stats.cold_starts == 3
 
 

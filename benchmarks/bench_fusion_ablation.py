@@ -17,11 +17,23 @@ from repro.engine.expressions import Alias, col
 from repro.engine.logical import LocalRelation, Project, UnresolvedRelation
 from repro.engine.optimizer import OptimizerConfig
 from repro.engine.types import INT, Field, Schema
-from repro.engine.udf import PythonUDF
-from repro.sandbox import ClusterManager, Dispatcher, SandboxedUDFRuntime
+from repro.engine.udf import udf
+from repro.sandbox.cluster_manager import ClusterManager
+from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
 
 NUM_ROWS = 20_000
 BATCH = 8192
+
+#: One pool of sandbox workers for the module: a run reuses the warm
+#: sandbox of each trust domain, so timings hold no cold start.
+MANAGER = ClusterManager()
+DISPATCHER = Dispatcher(MANAGER)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _stop_sandboxes():
+    yield
+    MANAGER.shutdown()
 
 
 def make_engine(fusion: bool) -> QueryEngine:
@@ -43,17 +55,15 @@ def plan_with_udfs(num_udfs: int, owners: list[str] | None = None):
     def add(a, b):
         return a + b
 
-    from repro.engine.types import INT as INT_TYPE
-
     exprs = []
     for i in range(num_udfs):
-        udf_obj = PythonUDF(f"u{i}", add, INT_TYPE, owner=owners[i])
+        udf_obj = udf("int", name=f"u{i}")(add).with_owner(owners[i])
         exprs.append(Alias(udf_obj(col("a"), col("b")), f"c{i}"))
     return Project(UnresolvedRelation("t"), exprs)
 
 
 def run(engine, plan):
-    runtime = SandboxedUDFRuntime(Dispatcher(ClusterManager()), "s")
+    runtime = SandboxedUDFRuntime(DISPATCHER, "s")
     engine.execute(plan, user="alice", udf_runtime=runtime)
     return runtime
 

@@ -22,12 +22,22 @@ from repro.engine.executor import ExecutionConfig, QueryEngine
 from repro.engine.expressions import Alias, UDFRuntime, col
 from repro.engine.logical import LocalRelation, Project, UnresolvedRelation
 from repro.engine.types import INT, Field, Schema
-from repro.engine.udf import PythonUDF
-from repro.sandbox import ClusterManager, Dispatcher, SandboxedUDFRuntime
+from repro.engine.udf import udf
+from repro.sandbox.cluster_manager import ClusterManager
+from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
 
 SIMPLE_ROWS = 40_000
 HASH_ROWS = 1_500
 UDF_COUNTS = (1, 2, 5, 10)
+
+#: Starts every sandbox worker this module uses; stopped after the module.
+MANAGER = ClusterManager()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _stop_sandboxes():
+    yield
+    MANAGER.shutdown()
 
 
 def make_engine(num_rows: int) -> QueryEngine:
@@ -42,17 +52,11 @@ def make_engine(num_rows: int) -> QueryEngine:
 
 
 def udf_query(fn, return_type: str, num_udfs: int):
-    udf_obj = PythonUDF("bench_udf", fn, _type(return_type), owner="alice")
+    udf_obj = udf(return_type, name="bench_udf")(fn).with_owner("alice")
     exprs = [
         Alias(udf_obj(col("a"), col("b")), f"c{i}") for i in range(num_udfs)
     ]
     return Project(UnresolvedRelation("t"), exprs)
-
-
-def _type(name: str):
-    from repro.engine.types import type_from_name
-
-    return type_from_name(name)
 
 
 def run_query(engine: QueryEngine, plan, runtime: UDFRuntime) -> None:
@@ -60,7 +64,7 @@ def run_query(engine: QueryEngine, plan, runtime: UDFRuntime) -> None:
 
 
 def sandboxed_runtime() -> SandboxedUDFRuntime:
-    return SandboxedUDFRuntime(Dispatcher(ClusterManager()), "bench-session")
+    return SandboxedUDFRuntime(Dispatcher(MANAGER), "bench-session")
 
 
 def measure_overhead(fn, return_type: str, num_rows: int, num_udfs: int) -> float:

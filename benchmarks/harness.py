@@ -19,13 +19,12 @@ from repro.platform import Workspace
 def build_sales_workspace(
     num_rows: int = 10_000,
     regions: tuple[str, ...] = ("US", "EU", "APAC"),
-    sandbox_backend: str = "inprocess",
 ) -> tuple[Workspace, object, object]:
     """A workspace with a populated, granted ``main.s.sales`` table.
 
     Returns (workspace, standard_cluster, admin_client).
     """
-    ws = Workspace(sandbox_backend=sandbox_backend)
+    ws = Workspace()
     ws.add_user("admin", admin=True)
     ws.add_user("alice")
     ws.add_group("analysts", ["alice"])

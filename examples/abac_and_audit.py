@@ -89,6 +89,7 @@ def main() -> None:
         "SELECT count(*) AS denials FROM system.access.audit WHERE allowed = false"
     ).collect()
     print(f"\ntotal denials recorded: {denied[0][0]}")
+    ws.shutdown()
 
 
 if __name__ == "__main__":

@@ -72,6 +72,7 @@ def main() -> None:
 
     print(f"\nserverless clusters provisioned behind the scenes: "
           f"{ws.serverless.cluster_count()}")
+    ws.shutdown()
 
 
 if __name__ == "__main__":

@@ -110,6 +110,7 @@ def main() -> None:
         ).show()
     finally:
         net.unregister_service("example.aqi.com")
+    ws.shutdown()
 
 
 if __name__ == "__main__":

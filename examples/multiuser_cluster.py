@@ -86,6 +86,7 @@ def main() -> None:
     print("\n=== The audit log attributes everything to people ===")
     for event in list(ws.catalog.audit)[-5:]:
         print(f"  {event}")
+    ws.shutdown()
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ def main() -> None:
     vends = ws.catalog.audit.events(action="catalog.vend_credential")
     print(f"\nCredential vends recorded: {len(vends)} "
           f"(last by '{vends[-1].principal}')")
+    ws.shutdown()
 
 
 if __name__ == "__main__":

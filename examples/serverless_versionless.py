@@ -71,6 +71,7 @@ def main() -> None:
         c.close()
     removed = gateway.scale_down_idle()
     print(f"retired {removed} idle clusters; remaining: {gateway.cluster_count()}")
+    ws.shutdown()
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ workloads, rebuilt in pure Python:
   column masks, credential vending, privilege scopes.
 - :mod:`repro.connect` — Spark Connect: DataFrame client, versioned wire
   protocol, service with sessions/reattach.
-- :mod:`repro.sandbox` — user-code isolation: sandboxes (in-process and
-  real subprocess), dispatcher, cluster manager, egress control.
+- :mod:`repro.sandbox` — user-code isolation: subprocess sandboxes,
+  dispatcher, cluster manager, egress control.
 - :mod:`repro.core` — Lakeguard itself: governed resolution, SecureView
   enforcement, eFGAC rewriting.
 - :mod:`repro.platform` — Standard/Dedicated clusters, Serverless gateway,
@@ -35,20 +35,4 @@ Quickstart::
     print(spark.sql("SELECT sum(v) AS total FROM main.demo.t").collect())
 """
 
-from repro.platform.workspace import Workspace
-from repro.catalog.metastore import UnityCatalog
-from repro.core.lakeguard import LakeguardCluster
-from repro.connect.client import SparkConnectClient
-from repro.errors import LakeguardError, PermissionDenied
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Workspace",
-    "UnityCatalog",
-    "LakeguardCluster",
-    "SparkConnectClient",
-    "LakeguardError",
-    "PermissionDenied",
-    "__version__",
-]

@@ -61,15 +61,12 @@ class GauntletHarness:
 
     def __init__(
         self,
-        sandbox_backend: str = "inprocess",
         workload_slots: int = 8,
         sandbox_policy: Any = None,
     ) -> None:
         registry.load_all_scenarios()
         self.stats = registry.AttackStatsBook()
-        self.workspace = Workspace(
-            name="gauntlet", sandbox_backend=sandbox_backend
-        )
+        self.workspace = Workspace(name="gauntlet")
         self.catalog = self.workspace.catalog
         ws = self.workspace
         ws.add_user("admin", admin=True)

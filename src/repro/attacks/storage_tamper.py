@@ -24,7 +24,7 @@ from repro.attacks import harness as h
 from repro.attacks.registry import attack_scenario
 from repro.attacks.scenario import AttackResult, contained, judge, leaked
 from repro.common.datacodec import encode_data_file
-from repro.errors import RetryableError
+from repro.errors import LakeguardError, RetryableError
 from repro.storage.credentials import LIST, READ, WRITE
 from repro.storage.table_format import LakeTableStorage
 
@@ -186,3 +186,61 @@ def staging_reduce(gauntlet: Any) -> AttackResult:
         return contained("planted staged parts refused as corrupt objects")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+@attack_scenario(
+    name="staging-partial-state",
+    layer="storage",
+    technique="storage-tamper",
+    expected_containment="partial-aggregate states cross the eFGAC wire as "
+    "plain data: state cells that are pickled gadgets in a well-formed "
+    "staged part are refused by the final merge (ExecutionError), and "
+    "nothing they name runs",
+)
+def staging_partial_state(gauntlet: Any) -> AttackResult:
+    """A compromised staging bucket swaps the staged partial aggregate of a
+    GROUP BY with more groups than the inline threshold for a well-formed
+    part whose state cells unpickle to code — in the final merge."""
+    from repro.core.efgac import INLINE_RESULT_ROW_THRESHOLD as MANY
+    from repro.core.efgac import STAGING_ROOT, RemoteQueryExecutor
+    from repro.engine.aggregates import AggregateCall
+    from repro.engine.analyzer import DictResolver
+    from repro.engine.executor import QueryEngine
+    from repro.engine.expressions import Alias, BoundRef
+    from repro.engine.logical import Aggregate, RemoteScan
+    from repro.engine.types import INT, STRING, Field, Schema
+
+    key, ids = BoundRef(0, "id", INT), list(range(MANY + 1))
+    schema = Schema((Field("id", INT), Field("state_0", STRING)))
+    count = Alias(AggregateCall("count", None), "n")
+    final = Aggregate(RemoteScan({}, schema, (h.ORDERS,)), [key], [key, count], "final")
+    # The remote side's honest partial aggregate, one group per id.
+    executor = RemoteQueryExecutor(
+        lambda user, payload: ([{"name": f.name} for f in schema], [ids, [1] * len(ids)]),
+        gauntlet.catalog,
+    )
+    workdir = tempfile.mkdtemp(prefix="staging-partial-state-")
+    marker = os.path.join(workdir, "ran")
+    planted = encode_data_file({"0": ids, "1": [pickle.dumps(Gadget(marker))] * len(ids)})
+    store = gauntlet.catalog.store
+    honest_put = store.put
+    store.put = lambda path, data, cred: honest_put(
+        path, planted if path.startswith(STAGING_ROOT) else data, cred
+    )
+    try:
+        auth = gauntlet.catalog.principals.context_for("alice")
+        QueryEngine(DictResolver({}), remote_executor=executor).execute_optimized(
+            final, user="alice", auth=auth
+        )
+        error: Exception | None = None
+    except Exception as exc:  # noqa: BLE001 - an untyped crash is judged too
+        error = exc
+    finally:
+        del store.put
+        planted_ran = os.path.exists(marker)
+        shutil.rmtree(workdir, ignore_errors=True)
+    if planted_ran:
+        return leaked("merging a planted partial state ran its payload")
+    if not isinstance(error, LakeguardError):
+        return leaked(f"planted partial states: expected a typed refusal, got {error!r}")
+    return judge(error, gauntlet.forbidden_tokens(), "planted states refused")

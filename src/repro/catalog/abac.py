@@ -120,10 +120,6 @@ class TagStore:
         self._table_tags.setdefault(table, set()).add(tag)
         self._changed()
 
-    def untag_table(self, table: str, tag: str) -> None:
-        self._table_tags.get(table, set()).discard(tag)
-        self._changed()
-
     def tag_column(self, table: str, column: str, tag: str) -> None:
         self._column_tags.setdefault(table, {}).setdefault(column, set()).add(tag)
         self._changed()

@@ -168,9 +168,3 @@ class PrivilegeStore:
             (g for g in self._grants if g.securable == securable),
             key=lambda g: (g.principal, g.privilege),
         )
-
-    def grants_for(self, principal: str) -> list[Grant]:
-        return sorted(
-            (g for g in self._grants if g.principal == principal),
-            key=lambda g: (g.securable, g.privilege),
-        )

@@ -44,10 +44,6 @@ class ComputeCapabilities:
         or the pre-filter rows from engine memory (§2.3-2.4)."""
         return self.isolates_user_code
 
-    @property
-    def privileged_machine_access(self) -> bool:
-        return self.compute_type in (COMPUTE_DEDICATED, COMPUTE_EXTERNAL)
-
 
 #: Annotation the catalog attaches to relation metadata it returns to
 #: privileged compute: "this object cannot be processed locally" (§3.4).

@@ -35,7 +35,7 @@ from repro.core.efgac import RemoteQueryExecutor, RemoteSubmit, efgac_rules
 from repro.core.enforcement import GovernedResolver
 from repro.core.pipeline import PipelineState, build_enforcement_pipeline
 from repro.core.plan_cache import SecurePlanCache
-from repro.core.plan_codec import PlanDecoder
+from repro.core.plan_codec import PlanDecoder, client_udf
 from repro.engine.compile import KernelCache, KernelCompiler
 from repro.engine.executor import (
     ExecutionConfig,
@@ -53,7 +53,7 @@ from repro.errors import (
     SecurableNotFound,
     UnsupportedOperationError,
 )
-from repro.sandbox.cluster_manager import Backend, ClusterManager
+from repro.sandbox.cluster_manager import ClusterManager
 from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
 from repro.sandbox.policy import SandboxPolicy
 from repro.scheduler.workload import TenantPolicy, WorkloadManager
@@ -85,7 +85,6 @@ class LakeguardCluster:
         compute_type: str = COMPUTE_STANDARD,
         cluster_id: str | None = None,
         clock: Clock | None = None,
-        sandbox_backend: Backend = "inprocess",
         sandbox_policy: SandboxPolicy | None = None,
         optimizer_config: OptimizerConfig | None = None,
         num_executors: int = 2,
@@ -126,7 +125,6 @@ class LakeguardCluster:
         self.udf_invoke_retry = udf_invoke_retry
 
         self.cluster_manager = ClusterManager(
-            backend=sandbox_backend,
             clock=self.clock,
             default_policy=sandbox_policy or SandboxPolicy(),
             provision_seconds=provision_seconds,
@@ -292,6 +290,7 @@ class LakeguardCluster:
         return resolve
 
     def _udf_runtime(self, session: SessionState) -> UDFRuntime:
+        """Where this session's user code runs: the one place that decides."""
         if self.caps.isolates_user_code:
             # The session's pinned workload environment is loaded inside the
             # sandbox (§6.3) — sandboxes never mix environment versions.
@@ -301,7 +300,7 @@ class LakeguardCluster:
                 environment=session.config.get("workload_env"),
                 retry_dead_sandbox=self.udf_invoke_retry,
             )
-        # Privileged compute: legacy inline execution inside the engine.
+        # Privileged (single-user) compute: inline execution in the engine.
         return UDFRuntime()
 
     def engine_for(self, session: SessionState) -> QueryEngine:
@@ -442,23 +441,12 @@ class LakeguardCluster:
             session.bump_temp_state()
             return {"status": "ok", "operation": "create_temp_view"}
         if kind == "command.register_function":
-            import cloudpickle
-
-            from repro.errors import ProtocolError
-
-            try:
-                func = cloudpickle.loads(command["func_blob"])
-            except Exception as exc:  # noqa: BLE001 - hostile blobs
-                raise ProtocolError(
-                    f"function '{command.get('name')}' has an undeserializable "
-                    f"payload: {type(exc).__name__}"
-                ) from exc
-            udf_obj = PythonUDF(
-                name=command["name"],
-                func=func,
-                return_type=type_from_name(command["return_type"]),
-                owner=session.user_ctx.user,
-                deterministic=bool(command.get("deterministic", True)),
+            udf_obj = client_udf(
+                command["name"],
+                command["func_blob"],
+                command["return_type"],
+                session.user_ctx.user,
+                bool(command.get("deterministic", True)),
             )
             session.temp_udfs[udf_obj.name] = udf_obj
             session.bump_temp_state()

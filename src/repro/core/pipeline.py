@@ -110,10 +110,6 @@ class QueryPipeline:
     def __init__(self, stages: Sequence[Stage]):
         self.stages = tuple(stages)
 
-    @property
-    def stage_names(self) -> list[str]:
-        return [s.name for s in self.stages]
-
     def run(self, query_ctx: QueryContext, state: PipelineState) -> PipelineState:
         """Run every stage in order against ``state``; returns ``state``."""
         for stage in self.stages:

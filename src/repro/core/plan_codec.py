@@ -11,9 +11,9 @@ aggregates it pushes to the remote endpoint.
 
 from __future__ import annotations
 
+import pickletools
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable
-
-import cloudpickle
 
 from repro.engine.aggregates import AggregateCall
 from repro.engine.expressions import (
@@ -73,6 +73,35 @@ _BOOL_OPS = {"AND", "OR"}
 
 #: Maximum temp-view substitution depth (guards recursive definitions).
 MAX_VIEW_DEPTH = 16
+
+
+@lru_cache(maxsize=256)
+def _check_pickle_stream(blob: bytes) -> None:
+    """Raise unless ``blob`` is exactly one well-formed pickle stream.
+
+    ``pickletools.genops`` parses opcodes and runs nothing; cached, because
+    a client resends the same function with every plan.
+    """
+    end = -1
+    for _, _, end in pickletools.genops(blob):
+        pass
+    if type(blob) is not bytes or end != len(blob) - 1:
+        raise ValueError("not exactly one pickle stream")
+
+
+def client_udf(
+    name: str, blob: Any, return_type: str, owner: str, deterministic: bool
+) -> PythonUDF:
+    """A client's UDF, its function still bytes: only a sandbox worker (or
+    the inline runtime of privileged compute) unpickles it."""
+    try:
+        _check_pickle_stream(blob)
+    except Exception as exc:  # noqa: BLE001 - hostile blobs
+        raise ProtocolError(
+            f"UDF '{name}' has an undeserializable function payload: "
+            f"{type(exc).__name__}"
+        ) from exc
+    return PythonUDF(name, blob, type_from_name(return_type), owner, deterministic=deterministic)
 
 
 class PlanDecoder:
@@ -350,19 +379,12 @@ class PlanDecoder:
             parsed = parse_expression(msg["text"])
             return self._builder.resolve_functions(parsed)
         if kind == "expr.python_udf":
-            try:
-                func = cloudpickle.loads(msg["func_blob"])
-            except Exception as exc:  # noqa: BLE001 - hostile blobs
-                raise ProtocolError(
-                    f"UDF '{msg.get('name')}' has an undeserializable "
-                    f"function payload: {type(exc).__name__}"
-                ) from exc
-            udf = PythonUDF(
-                name=msg["name"],
-                func=func,
-                return_type=type_from_name(msg["return_type"]),
-                owner=self._session_user,  # ephemeral code: caller's domain
-                deterministic=bool(msg.get("deterministic", True)),
+            udf = client_udf(
+                msg["name"],
+                msg["func_blob"],
+                msg["return_type"],
+                self._session_user,  # ephemeral code: caller's domain
+                bool(msg.get("deterministic", True)),
             )
             return PythonUDFCall(udf, tuple(self.expression(a) for a in msg["args"]))
         if kind == "expr.catalog_function":

@@ -5,12 +5,17 @@ aggregations into the remote scan executed by Serverless Spark, and the
 origin cluster runs the *final* merge — so aggregate states, not raw rows,
 cross the wire.
 
-Each function is defined by four steps over opaque state objects::
+Each function is defined by four steps over its state objects::
 
     state = create()            # identity
     state = update(state, v)    # fold one non-NULL input value
     state = merge(a, b)         # combine two partial states
     value = final(state)        # produce the SQL result
+
+States cross as plain data (``state_to_data`` / ``state_from_data``: a
+number, avg's ``(sum, count)``, a sorted ``count(DISTINCT)`` list) and can
+come back through the eFGAC staging bucket, so ``state_from_data`` checks
+the shape and decodes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +25,23 @@ from typing import Any, Callable
 
 from repro.engine.expressions import Expression
 from repro.engine.types import FLOAT, INT, DataType
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ExecutionError
+
+#: Values a min / max state (a column value) may hold.
+_SCALARS = (type(None), bool, int, float, str, bytes)
+
+
+def _from_data(what: str, ok: Callable[[Any], bool], convert: Callable | None = None):
+    """A ``state_from_data`` that refuses data not of the state's shape."""
+
+    def check(value: Any) -> Any:
+        if not ok(value):
+            raise ExecutionError(
+                f"partial aggregate state is not {what}: {type(value).__name__}"
+            )
+        return convert(value) if convert else value
+
+    return check
 
 
 @dataclass(frozen=True)
@@ -33,6 +54,11 @@ class AggregateFunction:
     merge: Callable[[Any, Any], Any]
     final: Callable[[Any], Any]
     result_type: Callable[[DataType | None], DataType]
+    #: The state as plain data for the partial → final exchange, and back.
+    state_to_data: Callable[[Any], Any] = lambda s: s
+    state_from_data: Callable[[Any], Any] = _from_data(
+        "a value", lambda v: type(v) in _SCALARS
+    )
     #: COUNT counts rows even when the input expression is NULL.
     ignores_nulls: bool = True
 
@@ -50,6 +76,7 @@ AGGREGATE_FUNCTIONS: dict[str, AggregateFunction] = {
         merge=lambda a, b: a + b,
         final=lambda s: s,
         result_type=lambda t: INT,
+        state_from_data=_from_data("a count", lambda v: type(v) is int),
     ),
     "sum": AggregateFunction(
         name="sum",
@@ -58,6 +85,9 @@ AGGREGATE_FUNCTIONS: dict[str, AggregateFunction] = {
         merge=lambda a, b: b if a is None else (a if b is None else a + b),
         final=lambda s: s,
         result_type=lambda t: t or FLOAT,
+        state_from_data=_from_data(
+            "a number or NULL", lambda v: type(v) in (type(None), bool, int, float)
+        ),
     ),
     "min": AggregateFunction(
         name="min",
@@ -82,6 +112,12 @@ AGGREGATE_FUNCTIONS: dict[str, AggregateFunction] = {
         merge=lambda a, b: (a[0] + b[0], a[1] + b[1]),
         final=_avg_final,
         result_type=lambda t: FLOAT,
+        state_from_data=_from_data(
+            "a (sum, count) pair",
+            lambda v: type(v) in (tuple, list) and len(v) == 2
+            and type(v[0]) in (int, float) and type(v[1]) is int,
+            tuple,
+        ),
     ),
     "count_distinct": AggregateFunction(
         name="count_distinct",
@@ -90,6 +126,12 @@ AGGREGATE_FUNCTIONS: dict[str, AggregateFunction] = {
         merge=lambda a, b: a | b,
         final=len,
         result_type=lambda t: INT,
+        state_to_data=sorted,
+        state_from_data=_from_data(
+            "a list of values",
+            lambda v: type(v) is list and all(type(x) in _SCALARS for x in v),
+            frozenset,
+        ),
     ),
 }
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.engine.types import Field, Schema
+from repro.engine.types import Schema
 from repro.errors import ExecutionError
 
 
@@ -74,9 +74,6 @@ class ColumnBatch:
         return self.columns[self.schema.field_index(name)]
 
     # -- transformations -------------------------------------------------------
-
-    def select_indices(self, indices: list[int]) -> "ColumnBatch":
-        return ColumnBatch(self.schema.select(indices), [self.columns[i] for i in indices])
 
     def filter(self, mask: Sequence[Any]) -> "ColumnBatch":
         """Keep rows where ``mask`` is truthy (SQL semantics: NULL drops)."""
@@ -172,28 +169,3 @@ def chunk_batch(batch: ColumnBatch, batch_size: int) -> Iterator[ColumnBatch]:
         return
     for start in range(0, batch.num_rows, batch_size):
         yield batch.slice(start, start + batch_size)
-
-
-def batch_schema_for(names: Sequence[str], sample: dict[str, Sequence[Any]]) -> Schema:
-    """Infer a schema from sample data (used by LocalRelation builders)."""
-    from repro.engine.types import BINARY, BOOL, FLOAT, INT, STRING
-
-    fields = []
-    for name in names:
-        dtype = STRING
-        for value in sample.get(name, []):
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                dtype = BOOL
-            elif isinstance(value, int):
-                dtype = INT
-            elif isinstance(value, float):
-                dtype = FLOAT
-            elif isinstance(value, (bytes, bytearray)):
-                dtype = BINARY
-            else:
-                dtype = STRING
-            break
-        fields.append(Field(name, dtype))
-    return Schema(tuple(fields))

@@ -20,7 +20,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence
+
+import cloudpickle
 
 from repro.engine.batch import ColumnBatch
 from repro.engine.types import (
@@ -35,7 +38,12 @@ from repro.engine.types import (
     is_numeric,
 )
 from repro.engine.udf import PythonUDF
-from repro.errors import AnalysisError, ExecutionError
+from repro.errors import (
+    AnalysisError,
+    ExecutionError,
+    SandboxPolicyViolation,
+    UserCodeError,
+)
 
 
 @dataclass
@@ -66,11 +74,30 @@ class EvalContext:
     params: tuple[Any, ...] = ()
 
 
+@lru_cache(maxsize=256)
+def _inline_function(digest: bytes, blob: bytes) -> Callable[..., Any]:
+    """A UDF's function, unpickled in this process — privileged compute only."""
+    return cloudpickle.loads(blob)
+
+
 class UDFRuntime:
-    """Where UDF code runs. The default executes inline (no isolation)."""
+    """Where UDF code runs. The default executes inline (no isolation), for
+    privileged (single-user) compute and the Table 2 baseline only."""
 
     def run_udf(self, udf: PythonUDF, arg_columns: list[list[Any]]) -> list[Any]:
-        return udf.invoke_rows(arg_columns)
+        udf.require_python()
+        try:
+            func = _inline_function(udf.digest, udf.blob)
+            return [func(*row) for row in zip(*arg_columns)]
+        except SandboxPolicyViolation:
+            # Policy enforcement outranks user-code error wrapping: an egress
+            # denial must surface as itself so callers can audit it.
+            raise
+        except Exception as exc:  # noqa: BLE001 - user code may raise anything
+            raise UserCodeError(
+                f"UDF '{udf.name}' raised {type(exc).__name__}: {exc}",
+                udf_name=udf.name,
+            ) from exc
 
     def run_fused(
         self, calls: list[tuple[int, PythonUDF, list[list[Any]]]]

@@ -44,9 +44,6 @@ class TableRef:
     #: Pin the scan to a historical table version (Delta time travel).
     snapshot_version: int | None = None
 
-    def has_annotation(self, name: str) -> bool:
-        return name in self.annotations
-
 
 class LogicalPlan:
     """Base logical plan node."""
@@ -248,10 +245,6 @@ class RemoteScan(LogicalPlan):
     def with_children(self, children):
         return self
 
-    def with_schema(self, schema: Schema) -> "RemoteScan":
-        clone = RemoteScan(self.payload, schema, self.source_tables, self.pushed)
-        return clone
-
     def _node_label(self) -> str:
         pushed = f" pushed={self.pushed}" if self.pushed else ""
         return f"RemoteScan [{', '.join(self.source_tables)}]{pushed}"
@@ -382,9 +375,9 @@ class Aggregate(LogicalPlan):
     """GROUP BY: grouping expressions plus aggregate calls.
 
     ``mode`` supports the eFGAC partial-aggregation pushdown (§3.4):
-    ``complete`` (default) does everything locally; ``partial`` emits opaque
-    aggregate states (what the remote endpoint ships back); ``final`` merges
-    partial states produced elsewhere.
+    ``complete`` (default) does everything locally; ``partial`` emits its
+    aggregate states as data (what the remote endpoint ships back);
+    ``final`` merges partial states produced elsewhere.
     """
 
     MODES = ("complete", "partial", "final")
@@ -641,16 +634,3 @@ def plan_expressions(plan: LogicalPlan) -> Iterable[Expression]:
             if node.policy_filter is not None:
                 yield node.policy_filter
             yield from node.pushed_filters
-
-
-def plan_contains(plan: LogicalPlan, node_type: type) -> bool:
-    return any(isinstance(n, node_type) for n in plan.walk())
-
-
-def collect_nodes(plan: LogicalPlan, node_type: type) -> list[LogicalPlan]:
-    return [n for n in plan.walk() if isinstance(n, node_type)]
-
-
-def scan_tables(plan: LogicalPlan) -> list[TableRef]:
-    """All table refs scanned anywhere in the plan."""
-    return [n.table for n in plan.walk() if isinstance(n, Scan)]

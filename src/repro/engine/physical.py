@@ -688,7 +688,7 @@ def distinct_agg_calls(outputs: tuple[Expression, ...]) -> list[AggregateCall]:
 class PhysHashAggregate(PhysicalOperator):
     """Hash aggregation with complete / partial / final modes.
 
-    Partial mode emits ``group keys + opaque aggregate states`` (what eFGAC
+    Partial mode emits ``group keys + aggregate states as data`` (what eFGAC
     ships across the wire); final mode merges such states. Complete mode does
     both locally.
     """
@@ -783,8 +783,6 @@ class PhysHashAggregate(PhysicalOperator):
         key_cols: list[list[Any]],
         groups: dict[tuple, list[Any]],
     ) -> None:
-        import pickle
-
         num_keys = len(self._groupings)
         for row_idx in range(batch.num_rows):
             key = tuple(col[row_idx] for col in key_cols)
@@ -793,9 +791,9 @@ class PhysHashAggregate(PhysicalOperator):
                 states = [call.func.create() for call in self._agg_calls]
                 groups[key] = states
             for j, call in enumerate(self._agg_calls):
-                incoming = batch.columns[num_keys + j][row_idx]
-                if isinstance(incoming, (bytes, bytearray)):
-                    incoming = pickle.loads(incoming)
+                incoming = call.func.state_from_data(
+                    batch.columns[num_keys + j][row_idx]
+                )
                 states[j] = call.func.merge(states[j], incoming)
 
     # -- output -------------------------------------------------------------------
@@ -817,18 +815,14 @@ class PhysHashAggregate(PhysicalOperator):
                 yield self._emit_final(chunk, groups, ctx)
 
     def _emit_partial(self, keys: list[tuple], groups: dict[tuple, list[Any]]) -> ColumnBatch:
-        # States are opaque to everything between partial and final — they
-        # cross the eFGAC wire as pickled bytes, never as structured values.
-        import pickle
-
+        # States cross the eFGAC wire as plain data (numbers, pairs, lists),
+        # which the final side checks and never decodes.
         columns: list[list[Any]] = [
             [key[i] for key in keys] for i in range(len(self._groupings))
         ]
-        for j in range(len(self._agg_calls)):
-            columns.append(
-                [pickle.dumps(groups[key][j], protocol=pickle.HIGHEST_PROTOCOL)
-                 for key in keys]
-            )
+        for j, call in enumerate(self._agg_calls):
+            to_data = call.func.state_to_data
+            columns.append([to_data(groups[key][j]) for key in keys])
         return ColumnBatch(partial_agg_schema(self._groupings, self._agg_calls), columns)
 
     def _emit_final(
@@ -907,7 +901,7 @@ class PhysHashAggregate(PhysicalOperator):
 def partial_agg_schema(
     groupings: tuple[Expression, ...], agg_calls: list[AggregateCall]
 ) -> Schema:
-    """Schema of partial-aggregate exchange batches: keys then state blobs."""
+    """Schema of partial-aggregate exchange batches: keys, then states."""
     fields = [Field(g.output_name(), g.dtype or STRING) for g in groupings]
     fields += [Field(f"state_{j}", STRING) for j in range(len(agg_calls))]
     return Schema(tuple(fields))
@@ -1535,8 +1529,8 @@ class PhysicalPlanner:
     def _plan_fused_pipeline(self, logical: Aggregate) -> PhysFusedPipeline | None:
         """Lower chain→aggregate into one :class:`PhysFusedPipeline`.
 
-        Applies in complete and partial modes (final mode merges opaque
-        state blobs — nothing to fuse). Even a chain-less aggregate fuses:
+        Applies in complete and partial modes (final mode merges partial
+        states — nothing to fuse). Even a chain-less aggregate fuses:
         inlined accumulator updates alone beat per-call closure dispatch.
         Any refusal (opaque nodes, unknown aggregate, compile failure)
         counts a fusion miss and falls back to the unfused plan.

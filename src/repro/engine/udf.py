@@ -1,8 +1,10 @@
 """Python user-defined functions.
 
 UDFs are the reason Lakeguard exists: they are *user code* that must never
-run inside the trusted engine. A :class:`PythonUDF` therefore carries, next
-to the callable itself, the metadata governance needs:
+run inside the trusted engine. A :class:`PythonUDF` therefore carries the
+function as the client's cloudpickle bytes and their sha256, never as a
+callable (it becomes code in the sandbox worker), next to the metadata
+governance needs:
 
 - ``owner`` — the identity whose *trust domain* the code belongs to (§3.3);
   UDFs of different owners must never share a sandbox.
@@ -14,11 +16,14 @@ to the callable itself, the metadata governance needs:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+import cloudpickle
+
 from repro.engine.types import DataType, type_from_name
-from repro.errors import UserCodeError
+from repro.errors import UnsupportedOperationError
 
 #: Owner used for UDFs defined interactively before any session user is known.
 SESSION_OWNER = "<session>"
@@ -26,10 +31,11 @@ SESSION_OWNER = "<session>"
 
 @dataclass(frozen=True)
 class PythonUDF:
-    """A scalar Python UDF: row-wise callable plus governance metadata."""
+    """A scalar Python UDF: its function's bytes plus governance metadata."""
 
     name: str
-    func: Callable[..., Any]
+    #: The function, cloudpickled (by the client, or by :func:`udf`).
+    blob: bytes = field(repr=False, compare=False)
     return_type: DataType
     owner: str = SESSION_OWNER
     cataloged: bool = False
@@ -39,11 +45,25 @@ class PythonUDF:
     #: routes such code to specialized execution environments outside the
     #: cluster (§3.3) instead of ordinary colocated sandboxes.
     resource_requirements: frozenset[str] = frozenset()
+    #: sha256 of ``blob``: what sandboxes and the inline runtime key on.
+    digest: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", hashlib.sha256(self.blob).digest())
 
     @property
     def trust_domain(self) -> str:
         """UDFs owned by the same identity share a trust domain (§3.3)."""
         return self.owner
+
+    def require_python(self) -> None:
+        """Refuse to run a non-Python UDF: catalog-representable (Table 1
+        honesty), but it cannot execute in a Python host."""
+        if self.language != "python":
+            raise UnsupportedOperationError(
+                f"UDF '{self.name}' is written in {self.language}; this "
+                "reproduction executes Python UDFs only"
+            )
 
     def with_owner(self, owner: str) -> "PythonUDF":
         return replace(self, owner=owner)
@@ -60,33 +80,6 @@ class PythonUDF:
         from repro.engine.expressions import PythonUDFCall, to_expression
 
         return PythonUDFCall(self, tuple(to_expression(a) for a in args))
-
-    def invoke_rows(self, arg_columns: list[list[Any]]) -> list[Any]:
-        """Apply the function row-wise over columnar arguments.
-
-        This is the *computation* only; where it runs (inline vs sandbox) is
-        the runtime's decision, not the UDF's. Non-Python UDFs are catalog-
-        representable (Table 1 honesty) but cannot execute in a Python host.
-        """
-        from repro.errors import SandboxPolicyViolation, UnsupportedOperationError
-
-        if self.language != "python":
-            raise UnsupportedOperationError(
-                f"UDF '{self.name}' is written in {self.language}; this "
-                "reproduction executes Python UDFs only"
-            )
-
-        try:
-            return [self.func(*row) for row in zip(*arg_columns)]
-        except SandboxPolicyViolation:
-            # Policy enforcement outranks user-code error wrapping: an egress
-            # denial must surface as itself so callers can audit it.
-            raise
-        except Exception as exc:  # noqa: BLE001 - user code may raise anything
-            raise UserCodeError(
-                f"UDF '{self.name}' raised {type(exc).__name__}: {exc}",
-                udf_name=self.name,
-            ) from exc
 
 
 def udf(
@@ -111,26 +104,10 @@ def udf(
     def wrap(func: Callable[..., Any]) -> PythonUDF:
         return PythonUDF(
             name=name or func.__name__,
-            func=func,
+            blob=cloudpickle.dumps(func),
             return_type=dtype,
             deterministic=deterministic,
             resource_requirements=frozenset(resources),
         )
 
     return wrap
-
-
-@dataclass
-class UDFRegistry:
-    """Session-scoped registry of ephemeral UDFs (temporary functions)."""
-
-    _udfs: dict[str, PythonUDF] = field(default_factory=dict)
-
-    def register(self, udf_obj: PythonUDF) -> None:
-        self._udfs[udf_obj.name] = udf_obj
-
-    def get(self, name: str) -> PythonUDF | None:
-        return self._udfs.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._udfs)

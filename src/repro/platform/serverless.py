@@ -33,7 +33,6 @@ from repro.platform.workload_env import (
     WorkloadEnvironmentRegistry,
     standard_environments,
 )
-from repro.sandbox.cluster_manager import Backend
 from repro.scheduler.circuit_breaker import CircuitBreaker, retry_with_backoff
 
 #: Seconds charged (on the gateway clock) to provision a fresh cluster.
@@ -76,7 +75,6 @@ class ServerlessGateway:
         target_sessions_per_cluster: int = 4,
         min_clusters: int = 0,
         provision_seconds: float = 0.0,
-        sandbox_backend: Backend = "inprocess",
         optimizer_config: OptimizerConfig | None = None,
         environments: WorkloadEnvironmentRegistry | None = None,
         num_executors: int = 2,
@@ -92,7 +90,6 @@ class ServerlessGateway:
         self._min_clusters = min_clusters
         self._target = max(1, target_sessions_per_cluster)
         self._provision_seconds = provision_seconds
-        self._sandbox_backend = sandbox_backend
         self._optimizer_config = optimizer_config
         self._num_executors = num_executors
         self.environments = environments or standard_environments()
@@ -140,7 +137,6 @@ class ServerlessGateway:
             compute_type=COMPUTE_SERVERLESS,
             cluster_id=f"serverless-{index}",
             clock=self._clock,
-            sandbox_backend=self._sandbox_backend,
             optimizer_config=self._optimizer_config,
             num_executors=self._num_executors,
         )

@@ -29,9 +29,6 @@ class WorkloadEnvironment:
         """Clients never have to be newer than the server (backward compat)."""
         return self.client_protocol_version <= server_protocol_version
 
-    def dependency_version(self, name: str) -> str | None:
-        return self.dependencies.get(name)
-
 
 class WorkloadEnvironmentRegistry:
     """The platform's catalog of supported environment versions."""

@@ -14,8 +14,8 @@ from repro.common.clock import Clock, SystemClock
 from repro.connect.client import SparkConnectClient
 from repro.connect.proto import PROTOCOL_VERSION
 from repro.platform.clusters import DedicatedCluster, StandardCluster
+from repro.errors import SandboxError
 from repro.platform.serverless import ServerlessGateway
-from repro.sandbox.cluster_manager import Backend
 
 
 class Workspace:
@@ -25,12 +25,16 @@ class Workspace:
         self,
         name: str = "workspace",
         clock: Clock | None = None,
-        sandbox_backend: Backend = "inprocess",
+        sandbox_backend: str = "subprocess",
         store: Any = None,
     ):
+        # Validated, then ignored: every sandbox is a subprocess worker. Kept
+        # for the frozen ``benchmarks/e2e/fixture.py``, whose "inprocess"
+        # workloads run no UDF, so they never start one.
+        if sandbox_backend not in ("inprocess", "subprocess"):
+            raise SandboxError(f"unknown sandbox backend '{sandbox_backend}'")
         self.name = name
         self.clock = clock or SystemClock()
-        self._sandbox_backend = sandbox_backend
         #: ``store`` lets benchmarks model storage latency (an ObjectStore
         #: with ``read_latency_seconds``) without re-wiring the catalog.
         self.catalog = UnityCatalog(clock=self.clock, store=store)
@@ -50,11 +54,7 @@ class Workspace:
     @property
     def serverless(self) -> ServerlessGateway:
         if self._gateway is None:
-            self._gateway = ServerlessGateway(
-                self.catalog,
-                clock=self.clock,
-                sandbox_backend=self._sandbox_backend,
-            )
+            self._gateway = ServerlessGateway(self.catalog, clock=self.clock)
         return self._gateway
 
     def create_standard_cluster(self, name: str = "standard", **kwargs: Any) -> StandardCluster:
@@ -63,7 +63,6 @@ class Workspace:
             self.catalog,
             name=name,
             clock=self.clock,
-            sandbox_backend=kwargs.pop("sandbox_backend", self._sandbox_backend),
             **kwargs,
         )
         self.clusters[name] = cluster

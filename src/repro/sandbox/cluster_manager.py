@@ -2,26 +2,23 @@
 
 It lives in the "secure and protected cluster management environment that is
 fully decoupled from the Apache Spark processes" (Fig. 7): Spark asks the
-Dispatcher, the Dispatcher asks the cluster manager, and the manager decides
-the sandbox backend, applies the egress network rules, models provisioning
-latency, and keeps fleet statistics.
+Dispatcher, the Dispatcher asks the cluster manager, and the manager starts
+the sandbox's worker process, applies the egress network rules, models
+provisioning latency, and keeps fleet statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING
 
 from repro.common.clock import Clock, SystemClock
 from repro.errors import SandboxError
 from repro.sandbox.policy import SandboxPolicy
-from repro.sandbox.sandbox import InProcessSandbox, Sandbox
 from repro.sandbox.subprocess_sandbox import SubprocessSandbox
 
 if TYPE_CHECKING:
     from repro.common.faults import FaultInjector
-
-Backend = Literal["inprocess", "subprocess"]
 
 #: Provisioning latency the paper reports for a cold sandbox start (§5):
 #: ~2 s total, dominated by container provisioning plus Python startup.
@@ -37,8 +34,6 @@ class ClusterManagerStats:
     destroyed: int = 0
     active: int = 0
     peak_active: int = 0
-    #: Sum of modelled provisioning time (seconds, on the manager's clock).
-    provision_seconds_total: float = 0.0
 
 
 class ClusterManager:
@@ -46,16 +41,12 @@ class ClusterManager:
 
     def __init__(
         self,
-        backend: Backend = "inprocess",
         clock: Clock | None = None,
         default_policy: SandboxPolicy | None = None,
         provision_seconds: float = 0.0,
         interpreter_start_seconds: float = 0.0,
         faults: "FaultInjector | None" = None,
     ):
-        if backend not in ("inprocess", "subprocess"):
-            raise SandboxError(f"unknown sandbox backend '{backend}'")
-        self.backend: Backend = backend
         self.clock = clock or SystemClock()
         self.default_policy = default_policy or SandboxPolicy()
         #: Chaos engine shared with every sandbox this manager provisions;
@@ -70,7 +61,7 @@ class ClusterManager:
         self.provision_seconds = provision_seconds
         self.interpreter_start_seconds = interpreter_start_seconds
         self.stats = ClusterManagerStats()
-        self._active: dict[str, Sandbox] = {}
+        self._active: dict[str, SubprocessSandbox] = {}
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -79,7 +70,7 @@ class ClusterManager:
         trust_domain: str,
         policy: SandboxPolicy | None = None,
         environment: str | None = None,
-    ) -> Sandbox:
+    ) -> SubprocessSandbox:
         """Provision a new sandbox for one trust domain.
 
         ``environment`` pins the workload-environment version loaded inside
@@ -91,13 +82,9 @@ class ClusterManager:
         startup = self.provision_seconds + self.interpreter_start_seconds
         if startup > 0:
             self.clock.sleep(startup)
-            self.stats.provision_seconds_total += startup
-        if self.backend == "subprocess":
-            sandbox: Sandbox = SubprocessSandbox(trust_domain, effective)
-        else:
-            sandbox = InProcessSandbox(trust_domain, effective)
-        sandbox.faults = self.faults  # type: ignore[attr-defined]
-        sandbox.environment = environment  # type: ignore[attr-defined]
+        sandbox = SubprocessSandbox(trust_domain, effective)
+        sandbox.faults = self.faults
+        sandbox.environment = environment
         self._active[sandbox.sandbox_id] = sandbox
         self.stats.created += 1
         self.stats.active = len(self._active)
@@ -129,7 +116,7 @@ class ClusterManager:
             f"{sorted(self.specialized_pools)}"
         )
 
-    def destroy_sandbox(self, sandbox: Sandbox) -> None:
+    def destroy_sandbox(self, sandbox: SubprocessSandbox) -> None:
         sandbox.close()
         if self._active.pop(sandbox.sandbox_id, None) is not None:
             self.stats.destroyed += 1
@@ -140,5 +127,5 @@ class ClusterManager:
         for sandbox in list(self._active.values()):
             self.destroy_sandbox(sandbox)
 
-    def active_sandboxes(self) -> list[Sandbox]:
+    def active_sandboxes(self) -> list[SubprocessSandbox]:
         return list(self._active.values())

@@ -37,7 +37,7 @@ from repro.engine.udf import PythonUDF
 from repro.errors import SandboxDied
 from repro.sandbox.cluster_manager import ClusterManager
 from repro.sandbox.policy import SandboxPolicy
-from repro.sandbox.sandbox import Sandbox
+from repro.sandbox.subprocess_sandbox import SubprocessSandbox
 
 
 @dataclass
@@ -86,9 +86,9 @@ class Dispatcher:
         self._clock = clock or cluster_manager.clock
         #: (session_id, trust_domain, environment, requirements)
         #: -> (owning manager, sandbox).
-        self._pool: dict[_PoolKey, tuple[ClusterManager, Sandbox]] = {}
+        self._pool: dict[_PoolKey, tuple[ClusterManager, SubprocessSandbox]] = {}
         #: Unbound sandboxes provisioned ahead of demand (see module doc).
-        self._spares: list[tuple[ClusterManager, Sandbox]] = []
+        self._spares: list[tuple[ClusterManager, SubprocessSandbox]] = []
         #: Pool keys whose sandbox was provisioned off the query path.
         self._prewarmed_keys: set[_PoolKey] = set()
         #: Workload manager that sandbox claims are charged to: each pooled
@@ -205,7 +205,7 @@ class Dispatcher:
         policy: SandboxPolicy | None = None,
         environment: str | None = None,
         requirements: frozenset[str] = frozenset(),
-    ) -> Sandbox:
+    ) -> SubprocessSandbox:
         """Warm sandbox if one exists for this (session, domain, env,
         resources); a claimed spare if one is available; cold otherwise.
 
@@ -324,15 +324,12 @@ class Dispatcher:
             self._workload.release_sandbox(tenant, count)
 
     @staticmethod
-    def _is_live(sandbox: Sandbox) -> bool:
-        """Closed check plus a protocol ping where the backend has one."""
+    def _is_live(sandbox: SubprocessSandbox) -> bool:
+        """Closed check plus a protocol ping."""
         if sandbox.closed:
             return False
-        ping = getattr(sandbox, "ping", None)
-        if ping is None:
-            return True
         try:
-            return bool(ping())
+            return sandbox.ping()
         except Exception:  # noqa: BLE001 - any probe failure means dead
             return False
 
@@ -368,7 +365,7 @@ class Dispatcher:
                 if not self._is_live(sandbox):
                     self._evict_locked(key, refunds)
                     dead_pooled += 1
-            kept: list[tuple[ClusterManager, Sandbox]] = []
+            kept: list[tuple[ClusterManager, SubprocessSandbox]] = []
             for manager, sandbox in self._spares:
                 if self._is_live(sandbox):
                     kept.append((manager, sandbox))
@@ -412,7 +409,7 @@ class Dispatcher:
         with self._locked():
             return len(self._spares)
 
-    def sandboxes_of(self, session_id: str) -> list[Sandbox]:
+    def sandboxes_of(self, session_id: str) -> list[SubprocessSandbox]:
         with self._locked():
             return [
                 entry[1] for key, entry in self._pool.items() if key[0] == session_id

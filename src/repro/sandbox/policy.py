@@ -24,8 +24,6 @@ class SandboxPolicy:
     #: May the code see the host filesystem? (Always False in production;
     #: exposed for the unisolated baseline.)
     allow_host_filesystem: bool = False
-    #: Informational resource bounds (consumed by cost models).
-    memory_limit_mb: int = 1024
 
     def check_egress(self, host: str) -> None:
         """Raise :class:`EgressDenied` unless ``host`` is reachable."""
@@ -46,7 +44,6 @@ class SandboxPolicy:
             allow_network=True,
             egress_allowlist=self.egress_allowlist | frozenset(hosts),
             allow_host_filesystem=self.allow_host_filesystem,
-            memory_limit_mb=self.memory_limit_mb,
         )
 
 

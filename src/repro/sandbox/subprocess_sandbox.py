@@ -1,34 +1,40 @@
-"""Real process-isolated sandbox backend.
+"""The sandbox: user code in a dedicated worker process.
 
-Runs ``sandbox/worker.py`` in a dedicated OS process and ships user functions
-to it with cloudpickle. There is one transport: length-prefixed pickle frames
-on the worker's stdin / stdout, batch columns included. The worker is started
-from its *file*, not with ``-m``, so it holds no ``repro.*`` module until a
-shipped function imports one.
+Runs ``sandbox/worker.py`` in its own OS process and ships user functions to
+it as the client's cloudpickle bytes. There is one transport:
+length-prefixed pickle frames on the worker's stdin / stdout, batch columns
+included. The worker is started from its *file*, not with ``-m``, so it
+holds no ``repro.*`` module until a shipped function imports one. A sandbox
+belongs to exactly one *trust domain* (the owner of the code it runs), and
+its :class:`~repro.sandbox.policy.SandboxPolicy` governs egress: the
+worker's ``net`` calls come up the pipe as ``egress`` frames, and this side
+runs them only if the policy allows (:meth:`SubprocessSandbox._egress`).
 
 The worker's stdout is writable by user code, so its frames are decoded with
 :class:`~repro.common.datacodec.DataOnlyUnpickler`, which resolves no
-global; a frame that names one, is oversized,
-truncated or not a ``(status, payload)`` pair ends the sandbox
+global; a frame that names one, is oversized, truncated, or not one of the
+protocol's ``(status, payload)`` pairs ends the sandbox
 (``SandboxDied(delivered=True)`` — never replayed).
 """
 
 from __future__ import annotations
 
-import hashlib
 import subprocess
 import sys
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
-
-import cloudpickle
 
 from repro.common.datacodec import DataOnlyUnpickler
 from repro.common.ids import new_id
 from repro.engine.udf import PythonUDF
-from repro.errors import SandboxDied, TrustDomainViolation, UserCodeError
-from repro.sandbox import worker
+from repro.errors import (
+    SandboxDied,
+    SandboxPolicyViolation,
+    TrustDomainViolation,
+    UserCodeError,
+)
+from repro.sandbox import net, worker
 from repro.sandbox.policy import SandboxPolicy
-from repro.sandbox.sandbox import SandboxStats
 from repro.sandbox.worker import read_frame, write_frame
 
 if TYPE_CHECKING:
@@ -37,10 +43,49 @@ if TYPE_CHECKING:
 #: Largest worker frame the driver will read (a batch of results is KBs).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: ``-c`` keeps ``sys.path[0]`` the working directory, as ``-m`` did, where
-#: ``python worker.py`` would put ``repro/sandbox/`` there and shadow
-#: ``net`` / ``policy``; ``run_path`` imports no package on the way in.
-_BOOTSTRAP = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
+#: The worker gets this process's ``sys.path`` (``python worker.py`` would put
+#: ``repro/sandbox/`` first and shadow ``net`` / ``policy``), so a function
+#: pickled by reference resolves as it does here, and ``-S`` skips the
+#: ``site`` imports that path already reflects. ``run_path`` imports no
+#: package on the way in.
+_BOOTSTRAP = (
+    "import runpy, sys; sys.path[:] = sys.argv[2:]; "
+    "runpy.run_path(sys.argv[1], run_name='__main__')"
+)
+
+
+@dataclass
+class SandboxStats:
+    """Counters benchmarks read."""
+
+    invocations: int = 0
+    fused_invocations: int = 0
+    rows_in: int = 0
+    bytes_in: int = 0
+    bytes_out: int = 0
+    #: Pickle bytes on the *data* path (batch arguments and results) — every
+    #: batch crosses the boundary as one pickle frame each way; this is the
+    #: per-batch tax the Table 2 benchmarks measure.
+    data_pickle_bytes: int = 0
+    #: Pickle bytes on the control path (install / policy / ping / egress).
+    control_pickle_bytes: int = 0
+    #: Always 0: no sandbox transport uses shared memory any more. Kept for
+    #: its one reader, ``benchmarks/e2e/layers.py`` (the
+    #: ``sandbox.shm_bytes_per_op`` metric), until a benchmark issue drops it.
+    shm_bytes: int = 0
+
+
+def _checked(reply: Any) -> tuple[str, Any]:
+    """``reply`` as a ``(status, payload)`` pair the protocol allows."""
+    status, payload = reply if type(reply) is tuple and len(reply) == 2 else (0, 0)
+    if status == "denied":
+        kind, text = payload  # a kind outside net.DENIALS is a violation too
+        ok = type(kind) is str and kind in net.DENIALS and type(text) is str
+    else:
+        ok = status in ("ok", "err", "egress")
+    if not ok:
+        raise ValueError(f"worker frame is not a protocol reply: {status!r}")
+    return status, payload
 
 
 class SubprocessSandbox:
@@ -56,15 +101,22 @@ class SubprocessSandbox:
         #: written, so the resulting :class:`SandboxDied` carries
         #: ``delivered=False`` — the real crashed-before-work case.
         self.faults: "FaultInjector | None" = None
+        #: Workload-environment version pinned inside (set by the manager).
+        self.environment: str | None = None
         #: sha256 of a function's cloudpickle blob -> worker-side udf id.
         self._installed: dict[bytes, str] = {}
         self._process = subprocess.Popen(
-            [sys.executable, "-c", _BOOTSTRAP, worker.__file__],
+            [sys.executable, "-S", "-c", _BOOTSTRAP, worker.__file__, *sys.path],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
         )
-        self._request(("policy", self.policy.allow_network))
+        self._request((
+            "policy",
+            self.policy.allow_network,
+            sorted(self.policy.egress_allowlist),
+            self.policy.allow_host_filesystem,
+        ))
 
     # -- protocol ---------------------------------------------------------------
 
@@ -78,9 +130,10 @@ class SubprocessSandbox:
         not write and was killed for it (``delivered=True`` — it may have run
         side effects; retrying would break at-most-once).
 
-        ``data_frame`` marks frames whose payload *is* batch data (the
-        invoke frames); everything else is control traffic, accounted
-        separately.
+        ``egress`` frames the worker sends meanwhile are served here, until
+        the request's own answer arrives. ``data_frame`` marks frames whose
+        payload *is* batch data (the invoke frames); everything else is
+        control traffic, accounted separately.
         """
         if self.closed:
             raise SandboxDied(
@@ -94,29 +147,57 @@ class SubprocessSandbox:
                 f"was delivered: {exc}",
                 delivered=False,
             ) from exc
-        try:
-            reply, received = read_frame(
-                self._process.stdout, DataOnlyUnpickler, MAX_FRAME_BYTES
-            )
-            if type(reply) is not tuple or len(reply) != 2 or reply[0] not in ("ok", "err"):
-                raise ValueError("worker frame is not an (ok | err, payload) pair")
-            status, payload = reply
-        except Exception as exc:  # noqa: BLE001 - unpickling garbage raises anything
-            # EOF is a dead worker; anything else means nothing further on
-            # this stream can be trusted either.
-            self._kill()
-            raise SandboxDied(
-                f"sandbox {self.sandbox_id} worker died mid-request: "
-                f"{type(exc).__name__}: {exc}",
-                delivered=True,
-            ) from exc
+        denial: SandboxPolicyViolation | None = None
+        while True:
+            try:
+                reply, received = read_frame(
+                    self._process.stdout, DataOnlyUnpickler, MAX_FRAME_BYTES
+                )
+                status, payload = _checked(reply)
+                if status != "egress":
+                    break
+                answer, refused = self._egress(payload)
+                denial = denial or refused
+                self.stats.control_pickle_bytes += received + write_frame(
+                    self._process.stdin, answer
+                )
+            except Exception as exc:  # noqa: BLE001 - unpickling garbage raises anything
+                # EOF is a dead worker; anything else means nothing further on
+                # this stream can be trusted either.
+                self._kill()
+                raise SandboxDied(
+                    f"sandbox {self.sandbox_id} worker died mid-request: "
+                    f"{type(exc).__name__}: {exc}",
+                    delivered=True,
+                ) from exc
         if data_frame:
             self.stats.data_pickle_bytes += sent + received
+            self.stats.bytes_in += sent
+            self.stats.bytes_out += received
         else:
             self.stats.control_pickle_bytes += sent + received
-        if status == "err":
-            raise UserCodeError(str(payload))
-        return payload
+        if status == "ok":
+            return payload
+        if status == "denied":
+            # A denial this side made is raised as itself; otherwise the
+            # worker's kind picks a type from the fixed table.
+            if denial is not None:
+                raise denial
+            kind, text = payload
+            raise net.DENIALS[kind](text)
+        raise UserCodeError(str(payload))
+
+    def _egress(self, request: Any) -> tuple[Any, SandboxPolicyViolation | None]:
+        """The reply to one ``egress`` frame under this sandbox's own policy,
+        and the denial when the policy refused the call."""
+        try:
+            op, args = request
+            with net.ambient_policy(self.policy):
+                return ("ok", net.EGRESS_OPS[op](*args)), None
+        except SandboxPolicyViolation as exc:
+            return ("denied", (net.denial_kind(exc), str(exc))), exc
+        except Exception as exc:  # noqa: BLE001 - the call's failure is the UDF's
+            return ("err", f"{type(exc).__name__}: {exc}"), None
 
     def _kill(self) -> None:
         self._process.kill()
@@ -138,19 +219,17 @@ class SubprocessSandbox:
             )
 
     def _ensure_installed(self, udf: PythonUDF) -> str:
-        # Keyed by content, never by ``id(udf.func)``: functions are
-        # unpickled per query and collected, so ids recycle and an id-keyed
-        # cache ends up invoking another UDF's installed code.
-        blob = cloudpickle.dumps(udf.func)
-        key = hashlib.sha256(blob).digest()
-        udf_id = self._installed.get(key)
+        # Keyed by the blob's digest: the same function ships once per
+        # sandbox however many queries (and plan decodes) carry it.
+        udf_id = self._installed.get(udf.digest)
         if udf_id is None:
+            udf.require_python()
             udf_id = new_id("udf")
-            self._request(("install", udf_id, blob, udf.name))
-            self._installed[key] = udf_id
+            self._request(("install", udf_id, udf.blob, udf.name))
+            self._installed[udf.digest] = udf_id
         return udf_id
 
-    # -- Sandbox interface --------------------------------------------------------
+    # -- invocation ---------------------------------------------------------------
 
     def invoke(self, udf: PythonUDF, arg_columns: list[list[Any]]) -> list[Any]:
         self._check_domain(udf)
@@ -164,6 +243,7 @@ class SubprocessSandbox:
     def invoke_many(
         self, calls: list[tuple[int, PythonUDF, list[list[Any]]]]
     ) -> dict[int, list[Any]]:
+        """One fused round-trip: all calls' arguments cross together."""
         for _, udf, _ in calls:
             self._check_domain(udf)
         wire_calls = [

@@ -3,27 +3,29 @@
 Speaks a length-prefixed pickle frame protocol on stdin/stdout:
 
     request  = ("install", udf_id, func_blob, name)
-             | ("policy", allow_network)
+             | ("policy", allow_network, egress_allowlist, allow_host_filesystem)
              | ("invoke", udf_id, arg_columns)
              | ("invoke_many", [(call_id, udf_id, arg_columns), ...])
              | ("ping",)
              | ("shutdown",)
     response = ("ok", payload) | ("err", message)
+             | ("denied", (kind, message))   -- kind: one of net.DENIALS
+             | ("egress", (op, args))        -- a net call of the user code
 
 This file is both a module and a program. The driver imports it for
 :func:`read_frame` / :func:`write_frame` (one copy of the frame code) and
 *runs the file* as the worker (see ``SubprocessSandbox``), so the worker
-process starts with no ``repro.*`` module loaded — the standard library and
-``cloudpickle``, nothing of the engine, catalog or service — mirroring the
-paper's property that the sandbox "runs fully isolated from the runtime
-environment and is not connected to it directly". A shipped function may
-still import what it needs.
+process starts with no ``repro.*`` module loaded — the standard library,
+nothing of the engine, catalog or service — mirroring the paper's property
+that the sandbox "runs fully isolated from the runtime environment and is
+not connected to it directly". A shipped function may still import what it
+needs.
 
-Requests come from the driver and are trusted (the install frame carries a
-cloudpickle blob by design). Responses are written by a process that runs
-user code: the driver decodes them data-only, and the worker refuses to
-*send* anything but plain data, so a UDF that returns an object gets an
-error reply instead of a dead sandbox.
+Requests come from the driver and are trusted (the install frame carries
+the client's cloudpickle blob, and this is the one place it is unpickled).
+Responses are written by a process that runs user code: the driver decodes
+them data-only, and the worker refuses to *send* anything but plain data,
+so a UDF that returns an object gets an error reply, not a dead sandbox.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ import io
 import pickle
 import struct
 import sys
+import threading
+from types import SimpleNamespace
 from typing import Any, BinaryIO
 
 _HEADER = struct.Struct(">I")
+
+#: Set by :func:`main` once the driver has sent the sandbox's policy, and
+#: found by ``repro.sandbox.net`` as ``__main__.SANDBOX_BROKER``: ``call(op,
+#: args)`` sends an ``egress`` frame and returns the driver's answer;
+#: ``policy`` is ``(allow_network, egress_allowlist, allow_host_filesystem)``.
+SANDBOX_BROKER: Any = None
 
 
 def read_frame(
@@ -97,17 +107,41 @@ def _invoke(func, arg_columns: list[list[Any]]) -> list[Any]:
     return [func(*row) for row in zip(*arg_columns)]
 
 
+def _error(exc: Exception) -> tuple[str, Any]:
+    """The reply for an exception: a policy denial keeps its kind."""
+    net = sys.modules.get("repro.sandbox.net")  # loaded by whoever raised one
+    kind = net.denial_kind(exc) if net is not None else None
+    if kind is not None:
+        return "denied", (kind, str(exc))
+    return "err", f"{type(exc).__name__}: {exc}"
+
+
 def main() -> int:
     """Worker loop: serve install/policy/invoke requests until shutdown."""
+    global SANDBOX_BROKER
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
     # User code printing to stdout would corrupt the frame protocol;
     # redirect the Python-level stdout to stderr inside the sandbox.
     sys.stdout = sys.stderr
 
-    import cloudpickle  # deferred: only the worker needs it at import time
-
     functions: dict[str, Any] = {}
+    # The pipe's lock, free only while user code runs: an egress frame, from
+    # the UDF or from a thread it started, goes out only inside a request.
+    lock = threading.Lock()
+    lock.acquire()
+
+    def egress(op: str, args: tuple) -> Any:
+        with lock:
+            write_frame(stdout, ("egress", (op, args)), _DataPickler)
+            return read_frame(stdin)[0]
+
+    def user_code(run):
+        lock.release()
+        try:
+            return run()
+        finally:
+            lock.acquire()
 
     def reply(status: str, payload: Any) -> None:
         write_frame(stdout, (status, payload), _DataPickler)
@@ -125,27 +159,28 @@ def main() -> int:
             if kind == "ping":
                 reply("ok", "pong")
             elif kind == "policy":
-                _, allow_network = message
-                if not allow_network:
+                if not message[1]:  # allow_network
                     _disable_network()
+                SANDBOX_BROKER = SimpleNamespace(call=egress, policy=message[1:])
                 reply("ok", None)
             elif kind == "install":
                 _, udf_id, func_blob, _name = message
-                functions[udf_id] = cloudpickle.loads(func_blob)
+                # cloudpickle's own functions load by name, on first use.
+                functions[udf_id] = user_code(lambda: pickle.loads(func_blob))
                 reply("ok", None)
             elif kind == "invoke":
                 _, udf_id, arg_columns = message
-                reply("ok", _invoke(functions[udf_id], arg_columns))
+                reply("ok", user_code(lambda: _invoke(functions[udf_id], arg_columns)))
             elif kind == "invoke_many":
                 _, calls = message
-                reply("ok", {
+                reply("ok", user_code(lambda: {
                     call_id: _invoke(functions[udf_id], arg_columns)
                     for call_id, udf_id, arg_columns in calls
-                })
+                }))
             else:
                 reply("err", f"unknown message kind {kind!r}")
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            reply("err", f"{type(exc).__name__}: {exc}")
+            reply(*_error(exc))
 
 
 if __name__ == "__main__":

@@ -166,16 +166,6 @@ class CircuitBreaker:
         self._counter("opened")
         self._gauge_state_locked()
 
-    def force_open(self, backoff: float | None = None) -> None:
-        """Trip the breaker directly (test/ops hook)."""
-        with self._lock:
-            self._consecutive_failures = max(
-                self._consecutive_failures, self.failure_threshold
-            )
-            self._trip_locked()
-            if backoff is not None:
-                self._current_backoff = backoff
-
     def reset(self) -> None:
         """Close the breaker and forget failure history (test/ops hook)."""
         with self._lock:

@@ -133,6 +133,8 @@ def test_readme_lists_every_system_table():
 #: codec. Deleted in PR 37: the persistence tier and the result cache — their
 #: three keywords, classes, kernel rehydration and generator-version salt
 #: (split by groups, like the shared-memory names, so a grep stays empty).
+#: Also deleted: the in-process sandbox and the row-wise apply a
+#: ``PythonUDF`` carried with its callable.
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -143,7 +145,8 @@ _DELETED = re.compile(
     r"pooled_scan|export_schedule|merge_remote|to_buffers)\b|"
     r"\b(store_(backend|dir)|result_(cache)_enabled|Artifact(Store)|"
     r"GovernedResult(Cache)|(Disk|Memory)Tier|rehydrate_(artifact)|"
-    r"GENERATOR_(VERSION))\b"
+    r"GENERATOR_(VERSION))\b|"
+    r"\b(InProcess(Sandbox)|invoke_(rows))\b"
 )
 
 

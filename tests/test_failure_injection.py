@@ -36,7 +36,8 @@ from repro.errors import (
     UserCodeError,
 )
 from repro.platform import Workspace
-from repro.sandbox import ClusterManager, Dispatcher, SandboxedUDFRuntime
+from repro.sandbox.cluster_manager import ClusterManager
+from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
 from repro.sandbox.subprocess_sandbox import MAX_FRAME_BYTES, SubprocessSandbox
 
 
@@ -85,7 +86,7 @@ class TestSandboxCrash:
 
     def test_dispatcher_replaces_crashed_sandbox(self):
         faults = FaultInjector()
-        manager = ClusterManager(backend="subprocess", faults=faults)
+        manager = ClusterManager(faults=faults)
         dispatcher = Dispatcher(manager)
         first = dispatcher.acquire("s", "alice")
         first.invoke(ALICE_PLUS, [[1], [2]])
@@ -112,7 +113,7 @@ class TestSandboxCrash:
             sandbox.close()
 
     def test_runtime_surfaces_crash_as_error_not_hang(self):
-        manager = ClusterManager(backend="subprocess")
+        manager = ClusterManager()
         dispatcher = Dispatcher(manager)
         runtime = SandboxedUDFRuntime(dispatcher, "s")
 
@@ -164,7 +165,7 @@ class TestSandboxBoundaryAbuse:
         def honest(amount):
             return amount + 1.0
 
-        ws = Workspace(sandbox_backend="subprocess")
+        ws = Workspace()
         try:
             ws.add_user("admin", admin=True)
             ws.catalog.create_catalog("main", owner="admin")
@@ -234,7 +235,7 @@ class TestSandboxBoundaryAbuse:
             threading.Thread(target=time.sleep, args=(60,)).start()
             return x
 
-        manager = ClusterManager(backend="subprocess")
+        manager = ClusterManager()
         sandbox = manager.create_sandbox("alice")
         pid = sandbox._process.pid  # noqa: SLF001
         assert sandbox.invoke(linger.with_owner("alice"), [[1]]) == [1]

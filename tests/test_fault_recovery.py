@@ -19,6 +19,7 @@ Covers, in one place:
 """
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -35,8 +36,27 @@ from repro.errors import (
     SandboxDied,
 )
 from repro.platform import Workspace
-from repro.sandbox import ClusterManager, Dispatcher, SandboxedUDFRuntime
+from repro.sandbox import net
+from repro.sandbox.cluster_manager import ClusterManager
+from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
+from repro.sandbox.policy import SandboxPolicy
 from repro.scheduler.circuit_breaker import retry_with_backoff
+
+#: A driver-side service user code reports each row it ran to: the egress
+#: broker is the one way a side effect leaves the sandbox worker.
+COUNTER_HOST = "counter.example"
+COUNTER_POLICY = SandboxPolicy().with_egress(COUNTER_HOST)
+
+
+@contextmanager
+def _counted_rows():
+    """The rows user code ran, as the worker reports them."""
+    rows: list = []
+    net.register_service(COUNTER_HOST, lambda path, row: rows.append(row))
+    try:
+        yield rows
+    finally:
+        net.unregister_service(COUNTER_HOST)
 
 
 class _RecordingClock:
@@ -217,7 +237,7 @@ ALICE_PLUS = plus.with_owner("alice")
 
 class TestDispatcherSelfHealing:
     def test_acquire_skips_dead_spares_and_refills(self):
-        manager = ClusterManager(backend="inprocess")
+        manager = ClusterManager()
         dispatcher = Dispatcher(manager, min_pool_size=2)
         assert dispatcher.spare_pool_size() == 2
         for _, spare in dispatcher._spares:
@@ -231,7 +251,7 @@ class TestDispatcherSelfHealing:
         manager.shutdown()
 
     def test_acquire_evicts_dead_pooled_sandbox(self):
-        manager = ClusterManager(backend="inprocess")
+        manager = ClusterManager()
         dispatcher = Dispatcher(manager)
         first = dispatcher.acquire("s", "alice")
         first.close()  # dies between queries
@@ -241,7 +261,7 @@ class TestDispatcherSelfHealing:
         manager.shutdown()
 
     def test_probe_liveness_sweeps_pool_and_spares(self):
-        manager = ClusterManager(backend="inprocess")
+        manager = ClusterManager()
         dispatcher = Dispatcher(manager, min_pool_size=1)
         pooled = dispatcher.acquire("s", "alice")  # claims the one spare
         dispatcher.ensure_min_pool()  # park a fresh spare again
@@ -281,23 +301,23 @@ class TestDispatcherSelfHealing:
 
 class TestAtMostOnceUdfReplay:
     def _runtime(self, faults=None):
-        manager = ClusterManager(backend="inprocess", faults=faults)
+        manager = ClusterManager(faults=faults, default_policy=COUNTER_POLICY)
         dispatcher = Dispatcher(manager)
         return manager, dispatcher, SandboxedUDFRuntime(dispatcher, "s")
 
     def test_pre_delivery_death_is_replayed_exactly_once(self):
         faults = FaultInjector()
         manager, dispatcher, runtime = self._runtime(faults)
-        executed = []
 
         @engine_udf("int")
         def counted(x):
-            executed.append(x)
+            net.http_post(f"http://{COUNTER_HOST}/ran", x)
             return x * 2
 
         udf_obj = counted.with_owner("alice")
         faults.arm("sandbox.invoke", FaultSpec(one_shot=True))
-        assert runtime.run_udf(udf_obj, [[1, 2, 3]]) == [2, 4, 6]
+        with _counted_rows() as executed:
+            assert runtime.run_udf(udf_obj, [[1, 2, 3]]) == [2, 4, 6]
         assert executed == [1, 2, 3]  # each row ran exactly once
         assert dispatcher.stats.udf_retries == 1
         assert dispatcher.stats.dead_evicted == 1
@@ -491,28 +511,29 @@ class TestChaosEquivalenceProperty:
         deaths_seen = 0
         for seed in range(25):
             faults = FaultInjector(seed=seed)
-            manager = ClusterManager(backend="inprocess", faults=faults)
+            manager = ClusterManager(faults=faults, default_policy=COUNTER_POLICY)
             dispatcher = Dispatcher(manager)
             runtime = SandboxedUDFRuntime(dispatcher, "s")
-            executed = []
 
             @engine_udf("int")
             def counted(x):
-                executed.append(x)
+                net.http_post(f"http://{COUNTER_HOST}/ran", x)
                 return x + 1
 
             udf_obj = counted.with_owner("alice")
             faults.arm("sandbox.invoke", FaultSpec(probability=0.3))
             delivered_rows = 0
-            for _ in range(10):
-                try:
-                    out = runtime.run_udf(udf_obj, [[1, 2, 3]])
-                    assert out == [2, 3, 4]
-                    delivered_rows += 3
-                except SandboxDied as exc:
-                    # Both the attempt and its single replay died; the
-                    # failure must still be pre-delivery (no user code ran).
-                    assert exc.delivered is False
+            with _counted_rows() as executed:
+                for _ in range(10):
+                    try:
+                        out = runtime.run_udf(udf_obj, [[1, 2, 3]])
+                        assert out == [2, 3, 4]
+                        delivered_rows += 3
+                    except SandboxDied as exc:
+                        # Both the attempt and its single replay died; the
+                        # failure must still be pre-delivery (no user code
+                        # ran).
+                        assert exc.delivered is False
             deaths_seen += faults.trigger_count("sandbox.invoke")
             assert len(executed) == delivered_rows, f"seed {seed}"
             manager.shutdown()

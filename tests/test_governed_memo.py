@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+import cloudpickle
 import pytest
 
 from repro.common.datacodec import decode_data_file, encode_data_file
@@ -260,7 +261,7 @@ def _policies():
     """Row filters the memo may not hold, each with the text that names it
     in the optimized plan. ``hash`` is pure in one process but salted
     across processes, so it is pushed like any safe predicate."""
-    identity = lambda region: region  # noqa: E731
+    identity = cloudpickle.dumps(lambda region: region)
     seen = PythonUDF("seen", identity, STRING)
     fickle = PythonUDF("fickle", identity, STRING, deterministic=False)
     us = Comparison("=", col("region"), lit("US"))

@@ -361,7 +361,7 @@ class TestCredentialCache:
 
 def _dispatcher(min_pool_size: int = 0) -> Dispatcher:
     return Dispatcher(
-        ClusterManager(backend="inprocess"), min_pool_size=min_pool_size
+        ClusterManager(), min_pool_size=min_pool_size
     )
 
 

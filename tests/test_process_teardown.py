@@ -42,7 +42,7 @@ def test_no_source_module_imports_multiprocessing():
 
 def test_no_child_process_outlives_workspace_shutdown():
     before = set(live_child_pids())
-    ws = Workspace(sandbox_backend="subprocess")
+    ws = Workspace()
     ws.add_user("admin", admin=True)
     ws.add_user("alice")
     ws.add_group("analysts", ["alice"])

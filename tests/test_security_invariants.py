@@ -108,17 +108,26 @@ class TestPolicyBeforeUserCode:
     @pytest.fixture
     def udf_inputs(self, monkeypatch):
         """Every argument column that reaches user code, recorded at the
-        trusted side of the sandbox boundary."""
-        from repro.engine.udf import PythonUDF
+        trusted side of the sandbox boundary: the invoke frames' arguments."""
+        from repro.sandbox.subprocess_sandbox import SubprocessSandbox
 
         recorded = []
-        original = PythonUDF.invoke_rows
+        invoke, invoke_many = SubprocessSandbox.invoke, SubprocessSandbox.invoke_many
 
-        def recording(self, arg_columns):
+        def record(arg_columns):
             recorded.extend(v for column in arg_columns for v in column)
-            return original(self, arg_columns)
 
-        monkeypatch.setattr(PythonUDF, "invoke_rows", recording)
+        def recording_invoke(self, udf, arg_columns):
+            record(arg_columns)
+            return invoke(self, udf, arg_columns)
+
+        def recording_invoke_many(self, calls):
+            for _, _, arg_columns in calls:
+                record(arg_columns)
+            return invoke_many(self, calls)
+
+        monkeypatch.setattr(SubprocessSandbox, "invoke", recording_invoke)
+        monkeypatch.setattr(SubprocessSandbox, "invoke_many", recording_invoke_many)
         return recorded
 
     @pytest.mark.parametrize(
@@ -545,15 +554,18 @@ class TestInvariant4_TrustDomains:
 
     def test_sandbox_rejects_foreign_domain_directly(self):
         from repro.engine.udf import udf as engine_udf
-        from repro.sandbox import InProcessSandbox
+        from repro.sandbox.subprocess_sandbox import SubprocessSandbox
 
         @engine_udf("int")
         def f(x):
             return x
 
-        sandbox = InProcessSandbox("alice")
-        with pytest.raises(TrustDomainViolation):
-            sandbox.invoke(f.with_owner("eve"), [[1]])
+        sandbox = SubprocessSandbox("alice")
+        try:
+            with pytest.raises(TrustDomainViolation):
+                sandbox.invoke(f.with_owner("eve"), [[1]])
+        finally:
+            sandbox.close()
 
 
 class TestInvariant5_VersionCompatibility:

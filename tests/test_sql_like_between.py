@@ -110,22 +110,23 @@ class TestBetween:
 
 class TestNonPythonUDFs:
     def test_scala_udf_representable_but_not_executable(self):
+        from repro.engine.expressions import UDFRuntime
         from repro.engine.types import INT as INT_TYPE
         from repro.engine.udf import PythonUDF
         from repro.errors import UnsupportedOperationError
 
         scala_udf = PythonUDF(
-            "jvmThing", lambda x: x, INT_TYPE, owner="admin", language="scala"
+            "jvmThing", b"<jvm bytecode>", INT_TYPE, owner="admin", language="scala"
         )
         with pytest.raises(UnsupportedOperationError, match="scala"):
-            scala_udf.invoke_rows([[1]])
+            UDFRuntime().run_udf(scala_udf, [[1]])
 
     def test_scala_udf_catalogable(self, workspace):
         from repro.engine.types import INT as INT_TYPE
         from repro.engine.udf import PythonUDF
 
         scala_udf = PythonUDF(
-            "jvmThing", lambda x: x, INT_TYPE, owner="admin", language="scala"
+            "jvmThing", b"<jvm bytecode>", INT_TYPE, owner="admin", language="scala"
         )
         workspace.catalog.create_schema("main.fns", owner="admin")
         fn = workspace.catalog.create_function(

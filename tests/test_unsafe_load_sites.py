@@ -9,8 +9,7 @@ and enclosing function. The set must equal :data:`ALLOWED` exactly:
 - a removed site fails here until its entry is deleted, so the list only
   ever shrinks and never keeps a slot a later change could reuse.
 
-Each entry says which boundary the bytes cross and, where one exists, the
-ROADMAP 2 item that removes or narrows the site.
+Each entry says which boundary the bytes cross.
 """
 
 from __future__ import annotations
@@ -26,22 +25,14 @@ _LOADER_MODULES = ("pickle", "cloudpickle", "marshal")
 #: ``(path under src/repro, qualified function, call) -> number of calls``.
 ALLOWED: dict[tuple[str, str, str], int] = {
     # The subprocess worker installs the client's UDF: the one place client
-    # code is meant to be unpickled (ROADMAP 2's boundary).
-    ("sandbox/worker.py", "main", "cloudpickle.loads"): 1,
-    # The in-process sandbox's copy-in / copy-out of UDF arguments and
-    # results (ROADMAP 2(b) deletes this backend).
-    ("sandbox/sandbox.py", "InProcessSandbox._roundtrip_in", "pickle.loads"): 1,
-    ("sandbox/sandbox.py", "InProcessSandbox._roundtrip_out", "pickle.loads"): 1,
-    # Partial-aggregate state cells, which can arrive through the eFGAC
-    # staging bucket (ROADMAP 2(d) makes them data).
-    ("engine/physical.py", "PhysHashAggregate._merge_partial_batch", "pickle.loads"): 1,
-    # Source the code generator itself just produced (ROADMAP 2's boundary:
-    # the only module that may exec).
+    # code is meant to be unpickled.
+    ("sandbox/worker.py", "main", "pickle.loads"): 1,
+    # Source the code generator itself just produced (the only module that
+    # may exec).
     ("engine/compile.py", "_assemble", "exec"): 1,
-    # Client UDF blobs decoded in the driver (ROADMAP 2(c) keeps them opaque
-    # until they are inside the sandbox).
-    ("core/plan_codec.py", "PlanDecoder.expression", "cloudpickle.loads"): 1,
-    ("core/lakeguard.py", "LakeguardCluster.execute_command", "cloudpickle.loads"): 1,
+    # The inline UDF runtime: privileged compute only (dedicated, single-user
+    # clusters and the Table 2 "no isolation" baseline); once per digest.
+    ("engine/expressions.py", "_inline_function", "cloudpickle.loads"): 1,
 }
 
 

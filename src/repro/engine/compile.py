@@ -44,6 +44,7 @@ so compilation is strictly an optimization, never a correctness risk.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import threading
 from collections import OrderedDict
@@ -78,6 +79,7 @@ from repro.engine.expressions import (
     conjuncts,
     is_pure,
 )
+from repro.engine.types import STRING, Field, Schema
 
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
 
@@ -85,6 +87,17 @@ DEFAULT_KERNEL_CACHE_CAPACITY = 256
 #: pipeline source is written there as ``kernel_<fingerprint>.py`` so the
 #: exact code a query ran can be inspected offline.
 ENV_DUMP_KERNELS = "LAKEGUARD_DUMP_KERNELS"
+
+
+#: Heap primitives a top-k sink calls (max-heap ones are public from 3.14).
+_KERNEL_GLOBALS = {
+    "_heapify": heapq.heapify,
+    "_heapreplace": heapq.heapreplace,
+    "_heapify_max": getattr(heapq, "heapify_max", None) or heapq._heapify_max,
+    "_heapreplace_max": (
+        getattr(heapq, "heapreplace_max", None) or heapq._heapreplace_max
+    ),
+}
 
 
 def _maybe_dump_source(fingerprint: str, source: str) -> None:
@@ -391,6 +404,9 @@ class _SharedState:
         self._params_bound: set[int] = set()
         self.user_bound = False
         self.counter = 0
+        #: A join probe's source width: a ref at ``width + j`` reads the
+        #: matched build row's column ``j`` (the local ``_b{j}``).
+        self.width: int | None = None
 
     def env(self, node: Expression, kind: str) -> str:
         walk_pos = self.walk_index[id(node)]
@@ -555,6 +571,9 @@ class _CodeGen:
         if isinstance(node, Parameter):
             return self._shared.param(node.slot), False  # never NULL
         if isinstance(node, BoundRef):
+            width = self._shared.width
+            if width is not None and node.index >= width:
+                return f"_b{node.index - width}", True  # NULL for a left miss
             return self._leaf(self._shared.column_value(node.index))
         if isinstance(node, Alias):
             return self.emit(node.children[0])
@@ -693,10 +712,9 @@ def _assemble(
     loop_setup: list[str],
     loop_body: list[str],
     returns: list[str],
-    params: str = "_cols, _n, _ctx, _env, _opq",
 ) -> tuple[str, Callable]:
     """Render, ``compile()`` and ``exec`` the kernel source."""
-    lines = [f"def _kernel({params}):"]
+    lines = ["def _kernel(_cols, _n, _ctx, _env, _opq, _sink=None, _tab=None):"]
     lines += [f"    {line}" for line in shared.prelude]
     lines += [f"    {line}" for line in loop_setup]
     lines.append(f"    {shared.loop_header()}")
@@ -704,7 +722,7 @@ def _assemble(
     lines.append(f"    return [{', '.join(returns)}]")
     source = "\n".join(lines)
     _maybe_dump_source(fingerprint, source)
-    namespace: dict[str, Any] = {}
+    namespace: dict[str, Any] = dict(_KERNEL_GLOBALS)
     code = compile(source, f"<kernel:{fingerprint[:12]}>", "exec")
     exec(code, namespace)  # noqa: S102 - source is generated above, not user input
     return source, namespace["_kernel"]
@@ -742,76 +760,118 @@ def _generate_projection(
     fingerprint: str,
     condition: Expression | None = None,
 ) -> CompiledArtifact:
-    """Lower [filter→]project into one loop with append-based outputs: all
-    outputs computed in one pass, and a filtered batch never materialized."""
-    shared = _SharedState(
-        _canonical_walk(exprs if condition is None else [condition, *exprs])
-    )
-
-    def make_body(gen: _CodeGen) -> list[str]:
-        if condition is not None:
-            gen.emit_filter(condition)
-        tokens = [gen.emit(expr)[0] for expr in exprs]
-        return gen.body + [f"_out{j}.append({tok})" for j, tok in enumerate(tokens)]
-
-    body = _dual_body(shared, make_body)
-    outputs = [f"_out{j}" for j in range(len(exprs))]
-    source, fn = _assemble(
-        fingerprint, shared, [f"{out} = []" for out in outputs], body, outputs
-    )
-    return CompiledArtifact(
-        fingerprint=fingerprint,
-        source=source,
-        fn=fn,
-        env_spec=tuple(shared.env_spec),
-        opaque_spec=tuple(shared.opaque_spec),
-        num_outputs=len(exprs),
-    )
+    """Lower [filter→]project — a ``collect`` sink's loop — with all outputs
+    computed in one pass and a filtered batch never materialized."""
+    spec = PipelineSpec(condition, sink="collect", outputs=tuple(exprs))
+    return _generate_pipeline(spec, fingerprint)
 
 
 # ---------------------------------------------------------------------------
-# Whole-pipeline codegen (scan/local → filter → project → partial aggregate)
+# Whole-pipeline codegen (source → filter → project [→ join probe] → sink)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
+class JoinProbe:
+    """An equi-join probed inside the loop; its build side is hashed once
+    per execution (:func:`hash_keys` over ``build_keys``, interpreted, so
+    they are not part of the generated code).
+
+    ``keys`` are the probe keys over the source's ``width`` columns; a ref
+    at ``width + j`` reads column ``j`` of the matched build row. ``how``
+    is ``inner``, ``left`` (a miss binds every build column to NULL),
+    ``full`` (a ``left`` that records each probed key in its ``collect``
+    sink's state, for the unmatched build rows), ``semi`` or ``anti`` (no
+    build column is read).
+    """
+
+    how: str
+    keys: tuple[Expression, ...]
+    build_keys: tuple[Expression, ...]
+    width: int
+    build_width: int
+
+
+@dataclass(frozen=True)
 class PipelineSpec:
-    """Structural description of one fusable operator chain.
+    """Structural description of one fusable chain and its sink.
 
     The planner composes a chain's filter conditions and projection lists
     down to the chain's *input* schema (see the physical planner's chain
     detection), so every expression here is bound against the batches the
-    source operator produces. ``agg_specs`` carries ``(func_name,
-    has_child)`` per distinct aggregate call; ``agg_inputs`` the composed
-    input expression per call (``Literal(True)`` for ``COUNT(*)``).
+    source operator produces — followed, with a :class:`JoinProbe`, by the
+    matched build row's columns. ``condition`` gates source rows before the
+    probe, ``matched`` gates joined rows. The sink is one of:
+
+    - ``aggregate``: ``agg_specs`` carries ``(func_name, has_child)`` per
+      distinct aggregate call, ``agg_inputs`` the input per call
+      (``Literal(True)`` for ``COUNT(*)``), ``groupings`` the keys;
+    - ``collect``: ``outputs`` of every row that passes;
+    - ``limit``: the same, after skipping ``offset`` rows and until ``n``
+      are kept (both live in the sink state, not in the code);
+    - ``topk``: ``outputs`` of the rows ``sorted(...)[offset:offset + k]``
+      by ``order`` — one direction, NULL placement per term, ties in
+      arrival order (``k`` and ``offset`` in the state; no ``k`` sorts all).
     """
 
     condition: Expression | None
-    groupings: tuple[Expression, ...]
-    agg_specs: tuple[tuple[str, bool], ...]
-    agg_inputs: tuple[Expression, ...]
+    groupings: tuple[Expression, ...] = ()
+    agg_specs: tuple[tuple[str, bool], ...] = ()
+    agg_inputs: tuple[Expression, ...] = ()
+    sink: str = "aggregate"
+    outputs: tuple[Expression, ...] = ()
+    order: tuple[Expression, ...] = ()
+    descending: bool = False
+    nulls_first: tuple[bool, ...] = ()
+    probe: JoinProbe | None = None
+    matched: Expression | None = None
 
     def all_exprs(self) -> tuple[Expression, ...]:
         """Every expression the generated loop inlines, in canonical order."""
-        head = (self.condition,) if self.condition is not None else ()
-        return head + self.groupings + self.agg_inputs
+        gates = tuple(e for e in (self.condition, self.matched) if e is not None)
+        keys = self.probe.keys if self.probe is not None else ()
+        return gates + keys + self.groupings + self.agg_inputs + self.outputs + self.order
 
     def mode_string(self) -> str:
-        """The fingerprint mode: pins aggregate structure alongside shapes."""
+        """The fingerprint mode: pins the sink's structure alongside shapes."""
         aggs = ",".join(
             f"{name}{'' if has_child else '*'}"
             for name, has_child in self.agg_specs
         )
-        cond = "c" if self.condition is not None else "-"
-        return f"pipeline|{cond}|{len(self.groupings)}|{aggs}"
+        gates = "".join(
+            flag if e is not None else "-"
+            for flag, e in (("c", self.condition), ("m", self.matched))
+        )
+        order = "d" if self.descending else "a"
+        order += "".join("f" if first else "l" for first in self.nulls_first)
+        probe = self.probe
+        joined = "-" if probe is None else (
+            f"{probe.how}:{len(probe.keys)}:{probe.width}:{probe.build_width}"
+        )
+        return (
+            f"pipeline|{self.sink}|{gates}|{len(self.groupings)}|{aggs}|"
+            f"{len(self.outputs)}|{order}|{joined}"
+        )
+
+    @property
+    def label(self) -> str:
+        """Which loop runs, for the ``kernel:pipeline`` span."""
+        return "join_probe" if self.probe is not None else self.sink
 
     def fold(self) -> "PipelineSpec":
         """Constant-fold every inlined expression (see :func:`_fold`)."""
+        def many(exprs: tuple[Expression, ...]) -> tuple[Expression, ...]:
+            return tuple(_fold(e) for e in exprs)
+
         return replace(
             self,
-            condition=_fold(self.condition) if self.condition is not None else None,
-            groupings=tuple(_fold(g) for g in self.groupings),
-            agg_inputs=tuple(_fold(e) for e in self.agg_inputs),
+            condition=self.condition and _fold(self.condition),
+            matched=self.matched and _fold(self.matched),
+            groupings=many(self.groupings),
+            agg_inputs=many(self.agg_inputs),
+            outputs=many(self.outputs),
+            order=many(self.order),
+            probe=self.probe and replace(self.probe, keys=many(self.probe.keys)),
         )
 
 
@@ -887,83 +947,297 @@ def _slot_layout(agg_specs: Sequence[tuple[str, bool]]) -> list[int]:
     return starts
 
 
-def _generate_aggregation_pipeline(
-    spec: PipelineSpec, fingerprint: str
-) -> CompiledArtifact:
-    """Lower a filter→project→aggregate chain into one generated loop.
-
-    The loop filters, computes grouping keys and aggregate inputs, and folds
-    each row into per-group accumulator slots *in place* — no intermediate
-    batch, no per-call closure dispatch. A one-column GROUP BY is keyed by
-    the bare value, a GROUP BY-less aggregate binds its one state outside
-    the loop, and ``avg`` keeps flat slots; :meth:`CompiledPipeline.
-    algebra_groups` converts to the aggregate algebra's layout once.
-    """
-    shared = _SharedState(_canonical_walk(spec.all_exprs()))
+def _aggregate_tail(spec: PipelineSpec, gen: _CodeGen) -> list[str]:
+    """Fold the row into its group's accumulator slots, in place."""
     inits = ", ".join(
         init for name, _ in spec.agg_specs for init in _AGG_INLINE[name][0]
     )
+    key_toks = [gen.emit(g)[0] for g in spec.groupings]
+    values = [gen.emit(e) for e in spec.agg_inputs]
+    if not key_toks:
+        tail = ["if _st is None:", f"    _st = _sink[()] = [{inits}]"]
+    else:
+        tail = []
+        key = key_toks[0]
+        if len(key_toks) > 1 or not key.isidentifier():
+            tail.append(f"_key = ({', '.join(key_toks)})")
+            key = "_key"
+        tail += [
+            f"_st = _get({key})",
+            "if _st is None:",
+            f"    _st = _sink[{key}] = [{inits}]",
+        ]
+    for slot, (name, has_child), (v_tok, maybe) in zip(
+        _slot_layout(spec.agg_specs), spec.agg_specs, values
+    ):
+        # All inlined aggregates ignore NULL inputs; COUNT(*)-style calls
+        # feed a constant and never skip, matching the interpreter.
+        tail += _AGG_INLINE[name][1](slot, v_tok, maybe and has_child)
+    return tail
+
+
+def _collect_tail(spec: PipelineSpec, gen: _CodeGen) -> list[str]:
+    """Append the row's outputs; a ``limit`` sink skips its offset first
+    and returns as soon as its last row is kept."""
+    appends = [
+        f"_out{j}.append({gen.emit(e)[0]})" for j, e in enumerate(spec.outputs)
+    ]
+    if spec.sink == "collect":
+        return appends
+    outs = ", ".join(f"_out{j}" for j in range(len(spec.outputs)))
+    return (
+        ["if _sink[0]:", "    _sink[0] -= 1", "    continue"]
+        + appends
+        + ["_sink[1] -= 1", "if not _sink[1]:", f"    return [{outs}]"]
+    )
+
+
+def _topk_tail(spec: PipelineSpec, gen: _CodeGen) -> list[str]:
+    """Offer the row to a bounded heap of ``(key, ±push count, row)``.
+
+    The heap's root is the worst row kept; ``_thr`` is its key, so a row
+    that cannot enter costs one comparison. Ties go to the earlier row (a
+    later one must beat the root strictly, and its push count sorts after
+    the root's). One term keeps NULL keys apart, in arrival order; several
+    compare ``(rank, value)`` pairs whose rank places NULL.
+    """
+    row = "".join(f"{gen.emit(e)[0]}, " for e in spec.outputs)
+    keys = [gen.emit(e) for e in spec.order]
+    key, maybe = keys[0]
+    if len(keys) > 1:
+        ranked = []
+        for (tok, null), first in zip(keys, spec.nulls_first):
+            rank = 0 if first != spec.descending else 2
+            ranked.append(
+                f"((1, {tok}) if {tok} is not None else ({rank}, 0))" if null
+                else f"(1, {tok})"
+            )
+        key, maybe = f"({', '.join(ranked)},)", False
+    tail = []
+    if not key.isidentifier():
+        tail, key = [f"_key = {key}"], "_key"
+    if maybe:
+        tail += [
+            f"if {key} is None:",
+            "    if len(_nul) != _m:",
+            f"        _nul.append(({row}))",
+            "    continue",
+        ]
+    better, count, heap = (">", "-", "") if spec.descending else ("<", "", "_max")
+    entry = f"({key}, {count}_sink[3], ({row}))"
+    return tail + [
+        "if _full:",
+        f"    if {key} {better} _thr:",
+        "        _sink[3] += 1",
+        f"        _heapreplace{heap}(_heap, {entry})",
+        "        _thr = _heap[0][0]",
+        "else:",
+        "    _sink[3] += 1",
+        f"    _heap.append({entry})",
+        "    if len(_heap) == _m:",
+        f"        _heapify{heap}(_heap)",
+        "        _full = True",
+        "        _thr = _heap[0][0]",
+    ]
+
+
+_SINK_TAILS = {
+    "aggregate": _aggregate_tail,
+    "collect": _collect_tail,
+    "limit": _collect_tail,
+    "topk": _topk_tail,
+}
+
+
+def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact:
+    """Lower a chain and its sink into one generated loop.
+
+    Per source row the loop tests the chain's conjuncts, probes the join
+    (each match rebinds the build row's columns as locals and runs the rest
+    of the body), tests ``matched`` and runs the sink: no intermediate batch
+    and no pair list. An aggregate keeps a one-column GROUP BY keyed by the
+    bare value and ``avg`` in flat slots; :meth:`CompiledPipeline.
+    algebra_groups` converts to the aggregate algebra's layout once.
+    """
+    shared = _SharedState(_canonical_walk(spec.all_exprs()))
+    outs = [f"_out{j}" for j in range(len(spec.outputs))]
+    returns: list[str] = []
+    if spec.sink == "aggregate":
+        setup = ["_get = _sink.get"] if spec.groupings else ["_st = _sink.get(())"]
+    elif spec.sink == "topk":
+        setup = [
+            "_heap, _nul, _m = _sink[0], _sink[1], _sink[2]",
+            "_full = len(_heap) == _m",
+            "_thr = _heap[0][0] if _full else None",
+        ]
+    else:
+        setup, returns = [f"{out} = []" for out in outs], outs
+    probe = spec.probe
+    if probe is not None:
+        shared.width = probe.width
+        nulls = "None, " * probe.build_width
+        if probe.how not in ("semi", "anti"):
+            miss = "()" if probe.how == "inner" else f"(({nulls}),)"
+            setup += ["_probe = _tab.get", f"_miss = {miss}"]
 
     def make_body(gen: _CodeGen) -> list[str]:
         if spec.condition is not None:
             gen.emit_filter(spec.condition)
-        key_toks = [gen.emit(g)[0] for g in spec.groupings]
-        values = [gen.emit(e) for e in spec.agg_inputs]
-        if not key_toks:
-            tail = ["if _st is None:", f"    _st = _groups[()] = [{inits}]"]
-        else:
-            tail = []
-            key = key_toks[0]
-            if len(key_toks) > 1 or not key.isidentifier():
-                tail.append(f"_key = ({', '.join(key_toks)})")
-                key = "_key"
-            tail += [
-                f"_st = _get({key})",
-                "if _st is None:",
-                f"    _st = _groups[{key}] = [{inits}]",
-            ]
-        for slot, (name, has_child), (v_tok, maybe) in zip(
-            _slot_layout(spec.agg_specs), spec.agg_specs, values
-        ):
-            # All inlined aggregates ignore NULL inputs; COUNT(*)-style calls
-            # feed a constant and never skip, matching the interpreter.
-            tail += _AGG_INLINE[name][1](slot, v_tok, maybe and has_child)
-        return gen.body + tail
+        head, loop = gen.body, None
+        if probe is not None:
+            keys = [gen.emit(k)[0] for k in probe.keys]
+            key = keys[0] if len(keys) == 1 else f"({', '.join(keys)},)"
+            if probe.how in ("semi", "anti"):
+                test = "not in" if probe.how == "semi" else "in"
+                head += [f"if {key} {test} _tab:", "    continue"]
+            else:
+                if probe.how == "full":
+                    head.append(f"_sink.add({key})")
+                names = "".join(f"_b{j}, " for j in range(probe.build_width))
+                loop = f"for {names}in _probe({key}, _miss):"
+                gen.body = []
+        if spec.matched is not None:
+            gen.emit_filter(spec.matched)
+        body = gen.body + _SINK_TAILS[spec.sink](spec, gen)
+        if loop is None:
+            return body
+        return head + [loop] + [f"    {line}" for line in body]
 
     body = _dual_body(shared, make_body)
-    setup = ["_get = _groups.get"] if spec.groupings else ["_st = _groups.get(())"]
-    source, fn = _assemble(
-        fingerprint, shared, setup, body, [],
-        params="_cols, _n, _ctx, _env, _opq, _groups",
-    )
+    source, fn = _assemble(fingerprint, shared, setup, body, returns)
     return CompiledArtifact(
         fingerprint=fingerprint,
         source=source,
         fn=fn,
         env_spec=tuple(shared.env_spec),
         opaque_spec=tuple(shared.opaque_spec),
-        num_outputs=0,
+        num_outputs=len(outs),
     )
+
+
+def join_keys(key_columns: Sequence[list[Any]]) -> list[Any]:
+    """One join key per row: the bare value for one key column, a tuple for
+    several, ``None`` when any component is NULL (it never matches)."""
+    if len(key_columns) == 1:
+        return key_columns[0]
+    return [None if None in key else key for key in zip(*key_columns)]
+
+
+def hash_keys(keys: Sequence[Any], values: Any) -> dict[Any, list[Any]]:
+    """``values`` by their :func:`join_keys` ``keys``, in input order; NULL
+    keys are left out, so a probe for one finds nothing."""
+    table: dict[Any, list[Any]] = {}
+    for key, value in zip(keys, values):
+        if key is not None:
+            table.setdefault(key, []).append(value)
+    return table
+
+
+def sink_state(spec: PipelineSpec, limit: int | None = None, offset: int = 0) -> Any:
+    """A fresh sink state for one execution: the aggregate's groups, a
+    LIMIT's ``[rows to skip, rows to keep]``, a top-k's ``[heap, NULL-key
+    rows, capacity, push count]`` (``limit`` is ``k``; ``None`` keeps all)
+    or a collect's set of probed keys (read only by a FULL join)."""
+    if spec.sink == "topk":
+        return [[], [], None if limit is None else limit + offset, 0]
+    if spec.sink == "limit":
+        return [offset, limit]
+    return {} if spec.sink == "aggregate" else set()
+
+
+def topk_rows(
+    spec: PipelineSpec, state: list[Any], limit: int | None, offset: int
+) -> list[tuple]:
+    """A top-k state's rows, ``sorted(...)[offset:offset + limit]``."""
+    rows = [entry[2] for entry in sorted(state[0], reverse=spec.descending)]
+    rows = state[1] + rows if spec.nulls_first[0] else rows + state[1]
+    return rows[offset : None if limit is None else offset + limit]
 
 
 def interpret_pipeline(
     spec: PipelineSpec,
     batch: ColumnBatch,
     ctx: EvalContext,
-    groups: dict[tuple, list[Any]],
-) -> None:
-    """Interpreter twin of a fused pipeline's accumulate step.
+    sink: Any,
+    table: dict[Any, list[tuple]] | None = None,
+) -> list[list[Any]] | None:
+    """Interpreter twin of one call of a fused pipeline's loop.
 
-    Byte-identical semantics to both the generated loop and the unfused
-    operator chain; the reference the fused loop is tested against.
+    Byte-identical answers to both the generated loop and the unfused
+    operator chain: the reference the fused loop is tested against, and
+    the path a pipeline the compiler refused runs on. Same contract as
+    :meth:`CompiledPipeline.accumulate`, except that aggregate groups are
+    in the aggregate algebra's layout and a top-k keeps every row offered
+    (:func:`topk_rows` cuts it to ``k``).
     """
-    if batch.num_rows == 0:
-        return
-    if spec.condition is not None:
-        for conjunct in conjuncts(spec.condition):
+    batch = _gate(spec.condition, batch, ctx)
+    probe = spec.probe
+    if probe is not None and batch.num_rows:
+        keys = [k.eval(batch, ctx) for k in probe.keys]
+        keys = keys[0] if len(keys) == 1 else list(zip(*keys))
+        if probe.how in ("semi", "anti"):
+            batch = batch.filter([(key in table) == (probe.how == "semi") for key in keys])
+        else:
+            if probe.how == "full":
+                sink.update(keys)
+            miss = [] if probe.how == "inner" else [(None,) * probe.build_width]
+            pairs = [(i, row) for i, key in enumerate(keys) for row in table.get(key, miss)]
+            build = [Field(f"#{j}", STRING) for j in range(probe.build_width)]
+            batch = ColumnBatch(
+                Schema((*batch.schema.fields, *build)),
+                [[c[i] for i, _ in pairs] for c in batch.columns]
+                + [[row[j] for _, row in pairs] for j in range(probe.build_width)],
+            )
+        batch = _gate(spec.matched, batch, ctx)
+    if not batch.num_rows:
+        return None if spec.sink in ("aggregate", "topk") else [[] for _ in spec.outputs]
+    if spec.sink == "aggregate":
+        _interpret_aggregate(spec, batch, ctx, sink)
+        return None
+    columns = [e.eval(batch, ctx) for e in spec.outputs]
+    if spec.sink == "limit":
+        skip = min(sink[0], batch.num_rows)
+        keep = min(sink[1], batch.num_rows - skip)
+        sink[0] -= skip
+        sink[1] -= keep
+        return [column[skip : skip + keep] for column in columns]
+    if spec.sink == "collect":
+        return columns
+    keys = [e.eval(batch, ctx) for e in spec.order]
+    if len(keys) > 1:
+        keys = [
+            tuple(
+                (1, v) if v is not None else (0 if first != spec.descending else 2, 0)
+                for v, first in zip(values, spec.nulls_first)
+            )
+            for values in zip(*keys)
+        ]
+    else:
+        keys = keys[0]
+    sign = -1 if spec.descending else 1
+    for key, row in zip(keys, zip(*columns)):
+        if key is None:
+            sink[1].append(row)
+        else:
+            sink[3] += 1
+            sink[0].append((key, sign * sink[3], row))
+    return None
+
+
+def _gate(condition: Expression | None, batch: ColumnBatch, ctx: EvalContext) -> ColumnBatch:
+    """``batch`` filtered one conjunct at a time, so a conjunct only sees
+    rows every conjunct left of it admitted (as in the generated loop)."""
+    if condition is not None:
+        for conjunct in conjuncts(condition):
+            if not batch.num_rows:
+                break
             batch = batch.filter(conjunct.eval(batch, ctx))
-            if batch.num_rows == 0:
-                return
+    return batch
+
+
+def _interpret_aggregate(
+    spec: PipelineSpec, batch: ColumnBatch, ctx: EvalContext, groups: dict[tuple, list[Any]]
+) -> None:
     key_cols = [g.eval(batch, ctx) for g in spec.groupings]
     value_cols = [e.eval(batch, ctx) for e in spec.agg_inputs]
     funcs = [AGGREGATE_FUNCTIONS[name] for name, _ in spec.agg_specs]
@@ -993,41 +1267,8 @@ def _bind_env(artifact: CompiledArtifact, walk: list[Expression]) -> dict[str, A
     }
 
 
-class CompiledKernels:
-    """A cached artifact bound to one concrete expression list.
-
-    Binding rebuilds the env constants (IN-list sets, LIKE regexes, cast and
-    builtin callables) and collects the opaque nodes from *this* tree, so a
-    single artifact serves every structurally congruent expression list.
-    """
-
-    __slots__ = ("artifact", "_env", "_opaque")
-
-    def __init__(self, artifact: CompiledArtifact, exprs: Sequence[Expression]):
-        walk = _canonical_walk(exprs)
-        self.artifact = artifact
-        self._env = _bind_env(artifact, walk)
-        self._opaque = [walk[index] for index in artifact.opaque_spec]
-
-    @property
-    def fingerprint(self) -> str:
-        return self.artifact.fingerprint
-
-    def eval_all(self, batch: ColumnBatch, ctx: EvalContext) -> list[list[Any]]:
-        """Evaluate every output column for one batch.
-
-        Opaque nodes run first through the interpreter (picking up fused-UDF
-        results from ``ctx.udf_results`` exactly as interpreted evaluation
-        would); the generated function then computes all outputs in one pass.
-        """
-        opaque_columns = [node.eval(batch, ctx) for node in self._opaque]
-        return self.artifact.fn(
-            batch.columns, batch.num_rows, ctx, self._env, opaque_columns
-        )
-
-
 def predicate_mask(
-    kernel: CompiledKernels | None,
+    kernel: CompiledPipeline | None,
     predicate: Expression,
     batch: ColumnBatch,
     ctx: EvalContext,
@@ -1040,7 +1281,7 @@ def predicate_mask(
 
 
 def filter_project(
-    kernel: CompiledKernels | None,
+    kernel: CompiledPipeline | None,
     condition: Expression | None,
     exprs: Sequence[Expression],
     batch: ColumnBatch,
@@ -1055,45 +1296,65 @@ def filter_project(
     """
     if kernel is not None:
         return kernel.eval_all(batch, ctx)
-    if condition is not None:
-        for conjunct in conjuncts(condition):
-            if not batch.num_rows:
-                break
-            batch = batch.filter(conjunct.eval(batch, ctx))
+    batch = _gate(condition, batch, ctx)
     return [e.eval(batch, ctx) for e in exprs]
 
 
 class CompiledPipeline:
-    """A cached pipeline artifact bound to one concrete chain.
+    """A cached artifact bound to one concrete spec.
 
-    Like :class:`CompiledKernels`, binding rebuilds env constants against
-    this chain's trees so congruent chains share one artifact. Pipelines
-    refuse opaque nodes at compile time (UDFs break chains instead), so no
-    opaque pre-evaluation happens here.
+    Binding rebuilds the env constants (IN-list sets, LIKE regexes, cast and
+    builtin callables) and collects the opaque nodes from *this* spec's
+    trees, so a single artifact serves every structurally congruent one.
+    Only projection kernels (a ``collect`` spec from :meth:`KernelCompiler.
+    compile_projection`) hold opaque nodes: pipelines refuse them at compile
+    time (UDFs break chains instead).
     """
 
-    __slots__ = ("artifact", "spec", "_env", "_slots")
+    __slots__ = ("artifact", "spec", "_env", "_opaque", "_slots")
 
     def __init__(self, artifact: CompiledArtifact, spec: PipelineSpec):
+        walk = _canonical_walk(spec.all_exprs())
         self.artifact = artifact
         self.spec = spec
-        self._env = _bind_env(artifact, _canonical_walk(spec.all_exprs()))
+        self._env = _bind_env(artifact, walk)
+        self._opaque = [walk[index] for index in artifact.opaque_spec]
         #: ``(first slot, is avg)`` per aggregate call, for the conversion.
         self._slots = [
             (slot, name == "avg")
             for slot, (name, _) in zip(_slot_layout(spec.agg_specs), spec.agg_specs)
         ]
 
+    def eval_all(self, batch: ColumnBatch, ctx: EvalContext) -> list[list[Any]]:
+        """Every output column of a projection kernel for one batch.
+
+        Opaque nodes run first through the interpreter (picking up fused-UDF
+        results from ``ctx.udf_results`` exactly as interpreted evaluation
+        would); the generated function then computes all outputs in one pass.
+        """
+        opaque_columns = [node.eval(batch, ctx) for node in self._opaque]
+        return self.artifact.fn(
+            batch.columns, batch.num_rows, ctx, self._env, opaque_columns
+        )
+
     @property
     def fingerprint(self) -> str:
         return self.artifact.fingerprint
 
     def accumulate(
-        self, batch: ColumnBatch, ctx: EvalContext, groups: dict[Any, list[Any]]
-    ) -> None:
-        """Fold one batch into ``groups``, in the loop's own layout (see
-        :meth:`algebra_groups`)."""
-        self.artifact.fn(batch.columns, batch.num_rows, ctx, self._env, (), groups)
+        self,
+        batch: ColumnBatch,
+        ctx: EvalContext,
+        sink: Any,
+        table: dict[Any, list[tuple]] | None = None,
+    ) -> list[list[Any]]:
+        """Run the loop over one batch, probing ``table`` (the hashed build
+        side, if any) and feeding ``sink`` (:func:`sink_state`; aggregate
+        groups in the loop's own layout, see :meth:`algebra_groups`).
+        Returns the batch's output columns for ``collect`` / ``limit``."""
+        return self.artifact.fn(
+            batch.columns, batch.num_rows, ctx, self._env, (), sink, table
+        )
 
     def algebra_groups(self, groups: dict[Any, list[Any]]) -> dict[tuple, list[Any]]:
         """``groups`` in the aggregate algebra's layout — tuple keys, one
@@ -1242,7 +1503,7 @@ class KernelCompiler:
 
     def compile_projection(
         self, exprs: Sequence[Expression]
-    ) -> CompiledKernels | None:
+    ) -> CompiledPipeline | None:
         """Compile a projection list into one multi-output kernel."""
         try:
             folded = tuple(_fold(e) for e in exprs)
@@ -1253,18 +1514,18 @@ class KernelCompiler:
                 fingerprint, lambda: _generate_projection(folded, fingerprint),
                 outputs=len(folded),
             )
-            return CompiledKernels(artifact, folded)
+            return CompiledPipeline(artifact, PipelineSpec(None, sink="collect", outputs=folded))
         except Exception:  # noqa: BLE001 - fall back to the interpreter
             self.cache.note_error()
             return None
 
-    def compile_predicate(self, condition: Expression) -> CompiledKernels | None:
+    def compile_predicate(self, condition: Expression) -> CompiledPipeline | None:
         """Compile one predicate; ``eval_all`` returns ``[mask]``."""
         return self.compile_projection((condition,))
 
     def compile_filter_projection(
         self, condition: Expression, exprs: Sequence[Expression]
-    ) -> CompiledKernels | None:
+    ) -> CompiledPipeline | None:
         """Compile fused filter→project (no intermediate batch).
 
         Refuses (returns ``None``) when any node is opaque: a pre-evaluated
@@ -1285,40 +1546,21 @@ class KernelCompiler:
                 lambda: _generate_projection(folded, fingerprint, folded_cond),
                 outputs=len(folded),
             )
-            return CompiledKernels(artifact, (folded_cond, *folded))
+            return CompiledPipeline(
+                artifact, PipelineSpec(folded_cond, sink="collect", outputs=folded)
+            )
         except Exception:  # noqa: BLE001 - fall back to the interpreter
             self.cache.note_error()
             return None
 
-    def compile_pipeline(
-        self,
-        condition: Expression | None,
-        groupings: Sequence[Expression],
-        agg_calls: Sequence[Any],
-        agg_inputs: Sequence[Expression],
-    ) -> CompiledPipeline | None:
-        """Compile a filter→project→aggregate chain into one loop.
-
-        ``agg_calls`` are :class:`~repro.engine.aggregates.AggregateCall`
-        nodes (for function names and COUNT(*) detection); ``agg_inputs``
-        the per-call input expressions composed down to the chain's input
-        schema. Refuses unknown aggregates and any opaque node — user code
-        must break the chain, never ride inside it.
-        """
-        spec = PipelineSpec(
-            condition=condition,
-            groupings=tuple(groupings),
-            agg_specs=tuple(
-                (call.func_name, call.child is not None) for call in agg_calls
-            ),
-            agg_inputs=tuple(agg_inputs),
-        )
-        return self.compile_pipeline_spec(spec)
-
     def compile_pipeline_spec(
         self, spec: PipelineSpec
     ) -> CompiledPipeline | None:
-        """Compile (or rebind from cache) one :class:`PipelineSpec`."""
+        """Compile (or rebind from cache) one :class:`PipelineSpec`.
+
+        Refuses unknown aggregates and any opaque node — user code must
+        break the chain, never ride inside it.
+        """
         try:
             if any(name not in _AGG_INLINE for name, _ in spec.agg_specs):
                 return None
@@ -1333,8 +1575,8 @@ class KernelCompiler:
             )
             artifact = self._lookup_or_generate(
                 fingerprint,
-                lambda: _generate_aggregation_pipeline(folded, fingerprint),
-                outputs=len(folded.agg_specs),
+                lambda: _generate_pipeline(folded, fingerprint),
+                outputs=len(folded.agg_specs) + len(folded.outputs),
             )
             return CompiledPipeline(artifact, folded)
         except Exception:  # noqa: BLE001 - fall back to the interpreter

@@ -9,11 +9,12 @@ The governance hooks at this layer:
   ``UDFRuntime`` — one sandbox round-trip per fusion group per batch.
 - :class:`PhysRemoteScan` delegates an eFGAC sub-plan to a remote endpoint.
 
-Expression-heavy operators (filter, project, sort keys, join keys, aggregate
-accumulation) accept an optional compiled kernel from
-:mod:`repro.engine.compile`; when present it replaces interpreted tree
-walking with one generated loop per batch. Kernels are produced at plan
-time, so a compile failure simply leaves the interpreter path in place.
+Expression-heavy operators (filter, project, sort keys, join keys) accept an
+optional compiled kernel from :mod:`repro.engine.compile`; when present it
+replaces interpreted tree walking with one generated loop per batch, and a
+pipeline (:class:`PhysPipeline`, an aggregate's accumulation) runs a chain
+and its sink as one loop. Kernels are produced at plan time, so a compile
+failure simply leaves the interpreter path in place.
 """
 
 from __future__ import annotations
@@ -21,22 +22,31 @@ from __future__ import annotations
 import heapq
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
 from repro.common.context import span_or_null
 from repro.engine.aggregates import AggregateCall
 from repro.engine.batch import ColumnBatch, chunk_batch
 from repro.engine.compile import (
-    CompiledKernels,
     CompiledPipeline,
+    JoinProbe,
     KernelCompiler,
+    PipelineSpec,
     filter_project,
     has_opaque_nodes,
+    hash_keys,
+    interpret_pipeline,
+    join_keys,
     policy_digest,
     predicate_mask,
+    sink_state,
+    topk_rows,
 )
 from repro.engine.expressions import (
+    Alias,
     BooleanOp,
     BoundRef,
     EvalContext,
@@ -334,7 +344,7 @@ class PhysScan(PhysicalOperator):
         self.outputs: tuple[BoundRef, ...] | None = None
         if self.condition is not None or required != self.columns:
             self.outputs = tuple(decoded[t] for t in required)
-        self.kernel: CompiledKernels | None = None
+        self.kernel: CompiledPipeline | None = None
         if compiler is not None and self.condition is not None:
             self.kernel = compiler.compile_filter_projection(
                 self.condition, self.outputs
@@ -399,7 +409,7 @@ class PhysFilter(PhysicalOperator):
         self,
         child: PhysicalOperator,
         condition: Expression,
-        kernel: CompiledKernels | None = None,
+        kernel: CompiledPipeline | None = None,
     ):
         super().__init__(child.schema, (child,))
         self._condition = condition
@@ -431,7 +441,7 @@ class PhysProject(PhysicalOperator):
         child: PhysicalOperator,
         exprs: tuple[Expression, ...],
         schema: Schema,
-        kernel: CompiledKernels | None = None,
+        kernel: CompiledPipeline | None = None,
     ):
         super().__init__(schema, (child,))
         self._exprs = exprs
@@ -484,40 +494,14 @@ class PhysProject(PhysicalOperator):
             ctx.eval_ctx.udf_results.update(results)
 
 
-class PhysFilterProject(PhysicalOperator):
-    """Fused filter→project running one compiled loop per batch.
-
-    The intermediate filtered batch is never materialized: the kernel tests
-    the predicate and appends the projected values row by row. The planner
-    only builds this operator when the compiler accepted both the condition
-    and the projection list (no user code — a pre-filter UDF invocation
-    would change how often user code runs — and no unknown node types).
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        condition: Expression,
-        exprs: tuple[Expression, ...],
-        schema: Schema,
-        kernel: CompiledKernels,
-    ):
-        super().__init__(schema, (child,))
-        self._condition = condition
-        self._exprs = exprs
-        self._kernel = kernel
-
-    def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
-        with _kernel_span(ctx, self._kernel, "filter-project"):
-            for batch in self.children[0].execute(ctx):
-                yield ColumnBatch(
-                    self.schema, self._kernel.eval_all(batch, ctx.eval_ctx)
-                )
-
-
-def _kernel_span(ctx: ExecContext, kernel: CompiledKernels | None, operator: str):
+def _kernel_span(
+    ctx: ExecContext,
+    kernel: CompiledPipeline | None,
+    operator: str,
+    **attributes: str,
+):
     """An ``engine.kernel`` span spanning one operator's batch stream (no-op
-    without a kernel or a traced context)."""
+    without a kernel or a traced context); a pipeline's also names its sink."""
     if kernel is None:
         return nullcontext()
     return span_or_null(
@@ -525,6 +509,7 @@ def _kernel_span(ctx: ExecContext, kernel: CompiledKernels | None, operator: str
         f"kernel:{operator}",
         "engine.kernel",
         fingerprint=kernel.fingerprint[:12],
+        **attributes,
     )
 
 
@@ -586,49 +571,31 @@ class PhysSort(PhysicalOperator):
     first ``limit`` rows are produced. When every term sorts in the same
     direction that is a bounded top-k: ``heapq.nsmallest`` / ``nlargest``
     are defined as ``sorted(...)[:k]``, so the rows and their tie order are
-    exactly those of the full sort.
-
-    With ``appended_keys`` > 0 the child is a fused pipeline whose output
-    carries the pre-computed sort-key columns appended after the data
-    columns; the sort strips them off and orders by them directly, so key
-    expressions never re-evaluate over the materialized input.
+    exactly those of the full sort. (With fusion on, a one-direction sort
+    over a fusable chain is a pipeline's ``topk`` sink instead.)
     """
 
     def __init__(
         self,
         child: PhysicalOperator,
         orders: tuple[SortOrder, ...],
-        key_kernel: CompiledKernels | None = None,
-        appended_keys: int = 0,
+        key_kernel: CompiledPipeline | None = None,
         limit: int | None = None,
     ):
-        schema = child.schema
-        if appended_keys:
-            schema = Schema(schema.fields[:-appended_keys])
-        super().__init__(schema, (child,))
+        super().__init__(child.schema, (child,))
         self._orders = orders
         self._key_kernel = key_kernel
-        self._appended_keys = appended_keys
         self._limit = limit
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
-        full = ColumnBatch.concat(
-            self.children[0].schema, list(self.children[0].execute(ctx))
-        )
-        key_columns: list[list[Any]] | None = None
-        if self._appended_keys:
-            key_columns = full.columns[-self._appended_keys:]
-            full = ColumnBatch(self.schema, full.columns[: -self._appended_keys])
+        full = ColumnBatch.concat(self.schema, list(self.children[0].execute(ctx)))
         if full.num_rows == 0:
             yield full
             return
-        if key_columns is None:
-            if self._key_kernel is not None:
-                key_columns = self._key_kernel.eval_all(full, ctx.eval_ctx)
-            else:
-                key_columns = [
-                    o.expr.eval(full, ctx.eval_ctx) for o in self._orders
-                ]
+        if self._key_kernel is not None:
+            key_columns = self._key_kernel.eval_all(full, ctx.eval_ctx)
+        else:
+            key_columns = [o.expr.eval(full, ctx.eval_ctx) for o in self._orders]
         yield full.take(self._sorted_indices(key_columns, full.num_rows))
 
     def _sorted_indices(self, key_columns: list[list[Any]], n: int) -> list[int]:
@@ -685,105 +652,94 @@ def distinct_agg_calls(outputs: tuple[Expression, ...]) -> list[AggregateCall]:
     return calls
 
 
+def aggregate_spec(
+    groupings: Sequence[Expression],
+    calls: Sequence[AggregateCall],
+    inputs: Sequence[Expression] | None = None,
+    condition: Expression | None = None,
+    **chain: Any,
+) -> PipelineSpec:
+    """The aggregate sink of ``calls`` grouped by ``groupings``: ``inputs``
+    are the calls' inputs (``Literal(True)`` for ``COUNT(*)`` by default),
+    ``condition`` and ``chain`` the rest of a fused :class:`PipelineSpec`."""
+    if inputs is None:
+        inputs = [c.child if c.child is not None else Literal(True) for c in calls]
+    return PipelineSpec(
+        condition,
+        groupings=tuple(groupings),
+        agg_specs=tuple((call.func_name, call.child is not None) for call in calls),
+        agg_inputs=tuple(inputs),
+        **chain,
+    )
+
+
 class PhysHashAggregate(PhysicalOperator):
     """Hash aggregation with complete / partial / final modes.
 
     Partial mode emits ``group keys + aggregate states as data`` (what eFGAC
     ships across the wire); final mode merges such states. Complete mode does
     both locally.
+
+    Complete and partial modes accumulate through one pipeline loop: by
+    default the aggregate alone over ``children[0]``; fused, a ``spec`` of
+    the whole chain below composed onto ``children[0]`` — through a join
+    probe whose build side is ``children[1]`` — so one call per source batch
+    filters, probes and folds rows into accumulator slots in place, with no
+    intermediate or joined batch. The loop's groups convert to the aggregate
+    algebra's layout once, after the last batch, so emission (partial blobs
+    or finalized outputs) is byte-identical to the unfused plan. Without a
+    compiled ``pipeline`` (no compiler, or it refused) the spec is
+    interpreted.
     """
 
     def __init__(
         self,
-        child: PhysicalOperator,
+        children: Sequence[PhysicalOperator],
         groupings: tuple[Expression, ...],
         outputs: tuple[Expression, ...],
         schema: Schema,
         mode: str = AGG_MODE_COMPLETE,
         compiler: KernelCompiler | None = None,
+        spec: PipelineSpec | None = None,
+        pipeline: CompiledPipeline | None = None,
     ):
-        super().__init__(schema, (child,))
+        super().__init__(schema, tuple(children))
         self._groupings = groupings
         self._outputs = outputs
         self._mode = mode
         # Distinct aggregate calls across all output expressions, in order.
         self._agg_calls: list[AggregateCall] = distinct_agg_calls(outputs)
-        # One kernel computes grouping keys + aggregate inputs per batch
-        # (COUNT(*) contributes a constant-True column, matching the
-        # interpreted path). None when everything is a bare ref/constant.
-        self._accum_kernel: CompiledKernels | None = None
-        if compiler is not None and mode != AGG_MODE_FINAL:
-            accum_exprs = tuple(groupings) + tuple(
-                call.child if call.child is not None else Literal(True)
-                for call in self._agg_calls
-            )
-            self._accum_kernel = compiler.compile_projection(accum_exprs)
+        if spec is None and mode != AGG_MODE_FINAL:
+            spec = aggregate_spec(groupings, self._agg_calls)
+            pipeline = compiler and compiler.compile_pipeline_spec(spec)
+        self.spec = spec
+        self.pipeline = pipeline
 
     # -- state accumulation ------------------------------------------------------
 
     def _accumulate(self, ctx: ExecContext) -> dict[tuple, list[Any]]:
-        groups: dict[tuple, list[Any]] = {}
-        for batch in self.children[0].execute(ctx):
-            if batch.num_rows == 0:
-                continue
-            if self._mode == AGG_MODE_FINAL:
+        groups: dict[Any, list[Any]] = {}
+        if self._mode == AGG_MODE_FINAL:
+            for batch in self.children[0].execute(ctx):
                 # Partial batches arrive laid out as [keys..., states...].
-                key_cols = batch.columns[: len(self._groupings)]
-                self._merge_partial_batch(batch, key_cols, groups)
-            else:
-                if self._accum_kernel is not None:
-                    cols = self._accum_kernel.eval_all(batch, ctx.eval_ctx)
-                    key_cols = cols[: len(self._groupings)]
-                    value_cols = cols[len(self._groupings):]
-                else:
-                    key_cols = [
-                        g.eval(batch, ctx.eval_ctx) for g in self._groupings
-                    ]
-                    value_cols = self._value_columns(batch, ctx)
-                self._update_from_rows(batch, key_cols, value_cols, groups)
+                self._merge_partial_batch(batch, groups)
+        else:
+            pipeline = self.pipeline
+            with _kernel_span(ctx, pipeline, "pipeline", sink=self.spec.label):
+                for _ in _run_loop(ctx, self.children, self.spec, pipeline, groups):
+                    pass
+            if pipeline is not None:
+                groups = pipeline.algebra_groups(groups)
         if not groups and not self._groupings:
             # Global aggregate over empty input still yields one row.
             groups[()] = [call.func.create() for call in self._agg_calls]
         return groups
 
-    def _value_columns(
-        self, batch: ColumnBatch, ctx: ExecContext
-    ) -> list[list[Any]]:
-        """Interpreted aggregate-input columns, one per distinct call."""
-        value_cols = []
-        for call in self._agg_calls:
-            if call.child is None:
-                value_cols.append([True] * batch.num_rows)  # COUNT(*)
-            else:
-                value_cols.append(call.child.eval(batch, ctx.eval_ctx))
-        return value_cols
-
-    def _update_from_rows(
-        self,
-        batch: ColumnBatch,
-        key_cols: list[list[Any]],
-        value_cols: list[list[Any]],
-        groups: dict[tuple, list[Any]],
-    ) -> None:
-        for row_idx in range(batch.num_rows):
-            key = tuple(col[row_idx] for col in key_cols)
-            states = groups.get(key)
-            if states is None:
-                states = [call.func.create() for call in self._agg_calls]
-                groups[key] = states
-            for j, call in enumerate(self._agg_calls):
-                value = value_cols[j][row_idx]
-                if value is None and call.func.ignores_nulls and call.child is not None:
-                    continue
-                states[j] = call.func.update(states[j], value)
-
     def _merge_partial_batch(
-        self,
-        batch: ColumnBatch,
-        key_cols: list[list[Any]],
-        groups: dict[tuple, list[Any]],
+        self, batch: ColumnBatch, groups: dict[tuple, list[Any]]
     ) -> None:
         num_keys = len(self._groupings)
+        key_cols = batch.columns[:num_keys]
         for row_idx in range(batch.num_rows):
             key = tuple(col[row_idx] for col in key_cols)
             states = groups.get(key)
@@ -907,53 +863,90 @@ def partial_agg_schema(
     return Schema(tuple(fields))
 
 
-class PhysFusedPipeline(PhysHashAggregate):
-    """A whole scan→filter→project→aggregate chain as one generated loop.
+def _run_loop(
+    ctx: ExecContext,
+    children: Sequence[PhysicalOperator],
+    spec: PipelineSpec,
+    pipeline: CompiledPipeline | None,
+    state: Any,
+) -> Iterator[Any]:
+    """Feed every source batch to the pipeline's loop — to
+    :func:`~repro.engine.compile.interpret_pipeline` where the compiler
+    refused it — after hashing the build side (``children[1]``) once;
+    yields each call's result."""
+    table = None
+    if spec.probe is not None:
+        build = ColumnBatch.concat(children[1].schema, list(children[1].execute(ctx)))
+        keys = join_keys([k.eval(build, ctx.eval_ctx) for k in spec.probe.build_keys])
+        table = hash_keys(keys, build.iter_rows())
+    run = pipeline.accumulate if pipeline is not None else partial(interpret_pipeline, spec)
+    for batch in children[0].execute(ctx):
+        if batch.num_rows:
+            yield run(batch, ctx.eval_ctx, state, table)
+    if spec.probe is not None and spec.probe.how == "full":
+        # The build rows no probe row matched, NULL-extended, in their order.
+        unmatched = build.take(
+            [j for j, key in enumerate(keys) if key is None or key not in state]
+        )
+        nulls = [[None] * unmatched.num_rows for _ in range(spec.probe.width)]
+        rest = replace(spec, condition=spec.matched, matched=None, probe=None)
+        joined = ColumnBatch(children[0].schema.concat(build.schema), nulls + unmatched.columns)
+        yield interpret_pipeline(rest, joined, ctx.eval_ctx, state)
 
-    The planner composes every filter condition and projection in the chain
-    down to the source operator's schema and compiles the result into a
-    single :class:`~repro.engine.compile.CompiledPipeline`: per source batch,
-    one function call filters, computes grouping keys and aggregate inputs,
-    and folds rows into accumulator slots in place — no intermediate
-    ``ColumnBatch`` between the fused operators, no per-group closure
-    dispatch. The loop's groups are converted to the aggregate algebra's
-    layout once, after the last batch; emission (partial blobs or finalized
-    outputs) then reuses the parent's machinery unchanged, so eFGAC exchange
-    formats and output rewriting are byte-identical to the unfused plan.
+
+class PhysPipeline(PhysicalOperator):
+    """A chain and its ``collect``, ``limit`` or ``topk`` sink as one loop.
+
+    ``children`` are the source and, for a join probe, the build side. A
+    ``limit`` sink stops pulling source batches once its last row is kept;
+    a ``topk`` emits its rows after the last batch. ``limit`` / ``offset``
+    are the LIMIT's (a top-k's ``k``; no limit sorts everything) and reach
+    the loop through its sink state, so they are not part of the code.
     """
 
     def __init__(
         self,
-        source: PhysicalOperator,
-        groupings: tuple[Expression, ...],
-        outputs: tuple[Expression, ...],
+        children: Sequence[PhysicalOperator],
         schema: Schema,
-        mode: str,
-        pipeline: CompiledPipeline,
+        spec: PipelineSpec,
+        pipeline: CompiledPipeline | None,
+        limit: int | None = None,
+        offset: int = 0,
     ):
-        # The parent sees the *original* groupings/outputs (emission rebases
-        # output expressions by name/expr_id against them); the composed
-        # chain expressions live only inside the pipeline's spec.
-        super().__init__(source, groupings, outputs, schema, mode=mode, compiler=None)
-        self._pipeline = pipeline
+        super().__init__(schema, tuple(children))
+        self.spec = spec
+        self.pipeline = pipeline
+        self._limit = limit
+        self._offset = offset
 
-    @property
-    def pipeline(self) -> CompiledPipeline:
-        """The compiled pipeline (tests inspect fingerprint/source)."""
-        return self._pipeline
+    def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
+        spec = self.spec
+        if self._limit == 0:
+            return
+        state = sink_state(spec, self._limit, self._offset)
+        with _kernel_span(ctx, self.pipeline, "pipeline", sink=spec.label):
+            for columns in _run_loop(ctx, self.children, spec, self.pipeline, state):
+                if spec.sink != "topk":
+                    yield ColumnBatch(self.schema, columns)
+                    if spec.sink == "limit" and not state[1]:
+                        return
+        if spec.sink == "topk":
+            rows = topk_rows(spec, state, self._limit, self._offset)
+            yield ColumnBatch.from_rows(self.schema, rows)
 
-    def _accumulate(self, ctx: ExecContext) -> dict[tuple, list[Any]]:
-        pipeline = self._pipeline
-        with _kernel_span(ctx, pipeline, "pipeline"):
-            loop_groups: dict[Any, list[Any]] = {}
-            for batch in self.children[0].execute(ctx):
-                if batch.num_rows:
-                    pipeline.accumulate(batch, ctx.eval_ctx, loop_groups)
-            groups = pipeline.algebra_groups(loop_groups)
-        if not groups and not self._groupings:
-            # Global aggregate over empty input still yields one row.
-            groups[()] = [call.func.create() for call in self._agg_calls]
-        return groups
+
+class PhysFilterProject(PhysPipeline):
+    """Fused filter→project: a chain's ``collect`` loop with no join probe.
+
+    One compiled call per batch tests the predicate and appends the
+    projected values row by row; the filtered batch is never materialized.
+    The planner builds it only when the compiler accepted the condition and
+    the projection list (no user code — a pre-filter UDF invocation would
+    change how often user code runs — and no unknown node types).
+    """
+
+    def __init__(self, child: PhysicalOperator, schema: Schema, kernel: CompiledPipeline):
+        super().__init__([child], schema, kernel.spec, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -966,32 +959,18 @@ def probe_key_columns(
     right_key_cols: list[list[Any]],
 ) -> list[tuple[int, int]]:
     """Hash-match pre-computed key columns; NULL keys never match (SQL)."""
-    if len(left_key_cols) == 1:
-        # Single key: the bare value is the dict key (no per-row tuple).
-        left_keys, right_keys = left_key_cols[0], right_key_cols[0]
-    else:
-        # A NULL component poisons the whole key.
-        left_keys, right_keys = (
-            [None if None in key else key for key in zip(*cols)]
-            for cols in (left_key_cols, right_key_cols)
-        )
-    table: dict[Any, list[int]] = {}
-    for j, key in enumerate(right_keys):
-        if key is not None:
-            table.setdefault(key, []).append(j)
-    probe = table.get
-    # ``table`` holds no None key, so a NULL probe finds nothing.
-    return [(i, j) for i, key in enumerate(left_keys) for j in probe(key, ())]
+    right_keys = join_keys(right_key_cols)
+    probe = hash_keys(right_keys, range(len(right_keys))).get
+    return [(i, j) for i, key in enumerate(join_keys(left_key_cols)) for j in probe(key, ())]
 
 
 class PhysJoin(PhysicalOperator):
     """Nested-loop join with a hash fast path for conjunctive equi-joins.
 
-    With ``pre_keys`` > 0 both children are fused pipelines whose outputs
-    carry the equi-join key columns appended after the data columns (the
-    planner only builds this shape for fully-equi conditions); the join
-    strips the key columns off and hash-matches on them directly, so key
-    expressions never re-evaluate over the materialized inputs.
+    Rows come out in the preserved side's order — each left row (a right
+    row, for RIGHT) followed by its matches or by its NULL-extended row, a
+    FULL join's unmatched right rows last — which is the order a fused
+    pipeline's join probe produces.
     """
 
     def __init__(
@@ -1002,41 +981,27 @@ class PhysJoin(PhysicalOperator):
         condition: Expression | None,
         schema: Schema,
         compiler: KernelCompiler | None = None,
-        pre_keys: int = 0,
     ):
         super().__init__(schema, (left, right))
         self._how = how
         self._condition = condition
         self._compiler = compiler
-        self._pre_keys = pre_keys
         # Lazily compiled (left keys, right keys) kernels: key expressions
         # depend on the left input's width, known only once batches flow.
         self._key_kernels: tuple[
-            CompiledKernels | None, CompiledKernels | None
+            CompiledPipeline | None, CompiledPipeline | None
         ] | None = None
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         # Both inputs are materialized anyway, so they are safe to build
         # concurrently (forked contexts isolate metrics/UDF memo/trace).
         left, right = collect_children_parallel(ctx, self.children)
-        pre_key_cols = None
-        if self._pre_keys:
-            k = self._pre_keys
-            pre_key_cols = (left.columns[-k:], right.columns[-k:])
-            left = ColumnBatch(Schema(left.schema.fields[:-k]), left.columns[:-k])
-            right = ColumnBatch(
-                Schema(right.schema.fields[:-k]), right.columns[:-k]
-            )
-        yield self._join(left, right, ctx, pre_key_cols)
+        yield self._join(left, right, ctx)
 
     # -- core ---------------------------------------------------------------------
 
     def _join(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        ctx: ExecContext,
-        pre_key_cols: tuple[list, list] | None = None,
+        self, left: ColumnBatch, right: ColumnBatch, ctx: ExecContext
     ) -> ColumnBatch:
         how = self._how
         n_left, n_right = left.num_rows, right.num_rows
@@ -1048,7 +1013,7 @@ class PhysJoin(PhysicalOperator):
             matches = [(i, j) for i in range(n_left) for j in range(n_right)]
         else:
             matches = self._find_matches(
-                left, right, ctx, left_matched, right_matched, pre_key_cols
+                left, right, ctx, left_matched, right_matched
             )
 
         if how in ("inner", "cross"):
@@ -1059,16 +1024,17 @@ class PhysJoin(PhysicalOperator):
         if how == "anti":
             keep = [i for i in range(n_left) if not left_matched[i]]
             return left.take(keep).rename(self.schema)
-        if how == "left":
-            extra = [(i, None) for i in range(n_left) if not left_matched[i]]
-            return self._emit_pairs(left, right, matches + extra)
+        unmatched_left = [(i, None) for i in range(n_left) if not left_matched[i]]
+        unmatched_right = [(None, j) for j in range(n_right) if not right_matched[j]]
         if how == "right":
-            extra = [(None, j) for j in range(n_right) if not right_matched[j]]
-            return self._emit_pairs(left, right, matches + extra)
-        if how == "full":
-            extra = [(i, None) for i in range(n_left) if not left_matched[i]]
-            extra += [(None, j) for j in range(n_right) if not right_matched[j]]
-            return self._emit_pairs(left, right, matches + extra)
+            pairs = sorted(matches + unmatched_right, key=itemgetter(1))
+            return self._emit_pairs(left, right, pairs)
+        if how in ("left", "full"):
+            # Stable: a left row's matches keep their right-side order.
+            pairs = sorted(matches + unmatched_left, key=itemgetter(0))
+            if how == "full":
+                pairs += unmatched_right
+            return self._emit_pairs(left, right, pairs)
         raise UnsupportedOperationError(f"join type '{how}'")
 
     def _find_matches(
@@ -1078,15 +1044,8 @@ class PhysJoin(PhysicalOperator):
         ctx: ExecContext,
         left_matched: list[bool],
         right_matched: list[bool],
-        pre_key_cols: tuple[list, list] | None = None,
     ) -> list[tuple[int, int]]:
-        if pre_key_cols is not None:
-            candidates = probe_key_columns(pre_key_cols[0], pre_key_cols[1])
-            for i, j in candidates:
-                left_matched[i] = True
-                right_matched[j] = True
-            return candidates
-        equi = self._extract_equi_keys(left.num_columns)
+        equi = split_equi_condition(self._condition, left.num_columns)
         if equi is not None:
             left_keys, right_keys, residual = equi
             return self._hash_matches(
@@ -1094,12 +1053,6 @@ class PhysJoin(PhysicalOperator):
                 left_matched, right_matched,
             )
         return self._loop_matches(left, right, ctx, left_matched, right_matched)
-
-    def _extract_equi_keys(
-        self, left_width: int
-    ) -> tuple[list[Expression], list[Expression], Expression | None] | None:
-        """Split a conjunctive condition into left-key = right-key pairs."""
-        return split_equi_condition(self._condition, left_width)
 
     def _hash_matches(
         self,
@@ -1218,7 +1171,8 @@ def _narrow_scan(
     if not isinstance(boundary, Scan) or boundary.pushed_filters:
         return boundary, list(exprs)
     fields = boundary.schema.fields
-    read = sorted(set().union(*(e.references() for e in exprs if e is not None)))
+    refs = [n for e in exprs if e is not None for n in e.walk() if isinstance(n, BoundRef)]
+    read = sorted({r.index for r in refs if r.index < len(fields)})
     if len(read) == len(fields):
         return boundary, list(exprs)
     read = read or [0]  # a batch needs one column to carry its row count
@@ -1228,6 +1182,12 @@ def _narrow_scan(
     # The policy slot stays: the data source still reads its columns.
     narrowed = Scan(boundary.table, tuple(base[i] for i in read), (), boundary.policy_filter)
     mapping = selection_map(fields, read)
+    # A join probe's build columns follow the source's: they move with it.
+    shift = len(read) - len(fields)
+    mapping.update(
+        (r.index, BoundRef(r.index + shift, r.name, r.dtype))
+        for r in refs if r.index >= len(fields)
+    )
     return narrowed, [
         None if e is None else substitute_refs(e, mapping) for e in exprs
     ]
@@ -1261,11 +1221,11 @@ class PhysicalPlanner:
     the interpreted operator, so planning never fails due to compilation.
 
     With ``fuse_operators`` (and a compiler), the planner additionally
-    detects maximal fusable chains — runs of Filter/Project stages feeding
-    an aggregate, a sort, an equi-join, or nothing (the chain's top stage
-    is then the result) — and lowers each into one generated loop
-    (:class:`PhysFusedPipeline`, or a fused filter→project that also
-    appends the keys a sort/join sink needs). A chain starts at the scan's
+    detects maximal fusable chains — runs of Filter/Project stages, through
+    at most one equi-join the loop probes, feeding a sink: an aggregate, a
+    one-direction sort (with its LIMIT: a top-k), a LIMIT, or nothing (the
+    rows are the result) — and lowers each into one generated loop (see
+    :meth:`_plan_pipeline`). A chain starts at the scan's
     pushed filters (a row filter outside the policy slot first), so the
     first is the loop's first test, not a separate pass over the scan
     output. Chains break at any stage
@@ -1319,11 +1279,11 @@ class PhysicalPlanner:
                 kernel=kernel,
             )
         if isinstance(logical, Aggregate):
-            fused_agg = self._plan_fused_pipeline(logical)
-            if fused_agg is not None:
-                return fused_agg
+            fused = self._plan_pipeline(logical)
+            if fused is not None:
+                return fused
             return PhysHashAggregate(
-                self.plan(logical.child),
+                [self.plan(logical.child)],
                 logical.groupings,
                 logical.aggregates,
                 logical.schema,
@@ -1331,9 +1291,9 @@ class PhysicalPlanner:
                 compiler=self._compiler,
             )
         if isinstance(logical, Join):
-            fused_join = self._plan_fused_join(logical)
-            if fused_join is not None:
-                return fused_join
+            fused = self._plan_pipeline(logical)
+            if fused is not None:
+                return fused
             return PhysJoin(
                 self.plan(logical.left),
                 self.plan(logical.right),
@@ -1343,8 +1303,11 @@ class PhysicalPlanner:
                 compiler=self._compiler,
             )
         if isinstance(logical, Sort):
-            return self._plan_sort(logical)
+            return self._plan_pipeline(logical) or self._plan_sort(logical)
         if isinstance(logical, Limit):
+            fused = self._plan_pipeline(logical)
+            if fused is not None:
+                return fused
             if isinstance(logical.child, Sort):
                 # ORDER BY … LIMIT: the sort keeps only the rows the limit
                 # (after its offset) can still return — a bounded top-k.
@@ -1407,9 +1370,6 @@ class PhysicalPlanner:
         return scan
 
     def _plan_sort(self, logical: Sort, limit: int | None = None) -> PhysSort:
-        fused_sort = self._plan_fused_sort(logical, limit)
-        if fused_sort is not None:
-            return fused_sort
         key_kernel = None
         if self._compiler is not None:
             key_kernel = self._compiler.compile_projection(
@@ -1439,13 +1399,7 @@ class PhysicalPlanner:
         )
         if kernel is None:
             return None
-        return PhysFilterProject(
-            self.plan(filter_node.child),
-            filter_node.condition,
-            logical.exprs,
-            logical.schema,
-            kernel,
-        )
+        return PhysFilterProject(self.plan(filter_node.child), logical.schema, kernel)
 
     # -- whole-operator (pipeline) fusion ------------------------------------
 
@@ -1526,207 +1480,202 @@ class PhysicalPlanner:
                 ]
         return condition, out_exprs
 
-    def _plan_fused_pipeline(self, logical: Aggregate) -> PhysFusedPipeline | None:
-        """Lower chain→aggregate into one :class:`PhysFusedPipeline`.
-
-        Applies in complete and partial modes (final mode merges partial
-        states — nothing to fuse). Even a chain-less aggregate fuses:
-        inlined accumulator updates alone beat per-call closure dispatch.
-        Any refusal (opaque nodes, unknown aggregate, compile failure)
-        counts a fusion miss and falls back to the unfused plan.
-        """
-        if self._compiler is None or not self._fuse:
-            return None
-        if logical.mode == AGG_MODE_FINAL:
-            return None
-        try:
-            agg_calls = distinct_agg_calls(logical.aggregates)
-            raw_inputs = tuple(
-                call.child if call.child is not None else Literal(True)
-                for call in agg_calls
-            )
-            if has_opaque_nodes(tuple(logical.groupings) + raw_inputs):
-                self._compiler.note_fusion(False)
-                return None
-            stages, boundary = self._fusion_chain(logical.child)
-            condition, out_exprs = self._compose_chain(stages)
-            groupings_c = tuple(
-                inline_through_projection(g, out_exprs) for g in logical.groupings
-            )
-            inputs_c = tuple(
-                inline_through_projection(e, out_exprs) for e in raw_inputs
-            )
-            boundary, (condition, *rebound) = _narrow_scan(
-                boundary, [condition, *groupings_c, *inputs_c]
-            )
-            groupings_c = tuple(rebound[: len(groupings_c)])
-            inputs_c = tuple(rebound[len(groupings_c):])
-            pipeline = self._compiler.compile_pipeline(
-                condition, groupings_c, agg_calls, inputs_c
-            )
-        except Exception:  # noqa: BLE001 - fusion is an optional fast path
-            pipeline = None
-        if pipeline is None:
-            self._compiler.note_fusion(False)
-            return None
-        self._compiler.note_fusion(True)
-        return PhysFusedPipeline(
-            self.plan(boundary),
-            logical.groupings,
-            logical.aggregates,
-            logical.schema,
-            logical.mode,
-            pipeline,
-        )
-
     def _plan_fused_chain(
         self, logical: Filter | Project
     ) -> PhysicalOperator | None:
         """Lower a chain that ends in no sink — ``logical`` is its top
-        Filter/Project — into one fused filter→project loop.
-
-        Only chains of two or more stages (a scan's pushed filters count):
-        a lone stage is already a single kernel.
+        Filter/Project — into one loop: a ``collect`` pipeline when the chain
+        ends in a join the loop can probe, else a fused filter→project of
+        two or more stages (a scan's pushed filters count; a lone stage is
+        already a single kernel). A chain that only selects columns of a
+        scan is that scan, narrowed to them: there is nothing to loop over.
         """
         if self._compiler is None or not self._fuse:
             return None
-        stages, boundary = self._fusion_chain(logical)
-        if len(stages) < 2:
+        source = self._compose_source(logical, full=True)
+        if source.build is not None:
+            return self._plan_pipeline(logical)
+        if (
+            source.condition is None
+            and isinstance(source.boundary, Scan)
+            and all(isinstance(e, BoundRef) for e in source.outs)
+        ):
+            narrowed, refs = _narrow_scan(source.boundary, source.outs)
+            scan = self._plan_scan(narrowed)
+            if [r.index for r in refs] != list(range(len(narrowed.schema))):
+                return PhysProject(scan, tuple(refs), logical.schema)
+            scan.schema = logical.schema
+            return scan
+        if source.stages < 2:
             return None
         try:
-            condition, out_exprs = self._compose_chain(stages)
-            fused = self._fused_keyed_child(
-                boundary, logical.schema, condition, out_exprs, ()
+            boundary, (condition, *outs) = _narrow_scan(
+                source.boundary, [source.condition, *source.outs]
             )
+            if condition is None:
+                kernel = self._compiler.compile_projection(outs)
+            else:
+                kernel = self._compiler.compile_filter_projection(condition, outs)
         except Exception:  # noqa: BLE001 - fusion is an optional fast path
-            fused = None
-        self._compiler.note_fusion(fused is not None)
-        return fused
+            kernel = None
+        self._compiler.note_fusion(kernel is not None)
+        return kernel and PhysFilterProject(self.plan(boundary), logical.schema, kernel)
 
-    def _fused_keyed_child(
-        self,
-        boundary: LogicalPlan,
-        data_schema: Schema,
-        condition: Expression | None,
-        out_exprs: list[Expression] | None,
-        keys: tuple[Expression, ...],
-    ) -> PhysicalOperator | None:
-        """One fused operator producing ``data columns + key columns``.
+    @staticmethod
+    def _probe_split(join: Join, full: bool = False) -> tuple | None:
+        """``(how, probe side, build side, probe keys, build keys)`` of a join
+        the loop can probe — an equi-join with no residual whose keys are
+        engine code, FULL only where ``full`` (its rows are the result) —
+        with a RIGHT join's sides swapped into a LEFT one; ``None`` for any
+        other join (it stays on :class:`PhysJoin`)."""
+        if join.how not in ("inner", "left", "right", "semi", "anti") + (
+            ("full",) if full else ()
+        ):
+            return None
+        width = len(join.left.schema)
+        equi = split_equi_condition(join.condition, width)
+        if equi is None or equi[2] is not None:
+            return None
+        left_keys = tuple(equi[0])
+        right_keys = tuple(shift_refs(k, -width) for k in equi[1])
+        if has_opaque_nodes(left_keys + right_keys):
+            return None
+        if join.how == "right":
+            return "left", join.right, join.left, right_keys, left_keys
+        return join.how, join.left, join.right, left_keys, right_keys
 
-        The sort/join sink shape: the chain's composed filter+projection and
-        the sink's key expressions run in a single generated loop; the sink
-        strips the appended key columns off the result. Returns ``None``
-        when the compiler refuses (caller falls back to unfused planning).
+    def _compose_source(self, node: LogicalPlan, full: bool = False) -> "_Source":
+        """``node``'s fusable chain composed onto the operator it reads —
+        through a join the loop can probe, when the chain ends in one: the
+        stages above the join then compose onto the probe side's source
+        followed by the build row's columns."""
+        stages, below = self._fusion_chain(node)
+        condition, out_exprs = self._compose_chain(stages)
+        outs = _refs(below) if out_exprs is None else [_bare(e) for e in out_exprs]
+        split = self._probe_split(below, full) if isinstance(below, Join) else None
+        if split is None:
+            return _Source(below, condition, outs, len(stages))
+        how, probe_side, build, keys, build_keys = split
+        probe_stages, boundary = self._fusion_chain(probe_side)
+        probe_condition, probe_outs = self._compose_chain(probe_stages)
+        probe_cols = _refs(boundary) if probe_outs is None else [_bare(e) for e in probe_outs]
+        build_cols = [] if how in ("semi", "anti") else _refs(build, len(boundary.schema))
+        joined = build_cols + probe_cols if below.how == "right" else probe_cols + build_cols
+        mapping = dict(enumerate(joined))
+        return _Source(
+            boundary,
+            probe_condition,
+            [substitute_refs(e, mapping) for e in outs],
+            len(stages) + len(probe_stages),
+            build,
+            how,
+            tuple(inline_through_projection(k, probe_outs) for k in keys),
+            build_keys,
+            None if condition is None else substitute_refs(condition, mapping),
+        )
+
+    def _plan_pipeline(self, node: LogicalPlan) -> PhysicalOperator | None:
+        """Lower the chain below a sink, and the sink, into one pipeline.
+
+        ``node`` is the sink: an Aggregate, a one-direction Sort or a Limit
+        (over such a Sort: a top-k); any other node's rows are the result
+        (``collect``, only through a join probe, see
+        :meth:`_plan_fused_chain`). An aggregate fuses even without a chain
+        (inlined accumulator updates alone beat per-call dispatch); the other
+        sinks need a stage or a probe. A sink over user code counts a fusion
+        miss and plans unfused; a pipeline the compiler refuses counts one
+        and runs interpreted (:func:`~repro.engine.compile.interpret_pipeline`).
         """
-        if out_exprs is None:
-            data_exprs: tuple[Expression, ...] = tuple(
-                BoundRef(i, f.name, f.dtype)
-                for i, f in enumerate(data_schema.fields)
-            )
+        if self._compiler is None or not self._fuse:
+            return None
+        aggregate = isinstance(node, Aggregate)
+        sort = node.child if isinstance(node, Limit) else node
+        orders = sort.orders if isinstance(sort, Sort) else ()
+        if (aggregate and node.mode == AGG_MODE_FINAL) or len(
+            {o.ascending for o in orders}
+        ) > 1:
+            return None
+        below = node
+        if isinstance(node, (Aggregate, Sort, Limit)):
+            below = (sort if orders else node).child
+        if aggregate:
+            calls = distinct_agg_calls(node.aggregates)
+            inputs = [c.child if c.child is not None else Literal(True) for c in calls]
+            raw = [*node.groupings, *inputs]
         else:
-            data_exprs = tuple(out_exprs)
-        boundary, (condition, *rebound) = _narrow_scan(
-            boundary, [condition, *data_exprs, *keys]
-        )
-        all_exprs = tuple(rebound)
-        ext_schema = Schema(
-            tuple(data_schema.fields)
-            + tuple(
-                Field(f"__key_{i}", k.dtype or STRING) for i, k in enumerate(keys)
-            )
-        )
-        if condition is not None:
-            kernel = self._compiler.compile_filter_projection(condition, all_exprs)
-            if kernel is None:
-                return None
-            return PhysFilterProject(
-                self.plan(boundary), condition, all_exprs, ext_schema, kernel
-            )
-        kernel = self._compiler.compile_projection(all_exprs)
-        if kernel is None:
-            return None
-        return PhysProject(self.plan(boundary), all_exprs, ext_schema, kernel=kernel)
-
-    def _plan_fused_sort(
-        self, logical: Sort, limit: int | None = None
-    ) -> PhysSort | None:
-        """Fuse chain→sort-key extraction: keys computed in the chain's loop.
-
-        Only when a non-empty fusable chain sits below the sort (otherwise
-        the existing key kernel already covers key evaluation).
-        """
-        if self._compiler is None or not self._fuse:
-            return None
-        key_exprs = tuple(o.expr for o in logical.orders)
-        if not key_exprs or has_opaque_nodes(key_exprs):
-            return None
-        stages, boundary = self._fusion_chain(logical.child)
-        if not stages:
-            return None
+            raw = [o.expr for o in orders]
         try:
-            condition, out_exprs = self._compose_chain(stages)
-            keys_c = tuple(
-                inline_through_projection(k, out_exprs) for k in key_exprs
-            )
-            fused = self._fused_keyed_child(
-                boundary, logical.schema, condition, out_exprs, keys_c
+            source = self._compose_source(below, full=below is node)
+            if not (source.stages or source.build is not None or aggregate):
+                return None
+            if has_opaque_nodes(raw):
+                raise UnsupportedOperationError("user code in the sink")
+            sinks = [inline_through_projection(e, source.outs) for e in raw]
+            boundary, (condition, matched, *rest) = _narrow_scan(
+                source.boundary,
+                [source.condition, source.matched, *source.keys, *sinks]
+                + ([] if aggregate else source.outs),
             )
         except Exception:  # noqa: BLE001 - fusion is an optional fast path
-            fused = None
-        if fused is None:
             self._compiler.note_fusion(False)
             return None
-        self._compiler.note_fusion(True)
-        return PhysSort(
-            fused, logical.orders, appended_keys=len(keys_c), limit=limit
-        )
+        keys, sinks = tuple(rest[: len(source.keys)]), rest[len(source.keys) :]
+        probe = None
+        if source.build is not None:
+            build_width = 0 if source.how in ("semi", "anti") else len(source.build.schema)
+            probe = JoinProbe(
+                source.how, keys, source.build_keys, len(boundary.schema), build_width
+            )
+        chain = {"condition": condition, "matched": matched, "probe": probe}
+        if aggregate:
+            split = len(node.groupings)
+            spec = aggregate_spec(sinks[:split], calls, sinks[split:], **chain)
+        else:
+            spec = PipelineSpec(
+                sink="topk" if orders else "collect" if below is node else "limit",
+                order=tuple(sinks[: len(orders)]),
+                outputs=tuple(sinks[len(orders) :]),
+                descending=bool(orders) and not orders[0].ascending,
+                nulls_first=tuple(o.nulls_first for o in orders),
+                **chain,
+            )
+        pipeline = self._compiler.compile_pipeline_spec(spec)
+        self._compiler.note_fusion(pipeline is not None)
+        children = [self.plan(boundary)]
+        if source.build is not None:
+            children.append(self.plan(source.build))
+        if aggregate:
+            return PhysHashAggregate(
+                children, node.groupings, node.aggregates, node.schema, node.mode,
+                spec=spec, pipeline=pipeline,
+            )
+        limit = (node.limit, node.offset) if isinstance(node, Limit) else (None, 0)
+        return PhysPipeline(children, below.schema, spec, pipeline, *limit)
 
-    def _plan_fused_join(self, logical: Join) -> PhysJoin | None:
-        """Fuse chain→equi-join key extraction on both inputs.
 
-        Requires a fully-equi condition (no residual — residual evaluation
-        needs the combined batch) and a non-empty fusable chain on *each*
-        side; both children then emit ``data + key`` columns and the join
-        hash-matches the pre-computed keys directly.
-        """
-        if self._compiler is None or not self._fuse or logical.how == "cross":
-            return None
-        left_width = len(logical.left.schema.fields)
-        equi = split_equi_condition(logical.condition, left_width)
-        if equi is None:
-            return None
-        left_keys, right_keys, residual = equi
-        if residual is not None:
-            return None
-        shifted = [shift_refs(k, -left_width) for k in right_keys]
-        if has_opaque_nodes(tuple(left_keys) + tuple(shifted)):
-            return None
-        fused_sides: list[PhysicalOperator] = []
-        for side, keys in ((logical.left, left_keys), (logical.right, shifted)):
-            stages, boundary = self._fusion_chain(side)
-            if not stages:
-                return None
-            try:
-                condition, out_exprs = self._compose_chain(stages)
-                keys_c = tuple(
-                    inline_through_projection(k, out_exprs) for k in keys
-                )
-                fused = self._fused_keyed_child(
-                    boundary, side.schema, condition, out_exprs, keys_c
-                )
-            except Exception:  # noqa: BLE001 - fusion is an optional fast path
-                fused = None
-            if fused is None:
-                self._compiler.note_fusion(False)
-                return None
-            fused_sides.append(fused)
-        self._compiler.note_fusion(True)
-        return PhysJoin(
-            fused_sides[0],
-            fused_sides[1],
-            logical.how,
-            logical.condition,
-            logical.schema,
-            compiler=self._compiler,
-            pre_keys=len(left_keys),
-        )
+@dataclass
+class _Source:
+    """A fusable chain composed onto the operator it reads (``boundary``):
+    ``outs`` are the chain top's columns over the loop's layout. With a join
+    probe, ``build`` is its build side, ``keys`` / ``build_keys`` its key
+    pairs and ``matched`` the condition above the join."""
+
+    boundary: LogicalPlan
+    condition: Expression | None
+    outs: list[Expression]
+    stages: int
+    build: LogicalPlan | None = None
+    how: str = ""
+    keys: tuple[Expression, ...] = ()
+    build_keys: tuple[Expression, ...] = ()
+    matched: Expression | None = None
+
+
+def _refs(plan: LogicalPlan, start: int = 0) -> list[Expression]:
+    """A ref to each of ``plan``'s columns, numbered from ``start``."""
+    return [BoundRef(start + i, f.name, f.dtype) for i, f in enumerate(plan.schema)]
+
+
+def _bare(expr: Expression) -> Expression:
+    """``expr`` without its alias."""
+    return expr.child if isinstance(expr, Alias) else expr

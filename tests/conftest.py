@@ -1,10 +1,22 @@
-"""Shared fixtures: a governed workspace with demo data."""
+"""Shared fixtures: a governed workspace with demo data.
+
+Property tests run under the ``derandomized`` hypothesis profile: every
+run of the suite draws the same examples, so a failure replays as it is.
+The randomised CI leg loads ``randomized`` instead, with a seed it prints
+first (``pytest --hypothesis-profile=randomized --hypothesis-seed=<seed>``
+replays it). Neither profile changes an example budget or a strategy.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.platform import Workspace
+
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("randomized", derandomize=False)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

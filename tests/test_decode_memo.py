@@ -188,7 +188,7 @@ def _refuse_compilation(monkeypatch):
     from repro.engine.compile import KernelCompiler
 
     refuse = lambda self, *args: None  # noqa: E731
-    for method in ("compile_projection", "compile_filter_projection", "compile_pipeline"):
+    for method in ("compile_projection", "compile_filter_projection", "compile_pipeline_spec"):
         monkeypatch.setattr(KernelCompiler, method, refuse)
 
 

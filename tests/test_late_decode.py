@@ -26,7 +26,13 @@ from repro.engine.aggregates import AggregateCall
 from repro.engine.expressions import Arithmetic, BoundRef, Comparison, Literal
 from repro.engine.logical import Aggregate, Join, LocalRelation
 from repro.engine.optimizer import Optimizer
-from repro.engine.physical import distinct_agg_calls
+from repro.engine.compile import KernelCompiler
+from repro.engine.physical import (
+    PhysHashAggregate,
+    PhysicalPlanner,
+    PhysScan,
+    distinct_agg_calls,
+)
 from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.errors import CorruptObjectError, RetryableError
 from repro.platform import Workspace
@@ -246,7 +252,7 @@ def _refuse_compilation(monkeypatch):
     from repro.engine.compile import KernelCompiler
 
     refuse = lambda self, *args: None  # noqa: E731
-    for method in ("compile_projection", "compile_filter_projection", "compile_pipeline"):
+    for method in ("compile_projection", "compile_filter_projection", "compile_pipeline_spec"):
         monkeypatch.setattr(KernelCompiler, method, refuse)
 
 
@@ -408,6 +414,82 @@ class TestDecodedColumns:
                     # its pushed filters read; logical pruning stops at the
                     # mask projection, so that can be more than fused.
                     assert columns >= self.FUSED[shape][table], (shape, table)
+
+
+# ---------------------------------------------------------------------------
+# A chain that only selects columns is a narrowed scan
+# ---------------------------------------------------------------------------
+
+
+def test_a_join_build_side_that_selects_columns_decodes_only_them(
+    tmp_path, monkeypatch
+):
+    """The build side of ``events JOIN accounts … GROUP BY accounts.region``
+    composes to bare column refs over the masked ``accounts`` scan: it plans
+    as that scan narrowed to ``(id, region)`` (its row filter still in the
+    policy slot), so it never decodes ``note`` nor computes the ``pii`` mask
+    — no generated kernel reads the ``pii`` group flag — and the aggregate
+    probes it from one loop over the events scan."""
+    ws = Workspace()
+    ws.add_user("admin", admin=True)
+    ws.add_user("alice")
+    ws.add_group("analysts", ["alice"])
+    ws.add_group("pii", ["admin"])
+    ws.catalog.create_catalog("main", owner="admin")
+    ws.catalog.create_schema("main.s", owner="admin")
+    cluster = ws.create_standard_cluster(engine_fuse_operators=True)
+    try:
+        admin = cluster.connect("admin")
+        admin_ctx = ws.catalog.principals.context_for("admin")
+        schema = "(id int, region string, amount float, a int, b int, note string)"
+        for name, rows in (("events", 40), ("accounts", 12)):
+            admin.sql(f"CREATE TABLE main.s.{name} {schema}")
+            ws.catalog.write_table(f"main.s.{name}", {
+                "id": list(range(rows)),
+                "region": [REGIONS[i % 3] for i in range(rows)],
+                "amount": [float(i) for i in range(rows)],
+                "a": [i % 12 for i in range(rows)],
+                "b": [i % 5 for i in range(rows)],
+                "note": [f"n{i}" for i in range(rows)],
+            }, admin_ctx)
+            for statement in (
+                f"GRANT SELECT ON main.s.{name} TO analysts",
+                f"ALTER TABLE main.s.{name} SET ROW FILTER (region <> 'APAC')",
+                f"ALTER TABLE main.s.{name} ALTER COLUMN note SET MASK "
+                "(CASE WHEN is_account_group_member('pii') THEN note ELSE '***' END)",
+            ):
+                admin.sql(statement)
+        admin.sql("GRANT USE CATALOG ON main TO analysts")
+        admin.sql("GRANT USE SCHEMA ON main.s TO analysts")
+        roots = {ws.catalog.get_table(f"main.s.{n}").storage_root: n for n in ("events", "accounts")}
+        decoded: dict[str, set[str]] = {}
+        original = LakeTableStorage.read_file
+
+        def recording(self, data_file, credential, columns=None, policy=None):
+            read = set(columns) | set(policy.columns if policy else ())
+            decoded.setdefault(roots[self.root], set()).update(read)
+            return original(self, data_file, credential, columns, policy)
+
+        monkeypatch.setattr(LakeTableStorage, "read_file", recording)
+        monkeypatch.setenv("LAKEGUARD_DUMP_KERNELS", str(tmp_path))
+        rows = cluster.connect("alice").sql(
+            "SELECT c.region, count(*), sum(e.amount) FROM main.s.events e "
+            "JOIN main.s.accounts c ON e.a = c.id WHERE e.amount > 3.5 "
+            "GROUP BY c.region"
+        ).collect()
+        assert sorted(rows) == [("EU", 12, 246.0), ("US", 12, 270.0)]
+        assert decoded["accounts"] == {"id", "region"}
+        sources = [path.read_text() for path in tmp_path.glob("kernel_*.py")]
+        assert sources and not any("'pii' in _ctx.groups" in src for src in sources)
+        # One operator runs the join and its aggregate: a loop over the
+        # events scan probing the narrowed accounts scan.
+        planner = PhysicalPlanner(KernelCompiler())
+        root = planner.plan(cluster.backend.last_result.optimized_plan)
+        assert isinstance(root, PhysHashAggregate) and root.spec.label == "join_probe"
+        assert [type(child) for child in root.children] == [PhysScan, PhysScan]
+        assert root.children[1].columns == (0, 1)
+    finally:
+        ws.shutdown()
 
 
 # ---------------------------------------------------------------------------

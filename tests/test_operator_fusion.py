@@ -1,15 +1,17 @@
 """Whole-operator fusion: fused pipelines ≡ unfused interpretation.
 
 Pins the tentpole contract of operator codegen — that fusing a
-scan→filter→project→aggregate chain (plus sort-key and join-key sinks)
-into one generated loop never changes a single byte of output:
+scan→filter→project chain and its sink (aggregate, collect, top-k, LIMIT,
+through a join probe or not) into one generated loop never changes a
+single byte of output:
 
 - property tests (hypothesis) proving ``CompiledPipeline.accumulate``
   matches :func:`interpret_pipeline` group-for-group and state-for-state,
   over NULL-riddled rows, division by zero, composed filters, multi-key
   groupings, every inlinable aggregate, and empty batches;
 - engine-level properties: the same logical plan returns identical rows
-  with ``fuse_operators`` on, off, and with compilation disabled entirely;
+  with ``fuse_operators`` on, off, and with compilation disabled entirely
+  — and, for the sinks, with every pipeline refused (interpreted);
 - governed end-to-end equivalence: FGAC queries (row filters, column
   masks, sandboxed UDFs splitting the chain) return identical rows on
   fused and unfused clusters.
@@ -53,6 +55,7 @@ from repro.engine.logical import (
     Aggregate,
     Filter,
     Join,
+    Limit,
     LocalRelation,
     Project,
     Sort,
@@ -418,14 +421,17 @@ class TestEnvBoundLiterals:
 # ---------------------------------------------------------------------------
 
 
-def _engine(rows, *, compile_enabled=True, fuse=True) -> QueryEngine:
+def _engine(
+    rows, *, compile_enabled=True, fuse=True, batch_size=4096, compiler=None
+) -> QueryEngine:
     columns = [list(c) for c in zip(*rows)] if rows else [[], [], []]
     data = LocalRelation(SCHEMA, columns)
     return QueryEngine(
         DictResolver({"t": data}),
         config=ExecutionConfig(
-            compile_enabled=compile_enabled, fuse_operators=fuse
+            batch_size=batch_size, compile_enabled=compile_enabled, fuse_operators=fuse
         ),
+        kernel_compiler=compiler,
     )
 
 
@@ -439,6 +445,46 @@ def _three_ways(rows, plan) -> list[list[tuple]]:
     ]
     _assert_really_fused(fused.kernel_compiler.cache.stats)
     return results
+
+
+class _RefusingCompiler(KernelCompiler):
+    """Refuses every pipeline, so each one the planner builds runs through
+    :func:`interpret_pipeline` (the compile-refused fallback)."""
+
+    def compile_pipeline_spec(self, spec):
+        return None
+
+
+def _four_ways(rows, plan, batch_size, sink) -> list[list[tuple]]:
+    """Rows from the fused engine (its pipelines compiled), the fused engine
+    with every pipeline refused (interpreted), the unfused-compiled engine
+    and the interpreted one, all over ``batch_size``-row batches. The fused
+    leg must have compiled a ``sink`` pipeline; the refused leg planned the
+    same pipelines and counted each as a fusion miss."""
+    fused = _engine(rows, batch_size=batch_size)
+    refused = _engine(rows, batch_size=batch_size, compiler=_RefusingCompiler())
+    results = [
+        fused.execute(plan).rows(),
+        refused.execute(plan).rows(),
+        _engine(rows, batch_size=batch_size, fuse=False).execute(plan).rows(),
+        _engine(rows, batch_size=batch_size, compile_enabled=False).execute(plan).rows(),
+    ]
+    _assert_really_fused(fused.kernel_compiler.cache.stats)
+    assert sink in _sinks(fused, plan) and sink in _sinks(refused, plan)
+    assert refused.kernel_compiler.cache.stats.fusion_misses > 0
+    return results
+
+
+def _sinks(engine, plan) -> set[str]:
+    """The ``kernel:pipeline`` sink labels of every loop ``plan`` plans."""
+    labels, stack = set(), [engine.plan_physical(engine.optimize(engine.analyze(plan)))]
+    while stack:
+        op = stack.pop()
+        spec = getattr(op, "spec", None)
+        if spec is not None:
+            labels.add(spec.label)
+        stack.extend(op.children)
+    return labels
 
 
 def _assert_really_fused(stats) -> None:
@@ -491,6 +537,8 @@ class TestEngineFusionEquivalence:
     @given(rows=rows_strategy, threshold=st.integers(-20, 20))
     @settings(max_examples=50, deadline=None)
     def test_sort_key_sink_identical_three_ways(self, rows, threshold):
+        """A whole ORDER BY over a chain: the keys are the unbounded
+        ``topk`` sink's, computed in the chain's loop."""
         plan = Sort(
             Project(
                 Filter(
@@ -507,24 +555,31 @@ class TestEngineFusionEquivalence:
         )
         fused, unfused, interpreted = _three_ways(rows, plan)
         assert all_same(fused, unfused, interpreted)
+        assert _sinks(_engine(rows), plan) == {"topk"}
 
     @given(rows=rows_strategy)
     @settings(max_examples=30, deadline=None)
     def test_join_key_sink_identical_three_ways(self, rows):
+        """The join's keys are computed in the probe side's loop, which
+        probes the hashed build side itself: one ``join_probe`` loop, over
+        a build side of bare columns and a computed one alike."""
         base = UnresolvedRelation("t")
-        # A computed right-hand column: a projection of bare columns is not
-        # worth compiling, so that side (and the join sink) would not fuse.
-        plan = Join(
-            Filter(base, Comparison("<", col("x"), lit(10))),
+        for right in (
+            Project(base, (Alias(col("x"), "x2"), Alias(col("s"), "y2"))),
             Project(
                 base,
                 (Alias(col("x"), "x2"), Alias(Arithmetic("*", col("y"), lit(2.0)), "y2")),
             ),
-            how="inner",
-            condition=Comparison("=", col("x"), col("x2")),
-        )
-        fused, unfused, interpreted = _three_ways(rows, plan)
-        assert all_same(fused, unfused, interpreted)  # rows AND probe order
+        ):
+            plan = Join(
+                Filter(base, Comparison("<", col("x"), lit(10))),
+                right,
+                how="inner",
+                condition=Comparison("=", col("x"), col("x2")),
+            )
+            fused, unfused, interpreted = _three_ways(rows, plan)
+            assert all_same(fused, unfused, interpreted)  # rows AND probe order
+            assert _sinks(_engine(rows), plan) == {"join_probe"}
 
     @pytest.mark.parametrize(
         "how", ["inner", "left", "right", "full", "semi", "anti"]
@@ -603,6 +658,162 @@ class TestEngineFusionEquivalence:
         )
         fused, unfused, interpreted = _three_ways([], plan)
         assert fused == unfused == interpreted == [(0, None)]
+
+
+# ---------------------------------------------------------------------------
+# Sinks: top-k, LIMIT and join probes ≡ their interpreter twin ≡ unfused
+# ---------------------------------------------------------------------------
+
+#: Few distinct values per column: ties (and NULLs) everywhere, so the
+#: top-k's tie order and the probes' duplicate keys are exercised. The row
+#: count is drawn uniformly (hypothesis favours short lists), so a bounded
+#: top-k or LIMIT usually fills before the input ends.
+tie_rows = st.integers(0, 40).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.one_of(st.integers(-3, 3), st.none()),
+            st.one_of(st.sampled_from([0.5, 1.5, -2.0]), st.none()),
+            st.one_of(st.sampled_from(["alpha", "Beta", ""]), st.none()),
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+#: ``(column, nulls first)`` per ORDER BY term; ``neg`` is ``x * -1``.
+order_terms = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "s", "neg"]), st.booleans()),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _chain(threshold):
+    """``SELECT x, y, s FROM t WHERE x IS NULL OR x > threshold``."""
+    return Project(
+        Filter(
+            UnresolvedRelation("t"),
+            BooleanOp(
+                "OR", IsNull(col("x")), Comparison(">", col("x"), lit(threshold))
+            ),
+        ),
+        (Alias(col("x"), "x"), Alias(col("y"), "y"), Alias(col("s"), "s")),
+    )
+
+
+class TestSinkEquivalence:
+    @given(
+        rows=tie_rows,
+        terms=order_terms,
+        descending=st.booleans(),
+        # Small k fills the heap (its threshold and ties at work); 45 is
+        # above any row count.
+        k=st.one_of(st.none(), st.integers(0, 6), st.just(45)),
+        offset=st.integers(0, 5),
+        threshold=st.integers(-4, 2),
+        batch_size=st.integers(1, 9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_topk_sink_identical_four_ways(
+        self, rows, terms, descending, k, offset, threshold, batch_size
+    ):
+        """ORDER BY one or two terms in one direction, NULLs first or last
+        per term, ``LIMIT k OFFSET n`` (k of 0, k above the row count, or no
+        LIMIT: the whole sort): ``sorted(...)[offset:offset + k]``, tie
+        order included, across batch boundaries."""
+        keys = {"x": col("x"), "y": col("y"), "s": col("s"),
+                "neg": Arithmetic("*", col("x"), lit(-1))}
+        plan = Sort(
+            _chain(threshold),
+            [SortOrder(keys[name], not descending, first) for name, first in terms],
+        )
+        if k is not None:
+            plan = Limit(plan, k, offset)
+        results = _four_ways(rows, plan, batch_size, "topk")
+        assert all_same(*results)
+
+    @given(
+        rows=tie_rows,
+        limit=st.one_of(st.integers(0, 8), st.just(45)),
+        offset=st.integers(0, 8),
+        threshold=st.integers(-4, 2),
+        batch_size=st.integers(1, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_limit_sink_identical_four_ways(
+        self, rows, limit, offset, threshold, batch_size
+    ):
+        plan = Limit(_chain(threshold), limit, offset)
+        results = _four_ways(rows, plan, batch_size, "limit")
+        assert all_same(*results)
+        assert len(results[0]) == max(0, min(limit, len(_passing(rows, threshold)) - offset))
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left", "right", "full", "semi", "anti"]
+    )
+    @pytest.mark.parametrize("sink", ["collect", "aggregate", "topk", "limit"])
+    @given(
+        rows=tie_rows,
+        keys=st.sampled_from([("x",), ("x", "s")]),
+        build_filter=st.integers(-4, 4),
+        null_keys=st.booleans(),
+        batch_size=st.integers(1, 9),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_join_probe_identical_four_ways(
+        self, how, keys, sink, rows, build_filter, null_keys, batch_size
+    ):
+        """Every join type under every sink, over duplicate build keys, NULL
+        build keys (``null_keys``) and an empty build side (the build filter
+        ``x < -4`` without them). A FULL join's loop only collects (its
+        unmatched build rows come after the probe), so under the other
+        sinks it feeds the sink's own operator."""
+        base = UnresolvedRelation("t")
+        left = Filter(base, BooleanOp("OR", IsNull(col("y")), Comparison(">", col("y"), lit(0.0))))
+        kept = Comparison("<", col("x"), lit(build_filter))
+        if null_keys:
+            kept = BooleanOp("OR", IsNull(col("x")), kept)
+        right = Project(
+            Filter(base, kept),
+            (Alias(col("x"), "x2"), Alias(col("s"), "s2"), Alias(col("y"), "y2")),
+        )
+        on = [Comparison("=", col(k), col(k + "2")) for k in keys]
+        plan = Join(left, right, how=how, condition=on[0] if len(on) == 1 else BooleanOp("AND", *on))
+        out = col("x") if how in ("semi", "anti") else col("y2")
+        if sink == "aggregate":
+            plan = Aggregate(
+                plan,
+                groupings=(col("s"),),
+                aggregates=(col("s"), AggregateCall("count", None), AggregateCall("sum", out)),
+            )
+        elif sink == "topk":
+            plan = Limit(Sort(plan, (SortOrder(out, False), SortOrder(col("x")))), 7, 2)
+        elif sink == "limit":
+            plan = Limit(plan, 9, 3)
+        results = _four_ways(rows, plan, batch_size, "join_probe")
+        assert all_same(*results)
+
+
+    def test_k_n_and_offset_share_one_artifact(self):
+        """``k``, ``n`` and ``offset`` reach the loop through its sink state:
+        top-k and LIMIT queries that differ only in them reuse one artifact."""
+        rows = [(i % 5, float(i % 3), "s") for i in range(30)]
+        engine = _engine(rows, batch_size=7)
+        stats = engine.kernel_compiler.cache.stats
+        for sink, make in (
+            ("topk", lambda k, off: Limit(Sort(_chain(-4), [SortOrder(col("y"), False)]), k, off)),
+            ("limit", lambda k, off: Limit(_chain(-4), k, off)),
+        ):
+            assert _sinks(engine, make(3, 0)) == {sink}
+            engine.execute(make(3, 0))
+            compiled = stats.insertions
+            for k, off in ((5, 1), (1, 4), (40, 0)):
+                engine.execute(make(k, off))
+            assert stats.insertions == compiled
+
+
+def _passing(rows, threshold):
+    return [r for r in rows if r[0] is None or r[0] > threshold]
 
 
 # ---------------------------------------------------------------------------

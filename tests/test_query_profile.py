@@ -68,3 +68,44 @@ class TestQueryProfileAccess:
             if k == "pipeline.stage"
         ]
         assert any("stage" in a for a in stage_attrs)
+
+
+class TestPipelineSinkAttribute:
+    #: One governed query per loop kind, each through a fused pipeline.
+    QUERIES = {
+        "aggregate": "SELECT region, count(*) AS n FROM main.sales.orders "
+        "WHERE amount > 5.0 GROUP BY region",
+        "collect": "SELECT id, amount * 2.0 AS d FROM main.sales.orders WHERE amount > 5.0",
+        "topk": "SELECT id, amount FROM main.sales.orders WHERE amount > 5.0 "
+        "ORDER BY amount DESC LIMIT 2",
+        "limit": "SELECT id FROM main.sales.orders WHERE amount > 5.0 LIMIT 3",
+        "join_probe": "SELECT a.id, b.buyer FROM main.sales.orders a "
+        "JOIN main.sales.orders b ON a.id = b.id WHERE a.amount > 5.0",
+    }
+
+    def test_kernel_pipeline_spans_name_their_sink_and_no_value(
+        self, workspace, admin_client
+    ):
+        """``query_profile`` shows which loop ran: each ``kernel:pipeline``
+        span carries its ``sink`` beside the kernel fingerprint (and the
+        cluster every span names), and never a LIMIT, a row count or a
+        value."""
+        import json
+
+        cluster = workspace.create_standard_cluster(name="sinks", engine_fuse_operators=True)
+        alice = cluster.connect("alice")
+        for sink, query in self.QUERIES.items():
+            alice.sql(query).collect()
+            ran = alice.last_trace_id
+            rows = alice.table(PROFILE).to_dict()
+            attributes = [
+                json.loads(attrs)
+                for attrs, name, trace in zip(
+                    rows["attributes"], rows["name"], rows["trace_id"]
+                )
+                if name == "kernel:pipeline" and trace == ran
+            ]
+            assert sink in {a["sink"] for a in attributes}, sink
+            assert all(
+                set(a) == {"cluster", "fingerprint", "sink"} for a in attributes
+            ), attributes

@@ -240,6 +240,101 @@ class TestPolicyBeforeUserCode:
         finally:
             workspace.shutdown()
 
+    #: Pipeline sinks whose user predicate raises on — and would quote — a
+    #: hidden row of either join side: ``orders`` hides non-US rows (their
+    #: buyers are not numbers), ``regions`` hides APAC (its code is not).
+    SINK_QUERIES = {
+        "topk": (
+            "SELECT id, amount FROM main.sales.orders "
+            "WHERE CAST(buyer AS INT) > 0 ORDER BY amount DESC LIMIT 2",
+            [(3, 30.0), (1, 10.0)],
+            "topk",
+        ),
+        "limit": (
+            "SELECT id FROM main.sales.orders WHERE CAST(buyer AS INT) > 20 LIMIT 5",
+            [(3,)],
+            "limit",
+        ),
+        "join-probe-side": (
+            "SELECT r.label, count(*) AS n FROM main.sales.orders o "
+            "JOIN main.sales.regions r ON o.region = r.region "
+            "WHERE CAST(o.buyer AS INT) > 0 GROUP BY r.label",
+            [("amer", 2)],
+            "join_probe",
+        ),
+        "join-build-side": (
+            "SELECT o.id, r.label FROM main.sales.orders o "
+            "JOIN main.sales.regions r ON o.region = r.region "
+            "WHERE CAST(r.code AS INT) > 0 ORDER BY o.id DESC LIMIT 3",
+            [(3, "amer"), (1, "amer")],
+            "join_probe",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", list(SINK_QUERIES))
+    @pytest.mark.parametrize("leg", ["compiled", "compile-refused"])
+    def test_sink_predicates_never_see_a_hidden_row(
+        self, leg, shape, workspace, monkeypatch
+    ):
+        """The top-k, LIMIT and join-probe legs: the user's CAST runs inside
+        the sink's loop (compiled) or through its interpreter twin (the
+        compiler refused every kernel and pipeline), on either side of a
+        join, and never on a row a row filter hides."""
+        from repro.engine.compile import KernelCompiler
+
+        cluster = workspace.create_standard_cluster(name=leg, engine_fuse_operators=True)
+        try:
+            admin = cluster.connect("admin")
+            admin.sql(
+                "CREATE TABLE main.sales.orders "
+                "(id int, region string, amount float, buyer string)"
+            )
+            admin.sql(
+                "INSERT INTO main.sales.orders VALUES "
+                "(1,'US',10.0,'11'),(2,'EU',20.0,'hidden-eu'),"
+                "(3,'US',30.0,'33'),(4,'APAC',40.0,'hidden-apac'),"
+                "(5,NULL,50.0,'hidden-null')"
+            )
+            admin.sql(
+                "CREATE TABLE main.sales.regions (region string, label string, code string)"
+            )
+            admin.sql(
+                "INSERT INTO main.sales.regions VALUES "
+                "('US','amer','1'),('EU','emea','2'),('APAC','apj','hidden')"
+            )
+            for statement in (
+                "GRANT USE CATALOG ON main TO analysts",
+                "GRANT USE SCHEMA ON main.sales TO analysts",
+                "GRANT SELECT ON main.sales.orders TO analysts",
+                "GRANT SELECT ON main.sales.regions TO analysts",
+                "ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')",
+                "ALTER TABLE main.sales.regions SET ROW FILTER (region <> 'APAC')",
+            ):
+                admin.sql(statement)
+            if leg == "compile-refused":
+                _refuse_filter_kernels(monkeypatch)
+                monkeypatch.setattr(
+                    KernelCompiler, "compile_pipeline_spec", lambda self, spec: None
+                )
+            stats = cluster.backend.kernel_cache.stats
+            misses = stats.fusion_misses
+            alice = cluster.connect("alice")
+            query, expected, sink = self.SINK_QUERIES[shape]
+            assert alice.sql(query).collect() == expected
+            sinks = {
+                span.attributes["sink"]
+                for span in workspace.catalog.telemetry.spans(
+                    trace_id=alice.last_trace_id, name="kernel:pipeline"
+                )
+            }
+            if leg == "compiled":
+                assert stats.compile_errors == 0 and stats.fusion_hits > 0
+                assert sink in sinks
+            else:
+                assert stats.fusion_misses > misses and not sinks
+        finally:
+            workspace.shutdown()
+
     def test_default_configuration_never_interprets_a_scan_filter(
         self, workspace, standard_cluster, admin_client, monkeypatch
     ):

@@ -372,7 +372,7 @@ class TestFileGranularCommits:
         calls = []
         for name in (
             "compile_projection", "compile_predicate", "compile_filter_projection",
-            "compile_pipeline", "compile_pipeline_spec",
+            "compile_pipeline_spec",
         ):
             def spying(self, *args, _name=name, _original=getattr(KernelCompiler, name)):
                 calls.append(_name)

@@ -9,8 +9,8 @@ derived numeric columns with repeated subexpressions):
     interpretation tax the compiler removes (tree dispatch per node,
     ``zip`` loops per element, no CSE).
 
-(b) **Fusion ablation** — filter→project with and without fusing into a
-    single kernel loop (the unfused path materializes the filtered
+(b) **Fusion ablation** — filter→project as one ``collect`` loop vs a
+    mask loop and a projection loop (which materializes the filtered
     intermediate batch).
 
 (c) **End-to-end** — the same governed query (row filter + column mask)
@@ -28,7 +28,7 @@ import pytest
 from harness import best_time, print_table, write_bench_json
 
 from repro.engine.batch import ColumnBatch
-from repro.engine.compile import KernelCompiler
+from repro.engine.compile import KernelCompiler, PipelineSpec
 from repro.engine.expressions import (
     Arithmetic,
     BooleanOp,
@@ -131,21 +131,30 @@ def _heavy_predicate():
     )
 
 
+def _collect(compiler, exprs, condition=None):
+    """The compiled ``collect`` loop of ``exprs`` over the rows
+    ``condition`` admits, and a call of it."""
+    kernel = compiler.compile_pipeline_spec(
+        PipelineSpec(condition, sink="collect", outputs=tuple(exprs))
+    )
+    assert kernel is not None
+    return lambda batch, ctx: kernel.accumulate(batch, ctx, None)
+
+
 def test_kernel_vs_interpreter():
     """(a) One expression-heavy projection: interpreter vs compiled kernel."""
     batch = _make_batch(NUM_ROWS)
     ctx = EvalContext()
     exprs = _heavy_projection()
-    kernel = KernelCompiler().compile_projection(exprs)
-    assert kernel is not None
+    kernel = _collect(KernelCompiler(), exprs)
 
     # Same answers before any timing.
-    assert kernel.eval_all(batch, ctx) == [e.eval(batch, ctx) for e in exprs]
+    assert kernel(batch, ctx) == [e.eval(batch, ctx) for e in exprs]
 
     t_interp = best_time(
         lambda: [e.eval(batch, ctx) for e in exprs], repeats=REPEATS
     )
-    t_kernel = best_time(lambda: kernel.eval_all(batch, ctx), repeats=REPEATS)
+    t_kernel = best_time(lambda: kernel(batch, ctx), repeats=REPEATS)
     speedup = t_interp / t_kernel
 
     print_table(
@@ -176,27 +185,26 @@ def test_fused_filter_project_vs_unfused():
     cond = _heavy_predicate()
     exprs = _heavy_projection()
     compiler = KernelCompiler()
-    fused = compiler.compile_filter_projection(cond, exprs)
-    predicate = compiler.compile_predicate(cond)
-    projection = compiler.compile_projection(exprs)
-    assert fused is not None and predicate is not None and projection is not None
+    fused = _collect(compiler, exprs, cond)
+    predicate = _collect(compiler, (cond,))
+    projection = _collect(compiler, exprs)
 
     def unfused():
-        [mask] = predicate.eval_all(batch, ctx)
+        [mask] = predicate(batch, ctx)
         filtered = batch.filter(mask)
-        return projection.eval_all(filtered, ctx)
+        return projection(filtered, ctx)
 
-    assert fused.eval_all(batch, ctx) == unfused()
+    assert fused(batch, ctx) == unfused()
 
     t_unfused = best_time(unfused, repeats=REPEATS)
-    t_fused = best_time(lambda: fused.eval_all(batch, ctx), repeats=REPEATS)
+    t_fused = best_time(lambda: fused(batch, ctx), repeats=REPEATS)
     speedup = t_unfused / t_fused
 
     print_table(
         f"Fused filter-project ({NUM_ROWS} rows)",
         ["plan", "batch ms", "speedup"],
         [
-            ["two kernels + intermediate batch", f"{t_unfused * 1000:.1f}", "1.00x"],
+            ["two loops + intermediate batch", f"{t_unfused * 1000:.1f}", "1.00x"],
             ["fused single loop", f"{t_fused * 1000:.1f}", f"{speedup:.2f}x"],
         ],
     )

@@ -37,12 +37,7 @@ from repro.core.pipeline import PipelineState, build_enforcement_pipeline
 from repro.core.plan_cache import SecurePlanCache
 from repro.core.plan_codec import PlanDecoder, client_udf
 from repro.engine.compile import KernelCache, KernelCompiler
-from repro.engine.executor import (
-    ExecutionConfig,
-    QueryEngine,
-    QueryResult,
-    default_fuse_operators,
-)
+from repro.engine.executor import ExecutionConfig, QueryEngine, QueryResult
 from repro.engine.expressions import UDFRuntime
 from repro.engine.logical import LogicalPlan
 from repro.engine.optimizer import OptimizerConfig
@@ -104,7 +99,6 @@ class LakeguardCluster:
         workload_default_policy: TenantPolicy | None = None,
         scan_retries: int = 2,
         udf_invoke_retry: bool = True,
-        engine_fuse_operators: bool | None = None,
     ):
         self.catalog = catalog
         self.clock = clock or SystemClock()
@@ -161,12 +155,6 @@ class LakeguardCluster:
         #: session (and every plan-cache entry) reuses generated kernels for
         #: structurally congruent expressions (None when disabled).
         self.engine_compile = engine_compile
-        #: Whole-operator fusion (None defers to LAKEGUARD_FUSE_OPERATORS).
-        self.engine_fuse_operators = (
-            engine_fuse_operators
-            if engine_fuse_operators is not None
-            else default_fuse_operators()
-        )
         self.kernel_cache: KernelCache | None = None
         self._kernel_compiler: KernelCompiler | None = None
         if engine_compile:
@@ -323,7 +311,6 @@ class LakeguardCluster:
                 batch_size=self.batch_size,
                 num_executors=self.num_executors,
                 compile_enabled=self.engine_compile,
-                fuse_operators=self.engine_fuse_operators,
             ),
             optimizer_config=self.optimizer_config,
             extra_rules=extra_rules,

@@ -5,19 +5,19 @@ every batch and evaluates each node with a per-element ``zip`` loop, so the
 hot path of every governed scan — row filters, column masks, secure-view
 predicates — pays tree dispatch *per batch* and list-comprehension overhead
 *per node per element*. This module removes that interpretation tax the way
-Flare does for Spark plans: an analyzed expression list is lowered into one
-generated-and-``compile()``d Python function that evaluates every output in
-a single fused loop, with NULL checks short-circuited inline, constants
-folded at lowering time, and common subexpressions computed once per row.
+Flare does for Spark plans: a :class:`PipelineSpec` — a chain's composed
+filters and projections and its sink — is lowered into one
+generated-and-``compile()``d Python function that runs the whole chain in a
+single loop, with NULL checks short-circuited inline, constants folded at
+lowering time, and common subexpressions computed once per row.
+:func:`interpret_pipeline` runs the same spec without generated code.
 
 Trust boundaries stay intact by construction:
 
 - :class:`~repro.engine.expressions.PythonUDFCall` nodes (and any node type
-  this module does not recognize) are **opaque**: the kernel never inlines
-  them. The bound wrapper pre-evaluates each opaque node through the normal
-  interpreter — which consults ``ctx.udf_results``, so sandbox fusion
-  semantics (one round-trip per fusion group) are byte-identical — and the
-  generated code merely reads the resulting column.
+  this module does not recognize) are **opaque**, and a spec holding one is
+  refused: user code breaks the planner's chain and runs next to the
+  sandbox, never inside a generated loop.
 - Kernels are pure functions of expression *structure*: the cache key is a
   structural fingerprint covering operators, column positions, builtin
   names and the type / equality pattern of literals, never data or
@@ -136,9 +136,10 @@ _COMPILABLE: tuple[type, ...] = (
 )
 _COMPILABLE_SET = frozenset(_COMPILABLE)
 
-#: Row-invariant leaves: compiling a projection made only of these would be
+#: Row-invariant leaves: a ``collect`` loop made only of these would be
 #: slower than the interpreter (``BoundRef.eval`` returns the column list
-#: without copying; constants use ``[v] * n``), so such lists are skipped.
+#: without copying; constants use ``[v] * n``), so :func:`collect_loop`
+#: skips it.
 _TRIVIAL = (Literal, Parameter, BoundRef, Alias, CurrentUser, IsAccountGroupMember)
 
 #: Node types safe to fold to a literal when all children are literals
@@ -371,18 +372,16 @@ class CompiledArtifact:
 
     fingerprint: str
     source: str
-    fn: Callable[[list[list[Any]], int, EvalContext, dict[str, Any], list[list[Any]]], list[list[Any]]]
+    fn: Callable[..., list[list[Any]]]
     #: ``(env name, canonical walk index, builder kind)`` triples.
     env_spec: tuple[tuple[str, int, str], ...]
-    #: Canonical walk indexes of opaque nodes, in slot order.
-    opaque_spec: tuple[int, ...]
     num_outputs: int
 
 
 class _SharedState:
     """State shared between the fast and checked code-generation passes.
 
-    Per-row leaves (columns, opaque results) and row-invariant bindings
+    Per-row leaves (columns) and row-invariant bindings
     (env constants, group membership, the user) are bound once and used by
     both generated bodies; only the per-node computation code differs.
     """
@@ -396,10 +395,8 @@ class _SharedState:
         #: header, and assumed non-NULL by the fast path.
         self.leaves: list[tuple[str, str]] = []
         self.env_spec: list[tuple[str, int, str]] = []
-        self.opaque_spec: list[int] = []
         self._env_memo: dict[tuple[int, str], str] = {}
         self._col_loads: dict[int, str] = {}
-        self._opaque_slots: dict[int, int] = {}
         self._groups_bound: dict[str, str] = {}
         self._params_bound: set[int] = set()
         self.user_bound = False
@@ -428,23 +425,6 @@ class _SharedState:
             self._col_loads[index] = var
             self.leaves.append((var, f"_c{index}"))
         return var
-
-    def opaque_value(self, node: Expression) -> str:
-        """Per-row value of one pre-evaluated opaque column."""
-        walk_pos = self.walk_index[id(node)]
-        slot = self._opaque_slots.get(walk_pos)
-        if slot is None:
-            slot = len(self.opaque_spec)
-            self._opaque_slots[walk_pos] = slot
-            self.opaque_spec.append(walk_pos)
-            # User-code output: its length is checked, never assumed (a lone
-            # leaf is iterated without a zip that could catch it).
-            self.prelude.append(f"_o{slot} = _opq[{slot}]")
-            self.prelude.append(
-                f"if len(_o{slot}) != _n: raise ValueError('opaque column length')"
-            )
-            self.leaves.append((f"_lo{slot}", f"_o{slot}"))
-        return f"_lo{slot}"
 
     def param(self, slot: int) -> str:
         """One parameter's value, loaded once per kernel call."""
@@ -522,10 +502,6 @@ class _CodeGen:
         return " or ".join(checks) if checks else None
 
     def _struct_key(self, node: Expression) -> Any:
-        if _is_opaque(node):
-            # Opaque slots are never shared (two structurally congruent
-            # trees may put *different* computations in the same slot).
-            return ("opaque", id(node))
         return (_node_signature(node, self._shared.literal_slots),) + tuple(
             self._struct_key(c) for c in node.children
         )
@@ -562,8 +538,8 @@ class _CodeGen:
 
     def _emit_uncached(self, node: Expression) -> tuple[str, bool]:
         if _is_opaque(node):
-            return self._leaf(self._shared.opaque_value(node))
-
+            # Refused by the compiler before generation; never inlined.
+            raise TypeError(f"opaque node {type(node).__name__}")
         if _is_env_literal(node):
             return self._shared.env(node, "literal"), False
         if isinstance(node, Literal):
@@ -714,7 +690,7 @@ def _assemble(
     returns: list[str],
 ) -> tuple[str, Callable]:
     """Render, ``compile()`` and ``exec`` the kernel source."""
-    lines = ["def _kernel(_cols, _n, _ctx, _env, _opq, _sink=None, _tab=None):"]
+    lines = ["def _kernel(_cols, _n, _ctx, _env, _sink=None, _tab=None):"]
     lines += [f"    {line}" for line in shared.prelude]
     lines += [f"    {line}" for line in loop_setup]
     lines.append(f"    {shared.loop_header()}")
@@ -753,17 +729,6 @@ def _dual_body(
         + ["else:"]
         + [f"    {line}" for line in checked_body]
     )
-
-
-def _generate_projection(
-    exprs: Sequence[Expression],
-    fingerprint: str,
-    condition: Expression | None = None,
-) -> CompiledArtifact:
-    """Lower [filter→]project — a ``collect`` sink's loop — with all outputs
-    computed in one pass and a filtered batch never materialized."""
-    spec = PipelineSpec(condition, sink="collect", outputs=tuple(exprs))
-    return _generate_pipeline(spec, fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,7 +1075,6 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
         source=source,
         fn=fn,
         env_spec=tuple(shared.env_spec),
-        opaque_spec=tuple(shared.opaque_spec),
         num_outputs=len(outs),
     )
 
@@ -1161,14 +1125,14 @@ def interpret_pipeline(
     sink: Any,
     table: dict[Any, list[tuple]] | None = None,
 ) -> list[list[Any]] | None:
-    """Interpreter twin of one call of a fused pipeline's loop.
+    """Interpreter twin of one call of a pipeline's generated loop.
 
-    Byte-identical answers to both the generated loop and the unfused
-    operator chain: the reference the fused loop is tested against, and
-    the path a pipeline the compiler refused runs on. Same contract as
+    Byte-identical answers to the generated loop: the reference it is
+    tested against, and the path every loop runs on where the compiler
+    refused it or compilation is off. Same contract as
     :meth:`CompiledPipeline.accumulate`, except that aggregate groups are
-    in the aggregate algebra's layout and a top-k keeps every row offered
-    (:func:`topk_rows` cuts it to ``k``).
+    in the aggregate algebra's layout and a bounded top-k is cut back to
+    its ``k + offset`` best rows once per batch, not row by row.
     """
     batch = _gate(spec.condition, batch, ctx)
     probe = spec.probe
@@ -1221,6 +1185,11 @@ def interpret_pipeline(
         else:
             sink[3] += 1
             sink[0].append((key, sign * sink[3], row))
+    if sink[2] is not None:
+        # Bounded like the generated heap: the first ``k + offset`` rows in
+        # the final order, and the first as many NULL-key rows.
+        sink[0][:] = sorted(sink[0], reverse=spec.descending)[: sink[2]]
+        del sink[1][sink[2] :]
     return None
 
 
@@ -1267,75 +1236,25 @@ def _bind_env(artifact: CompiledArtifact, walk: list[Expression]) -> dict[str, A
     }
 
 
-def predicate_mask(
-    kernel: CompiledPipeline | None,
-    predicate: Expression,
-    batch: ColumnBatch,
-    ctx: EvalContext,
-) -> list[Any]:
-    """The row mask of ``predicate``: through its compiled kernel when there
-    is one, interpreted otherwise (no compiler, or the compiler refused)."""
-    if kernel is not None:
-        return kernel.eval_all(batch, ctx)[0]
-    return predicate.eval(batch, ctx)
-
-
-def filter_project(
-    kernel: CompiledPipeline | None,
-    condition: Expression | None,
-    exprs: Sequence[Expression],
-    batch: ColumnBatch,
-    ctx: EvalContext,
-) -> list[list[Any]]:
-    """``exprs`` over the rows of ``batch`` that pass ``condition``.
-
-    Through the compiled filter→project kernel when there is one; otherwise
-    interpreted one conjunct at a time, so — as in the generated loop — a
-    conjunct only ever sees rows every conjunct left of it admitted (the
-    policy row filter is always leftmost).
-    """
-    if kernel is not None:
-        return kernel.eval_all(batch, ctx)
-    batch = _gate(condition, batch, ctx)
-    return [e.eval(batch, ctx) for e in exprs]
-
-
 class CompiledPipeline:
     """A cached artifact bound to one concrete spec.
 
     Binding rebuilds the env constants (IN-list sets, LIKE regexes, cast and
-    builtin callables) and collects the opaque nodes from *this* spec's
-    trees, so a single artifact serves every structurally congruent one.
-    Only projection kernels (a ``collect`` spec from :meth:`KernelCompiler.
-    compile_projection`) hold opaque nodes: pipelines refuse them at compile
-    time (UDFs break chains instead).
+    builtin callables) from *this* spec's trees, so a single artifact serves
+    every structurally congruent one.
     """
 
-    __slots__ = ("artifact", "spec", "_env", "_opaque", "_slots")
+    __slots__ = ("artifact", "spec", "_env", "_slots")
 
     def __init__(self, artifact: CompiledArtifact, spec: PipelineSpec):
-        walk = _canonical_walk(spec.all_exprs())
         self.artifact = artifact
         self.spec = spec
-        self._env = _bind_env(artifact, walk)
-        self._opaque = [walk[index] for index in artifact.opaque_spec]
+        self._env = _bind_env(artifact, _canonical_walk(spec.all_exprs()))
         #: ``(first slot, is avg)`` per aggregate call, for the conversion.
         self._slots = [
             (slot, name == "avg")
             for slot, (name, _) in zip(_slot_layout(spec.agg_specs), spec.agg_specs)
         ]
-
-    def eval_all(self, batch: ColumnBatch, ctx: EvalContext) -> list[list[Any]]:
-        """Every output column of a projection kernel for one batch.
-
-        Opaque nodes run first through the interpreter (picking up fused-UDF
-        results from ``ctx.udf_results`` exactly as interpreted evaluation
-        would); the generated function then computes all outputs in one pass.
-        """
-        opaque_columns = [node.eval(batch, ctx) for node in self._opaque]
-        return self.artifact.fn(
-            batch.columns, batch.num_rows, ctx, self._env, opaque_columns
-        )
 
     @property
     def fingerprint(self) -> str:
@@ -1352,9 +1271,7 @@ class CompiledPipeline:
         side, if any) and feeding ``sink`` (:func:`sink_state`; aggregate
         groups in the loop's own layout, see :meth:`algebra_groups`).
         Returns the batch's output columns for ``collect`` / ``limit``."""
-        return self.artifact.fn(
-            batch.columns, batch.num_rows, ctx, self._env, (), sink, table
-        )
+        return self.artifact.fn(batch.columns, batch.num_rows, ctx, self._env, sink, table)
 
     def algebra_groups(self, groups: dict[Any, list[Any]]) -> dict[tuple, list[Any]]:
         """``groups`` in the aggregate algebra's layout — tuple keys, one
@@ -1488,10 +1405,10 @@ class KernelCache:
 class KernelCompiler:
     """Front door: fold → fingerprint → cache lookup → generate → bind.
 
-    Every public method returns ``None`` instead of raising when the input
-    is not worth compiling or lowering fails, so callers can use the result
-    as an optional fast path with the interpreter as the always-available
-    fallback.
+    :meth:`compile_pipeline_spec` returns ``None`` instead of raising when
+    it refuses the spec or lowering fails, so callers can use the result as
+    an optional fast path with :func:`interpret_pipeline` as the
+    always-available fallback (:func:`run_pipeline` picks one).
     """
 
     def __init__(self, cache: KernelCache | None = None):
@@ -1500,58 +1417,6 @@ class KernelCompiler:
         self.cache = cache if cache is not None else KernelCache()
 
     # -- public API ---------------------------------------------------------
-
-    def compile_projection(
-        self, exprs: Sequence[Expression]
-    ) -> CompiledPipeline | None:
-        """Compile a projection list into one multi-output kernel."""
-        try:
-            folded = tuple(_fold(e) for e in exprs)
-            if not self._worth_compiling(folded):
-                return None
-            fingerprint = expression_fingerprint(folded, mode="project")
-            artifact = self._lookup_or_generate(
-                fingerprint, lambda: _generate_projection(folded, fingerprint),
-                outputs=len(folded),
-            )
-            return CompiledPipeline(artifact, PipelineSpec(None, sink="collect", outputs=folded))
-        except Exception:  # noqa: BLE001 - fall back to the interpreter
-            self.cache.note_error()
-            return None
-
-    def compile_predicate(self, condition: Expression) -> CompiledPipeline | None:
-        """Compile one predicate; ``eval_all`` returns ``[mask]``."""
-        return self.compile_projection((condition,))
-
-    def compile_filter_projection(
-        self, condition: Expression, exprs: Sequence[Expression]
-    ) -> CompiledPipeline | None:
-        """Compile fused filter→project (no intermediate batch).
-
-        Refuses (returns ``None``) when any node is opaque: a pre-evaluated
-        UDF would otherwise see pre-filter rows, changing how often user
-        code runs relative to the unfused plan.
-        """
-        try:
-            folded_cond = _fold(condition)
-            folded = tuple(_fold(e) for e in exprs)
-            for expr in (folded_cond, *folded):
-                if any(_is_opaque(node) for node in _canonical_walk((expr,))):
-                    return None
-            fingerprint = expression_fingerprint(
-                (folded_cond, *folded), mode="filter-project"
-            )
-            artifact = self._lookup_or_generate(
-                fingerprint,
-                lambda: _generate_projection(folded, fingerprint, folded_cond),
-                outputs=len(folded),
-            )
-            return CompiledPipeline(
-                artifact, PipelineSpec(folded_cond, sink="collect", outputs=folded)
-            )
-        except Exception:  # noqa: BLE001 - fall back to the interpreter
-            self.cache.note_error()
-            return None
 
     def compile_pipeline_spec(
         self, spec: PipelineSpec
@@ -1606,12 +1471,41 @@ class KernelCompiler:
         self.cache.put(fingerprint, artifact)
         return artifact
 
-    @staticmethod
-    def _worth_compiling(exprs: Sequence[Expression]) -> bool:
-        """At least one inlinable computation beyond bare refs/constants."""
-        for node in _canonical_walk(exprs):
-            if _is_opaque(node):
-                continue
-            if not isinstance(node, _TRIVIAL):
-                return True
-        return False
+
+
+def _worth_compiling(exprs: Sequence[Expression]) -> bool:
+    """At least one inlinable computation beyond bare refs/constants."""
+    return any(
+        not _is_opaque(node) and not isinstance(node, _TRIVIAL)
+        for node in _canonical_walk(exprs)
+    )
+
+
+def collect_loop(
+    compiler: KernelCompiler | None,
+    condition: Expression | None,
+    outputs: Sequence[Expression],
+) -> tuple[PipelineSpec, CompiledPipeline | None]:
+    """The ``collect`` spec of ``outputs`` over the rows ``condition``
+    admits, and its kernel — ``None`` without a compiler, when it refused,
+    or when every expression is a bare ref or constant (the interpreter
+    reads those without a loop)."""
+    spec = PipelineSpec(condition, sink="collect", outputs=tuple(outputs))
+    if compiler is None or not _worth_compiling(spec.all_exprs()):
+        return spec, None
+    return spec, compiler.compile_pipeline_spec(spec)
+
+
+def run_pipeline(
+    spec: PipelineSpec,
+    pipeline: CompiledPipeline | None,
+    batch: ColumnBatch,
+    ctx: EvalContext,
+    sink: Any = None,
+    table: dict[Any, list[tuple]] | None = None,
+) -> list[list[Any]] | None:
+    """One call of ``spec``'s loop over ``batch``: the compiled ``pipeline``,
+    or :func:`interpret_pipeline` where there is none."""
+    if pipeline is not None:
+        return pipeline.accumulate(batch, ctx, sink, table)
+    return interpret_pipeline(spec, batch, ctx, sink, table)

@@ -8,8 +8,7 @@ UDF runtime, and (on dedicated compute) an eFGAC remote executor.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.common.context import QueryContext, current_context, span_or_null
@@ -30,17 +29,6 @@ from repro.engine.physical import (
 from repro.errors import ExecutionError
 
 
-#: Environment override for whole-operator fusion (``0``/``false``/``off``
-#: disables it; anything else, or unset, keeps the default of on). The
-#: fusion ablation benchmark and the CI fused legs flip this.
-ENV_FUSE_OPERATORS = "LAKEGUARD_FUSE_OPERATORS"
-
-
-def default_fuse_operators() -> bool:
-    value = os.environ.get(ENV_FUSE_OPERATORS, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 @dataclass
 class ExecutionConfig:
     """Engine-level knobs."""
@@ -48,15 +36,10 @@ class ExecutionConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
     #: Number of simulated executor workers a scan is spread across.
     num_executors: int = 2
-    #: Lower expressions to compiled kernels at plan time (interpreted
-    #: evaluation remains the automatic fallback for anything the compiler
-    #: refuses or fails on).
+    #: Run each planned loop as generated code (the interpreter remains the
+    #: fallback for any loop the compiler refuses). Off, the same plan runs
+    #: every loop through the interpreter.
     compile_enabled: bool = True
-    #: Whole-operator codegen: the planner fuses scan→filter→project→
-    #: aggregate chains (plus sort/join key extraction) into single
-    #: generated loops. Requires ``compile_enabled``; interpreted fallback
-    #: applies per chain. Defaults from ``LAKEGUARD_FUSE_OPERATORS``.
-    fuse_operators: bool = field(default_factory=default_fuse_operators)
 
 
 class LocalDataSource:
@@ -129,9 +112,7 @@ class QueryEngine:
         if self.config.compile_enabled:
             compiler = kernel_compiler or KernelCompiler()
         self.kernel_compiler = compiler
-        self._planner = PhysicalPlanner(
-            compiler, fuse_operators=self.config.fuse_operators
-        )
+        self._planner = PhysicalPlanner(compiler)
         self._data_source = data_source
         self._udf_runtime = udf_runtime
         self._remote_executor = remote_executor

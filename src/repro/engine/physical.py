@@ -9,21 +9,18 @@ The governance hooks at this layer:
   ``UDFRuntime`` — one sandbox round-trip per fusion group per batch.
 - :class:`PhysRemoteScan` delegates an eFGAC sub-plan to a remote endpoint.
 
-Expression-heavy operators (filter, project, sort keys, join keys) accept an
-optional compiled kernel from :mod:`repro.engine.compile`; when present it
-replaces interpreted tree walking with one generated loop per batch, and a
-pipeline (:class:`PhysPipeline`, an aggregate's accumulation) runs a chain
-and its sink as one loop. Kernels are produced at plan time, so a compile
-failure simply leaves the interpreter path in place.
+Every chain of engine-code filters and projections runs as one loop
+together with its sink (:class:`PhysPipeline`, an aggregate's
+accumulation): generated code from :mod:`repro.engine.compile` where the
+compiler accepted it, :func:`~repro.engine.compile.interpret_pipeline`
+otherwise. The plan is the same either way; only the loop differs.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
@@ -35,13 +32,13 @@ from repro.engine.compile import (
     JoinProbe,
     KernelCompiler,
     PipelineSpec,
-    filter_project,
+    collect_loop,
     has_opaque_nodes,
     hash_keys,
     interpret_pipeline,
     join_keys,
     policy_digest,
-    predicate_mask,
+    run_pipeline,
     sink_state,
     topk_rows,
 )
@@ -54,7 +51,6 @@ from repro.engine.expressions import (
     Literal,
     PythonUDFCall,
     SortOrder,
-    conjoin,
     shift_refs,
     split_equi_condition,
 )
@@ -108,9 +104,10 @@ class DataSource(Protocol):
 
 
 class RowSelection:
-    """A predicate over a table's ``columns``, compiled once (interpreted
-    conjunct by conjunct when refused) to select the positions of the rows
-    it admits; NULL rejects. A scan's row filter or a write's pass."""
+    """A predicate over a table's ``columns``, compiled once into a
+    ``collect`` loop (interpreted conjunct by conjunct when refused) that
+    selects the positions of the rows it admits; NULL rejects. A scan's row
+    filter or a write's pass."""
 
     def __init__(
         self,
@@ -121,19 +118,17 @@ class RowSelection:
         read = sorted(predicate.references()) or [0]  # a row count needs a column
         self.digest = policy_digest(predicate)
         self.columns: tuple[str, ...] = tuple(fields[i].name for i in read)
-        self._condition = substitute_refs(predicate, selection_map(fields, read))
         self._schema = Schema(tuple(fields[i] for i in read) + (Field("#row", INT),))
-        self._outputs = (BoundRef(len(read), "#row", INT),)
-        self.kernel = compiler and compiler.compile_filter_projection(
-            self._condition, self._outputs
+        self.spec, self.kernel = collect_loop(
+            compiler,
+            substitute_refs(predicate, selection_map(fields, read)),
+            (BoundRef(len(read), "#row", INT),),
         )
 
     def admitted(self, columns: Sequence[list], ctx: EvalContext) -> list[int]:
         """Admitted positions of ``columns`` (one list per :attr:`columns`)."""
         batch = ColumnBatch(self._schema, [*columns, list(range(len(columns[0])))])
-        return filter_project(
-            self.kernel, self._condition, self._outputs, batch, ctx
-        )[0]
+        return run_pipeline(self.spec, self.kernel, batch, ctx)[0]
 
 
 @dataclass
@@ -300,27 +295,19 @@ class PhysRange(PhysicalOperator):
 
 
 class PhysScan(PhysicalOperator):
-    """Governed table scan: whole-object fetch, late decode, then the pushed
-    filters and the column selection.
+    """Governed table scan: whole-object fetch, late decode and the policy
+    slot — nothing else.
 
     The fetch is object-granular and mirrors Fig. 3: cloud storage
     authorises whole objects, so the engine ingests every byte before
     policy or predicate evaluation can drop anything. Decoding is compute,
-    and only ``columns`` are decoded — the required columns plus those the
-    pushed filters read — with the filters rebound to that decoded layout.
+    and only :attr:`columns` (the scan's required columns) are decoded.
 
     A policy slot's :class:`RowSelection` goes to the data source, which
-    yields only the rows it admits. The pushed filters (a row filter outside
-    the slot first) and the
-    selection of the required columns run as one compiled filter→project
-    loop that tests conjuncts left to right; without a kernel (no compiler,
-    or the compiler refused) they are interpreted conjunct by conjunct.
-    Either way a later conjunct never sees a row the policy rejected. The
-    planner hands a scan that still carries pushed filters to this operator
-    only when no fused consumer absorbed them (UDF stage directly above,
-    fusion off, opaque filters); a fused consumer plans a filter-less scan,
-    narrowed to the columns its loop reads, and tests the predicates inside
-    its own loop.
+    yields only the rows it admits. Pushed filters never reach this
+    operator: the planner unfolds them into the stages of the loop that
+    reads the scan (see :func:`_unfold_scan`), so every later conjunct runs
+    there, on admitted rows only.
     """
 
     def __init__(self, node: Scan, compiler: KernelCompiler | None = None):
@@ -328,27 +315,10 @@ class PhysScan(PhysicalOperator):
         self._node = node
         fields = node.table.schema.fields
         required = node.required_columns
-        if required is None:
-            required = tuple(range(len(fields)))
-        read = set(required).union(*(f.references() for f in node.pushed_filters))
-        #: Positions in ``table.schema`` this scan decodes. Never empty: a
-        #: batch needs one column to carry its row count.
-        self.columns: tuple[int, ...] = tuple(sorted(read)) or (0,)
-        decoded = selection_map(fields, self.columns)
-        #: The pushed filters over the decoded layout, as one conjunction.
-        self.condition = conjoin(
-            [substitute_refs(f, decoded) for f in node.pushed_filters]
+        #: Positions in ``table.schema`` this scan decodes, ascending.
+        self.columns: tuple[int, ...] = (
+            tuple(range(len(fields))) if required is None else required
         )
-        #: The required columns picked out of the decoded layout; ``None``
-        #: when the decoded batch already is the output.
-        self.outputs: tuple[BoundRef, ...] | None = None
-        if self.condition is not None or required != self.columns:
-            self.outputs = tuple(decoded[t] for t in required)
-        self.kernel: CompiledPipeline | None = None
-        if compiler is not None and self.condition is not None:
-            self.kernel = compiler.compile_filter_projection(
-                self.condition, self.outputs
-            )
         self.policy: RowSelection | None = None
         if node.policy_filter is not None:
             self.policy = RowSelection(node.policy_filter, fields, compiler)
@@ -362,14 +332,6 @@ class PhysScan(PhysicalOperator):
         scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns, *policy)
         for batch in scan:
             ctx.metrics.rows_scanned += batch.num_rows
-            if self.outputs is not None:
-                batch = ColumnBatch(
-                    self._node.schema,
-                    filter_project(
-                        self.kernel, self.condition, self.outputs, batch,
-                        ctx.eval_ctx,
-                    ),
-                )
             yield batch
 
 
@@ -398,38 +360,25 @@ class PhysRemoteScan(PhysicalOperator):
 
 
 class PhysFilter(PhysicalOperator):
-    """Row filtering with SQL semantics (NULL predicate drops the row).
+    """Row filtering with SQL semantics (NULL predicate drops the row), for
+    a condition no loop can hold: one with user code (or a node type the
+    generator does not know) in it."""
 
-    With a compiled ``kernel`` the predicate mask comes from one generated
-    loop per batch instead of interpreted tree walking; the result is
-    identical (the kernel is lowered from the same expression tree).
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        condition: Expression,
-        kernel: CompiledPipeline | None = None,
-    ):
+    def __init__(self, child: PhysicalOperator, condition: Expression):
         super().__init__(child.schema, (child,))
         self._condition = condition
-        self._kernel = kernel
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
-        with _kernel_span(ctx, self._kernel, "filter"):
-            for batch in self.children[0].execute(ctx):
-                if batch.num_rows == 0:
-                    yield batch
-                    continue
-                yield batch.filter(
-                    predicate_mask(
-                        self._kernel, self._condition, batch, ctx.eval_ctx
-                    )
-                )
+        for batch in self.children[0].execute(ctx):
+            if batch.num_rows == 0:
+                yield batch
+                continue
+            yield batch.filter(self._condition.eval(batch, ctx.eval_ctx))
 
 
 class PhysProject(PhysicalOperator):
-    """Projection with fused UDF execution.
+    """Projection with fused UDF execution: a stage with user code in it,
+    or a pure column selection.
 
     Per batch: every fusion group's UDF calls are shipped to the runtime in
     one invocation; results land in ``ctx.eval_ctx.udf_results`` so normal
@@ -441,11 +390,9 @@ class PhysProject(PhysicalOperator):
         child: PhysicalOperator,
         exprs: tuple[Expression, ...],
         schema: Schema,
-        kernel: CompiledPipeline | None = None,
     ):
         super().__init__(schema, (child,))
         self._exprs = exprs
-        self._kernel = kernel
         self._fusion_groups = self._collect_fusion_groups(exprs)
 
     @staticmethod
@@ -461,19 +408,13 @@ class PhysProject(PhysicalOperator):
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         eval_ctx = ctx.eval_ctx
-        with _kernel_span(ctx, self._kernel, "project"):
-            for batch in self.children[0].execute(ctx):
-                eval_ctx.udf_results.clear()
-                if batch.num_rows and self._fusion_groups and eval_ctx.udf_runtime:
-                    self._run_fused_groups(batch, ctx)
-                if self._kernel is not None:
-                    # Opaque (UDF) nodes inside the kernel read the fused
-                    # results planted above, exactly like interpreted eval.
-                    columns = self._kernel.eval_all(batch, eval_ctx)
-                else:
-                    columns = [e.eval(batch, eval_ctx) for e in self._exprs]
-                eval_ctx.udf_results.clear()
-                yield ColumnBatch(self.schema, columns)
+        for batch in self.children[0].execute(ctx):
+            eval_ctx.udf_results.clear()
+            if batch.num_rows and self._fusion_groups and eval_ctx.udf_runtime:
+                self._run_fused_groups(batch, ctx)
+            columns = [e.eval(batch, eval_ctx) for e in self._exprs]
+            eval_ctx.udf_results.clear()
+            yield ColumnBatch(self.schema, columns)
 
     def _run_fused_groups(self, batch: ColumnBatch, ctx: ExecContext) -> None:
         runtime = ctx.eval_ctx.udf_runtime
@@ -494,51 +435,18 @@ class PhysProject(PhysicalOperator):
             ctx.eval_ctx.udf_results.update(results)
 
 
-def _kernel_span(
-    ctx: ExecContext,
-    kernel: CompiledPipeline | None,
-    operator: str,
-    **attributes: str,
-):
-    """An ``engine.kernel`` span spanning one operator's batch stream (no-op
-    without a kernel or a traced context); a pipeline's also names its sink."""
-    if kernel is None:
+def _pipeline_span(ctx: ExecContext, pipeline: CompiledPipeline | None, sink: str):
+    """An ``engine.kernel`` span over one generated loop's batch stream,
+    naming its sink (a no-op when the loop is interpreted or untraced)."""
+    if pipeline is None:
         return nullcontext()
     return span_or_null(
         ctx.eval_ctx.query_ctx,
-        f"kernel:{operator}",
+        "kernel:pipeline",
         "engine.kernel",
-        fingerprint=kernel.fingerprint[:12],
-        **attributes,
+        fingerprint=pipeline.fingerprint[:12],
+        sink=sink,
     )
-
-
-class PhysLimit(PhysicalOperator):
-    """LIMIT/OFFSET with early termination of the input stream."""
-
-    def __init__(self, child: PhysicalOperator, limit: int, offset: int = 0):
-        super().__init__(child.schema, (child,))
-        self._limit = limit
-        self._offset = offset
-
-    def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
-        to_skip = self._offset
-        remaining = self._limit
-        for batch in self.children[0].execute(ctx):
-            if to_skip:
-                if batch.num_rows <= to_skip:
-                    to_skip -= batch.num_rows
-                    continue
-                batch = batch.slice(to_skip, batch.num_rows)
-                to_skip = 0
-            if remaining <= 0:
-                return
-            if batch.num_rows > remaining:
-                batch = batch.slice(0, remaining)
-            remaining -= batch.num_rows
-            yield batch
-            if remaining <= 0:
-                return
 
 
 class PhysDistinct(PhysicalOperator):
@@ -559,61 +467,31 @@ class PhysDistinct(PhysicalOperator):
 
 
 class PhysSort(PhysicalOperator):
-    """Materializing sort with per-key direction and NULL placement.
+    """Materializing sort with per-key direction and NULL placement, for an
+    ORDER BY no ``topk`` loop can run: mixed directions, or user code in a
+    key.
 
     Each ORDER BY term is one stable ``list.sort`` pass over row indices,
     least-significant term first, descending terms with ``reverse=True``
     (which keeps ties in input order, like an ascending pass). Keys are the
     raw values, or ``(rank, value)`` tuples when the column holds NULLs —
     no comparison ever re-enters Python.
-
-    With ``limit`` (a ``Limit`` directly above: its limit + offset) only the
-    first ``limit`` rows are produced. When every term sorts in the same
-    direction that is a bounded top-k: ``heapq.nsmallest`` / ``nlargest``
-    are defined as ``sorted(...)[:k]``, so the rows and their tie order are
-    exactly those of the full sort. (With fusion on, a one-direction sort
-    over a fusable chain is a pipeline's ``topk`` sink instead.)
     """
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        orders: tuple[SortOrder, ...],
-        key_kernel: CompiledPipeline | None = None,
-        limit: int | None = None,
-    ):
+    def __init__(self, child: PhysicalOperator, orders: tuple[SortOrder, ...]):
         super().__init__(child.schema, (child,))
         self._orders = orders
-        self._key_kernel = key_kernel
-        self._limit = limit
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         full = ColumnBatch.concat(self.schema, list(self.children[0].execute(ctx)))
         if full.num_rows == 0:
             yield full
             return
-        if self._key_kernel is not None:
-            key_columns = self._key_kernel.eval_all(full, ctx.eval_ctx)
-        else:
-            key_columns = [o.expr.eval(full, ctx.eval_ctx) for o in self._orders]
-        yield full.take(self._sorted_indices(key_columns, full.num_rows))
-
-    def _sorted_indices(self, key_columns: list[list[Any]], n: int) -> list[int]:
-        keys = [
-            _ranked_keys(values, order)
-            for order, values in zip(self._orders, key_columns)
-        ]
-        descending = [not order.ascending for order in self._orders]
-        limit = self._limit
-        if limit is not None and limit < n and len(set(descending)) == 1:
-            # One direction: the terms compare as one composite key.
-            composite = keys[0] if len(keys) == 1 else list(zip(*keys))
-            top = heapq.nlargest if descending[0] else heapq.nsmallest
-            return top(limit, range(n), key=composite.__getitem__)
-        indices = list(range(n))
-        for term_keys, reverse in reversed(list(zip(keys, descending))):
-            indices.sort(key=term_keys.__getitem__, reverse=reverse)
-        return indices[:limit]
+        keys = [_ranked_keys(o.expr.eval(full, ctx.eval_ctx), o) for o in self._orders]
+        indices = list(range(full.num_rows))
+        for term_keys, order in reversed(list(zip(keys, self._orders))):
+            indices.sort(key=term_keys.__getitem__, reverse=not order.ascending)
+        yield full.take(indices)
 
 
 def _ranked_keys(values: list[Any], order: SortOrder) -> list[Any]:
@@ -680,16 +558,17 @@ class PhysHashAggregate(PhysicalOperator):
     ships across the wire); final mode merges such states. Complete mode does
     both locally.
 
-    Complete and partial modes accumulate through one pipeline loop: by
-    default the aggregate alone over ``children[0]``; fused, a ``spec`` of
-    the whole chain below composed onto ``children[0]`` — through a join
-    probe whose build side is ``children[1]`` — so one call per source batch
-    filters, probes and folds rows into accumulator slots in place, with no
-    intermediate or joined batch. The loop's groups convert to the aggregate
+    Complete and partial modes accumulate through one pipeline loop: the
+    planner's ``spec`` of the whole chain below composed onto
+    ``children[0]`` — through a join probe whose build side is
+    ``children[1]`` — so one call per source batch filters, probes and
+    folds rows into accumulator slots in place, with no intermediate or
+    joined batch; or, for an aggregate over user code, the aggregate alone
+    over ``children[0]``. The loop's groups convert to the aggregate
     algebra's layout once, after the last batch, so emission (partial blobs
-    or finalized outputs) is byte-identical to the unfused plan. Without a
-    compiled ``pipeline`` (no compiler, or it refused) the spec is
-    interpreted.
+    or finalized outputs) is byte-identical to the interpreted loop's.
+    Without a compiled ``pipeline`` (no compiler, or it refused) the spec
+    is interpreted.
     """
 
     def __init__(
@@ -725,7 +604,7 @@ class PhysHashAggregate(PhysicalOperator):
                 self._merge_partial_batch(batch, groups)
         else:
             pipeline = self.pipeline
-            with _kernel_span(ctx, pipeline, "pipeline", sink=self.spec.label):
+            with _pipeline_span(ctx, pipeline, self.spec.label):
                 for _ in _run_loop(ctx, self.children, self.spec, pipeline, groups):
                     pass
             if pipeline is not None:
@@ -879,10 +758,9 @@ def _run_loop(
         build = ColumnBatch.concat(children[1].schema, list(children[1].execute(ctx)))
         keys = join_keys([k.eval(build, ctx.eval_ctx) for k in spec.probe.build_keys])
         table = hash_keys(keys, build.iter_rows())
-    run = pipeline.accumulate if pipeline is not None else partial(interpret_pipeline, spec)
     for batch in children[0].execute(ctx):
         if batch.num_rows:
-            yield run(batch, ctx.eval_ctx, state, table)
+            yield run_pipeline(spec, pipeline, batch, ctx.eval_ctx, state, table)
     if spec.probe is not None and spec.probe.how == "full":
         # The build rows no probe row matched, NULL-extended, in their order.
         unmatched = build.take(
@@ -924,7 +802,7 @@ class PhysPipeline(PhysicalOperator):
         if self._limit == 0:
             return
         state = sink_state(spec, self._limit, self._offset)
-        with _kernel_span(ctx, self.pipeline, "pipeline", sink=spec.label):
+        with _pipeline_span(ctx, self.pipeline, spec.label):
             for columns in _run_loop(ctx, self.children, spec, self.pipeline, state):
                 if spec.sink != "topk":
                     yield ColumnBatch(self.schema, columns)
@@ -933,20 +811,6 @@ class PhysPipeline(PhysicalOperator):
         if spec.sink == "topk":
             rows = topk_rows(spec, state, self._limit, self._offset)
             yield ColumnBatch.from_rows(self.schema, rows)
-
-
-class PhysFilterProject(PhysPipeline):
-    """Fused filter→project: a chain's ``collect`` loop with no join probe.
-
-    One compiled call per batch tests the predicate and appends the
-    projected values row by row; the filtered batch is never materialized.
-    The planner builds it only when the compiler accepted the condition and
-    the projection list (no user code — a pre-filter UDF invocation would
-    change how often user code runs — and no unknown node types).
-    """
-
-    def __init__(self, child: PhysicalOperator, schema: Schema, kernel: CompiledPipeline):
-        super().__init__([child], schema, kernel.spec, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -965,11 +829,14 @@ def probe_key_columns(
 
 
 class PhysJoin(PhysicalOperator):
-    """Nested-loop join with a hash fast path for conjunctive equi-joins.
+    """The joins no probe loop runs: cross, non-equi, an equi-join with a
+    residual (hashed on its keys, then the residual over the candidate
+    pairs, never a nested loop), a FULL join under a sink, and keys with
+    user code in them.
 
     Rows come out in the preserved side's order — each left row (a right
     row, for RIGHT) followed by its matches or by its NULL-extended row, a
-    FULL join's unmatched right rows last — which is the order a fused
+    FULL join's unmatched right rows last — which is the order a
     pipeline's join probe produces.
     """
 
@@ -980,17 +847,10 @@ class PhysJoin(PhysicalOperator):
         how: str,
         condition: Expression | None,
         schema: Schema,
-        compiler: KernelCompiler | None = None,
     ):
         super().__init__(schema, (left, right))
         self._how = how
         self._condition = condition
-        self._compiler = compiler
-        # Lazily compiled (left keys, right keys) kernels: key expressions
-        # depend on the left input's width, known only once batches flow.
-        self._key_kernels: tuple[
-            CompiledPipeline | None, CompiledPipeline | None
-        ] | None = None
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         # Both inputs are materialized anyway, so they are safe to build
@@ -1065,26 +925,11 @@ class PhysJoin(PhysicalOperator):
         left_matched: list[bool],
         right_matched: list[bool],
     ) -> list[tuple[int, int]]:
-        left_width = left.num_columns
         # Right-side key expressions reference combined-schema positions.
-        shifted = [shift_refs(k, -left_width) for k in right_keys]
-        if self._compiler is not None and self._key_kernels is None:
-            # Compiled once per operator; None entries (e.g. bare-column
-            # keys, where interpretation is already a no-copy read) keep
-            # the interpreted path for that side.
-            self._key_kernels = (
-                self._compiler.compile_projection(tuple(left_keys)),
-                self._compiler.compile_projection(tuple(shifted)),
-            )
-        left_kernel, right_kernel = self._key_kernels or (None, None)
-        if right_kernel is not None:
-            right_key_cols = right_kernel.eval_all(right, ctx.eval_ctx)
-        else:
-            right_key_cols = [k.eval(right, ctx.eval_ctx) for k in shifted]
-        if left_kernel is not None:
-            left_key_cols = left_kernel.eval_all(left, ctx.eval_ctx)
-        else:
-            left_key_cols = [k.eval(left, ctx.eval_ctx) for k in left_keys]
+        right_key_cols = [
+            shift_refs(k, -left.num_columns).eval(right, ctx.eval_ctx) for k in right_keys
+        ]
+        left_key_cols = [k.eval(left, ctx.eval_ctx) for k in left_keys]
         candidates = probe_key_columns(left_key_cols, right_key_cols)
         if residual is not None and candidates:
             combined = self._pairs_batch(left, right, candidates)
@@ -1214,35 +1059,28 @@ def _unfold_scan(scan: Scan) -> LogicalPlan:
 class PhysicalPlanner:
     """Maps an optimized logical plan to a physical operator tree.
 
-    With a :class:`~repro.engine.compile.KernelCompiler`, expression-heavy
-    operators receive compiled kernels and ``Project(Filter(x))`` shapes
-    collapse into :class:`PhysFilterProject` when the compiler accepts the
-    fusion. Every kernel is optional: a refused or failed compilation keeps
-    the interpreted operator, so planning never fails due to compilation.
+    Every maximal chain of engine-code Filter/Project stages — through at
+    most one equi-join the loop probes — is lowered together with the sink
+    it feeds into one loop (see :meth:`_plan_pipeline`): an aggregate, a
+    one-direction sort (with its LIMIT: a bounded top-k), a LIMIT, or
+    nothing (``collect``: the rows are the result). A chain starts at the
+    scan's pushed filters (a row filter outside the policy slot first), so
+    the first is the loop's first test. The plan does not depend on the
+    compiler: with one, each loop runs as generated code where the compiler
+    accepts it; without one, or where it refuses,
+    :func:`~repro.engine.compile.interpret_pipeline` runs the same spec.
 
-    With ``fuse_operators`` (and a compiler), the planner additionally
-    detects maximal fusable chains — runs of Filter/Project stages, through
-    at most one equi-join the loop probes, feeding a sink: an aggregate, a
-    one-direction sort (with its LIMIT: a top-k), a LIMIT, or nothing (the
-    rows are the result) — and lowers each into one generated loop (see
-    :meth:`_plan_pipeline`). A chain starts at the scan's
-    pushed filters (a row filter outside the policy slot first), so the
-    first is the loop's first test, not a separate pass over the scan
-    output. Chains break at any stage
-    containing user code: the opaque stage plans normally (its UDFs run
-    next to the sandbox, exactly as often as unfused) and fusion restarts
-    below it, so a UDF splits a chain into two fused segments around the
-    sandbox call; a scan directly below the break keeps its pushed filters
-    and runs them through its own predicate kernels.
+    Chains break at any stage containing user code: that stage plans as a
+    :class:`PhysFilter` / :class:`PhysProject` (its UDFs run next to the
+    sandbox, exactly as often as the query says) and chaining restarts
+    below it, so a UDF splits a chain into two loops around the sandbox
+    call. What no loop runs stays on interpreted operators:
+    :class:`PhysSort` (mixed directions, or user code in a key) and
+    :class:`PhysJoin` (cross, non-equi and residual joins).
     """
 
-    def __init__(
-        self,
-        compiler: KernelCompiler | None = None,
-        fuse_operators: bool = True,
-    ):
+    def __init__(self, compiler: KernelCompiler | None = None):
         self._compiler = compiler
-        self._fuse = fuse_operators
 
     def plan(self, logical: LogicalPlan) -> PhysicalOperator:
         """Recursively select a physical operator for each logical node."""
@@ -1255,34 +1093,17 @@ class PhysicalPlanner:
         if isinstance(logical, RemoteScan):
             return PhysRemoteScan(logical)
         if isinstance(logical, Filter):
-            fused = self._plan_fused_chain(logical)
-            if fused is not None:
-                return fused
-            kernel = None
-            if self._compiler is not None:
-                kernel = self._compiler.compile_predicate(logical.condition)
-            return PhysFilter(
-                self.plan(logical.child), logical.condition, kernel=kernel
+            return self._plan_pipeline(logical) or PhysFilter(
+                self.plan(logical.child), logical.condition
             )
         if isinstance(logical, Project):
-            fused = self._plan_fused_chain(logical)
-            if fused is None:
-                fused = self._plan_fused_filter_project(logical)
-            if fused is not None:
-                return fused
-            logical = self._narrow_child(logical)
-            kernel = None
-            if self._compiler is not None:
-                kernel = self._compiler.compile_projection(logical.exprs)
-            return PhysProject(
-                self.plan(logical.child), logical.exprs, logical.schema,
-                kernel=kernel,
-            )
-        if isinstance(logical, Aggregate):
             fused = self._plan_pipeline(logical)
             if fused is not None:
                 return fused
-            return PhysHashAggregate(
+            logical = self._narrow_child(logical)
+            return PhysProject(self.plan(logical.child), logical.exprs, logical.schema)
+        if isinstance(logical, Aggregate):
+            return self._plan_pipeline(logical) or PhysHashAggregate(
                 [self.plan(logical.child)],
                 logical.groupings,
                 logical.aggregates,
@@ -1291,32 +1112,21 @@ class PhysicalPlanner:
                 compiler=self._compiler,
             )
         if isinstance(logical, Join):
-            fused = self._plan_pipeline(logical)
-            if fused is not None:
-                return fused
-            return PhysJoin(
+            return self._plan_pipeline(logical) or PhysJoin(
                 self.plan(logical.left),
                 self.plan(logical.right),
                 logical.how,
                 logical.condition,
                 logical.schema,
-                compiler=self._compiler,
             )
         if isinstance(logical, Sort):
-            return self._plan_pipeline(logical) or self._plan_sort(logical)
+            return self._plan_pipeline(logical) or PhysSort(
+                self.plan(logical.child), logical.orders
+            )
         if isinstance(logical, Limit):
-            fused = self._plan_pipeline(logical)
-            if fused is not None:
-                return fused
-            if isinstance(logical.child, Sort):
-                # ORDER BY … LIMIT: the sort keeps only the rows the limit
-                # (after its offset) can still return — a bounded top-k.
-                child: PhysicalOperator = self._plan_sort(
-                    logical.child, limit=logical.limit + logical.offset
-                )
-            else:
-                child = self.plan(logical.child)
-            return PhysLimit(child, logical.limit, logical.offset)
+            return self._plan_pipeline(logical) or self._plan_pipeline(
+                logical, compose=False
+            )
         if isinstance(logical, Distinct):
             return PhysDistinct(self.plan(logical.child))
         if isinstance(logical, Union):
@@ -1335,17 +1145,14 @@ class PhysicalPlanner:
     def _narrow_child(self, logical: Project) -> Project:
         """A projection no chain absorbed — a UDF stage — reads only some of
         its child's columns: stack a projection of exactly those on the
-        child, so the fusable chain below ends in it (and its scan decodes
-        only them), and rebind this projection onto it. Unchanged when the
-        child is a scan (logical pruning covers it), when every column is
-        read, when this projection already is a column selection, or
-        without fusion."""
+        child, so the chain below ends in it (and its scan decodes only
+        them), and rebind this projection onto it. Unchanged when the child
+        is a scan (logical pruning covers it), when every column is read, or
+        when this projection already is a column selection."""
         child = logical.child
         fields = child.schema.fields
         if (
-            self._compiler is None
-            or not self._fuse
-            or not fields
+            not fields
             or isinstance(child, Scan)
             or all(isinstance(e, BoundRef) for e in logical.exprs)
         ):
@@ -1356,52 +1163,41 @@ class PhysicalPlanner:
         kept, mapping = project_columns(child, read)
         return Project(kept, [rebind_refs(e, mapping) for e in logical.exprs])
 
-    def _plan_scan(self, logical: Scan) -> PhysScan:
-        """A scan no fused consumer absorbed: its pushed filters and column
-        selection compile into one filter→project kernel. A refused kernel
-        (or policy slot kernel) is interpreted, and counted as a fusion
-        miss so the fallback shows in ``cache_stats``."""
+    def _plan_scan(self, logical: Scan) -> PhysicalOperator:
+        """A scan's pushed filters and column pruning plan as the stages they
+        are (:func:`_unfold_scan`), so :class:`PhysScan` is left with the
+        fetch, the decode and the policy slot (whose kernel, where the
+        compiler refused it, counts a fusion miss). A scan that keeps no
+        column is unfolded too: a batch needs one to carry its row count."""
+        if logical.pushed_filters or logical.required_columns == ():
+            operator = self.plan(_unfold_scan(logical))
+            operator.schema = logical.schema
+            return operator
         scan = PhysScan(logical, self._compiler)
-        if self._compiler is not None and (
-            (scan.condition is not None and scan.kernel is None)
-            or (scan.policy is not None and scan.policy.kernel is None)
-        ):
-            self._compiler.note_fusion(False)
+        if scan.policy is not None and scan.policy.kernel is None:
+            self._note_miss()
         return scan
 
-    def _plan_sort(self, logical: Sort, limit: int | None = None) -> PhysSort:
-        key_kernel = None
+    def _note_miss(self) -> None:
+        """Count one loop that runs interpreted although a compiler is set."""
         if self._compiler is not None:
-            key_kernel = self._compiler.compile_projection(
-                tuple(o.expr for o in logical.orders)
-            )
-        return PhysSort(
-            self.plan(logical.child),
-            logical.orders,
-            key_kernel=key_kernel,
-            limit=limit,
-        )
+            self._compiler.note_fusion(False)
 
-    def _plan_fused_filter_project(
-        self, logical: Project
-    ) -> PhysFilterProject | None:
-        """Collapse ``Project(Filter(x))`` into one compiled operator.
+    def _plan_selection(
+        self, boundary: LogicalPlan, refs: list[Expression], schema: Schema
+    ) -> PhysicalOperator:
+        """A chain that only selects ``boundary``'s columns ``refs``: the
+        boundary's operator — a scan narrowed to them — with the selection
+        above it where that is not already its layout (nothing to loop
+        over)."""
+        boundary, refs = _narrow_scan(boundary, refs)
+        child = self.plan(boundary)
+        if [r.index for r in refs] == list(range(len(boundary.schema))):
+            child.schema = schema
+            return child
+        return PhysProject(child, tuple(refs), schema)
 
-        Only when the compiler accepts condition *and* projections — it
-        refuses any user code or unknown node, which keeps sandbox fusion
-        and UDF invocation counts identical to the unfused plan.
-        """
-        if self._compiler is None or not isinstance(logical.child, Filter):
-            return None
-        filter_node = logical.child
-        kernel = self._compiler.compile_filter_projection(
-            filter_node.condition, logical.exprs
-        )
-        if kernel is None:
-            return None
-        return PhysFilterProject(self.plan(filter_node.child), logical.schema, kernel)
-
-    # -- whole-operator (pipeline) fusion ------------------------------------
+    # -- chains and their sinks ------------------------------------------------
 
     def _fusion_chain(
         self, node: LogicalPlan
@@ -1410,16 +1206,16 @@ class PhysicalPlanner:
 
         Walks down through metadata wrappers (SecureView/SubqueryAlias keep
         column positions, so positional composition passes straight through
-        them — this is what lets fusion cross the policy filters enforcement
+        them — this is what lets a chain cross the policy filters enforcement
         wraps around governed tables). Stops at the first stage containing
         user code or an unknown node: that stage is the UDF chain-break.
         Returns ``(stages top-down, boundary node)``; the boundary plans
-        normally and becomes the fused pipeline's source.
+        normally and becomes the loop's source.
 
         A scan's pushed filters are the
         chain's bottom stages: the scan is unfolded into ``Project(required
         columns) → Filter(pushed) … → bare Scan`` (keeping its policy slot)
-        and the bare scan becomes the boundary, so the fused loop tests the
+        and the bare scan becomes the boundary, so the loop tests the
         pushed predicates itself and no filtered batch is built between
         scan and consumer. The bare scan is not left reading every column:
         once the chain is composed,
@@ -1480,47 +1276,6 @@ class PhysicalPlanner:
                 ]
         return condition, out_exprs
 
-    def _plan_fused_chain(
-        self, logical: Filter | Project
-    ) -> PhysicalOperator | None:
-        """Lower a chain that ends in no sink — ``logical`` is its top
-        Filter/Project — into one loop: a ``collect`` pipeline when the chain
-        ends in a join the loop can probe, else a fused filter→project of
-        two or more stages (a scan's pushed filters count; a lone stage is
-        already a single kernel). A chain that only selects columns of a
-        scan is that scan, narrowed to them: there is nothing to loop over.
-        """
-        if self._compiler is None or not self._fuse:
-            return None
-        source = self._compose_source(logical, full=True)
-        if source.build is not None:
-            return self._plan_pipeline(logical)
-        if (
-            source.condition is None
-            and isinstance(source.boundary, Scan)
-            and all(isinstance(e, BoundRef) for e in source.outs)
-        ):
-            narrowed, refs = _narrow_scan(source.boundary, source.outs)
-            scan = self._plan_scan(narrowed)
-            if [r.index for r in refs] != list(range(len(narrowed.schema))):
-                return PhysProject(scan, tuple(refs), logical.schema)
-            scan.schema = logical.schema
-            return scan
-        if source.stages < 2:
-            return None
-        try:
-            boundary, (condition, *outs) = _narrow_scan(
-                source.boundary, [source.condition, *source.outs]
-            )
-            if condition is None:
-                kernel = self._compiler.compile_projection(outs)
-            else:
-                kernel = self._compiler.compile_filter_projection(condition, outs)
-        except Exception:  # noqa: BLE001 - fusion is an optional fast path
-            kernel = None
-        self._compiler.note_fusion(kernel is not None)
-        return kernel and PhysFilterProject(self.plan(boundary), logical.schema, kernel)
-
     @staticmethod
     def _probe_split(join: Join, full: bool = False) -> tuple | None:
         """``(how, probe side, build side, probe keys, build keys)`` of a join
@@ -1574,51 +1329,70 @@ class PhysicalPlanner:
             None if condition is None else substitute_refs(condition, mapping),
         )
 
-    def _plan_pipeline(self, node: LogicalPlan) -> PhysicalOperator | None:
-        """Lower the chain below a sink, and the sink, into one pipeline.
+    def _plan_pipeline(
+        self, node: LogicalPlan, compose: bool = True
+    ) -> PhysicalOperator | None:
+        """Lower ``node`` — a sink — and the chain below it into one loop.
 
-        ``node`` is the sink: an Aggregate, a one-direction Sort or a Limit
-        (over such a Sort: a top-k); any other node's rows are the result
-        (``collect``, only through a join probe, see
-        :meth:`_plan_fused_chain`). An aggregate fuses even without a chain
-        (inlined accumulator updates alone beat per-call dispatch); the other
-        sinks need a stage or a probe. A sink over user code counts a fusion
-        miss and plans unfused; a pipeline the compiler refuses counts one
-        and runs interpreted (:func:`~repro.engine.compile.interpret_pipeline`).
+        The sink is an Aggregate, a one-direction Sort (a top-k of every
+        row), a Limit — over such a Sort, through projections that compose
+        into its outputs, a bounded top-k — or ``collect``: a Filter,
+        Project or Join whose rows are the result, which needs a stage or a
+        join the loop probes. Without ``compose`` the sink reads its child's
+        operator as is. ``None`` leaves ``node`` to its own operator: a
+        FINAL aggregate, a mixed-direction sort, user code in the sink or at
+        the top of the chain, a join no loop probes, or a chain that does
+        not compose. Each loop is generated code where the compiler accepts
+        it, :func:`~repro.engine.compile.interpret_pipeline` otherwise.
         """
-        if self._compiler is None or not self._fuse:
-            return None
         aggregate = isinstance(node, Aggregate)
-        sort = node.child if isinstance(node, Limit) else node
-        orders = sort.orders if isinstance(sort, Sort) else ()
-        if (aggregate and node.mode == AGG_MODE_FINAL) or len(
-            {o.ascending for o in orders}
-        ) > 1:
+        collect = isinstance(node, (Filter, Project, Join))
+        if aggregate and node.mode == AGG_MODE_FINAL:
             return None
-        below = node
-        if isinstance(node, (Aggregate, Sort, Limit)):
-            below = (sort if orders else node).child
+        above: list[LogicalPlan] = []  # projections between a Limit and its Sort
+        sort = node
+        if isinstance(node, Limit) and compose:
+            above, sort = self._fusion_chain(node.child)
+            if not (_one_direction(sort) and all(isinstance(s, Project) for s in above)):
+                above, sort = [], node
+        elif isinstance(node, Sort) and not _one_direction(node):
+            return None
+        orders = sort.orders if isinstance(sort, Sort) else ()
+        below = node if collect else sort.child
         if aggregate:
             calls = distinct_agg_calls(node.aggregates)
             inputs = [c.child if c.child is not None else Literal(True) for c in calls]
             raw = [*node.groupings, *inputs]
+            if has_opaque_nodes(raw):
+                self._note_miss()  # the aggregate alone, over user code
+                return None
         else:
             raw = [o.expr for o in orders]
         try:
-            source = self._compose_source(below, full=below is node)
-            if not (source.stages or source.build is not None or aggregate):
-                return None
-            if has_opaque_nodes(raw):
-                raise UnsupportedOperationError("user code in the sink")
+            source = (
+                self._compose_source(below, full=collect)
+                if compose
+                else _Source(below, None, _refs(below), 0)
+            )
             sinks = [inline_through_projection(e, source.outs) for e in raw]
+            outs = source.outs
+            if above:
+                lifted = self._compose_chain(above)[1]
+                outs = [inline_through_projection(_bare(e), outs) for e in lifted]
             boundary, (condition, matched, *rest) = _narrow_scan(
                 source.boundary,
                 [source.condition, source.matched, *source.keys, *sinks]
-                + ([] if aggregate else source.outs),
+                + ([] if aggregate else outs),
             )
-        except Exception:  # noqa: BLE001 - fusion is an optional fast path
-            self._compiler.note_fusion(False)
+        except Exception:  # noqa: BLE001 - such a chain plans per operator
+            self._note_miss()
             return None
+        if collect and not (source.stages or source.build is not None):
+            return None
+        if collect and source.build is None and source.condition is None and all(
+            isinstance(e, BoundRef) for e in source.outs
+        ):
+            return self._plan_selection(source.boundary, source.outs, node.schema)
         keys, sinks = tuple(rest[: len(source.keys)]), rest[len(source.keys) :]
         probe = None
         if source.build is not None:
@@ -1632,15 +1406,17 @@ class PhysicalPlanner:
             spec = aggregate_spec(sinks[:split], calls, sinks[split:], **chain)
         else:
             spec = PipelineSpec(
-                sink="topk" if orders else "collect" if below is node else "limit",
+                sink="topk" if orders else "collect" if collect else "limit",
                 order=tuple(sinks[: len(orders)]),
                 outputs=tuple(sinks[len(orders) :]),
                 descending=bool(orders) and not orders[0].ascending,
                 nulls_first=tuple(o.nulls_first for o in orders),
                 **chain,
             )
-        pipeline = self._compiler.compile_pipeline_spec(spec)
-        self._compiler.note_fusion(pipeline is not None)
+        pipeline = None
+        if self._compiler is not None:
+            pipeline = self._compiler.compile_pipeline_spec(spec)
+            self._compiler.note_fusion(pipeline is not None)
         children = [self.plan(boundary)]
         if source.build is not None:
             children.append(self.plan(source.build))
@@ -1650,7 +1426,17 @@ class PhysicalPlanner:
                 spec=spec, pipeline=pipeline,
             )
         limit = (node.limit, node.offset) if isinstance(node, Limit) else (None, 0)
-        return PhysPipeline(children, below.schema, spec, pipeline, *limit)
+        return PhysPipeline(children, node.schema, spec, pipeline, *limit)
+
+
+def _one_direction(plan: LogicalPlan) -> bool:
+    """Whether ``plan`` is a Sort a ``topk`` loop can run: every term in one
+    direction, no user code in a key."""
+    return (
+        isinstance(plan, Sort)
+        and len({o.ascending for o in plan.orders}) == 1
+        and not has_opaque_nodes([o.expr for o in plan.orders])
+    )
 
 
 @dataclass

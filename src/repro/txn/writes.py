@@ -29,7 +29,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.catalog.privileges import MODIFY, SELECT, UserContext
 from repro.engine.batch import ColumnBatch
-from repro.engine.compile import KernelCompiler, memoisable_policy, predicate_mask
+from repro.engine.compile import (
+    KernelCompiler,
+    collect_loop,
+    memoisable_policy,
+    run_pipeline,
+)
 from repro.engine.expressions import (
     BoundRef,
     EvalContext,
@@ -226,14 +231,15 @@ def bound_row_filter(
 # row filter -> WHERE / ON -> SET / matched assignments, each stage only
 # over the rows the previous one passed, so a user expression never sees —
 # and can never raise on — a row the filter hides. Row filter -> WHERE is
-# one filter->project pass, row filter leftmost; later stages run over the
+# one collect loop, row filter leftmost; later stages run over the
 # positions it yields (take -> eval -> scatter).
 
 
 class _Evaluator:
-    """Compiled-first evaluation: generated kernels, interpreter on refusal.
+    """Compiled-first evaluation: every pass is a ``collect`` loop, generated
+    code where the compiler accepts it and interpreted otherwise.
 
-    ``compiler=None`` (or a compiler that refuses the expression) leaves the
+    ``compiler=None`` (or a compiler that refuses the loop) leaves the
     interpreter in place; both legs compute the same values.
     """
 
@@ -257,15 +263,12 @@ class _Evaluator:
 
     def predicate(self, condition: Expression) -> Callable[[ColumnBatch], list]:
         """``batch -> row mask`` (truthy = match; NULL never matches)."""
-        kernel = self._compiler and self._compiler.compile_predicate(condition)
-        return lambda batch: predicate_mask(kernel, condition, batch, self._ctx)
+        loop = collect_loop(self._compiler, None, (condition,))
+        return lambda batch: run_pipeline(*loop, batch, self._ctx)[0]
 
     def project(self, exprs: Sequence[Expression], batch: ColumnBatch) -> list[list]:
         """One value column per expression."""
-        kernel = self._compiler and self._compiler.compile_projection(tuple(exprs))
-        if kernel is not None:
-            return kernel.eval_all(batch, self._ctx)
-        return [expr.eval(batch, self._ctx) for expr in exprs]
+        return run_pipeline(*collect_loop(self._compiler, None, exprs), batch, self._ctx)
 
 
 def _references(exprs: Iterable[Expression]) -> set[int]:

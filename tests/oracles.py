@@ -1,4 +1,5 @@
-"""One equality oracle for every compiled ≡ interpreted property test.
+"""One equality oracle for every compiled ≡ interpreted property test, and
+one plan-shape oracle for the plans those tests compare.
 
 Bare ``==`` is wrong both ways for floats. Two NaN objects compare unequal
 even when both legs computed NaN (``2 / 1.1e-308`` overflows to ``inf``,
@@ -7,6 +8,10 @@ print. :func:`same` holds NaN equal to NaN and tells ``-0.0`` from ``0.0``;
 every other value compares with ``==``. It recurses through lists and
 tuples (which must match in kind and length), dicts (item by item, in
 insertion order) and sets.
+
+:func:`plan_shape` is what a physical plan looks like without its kernels:
+operator types and loop sinks. Compiled and interpreted runs of one query
+must plan the same shape.
 """
 
 from __future__ import annotations
@@ -42,3 +47,15 @@ def same(a: Any, b: Any) -> bool:
 def all_same(*values: Any) -> bool:
     """:func:`same` across every consecutive pair of ``values``."""
     return all(same(a, b) for a, b in zip(values, values[1:]))
+
+
+def plan_shape(operator: Any) -> tuple:
+    """``operator``'s tree as ``(type, loop, child shapes)``: ``loop`` is
+    the sink and span label (``("topk", "join_probe")`` for a top-k that
+    probes a join), ``None`` for an operator that runs no loop."""
+    spec = getattr(operator, "spec", None)
+    return (
+        type(operator).__name__,
+        None if spec is None else (spec.sink, spec.label),
+        tuple(plan_shape(child) for child in operator.children),
+    )

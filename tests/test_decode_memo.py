@@ -187,9 +187,7 @@ def bump(qty):
 def _refuse_compilation(monkeypatch):
     from repro.engine.compile import KernelCompiler
 
-    refuse = lambda self, *args: None  # noqa: E731
-    for method in ("compile_projection", "compile_filter_projection", "compile_pipeline_spec"):
-        monkeypatch.setattr(KernelCompiler, method, refuse)
+    monkeypatch.setattr(KernelCompiler, "compile_pipeline_spec", lambda self, spec: None)
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +198,7 @@ def governed():
     ws.add_group("analysts", ["alice"])
     ws.catalog.create_catalog("main", owner="admin")
     ws.catalog.create_schema("main.s", owner="admin")
-    legs = {"fused": True, "fusion-off": False, "compile-refused": True}
-    clusters = {
-        leg: ws.create_standard_cluster(name=leg, engine_fuse_operators=fuse)
-        for leg, fuse in legs.items()
-    }
+    clusters = {leg: ws.create_standard_cluster(name=leg) for leg in ("fused", "compile-refused")}
     admin = clusters["fused"].connect("admin")
     admin.sql(f"CREATE TABLE {T} (id int, region string, amount float, qty int, buyer string)")
     admin.sql(f"CREATE TABLE {C} (region string, zone string)")

@@ -134,7 +134,9 @@ def test_readme_lists_every_system_table():
 #: three keywords, classes, kernel rehydration and generator-version salt
 #: (split by groups, like the shared-memory names, so a grep stays empty).
 #: Also deleted: the in-process sandbox and the row-wise apply a
-#: ``PythonUDF`` carried with its callable.
+#: ``PythonUDF`` carried with its callable. Deleted in PR 42: the keyword,
+#: environment variable and config field that switched whole-operator
+#: fusion off (grouped like the names above).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -146,7 +148,8 @@ _DELETED = re.compile(
     r"\b(store_(backend|dir)|result_(cache)_enabled|Artifact(Store)|"
     r"GovernedResult(Cache)|(Disk|Memory)Tier|rehydrate_(artifact)|"
     r"GENERATOR_(VERSION))\b|"
-    r"\b(InProcess(Sandbox)|invoke_(rows))\b"
+    r"\b(InProcess(Sandbox)|invoke_(rows))\b|"
+    r"\b((engine_|default_)?fuse_(operators)|LAKEGUARD_FUSE_(OPERATORS))\b"
 )
 
 

@@ -343,8 +343,7 @@ class TestUnmemoisablePolicies:
 # ---------------------------------------------------------------------------
 
 def _refuse_compilation(monkeypatch):
-    for method in ("compile_projection", "compile_filter_projection", "compile_predicate"):
-        monkeypatch.setattr(KernelCompiler, method, lambda self, *args: None)
+    monkeypatch.setattr(KernelCompiler, "compile_pipeline_spec", lambda self, spec: None)
 
 
 @pytest.fixture(scope="module")

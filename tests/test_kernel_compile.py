@@ -2,16 +2,16 @@
 
 Covers the compilation layer end to end:
 
-- property tests (hypothesis) proving the generated kernels match the
-  interpreter exactly — including SQL three-valued logic, NULL-on-zero
-  division, LIKE/IN NULL propagation, and fused filter→project;
+- property tests (hypothesis) proving generated ``collect`` loops match
+  the interpreter exactly — including SQL three-valued logic, NULL-on-zero
+  division, LIKE/IN NULL propagation, and filter→project in one loop;
 - governed equivalence: the same FGAC-protected query (row filter +
   column mask + UDF) returns identical rows with ``engine_compile`` on
   and off;
 - automatic interpreter fallback when lowering fails, with the failure
   counted in ``system.access.cache_stats``;
-- planner fusion rules (fused ``PhysFilterProject`` only when no user
-  code is involved);
+- planner wiring (a filter→project chain is one ``collect`` pipeline, a
+  UDF stage breaks it, and compilation off plans the same pipeline);
 - kernel-cache reuse across structurally congruent plans, and physical
   plans (kernels attached) riding the secure-plan cache until the policy
   epoch bumps.
@@ -28,6 +28,8 @@ from repro.engine.batch import ColumnBatch
 from repro.engine.compile import (
     KernelCache,
     KernelCompiler,
+    PipelineSpec,
+    collect_loop,
     expression_fingerprint,
 )
 from repro.engine.executor import ExecutionConfig, QueryEngine
@@ -50,7 +52,7 @@ from repro.engine.expressions import (
     lit,
 )
 from repro.engine.logical import Filter, LocalRelation, Project, UnresolvedRelation
-from repro.engine.physical import PhysFilter, PhysFilterProject, PhysProject
+from repro.engine.physical import PhysPipeline, PhysProject
 from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.engine.udf import udf as engine_udf
 from tests.oracles import same
@@ -127,6 +129,18 @@ def make_batch(rows) -> ColumnBatch:
     return ColumnBatch(SCHEMA, columns)
 
 
+def compile_collect(compiler, exprs, condition=None):
+    """The ``collect`` loop of ``exprs`` over the rows ``condition`` admits."""
+    return compiler.compile_pipeline_spec(
+        PipelineSpec(condition, sink="collect", outputs=tuple(exprs))
+    )
+
+
+def run(kernel, batch, ctx):
+    """Every output column of one ``collect`` loop call."""
+    return kernel.accumulate(batch, ctx, None)
+
+
 # ---------------------------------------------------------------------------
 # Property: compiled ≡ interpreted
 # ---------------------------------------------------------------------------
@@ -154,10 +168,9 @@ class TestCompiledEqualsInterpreted:
     def test_projection_kernel_matches_interpreter(self, rows, exprs):
         batch = make_batch(rows)
         ctx = EvalContext(user="alice", groups=frozenset({"analysts"}))
-        kernel = KernelCompiler().compile_projection(tuple(exprs))
-        if kernel is None:
-            return  # trivially skipped lists have no kernel to compare
-        compiled = kernel.eval_all(batch, ctx)
+        kernel = compile_collect(KernelCompiler(), exprs)
+        assert kernel is not None, "no opaque nodes: lowering must succeed"
+        compiled = run(kernel, batch, ctx)
         interpreted = [e.eval(batch, ctx) for e in exprs]
         assert same(compiled, interpreted)
 
@@ -166,10 +179,9 @@ class TestCompiledEqualsInterpreted:
     def test_predicate_kernel_matches_interpreter(self, rows, cond):
         batch = make_batch(rows)
         ctx = EvalContext()
-        kernel = KernelCompiler().compile_predicate(cond)
-        if kernel is None:
-            return
-        [mask] = kernel.eval_all(batch, ctx)
+        kernel = compile_collect(KernelCompiler(), (cond,))
+        assert kernel is not None
+        [mask] = run(kernel, batch, ctx)
         assert same(mask, cond.eval(batch, ctx))
 
     @given(
@@ -183,9 +195,9 @@ class TestCompiledEqualsInterpreted:
     ):
         batch = make_batch(rows)
         ctx = EvalContext()
-        kernel = KernelCompiler().compile_filter_projection(cond, tuple(exprs))
-        assert kernel is not None, "no opaque nodes: fusion must succeed"
-        fused = kernel.eval_all(batch, ctx)
+        kernel = compile_collect(KernelCompiler(), exprs, cond)
+        assert kernel is not None, "no opaque nodes: lowering must succeed"
+        fused = run(kernel, batch, ctx)
         filtered = batch.filter(cond.eval(batch, ctx))
         expected = [e.eval(filtered, ctx) for e in exprs]
         assert same(fused, expected)
@@ -203,9 +215,9 @@ class TestCompiledEqualsInterpreted:
             InList(X, (0, 4), negated=True),
             Not(Comparison("=", Y, lit(2.0))),
         ]
-        kernel = KernelCompiler().compile_projection(tuple(cases))
+        kernel = compile_collect(KernelCompiler(), cases)
         assert kernel is not None
-        assert kernel.eval_all(batch, ctx) == [e.eval(batch, ctx) for e in cases]
+        assert run(kernel, batch, ctx) == [e.eval(batch, ctx) for e in cases]
 
     def test_current_user_and_group_membership_come_from_context(self):
         from repro.engine.expressions import CurrentUser, IsAccountGroupMember
@@ -215,13 +227,13 @@ class TestCompiledEqualsInterpreted:
             [(IsAccountGroupMember("hr"), S)],
             FunctionCall("concat", (CurrentUser(), lit(":redacted"))),
         )
-        kernel = KernelCompiler().compile_projection((expr,))
+        kernel = compile_collect(KernelCompiler(), (expr,))
         assert kernel is not None
         hr = EvalContext(user="carol", groups=frozenset({"hr"}))
         outsider = EvalContext(user="bob", groups=frozenset())
-        assert kernel.eval_all(batch, hr) == [expr.eval(batch, hr)]
-        assert kernel.eval_all(batch, outsider) == [expr.eval(batch, outsider)]
-        assert kernel.eval_all(batch, outsider)[0] == [
+        assert run(kernel, batch, hr) == [expr.eval(batch, hr)]
+        assert run(kernel, batch, outsider) == [expr.eval(batch, outsider)]
+        assert run(kernel, batch, outsider)[0] == [
             "bob:redacted", "bob:redacted"
         ]
 
@@ -312,7 +324,8 @@ class TestPlannerWiring:
         )
         engine, analyzed = self._analyzed(plan)
         operator = engine.plan_physical(analyzed)
-        assert isinstance(operator, PhysFilterProject)
+        assert isinstance(operator, PhysPipeline) and operator.spec.sink == "collect"
+        assert operator.pipeline is not None
 
     def test_udf_in_projection_prevents_fusion(self):
         @engine_udf("int")
@@ -325,13 +338,14 @@ class TestPlannerWiring:
         )
         engine, analyzed = self._analyzed(plan)
         operator = engine.plan_physical(analyzed)
-        # Unfused: the UDF must only ever see post-filter rows. With fusion
-        # on, the filter below runs fused with the selection of the one
-        # column the UDF stage reads.
+        # The UDF stage must only ever see post-filter rows: the filter
+        # below runs in one loop with the selection of the one column the
+        # UDF stage reads.
         assert isinstance(operator, PhysProject)
-        assert isinstance(operator.children[0], (PhysFilter, PhysFilterProject))
+        assert isinstance(operator.children[0], PhysPipeline)
 
     def test_compile_disabled_plans_plain_operators(self):
+        """Compilation off plans the same pipeline; its loop is interpreted."""
         plan = Project(
             Filter(UnresolvedRelation("t"), Comparison(">", col("x"), lit(0))),
             (Alias(Arithmetic("+", col("x"), lit(1)), "x1"),),
@@ -339,9 +353,9 @@ class TestPlannerWiring:
         engine = _make_engine([(1, 1.0, "a")], False)
         assert engine.kernel_compiler is None
         operator = engine.plan_physical(engine.analyze(plan))
-        assert isinstance(operator, PhysProject)
-        assert operator._kernel is None
-        assert operator.children[0]._kernel is None
+        assert isinstance(operator, PhysPipeline) and operator.spec.sink == "collect"
+        assert operator.pipeline is None
+        assert engine.execute(plan).rows() == [(2,)]
 
 
 class TestLoopsNeverTruncate:
@@ -352,45 +366,20 @@ class TestLoopsNeverTruncate:
     ROWS = [(1, 1.0, "a"), (2, 2.0, "b"), (3, 3.0, "c")]
 
     @pytest.mark.parametrize("delta", [-1, 1], ids=["shorter", "longer"])
-    @pytest.mark.parametrize("with_column", [True, False], ids=["zip", "lone"])
-    def test_projection_rejects_a_mismatched_opaque_column(
-        self, delta, with_column
-    ):
-        @engine_udf("int")
-        def bump(v):
-            return v + 1
-
-        other = X if with_column else lit(10)
-        kernel = KernelCompiler().compile_projection(
-            (Arithmetic("+", bump(X), other),)
-        )
-        assert kernel is not None and len(kernel.artifact.opaque_spec) == 1
-        batch = make_batch(self.ROWS)
-        fn, env = kernel.artifact.fn, kernel._env  # noqa: SLF001
-        assert fn(batch.columns, 3, EvalContext(), env, [[2, 3, 4]]) == [
-            [3, 5, 7] if with_column else [12, 13, 14]
-        ]
-        mismatched = [[2, 3, 4, 5][: 3 + delta]]
-        with pytest.raises(ValueError):
-            fn(batch.columns, 3, EvalContext(), env, mismatched)
-
-    @pytest.mark.parametrize("delta", [-1, 1], ids=["shorter", "longer"])
     def test_filter_projection_rejects_a_mismatched_column(self, delta):
-        # Filter→projection kernels refuse opaque nodes, so every leaf is a
-        # batch column: one of a different length must still raise.
-        kernel = KernelCompiler().compile_filter_projection(
-            Comparison(">", X, lit(1)), (Arithmetic("*", Y, lit(2.0)), S)
+        # Loops refuse opaque nodes, so every leaf is a batch column: one of
+        # a different length must still raise.
+        kernel = compile_collect(
+            KernelCompiler(), (Arithmetic("*", Y, lit(2.0)), S), Comparison(">", X, lit(1))
         )
         assert kernel is not None
         batch = make_batch(self.ROWS)
         fn, env = kernel.artifact.fn, kernel._env  # noqa: SLF001
-        assert fn(batch.columns, 3, EvalContext(), env, []) == [
-            [4.0, 6.0], ["b", "c"]
-        ]
+        assert fn(batch.columns, 3, EvalContext(), env) == [[4.0, 6.0], ["b", "c"]]
         x, y, s = batch.columns
         longer_or_shorter = [4.0, 5.0, 6.0, 7.0][: 3 + delta]
         with pytest.raises(ValueError):
-            fn([x, longer_or_shorter, s], 3, EvalContext(), env, [])
+            fn([x, longer_or_shorter, s], 3, EvalContext(), env)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +394,10 @@ class TestFallbackAndCache:
         def boom(*args, **kwargs):
             raise RuntimeError("codegen exploded")
 
-        monkeypatch.setattr(compile_mod, "_generate_projection", boom)
+        monkeypatch.setattr(compile_mod, "_generate_pipeline", boom)
         compiler = KernelCompiler()
-        kernel = compiler.compile_projection(
-            (Arithmetic("+", BoundRef(0, "x", INT), Literal(1)),)
+        kernel = compile_collect(
+            compiler, (Arithmetic("+", BoundRef(0, "x", INT), Literal(1)),)
         )
         assert kernel is None
         assert compiler.cache.stats.compile_errors == 1
@@ -419,8 +408,8 @@ class TestFallbackAndCache:
         def boom(*args, **kwargs):
             raise RuntimeError("codegen exploded")
 
-        # One generator lowers projections and filter→projections alike.
-        monkeypatch.setattr(compile_mod, "_generate_projection", boom)
+        # One generator lowers every loop.
+        monkeypatch.setattr(compile_mod, "_generate_pipeline", boom)
         rows = [(1, 1.0, "a"), (2, 2.0, "b")]
         plan = Project(
             Filter(UnresolvedRelation("t"), Comparison(">", col("x"), lit(1))),
@@ -431,16 +420,17 @@ class TestFallbackAndCache:
 
     def test_trivial_projection_is_not_compiled(self):
         compiler = KernelCompiler()
-        assert compiler.compile_projection((BoundRef(0, "x", INT),)) is None
-        assert compiler.compile_projection((Alias(Literal(7), "c"),)) is None
+        assert collect_loop(compiler, None, (BoundRef(0, "x", INT),))[1] is None
+        assert collect_loop(compiler, None, (Alias(Literal(7), "c"),))[1] is None
+        assert compiler.cache.stats.misses == 0  # not even a cache lookup
 
     def test_congruent_plans_share_one_artifact(self):
         compiler = KernelCompiler()
-        first = compiler.compile_projection(
-            (Arithmetic("+", BoundRef(0, "x", INT), Literal(3)),)
+        first = compile_collect(
+            compiler, (Arithmetic("+", BoundRef(0, "x", INT), Literal(3)),)
         )
-        second = compiler.compile_projection(
-            (Arithmetic("+", BoundRef(0, "x", INT), Literal(3)),)
+        second = compile_collect(
+            compiler, (Arithmetic("+", BoundRef(0, "x", INT), Literal(3)),)
         )
         assert first.artifact is second.artifact
         assert compiler.cache.stats.hits == 1
@@ -452,13 +442,12 @@ class TestFallbackAndCache:
         )
         direct = expression_fingerprint((Literal(5),))
         compiler = KernelCompiler()
-        compiler.compile_projection(
+        compile_collect(
+            compiler,
             (Arithmetic("*", BoundRef(0, "x", INT),
-                        Arithmetic("+", Literal(2), Literal(3))),)
+                        Arithmetic("+", Literal(2), Literal(3))),),
         )
-        compiler.compile_projection(
-            (Arithmetic("*", BoundRef(0, "x", INT), Literal(5)),)
-        )
+        compile_collect(compiler, (Arithmetic("*", BoundRef(0, "x", INT), Literal(5)),))
         assert folded != direct  # folding happens in the compiler, not here
         assert compiler.cache.stats.hits == 1  # ...so both forms share a key
 
@@ -468,8 +457,8 @@ class TestFallbackAndCache:
         # Distinct column positions: literal values alone no longer make a
         # distinct kernel (they bind through the env).
         for k in range(4):
-            compiler.compile_projection(
-                (Arithmetic("+", BoundRef(k, f"x{k}", INT), Literal(1)),)
+            compile_collect(
+                compiler, (Arithmetic("+", BoundRef(k, f"x{k}", INT), Literal(1)),)
             )
         assert len(cache) == 2
         assert cache.stats.evictions == 2
@@ -605,7 +594,4 @@ class TestGovernedEquivalence:
         assert compile_spans, "first compilation must be traced"
         assert kernel_spans, "kernel execution must be traced"
         assert all(s.name == "kernel-compile" for s in compile_spans)
-        assert {s.name for s in kernel_spans} <= {
-            "kernel:filter", "kernel:project", "kernel:filter-project",
-            "kernel:pipeline",
-        }
+        assert {s.name for s in kernel_spans} == {"kernel:pipeline"}

@@ -192,14 +192,9 @@ def _rows(seed: int = 26) -> dict[str, dict[str, list]]:
 DATA = _rows()
 
 
-#: Execution legs, pinned so the CI matrix's environment overrides cannot
-#: fold one into another. ``compile-refused`` is the fused configuration
-#: with every kernel refused (see ``_refuse_compilation``).
-LEGS = {
-    "fused": {"engine_fuse_operators": True},
-    "fusion-off": {"engine_fuse_operators": False},
-    "compile-refused": {"engine_fuse_operators": True},
-}
+#: Execution legs: ``compile-refused`` plans what ``fused`` plans, with
+#: every loop refused (see ``_refuse_compilation``).
+LEGS = ("fused", "compile-refused")
 
 
 @udf("string")
@@ -219,7 +214,7 @@ def governed():
     ws.add_group("hr", ["carol"])
     ws.catalog.create_catalog("main", owner="admin")
     ws.catalog.create_schema("main.s", owner="admin")
-    clusters = {leg: ws.create_standard_cluster(name=leg, **kw) for leg, kw in LEGS.items()}
+    clusters = {leg: ws.create_standard_cluster(name=leg) for leg in LEGS}
     admin = clusters["fused"].connect("admin")
     admin.sql(f"CREATE TABLE {T} (id int, region string, amount float, a int, b int, note string)")
     admin.sql(f"CREATE TABLE {C} (id int, region string)")
@@ -247,13 +242,10 @@ def governed():
 
 
 def _refuse_compilation(monkeypatch):
-    """Every kernel, filter→project loop and pipeline is refused: the whole
-    plan runs through the interpreter."""
+    """Every loop is refused: the whole plan runs through the interpreter."""
     from repro.engine.compile import KernelCompiler
 
-    refuse = lambda self, *args: None  # noqa: E731
-    for method in ("compile_projection", "compile_filter_projection", "compile_pipeline_spec"):
-        monkeypatch.setattr(KernelCompiler, method, refuse)
+    monkeypatch.setattr(KernelCompiler, "compile_pipeline_spec", lambda self, spec: None)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +309,7 @@ def _expected(shape: str, user: str, x: int, y: int, z: float) -> list[tuple]:
     )
 
 
-#: One query per plan shape: fused aggregate, sort + limit, join + aggregate,
+#: One query per plan shape: aggregate, sort + limit, join + aggregate,
 #: no-sink projection, and a UDF splitting the chain.
 QUERIES = {
     "agg": f"SELECT region, count(*), sum(b), avg(a) FROM {T} WHERE a > {{x}} GROUP BY region",
@@ -366,8 +358,8 @@ class TestDecodedColumns:
     row filter's column is always among them: named in ``columns``, or read
     by the row ``policy`` the governed memo runs on a fill."""
 
-    #: Fused: the chain's composed condition, outputs and keys (for the UDF
-    #: shape, the columns the UDF stage reads plus the chain's filters).
+    #: The chain's composed condition, outputs and keys (for the UDF shape,
+    #: the columns the UDF stage reads plus the chain's filters).
     FUSED = {
         "agg": {T: {"region", "a", "b"}},
         "top": {T: {"id", "a", "b", "region"}},
@@ -394,7 +386,7 @@ class TestDecodedColumns:
         monkeypatch.setattr(LakeTableStorage, "read_file", recording)
         return seen
 
-    @pytest.mark.parametrize("leg", ["fused", "fusion-off", "compile-refused"])
+    @pytest.mark.parametrize("leg", LEGS)
     @pytest.mark.parametrize("shape", list(QUERIES))
     def test_read_file_gets_the_referenced_columns(
         self, governed, decoded, monkeypatch, leg, shape
@@ -407,13 +399,7 @@ class TestDecodedColumns:
             assert len(reads) == (3 if table == T else 1)
             for columns in reads:
                 assert "region" in columns
-                if leg == "fused":
-                    assert columns == self.FUSED[shape][table], (shape, table)
-                else:
-                    # Unfused, a scan decodes its required columns plus what
-                    # its pushed filters read; logical pruning stops at the
-                    # mask projection, so that can be more than fused.
-                    assert columns >= self.FUSED[shape][table], (shape, table)
+                assert columns == self.FUSED[shape][table], (shape, table)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +423,7 @@ def test_a_join_build_side_that_selects_columns_decodes_only_them(
     ws.add_group("pii", ["admin"])
     ws.catalog.create_catalog("main", owner="admin")
     ws.catalog.create_schema("main.s", owner="admin")
-    cluster = ws.create_standard_cluster(engine_fuse_operators=True)
+    cluster = ws.create_standard_cluster()
     try:
         admin = cluster.connect("admin")
         admin_ctx = ws.catalog.principals.context_for("admin")
@@ -523,8 +509,10 @@ class TestJoinPruning:
         assert call.expr_id == mean.expr_id
         assert call.child.index == 1 and optimized.groupings[0].index == 3
 
-    @pytest.mark.parametrize("leg", ["fused", "fusion-off"])
-    def test_avg_and_shared_calls_over_a_pruned_join(self, governed, leg):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_avg_and_shared_calls_over_a_pruned_join(self, governed, leg, monkeypatch):
+        if leg == "compile-refused":
+            _refuse_compilation(monkeypatch)
         rows = governed[2][leg, "carol"].sql(
             f"SELECT c.region, avg(t.amount) AS m, sum(t.amount) / count(t.amount) AS m2, "
             f"count(*) AS n FROM {T} t JOIN {C} c ON t.a = c.id GROUP BY c.region"

@@ -1,20 +1,23 @@
-"""Whole-operator fusion: fused pipelines ≡ unfused interpretation.
+"""Pipelines: one loop per chain and sink, compiled ≡ interpreted ≡ model.
 
-Pins the tentpole contract of operator codegen — that fusing a
-scan→filter→project chain and its sink (aggregate, collect, top-k, LIMIT,
-through a join probe or not) into one generated loop never changes a
-single byte of output:
+Pins the contract of operator codegen — that running a scan→filter→project
+chain and its sink (aggregate, collect, top-k, LIMIT, through a join probe
+or not) as one generated loop never changes a single byte of output:
 
 - property tests (hypothesis) proving ``CompiledPipeline.accumulate``
   matches :func:`interpret_pipeline` group-for-group and state-for-state,
   over NULL-riddled rows, division by zero, composed filters, multi-key
   groupings, every inlinable aggregate, and empty batches;
 - engine-level properties: the same logical plan returns identical rows
-  with ``fuse_operators`` on, off, and with compilation disabled entirely
-  — and, for the sinks, with every pipeline refused (interpreted);
+  compiled, with every pipeline refused (interpreted) and with compilation
+  disabled — one plan shape in all three;
+- a plain-Python row model (list-comprehension filters, ``sorted`` with
+  explicit NULL ranks, nested-loop joins) that every sink's answer must
+  meet: it shares nothing with the planner's chain composition, which the
+  compiled and interpreted legs share;
 - governed end-to-end equivalence: FGAC queries (row filters, column
   masks, sandboxed UDFs splitting the chain) return identical rows on
-  fused and unfused clusters.
+  compiled and interpreted clusters.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.engine.compile import (
     interpret_pipeline,
 )
 from repro.engine.executor import ExecutionConfig, QueryEngine
+from repro.engine.physical import PhysicalPlanner, PhysPipeline
 from repro.engine.expressions import (
     Alias,
     Arithmetic,
@@ -63,7 +67,7 @@ from repro.engine.logical import (
 )
 from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.platform import Workspace
-from tests.oracles import all_same, same
+from tests.oracles import all_same, plan_shape, same
 
 SCHEMA = Schema((Field("x", INT), Field("y", FLOAT), Field("s", STRING)))
 
@@ -129,6 +133,18 @@ agg_call = st.one_of(
 def make_batch(rows) -> ColumnBatch:
     columns = [list(c) for c in zip(*rows)] if rows else [[], [], []]
     return ColumnBatch(SCHEMA, columns)
+
+
+def compile_collect(compiler, exprs, condition=None):
+    """The ``collect`` loop of ``exprs`` over the rows ``condition`` admits."""
+    return compiler.compile_pipeline_spec(
+        PipelineSpec(condition, sink="collect", outputs=tuple(exprs))
+    )
+
+
+def run(kernel, batch, ctx):
+    """Every output column of one ``collect`` loop call."""
+    return kernel.accumulate(batch, ctx, None)
 
 
 def _make_spec(cond, groupings, aggs) -> PipelineSpec:
@@ -276,15 +292,15 @@ class TestShortCircuitPredicates:
         ctx = EvalContext(user="u", groups=frozenset(groups))
         expected_mask = predicate.eval(batch, ctx)
 
-        mask_kernel = SHARED_COMPILER.compile_predicate(predicate)
+        mask_kernel = compile_collect(SHARED_COMPILER, (predicate,))
         assert mask_kernel is not None
         # Exact 3VL: NULL stays NULL, never collapses to False.
-        assert same(mask_kernel.eval_all(batch, ctx)[0], expected_mask)
+        assert same(run(mask_kernel, batch, ctx)[0], expected_mask)
 
-        fused = SHARED_COMPILER.compile_filter_projection(predicate, (X, S))
+        fused = compile_collect(SHARED_COMPILER, (X, S), predicate)
         assert fused is not None
         kept = batch.filter(expected_mask)
-        assert same(fused.eval_all(batch, ctx), [kept.columns[0], kept.columns[2]])
+        assert same(run(fused, batch, ctx), [kept.columns[0], kept.columns[2]])
 
         spec = _make_spec(predicate, (S,), [("count", None), ("sum", Y)])
         pipeline = SHARED_COMPILER.compile_pipeline_spec(spec)
@@ -301,7 +317,7 @@ class TestShortCircuitPredicates:
         no ``bool()`` calls, and the row-invariant group flag leads each
         conjunction so most rows never reach the IN probe."""
         predicate = _policy_predicate(("alpha",), ("Beta",), False, ">", 1.0)
-        kernel = KernelCompiler().compile_filter_projection(predicate, (X,))
+        kernel = compile_collect(KernelCompiler(), (X,), predicate)
         fast_body = kernel.artifact.source.split("else:")[0]
         assert "bool(" not in fast_body
         assert "(_g0 and (" in fast_body and "(_g1 and (" in fast_body
@@ -312,8 +328,8 @@ class TestShortCircuitPredicates:
         flag = BoundRef(0, "x", INT)  # an int used as a truth value
         predicate = BooleanOp("OR", flag, Comparison(">", Y, lit(0.0)))
         batch = make_batch([(2, -1.0, "a"), (0, -1.0, "a"), (0, 1.0, "a")])
-        kernel = KernelCompiler().compile_predicate(predicate)
-        out = kernel.eval_all(batch, EvalContext())[0]
+        kernel = compile_collect(KernelCompiler(), (predicate,))
+        out = run(kernel, batch, EvalContext())[0]
         assert out == predicate.eval(batch, EvalContext()) == [True, False, True]
         assert all(type(v) is bool for v in out)
 
@@ -329,13 +345,13 @@ class TestConjunctGating:
 
     def test_filter_projection_never_casts_a_rejected_row(self):
         condition = BooleanOp("AND", self.POLICY, self.USER)
-        kernel = KernelCompiler().compile_filter_projection(condition, (X,))
-        assert kernel.eval_all(make_batch(self.ROWS), EvalContext()) == [[3]]
+        kernel = compile_collect(KernelCompiler(), (X,), condition)
+        assert run(kernel, make_batch(self.ROWS), EvalContext()) == [[3]]
         # The other order is the user's own problem: the cast runs first.
         flipped = BooleanOp("AND", self.USER, self.POLICY)
-        kernel = KernelCompiler().compile_filter_projection(flipped, (X,))
+        kernel = compile_collect(KernelCompiler(), (X,), flipped)
         with pytest.raises(ExecutionError, match="secret"):
-            kernel.eval_all(make_batch(self.ROWS), EvalContext())
+            run(kernel, make_batch(self.ROWS), EvalContext())
 
     def test_pipeline_and_its_interpreter_twin_gate_identically(self):
         spec = _make_spec(
@@ -358,10 +374,8 @@ class TestEnvBoundLiterals:
         compiler = KernelCompiler()
         batch = make_batch([(1, 1.0, "a"), (5, 5.0, "b"), (9, 9.0, "c")])
         for threshold, expected in ((0, [1, 5, 9]), (4, [5, 9]), (8, [9])):
-            kernel = compiler.compile_filter_projection(
-                Comparison(">", X, lit(threshold)), (X,)
-            )
-            assert kernel.eval_all(batch, EvalContext()) == [expected]
+            kernel = compile_collect(compiler, (X,), Comparison(">", X, lit(threshold)))
+            assert run(kernel, batch, EvalContext()) == [expected]
         assert compiler.cache.stats.insertions == 2  # 0 is structural (x / 0)
         assert compiler.cache.stats.hits == 1
 
@@ -377,8 +391,8 @@ class TestEnvBoundLiterals:
         compiler = KernelCompiler()
         batch = make_batch([(6, 0.0, "a"), (8, 0.0, "a")])
         for exprs in (same, equal, differ):
-            kernel = compiler.compile_projection(exprs)
-            assert kernel.eval_all(batch, EvalContext()) == [
+            kernel = compile_collect(compiler, exprs)
+            assert run(kernel, batch, EvalContext()) == [
                 e.eval(batch, EvalContext()) for e in exprs
             ]
 
@@ -408,43 +422,27 @@ class TestEnvBoundLiterals:
             Arithmetic("/", X, Literal(divisor)),
             Comparison("<", Arithmetic("+", X, Literal(threshold)), Literal(threshold)),
         )
-        kernel = SHARED_COMPILER.compile_projection(exprs)
+        kernel = compile_collect(SHARED_COMPILER, exprs)
         batch = make_batch(rows)
         assert same(
-            kernel.eval_all(batch, EvalContext()),
+            run(kernel, batch, EvalContext()),
             [e.eval(batch, EvalContext()) for e in exprs],
         )
 
 
 # ---------------------------------------------------------------------------
-# Engine-level: fused ≡ unfused ≡ interpreted over whole plans
+# Engine-level: compiled ≡ refused ≡ interpreted over whole plans
 # ---------------------------------------------------------------------------
 
 
-def _engine(
-    rows, *, compile_enabled=True, fuse=True, batch_size=4096, compiler=None
-) -> QueryEngine:
+def _engine(rows, *, compile_enabled=True, batch_size=4096, compiler=None) -> QueryEngine:
     columns = [list(c) for c in zip(*rows)] if rows else [[], [], []]
     data = LocalRelation(SCHEMA, columns)
     return QueryEngine(
         DictResolver({"t": data}),
-        config=ExecutionConfig(
-            batch_size=batch_size, compile_enabled=compile_enabled, fuse_operators=fuse
-        ),
+        config=ExecutionConfig(batch_size=batch_size, compile_enabled=compile_enabled),
         kernel_compiler=compiler,
     )
-
-
-def _three_ways(rows, plan) -> list[list[tuple]]:
-    """Rows from the fused, unfused-compiled, and interpreted engines."""
-    fused = _engine(rows, fuse=True)
-    results = [
-        fused.execute(plan).rows(),
-        _engine(rows, fuse=False).execute(plan).rows(),
-        _engine(rows, compile_enabled=False).execute(plan).rows(),
-    ]
-    _assert_really_fused(fused.kernel_compiler.cache.stats)
-    return results
 
 
 class _RefusingCompiler(KernelCompiler):
@@ -455,29 +453,37 @@ class _RefusingCompiler(KernelCompiler):
         return None
 
 
-def _four_ways(rows, plan, batch_size, sink) -> list[list[tuple]]:
-    """Rows from the fused engine (its pipelines compiled), the fused engine
-    with every pipeline refused (interpreted), the unfused-compiled engine
-    and the interpreted one, all over ``batch_size``-row batches. The fused
-    leg must have compiled a ``sink`` pipeline; the refused leg planned the
-    same pipelines and counted each as a fusion miss."""
-    fused = _engine(rows, batch_size=batch_size)
+def _three_ways(rows, plan, batch_size=4096) -> list[list[tuple]]:
+    """Rows from the compiled engine, the engine with every pipeline refused
+    (interpreted) and the engine with compilation disabled, all over
+    ``batch_size``-row batches. The compiled leg must really have compiled,
+    the refused leg counted its misses, and all three planned one shape."""
+    compiled = _engine(rows, batch_size=batch_size)
     refused = _engine(rows, batch_size=batch_size, compiler=_RefusingCompiler())
-    results = [
-        fused.execute(plan).rows(),
-        refused.execute(plan).rows(),
-        _engine(rows, batch_size=batch_size, fuse=False).execute(plan).rows(),
-        _engine(rows, batch_size=batch_size, compile_enabled=False).execute(plan).rows(),
-    ]
-    _assert_really_fused(fused.kernel_compiler.cache.stats)
-    assert sink in _sinks(fused, plan) and sink in _sinks(refused, plan)
+    disabled = _engine(rows, batch_size=batch_size, compile_enabled=False)
+    engines = (compiled, refused, disabled)
+    results = [engine.execute(plan).rows() for engine in engines]
+    _assert_really_fused(compiled.kernel_compiler.cache.stats)
     assert refused.kernel_compiler.cache.stats.fusion_misses > 0
+    shapes = {plan_shape(_physical(engine, plan)) for engine in engines}
+    assert len(shapes) == 1, shapes
     return results
+
+
+def _four_ways(rows, plan, batch_size, sink, model) -> list[list[tuple]]:
+    """:func:`_three_ways` plus the row model's answer; the plan holds a
+    ``sink`` loop."""
+    assert sink in _sinks(_engine(rows), plan)
+    return [*_three_ways(rows, plan, batch_size), model]
+
+
+def _physical(engine, plan):
+    return engine.plan_physical(engine.optimize(engine.analyze(plan)))
 
 
 def _sinks(engine, plan) -> set[str]:
     """The ``kernel:pipeline`` sink labels of every loop ``plan`` plans."""
-    labels, stack = set(), [engine.plan_physical(engine.optimize(engine.analyze(plan)))]
+    labels, stack = set(), [_physical(engine, plan)]
     while stack:
         op = stack.pop()
         spec = getattr(op, "spec", None)
@@ -488,8 +494,9 @@ def _sinks(engine, plan) -> set[str]:
 
 
 def _assert_really_fused(stats) -> None:
-    """The fused leg compiled: a generator bug falls back to the interpreter
-    silently, and would then "match" it without testing anything."""
+    """The compiled leg compiled: a generator bug falls back to the
+    interpreter silently, and would then "match" it without testing
+    anything."""
     assert stats.compile_errors == 0
     assert stats.fusion_hits > 0
 
@@ -513,8 +520,8 @@ class TestEngineFusionEquivalence:
                 AggregateCall("avg", col("x")),
             ),
         )
-        fused, unfused, interpreted = _three_ways(rows, plan)
-        assert all_same(fused, unfused, interpreted)
+        compiled, refused, interpreted = _three_ways(rows, plan)
+        assert all_same(compiled, refused, interpreted)
 
     @given(rows=rows_strategy)
     @settings(max_examples=50, deadline=None)
@@ -531,8 +538,8 @@ class TestEngineFusionEquivalence:
                 AggregateCall("count", col("dx"), distinct=True),
             ),
         )
-        fused, unfused, interpreted = _three_ways(rows, plan)
-        assert all_same(fused, unfused, interpreted)
+        compiled, refused, interpreted = _three_ways(rows, plan)
+        assert all_same(compiled, refused, interpreted)
 
     @given(rows=rows_strategy, threshold=st.integers(-20, 20))
     @settings(max_examples=50, deadline=None)
@@ -553,8 +560,8 @@ class TestEngineFusionEquivalence:
             ),
             (SortOrder(Arithmetic("*", col("x"), lit(-1))), SortOrder(col("s"))),
         )
-        fused, unfused, interpreted = _three_ways(rows, plan)
-        assert all_same(fused, unfused, interpreted)
+        compiled, refused, interpreted = _three_ways(rows, plan)
+        assert all_same(compiled, refused, interpreted)
         assert _sinks(_engine(rows), plan) == {"topk"}
 
     @given(rows=rows_strategy)
@@ -562,13 +569,17 @@ class TestEngineFusionEquivalence:
     def test_join_key_sink_identical_three_ways(self, rows):
         """The join's keys are computed in the probe side's loop, which
         probes the hashed build side itself: one ``join_probe`` loop, over
-        a build side of bare columns and a computed one alike."""
+        a build side of bare columns (a narrowed source) and a computed one
+        (its own ``collect`` loop) alike."""
         base = UnresolvedRelation("t")
-        for right in (
-            Project(base, (Alias(col("x"), "x2"), Alias(col("s"), "y2"))),
-            Project(
-                base,
-                (Alias(col("x"), "x2"), Alias(Arithmetic("*", col("y"), lit(2.0)), "y2")),
+        for right, loops in (
+            (Project(base, (Alias(col("x"), "x2"), Alias(col("s"), "y2"))), {"join_probe"}),
+            (
+                Project(
+                    base,
+                    (Alias(col("x"), "x2"), Alias(Arithmetic("*", col("y"), lit(2.0)), "y2")),
+                ),
+                {"join_probe", "collect"},
             ),
         ):
             plan = Join(
@@ -577,9 +588,9 @@ class TestEngineFusionEquivalence:
                 how="inner",
                 condition=Comparison("=", col("x"), col("x2")),
             )
-            fused, unfused, interpreted = _three_ways(rows, plan)
-            assert all_same(fused, unfused, interpreted)  # rows AND probe order
-            assert _sinks(_engine(rows), plan) == {"join_probe"}
+            compiled, refused, interpreted = _three_ways(rows, plan)
+            assert all_same(compiled, refused, interpreted)  # rows AND probe order
+            assert _sinks(_engine(rows), plan) == loops
 
     @pytest.mark.parametrize(
         "how", ["inner", "left", "right", "full", "semi", "anti"]
@@ -592,8 +603,8 @@ class TestEngineFusionEquivalence:
     ):
         """Single-key (bare dict keys) and multi-key (tuple keys) probes
         match the nested-loop join pair for pair — NULL keys never match,
-        duplicate keys fan out in (left, right) order — fused, unfused and
-        interpreted."""
+        duplicate keys fan out in (left, right) order — compiled, refused
+        and interpreted."""
         base = UnresolvedRelation("t")
         left = Filter(base, Comparison("<", col("x"), lit(40)))
         right = Project(
@@ -622,10 +633,10 @@ class TestEngineFusionEquivalence:
             .execute(Join(left, right, how=how, condition=looped))
             .rows()
         )
-        fused, unfused, interpreted = _three_ways(
+        compiled, refused, interpreted = _three_ways(
             rows, Join(left, right, how=how, condition=hashed)
         )
-        assert all_same(fused, unfused, interpreted, expected)
+        assert all_same(compiled, refused, interpreted, expected)
 
     def test_udf_splits_the_chain_but_results_match(self):
         from repro.engine.udf import udf as engine_udf
@@ -644,8 +655,8 @@ class TestEngineFusionEquivalence:
             groupings=(g,),
             aggregates=(g, AggregateCall("count", None)),
         )
-        fused, unfused, interpreted = _three_ways(rows, plan)
-        assert fused == unfused == interpreted
+        compiled, refused, interpreted = _three_ways(rows, plan)
+        assert compiled == refused == interpreted
 
     def test_empty_input_identical_three_ways(self):
         plan = Aggregate(
@@ -656,12 +667,12 @@ class TestEngineFusionEquivalence:
                 AggregateCall("sum", col("y")),
             ),
         )
-        fused, unfused, interpreted = _three_ways([], plan)
-        assert fused == unfused == interpreted == [(0, None)]
+        compiled, refused, interpreted = _three_ways([], plan)
+        assert compiled == refused == interpreted == [(0, None)]
 
 
 # ---------------------------------------------------------------------------
-# Sinks: top-k, LIMIT and join probes ≡ their interpreter twin ≡ unfused
+# Sinks: top-k, LIMIT and join probes ≡ their interpreter twin ≡ a row model
 # ---------------------------------------------------------------------------
 
 #: Few distinct values per column: ties (and NULLs) everywhere, so the
@@ -701,6 +712,85 @@ def _chain(threshold):
     )
 
 
+# The row model: plain Python over the row tuples, computed straight from
+# the input. It shares nothing with the planner (no chain composition, no
+# scan narrowing, no join probe), which every engine leg goes through.
+
+
+def _passing(rows, threshold):
+    return [r for r in rows if r[0] is None or r[0] > threshold]
+
+
+def _null_ranked(value, ascending, nulls_first):
+    """A sort key placing NULL where ``nulls_first`` wants it, under a pass
+    in this direction."""
+    if value is None:
+        return (0 if nulls_first == ascending else 2, 0)
+    return (1, value)
+
+
+def model_sort(rows, terms):
+    """``rows`` ordered by ``terms`` — ``(key, ascending, nulls first)`` —
+    one stable ``sorted`` pass per term, least significant first (ties keep
+    their input order)."""
+    for key, ascending, nulls_first in reversed(terms):
+        rows = sorted(
+            rows,
+            key=lambda r: _null_ranked(key(r), ascending, nulls_first),
+            reverse=not ascending,
+        )
+    return rows
+
+
+def model_join(left, right, how, pairs):
+    """Nested-loop join of 3-column row tuples; ``pairs`` are ``(left,
+    right)`` column positions that must be equal and not NULL. Rows follow
+    the preserved side (the right one for RIGHT), a FULL join's unmatched
+    right rows last."""
+    nulls = (None,) * 3
+
+    def match(l, r):
+        return all(l[i] is not None and l[i] == r[j] for i, j in pairs)
+
+    if how == "right":
+        return [
+            row
+            for r in right
+            for row in ([l + r for l in left if match(l, r)] or [nulls + r])
+        ]
+    out = []
+    for l in left:
+        hits = [l + r for r in right if match(l, r)]
+        if how in ("semi", "anti"):
+            out += [l] if bool(hits) == (how == "semi") else []
+        else:
+            out += hits or ([l + nulls] if how in ("left", "full") else [])
+    if how == "full":
+        out += [nulls + r for r in right if not any(match(l, r) for l in left)]
+    return out
+
+
+def model_aggregate(rows, key, value):
+    """``key, count(*), sum(value)`` per group, groups in first-seen order;
+    the sum skips NULL and adds left to right."""
+    groups: dict = {}
+    for row in rows:
+        count, total = groups.get(key(row), (0, None))
+        v = value(row)
+        if v is not None:
+            total = v if total is None else total + v
+        groups[key(row)] = (count + 1, total)
+    return [(k, n, total) for k, (n, total) in groups.items()]
+
+
+_MODEL_KEYS = {
+    "x": lambda r: r[0],
+    "y": lambda r: r[1],
+    "s": lambda r: r[2],
+    "neg": lambda r: None if r[0] is None else r[0] * -1,
+}
+
+
 class TestSinkEquivalence:
     @given(
         rows=tie_rows,
@@ -727,9 +817,14 @@ class TestSinkEquivalence:
             _chain(threshold),
             [SortOrder(keys[name], not descending, first) for name, first in terms],
         )
+        model = model_sort(
+            _passing(rows, threshold),
+            [(_MODEL_KEYS[name], not descending, first) for name, first in terms],
+        )
         if k is not None:
             plan = Limit(plan, k, offset)
-        results = _four_ways(rows, plan, batch_size, "topk")
+            model = model[offset : offset + k]
+        results = _four_ways(rows, plan, batch_size, "topk", model)
         assert all_same(*results)
 
     @given(
@@ -744,9 +839,9 @@ class TestSinkEquivalence:
         self, rows, limit, offset, threshold, batch_size
     ):
         plan = Limit(_chain(threshold), limit, offset)
-        results = _four_ways(rows, plan, batch_size, "limit")
+        model = _passing(rows, threshold)[offset : offset + limit]
+        results = _four_ways(rows, plan, batch_size, "limit", model)
         assert all_same(*results)
-        assert len(results[0]) == max(0, min(limit, len(_passing(rows, threshold)) - offset))
 
     @pytest.mark.parametrize(
         "how", ["inner", "left", "right", "full", "semi", "anti"]
@@ -757,15 +852,17 @@ class TestSinkEquivalence:
         keys=st.sampled_from([("x",), ("x", "s")]),
         build_filter=st.integers(-4, 4),
         null_keys=st.booleans(),
+        above=st.booleans(),
         batch_size=st.integers(1, 9),
     )
     @settings(max_examples=20, deadline=None)
     def test_join_probe_identical_four_ways(
-        self, how, keys, sink, rows, build_filter, null_keys, batch_size
+        self, how, keys, sink, rows, build_filter, null_keys, above, batch_size
     ):
         """Every join type under every sink, over duplicate build keys, NULL
         build keys (``null_keys``) and an empty build side (the build filter
-        ``x < -4`` without them). A FULL join's loop only collects (its
+        ``x < -4`` without them), with or without a filter above the join
+        (the loop's ``matched`` test). A FULL join's loop only collects (its
         unmatched build rows come after the probe), so under the other
         sinks it feeds the sink's own operator."""
         base = UnresolvedRelation("t")
@@ -779,20 +876,42 @@ class TestSinkEquivalence:
         )
         on = [Comparison("=", col(k), col(k + "2")) for k in keys]
         plan = Join(left, right, how=how, condition=on[0] if len(on) == 1 else BooleanOp("AND", *on))
-        out = col("x") if how in ("semi", "anti") else col("y2")
+        model = model_join(
+            [r for r in rows if r[1] is None or r[1] > 0.0],
+            [
+                (r[0], r[2], r[1])
+                for r in rows
+                if (null_keys and r[0] is None) or (r[0] is not None and r[0] < build_filter)
+            ],
+            how,
+            [(0, 0)] + ([(2, 1)] if "s" in keys else []),
+        )
+        semi = how in ("semi", "anti")
+        if above:
+            # Over both sides (over the left alone for SEMI / ANTI), so no
+            # rule pushes it below the join: 3VL, a NULL drops the row.
+            if semi:
+                plan = Filter(plan, BooleanOp("OR", IsNull(col("y")), Comparison("<", col("y"), lit(1.0))))
+                model = [r for r in model if r[1] is None or r[1] < 1.0]
+            else:
+                plan = Filter(plan, BooleanOp("OR", IsNull(col("y2")), Comparison("!=", col("y"), col("y2"))))
+                model = [r for r in model if r[5] is None or (r[1] is not None and r[1] != r[5])]
+        out, model_out = (col("x"), _MODEL_KEYS["x"]) if semi else (col("y2"), lambda r: r[5])
         if sink == "aggregate":
             plan = Aggregate(
                 plan,
                 groupings=(col("s"),),
                 aggregates=(col("s"), AggregateCall("count", None), AggregateCall("sum", out)),
             )
+            model = model_aggregate(model, _MODEL_KEYS["s"], model_out)
         elif sink == "topk":
             plan = Limit(Sort(plan, (SortOrder(out, False), SortOrder(col("x")))), 7, 2)
+            model = model_sort(model, [(model_out, False, True), (_MODEL_KEYS["x"], True, True)])[2:9]
         elif sink == "limit":
             plan = Limit(plan, 9, 3)
-        results = _four_ways(rows, plan, batch_size, "join_probe")
+            model = model[3:12]
+        results = _four_ways(rows, plan, batch_size, "join_probe", model)
         assert all_same(*results)
-
 
     def test_k_n_and_offset_share_one_artifact(self):
         """``k``, ``n`` and ``offset`` reach the loop through its sink state:
@@ -812,8 +931,120 @@ class TestSinkEquivalence:
             assert stats.insertions == compiled
 
 
-def _passing(rows, threshold):
-    return [r for r in rows if r[0] is None or r[0] > threshold]
+# ---------------------------------------------------------------------------
+# One plan shape: the compiler decides only how each loop runs
+# ---------------------------------------------------------------------------
+
+
+def _bump_udf():
+    from repro.engine.udf import udf as engine_udf
+
+    @engine_udf("int")
+    def bump(v):
+        return (v or 0) + 1
+
+    return bump
+
+
+def _joined(condition, how="inner"):
+    base = UnresolvedRelation("t")
+    right = Project(
+        Filter(base, Comparison("<", col("x"), lit(2))),
+        (Alias(col("x"), "x2"), Alias(col("s"), "s2"), Alias(col("y"), "y2")),
+    )
+    return Join(Filter(base, Not(IsNull(col("y")))), right, how=how, condition=condition)
+
+
+#: Plans whose operators no loop runs, beside the loops around them.
+SHAPES = {
+    "mixed-direction-top": lambda: Limit(
+        Sort(_chain(-2), (SortOrder(col("x"), False), SortOrder(col("y")))), 4, 1
+    ),
+    "opaque-sort-key": lambda: Sort(_chain(-2), (SortOrder(_bump_udf()(col("x"))),)),
+    "residual-join": lambda: _joined(
+        BooleanOp("AND", Comparison("=", col("x"), col("x2")), Comparison("<", col("y"), col("y2")))
+    ),
+    "non-equi-join": lambda: _joined(Comparison("<", col("x"), col("x2")), "left"),
+    "cross-join": lambda: _joined(None, "cross"),
+    "udf-filter": lambda: Project(
+        Filter(_chain(-2), Comparison(">", _bump_udf()(col("x")), lit(0))),
+        (Alias(Arithmetic("*", col("y"), lit(2.0)), "y2"),),
+    ),
+    "udf-project": lambda: Aggregate(
+        Project(_chain(-2), (Alias(_bump_udf()(col("x")), "b"), Alias(col("s"), "s"))),
+        groupings=(col("s"),),
+        aggregates=(col("s"), AggregateCall("max", col("b"))),
+    ),
+    "having-over-aggregate": lambda: Filter(
+        Aggregate(
+            _chain(-4),
+            groupings=(col("s"),),
+            aggregates=(col("s"), Alias(AggregateCall("count", None), "n")),
+        ),
+        Comparison(">", col("n"), lit(1)),
+    ),
+}
+
+
+class TestOnePlanShape:
+    ROWS = [(i % 5 - 1 if i % 6 else None, float(i % 4), "ab"[i % 2]) for i in range(24)]
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_compiled_and_interpreted_runs_plan_alike(self, name):
+        """Compilation on and off plan the same operators and loops — the
+        chains around a PhysSort, a PhysJoin or a UDF stage included — and
+        return the same rows."""
+        plan = SHAPES[name]()
+        compiled, disabled = _engine(self.ROWS), _engine(self.ROWS, compile_enabled=False)
+        shape = plan_shape(_physical(compiled, plan))
+        assert shape == plan_shape(_physical(disabled, plan))
+        assert all_same(compiled.execute(plan).rows(), disabled.execute(plan).rows())
+        assert _sinks(compiled, plan), "every case runs a loop beside its operator"
+
+
+class TestBoundedTopK:
+    """``ORDER BY … LIMIT`` with a projection between the LIMIT and its sort
+    (the optimizer's shape above a join) is one bounded top-k."""
+
+    ROWS = [(i % 7, float(i % 11), "abc"[i % 3]) for i in range(60)]
+
+    @staticmethod
+    def _plan():
+        base = UnresolvedRelation("t")
+        right = Project(base, (Alias(col("x"), "x2"), Alias(col("s"), "s2"), Alias(col("y"), "y2")))
+        joined = Join(base, right, how="inner", condition=Comparison("=", col("x"), col("x2")))
+        return Limit(
+            Project(
+                Sort(joined, (SortOrder(col("y"), False),)),
+                (Alias(col("y"), "y"), Alias(col("s2"), "label")),
+            ),
+            3,
+            2,
+        )
+
+    @pytest.mark.parametrize("compiler", [KernelCompiler, _RefusingCompiler], ids=["compiled", "refused"])
+    def test_one_bounded_topk_over_the_join(self, compiler, monkeypatch):
+        from repro.engine import physical
+
+        engine = _engine(self.ROWS, batch_size=16, compiler=compiler())
+        root = _physical(engine, self._plan())
+        assert isinstance(root, PhysPipeline)
+        assert (root.spec.sink, root.spec.label) == ("topk", "join_probe")
+        assert not any(isinstance(child, PhysPipeline) for child in root.children)
+        held = []
+        original = physical.topk_rows
+
+        def recording(spec, state, limit, offset):
+            held.append(len(state[0]) + len(state[1]))
+            return original(spec, state, limit, offset)
+
+        monkeypatch.setattr(physical, "topk_rows", recording)
+        rows = engine.execute(self._plan()).rows()
+        assert held and max(held) <= 3 + 2
+        joined = model_join(self.ROWS, [(r[0], r[2], r[1]) for r in self.ROWS], "inner", [(0, 0)])
+        assert len(joined) > 100  # an unbounded sort would have held them all
+        expected = model_sort(joined, [(lambda r: r[1], False, True)])[2:5]
+        assert rows == [(r[1], r[4]) for r in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +1054,7 @@ def _passing(rows, threshold):
 
 @pytest.fixture(scope="module")
 def fusion_clusters():
-    """Fused, unfused, and fully interpreted clusters over one governed
+    """A compiled and a fully interpreted cluster over one governed
     catalog."""
     ws = Workspace()
     ws.add_user("admin", admin=True)
@@ -833,16 +1064,7 @@ def fusion_clusters():
     ws.add_group("hr", ["carol"])
     ws.catalog.create_catalog("main", owner="admin")
     ws.catalog.create_schema("main.sales", owner="admin")
-    fused = ws.create_standard_cluster(
-        name="fused",
-        num_executors=2,
-        engine_fuse_operators=True,
-    )
-    unfused = ws.create_standard_cluster(
-        name="unfused",
-        num_executors=2,
-        engine_fuse_operators=False,
-    )
+    fused = ws.create_standard_cluster(name="fused", num_executors=2)
     interpreted = ws.create_standard_cluster(
         name="interpreted",
         num_executors=2,
@@ -874,7 +1096,7 @@ def fusion_clusters():
         "ALTER TABLE main.sales.orders ALTER COLUMN buyer SET MASK "
         "(CASE WHEN is_account_group_member('hr') THEN buyer ELSE '***' END)"
     )
-    yield fused, unfused, interpreted
+    yield fused, interpreted
     ws.shutdown()
 
 
@@ -907,7 +1129,7 @@ GOVERNED_QUERIES = [
     "WHERE amount > 15.0",
     "SELECT id, amount * 1.1 AS boosted, buyer FROM main.sales.orders "
     "WHERE amount > 25.0",
-    # nothing above the scan to absorb its filter: the scan's own kernel
+    # nothing above the governed scan: the row filter in its policy slot
     "SELECT * FROM main.sales.orders",
     # pushed filter on a pruned-away column: the unfolded scan remaps refs
     "SELECT zone + 1 AS z FROM main.sales.regions WHERE region != 'EU'",
@@ -917,20 +1139,23 @@ GOVERNED_QUERIES = [
 
 class TestGovernedFusionEquivalence:
     @pytest.mark.parametrize("query", GOVERNED_QUERIES)
-    def test_rows_identical_fused_unfused_interpreted(
-        self, fusion_clusters, query
-    ):
-        fused, unfused, interpreted = fusion_clusters
+    def test_rows_identical_compiled_and_interpreted(self, fusion_clusters, query):
+        fused, interpreted = fusion_clusters
         for user in ("alice", "carol"):
             results = [
                 cluster.connect(user).sql(query).collect()
-                for cluster in (fused, unfused, interpreted)
+                for cluster in (fused, interpreted)
             ]
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1]
+            # The same optimized plan, planned with and without a compiler.
+            optimized = fused.backend.last_result.optimized_plan
+            assert plan_shape(PhysicalPlanner(KernelCompiler()).plan(optimized)) == (
+                plan_shape(PhysicalPlanner(None).plan(optimized))
+            )
         _assert_really_fused(fused.backend.kernel_cache.stats)
 
     def test_policies_bite_identically_when_fused(self, fusion_clusters):
-        fused, _, _ = fusion_clusters
+        fused, _ = fusion_clusters
         query = (
             "SELECT region, count(*) AS n FROM main.sales.orders "
             "GROUP BY region ORDER BY region"
@@ -943,9 +1168,9 @@ class TestGovernedFusionEquivalence:
     def test_absorbed_row_filter_answers_are_the_same_on_both_backends(
         self, fusion_clusters
     ):
-        """Pinned answers for the shapes whose row filter now runs inside the
-        fused loop or the scan's own kernel."""
-        fused, _, _ = fusion_clusters
+        """Pinned answers for the shapes whose row filter runs in the scan's
+        policy slot, below the loop."""
+        fused, _ = fusion_clusters
         alice, carol = fused.connect("alice"), fused.connect("carol")
         top = (
             "SELECT id, amount FROM main.sales.orders WHERE id < 100 "
@@ -978,27 +1203,26 @@ class TestGovernedFusionEquivalence:
             client = cluster.connect("carol")
             client.register_udf(with_tax)
             results.append(client.sql(query).collect())
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
         assert len(results[0]) == 4  # the UDF really ran over governed rows
 
     def test_fusion_counters_tick_only_on_the_fused_cluster(
         self, fusion_clusters
     ):
-        fused, unfused, _ = fusion_clusters
+        fused, interpreted = fusion_clusters
         query = (
             "SELECT region, count(*) AS n FROM main.sales.orders "
             "GROUP BY region ORDER BY region"
         )
         fused.connect("alice").sql(query).collect()
-        unfused.connect("alice").sql(query).collect()
+        interpreted.connect("alice").sql(query).collect()
         assert fused.backend.kernel_cache.stats.fusion_hits > 0
-        assert unfused.backend.kernel_cache.stats.fusion_hits == 0
-        assert unfused.backend.kernel_cache.stats.fusion_misses == 0
+        assert interpreted.backend.kernel_cache is None
 
     def test_fusion_counters_and_source_lines_reach_system_table(
         self, fusion_clusters
     ):
-        fused, _, _ = fusion_clusters
+        fused, _ = fusion_clusters
         fused.connect("alice").sql(
             "SELECT region, count(*) AS n FROM main.sales.orders "
             "GROUP BY region"

@@ -322,7 +322,6 @@ class TestParameterisedExecution:
 
 CONFIGS = {
     "thread-fused": {},
-    "thread-unfused": {"engine_fuse_operators": False},
     "interpreter": {"engine_compile": False},
 }
 USERS = ("alice", "carol")

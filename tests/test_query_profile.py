@@ -92,7 +92,7 @@ class TestPipelineSinkAttribute:
         value."""
         import json
 
-        cluster = workspace.create_standard_cluster(name="sinks", engine_fuse_operators=True)
+        cluster = workspace.create_standard_cluster(name="sinks")
         alice = cluster.connect("alice")
         for sink, query in self.QUERIES.items():
             alice.sql(query).collect()

@@ -61,45 +61,32 @@ class TestInvariant1_NoResidualData:
         assert ids == {1, 3}
 
 
-def _refuse_filter_kernels(monkeypatch):
-    """The compiler refuses every predicate and filter→project kernel (the
-    scan's own kernel included), so filters run through the interpreter."""
+def _refuse_loops(monkeypatch):
+    """The compiler refuses every loop — pipelines, policy slots and the
+    commit materializer's passes alike — so everything runs through the
+    interpreter, over the same plan."""
     from repro.engine.compile import KernelCompiler
 
-    monkeypatch.setattr(KernelCompiler, "compile_predicate", lambda self, cond: None)
-    monkeypatch.setattr(
-        KernelCompiler, "compile_filter_projection", lambda self, cond, exprs: None
-    )
-
-
-def _refuse_write_kernels(monkeypatch):
-    """The compiler refuses every kernel the commit materializer asks for:
-    projections (and the predicates built on them) and the fused row filter
-    -> WHERE pass, so every write expression runs through the interpreter."""
-    from repro.engine.compile import KernelCompiler
-
-    monkeypatch.setattr(KernelCompiler, "compile_projection", lambda self, exprs: None)
-    monkeypatch.setattr(
-        KernelCompiler, "compile_filter_projection", lambda self, cond, exprs: None
-    )
+    monkeypatch.setattr(KernelCompiler, "compile_pipeline_spec", lambda self, spec: None)
 
 
 class TestPolicyBeforeUserCode:
     """The row filter runs before user code on every execution path.
 
-    The filter can be absorbed into a fused loop, run as the scan's own
-    predicate kernel, or be interpreted (compile refused); on each path no
-    row outside the caller's filter may reach a UDF or the result.
+    The filter sits in the scan's policy slot or is the first test of the
+    loop above the scan, compiled or interpreted (compile refused); on each
+    path no row outside the caller's filter may reach a UDF or the result,
+    and both paths plan the same operators.
     """
 
     QUERIES = (
         # UDF stage directly above the governed scan (breaks the chain).
         "SELECT id, seen(region) AS r FROM main.sales.orders",
-        # UDF above a fused filter->project segment.
+        # UDF above a filter->project loop.
         "SELECT id, seen(region) AS r FROM main.sales.orders WHERE amount > 5.0",
         # UDF as the predicate itself.
         "SELECT id, region FROM main.sales.orders WHERE seen(region) = region",
-        # No user code: fused aggregate, top-k, bare scan.
+        # No user code: aggregate, top-k, bare scan.
         "SELECT region, count(*) AS n FROM main.sales.orders GROUP BY region",
         "SELECT id, region FROM main.sales.orders ORDER BY amount DESC LIMIT 3",
         "SELECT id, region FROM main.sales.orders",
@@ -130,18 +117,11 @@ class TestPolicyBeforeUserCode:
         monkeypatch.setattr(SubprocessSandbox, "invoke_many", recording_invoke_many)
         return recorded
 
-    @pytest.mark.parametrize(
-        "leg, cluster_kwargs",
-        [
-            ("default", {}),
-            ("fusion-off", {"engine_fuse_operators": False}),
-            ("compile-refused", {}),
-        ],
-    )
+    @pytest.mark.parametrize("leg", ["default", "compile-refused"])
     def test_no_hidden_row_reaches_user_code_or_result(
-        self, leg, cluster_kwargs, workspace, udf_inputs, monkeypatch
+        self, leg, workspace, udf_inputs, monkeypatch
     ):
-        cluster = workspace.create_standard_cluster(name=leg, **cluster_kwargs)
+        cluster = workspace.create_standard_cluster(name=leg)
         try:
             admin = cluster.connect("admin")
             admin.sql(
@@ -158,7 +138,7 @@ class TestPolicyBeforeUserCode:
             admin.sql("GRANT SELECT ON main.sales.orders TO analysts")
             admin.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
             if leg == "compile-refused":
-                _refuse_filter_kernels(monkeypatch)
+                _refuse_loops(monkeypatch)
 
             @udf("string")
             def seen(region):
@@ -175,22 +155,15 @@ class TestPolicyBeforeUserCode:
                     assert row[1] in ("US", 2), (leg, query, row)
             assert udf_inputs and set(udf_inputs) == {"US"}
             if leg == "compile-refused":
-                # The scan fell back to the interpreter, and says so.
+                # The loops fell back to the interpreter, and say so.
                 stats = cluster.backend.kernel_cache.stats
                 assert stats.fusion_misses > misses_before
         finally:
             workspace.shutdown()
 
-    @pytest.mark.parametrize(
-        "leg, cluster_kwargs",
-        [
-            ("default", {}),
-            ("fusion-off", {"engine_fuse_operators": False}),
-            ("compile-refused", {}),
-        ],
-    )
+    @pytest.mark.parametrize("leg", ["default", "compile-refused"])
     def test_pushed_join_conjunct_never_sees_a_hidden_row(
-        self, leg, cluster_kwargs, workspace, monkeypatch
+        self, leg, workspace, monkeypatch
     ):
         """The join leg: a WHERE conjunct on one join input is pushed below
         the join onto that input and lands above its row filter. Its CAST
@@ -198,7 +171,7 @@ class TestPolicyBeforeUserCode:
         a single evaluation on a hidden row fails the query."""
         from repro.engine.logical import Filter, Join
 
-        cluster = workspace.create_standard_cluster(name=leg, **cluster_kwargs)
+        cluster = workspace.create_standard_cluster(name=leg)
         try:
             admin = cluster.connect("admin")
             admin.sql(
@@ -222,7 +195,7 @@ class TestPolicyBeforeUserCode:
             admin.sql("GRANT SELECT ON main.sales.regions TO analysts")
             admin.sql("ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')")
             if leg == "compile-refused":
-                _refuse_filter_kernels(monkeypatch)
+                _refuse_loops(monkeypatch)
             rows = cluster.connect("alice").sql(
                 "SELECT r.label, count(*) AS n, sum(o.amount) AS total "
                 "FROM main.sales.orders o JOIN main.sales.regions r "
@@ -280,9 +253,7 @@ class TestPolicyBeforeUserCode:
         the sink's loop (compiled) or through its interpreter twin (the
         compiler refused every kernel and pipeline), on either side of a
         join, and never on a row a row filter hides."""
-        from repro.engine.compile import KernelCompiler
-
-        cluster = workspace.create_standard_cluster(name=leg, engine_fuse_operators=True)
+        cluster = workspace.create_standard_cluster(name=leg)
         try:
             admin = cluster.connect("admin")
             admin.sql(
@@ -312,10 +283,7 @@ class TestPolicyBeforeUserCode:
             ):
                 admin.sql(statement)
             if leg == "compile-refused":
-                _refuse_filter_kernels(monkeypatch)
-                monkeypatch.setattr(
-                    KernelCompiler, "compile_pipeline_spec", lambda self, spec: None
-                )
+                _refuse_loops(monkeypatch)
             stats = cluster.backend.kernel_cache.stats
             misses = stats.fusion_misses
             alice = cluster.connect("alice")
@@ -335,12 +303,71 @@ class TestPolicyBeforeUserCode:
         finally:
             workspace.shutdown()
 
+    def test_every_query_plans_alike_with_and_without_the_compiler(
+        self, workspace, monkeypatch
+    ):
+        """One plan shape: every query above — UDF stages, sinks, both join
+        sides — plans the same operators and loops on a compiled cluster and
+        on an ``engine_compile=False`` one, and returns the same rows."""
+        from repro.engine.executor import QueryEngine
+        from tests.oracles import plan_shape
+
+        planned = []
+        plan_physical = QueryEngine.plan_physical
+
+        def recording(self, optimized):
+            operator = plan_physical(self, optimized)
+            planned.append(plan_shape(operator))
+            return operator
+
+        monkeypatch.setattr(QueryEngine, "plan_physical", recording)
+        clusters = [
+            workspace.create_standard_cluster(name="compiled"),
+            workspace.create_standard_cluster(name="interpreted", engine_compile=False),
+        ]
+        try:
+            admin = clusters[0].connect("admin")
+            for statement in (
+                "CREATE TABLE main.sales.orders "
+                "(id int, region string, amount float, buyer string)",
+                "INSERT INTO main.sales.orders VALUES "
+                "(1,'US',10.0,'11'),(2,'EU',20.0,'hidden-eu'),"
+                "(3,'US',30.0,'33'),(4,'APAC',40.0,'hidden-apac'),"
+                "(5,NULL,50.0,'hidden-null')",
+                "CREATE TABLE main.sales.regions (region string, label string, code string)",
+                "INSERT INTO main.sales.regions VALUES "
+                "('US','amer','1'),('EU','emea','2'),('APAC','apj','hidden')",
+                "GRANT USE CATALOG ON main TO analysts",
+                "GRANT USE SCHEMA ON main.sales TO analysts",
+                "GRANT SELECT ON main.sales.orders TO analysts",
+                "GRANT SELECT ON main.sales.regions TO analysts",
+                "ALTER TABLE main.sales.orders SET ROW FILTER (region = 'US')",
+                "ALTER TABLE main.sales.regions SET ROW FILTER (region <> 'APAC')",
+            ):
+                admin.sql(statement)
+
+            @udf("string")
+            def seen(region):
+                return region
+
+            sessions = [cluster.connect("alice") for cluster in clusters]
+            for session in sessions:
+                session.register_udf(seen)
+            queries = self.QUERIES + tuple(q for q, _, _ in self.SINK_QUERIES.values())
+            for query in queries:
+                planned.clear()
+                rows = [session.sql(query).collect() for session in sessions]
+                assert rows[0] == rows[1], query
+                assert len(planned) == 2 and planned[0] == planned[1], (query, planned)
+        finally:
+            workspace.shutdown()
+
     def test_default_configuration_never_interprets_a_scan_filter(
         self, workspace, standard_cluster, admin_client, monkeypatch
     ):
-        """With a compiler configured, the pushed policy predicate runs in
-        generated code on the fused path *and* on the bare-scan path: no
-        predicate node's interpreted ``eval`` is entered while queries run."""
+        """With a compiler configured, the policy predicate runs in generated
+        code under a loop *and* in a bare scan's policy slot: no predicate
+        node's interpreted ``eval`` is entered while queries run."""
         from repro.engine import expressions as ex
 
         admin_client.sql(
@@ -412,7 +439,7 @@ class TestPolicyBeforeUserCode:
         admin_client.sql(f"GRANT MODIFY ON {orders} TO analysts")
         admin_client.sql(f"ALTER TABLE {orders} SET ROW FILTER (region = 'US')")
         if leg == "compile-refused":
-            _refuse_write_kernels(monkeypatch)
+            _refuse_loops(monkeypatch)
         catalog = workspace.catalog
         manager = catalog.txn_manager
         alice = catalog.principals.context_for("alice")
@@ -496,8 +523,8 @@ class TestPolicyBeforeUserCode:
         non-numeric text that only filter-hidden rows hold. The commit probes
         every file, rewrites the one holding a match and keeps the others;
         the UPDATE and DELETE commit, and every hidden row keeps its values.
-        On the compiled leg the row filter and WHERE ran as one fused
-        kernel; with compilation refused, conjunct by conjunct."""
+        On the compiled leg the row filter and WHERE ran as one compiled
+        loop; with compilation refused, conjunct by conjunct."""
         from repro.engine import expressions as ex
         from repro.engine.compile import KernelCompiler
         from repro.txn.writes import TARGET_FILE_ROWS
@@ -531,19 +558,19 @@ class TestPolicyBeforeUserCode:
 
         fused = []
         if leg == "compile-refused":
-            _refuse_write_kernels(monkeypatch)
+            _refuse_loops(monkeypatch)
         else:
-            original = KernelCompiler.compile_filter_projection
+            original = KernelCompiler.compile_pipeline_spec
 
-            def spying(self, condition, exprs):
-                kernel = original(self, condition, exprs)
-                if kernel is not None and any(
-                    isinstance(node, ex.Cast) for node in condition.walk()
+            def spying(self, spec):
+                kernel = original(self, spec)
+                if kernel is not None and spec.condition is not None and any(
+                    isinstance(node, ex.Cast) for node in spec.condition.walk()
                 ):
                     fused.append(kernel)
                 return kernel
 
-            monkeypatch.setattr(KernelCompiler, "compile_filter_projection", spying)
+            monkeypatch.setattr(KernelCompiler, "compile_pipeline_spec", spying)
 
         cache = catalog.txn_manager.compiler.cache.stats
         lookups = cache.hits + cache.misses

@@ -370,15 +370,13 @@ class TestFileGranularCommits:
 
         catalog = workspace.catalog
         calls = []
-        for name in (
-            "compile_projection", "compile_predicate", "compile_filter_projection",
-            "compile_pipeline_spec",
-        ):
-            def spying(self, *args, _name=name, _original=getattr(KernelCompiler, name)):
-                calls.append(_name)
-                return _original(self, *args)
+        original = KernelCompiler.compile_pipeline_spec
 
-            monkeypatch.setattr(KernelCompiler, name, spying)
+        def spying(self, spec):
+            calls.append(spec.mode_string())
+            return original(self, spec)
+
+        monkeypatch.setattr(KernelCompiler, "compile_pipeline_spec", spying)
 
         for grant in ("USE CATALOG ON main", "USE SCHEMA ON main.sales"):
             admin.sql(f"GRANT {grant} TO analysts")

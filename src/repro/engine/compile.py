@@ -49,6 +49,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -79,7 +80,7 @@ from repro.engine.expressions import (
     conjuncts,
     is_pure,
 )
-from repro.engine.types import STRING, Field, Schema
+from repro.engine.types import INT, STRING, Field, Schema
 
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
 
@@ -523,6 +524,15 @@ class _CodeGen:
             self.body.append(f"if not {self.emit(conjunct)[0]}:")
             self.body.append("    continue")
 
+    def scoped_filter(self, condition: Expression) -> list[str]:
+        """``condition``'s row gate as lines of their own, for an inner loop
+        that may run no iteration: nothing they compute is reused later."""
+        body, cse = self.body, dict(self._cse)
+        self.body = []
+        self.emit_filter(condition)
+        lines, self.body, self._cse = self.body, body, cse
+        return lines
+
     # -- node lowering ------------------------------------------------------
 
     def emit(self, node: Expression) -> tuple[str, bool]:
@@ -738,16 +748,19 @@ def _dual_body(
 
 @dataclass(frozen=True)
 class JoinProbe:
-    """An equi-join probed inside the loop; its build side is hashed once
-    per execution (:func:`hash_keys` over ``build_keys``, interpreted, so
-    they are not part of the generated code).
+    """A join probed inside the loop; its build side is hashed once per
+    execution (:func:`hash_keys` over ``build_keys``, interpreted, so they
+    are not part of the generated code). A join with no equality hashes on
+    the constant TRUE: one bucket that holds every build row.
 
     ``keys`` are the probe keys over the source's ``width`` columns; a ref
-    at ``width + j`` reads column ``j`` of the matched build row. ``how``
-    is ``inner``, ``left`` (a miss binds every build column to NULL),
-    ``full`` (a ``left`` that records each probed key in its ``collect``
-    sink's state, for the unmatched build rows), ``semi`` or ``anti`` (no
-    build column is read).
+    at ``width + j`` reads column ``j`` of a candidate build row. A row's
+    matches are the candidates that pass ``residual`` (every candidate
+    without one). ``how`` is ``inner``, ``left`` (no match binds every build
+    column to NULL, once), ``full`` (a ``left`` whose build rows carry their
+    position last, which each match records in its ``collect`` sink's
+    state, for the unmatched build rows), ``semi`` or ``anti`` (whether any
+    candidate matches; ``build_width`` is 0 unless a residual reads them).
     """
 
     how: str
@@ -755,6 +768,12 @@ class JoinProbe:
     build_keys: tuple[Expression, ...]
     width: int
     build_width: int
+    residual: Expression | None = None
+
+    @property
+    def row_width(self) -> int:
+        """Values per hashed build row: a FULL join's carry their position."""
+        return self.build_width + (self.how == "full")
 
 
 @dataclass(frozen=True)
@@ -793,7 +812,8 @@ class PipelineSpec:
 
     def all_exprs(self) -> tuple[Expression, ...]:
         """Every expression the generated loop inlines, in canonical order."""
-        gates = tuple(e for e in (self.condition, self.matched) if e is not None)
+        residual = self.probe and self.probe.residual
+        gates = tuple(e for e in (self.condition, self.matched, residual) if e is not None)
         keys = self.probe.keys if self.probe is not None else ()
         return gates + keys + self.groupings + self.agg_inputs + self.outputs + self.order
 
@@ -811,7 +831,8 @@ class PipelineSpec:
         order += "".join("f" if first else "l" for first in self.nulls_first)
         probe = self.probe
         joined = "-" if probe is None else (
-            f"{probe.how}:{len(probe.keys)}:{probe.width}:{probe.build_width}"
+            f"{probe.how}:{len(probe.keys)}:{probe.width}:{probe.build_width}:"
+            f"{'r' if probe.residual is not None else '-'}"
         )
         return (
             f"pipeline|{self.sink}|{gates}|{len(self.groupings)}|{aggs}|"
@@ -836,7 +857,11 @@ class PipelineSpec:
             agg_inputs=many(self.agg_inputs),
             outputs=many(self.outputs),
             order=many(self.order),
-            probe=self.probe and replace(self.probe, keys=many(self.probe.keys)),
+            probe=self.probe and replace(
+                self.probe,
+                keys=many(self.probe.keys),
+                residual=self.probe.residual and _fold(self.probe.residual),
+            ),
         )
 
 
@@ -1019,10 +1044,11 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
 
     Per source row the loop tests the chain's conjuncts, probes the join
     (each match rebinds the build row's columns as locals and runs the rest
-    of the body), tests ``matched`` and runs the sink: no intermediate batch
-    and no pair list. An aggregate keeps a one-column GROUP BY keyed by the
-    bare value and ``avg`` in flat slots; :meth:`CompiledPipeline.
-    algebra_groups` converts to the aggregate algebra's layout once.
+    of the body; with a residual, the candidates that pass it are listed
+    first), tests ``matched`` and runs the sink: no intermediate batch. An
+    aggregate keeps a one-column GROUP BY keyed by the bare value and
+    ``avg`` in flat slots; :meth:`CompiledPipeline.algebra_groups` converts
+    to the aggregate algebra's layout once.
     """
     shared = _SharedState(_canonical_walk(spec.all_exprs()))
     outs = [f"_out{j}" for j in range(len(spec.outputs))]
@@ -1040,10 +1066,10 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
     probe = spec.probe
     if probe is not None:
         shared.width = probe.width
-        nulls = "None, " * probe.build_width
+        setup.append("_probe = _tab.get")
         if probe.how not in ("semi", "anti"):
-            miss = "()" if probe.how == "inner" else f"(({nulls}),)"
-            setup += ["_probe = _tab.get", f"_miss = {miss}"]
+            miss = "()" if probe.how == "inner" else f"(({'None, ' * probe.row_width}),)"
+            setup.append(f"_miss = {miss}")
 
     def make_body(gen: _CodeGen) -> list[str]:
         if spec.condition is not None:
@@ -1052,15 +1078,25 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
         if probe is not None:
             keys = [gen.emit(k)[0] for k in probe.keys]
             key = keys[0] if len(keys) == 1 else f"({', '.join(keys)},)"
-            if probe.how in ("semi", "anti"):
+            names = "".join(f"_b{j}, " for j in range(probe.row_width))
+            semi = probe.how in ("semi", "anti")
+            rows = f"_probe({key}, _miss)"
+            if probe.residual is not None:
+                # The candidates that pass, before the body runs for any.
+                test = gen.scoped_filter(probe.residual)
+                found = ["_hit = True", "break"] if semi else [f"_hits.append(({names}))"]
+                head.append("_hit = False" if semi else "_hits = []")
+                head.append(f"for {names}in _probe({key}, ()):")
+                head += [f"    {line}" for line in test + found]
+                rows = "_hits or _miss"
+                if semi:
+                    head += [f"if {'not ' * (probe.how == 'semi')}_hit:", "    continue"]
+            elif semi:
                 test = "not in" if probe.how == "semi" else "in"
                 head += [f"if {key} {test} _tab:", "    continue"]
-            else:
-                if probe.how == "full":
-                    head.append(f"_sink.add({key})")
-                names = "".join(f"_b{j}, " for j in range(probe.build_width))
-                loop = f"for {names}in _probe({key}, _miss):"
-                gen.body = []
+            if not semi:
+                loop = f"for {names}in {rows}:"
+                gen.body = [f"_sink.add(_b{probe.build_width})"] if probe.how == "full" else []
         if spec.matched is not None:
             gen.emit_filter(spec.matched)
         body = gen.body + _SINK_TAILS[spec.sink](spec, gen)
@@ -1135,24 +1171,8 @@ def interpret_pipeline(
     its ``k + offset`` best rows once per batch, not row by row.
     """
     batch = _gate(spec.condition, batch, ctx)
-    probe = spec.probe
-    if probe is not None and batch.num_rows:
-        keys = [k.eval(batch, ctx) for k in probe.keys]
-        keys = keys[0] if len(keys) == 1 else list(zip(*keys))
-        if probe.how in ("semi", "anti"):
-            batch = batch.filter([(key in table) == (probe.how == "semi") for key in keys])
-        else:
-            if probe.how == "full":
-                sink.update(keys)
-            miss = [] if probe.how == "inner" else [(None,) * probe.build_width]
-            pairs = [(i, row) for i, key in enumerate(keys) for row in table.get(key, miss)]
-            build = [Field(f"#{j}", STRING) for j in range(probe.build_width)]
-            batch = ColumnBatch(
-                Schema((*batch.schema.fields, *build)),
-                [[c[i] for i, _ in pairs] for c in batch.columns]
-                + [[row[j] for _, row in pairs] for j in range(probe.build_width)],
-            )
-        batch = _gate(spec.matched, batch, ctx)
+    if spec.probe is not None and batch.num_rows:
+        batch = _gate(spec.matched, _probe(spec.probe, batch, ctx, sink, table), ctx)
     if not batch.num_rows:
         return None if spec.sink in ("aggregate", "topk") else [[] for _ in spec.outputs]
     if spec.sink == "aggregate":
@@ -1191,6 +1211,48 @@ def interpret_pipeline(
         sink[0][:] = sorted(sink[0], reverse=spec.descending)[: sink[2]]
         del sink[1][sink[2] :]
     return None
+
+
+def _probe(
+    probe: JoinProbe,
+    batch: ColumnBatch,
+    ctx: EvalContext,
+    sink: Any,
+    table: dict[Any, list[tuple]],
+) -> ColumnBatch:
+    """``batch``'s rows joined with their matches in ``table``, in the
+    generated probe's order: the candidates of each row that pass the
+    residual (conjunct by conjunct, over the candidate pairs)."""
+    keys = join_keys([k.eval(batch, ctx) for k in probe.keys])
+    pairs = [(i, row) for i, key in enumerate(keys) for row in table.get(key, ())]
+    if probe.residual is not None:
+        tagged = _pairs_batch(batch, pairs, probe.row_width, tagged=True)
+        pairs = [pairs[p] for p in _gate(probe.residual, tagged, ctx).columns[-1]]
+    hit = {i for i, _ in pairs}
+    if probe.how in ("semi", "anti"):
+        wanted = probe.how == "semi"
+        return batch.filter([(i in hit) == wanted for i in range(batch.num_rows)])
+    if probe.how == "full":
+        sink.update(row[-1] for _, row in pairs)
+    if probe.how != "inner":
+        miss = (None,) * probe.row_width
+        missed = [(i, miss) for i in range(batch.num_rows) if i not in hit]
+        pairs = sorted(pairs + missed, key=itemgetter(0))
+    return _pairs_batch(batch, pairs, probe.row_width)
+
+
+def _pairs_batch(
+    batch: ColumnBatch, pairs: list[tuple[int, tuple]], width: int, tagged: bool = False
+) -> ColumnBatch:
+    """``batch``'s row ``i`` followed by ``width`` build values, per ``(i,
+    build row)`` pair; ``tagged`` appends each pair's position."""
+    fields = [*batch.schema.fields, *(Field(f"#{j}", STRING) for j in range(width))]
+    columns = [[c[i] for i, _ in pairs] for c in batch.columns]
+    columns += [[row[j] for _, row in pairs] for j in range(width)]
+    if tagged:
+        fields.append(Field("#pair", INT))
+        columns.append(list(range(len(pairs))))
+    return ColumnBatch(Schema(tuple(fields)), columns)
 
 
 def _gate(condition: Expression | None, batch: ColumnBatch, ctx: EvalContext) -> ColumnBatch:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
 from repro.common.context import span_or_null
@@ -32,6 +31,7 @@ from repro.engine.compile import (
     JoinProbe,
     KernelCompiler,
     PipelineSpec,
+    _gate,
     collect_loop,
     has_opaque_nodes,
     hash_keys,
@@ -161,7 +161,7 @@ class ExecContext:
     remote_executor: Callable[[RemoteScan, EvalContext], Iterator[ColumnBatch]] | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
     metrics: QueryMetrics = field(default_factory=QueryMetrics)
-    #: Materialize independent child subtrees (join/union inputs) on threads.
+    #: Materialize independent child subtrees (union inputs) on threads.
     parallel_children: bool = False
 
     def fork(self) -> "ExecContext":
@@ -362,7 +362,8 @@ class PhysRemoteScan(PhysicalOperator):
 class PhysFilter(PhysicalOperator):
     """Row filtering with SQL semantics (NULL predicate drops the row), for
     a condition no loop can hold: one with user code (or a node type the
-    generator does not know) in it."""
+    generator does not know) in it. One conjunct at a time, so user code
+    only sees the rows every conjunct left of it admitted."""
 
     def __init__(self, child: PhysicalOperator, condition: Expression):
         super().__init__(child.schema, (child,))
@@ -370,10 +371,7 @@ class PhysFilter(PhysicalOperator):
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         for batch in self.children[0].execute(ctx):
-            if batch.num_rows == 0:
-                yield batch
-                continue
-            yield batch.filter(self._condition.eval(batch, ctx.eval_ctx))
+            yield _gate(self._condition, batch, ctx.eval_ctx)
 
 
 class PhysProject(PhysicalOperator):
@@ -757,15 +755,16 @@ def _run_loop(
     if spec.probe is not None:
         build = ColumnBatch.concat(children[1].schema, list(children[1].execute(ctx)))
         keys = join_keys([k.eval(build, ctx.eval_ctx) for k in spec.probe.build_keys])
-        table = hash_keys(keys, build.iter_rows())
+        rows = build.iter_rows()
+        if spec.probe.how == "full":
+            rows = [(*row, j) for j, row in enumerate(rows)]
+        table = hash_keys(keys, rows)
     for batch in children[0].execute(ctx):
         if batch.num_rows:
             yield run_pipeline(spec, pipeline, batch, ctx.eval_ctx, state, table)
     if spec.probe is not None and spec.probe.how == "full":
-        # The build rows no probe row matched, NULL-extended, in their order.
-        unmatched = build.take(
-            [j for j, key in enumerate(keys) if key is None or key not in state]
-        )
+        # The build rows no match recorded, NULL-extended, in their order.
+        unmatched = build.take([j for j in range(build.num_rows) if j not in state])
         nulls = [[None] * unmatched.num_rows for _ in range(spec.probe.width)]
         rest = replace(spec, condition=spec.matched, matched=None, probe=None)
         joined = ColumnBatch(children[0].schema.concat(build.schema), nulls + unmatched.columns)
@@ -811,176 +810,6 @@ class PhysPipeline(PhysicalOperator):
         if spec.sink == "topk":
             rows = topk_rows(spec, state, self._limit, self._offset)
             yield ColumnBatch.from_rows(self.schema, rows)
-
-
-# ---------------------------------------------------------------------------
-# Joins
-# ---------------------------------------------------------------------------
-
-
-def probe_key_columns(
-    left_key_cols: list[list[Any]],
-    right_key_cols: list[list[Any]],
-) -> list[tuple[int, int]]:
-    """Hash-match pre-computed key columns; NULL keys never match (SQL)."""
-    right_keys = join_keys(right_key_cols)
-    probe = hash_keys(right_keys, range(len(right_keys))).get
-    return [(i, j) for i, key in enumerate(join_keys(left_key_cols)) for j in probe(key, ())]
-
-
-class PhysJoin(PhysicalOperator):
-    """The joins no probe loop runs: cross, non-equi, an equi-join with a
-    residual (hashed on its keys, then the residual over the candidate
-    pairs, never a nested loop), a FULL join under a sink, and keys with
-    user code in them.
-
-    Rows come out in the preserved side's order — each left row (a right
-    row, for RIGHT) followed by its matches or by its NULL-extended row, a
-    FULL join's unmatched right rows last — which is the order a
-    pipeline's join probe produces.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        how: str,
-        condition: Expression | None,
-        schema: Schema,
-    ):
-        super().__init__(schema, (left, right))
-        self._how = how
-        self._condition = condition
-
-    def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
-        # Both inputs are materialized anyway, so they are safe to build
-        # concurrently (forked contexts isolate metrics/UDF memo/trace).
-        left, right = collect_children_parallel(ctx, self.children)
-        yield self._join(left, right, ctx)
-
-    # -- core ---------------------------------------------------------------------
-
-    def _join(
-        self, left: ColumnBatch, right: ColumnBatch, ctx: ExecContext
-    ) -> ColumnBatch:
-        how = self._how
-        n_left, n_right = left.num_rows, right.num_rows
-        matches: list[tuple[int, int]] = []
-        left_matched = [False] * n_left
-        right_matched = [False] * n_right
-
-        if how == "cross":
-            matches = [(i, j) for i in range(n_left) for j in range(n_right)]
-        else:
-            matches = self._find_matches(
-                left, right, ctx, left_matched, right_matched
-            )
-
-        if how in ("inner", "cross"):
-            return self._emit_pairs(left, right, matches)
-        if how == "semi":
-            keep = [i for i in range(n_left) if left_matched[i]]
-            return left.take(keep).rename(self.schema)
-        if how == "anti":
-            keep = [i for i in range(n_left) if not left_matched[i]]
-            return left.take(keep).rename(self.schema)
-        unmatched_left = [(i, None) for i in range(n_left) if not left_matched[i]]
-        unmatched_right = [(None, j) for j in range(n_right) if not right_matched[j]]
-        if how == "right":
-            pairs = sorted(matches + unmatched_right, key=itemgetter(1))
-            return self._emit_pairs(left, right, pairs)
-        if how in ("left", "full"):
-            # Stable: a left row's matches keep their right-side order.
-            pairs = sorted(matches + unmatched_left, key=itemgetter(0))
-            if how == "full":
-                pairs += unmatched_right
-            return self._emit_pairs(left, right, pairs)
-        raise UnsupportedOperationError(f"join type '{how}'")
-
-    def _find_matches(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        ctx: ExecContext,
-        left_matched: list[bool],
-        right_matched: list[bool],
-    ) -> list[tuple[int, int]]:
-        equi = split_equi_condition(self._condition, left.num_columns)
-        if equi is not None:
-            left_keys, right_keys, residual = equi
-            return self._hash_matches(
-                left, right, ctx, left_keys, right_keys, residual,
-                left_matched, right_matched,
-            )
-        return self._loop_matches(left, right, ctx, left_matched, right_matched)
-
-    def _hash_matches(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        ctx: ExecContext,
-        left_keys: list[Expression],
-        right_keys: list[Expression],
-        residual: Expression | None,
-        left_matched: list[bool],
-        right_matched: list[bool],
-    ) -> list[tuple[int, int]]:
-        # Right-side key expressions reference combined-schema positions.
-        right_key_cols = [
-            shift_refs(k, -left.num_columns).eval(right, ctx.eval_ctx) for k in right_keys
-        ]
-        left_key_cols = [k.eval(left, ctx.eval_ctx) for k in left_keys]
-        candidates = probe_key_columns(left_key_cols, right_key_cols)
-        if residual is not None and candidates:
-            combined = self._pairs_batch(left, right, candidates)
-            mask = residual.eval(combined, ctx.eval_ctx)
-            candidates = [p for p, m in zip(candidates, mask) if m]
-        for i, j in candidates:
-            left_matched[i] = True
-            right_matched[j] = True
-        return candidates
-
-    def _loop_matches(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        ctx: ExecContext,
-        left_matched: list[bool],
-        right_matched: list[bool],
-    ) -> list[tuple[int, int]]:
-        pairs = [(i, j) for i in range(left.num_rows) for j in range(right.num_rows)]
-        if not pairs:
-            return []
-        combined = self._pairs_batch(left, right, pairs)
-        mask = self._condition.eval(combined, ctx.eval_ctx)
-        matches = [p for p, m in zip(pairs, mask) if m]
-        for i, j in matches:
-            left_matched[i] = True
-            right_matched[j] = True
-        return matches
-
-    def _pairs_batch(
-        self, left: ColumnBatch, right: ColumnBatch, pairs: list[tuple[int, int]]
-    ) -> ColumnBatch:
-        columns = [
-            [col[i] for i, _ in pairs] for col in left.columns
-        ] + [
-            [col[j] for _, j in pairs] for col in right.columns
-        ]
-        return ColumnBatch(left.schema.concat(right.schema), columns)
-
-    def _emit_pairs(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        pairs: list[tuple[int | None, int | None]],
-    ) -> ColumnBatch:
-        columns = [
-            [None if i is None else col[i] for i, _ in pairs] for col in left.columns
-        ] + [
-            [None if j is None else col[j] for _, j in pairs] for col in right.columns
-        ]
-        return ColumnBatch(self.schema, columns)
 
 
 class PhysUnion(PhysicalOperator):
@@ -1060,8 +889,8 @@ class PhysicalPlanner:
     """Maps an optimized logical plan to a physical operator tree.
 
     Every maximal chain of engine-code Filter/Project stages — through at
-    most one equi-join the loop probes — is lowered together with the sink
-    it feeds into one loop (see :meth:`_plan_pipeline`): an aggregate, a
+    most one join the loop probes — is lowered together with the sink it
+    feeds into one loop (see :meth:`_plan_pipeline`): an aggregate, a
     one-direction sort (with its LIMIT: a bounded top-k), a LIMIT, or
     nothing (``collect``: the rows are the result). A chain starts at the
     scan's pushed filters (a row filter outside the policy slot first), so
@@ -1074,9 +903,10 @@ class PhysicalPlanner:
     :class:`PhysFilter` / :class:`PhysProject` (its UDFs run next to the
     sandbox, exactly as often as the query says) and chaining restarts
     below it, so a UDF splits a chain into two loops around the sandbox
-    call. What no loop runs stays on interpreted operators:
-    :class:`PhysSort` (mixed directions, or user code in a key) and
-    :class:`PhysJoin` (cross, non-equi and residual joins).
+    call. Every join is a probe loop: keyed on its equalities (or on TRUE),
+    its other conditions the probe's residual; a join holding user code is
+    one the compiler refuses. What no loop runs stays on an interpreted
+    :class:`PhysSort` (mixed directions, or user code in a key).
     """
 
     def __init__(self, compiler: KernelCompiler | None = None):
@@ -1112,13 +942,7 @@ class PhysicalPlanner:
                 compiler=self._compiler,
             )
         if isinstance(logical, Join):
-            return self._plan_pipeline(logical) or PhysJoin(
-                self.plan(logical.left),
-                self.plan(logical.right),
-                logical.how,
-                logical.condition,
-                logical.schema,
-            )
+            return self._plan_pipeline(logical)
         if isinstance(logical, Sort):
             return self._plan_pipeline(logical) or PhysSort(
                 self.plan(logical.child), logical.orders
@@ -1278,26 +1102,25 @@ class PhysicalPlanner:
 
     @staticmethod
     def _probe_split(join: Join, full: bool = False) -> tuple | None:
-        """``(how, probe side, build side, probe keys, build keys)`` of a join
-        the loop can probe — an equi-join with no residual whose keys are
-        engine code, FULL only where ``full`` (its rows are the result) —
-        with a RIGHT join's sides swapped into a LEFT one; ``None`` for any
-        other join (it stays on :class:`PhysJoin`)."""
-        if join.how not in ("inner", "left", "right", "semi", "anti") + (
-            ("full",) if full else ()
-        ):
+        """``(how, probe side, build side, probe keys, build keys, residual)``
+        of ``join`` as the loop probes it: keyed on its equalities (the
+        constant TRUE when it has none: a cross or non-equi join), with the
+        rest of its condition as the residual, over the join's own layout. A
+        RIGHT join's sides swap into a LEFT one and a cross join is an inner
+        one; ``None`` for a FULL join unless ``full`` (its rows are the
+        result: its loop collects)."""
+        if join.how == "full" and not full:
             return None
+        how = {"right": "left", "cross": "inner"}.get(join.how, join.how)
         width = len(join.left.schema)
         equi = split_equi_condition(join.condition, width)
-        if equi is None or equi[2] is not None:
-            return None
+        if equi is None:
+            equi = [Literal(True)], [Literal(True)], join.condition
         left_keys = tuple(equi[0])
         right_keys = tuple(shift_refs(k, -width) for k in equi[1])
-        if has_opaque_nodes(left_keys + right_keys):
-            return None
         if join.how == "right":
-            return "left", join.right, join.left, right_keys, left_keys
-        return join.how, join.left, join.right, left_keys, right_keys
+            return how, join.right, join.left, right_keys, left_keys, equi[2]
+        return how, join.left, join.right, left_keys, right_keys, equi[2]
 
     def _compose_source(self, node: LogicalPlan, full: bool = False) -> "_Source":
         """``node``'s fusable chain composed onto the operator it reads —
@@ -1310,13 +1133,13 @@ class PhysicalPlanner:
         split = self._probe_split(below, full) if isinstance(below, Join) else None
         if split is None:
             return _Source(below, condition, outs, len(stages))
-        how, probe_side, build, keys, build_keys = split
+        how, probe_side, build, keys, build_keys, residual = split
         probe_stages, boundary = self._fusion_chain(probe_side)
         probe_condition, probe_outs = self._compose_chain(probe_stages)
         probe_cols = _refs(boundary) if probe_outs is None else [_bare(e) for e in probe_outs]
-        build_cols = [] if how in ("semi", "anti") else _refs(build, len(boundary.schema))
+        build_cols = _refs(build, len(boundary.schema))
         joined = build_cols + probe_cols if below.how == "right" else probe_cols + build_cols
-        mapping = dict(enumerate(joined))
+        mapping = dict(enumerate(joined))  # the join's layout (SEMI / ANTI: a prefix)
         return _Source(
             boundary,
             probe_condition,
@@ -1327,6 +1150,7 @@ class PhysicalPlanner:
             tuple(inline_through_projection(k, probe_outs) for k in keys),
             build_keys,
             None if condition is None else substitute_refs(condition, mapping),
+            None if residual is None else substitute_refs(residual, mapping),
         )
 
     def _plan_pipeline(
@@ -1341,9 +1165,10 @@ class PhysicalPlanner:
         join the loop probes. Without ``compose`` the sink reads its child's
         operator as is. ``None`` leaves ``node`` to its own operator: a
         FINAL aggregate, a mixed-direction sort, user code in the sink or at
-        the top of the chain, a join no loop probes, or a chain that does
-        not compose. Each loop is generated code where the compiler accepts
-        it, :func:`~repro.engine.compile.interpret_pipeline` otherwise.
+        the top of the chain, or a chain that does not compose (never a
+        join: a join that does not compose raises). Each loop is generated
+        code where the compiler accepts it,
+        :func:`~repro.engine.compile.interpret_pipeline` otherwise.
         """
         aggregate = isinstance(node, Aggregate)
         collect = isinstance(node, (Filter, Project, Join))
@@ -1379,12 +1204,14 @@ class PhysicalPlanner:
             if above:
                 lifted = self._compose_chain(above)[1]
                 outs = [inline_through_projection(_bare(e), outs) for e in lifted]
-            boundary, (condition, matched, *rest) = _narrow_scan(
+            boundary, (condition, matched, residual, *rest) = _narrow_scan(
                 source.boundary,
-                [source.condition, source.matched, *source.keys, *sinks]
+                [source.condition, source.matched, source.residual, *source.keys, *sinks]
                 + ([] if aggregate else outs),
             )
         except Exception:  # noqa: BLE001 - such a chain plans per operator
+            if isinstance(node, Join):
+                raise  # a join has no other operator
             self._note_miss()
             return None
         if collect and not (source.stages or source.build is not None):
@@ -1396,9 +1223,12 @@ class PhysicalPlanner:
         keys, sinks = tuple(rest[: len(source.keys)]), rest[len(source.keys) :]
         probe = None
         if source.build is not None:
-            build_width = 0 if source.how in ("semi", "anti") else len(source.build.schema)
+            build_width = len(source.build.schema)
+            if source.how in ("semi", "anti") and residual is None:
+                build_width = 0
             probe = JoinProbe(
-                source.how, keys, source.build_keys, len(boundary.schema), build_width
+                source.how, keys, source.build_keys, len(boundary.schema), build_width,
+                residual,
             )
         chain = {"condition": condition, "matched": matched, "probe": probe}
         if aggregate:
@@ -1444,7 +1274,8 @@ class _Source:
     """A fusable chain composed onto the operator it reads (``boundary``):
     ``outs`` are the chain top's columns over the loop's layout. With a join
     probe, ``build`` is its build side, ``keys`` / ``build_keys`` its key
-    pairs and ``matched`` the condition above the join."""
+    pairs, ``matched`` the condition above the join and ``residual`` the
+    rest of the join's own condition."""
 
     boundary: LogicalPlan
     condition: Expression | None
@@ -1455,6 +1286,7 @@ class _Source:
     keys: tuple[Expression, ...] = ()
     build_keys: tuple[Expression, ...] = ()
     matched: Expression | None = None
+    residual: Expression | None = None
 
 
 def _refs(plan: LogicalPlan, start: int = 0) -> list[Expression]:

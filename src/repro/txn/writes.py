@@ -32,6 +32,8 @@ from repro.engine.batch import ColumnBatch
 from repro.engine.compile import (
     KernelCompiler,
     collect_loop,
+    hash_keys,
+    join_keys,
     memoisable_policy,
     run_pipeline,
 )
@@ -45,7 +47,7 @@ from repro.engine.expressions import (
     shift_refs,
     split_equi_condition,
 )
-from repro.engine.physical import RowSelection, probe_key_columns
+from repro.engine.physical import RowSelection
 from repro.engine.types import Field, Schema
 from repro.errors import AnalysisError, TransactionAbortedError, WriteDeniedError
 from repro.storage.object_store import RowPolicy
@@ -401,10 +403,10 @@ def _merge_matches(
 ) -> list[tuple[int, int]]:
     """``(target row, source row)`` pairs satisfying ON, visible targets only.
 
-    Equi-conjuncts of ON are hash-matched (the join operator's probe) and
-    any residual is evaluated over the candidate pairs. An ON without an
-    equi-conjunct falls back to a nested loop: one source row at a time
-    against the visible target columns.
+    Equi-conjuncts of ON are hash-matched (``join_keys`` / ``hash_keys``,
+    as a join probe's) and any residual is evaluated over the candidate
+    pairs. An ON without an equi-conjunct falls back to a nested loop: one
+    source row at a time against the visible target columns.
     """
     schema, width = staged.schema, len(staged.schema)
     visible = _matching_rows(columns, staged, None, ev)
@@ -426,9 +428,11 @@ def _merge_matches(
         target_keys, source_keys, residual = equi
         source_keys = [shift_refs(key, -width) for key in source_keys]
         targets = _gather(columns, schema, visible, _references(target_keys))
-        pairs = probe_key_columns(
-            ev.project(target_keys, targets), ev.project(source_keys, source)
-        )
+        probe = hash_keys(
+            join_keys(ev.project(source_keys, source)), range(source.num_rows)
+        ).get
+        target_rows = join_keys(ev.project(target_keys, targets))
+        pairs = [(i, j) for i, key in enumerate(target_rows) for j in probe(key, ())]
     if visible is not None:
         pairs = [(visible[i], j) for i, j in pairs]
     if residual is not None and pairs:

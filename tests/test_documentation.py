@@ -136,7 +136,9 @@ def test_readme_lists_every_system_table():
 #: Also deleted: the in-process sandbox and the row-wise apply a
 #: ``PythonUDF`` carried with its callable. Deleted in PR 42: the keyword,
 #: environment variable and config field that switched whole-operator
-#: fusion off (grouped like the names above).
+#: fusion off (grouped like the names above). Then deleted: the join
+#: operator beside the probe loop and its key matcher, and the names of the
+#: process backend's kernel shipping, which the docs outlived.
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -149,7 +151,9 @@ _DELETED = re.compile(
     r"GovernedResult(Cache)|(Disk|Memory)Tier|rehydrate_(artifact)|"
     r"GENERATOR_(VERSION))\b|"
     r"\b(InProcess(Sandbox)|invoke_(rows))\b|"
-    r"\b((engine_|default_)?fuse_(operators)|LAKEGUARD_FUSE_(OPERATORS))\b"
+    r"\b((engine_|default_)?fuse_(operators)|LAKEGUARD_FUSE_(OPERATORS))\b|"
+    r"\b(Phys(Join)|probe_key_(columns)|binding_(key)|KernelNot(Shipped)|"
+    r"KERNEL_CACHE_(ENTRIES))\b"
 )
 
 

@@ -22,6 +22,8 @@ or not) as one generated loop never changes a single byte of output:
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,7 @@ from repro.engine.expressions import (
     Not,
     SortOrder,
     col,
+    conjoin,
     lit,
 )
 from repro.errors import ExecutionError
@@ -602,9 +605,9 @@ class TestEngineFusionEquivalence:
         self, how, keys, rows
     ):
         """Single-key (bare dict keys) and multi-key (tuple keys) probes
-        match the nested-loop join pair for pair — NULL keys never match,
-        duplicate keys fan out in (left, right) order — compiled, refused
-        and interpreted."""
+        match the row model's nested-loop join pair for pair — NULL keys
+        never match, duplicate keys fan out in (left, right) order —
+        compiled, refused and interpreted."""
         base = UnresolvedRelation("t")
         left = Filter(base, Comparison("<", col("x"), lit(40)))
         right = Project(
@@ -615,23 +618,12 @@ class TestEngineFusionEquivalence:
                 Alias(Arithmetic("*", col("y"), lit(2.0)), "y2"),  # fuses
             ),
         )
-        equalities = [Comparison("=", col(k), col(k + "2")) for k in keys]
-        hashed = equalities[0]
-        for eq in equalities[1:]:
-            hashed = BooleanOp("AND", hashed, eq)
-        # The same 3VL predicate in a shape the planner cannot split into
-        # key pairs, which forces the nested-loop path:
-        # NOT (a != b OR c != d) is TRUE exactly when every pair is equal
-        # and non-NULL.
-        differs = [Comparison("!=", col(k), col(k + "2")) for k in keys]
-        any_differs = differs[0]
-        for d in differs[1:]:
-            any_differs = BooleanOp("OR", any_differs, d)
-        looped = Not(any_differs)
-        expected = (
-            _engine(rows, compile_enabled=False)
-            .execute(Join(left, right, how=how, condition=looped))
-            .rows()
+        hashed = conjoin([Comparison("=", col(k), col(k + "2")) for k in keys])
+        expected = model_join(
+            [r for r in rows if r[0] is not None and r[0] < 40],
+            [(r[0], r[2], None if r[1] is None else r[1] * 2.0) for r in rows],
+            how,
+            _equal([(0, 0)] + ([(2, 1)] if "s" in keys else [])),
         )
         compiled, refused, interpreted = _three_ways(
             rows, Join(left, right, how=how, condition=hashed)
@@ -657,6 +649,37 @@ class TestEngineFusionEquivalence:
         )
         compiled, refused, interpreted = _three_ways(rows, plan)
         assert compiled == refused == interpreted
+
+    def test_a_udf_conjunct_only_sees_rows_the_conjuncts_left_of_it_admit(self):
+        """``WHERE x > 3 AND boom(x) = 1`` is one Filter with user code in
+        it: ``boom`` runs only on the rows ``x > 3`` admitted (it raises on
+        any other), compiled, refused and interpreted."""
+        from repro.engine.udf import udf as engine_udf
+
+        @engine_udf("int")
+        def boom(v):
+            if v is None or v <= 3:
+                raise ValueError(f"saw filtered row {v}")
+            return 1
+
+        rows = [(i, float(i), "s") for i in range(8)]
+        plan = Project(
+            Filter(
+                UnresolvedRelation("t"),
+                BooleanOp(
+                    "AND",
+                    Comparison(">", col("x"), lit(3)),
+                    Comparison("=", boom(col("x")), lit(1)),
+                ),
+            ),
+            (Alias(col("x"), "x"),),
+        )
+        for engine in (
+            _engine(rows),
+            _engine(rows, compiler=_RefusingCompiler()),
+            _engine(rows, compile_enabled=False),
+        ):
+            assert engine.execute(plan).rows() == [(4,), (5,), (6,), (7,)]
 
     def test_empty_input_identical_three_ways(self):
         plan = Aggregate(
@@ -742,16 +765,17 @@ def model_sort(rows, terms):
     return rows
 
 
-def model_join(left, right, how, pairs):
-    """Nested-loop join of 3-column row tuples; ``pairs`` are ``(left,
-    right)`` column positions that must be equal and not NULL. Rows follow
-    the preserved side (the right one for RIGHT), a FULL join's unmatched
-    right rows last."""
+def _equal(pairs):
+    """The match predicate of ``(left, right)`` column positions that must
+    be equal and not NULL."""
+    return lambda l, r: all(l[i] is not None and l[i] == r[j] for i, j in pairs)
+
+
+def model_join(left, right, how, match):
+    """Nested-loop join of 3-column row tuples: ``match(l, r)`` says whether
+    a pair matches. Rows follow the preserved side (the right one for
+    RIGHT), a FULL join's unmatched right rows last."""
     nulls = (None,) * 3
-
-    def match(l, r):
-        return all(l[i] is not None and l[i] == r[j] for i, j in pairs)
-
     if how == "right":
         return [
             row
@@ -782,6 +806,8 @@ def model_aggregate(rows, key, value):
         groups[key(row)] = (count + 1, total)
     return [(k, n, total) for k, (n, total) in groups.items()]
 
+
+_THETA = {"<": operator.lt, "<=": operator.le, "!=": operator.ne}
 
 _MODEL_KEYS = {
     "x": lambda r: r[0],
@@ -846,25 +872,39 @@ class TestSinkEquivalence:
     @pytest.mark.parametrize(
         "how", ["inner", "left", "right", "full", "semi", "anti"]
     )
-    @pytest.mark.parametrize("sink", ["collect", "aggregate", "topk", "limit"])
+    @pytest.mark.parametrize(
+        ("sink", "condition"),
+        [
+            # An equi-join's legs keep their ids: ``[sink-how]``.
+            pytest.param(sink, condition, id=sink if condition == "equi" else f"{sink}-{condition}")
+            for condition in ("equi", "residual", "non-equi", "cross")
+            for sink in ("collect", "aggregate", "topk", "limit")
+        ],
+    )
     @given(
         rows=tie_rows,
         keys=st.sampled_from([("x",), ("x", "s")]),
         build_filter=st.integers(-4, 4),
         null_keys=st.booleans(),
         above=st.booleans(),
+        theta=st.sampled_from(["<", "<=", "!="]),
         batch_size=st.integers(1, 9),
     )
     @settings(max_examples=20, deadline=None)
     def test_join_probe_identical_four_ways(
-        self, how, keys, sink, rows, build_filter, null_keys, above, batch_size
+        self, how, keys, sink, condition, rows, build_filter, null_keys, above,
+        theta, batch_size,
     ):
-        """Every join type under every sink, over duplicate build keys, NULL
-        build keys (``null_keys``) and an empty build side (the build filter
-        ``x < -4`` without them), with or without a filter above the join
-        (the loop's ``matched`` test). A FULL join's loop only collects (its
-        unmatched build rows come after the probe), so under the other
-        sinks it feeds the sink's own operator."""
+        """Every join type under every sink and every kind of condition,
+        over duplicate build keys, NULL build keys (``null_keys``) and an
+        empty build side (the build filter ``x < -4`` without them), with or
+        without a filter above the join (the loop's ``matched`` test). The
+        conditions: equalities on ``keys``; the same and ``y <theta> y2``,
+        a residual that fails some key-matched pairs (few distinct ``y``);
+        ``y <theta> y2`` alone (non-equi: one bucket); and every pair (a
+        CROSS JOIN for INNER, ``ON TRUE`` otherwise). A FULL join's loop
+        only collects (its unmatched build rows come after the probe), so
+        under the other sinks it feeds the sink's own operator."""
         base = UnresolvedRelation("t")
         left = Filter(base, BooleanOp("OR", IsNull(col("y")), Comparison(">", col("y"), lit(0.0))))
         kept = Comparison("<", col("x"), lit(build_filter))
@@ -874,8 +914,20 @@ class TestSinkEquivalence:
             Filter(base, kept),
             (Alias(col("x"), "x2"), Alias(col("s"), "s2"), Alias(col("y"), "y2")),
         )
-        on = [Comparison("=", col(k), col(k + "2")) for k in keys]
-        plan = Join(left, right, how=how, condition=on[0] if len(on) == 1 else BooleanOp("AND", *on))
+        equal = [Comparison("=", col(k), col(k + "2")) for k in keys]
+        versus = Comparison(theta, col("y"), col("y2"))
+        keyed = _equal([(0, 0)] + ([(2, 1)] if "s" in keys else []))
+
+        def compared(l, r):  # y <theta> y2; NULL does not match
+            return None not in (l[1], r[2]) and _THETA[theta](l[1], r[2])
+
+        on, match = {
+            "equi": (conjoin(equal), keyed),
+            "residual": (conjoin([*equal, versus]), lambda l, r: keyed(l, r) and compared(l, r)),
+            "non-equi": (versus, compared),
+            "cross": (None if how == "inner" else lit(True), lambda l, r: True),
+        }[condition]
+        plan = Join(left, right, how="cross" if on is None else how, condition=on)
         model = model_join(
             [r for r in rows if r[1] is None or r[1] > 0.0],
             [
@@ -884,7 +936,7 @@ class TestSinkEquivalence:
                 if (null_keys and r[0] is None) or (r[0] is not None and r[0] < build_filter)
             ],
             how,
-            [(0, 0)] + ([(2, 1)] if "s" in keys else []),
+            match,
         )
         semi = how in ("semi", "anti")
         if above:
@@ -955,7 +1007,9 @@ def _joined(condition, how="inner"):
     return Join(Filter(base, Not(IsNull(col("y")))), right, how=how, condition=condition)
 
 
-#: Plans whose operators no loop runs, beside the loops around them.
+#: Plans around the operators no loop runs (a mixed-direction or user-code
+#: sort, UDF stages), and joins of every kind — with a residual, non-equi,
+#: cross, FULL under an aggregate, user code in a key — each a probe loop.
 SHAPES = {
     "mixed-direction-top": lambda: Limit(
         Sort(_chain(-2), (SortOrder(col("x"), False), SortOrder(col("y")))), 4, 1
@@ -966,6 +1020,15 @@ SHAPES = {
     ),
     "non-equi-join": lambda: _joined(Comparison("<", col("x"), col("x2")), "left"),
     "cross-join": lambda: _joined(None, "cross"),
+    "full-residual-join-count": lambda: Aggregate(
+        _joined(
+            BooleanOp("AND", Comparison("=", col("x"), col("x2")), Comparison("<", col("y"), col("y2"))),
+            "full",
+        ),
+        groupings=(),
+        aggregates=(AggregateCall("count", None),),
+    ),
+    "udf-key-join": lambda: _joined(Comparison("=", _bump_udf()(col("x")), col("x2")), "left"),
     "udf-filter": lambda: Project(
         Filter(_chain(-2), Comparison(">", _bump_udf()(col("x")), lit(0))),
         (Alias(Arithmetic("*", col("y"), lit(2.0)), "y2"),),
@@ -992,14 +1055,16 @@ class TestOnePlanShape:
     @pytest.mark.parametrize("name", list(SHAPES))
     def test_compiled_and_interpreted_runs_plan_alike(self, name):
         """Compilation on and off plan the same operators and loops — the
-        chains around a PhysSort, a PhysJoin or a UDF stage included — and
-        return the same rows."""
+        chains around a PhysSort or a UDF stage included — and return the
+        same rows. Every join, whatever its condition, is a probe loop."""
         plan = SHAPES[name]()
         compiled, disabled = _engine(self.ROWS), _engine(self.ROWS, compile_enabled=False)
         shape = plan_shape(_physical(compiled, plan))
         assert shape == plan_shape(_physical(disabled, plan))
         assert all_same(compiled.execute(plan).rows(), disabled.execute(plan).rows())
         assert _sinks(compiled, plan), "every case runs a loop beside its operator"
+        if "join" in name:
+            assert "join_probe" in _sinks(compiled, plan)
 
 
 class TestBoundedTopK:
@@ -1041,7 +1106,9 @@ class TestBoundedTopK:
         monkeypatch.setattr(physical, "topk_rows", recording)
         rows = engine.execute(self._plan()).rows()
         assert held and max(held) <= 3 + 2
-        joined = model_join(self.ROWS, [(r[0], r[2], r[1]) for r in self.ROWS], "inner", [(0, 0)])
+        joined = model_join(
+            self.ROWS, [(r[0], r[2], r[1]) for r in self.ROWS], "inner", _equal([(0, 0)])
+        )
         assert len(joined) > 100  # an unbounded sort would have held them all
         expected = model_sort(joined, [(lambda r: r[1], False, True)])[2:5]
         assert rows == [(r[1], r[4]) for r in expected]

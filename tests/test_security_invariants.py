@@ -216,6 +216,8 @@ class TestPolicyBeforeUserCode:
     #: Pipeline sinks whose user predicate raises on — and would quote — a
     #: hidden row of either join side: ``orders`` hides non-US rows (their
     #: buyers are not numbers), ``regions`` hides APAC (its code is not).
+    #: The last two put the CAST of both sides in the join's own condition:
+    #: a probe's residual, after an equality or with none (one bucket).
     SINK_QUERIES = {
         "topk": (
             "SELECT id, amount FROM main.sales.orders "
@@ -242,6 +244,20 @@ class TestPolicyBeforeUserCode:
             [(3, "amer"), (1, "amer")],
             "join_probe",
         ),
+        "join-residual": (
+            "SELECT o.id, r.label FROM main.sales.orders o "
+            "JOIN main.sales.regions r ON o.region = r.region "
+            "AND CAST(o.buyer AS INT) > CAST(r.code AS INT) * 20",
+            [(3, "amer")],
+            "join_probe",
+        ),
+        "join-non-equi": (
+            "SELECT o.id, r.label FROM main.sales.orders o "
+            "LEFT JOIN main.sales.regions r "
+            "ON CAST(o.buyer AS INT) > CAST(r.code AS INT) * 15",
+            [(1, None), (3, "amer"), (3, "emea")],
+            "join_probe",
+        ),
     }
 
     @pytest.mark.parametrize("shape", list(SINK_QUERIES))
@@ -252,7 +268,7 @@ class TestPolicyBeforeUserCode:
         """The top-k, LIMIT and join-probe legs: the user's CAST runs inside
         the sink's loop (compiled) or through its interpreter twin (the
         compiler refused every kernel and pipeline), on either side of a
-        join, and never on a row a row filter hides."""
+        join or in its condition, and never on a row a row filter hides."""
         cluster = workspace.create_standard_cluster(name=leg)
         try:
             admin = cluster.connect("admin")

@@ -117,7 +117,7 @@ class UnityCatalog:
     ):
         self.clock = clock or SystemClock()
         self.audit = audit or AuditLog()
-        #: Tracing/metrics spine shared by every component of this deployment.
+        #: Tracing spine shared by every component of this deployment.
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(clock=self.clock)
         )
@@ -126,11 +126,11 @@ class UnityCatalog:
         #: one injector, so a test (or the CI chaos job, via the
         #: ``LAKEGUARD_CHAOS_*`` environment variables) arms faults in one
         #: place and every layer's recovery machinery gets exercised.
-        self.faults = FaultInjector(clock=self.clock, telemetry=self.telemetry)
+        self.faults = FaultInjector(clock=self.clock)
         self.faults.arm_from_env()
         self.store = store or ObjectStore(clock=self.clock, audit=None)
         self.store.faults = self.faults
-        self.vendor = CredentialVendor(clock=self.clock, telemetry=self.telemetry)
+        self.vendor = CredentialVendor(clock=self.clock)
         self.vendor.faults = self.faults
         # Storage checks liveness with the issuing vendor on every access:
         # revoking a credential (or an identity) takes effect immediately,
@@ -189,7 +189,6 @@ class UnityCatalog:
         with self._epoch_lock:
             self._policy_epoch += 1
             epoch = self._policy_epoch
-        self.telemetry.counter("catalog.policy_epoch_bumps").inc()
         return epoch
 
     @property
@@ -202,7 +201,6 @@ class UnityCatalog:
         with self._epoch_lock:
             self._data_epoch += 1
             epoch = self._data_epoch
-        self.telemetry.counter("catalog.data_epoch_bumps").inc()
         return epoch
 
     # ------------------------------------------------------------------

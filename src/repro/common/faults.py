@@ -37,7 +37,6 @@ from typing import Any, Callable
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import current_context
-from repro.common.telemetry import Telemetry
 from repro.errors import FaultInjectedError
 
 #: Environment variables the CI chaos job sets to arm a global schedule.
@@ -157,14 +156,8 @@ class FaultInjector:
     another's schedule, and the same seed replays the same faults.
     """
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        telemetry: Telemetry | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, clock: Clock | None = None, seed: int = 0):
         self._clock = clock or SystemClock()
-        self._telemetry = telemetry
         self.seed = seed
         self._lock = threading.Lock()
         self._points: dict[str, _PointState] = {}
@@ -299,11 +292,6 @@ class FaultInjector:
             qctx.event(
                 "fault-injected", point=point, kind=spec.kind
             )
-        telemetry = self._telemetry
-        if telemetry is None and qctx is not None:
-            telemetry = qctx.telemetry
-        if telemetry is not None:
-            telemetry.counter(f"faults.{point}.triggered").inc()
         if spec.latency_seconds > 0:
             self._clock.sleep(spec.latency_seconds)
         if spec.kind == "hang" and spec.hang_seconds > 0:
@@ -328,8 +316,6 @@ class FaultInjector:
         """Count one successful recovery action (retry succeeded, respawn)."""
         with self._lock:
             self._recoveries[name] = self._recoveries.get(name, 0) + 1
-        if self._telemetry is not None:
-            self._telemetry.counter(f"recovery.{name}").inc()
 
     def trigger_count(self, point: str) -> int:
         """Lifetime trigger count for ``point`` (armed or not)."""

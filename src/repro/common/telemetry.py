@@ -1,12 +1,13 @@
-"""The tracing and metrics spine.
+"""The tracing spine.
 
 Every enforcement decision and execution phase in the system is recorded as a
 :class:`Span` in one shared :class:`Telemetry` registry — the observable
 enforcement path the paper's audit story (§3.2.3) implies and Fig. 5's phase
-breakdown requires. Spans nest (parent/child) into per-query trace trees;
-counters and histograms aggregate across queries.
+breakdown requires. Spans nest (parent/child) into per-query trace trees.
+Counts live on each component's own stats object, which its
+``system.access.*_stats`` table reads.
 
-Every finished span is histogrammed and handed to every exporter; what the
+Every finished span is handed to every exporter; what the
 registry itself *retains* for ``system.access.query_profile`` and
 ``trace_tree`` is bounded: one ring of the last :data:`SPANS_PER_USER` spans
 per principal, for the :data:`MAX_USERS` most recently active principals. A
@@ -15,8 +16,7 @@ touches only the viewer's. :class:`JsonLinesExporter` is the sink for anyone
 who wants unbounded history.
 
 Recording a span takes no registry-wide lock: ids come from a counter, ring
-and registry lookups are single dict reads, ``deque.append`` is atomic, and
-each metric serialises only its own writers.
+and registry lookups are single dict reads, and ``deque.append`` is atomic.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from repro.common.ids import telemetry_id
 SPANS_PER_USER = 512
 #: Principals with a ring; beyond it the longest-idle principal's ring goes.
 MAX_USERS = 128
-#: Most recent observations a histogram computes percentiles over.
-HISTOGRAM_WINDOW = 256
 
 
 @dataclass(slots=True)
@@ -134,99 +132,11 @@ class JsonLinesExporter:
                 self._file = None
 
 
-class Counter:
-    """A monotonically increasing named counter (``value`` reads lock-free)."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """A point-in-time level (queue depth, slots in use, breaker state).
-
-    Unlike a :class:`Counter` it can go down; ``high_water`` remembers the
-    maximum level ever set, which is what capacity dashboards plot.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.high_water = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        """Replace the level and update the high-water mark."""
-        with self._lock:
-            self._set(float(value))
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Raise the level by ``amount``."""
-        with self._lock:
-            self._set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Lower the level by ``amount`` (may go negative if misused)."""
-        with self._lock:
-            self.value -= amount
-
-    def _set(self, value: float) -> None:
-        self.value = value
-        self.high_water = max(self.high_water, value)
-
-
-class Histogram:
-    """A value distribution (span durations, payload sizes, batch rows).
-
-    ``count``, ``total``, ``min`` and ``max`` are exact over every
-    observation; percentiles are taken over the last
-    :data:`HISTOGRAM_WINDOW` of them, so memory is fixed and small samples
-    are exact.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._window: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            self._window.append(value)
-
-    def percentile(self, p: float) -> float:
-        """The p-th percentile (0..100) of observed values; 0.0 when empty."""
-        ordered = sorted(self._window)
-        if not ordered:
-            return 0.0
-        if p <= 0:
-            return self.min
-        if p >= 100:
-            return self.max
-        return ordered[round(p / 100.0 * (len(ordered) - 1))]
-
-
 class Telemetry:
-    """Span recorder plus counter/histogram registry for one deployment.
+    """Span recorder for one deployment.
 
     One instance is shared by every component that serves the same catalog
-    (clusters, the serverless gateway, the credential vendor), so an eFGAC
+    (clusters and the serverless gateway), so an eFGAC
     sub-plan executed on serverless compute lands in the same registry — and
     the same trace tree — as the dedicated-cluster query that spawned it.
     """
@@ -237,9 +147,6 @@ class Telemetry:
         #: principal -> its last SPANS_PER_USER finished spans.
         self._rings: dict[str, deque[Span]] = {}
         self._finished = itertools.count(1)
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         #: Taken only to admit a new principal (and evict the idlest one).
         self._admit_lock = threading.Lock()
 
@@ -261,13 +168,12 @@ class Telemetry:
         )
 
     def finish_span(self, span: Span, status: str = "ok") -> Span:
-        """Stamp the end time, record the duration histogram, and export."""
+        """Stamp the end time, retain, and export."""
         if span.end is not None:
             return span
         span.end = self.clock.now()
         span.status = status
         span.seq = next(self._finished)
-        self.histogram(f"span.{span.kind}.seconds").observe(span.end - span.start)
         ring = self._rings.get(span.user)
         if ring is None:
             ring = self._admit(span.user)
@@ -363,26 +269,3 @@ class Telemetry:
     def __bool__(self) -> bool:
         """A registry is always truthy, even before any span finishes."""
         return True
-
-    # -- metrics --------------------------------------------------------------------
-    # Lookups are one dict read; a first use races only on ``setdefault``,
-    # which is atomic, so every caller gets the same metric object. Snapshots
-    # read a ``dict.copy()`` (``list(d.items())`` allocates a tuple per entry,
-    # which can run the collector — and with it another thread — mid-walk).
-
-    def counter(self, name: str) -> Counter:
-        return self._counters.get(name) or self._counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """The named gauge, created on first use."""
-        return self._gauges.get(name) or self._gauges.setdefault(name, Gauge(name))
-
-    def histogram(self, name: str) -> Histogram:
-        return self._histograms.get(name) or self._histograms.setdefault(name, Histogram(name))
-
-    def counters(self) -> dict[str, int]:
-        return {name: c.value for name, c in self._counters.copy().items()}
-
-    def gauges(self) -> dict[str, float]:
-        """Current level of every gauge, by name."""
-        return {name: g.value for name, g in self._gauges.copy().items()}

@@ -25,7 +25,7 @@ import random
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.catalog.metastore import UnityCatalog
@@ -159,7 +159,6 @@ class GovernedDataSource:
         if enable_credential_cache:
             self.credential_cache = CredentialCache(
                 clock=catalog.clock,
-                telemetry=catalog.telemetry,
                 faults=catalog.faults,
             )
         # The scan thread pool is created lazily and torn down by close()
@@ -174,10 +173,7 @@ class GovernedDataSource:
 
     def recovery_stats_snapshot(self) -> dict[str, float]:
         """Flat recovery counters for ``system.access.fault_stats``."""
-        return {
-            "scan_retries": float(self.recovery_stats.scan_retries),
-            "credential_revends": float(self.recovery_stats.credential_revends),
-        }
+        return {k: float(v) for k, v in asdict(self.recovery_stats).items()}
 
     def _task_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:

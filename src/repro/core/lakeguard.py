@@ -104,7 +104,7 @@ class LakeguardCluster:
         self.clock = clock or SystemClock()
         self.cluster_id = cluster_id or new_id("cluster")
         self.caps = ComputeCapabilities(self.cluster_id, compute_type)
-        #: Shared tracing/metrics registry (one per catalog deployment).
+        #: Shared span registry (one per catalog deployment).
         self.telemetry = catalog.telemetry
         self.optimizer_config = optimizer_config or OptimizerConfig()
         self.num_executors = num_executors
@@ -133,7 +133,6 @@ class LakeguardCluster:
             self.workload_manager = WorkloadManager(
                 name=self.cluster_id,
                 clock=self.clock,
-                telemetry=self.telemetry,
                 total_slots=workload_slots,
                 fair_share=workload_fair_share,
                 default_policy=workload_default_policy,
@@ -158,7 +157,7 @@ class LakeguardCluster:
         self.kernel_cache: KernelCache | None = None
         self._kernel_compiler: KernelCompiler | None = None
         if engine_compile:
-            self.kernel_cache = KernelCache(telemetry=self.telemetry)
+            self.kernel_cache = KernelCache()
             self._kernel_compiler = KernelCompiler(cache=self.kernel_cache)
             self._expose_stats(
                 CACHE_STATS, "kernel_cache", self.kernel_cache.stats_snapshot
@@ -168,7 +167,7 @@ class LakeguardCluster:
         #: invalidated by the catalog policy epoch (None when disabled).
         self.plan_cache: SecurePlanCache | None = None
         if enable_plan_cache:
-            self.plan_cache = SecurePlanCache(telemetry=self.telemetry)
+            self.plan_cache = SecurePlanCache()
             self._expose_stats(
                 CACHE_STATS, "plan_cache", self.plan_cache.stats_snapshot
             )

@@ -47,10 +47,9 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.common.telemetry import Telemetry
 from repro.engine.expressions import Parameter
 from repro.engine.logical import LogicalPlan, plan_expressions
 from repro.errors import LakeguardError
@@ -227,13 +226,8 @@ class PlanCacheStats:
 class SecurePlanCache:
     """Thread-safe LRU cache of (analyzed, optimized) secure plans."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        telemetry: Telemetry | None = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = max(1, capacity)
-        self._telemetry = telemetry
         self._entries: OrderedDict[PlanCacheKey, CachedSecurePlan] = OrderedDict()
         #: identity() -> current key, to evict superseded-epoch entries.
         self._by_identity: dict[tuple, PlanCacheKey] = {}
@@ -242,10 +236,6 @@ class SecurePlanCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _count(self, name: str) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(name).inc()
 
     def lookup(
         self, key: PlanCacheKey, lifted: LiftedRelation
@@ -259,15 +249,11 @@ class SecurePlanCache:
                     self._entries.move_to_end(key)
                     entry.hits += 1
                     self.stats.hits += 1
-                    self._count("plan_cache.hits")
                     return entry, HIT
                 self.stats.misses += 1
                 self.stats.pinned_misses += 1
-                self._count("plan_cache.misses")
-                self._count("plan_cache.pinned_misses")
                 return None, MISS_PINNED
             self.stats.misses += 1
-            self._count("plan_cache.misses")
             reason = MISS_COLD
             stale = self._by_identity.get(key.identity())
             if stale is not None and stale.policy_epoch != key.policy_epoch:
@@ -276,7 +262,6 @@ class SecurePlanCache:
                 self._entries.pop(stale, None)
                 self._by_identity.pop(key.identity(), None)
                 self.stats.stale_epoch_misses += 1
-                self._count("plan_cache.stale_epoch_misses")
                 reason = MISS_STALE_EPOCH
         return None, reason
 
@@ -309,7 +294,6 @@ class SecurePlanCache:
                 if self._by_identity.get(evicted_key.identity()) == evicted_key:
                     del self._by_identity[evicted_key.identity()]
                 self.stats.evictions += 1
-                self._count("plan_cache.evictions")
         return entry
 
     def clear(self) -> None:
@@ -321,12 +305,7 @@ class SecurePlanCache:
         """Counters + size for ``system.access.cache_stats``."""
         with self._lock:
             return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "stale_epoch_misses": self.stats.stale_epoch_misses,
-                "pinned_misses": self.stats.pinned_misses,
-                "insertions": self.stats.insertions,
-                "evictions": self.stats.evictions,
+                **asdict(self.stats),
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }

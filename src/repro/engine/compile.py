@@ -48,13 +48,12 @@ import heapq
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.common.context import current_context, span_or_null
-from repro.common.telemetry import Telemetry
 from repro.engine.aggregates import AGGREGATE_FUNCTIONS
 from repro.engine.batch import ONE_ROW, ColumnBatch
 from repro.engine.expressions import (
@@ -1380,23 +1379,14 @@ class KernelCache:
     epoch, not this cache.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_KERNEL_CACHE_CAPACITY,
-        telemetry: Telemetry | None = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_KERNEL_CACHE_CAPACITY):
         self.capacity = max(1, capacity)
-        self._telemetry = telemetry
         self._entries: OrderedDict[str, CompiledArtifact] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = KernelCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _count(self, name: str) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(name).inc()
 
     def get(self, fingerprint: str) -> CompiledArtifact | None:
         """LRU lookup; None (and a counted miss) when absent."""
@@ -1405,10 +1395,8 @@ class KernelCache:
             if artifact is not None:
                 self._entries.move_to_end(fingerprint)
                 self.stats.hits += 1
-                self._count("kernel_cache.hits")
                 return artifact
             self.stats.misses += 1
-        self._count("kernel_cache.misses")
         return None
 
     def put(self, fingerprint: str, artifact: CompiledArtifact) -> None:
@@ -1421,13 +1409,11 @@ class KernelCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                self._count("kernel_cache.evictions")
 
     def note_error(self) -> None:
         """Record one failed compilation (the caller fell back)."""
         with self._lock:
             self.stats.compile_errors += 1
-        self._count("kernel_cache.compile_errors")
 
     def note_fusion(self, hit: bool) -> None:
         """Record one planner fusion attempt: fused (hit) or fell back."""
@@ -1436,7 +1422,6 @@ class KernelCache:
                 self.stats.fusion_hits += 1
             else:
                 self.stats.fusion_misses += 1
-        self._count("kernel_cache.fusion_hits" if hit else "kernel_cache.fusion_misses")
 
     def clear(self) -> None:
         with self._lock:
@@ -1446,14 +1431,7 @@ class KernelCache:
         """Counters + size for ``system.access.cache_stats``."""
         with self._lock:
             return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "insertions": self.stats.insertions,
-                "evictions": self.stats.evictions,
-                "compile_errors": self.stats.compile_errors,
-                "source_lines": self.stats.source_lines,
-                "fusion_hits": self.stats.fusion_hits,
-                "fusion_misses": self.stats.fusion_misses,
+                **asdict(self.stats),
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }

@@ -106,7 +106,6 @@ class ServerlessGateway:
         self.breaker = CircuitBreaker(
             name="efgac-gateway",
             clock=self._clock,
-            telemetry=catalog.telemetry,
             failure_threshold=breaker_failure_threshold,
             base_backoff=breaker_base_backoff,
             max_backoff=breaker_max_backoff,

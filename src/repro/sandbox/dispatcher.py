@@ -291,8 +291,6 @@ class Dispatcher:
                 self.stats.cold_start_seconds_max = max(
                     self.stats.cold_start_seconds_max, elapsed
                 )
-                if qctx is not None:
-                    qctx.telemetry.counter("sandbox.cold_starts").inc()
                 self._pool[key] = (manager, sandbox)
                 self._charge_locked(key, trust_domain)
                 return sandbox
@@ -509,7 +507,6 @@ class SandboxedUDFRuntime(UDFRuntime):
                             sandbox=sandbox.sandbox_id,
                             trust_domain=trust_domain,
                         )
-                        qctx.telemetry.counter("recovery.udf_retries").inc()
                     continue
                 raise
 

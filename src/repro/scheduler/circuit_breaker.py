@@ -23,7 +23,6 @@ from typing import Any, Callable, TypeVar
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import QueryDeadlineExceeded, current_context
-from repro.common.telemetry import Telemetry
 from repro.errors import CircuitOpenError, RetryableError
 
 T = TypeVar("T")
@@ -50,7 +49,6 @@ class CircuitBreaker:
         self,
         name: str = "breaker",
         clock: Clock | None = None,
-        telemetry: Telemetry | None = None,
         failure_threshold: int = 5,
         base_backoff: float = 1.0,
         max_backoff: float = 30.0,
@@ -59,7 +57,6 @@ class CircuitBreaker:
     ):
         self.name = name
         self._clock = clock or SystemClock()
-        self._telemetry = telemetry or Telemetry(clock=self._clock)
         self.failure_threshold = max(1, failure_threshold)
         self.base_backoff = base_backoff
         self.max_backoff = max_backoff
@@ -108,7 +105,6 @@ class CircuitBreaker:
                 self._state == STATE_HALF_OPEN and self._probe_in_flight
             ):
                 self.fast_failures += 1
-                self._counter("fast_failures")
                 remaining = max(
                     0.0, self._opened_at + self._current_backoff - self._clock.now()
                 )
@@ -122,7 +118,6 @@ class CircuitBreaker:
                 # Exactly one probe at a time while half-open.
                 self._probe_in_flight = True
                 self.probes += 1
-                self._counter("probes")
 
     def _maybe_half_open_locked(self) -> None:
         if self._state == STATE_OPEN and (
@@ -130,7 +125,6 @@ class CircuitBreaker:
         ):
             self._state = STATE_HALF_OPEN
             self._probe_in_flight = False
-            self._gauge_state_locked()
 
     def _on_success(self) -> None:
         with self._lock:
@@ -140,8 +134,6 @@ class CircuitBreaker:
                 self._state = STATE_CLOSED
                 self._current_backoff = 0.0
                 self._outage_opens = 0
-                self._counter("closed")
-                self._gauge_state_locked()
 
     def _on_failure(self) -> None:
         with self._lock:
@@ -163,8 +155,6 @@ class CircuitBreaker:
         # Full jitter keeps re-probes from synchronizing across callers.
         spread = base * self.jitter
         self._current_backoff = max(0.0, base + self._rng.uniform(-spread, spread))
-        self._counter("opened")
-        self._gauge_state_locked()
 
     def reset(self) -> None:
         """Close the breaker and forget failure history (test/ops hook)."""
@@ -174,7 +164,6 @@ class CircuitBreaker:
             self._current_backoff = 0.0
             self._outage_opens = 0
             self._probe_in_flight = False
-            self._gauge_state_locked()
 
     def stats_snapshot(self) -> dict[str, Any]:
         """Flat metrics for ``system.access.workload_stats``."""
@@ -191,14 +180,6 @@ class CircuitBreaker:
                 "probes": self.probes,
                 "current_backoff_seconds": self._current_backoff,
             }
-
-    def _counter(self, suffix: str) -> None:
-        self._telemetry.counter(f"breaker.{self.name}.{suffix}").inc()
-
-    def _gauge_state_locked(self) -> None:
-        self._telemetry.gauge(f"breaker.{self.name}.state").set(
-            _STATE_CODE[self._state]
-        )
 
 
 def retry_with_backoff(

@@ -31,13 +31,13 @@ the same slot pool — the baseline the fairness benchmark measures against.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import QueryContext, QueryDeadlineExceeded
-from repro.common.telemetry import Telemetry
 from repro.errors import AdmissionError
 
 #: Admission lanes, by descending priority. ``system`` is reserved for
@@ -51,6 +51,9 @@ LANE_PRIORITY = {LANE_SYSTEM: 0, LANE_INTERACTIVE: 1, LANE_BATCH: 2}
 
 #: Stride-scheduling numerator: pass advances by STRIDE_ONE / weight.
 STRIDE_ONE = 1 << 20
+
+#: Most recent queued admissions the queue-wait percentiles are taken over.
+QUEUE_WAIT_WINDOW = 256
 
 #: Ticket lifecycle states.
 TICKET_QUEUED = "QUEUED"
@@ -158,7 +161,6 @@ class WorkloadManager:
         self,
         name: str = "cluster",
         clock: Clock | None = None,
-        telemetry: Telemetry | None = None,
         total_slots: int = 16,
         fair_share: bool = True,
         max_total_queue: int = 256,
@@ -168,7 +170,6 @@ class WorkloadManager:
     ):
         self.name = name
         self._clock = clock or SystemClock()
-        self._telemetry = telemetry or Telemetry(clock=self._clock)
         self.total_slots = max(1, total_slots)
         self.fair_share = fair_share
         self.max_total_queue = max(1, max_total_queue)
@@ -183,7 +184,9 @@ class WorkloadManager:
         self._fifo: list[AdmissionTicket] = []
         self._slots_in_use = 0
         self._queued_total = 0
-        # Aggregate counters (also mirrored into telemetry).
+        #: Queue waits of the last QUEUE_WAIT_WINDOW queued admissions.
+        self._queue_waits: deque[float] = deque(maxlen=QUEUE_WAIT_WINDOW)
+        # Aggregate counters.
         self.admitted_total = 0
         self.shed_total = 0
         self.rejected_rate_limited = 0
@@ -301,7 +304,6 @@ class WorkloadManager:
                         self._remove_queued_locked(ticket)
                         ticket.state = TICKET_CANCELLED
                         self.rejected_deadline += 1
-                        self._counter("deadline_rejections")
                         raise QueryDeadlineExceeded(
                             f"deadline elapsed while queued for admission "
                             f"(tenant '{tenant}')"
@@ -310,7 +312,6 @@ class WorkloadManager:
                         self._remove_queued_locked(ticket)
                         ticket.state = TICKET_CANCELLED
                         self.timeouts += 1
-                        self._counter("admission_timeouts")
                         raise AdmissionError(
                             f"tenant '{tenant}' spent more than "
                             f"{self.admission_timeout:.1f}s in the admission "
@@ -320,9 +321,7 @@ class WorkloadManager:
                         )
             if ticket.state == TICKET_ADMITTED:
                 state.queue_wait_seconds_total += ticket.queue_wait
-                self._telemetry.histogram(
-                    f"workload.{self.name}.queue_wait_seconds"
-                ).observe(ticket.queue_wait)
+                self._queue_waits.append(ticket.queue_wait)
                 return ticket
             failure = ticket.failure or AdmissionError(
                 f"query for tenant '{tenant}' left the admission queue "
@@ -346,7 +345,6 @@ class WorkloadManager:
         retry_after = (1.0 - state.tokens) / rate
         state.rejected += 1
         self.rejected_rate_limited += 1
-        self._counter("rate_limited")
         raise AdmissionError(
             f"tenant '{state.name}' exceeded its rate of {rate:g} "
             f"queries/second",
@@ -364,7 +362,6 @@ class WorkloadManager:
             return
         if remaining <= 0 or est_wait > remaining:
             self.rejected_deadline += 1
-            self._counter("deadline_rejections")
             raise QueryDeadlineExceeded(
                 f"estimated queue wait {est_wait:.3f}s exceeds the "
                 f"remaining deadline {max(remaining, 0.0):.3f}s at {where}"
@@ -385,7 +382,6 @@ class WorkloadManager:
         if len(state.queue) >= state.policy.max_queue_depth:
             state.rejected += 1
             self.rejected_queue_full += 1
-            self._counter("queue_full_rejections")
             raise AdmissionError(
                 f"tenant '{state.name}' already has "
                 f"{len(state.queue)} queries queued (backpressure)",
@@ -398,7 +394,6 @@ class WorkloadManager:
         if not self.fair_share:
             self._fifo.append(ticket)
         self._queued_total += 1
-        self._gauge_depth_locked()
 
     def _shed_for_locked(
         self, arriving: AdmissionTicket, est_wait: float
@@ -411,7 +406,6 @@ class WorkloadManager:
             return
         self.shed_total += 1
         self.lane_shed[arriving.lane] = self.lane_shed.get(arriving.lane, 0) + 1
-        self._counter("shed")
         raise AdmissionError(
             f"cluster admission queue is saturated "
             f"({self._queued_total} queued); lane '{arriving.lane}' shed",
@@ -448,7 +442,6 @@ class WorkloadManager:
             state.shed += 1
         self.shed_total += 1
         self.lane_shed[ticket.lane] = self.lane_shed.get(ticket.lane, 0) + 1
-        self._counter("shed")
         self._ready.notify_all()
 
     def _remove_queued_locked(self, ticket: AdmissionTicket) -> None:
@@ -458,7 +451,6 @@ class WorkloadManager:
             self._queued_total -= 1
         if ticket in self._fifo:
             self._fifo.remove(ticket)
-        self._gauge_depth_locked()
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -473,7 +465,6 @@ class WorkloadManager:
             if ticket in self._fifo:
                 self._fifo.remove(ticket)
             self._queued_total -= 1
-            self._gauge_depth_locked()
             self._dispatch_ticket_locked(ticket, state)
             self._ready.notify_all()
 
@@ -513,10 +504,6 @@ class WorkloadManager:
         state.pass_value += state.stride
         self._slots_in_use += 1
         self.admitted_total += 1
-        self._counter("admitted")
-        self._telemetry.gauge(f"workload.{self.name}.slots_in_use").set(
-            self._slots_in_use
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle transitions
@@ -535,7 +522,6 @@ class WorkloadManager:
                 reason="cancelled",
             )
             self.cancelled_total += 1
-            self._counter("cancelled")
             self._ready.notify_all()
             return True
 
@@ -568,12 +554,6 @@ class WorkloadManager:
                     self._avg_service_seconds = (
                         0.8 * self._avg_service_seconds + 0.2 * service
                     )
-                self._telemetry.histogram(
-                    f"workload.{self.name}.service_seconds"
-                ).observe(service)
-            self._telemetry.gauge(f"workload.{self.name}.slots_in_use").set(
-                self._slots_in_use
-            )
             self._schedule_locked()
             self._ready.notify_all()
 
@@ -587,7 +567,6 @@ class WorkloadManager:
         """
         ticket = getattr(query_ctx, "ticket", None) if query_ctx is not None else None
         if ticket is None:
-            self._counter("untracked_executions")
             yield None
             return
         self.begin_execution(ticket)
@@ -604,7 +583,6 @@ class WorkloadManager:
         """Count one sandbox claim against ``tenant``'s in-flight budget."""
         with self._lock:
             self._tenant_locked(tenant).sandbox_claims += 1
-            self._counter("sandbox_claims")
 
     def release_sandbox(self, tenant: str, count: int = 1) -> None:
         """Return ``count`` sandbox claims to ``tenant``'s budget."""
@@ -636,9 +614,7 @@ class WorkloadManager:
     def stats_snapshot(self) -> dict[str, Any]:
         """Flat metrics for ``system.access.workload_stats``."""
         with self._lock:
-            wait = self._telemetry.histogram(
-                f"workload.{self.name}.queue_wait_seconds"
-            )
+            waits = sorted(self._queue_waits)
             snapshot: dict[str, Any] = {
                 "total_slots": self.total_slots,
                 "slots_in_use": self._slots_in_use,
@@ -653,8 +629,8 @@ class WorkloadManager:
                 "cancelled_total": self.cancelled_total,
                 "system_bypass": self.system_bypass,
                 "avg_service_seconds": self._avg_service_seconds,
-                "queue_wait_seconds_p50": wait.percentile(50),
-                "queue_wait_seconds_p95": wait.percentile(95),
+                "queue_wait_seconds_p50": _nearest_rank(waits, 50),
+                "queue_wait_seconds_p95": _nearest_rank(waits, 95),
             }
             for lane, count in sorted(self.lane_shed.items()):
                 snapshot[f"lane.{lane}.shed"] = count
@@ -672,10 +648,9 @@ class WorkloadManager:
                 )
             return snapshot
 
-    def _counter(self, suffix: str) -> None:
-        self._telemetry.counter(f"workload.{self.name}.{suffix}").inc()
 
-    def _gauge_depth_locked(self) -> None:
-        self._telemetry.gauge(f"workload.{self.name}.queue_depth").set(
-            self._queued_total
-        )
+def _nearest_rank(ordered: list[float], p: float) -> float:
+    """The p-th percentile (0 < p < 100) of sorted values; 0.0 when empty."""
+    if not ordered:
+        return 0.0
+    return ordered[round(p / 100.0 * (len(ordered) - 1))]

@@ -14,13 +14,12 @@ The paper's Figure 2 contrasts two access models:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.context import current_context, span_or_null
 from repro.common.ids import new_id
-from repro.common.telemetry import Telemetry
 from repro.errors import CredentialError
 
 if TYPE_CHECKING:
@@ -99,24 +98,24 @@ class CredentialVendor:
     Unity Catalog is the only component expected to call :meth:`issue`; the
     object store calls :meth:`validate` on every access. Revocation is
     immediate (tokens are removed from the live set).
+
+    Scan threads validate while other threads issue and revoke: removal is
+    ``dict.pop(token, None)``, walks read a ``dict.copy()``, and the issue
+    count is bumped under its own lock, so no interleaving loses a count or
+    raises anything but :class:`CredentialError`.
     """
 
     DEFAULT_TTL_SECONDS = 900.0
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        ttl_seconds: float | None = None,
-        telemetry: Telemetry | None = None,
-    ):
+    def __init__(self, clock: Clock | None = None, ttl_seconds: float | None = None):
         self._clock = clock or SystemClock()
         self._ttl = ttl_seconds or self.DEFAULT_TTL_SECONDS
-        self._telemetry = telemetry
         #: Chaos engine hook (set by the owning catalog): the
         #: ``credential.vend`` fault point fires at the top of :meth:`issue`.
         self.faults: "FaultInjector | None" = None
         self._live: dict[str, TemporaryCredential] = {}
         self._issued_count = 0
+        self._count_lock = threading.Lock()
 
     @property
     def issued_count(self) -> int:
@@ -164,11 +163,8 @@ class CredentialVendor:
                 compute_id=compute_id,
             )
             self._live[credential.token] = credential
-            self._issued_count += 1
-            if self._telemetry is not None:
-                self._telemetry.counter("credentials.issued").inc()
-            elif qctx is not None:
-                qctx.telemetry.counter("credentials.issued").inc()
+            with self._count_lock:
+                self._issued_count += 1
             return credential
 
     def revoke(self, token: str) -> None:
@@ -177,9 +173,9 @@ class CredentialVendor:
 
     def revoke_identity(self, identity: str) -> int:
         """Revoke all live credentials of one identity; returns the count."""
-        doomed = [t for t, c in self._live.items() if c.identity == identity]
+        doomed = [t for t, c in self._live.copy().items() if c.identity == identity]
         for token in doomed:
-            del self._live[token]
+            self._live.pop(token, None)
         return len(doomed)
 
     def validate(self, credential: TemporaryCredential) -> None:
@@ -188,13 +184,13 @@ class CredentialVendor:
         if live is None or live != credential:
             raise CredentialError(f"credential {credential.token} is not live")
         if credential.is_expired(self._clock.now()):
-            del self._live[credential.token]
+            self._live.pop(credential.token, None)
             raise CredentialError(f"credential {credential.token} has expired")
 
     def live_credentials(self, identity: str | None = None) -> list[TemporaryCredential]:
         """Snapshot of currently live credentials (optionally per identity)."""
         now = self._clock.now()
-        creds = [c for c in self._live.values() if not c.is_expired(now)]
+        creds = [c for c in self._live.copy().values() if not c.is_expired(now)]
         if identity is not None:
             creds = [c for c in creds if c.identity == identity]
         return creds
@@ -238,7 +234,6 @@ class CredentialCache:
         self,
         clock: Clock | None = None,
         refresh_ahead_fraction: float = 0.2,
-        telemetry: Telemetry | None = None,
         faults: "FaultInjector | None" = None,
     ):
         if not 0.0 <= refresh_ahead_fraction < 1.0:
@@ -248,17 +243,12 @@ class CredentialCache:
             )
         self._clock = clock or SystemClock()
         self.refresh_ahead_fraction = refresh_ahead_fraction
-        self._telemetry = telemetry
         #: Chaos hook: ``credential.refresh`` fires on refresh-ahead vends.
         self.faults = faults
         self._lock = threading.Lock()
         #: key -> (credential, policy epoch at vend time)
         self._entries: dict[tuple, tuple[TemporaryCredential, int]] = {}
         self.stats = CredentialCacheStats()
-
-    def _count(self, name: str) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(name).inc()
 
     @staticmethod
     def _key(
@@ -299,11 +289,9 @@ class CredentialCache:
                 if vended_epoch != policy_epoch:
                     del self._entries[key]
                     self.stats.stale_epoch_misses += 1
-                    self._count("credential_cache.stale_epoch_misses")
                 elif credential.is_expired(now):
                     del self._entries[key]
                     self.stats.expired_misses += 1
-                    self._count("credential_cache.expired_misses")
                 elif self._needs_refresh(credential, now):
                     del self._entries[key]
                     refreshing = True
@@ -316,12 +304,10 @@ class CredentialCache:
                             live = False
                     if live:
                         self.stats.hits += 1
-                        self._count("credential_cache.hits")
                         return credential, True
                     # Revoked out of band (no epoch bump): treat as expired.
                     del self._entries[key]
                     self.stats.expired_misses += 1
-                    self._count("credential_cache.expired_misses")
         if refreshing and self.faults is not None:
             self.faults.fire("credential.refresh")
         credential = vend()
@@ -329,10 +315,8 @@ class CredentialCache:
             self._entries[key] = (credential, policy_epoch)
             if refreshing:
                 self.stats.refreshes += 1
-                self._count("credential_cache.refreshes")
             else:
                 self.stats.misses += 1
-                self._count("credential_cache.misses")
         return credential, False
 
     def invalidate_principal(self, principal: str) -> int:
@@ -354,11 +338,7 @@ class CredentialCache:
         """Counters + size for ``system.access.cache_stats``."""
         with self._lock:
             return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "refreshes": self.stats.refreshes,
-                "stale_epoch_misses": self.stats.stale_epoch_misses,
-                "expired_misses": self.stats.expired_misses,
+                **asdict(self.stats),
                 "size": len(self._entries),
                 "refresh_ahead_fraction": self.refresh_ahead_fraction,
             }

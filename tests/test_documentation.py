@@ -138,7 +138,10 @@ def test_readme_lists_every_system_table():
 #: environment variable and config field that switched whole-operator
 #: fusion off (grouped like the names above). Then deleted: the join
 #: operator beside the probe loop and its key matcher, and the names of the
-#: process backend's kernel shipping, which the docs outlived.
+#: process backend's kernel shipping, which the docs outlived. Then
+#: deleted: the write-only metrics registry — its counter, gauge and histogram
+#: classes, their window constant and accessors, and the helpers and counter
+#: names that only fed it (grouped likewise).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -153,7 +156,10 @@ _DELETED = re.compile(
     r"\b(InProcess(Sandbox)|invoke_(rows))\b|"
     r"\b((engine_|default_)?fuse_(operators)|LAKEGUARD_FUSE_(OPERATORS))\b|"
     r"\b(Phys(Join)|probe_key_(columns)|binding_(key)|KernelNot(Shipped)|"
-    r"KERNEL_CACHE_(ENTRIES))\b"
+    r"KERNEL_CACHE_(ENTRIES))\b|"
+    r"\b(HISTOGRAM_(WINDOW)|untracked_(executions)|(policy|data)_epoch_(bumps)|"
+    r"_gauge_(depth|state)_locked)\b|"
+    r"\.(counter|gauge|histogram|counters|gauges)\(|\bclass (Counter|Gauge|Histogram)\b"
 )
 
 

@@ -1,5 +1,7 @@
 """Tests for the object store, credentials, and table format."""
 
+import threading
+
 import pytest
 
 from repro.common.clock import VirtualClock
@@ -11,6 +13,18 @@ from repro.storage import (
     ObjectStore,
 )
 from repro.storage.credentials import LIST, READ, WRITE
+
+
+class _RevokeOnNextRead(VirtualClock):
+    """A virtual clock that runs ``hook`` once, inside its next reading."""
+
+    hook = None
+
+    def now(self) -> float:
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+        return super().now()
 
 
 @pytest.fixture
@@ -75,6 +89,50 @@ class TestCredentials:
         vendor.issue("bob", ["s3://c"], {READ})
         assert vendor.revoke_identity("alice") == 2
         assert len(vendor.live_credentials()) == 1
+
+    def test_revoke_racing_an_expiry_check_is_a_credential_error(self):
+        """Another thread revokes the token after ``validate`` found it live
+        but before it drops it as expired: the caller still gets the typed
+        error its recovery (re-vend) is keyed on, never a ``KeyError``."""
+        clock = _RevokeOnNextRead()
+        vendor = CredentialVendor(clock=clock, ttl_seconds=60.0)
+        cred = vendor.issue("alice", ["s3://b/t"], {READ})
+        clock.advance(61.0)
+        clock.hook = lambda: vendor.revoke(cred.token)
+        with pytest.raises(CredentialError, match="expired"):
+            vendor.validate(cred)
+        assert clock.hook is None
+        assert vendor.live_credentials() == []
+
+    def test_concurrent_issues_are_all_counted_while_readers_walk(self):
+        vendor = CredentialVendor(clock=VirtualClock(), ttl_seconds=60.0)
+        done = threading.Event()
+        errors = []
+
+        def issue(identity):
+            for _ in range(2_000):
+                vendor.issue(identity, ["s3://b/t"], {READ})
+
+        def walk():
+            try:
+                while not done.is_set():
+                    vendor.live_credentials()
+                    vendor.revoke_identity("nobody")
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        reader = threading.Thread(target=walk)
+        reader.start()
+        writers = [threading.Thread(target=issue, args=(f"u{i}",)) for i in range(4)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join()
+        done.set()
+        reader.join()
+        assert errors == []
+        assert vendor.issued_count == 8_000
+        assert len(vendor.live_credentials()) == 8_000
 
     def test_unknown_operation_rejected(self, vendor):
         with pytest.raises(CredentialError):

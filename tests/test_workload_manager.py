@@ -7,6 +7,7 @@ interrupts, the sandbox-budget charge from the Dispatcher, the serverless
 breaker, and the ``system.access.workload_stats`` table.
 """
 
+import queue
 import threading
 import time
 
@@ -38,7 +39,7 @@ def make_manager(**kwargs) -> WorkloadManager:
     """A manager on a virtual clock (all fast-path / synchronous tests)."""
     clock = kwargs.pop("clock", VirtualClock())
     return WorkloadManager(
-        name="test", clock=clock, telemetry=Telemetry(clock=clock), **kwargs
+        name="test", clock=clock, **kwargs
     )
 
 
@@ -386,6 +387,60 @@ class TestStatsSnapshot:
         assert snapshot["rejected_rate_limited"] == 1
         assert snapshot["tenant.alice.admitted"] == 1
         assert snapshot["tenant.bob.rejected"] == 1
+
+    @staticmethod
+    def _scripted_waits(waits):
+        """Scripted waits on a virtual clock: one slot, a worker that queues
+        for it again as soon as it holds it, and a main thread that lets
+        each queued admission wait exactly its scripted time, then hands
+        the slot over. Returns the manager once every admission ran."""
+        clock = VirtualClock()
+        mgr = WorkloadManager(name="test", clock=clock, total_slots=1)
+        queued = threading.Semaphore(0)
+        admitted = queue.SimpleQueue()
+
+        def worker():
+            for _ in waits:
+                admitted.put(mgr.admit("w", on_enqueued=lambda _: queued.release()))
+
+        held = mgr.admit("w")
+        thread = threading.Thread(target=worker)
+        thread.start()
+        for wait in waits:
+            assert queued.acquire(timeout=10)
+            clock.advance(wait)
+            held.release()
+            held = admitted.get(timeout=10)
+        held.release()
+        thread.join(10)
+        return mgr
+
+    def test_queue_wait_percentiles_are_nearest_rank_with_exact_totals(self):
+        empty = WorkloadManager(name="test", clock=VirtualClock(), total_slots=1)
+        assert empty.stats_snapshot()["queue_wait_seconds_p50"] == 0.0
+        assert empty.stats_snapshot()["queue_wait_seconds_p95"] == 0.0
+        snapshot = self._scripted_waits([4.0, 1.0, 3.0, 2.0]).stats_snapshot()
+        # Sorted 1 .. 4; p50 is rank round(1.5) = 2, p95 is rank
+        # round(2.85) = 3 (zero-based).
+        assert snapshot["queue_wait_seconds_p50"] == 3.0
+        assert snapshot["queue_wait_seconds_p95"] == 4.0
+        assert snapshot["tenant.w.queue_wait_seconds_total"] == pytest.approx(10.0)
+        assert snapshot["tenant.w.admitted"] == 5
+
+    def test_queue_wait_percentiles_take_the_last_256_waits(self):
+        """Only the last 256 queued admissions count toward the
+        percentiles (the 44 older 20 s waits drop out of the window), while
+        the per-tenant total stays exact over every wait."""
+        waits = [20.0] * 44 + [i / 100 for i in range(256, 0, -1)]
+        mgr = self._scripted_waits(waits)
+        snapshot = mgr.stats_snapshot()
+        # Sorted window 0.01 .. 2.56; p50 is rank round(127.5) = 128, p95 is
+        # rank round(242.25) = 242 (zero-based).
+        assert snapshot["queue_wait_seconds_p50"] == pytest.approx(1.29)
+        assert snapshot["queue_wait_seconds_p95"] == pytest.approx(2.43)
+        assert snapshot["tenant.w.queue_wait_seconds_total"] == pytest.approx(
+            sum(waits)
+        )
 
 
 class TestCircuitBreaker:

@@ -154,6 +154,9 @@ def _fresh_file(gauntlet: Any, name: str, ddl: str, data: dict, *setup: str) -> 
     try:
         catalog.get_table(name)
         fresh = False
+        # An overwrite replaces only the rows its writer sees: lift the
+        # filter a previous run left so every old row goes.
+        catalog.drop_row_filter(name, admin_ctx)
     except SecurableNotFound:
         admin = gauntlet.client_for("admin")
         admin.sql(f"CREATE TABLE {name} {ddl}")

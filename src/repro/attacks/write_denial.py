@@ -6,10 +6,11 @@ re-evaluates the target's row filter against current data, and refuses any
 statement that assigns to — or whose expressions read — a masked column.
 These scenarios probe each of those checks from the attacker's side: a
 principal writing without MODIFY, a writer trying to reach rows their row
-filter hides, a MERGE that smuggles a masked-column read into its matched
-clause, and write expressions built to raise on a hidden row's value. Containment means the write is refused (or silently
-constrained to visible rows) and no hidden value ever surfaces, not even
-inside an error message.
+filter hides (through SQL, or through the raw ``command.write_table``
+message), a MERGE that smuggles a masked-column read into its matched
+clause, and write expressions built to raise on a hidden row's value.
+Containment means the write is refused (or silently constrained to visible
+rows) and no hidden value ever surfaces, not even inside an error message.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Any
 from repro.attacks import harness as h
 from repro.attacks.registry import attack_scenario
 from repro.attacks.scenario import AttackResult, judge, leaked
+from repro.connect import proto
 from repro.errors import PermissionDenied, WriteDeniedError
 
 #: The hidden (non-US) rows as they must remain in storage: the row filter
@@ -108,6 +110,62 @@ def write_update_rowfilter_escape(gauntlet: Any) -> AttackResult:
         )
     finally:
         admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")
+
+
+@attack_scenario(
+    name="write-table-overwrite-hidden-rows",
+    layer="enforcement",
+    technique="write-denial",
+    expected_containment="command.write_table commits through the "
+    "transaction tier: an overwrite is DELETE of the writer's visible rows "
+    "plus INSERT, so rows the row filter hides survive byte-identical",
+)
+def write_table_overwrite_hidden_rows(gauntlet: Any) -> AttackResult:
+    """Alice (MODIFY) overwrites the table with a raw write_table message.
+
+    She bets the bulk-load message skips the row filter SQL DELETE obeys."""
+    admin = gauntlet.client_for("admin")
+    alice = gauntlet.client_for("alice")
+    admin.sql(f"GRANT MODIFY ON {h.ORDERS} TO analysts")
+    before = _storage_truth(gauntlet)
+    try:
+        response = alice.execute_command(
+            proto.write_table_command(
+                h.ORDERS,
+                {"id": [9], "region": ["US"], "amount": [90.0], "buyer": ["forged"]},
+                overwrite=True,
+            )
+        )
+        hidden = tuple(row for row in _storage_truth(gauntlet) if row[0] in (2, 4))
+        if hidden != _HIDDEN_ROWS:
+            return leaked(
+                f"overwrite destroyed filter-hidden rows: {list(hidden)} left",
+                rows=len(_HIDDEN_ROWS) - len(hidden),
+            )
+        return judge(
+            response,
+            gauntlet.forbidden_tokens(),
+            "hidden rows survived the raw overwrite",
+        )
+    finally:
+        admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")
+        _restore(gauntlet, before)
+
+
+def _restore(gauntlet: Any, rows: list[tuple]) -> None:
+    """Put ``rows`` back as the whole of ORDERS (admin, filter lifted)."""
+    admin = gauntlet.client_for("admin")
+    admin.sql(f"ALTER TABLE {h.ORDERS} DROP ROW FILTER")
+    try:
+        names = gauntlet.catalog.get_table(h.ORDERS).schema.names
+        gauntlet.catalog.write_table(
+            h.ORDERS,
+            {name: list(values) for name, values in zip(names, zip(*rows))},
+            gauntlet.catalog.principals.context_for("admin"),
+            overwrite=True,
+        )
+    finally:
+        admin.sql(f"ALTER TABLE {h.ORDERS} SET ROW FILTER (region = 'US')")
 
 
 @attack_scenario(

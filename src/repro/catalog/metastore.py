@@ -63,16 +63,14 @@ from repro.engine.logical import TableRef
 from repro.engine.types import Schema
 from repro.engine.udf import PythonUDF
 from repro.errors import (
+    AnalysisError,
     PermissionDenied,
     SecurableAlreadyExists,
     SecurableNotFound,
 )
 from repro.storage.credentials import (
     CredentialVendor,
-    DELETE,
     InstanceProfileCredential,
-    LIST,
-    READ,
     TemporaryCredential,
     WRITE,
 )
@@ -152,9 +150,12 @@ class UnityCatalog:
         self._epoch_lock = threading.Lock()
         #: Every ``system.access.*`` table and the stats providers behind them.
         self.system_tables = SystemTableRegistry(self)
-        #: The catalog-wide transaction manager, created lazily by the
-        #: :attr:`txn_manager` property (the txn tier imports catalog types).
-        self._txn_manager: Any = None
+        # Imported here: the transaction tier imports catalog types.
+        from repro.txn import TransactionManager
+
+        #: The catalog-wide transaction manager: every table write commits
+        #: through it (SQL writes, ``write_table``, CTAS).
+        self.txn_manager = TransactionManager(self)
         self.system_tables.register_stats_provider(
             FAULT_STATS, "faults[catalog]", self.faults.stats_snapshot
         )
@@ -232,20 +233,6 @@ class UnityCatalog:
     def txn_stats(self) -> dict[str, dict[str, Any]]:
         """Snapshot of every registered transaction tier's counters."""
         return self.system_tables.stats(TXN_STATS)
-
-    @property
-    def txn_manager(self) -> Any:
-        """The catalog-wide transaction manager (created on first use).
-
-        Lazy so the catalog module does not import the transaction tier at
-        definition time (the tier imports catalog types); the first SQL
-        write statement or explicit BEGIN materializes it.
-        """
-        if self._txn_manager is None:
-            from repro.txn import TransactionManager
-
-            self._txn_manager = TransactionManager(self)
-        return self._txn_manager
 
     # ------------------------------------------------------------------
     # Auditing helper
@@ -409,23 +396,28 @@ class UnityCatalog:
         ctx: UserContext,
         overwrite: bool = False,
     ) -> None:
-        """Governed write path: requires MODIFY, uses a vended credential."""
-        table = self.get_table(full_name)
-        self.check_privilege(ctx, MODIFY, full_name)
-        # DELETE rides along so a writer that trips over a torn tip (a
-        # crashed commit occupying the next version) can roll it back.
-        credential = self.vendor.issue(
-            identity=ctx.user,
-            prefixes=[table.storage_root],
-            operations={READ, WRITE, LIST, DELETE},
-        )
-        storage = self.table_storage(table)
-        if overwrite:
-            storage.overwrite(columns, credential)
-        else:
-            storage.append(columns, credential)
-        self.vendor.revoke(credential.token)
-        self.bump_data_epoch("write-table")
+        """Governed bulk write: one transaction, governed as SQL writes are.
+
+        An append is a blind INSERT of ``columns`` (named and ordered as the
+        table's columns). An overwrite is ``DELETE`` of every row the writer
+        may see, then the INSERT: rows the row filter hides survive, and,
+        as for ``DELETE``, the writer needs SELECT as well as MODIFY.
+        """
+        names = self.get_table(full_name).schema.names
+        if list(columns) != list(names):
+            # Only a writer learns the schema from the refusal.
+            self.check_privilege(ctx, MODIFY, full_name)
+            raise AnalysisError(
+                f"write to '{full_name}': columns {list(columns)} do not "
+                f"match the table's columns {list(names)}"
+            )
+
+        def body(txn: Any) -> None:
+            if overwrite:
+                txn.delete(full_name, None)
+            txn.insert(full_name, list(columns.values()))
+
+        self.txn_manager.run(ctx, body)
 
     # -- views / functions / volumes --------------------------------------------
 
@@ -467,9 +459,7 @@ class UnityCatalog:
         storage = LakeTableStorage(self.store, view.materialized_root)
         if storage.latest_version(self._service_credential) < 0:
             storage.create(schema.names, self._service_credential)
-            storage.append(columns, self._service_credential)
-        else:
-            storage.overwrite(columns, self._service_credential)
+        storage.overwrite(columns, self._service_credential)
         view.schema = schema
         view.stale = False
         self.bump_data_epoch("mv-refresh")

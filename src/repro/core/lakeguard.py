@@ -71,6 +71,16 @@ def message_to_schema(message: list[dict[str, str]]) -> Schema:
 ContextTransform = Callable[[UserContext], UserContext]
 
 
+def _transpose(table: str, rows: list[list[Any]]) -> list[list[Any]]:
+    """``INSERT … VALUES`` rows as columns, refusing rows of unequal width."""
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise AnalysisError(
+            f"INSERT into '{table}': VALUES rows of {sorted(widths)} values"
+        )
+    return [list(col) for col in zip(*rows)]
+
+
 class LakeguardCluster:
     """Trusted driver-side state of one governed cluster."""
 
@@ -466,25 +476,14 @@ class LakeguardCluster:
         if isinstance(stmt, ast.CreateTableAsSelectStatement):
             schema_name = stmt.name.rsplit(".", 1)[0]
             self.catalog.check_privilege(ctx, CREATE_TABLE, schema_name)
-            query = parse_statement(stmt.query_sql)
-            from repro.sql.to_plan import PlanBuilder
-
-            plan = PlanBuilder(self._function_lookup(session)).build(query)
-            result = self._execute_plan(session, plan)
-            bare = Schema(
-                tuple(Field(f.name, f.dtype) for f in result.batch.schema)
-            )
+            bare, columns = self._materialize_query(session, stmt.query_sql)
             self.catalog.create_table(stmt.name, bare, owner=ctx.user)
-            columns = {
-                f.name: col
-                for f, col in zip(result.batch.schema, result.batch.columns)
-            }
             self.catalog.write_table(stmt.name, columns, ctx)
             return {
                 "status": "ok",
                 "operation": "create_table_as_select",
                 "name": stmt.name,
-                "rows": result.batch.num_rows,
+                "rows": len(next(iter(columns.values()))),
             }
 
         if isinstance(stmt, ast.DropObjectStatement):
@@ -543,14 +542,14 @@ class LakeguardCluster:
             return {"status": "ok", "operation": "create_view", "name": stmt.name}
 
         if isinstance(stmt, ast.InsertStatement):
-            rows: list[tuple] = [tuple(r) for r in stmt.rows]
-            if stmt.query_sql is not None:
-                _, source_columns = self._materialize_query(
-                    session, stmt.query_sql
+            if stmt.query_sql is None:
+                columns = _transpose(stmt.table, stmt.rows)
+            else:
+                columns = list(
+                    self._materialize_query(session, stmt.query_sql)[1].values()
                 )
-                rows = list(zip(*source_columns.values())) if source_columns else []
             return self._run_write(
-                session, "insert", lambda txn: txn.insert(stmt.table, rows)
+                session, "insert", lambda txn: txn.insert(stmt.table, columns)
             )
 
         if isinstance(stmt, ast.UpdateStatement):
@@ -703,25 +702,21 @@ class LakeguardCluster:
     def _materialize_query(
         self, session: SessionState, sql: str
     ) -> tuple[Schema, dict[str, list[Any]]]:
-        """Run a SELECT through the governed pipeline; return its bare output.
+        """Run a SELECT through the governed pipeline; return its output
+        schema with qualifiers stripped and its columns by bare name.
 
-        Used by INSERT INTO ... SELECT and by MERGE source materialization:
-        the source relation is read under the caller's full policy set (row
-        filters, masks, privileges) before the transaction tier ever sees it.
+        Used by CTAS, INSERT INTO ... SELECT, MERGE source materialization
+        and materialized-view refresh: the query is read under the caller's
+        full policy set (row filters, masks, privileges) before anything
+        writes it. The columns are the result's own lists; writers read
+        them and never mutate them.
         """
-        query = parse_statement(sql)
         from repro.sql.to_plan import PlanBuilder
 
-        plan = PlanBuilder(self._function_lookup(session)).build(query)
-        result = self._execute_plan(session, plan)
-        bare = Schema(
-            tuple(Field(f.name, f.dtype) for f in result.batch.schema)
-        )
-        columns = {
-            f.name: list(col)
-            for f, col in zip(result.batch.schema, result.batch.columns)
-        }
-        return bare, columns
+        plan = PlanBuilder(self._function_lookup(session)).build(parse_statement(sql))
+        batch = self._execute_plan(session, plan).batch
+        bare = Schema(tuple(Field(f.name, f.dtype) for f in batch.schema))
+        return bare, dict(zip(bare.names, batch.columns))
 
     # ------------------------------------------------------------------
     # Materialized views
@@ -729,18 +724,10 @@ class LakeguardCluster:
 
     def refresh_materialized_view(self, name: str, session: SessionState) -> None:
         """Recompute a materialized view's data as its owner."""
-        obj = self.catalog.get_object(name)
-        stmt = parse_statement(obj.sql_text)
-        from repro.sql.to_plan import PlanBuilder
-
-        plan = PlanBuilder(self._function_lookup(session)).build(stmt)
-        result = self._execute_plan(session, plan)
-        columns = {
-            f.name: col for f, col in zip(result.batch.schema, result.batch.columns)
-        }
-        # Strip any qualifiers: materialized storage uses bare names.
-        bare = Schema(tuple(Field(f.name, f.dtype) for f in result.batch.schema))
-        self.catalog.store_materialization(name, bare, columns)
+        sql_text = self.catalog.get_object(name).sql_text
+        self.catalog.store_materialization(
+            name, *self._materialize_query(session, sql_text)
+        )
 
     # ------------------------------------------------------------------
     # Direct submission (used by the serverless pool for eFGAC subqueries)

@@ -46,9 +46,9 @@ from repro.storage.object_store import ObjectStore, RowPolicy, StorageCredential
 LOG_READ_RETRIES = 4
 LOG_READ_RETRY_BASE = 0.01
 
-#: Bounded rebase-and-recommit attempts after a lost commit race. Blind
-#: appends/overwrites are position-independent, so losing the race to
-#: version N just means recommitting the same file set at N+1.
+#: Bounded rebase-and-recommit attempts after a lost commit race. An
+#: overwrite is position-independent, so losing the race to version N just
+#: means recommitting the same file at N+1.
 COMMIT_RETRIES = 4
 
 #: Extra confirming reads before a corrupt tip commit is classified as
@@ -69,6 +69,10 @@ class DataFile:
     path: str
     num_rows: int
     size_bytes: int
+
+    def add_action(self) -> dict:
+        """The commit-log action that makes this file live."""
+        return {"add": self.path, "rows": self.num_rows, "bytes": self.size_bytes}
 
 
 @dataclass(frozen=True)
@@ -132,11 +136,11 @@ class LakeTableStorage:
                 f"{type(exc).__name__}"
             ) from exc
 
-    def _commit(
+    def commit_version(
         self,
         version: int,
         actions: list[dict],
-        column_names: list[str],
+        column_names: Sequence[str],
         credential: StorageCredential,
     ) -> None:
         """Atomically claim ``version`` in the log (the commit point).
@@ -144,10 +148,12 @@ class LakeTableStorage:
         Routed through :meth:`~repro.storage.object_store.ObjectStore
         .put_if_absent`: of N writers racing for the same version, exactly
         one wins; the rest get :class:`~repro.errors.CommitConflictError`
-        and must rebase onto the new tip instead of clobbering it.
+        and must rebase onto the new tip instead of clobbering it. The
+        transaction manager materializes its write set first, then calls
+        this to publish it.
         """
         payload = json.dumps(
-            {"version": version, "columns": column_names, "actions": actions}
+            {"version": version, "columns": list(column_names), "actions": actions}
         ).encode("utf-8")
         path = _log_path(self.root, version)
         try:
@@ -169,34 +175,6 @@ class LakeTableStorage:
                 ) from None
             self._store.put_if_absent(path, payload, credential)
 
-    def commit_version(
-        self,
-        version: int,
-        actions: list[dict],
-        column_names: list[str],
-        credential: StorageCredential,
-    ) -> None:
-        """Public atomic commit at an explicit version (transaction tier).
-
-        The transaction manager materializes its write set first, then
-        calls this to publish it; a :class:`~repro.errors
-        .CommitConflictError` means another commit claimed the version and
-        the transaction must conflict-check against the new tip.
-        """
-        self._commit(version, actions, list(column_names), credential)
-
-    def _with_commit_retry(self, fn):
-        """Run one commit attempt, rebasing onto the new tip on a lost race."""
-        from repro.scheduler.circuit_breaker import retry_with_backoff
-
-        return retry_with_backoff(
-            fn,
-            clock=self._store.clock,
-            retries=COMMIT_RETRIES,
-            base_delay=LOG_READ_RETRY_BASE,
-            retry_on=(CommitConflictError,),
-        )
-
     # -- writes ---------------------------------------------------------------
 
     def create(self, column_names: list[str], credential: StorageCredential) -> None:
@@ -205,11 +183,17 @@ class LakeTableStorage:
             raise StorageError(f"table already exists at '{self.root}'")
         if not column_names:
             raise StorageError("a table needs at least one column")
-        self._commit(0, [], list(column_names), credential)
+        self.commit_version(0, [], column_names, credential)
 
-    def _write_data_file(
+    def stage_data_file(
         self, columns: dict[str, list], credential: StorageCredential
     ) -> DataFile:
+        """Write one data file without committing it.
+
+        The file stays invisible until a later :meth:`commit_version` adds
+        it; a crash or abort between the two leaves an orphan that
+        :meth:`recover` garbage-collects.
+        """
         blob = encode_data_file(columns)
         # Ordered ids keep snapshot file enumeration in commit order.
         path = f"{self.root}/data/{sequential_id('part')}.part"
@@ -217,84 +201,42 @@ class LakeTableStorage:
         num_rows = len(next(iter(columns.values()), ()))
         return DataFile(path=path, num_rows=num_rows, size_bytes=len(blob))
 
-    def stage_data_file(
-        self, columns: dict[str, list], credential: StorageCredential
-    ) -> DataFile:
-        """Write one data file without committing it (transaction tier).
-
-        The file stays invisible until a later :meth:`commit_version` adds
-        it; a crash or abort between the two leaves an orphan that
-        :meth:`recover` garbage-collects.
-        """
-        return self._write_data_file(columns, credential)
-
-    def append(
-        self, columns: dict[str, list], credential: StorageCredential
-    ) -> TableSnapshot:
-        """Commit a new version adding one data file with ``columns``.
-
-        Concurrency-safe: the data file is written once, then the commit
-        rebases onto whatever tip it finds — an append is position-
-        independent, so losing the race to version N just means claiming
-        N+1 instead (bounded by :data:`COMMIT_RETRIES`).
-        """
-        snapshot = self.snapshot(credential)
-        self._validate_columns(columns, snapshot.column_names)
-        data_file = self._write_data_file(columns, credential)
-
-        def attempt() -> None:
-            tip = self.snapshot(credential)
-            self._commit(
-                tip.version + 1,
-                [self._add_action(data_file)],
-                list(tip.column_names),
-                credential,
-            )
-
-        self._with_commit_retry(attempt)
-        return self.snapshot(credential)
-
     def overwrite(
         self, columns: dict[str, list], credential: StorageCredential
-    ) -> TableSnapshot:
+    ) -> None:
         """Commit a version replacing all live files with one new file.
 
-        The remove set is recomputed against the fresh tip on every commit
-        attempt, so a lost race never resurrects files another writer
-        already replaced.
+        The trusted materialized-view refresh path alone: it runs on the
+        catalog's service credential and no principal's request reaches it.
+        Every table write a principal makes is a transaction
+        (:mod:`repro.txn`), where an overwrite replaces only the rows the
+        writer may see. The remove set is recomputed against the fresh tip
+        on every commit attempt, so a lost race never resurrects files
+        another writer already replaced.
         """
         snapshot = self.snapshot(credential)
-        self._validate_columns(columns, snapshot.column_names)
-        data_file = self._write_data_file(columns, credential)
+        if tuple(columns) != snapshot.column_names:
+            raise StorageError(
+                f"column mismatch: table has {list(snapshot.column_names)}, "
+                f"write has {list(columns)}"
+            )
+        data_file = self.stage_data_file(columns, credential)
 
         def attempt() -> None:
             tip = self.snapshot(credential)
             actions = [{"remove": f.path} for f in tip.files]
-            actions.append(self._add_action(data_file))
-            self._commit(
-                tip.version + 1, actions, list(tip.column_names), credential
-            )
+            actions.append(data_file.add_action())
+            self.commit_version(tip.version + 1, actions, tip.column_names, credential)
 
-        self._with_commit_retry(attempt)
-        return self.snapshot(credential)
+        from repro.scheduler.circuit_breaker import retry_with_backoff
 
-    @staticmethod
-    def _add_action(data_file: DataFile) -> dict:
-        return {
-            "add": data_file.path,
-            "rows": data_file.num_rows,
-            "bytes": data_file.size_bytes,
-        }
-
-    @staticmethod
-    def _validate_columns(
-        columns: dict[str, list], expected: tuple[str, ...]
-    ) -> None:
-        if tuple(columns.keys()) != expected:
-            raise StorageError(
-                f"column mismatch: table has {list(expected)}, "
-                f"write has {list(columns.keys())}"
-            )
+        retry_with_backoff(
+            attempt,
+            clock=self._store.clock,
+            retries=COMMIT_RETRIES,
+            base_delay=LOG_READ_RETRY_BASE,
+            retry_on=(CommitConflictError,),
+        )
 
     # -- reads ----------------------------------------------------------------
 

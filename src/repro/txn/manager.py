@@ -260,20 +260,24 @@ class Transaction:
         self._pin(full_name)
         return self._staged[full_name]
 
-    def insert(self, full_name: str, rows: list[tuple]) -> int:
-        """Stage literal rows (in table column order) for appending."""
+    def insert(self, full_name: str, columns: Sequence[list]) -> int:
+        """Stage rows for appending, given as columns in table column order."""
         self._require_open()
         check_write(self._catalog, self.ctx, full_name, reads_rows=False)
         staged = self._staged_for(full_name)
-        width = len(staged.schema)
-        for row in rows:
-            if len(row) != width:
-                raise AnalysisError(
-                    f"INSERT into '{full_name}': row has {len(row)} values "
-                    f"but the table has {width} columns"
-                )
-        staged.ops.append(InsertOp(rows=[tuple(r) for r in rows]))
-        return len(rows)
+        if len(columns) != len(staged.schema):
+            raise AnalysisError(
+                f"INSERT into '{full_name}': {len(columns)} columns given "
+                f"but the table has {len(staged.schema)}"
+            )
+        lengths = {len(col) for col in columns}
+        if len(lengths) > 1:
+            raise AnalysisError(
+                f"INSERT into '{full_name}': ragged columns of "
+                f"{sorted(lengths)} rows"
+            )
+        staged.ops.append(InsertOp(columns=list(columns)))
+        return lengths.pop()
 
     def update(
         self,
@@ -521,12 +525,9 @@ class Transaction:
                 )
             self._fire("txn.commit")
             actions = [{"remove": f.path} for f in rewrite.removed]
-            actions += [
-                {"add": f.path, "rows": f.num_rows, "bytes": f.size_bytes}
-                for f in added
-            ]
+            actions += [f.add_action() for f in added]
             storage.commit_version(
-                pin.version + 1, actions, list(staged.schema.names), credential
+                pin.version + 1, actions, staged.schema.names, credential
             )
 
         # Injected faults are absorbed; a genuine conflict passes through
@@ -561,11 +562,7 @@ class Transaction:
             latest = storage.snapshot(credential).version
             self._fire("txn.commit")
             storage.commit_version(
-                latest + 1,
-                [{"add": data_file.path, "rows": data_file.num_rows,
-                  "bytes": data_file.size_bytes}],
-                names,
-                credential,
+                latest + 1, [data_file.add_action()], names, credential
             )
 
         # Appends are position-independent: losing the race to version N

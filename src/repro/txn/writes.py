@@ -23,7 +23,7 @@ Write-side FGAC rules (enforced by :func:`check_write`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -115,9 +115,10 @@ def referenced_columns(expr: Expression | None, schema: Schema) -> set[str]:
 
 @dataclass
 class InsertOp:
-    """Append literal rows (in table column order)."""
+    """Append rows given as columns, in table column order (read, never
+    mutated: a bulk load's lists pass through without a copy)."""
 
-    rows: list[tuple]
+    columns: list[list]
 
 
 @dataclass
@@ -331,7 +332,7 @@ def apply_ops(
     ev = _Evaluator(eval_ctx, compiler)
     for op in staged.ops:
         if isinstance(op, InsertOp):
-            for col, values in zip(columns, zip(*op.rows)):
+            for col, values in zip(columns, op.columns):
                 col.extend(values)
         elif isinstance(op, UpdateOp):
             _apply_update(columns, staged, op, ev)
@@ -507,10 +508,17 @@ def rewrite_files(
     filter, then WHERE, over raw columns. A file no op matches is left
     untouched by every op, so probing the base bytes for all ops at once is
     exact. MERGE touches every file: its ambiguity check and its
-    not-matched inserts depend on the whole table.
+    not-matched inserts depend on the whole table. So does a DELETE with
+    neither WHERE nor row filter, which reads no file at all.
     """
     schema = staged.schema
-    if any(isinstance(op, MergeOp) for op in staged.ops):
+    wipes = [i for i, op in enumerate(staged.ops) if staged.row_filter is None
+             and isinstance(op, DeleteOp) and op.where is None]
+    if wipes:
+        # The writer sees every row and deletes them all (an overwrite, say):
+        # no row from before the last such delete survives, so none is read.
+        staged = replace(staged, ops=staged.ops[wipes[-1] + 1:])
+    if wipes or any(isinstance(op, MergeOp) for op in staged.ops):
         touched = set(files)
     else:
         ev = _Evaluator(eval_ctx, compiler)
@@ -538,7 +546,7 @@ def rewrite_files(
         f for f in files if f in touched or f.num_rows < TARGET_FILE_ROWS // 2
     ] if writes else []
     base: dict[str, list] = {name: [] for name in schema.names}
-    for f in removed:
+    for f in [] if wipes else removed:
         columns = read(f, None)
         for name, values in base.items():
             values.extend(columns[name])

@@ -32,6 +32,7 @@ from repro.storage import object_store
 from repro.storage.credentials import LIST, READ, WRITE, InstanceProfileCredential
 from repro.storage.object_store import DecodedColumns
 from repro.storage.table_format import LakeTableStorage
+from tests.test_storage import commit_file
 
 COLUMNS = ("id", "k", "v")
 PRINCIPALS = ("alice", "bob", "admin")
@@ -265,7 +266,7 @@ class TestConcurrency:
         service = InstanceProfileCredential(token="t", cluster_id="c", prefixes=("s3://b/",))
         storage = LakeTableStorage(store, "s3://b/t")
         storage.create(list(COLUMNS), service)
-        (data_file,) = storage.append(_rows(50, 0), service).files
+        (data_file,) = commit_file(storage, _rows(50, 0), service).files
         both_decoding = threading.Barrier(2, timeout=10)
         decode = object_store.decode_data_file
 

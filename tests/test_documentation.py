@@ -141,7 +141,10 @@ def test_readme_lists_every_system_table():
 #: process backend's kernel shipping, which the docs outlived. Then
 #: deleted: the write-only metrics registry — its counter, gauge and histogram
 #: classes, their window constant and accessors, and the helpers and counter
-#: names that only fed it (grouped likewise).
+#: names that only fed it (grouped likewise). Then deleted: the table
+#: format's own append (every table write is a transaction), the helpers only
+#: it and the overwrite shared, and the catalog's lazily built transaction
+#: manager (grouped likewise).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -159,7 +162,9 @@ _DELETED = re.compile(
     r"KERNEL_CACHE_(ENTRIES))\b|"
     r"\b(HISTOGRAM_(WINDOW)|untracked_(executions)|(policy|data)_epoch_(bumps)|"
     r"_gauge_(depth|state)_locked)\b|"
-    r"\.(counter|gauge|histogram|counters|gauges)\(|\bclass (Counter|Gauge|Histogram)\b"
+    r"\.(counter|gauge|histogram|counters|gauges)\(|\bclass (Counter|Gauge|Histogram)\b|"
+    r"\b(LakeTableStorage\.(append)|(storage|table|writer)\.(append)\(|_add_(action)\(|"
+    r"_write_data_(file)|_validate_(columns)|_txn_(manager))"
 )
 
 

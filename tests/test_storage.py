@@ -15,6 +15,17 @@ from repro.storage import (
 from repro.storage.credentials import LIST, READ, WRITE
 
 
+def commit_file(storage, columns, credential):
+    """Stage ``columns`` as one data file and commit it at the durable tip
+    plus one: the two primitives every table write commits through."""
+    data_file = storage.stage_data_file(columns, credential)
+    tip = storage.snapshot(credential)
+    storage.commit_version(
+        tip.version + 1, [data_file.add_action()], tip.column_names, credential
+    )
+    return storage.snapshot(credential)
+
+
 class _RevokeOnNextRead(VirtualClock):
     """A virtual clock that runs ``hook`` once, inside its next reading."""
 
@@ -223,23 +234,23 @@ class TestLakeTableStorage:
             table.create(["id"], root_cred)
 
     def test_append_advances_version(self, table, root_cred):
-        snap = table.append({"id": [1, 2], "v": ["a", "b"]}, root_cred)
+        snap = commit_file(table, {"id": [1, 2], "v": ["a", "b"]}, root_cred)
         assert snap.version == 1
         assert snap.num_rows == 2
 
     def test_multiple_appends_accumulate(self, table, root_cred):
-        table.append({"id": [1], "v": ["a"]}, root_cred)
-        table.append({"id": [2], "v": ["b"]}, root_cred)
+        commit_file(table, {"id": [1], "v": ["a"]}, root_cred)
+        commit_file(table, {"id": [2], "v": ["b"]}, root_cred)
         data = table.read_all(root_cred)
         assert data == {"id": [1, 2], "v": ["a", "b"]}
 
     def test_overwrite_replaces(self, table, root_cred):
-        table.append({"id": [1], "v": ["a"]}, root_cred)
+        commit_file(table, {"id": [1], "v": ["a"]}, root_cred)
         table.overwrite({"id": [9], "v": ["z"]}, root_cred)
         assert table.read_all(root_cred) == {"id": [9], "v": ["z"]}
 
     def test_time_travel(self, table, root_cred):
-        table.append({"id": [1], "v": ["a"]}, root_cred)
+        commit_file(table, {"id": [1], "v": ["a"]}, root_cred)
         table.overwrite({"id": [9], "v": ["z"]}, root_cred)
         old = table.read_all(root_cred, version=1)
         assert old == {"id": [1], "v": ["a"]}
@@ -250,11 +261,12 @@ class TestLakeTableStorage:
 
     def test_column_mismatch_rejected(self, table, root_cred):
         with pytest.raises(StorageError):
-            table.append({"wrong": [1], "v": ["a"]}, root_cred)
+            table.overwrite({"wrong": [1], "v": ["a"]}, root_cred)
+        assert table.latest_version(root_cred) == 0
 
     def test_ragged_columns_rejected(self, table, root_cred):
         with pytest.raises(StorageError):
-            table.append({"id": [1, 2], "v": ["a"]}, root_cred)
+            table.stage_data_file({"id": [1, 2], "v": ["a"]}, root_cred)
 
     def test_missing_table(self, store, root_cred):
         ghost = LakeTableStorage(store, "s3://wh/ghost")
@@ -263,7 +275,7 @@ class TestLakeTableStorage:
         assert ghost.latest_version(root_cred) == -1
 
     def test_reader_needs_read_and_list(self, table, store, vendor, root_cred):
-        table.append({"id": [1], "v": ["a"]}, root_cred)
+        commit_file(table, {"id": [1], "v": ["a"]}, root_cred)
         # LIST alone cannot even resolve a snapshot (the log must be read).
         listonly = vendor.issue("alice", ["s3://wh/t1"], {LIST})
         with pytest.raises(StorageAccessDenied):

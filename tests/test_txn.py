@@ -193,7 +193,7 @@ class TestConflictDetection:
         catalog = workspace.catalog
         ctx = catalog.principals.context_for("admin")
         txn = catalog.txn_manager.begin(ctx)
-        txn.insert(ORDERS, [(70, "US", 7.0)])
+        txn.insert(ORDERS, [[70], ["US"], [7.0]])
         admin.sql(f"INSERT INTO {ORDERS} VALUES (71,'US',7.0)")
         txn.commit()  # append rebases; no conflict surfaces
         ids = [r[0] for r in rows(admin, f"SELECT id FROM {ORDERS}")]

@@ -47,6 +47,7 @@ from repro.txn.writes import (
     combined_schema,
     qualified_schema,
 )
+from tests.test_storage import commit_file
 
 CTX = ex.EvalContext(user="writer", groups=frozenset())
 TARGET = Schema((Field("k", INT), Field("g", STRING), Field("v", INT)))
@@ -97,7 +98,7 @@ def reference_apply(rows, staged, model=None):
             row[schema.field_index(column)] = value
     for op in staged.ops:
         if isinstance(op, InsertOp):
-            rows.extend(list(r) for r in op.rows)
+            rows.extend(list(r) for r in zip(*op.columns))
         elif isinstance(op, UpdateOp):
             for row in rows:
                 if touchable(row, op.where):
@@ -228,9 +229,9 @@ def merges(draw):
 
 
 ops = st.one_of(
-    st.builds(InsertOp, rows=st.lists(
-        st.tuples(nullable_small, groups, nullable_small), max_size=3
-    )),
+    st.lists(st.tuples(nullable_small, groups, nullable_small), max_size=3).map(
+        lambda rows: InsertOp(columns=[[row[i] for row in rows] for i in range(3)])
+    ),
     updates(),
     st.builds(
         DeleteOp,
@@ -355,7 +356,7 @@ split_files = st.lists(
 def _stage(txn, table, op):
     """Stage a pre-bound op through the transaction's governed API."""
     if isinstance(op, InsertOp):
-        txn.insert(table, op.rows)
+        txn.insert(table, op.columns)
     elif isinstance(op, UpdateOp):
         txn.update(table, op.assignments, op.where)
     elif isinstance(op, DeleteOp):
@@ -552,7 +553,7 @@ class TestIncrementalSnapshotMatchesFullReplay:
             latest = storage.latest_version(cred)
             torn = full_replay(store, cred, ROOT)[0] < latest
             if action == "append":
-                storage.append({"a": list(range(arg))}, cred)
+                commit_file(storage, {"a": list(range(arg))}, cred)
             elif action == "overwrite":
                 storage.overwrite({"a": list(range(arg))}, cred)
             elif action == "tear" and not torn:
@@ -576,11 +577,11 @@ class TestIncrementalSnapshotMatchesFullReplay:
         store, _, cred = world
         first, second = LakeTableStorage(store, ROOT), LakeTableStorage(store, ROOT)
         first.create(["a"], cred)
-        first.append({"a": [1]}, cred)
+        commit_file(first, {"a": [1]}, cred)
         store.put(f"{ROOT}/_txn_log/{2:010d}.json", b"\x00torn", cred)
         assert second.snapshot(cred).version == 1  # torn tip skipped
         assert first.recover(cred)["torn_commits_rolled_back"] == 1
-        second.append({"a": [2, 3]}, cred)  # a different commit claims version 2
+        commit_file(second, {"a": [2, 3]}, cred)  # a different commit claims version 2
         for handle in (first, second):
             assert _resolved(handle.snapshot(cred)) == full_replay(store, cred, ROOT)
             assert handle.snapshot(cred).num_rows == 3
@@ -596,7 +597,7 @@ class TestIncrementalSnapshotMatchesFullReplay:
         storage = LakeTableStorage(store, ROOT)
         storage.create(["a"], cred)
         for i in range(30):
-            storage.append({"a": [i]}, cred)
+            commit_file(storage, {"a": [i]}, cred)
 
         def log_gets(fn):
             before = store.stats.objects_read
@@ -613,7 +614,7 @@ class TestIncrementalSnapshotMatchesFullReplay:
         store, vendor, cred = world
         storage = LakeTableStorage(store, ROOT)
         storage.create(["a"], cred)
-        storage.append({"a": [1]}, cred)
+        commit_file(storage, {"a": [1]}, cred)
         storage.snapshot(cred)  # replayed state is warm
         list_only = vendor.issue("nosy", [ROOT], {LIST})
         with pytest.raises(StorageAccessDenied):
@@ -650,7 +651,7 @@ class TestIncrementalSnapshotMatchesFullReplay:
                 reader.start()
             writer = LakeTableStorage(store, ROOT)
             for i in range(commits):
-                writer.append({"a": [i]}, cred)
+                commit_file(writer, {"a": [i]}, cred)
         finally:
             stop.set()
             for reader in readers:

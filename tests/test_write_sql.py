@@ -4,13 +4,19 @@ Parser coverage for the PR-10 grammar, end-to-end governance of each write
 statement (MODIFY checks, row filters constraining the touchable rows,
 masked columns unwritable and unreadable from write expressions), and
 backend equivalence: the same write workload must produce identical final
-table state on the thread and process worker backends.
+table state on the thread and process worker backends. The Connect
+``command.write_table`` message is governed the same way: each bulk load is
+one transaction, and an overwrite replaces only the writer's visible rows.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro.connect import proto
 from repro.errors import (
     AnalysisError,
     ParseError,
@@ -20,6 +26,7 @@ from repro.errors import (
 from repro.platform import Workspace
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
+from repro.storage.table_format import LakeTableStorage
 
 ORDERS = "main.sales.orders"
 
@@ -253,6 +260,116 @@ class TestWriteGovernance:
             admin.sql(f"UPDATE {ORDERS} SET nope = 1")
         with pytest.raises(AnalysisError):
             admin.sql(f"INSERT INTO {ORDERS} VALUES (1, 'US')")
+
+
+def write_command(client, columns, overwrite=False):
+    """Send one raw ``command.write_table`` message into ORDERS."""
+    return client.execute_command(
+        proto.write_table_command(ORDERS, columns, overwrite=overwrite)
+    )
+
+
+def committed(workspace):
+    return workspace.catalog.txn_stats()["txn[manager]"]["committed"]
+
+
+ONE_ROW = {"id": [9], "region": ["US"], "amount": [90.0], "buyer": ["p9"]}
+
+
+class TestWriteTableCommand:
+    """``command.write_table`` is a transaction: an INSERT, or for an
+    overwrite a DELETE of the writer's visible rows plus the INSERT."""
+
+    def test_overwrite_under_a_row_filter_keeps_the_hidden_rows(
+        self, admin, alice
+    ):
+        admin.sql(f"GRANT MODIFY ON {ORDERS} TO analysts")
+        admin.sql(f"ALTER TABLE {ORDERS} SET ROW FILTER (region = 'US')")
+        write_command(alice, ONE_ROW, overwrite=True)
+        assert rows(alice, f"SELECT id FROM {ORDERS}") == [(9,)]
+        admin.sql(f"ALTER TABLE {ORDERS} DROP ROW FILTER")
+        assert rows(admin, f"SELECT * FROM {ORDERS}") == [
+            (2, "EU", 20.0, "p2"), (9, "US", 90.0, "p9"),
+        ]
+
+    @pytest.mark.parametrize("columns", [
+        {"id": [9], "region": ["US"], "amount": [90.0], "who": ["p9"]},
+        {"region": ["US"], "id": [9], "amount": [90.0], "buyer": ["p9"]},
+        {"id": [9, 10], "region": ["US"], "amount": [90.0], "buyer": ["p9"]},
+        {"id": [9], "region": ["US"], "amount": [90.0]},
+    ], ids=["misnamed", "reordered", "ragged", "narrow"])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_malformed_columns_are_refused_and_commit_nothing(
+        self, workspace, admin, columns, overwrite
+    ):
+        version = workspace.catalog.current_table_version(ORDERS)
+        with pytest.raises(AnalysisError):
+            write_command(admin, columns, overwrite)
+        assert workspace.catalog.current_table_version(ORDERS) == version
+        assert len(rows(admin, f"SELECT id FROM {ORDERS}")) == 3
+
+    def test_a_refusal_names_the_schema_only_to_a_writer(self, admin, alice):
+        with pytest.raises(PermissionDenied):
+            write_command(alice, {"x": [1]})
+
+    def test_overwrite_needs_select_and_append_does_not(
+        self, workspace, admin, alice
+    ):
+        admin.sql(f"REVOKE SELECT ON {ORDERS} FROM analysts")
+        admin.sql(f"GRANT MODIFY ON {ORDERS} TO analysts")
+        with pytest.raises(PermissionDenied):
+            write_command(alice, ONE_ROW, overwrite=True)
+        write_command(alice, ONE_ROW)
+        assert len(rows(admin, f"SELECT id FROM {ORDERS}")) == 4
+
+    def test_an_unconfined_overwrite_reads_no_old_data_file(
+        self, workspace, admin, monkeypatch
+    ):
+        reads = []
+        read_file = LakeTableStorage.read_file
+
+        def counted(storage, data_file, *args, **kwargs):
+            reads.append(data_file)
+            return read_file(storage, data_file, *args, **kwargs)
+
+        monkeypatch.setattr(LakeTableStorage, "read_file", counted)
+        write_command(admin, ONE_ROW, overwrite=True)
+        assert reads == []
+        assert rows(admin, f"SELECT id FROM {ORDERS}") == [(9,)]
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_one_bulk_load_is_one_commit(self, workspace, admin, overwrite):
+        before = committed(workspace)
+        write_command(admin, ONE_ROW, overwrite)
+        assert committed(workspace) == before + 1
+
+    def test_racing_first_bulk_loads_are_all_counted(self, workspace, cluster):
+        """Eight threads' first writes to a fresh catalog commit through one
+        manager, so ``txn_stats`` counts every one of them."""
+        cluster.connect("admin").sql(f"CREATE TABLE {ORDERS} (id int)")
+        ctx = workspace.catalog.principals.context_for("admin")
+        start, errors = threading.Barrier(8, timeout=10), []
+
+        def load(i):
+            try:
+                start.wait()
+                workspace.catalog.write_table(ORDERS, {"id": [i]}, ctx)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert committed(workspace) == 8
+        assert workspace.catalog.current_table_snapshot(ORDERS).num_rows == 8
 
 
 class TestWriteWorkload:

@@ -10,14 +10,16 @@ the cache hit counters themselves as the oracle. Plans are cached per
 the lifting itself: a parameter aimed at a policy literal, one template
 shared across principals or governance epochs, and the hit-vs-miss outcome
 as an oracle on another tenant's queries (each reads the ``plan_cache``
-reason the query's ``stage:parse`` span records). Span retention is the
-same kind of surface — one structure holding every principal's traces — so
-the profile-flooding probe lives here too.
+reason the query's ``stage:parse`` span records); a fourth forges the slot
+marker an eFGAC payload carries a parameter in until submit. Span retention
+is the same kind of surface — one structure holding every principal's
+traces — so the profile-flooding probe lives here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Any
 
 from repro.attacks import harness as h
@@ -26,6 +28,7 @@ from repro.attacks.scenario import AttackResult, contained, judge, leaked
 from repro.common.telemetry import SPANS_PER_USER
 from repro.connect import proto
 from repro.core.plan_cache import HIT, MISS_COLD, MISS_STALE_EPOCH, fingerprint_relation
+from repro.core.plan_codec import PARAMETER_MARKER
 from repro.engine.expressions import Parameter
 from repro.engine.logical import SecureView, plan_expressions
 from repro.errors import LakeguardError, PermissionDenied
@@ -233,6 +236,63 @@ def template_parameter_smuggling(gauntlet: Any) -> AttackResult:
         if any(row[1] != "US" for row in rows):
             return leaked(f"forged slot marker reached hidden rows {rows}", rows=len(rows))
     return judge(observed, gauntlet.forbidden_tokens(), "parameters stayed in the user predicate")
+
+
+@attack_scenario(
+    name="efgac-param-forgery",
+    layer="enforcement",
+    technique="cache-oracle",
+    expected_containment="an eFGAC payload carries a pushed predicate's "
+    "parameters as slot markers that the submit binds only where the encoder "
+    "wrote them: the decoder refuses a marker on the wire, the analyzer a "
+    "literal holding one, and one inside SQL text stays that string",
+)
+def efgac_param_forgery(gauntlet: Any) -> AttackResult:
+    """On a dedicated cluster, alice plants the eFGAC slot marker as a filter
+    expression, inside a literal and inside SQL text, hunting for a binding
+    to her other slot's value."""
+    marker = {"@type": PARAMETER_MARKER, "slot": 0}
+    text = json.dumps(marker)
+
+    def above(value: float) -> dict[str, Any]:
+        return proto.binary(">", proto.column("amount"), proto.literal(value))
+
+    probes = {
+        "filter expression": lambda v: proto.filter_relation(
+            proto.read_table(h.ORDERS),
+            proto.binary("AND", above(v), proto.binary("=", proto.column("region"), marker)),
+        ),
+        "literal": lambda v: proto.project(
+            proto.filter_relation(proto.read_table(h.ORDERS), above(v)),
+            [proto.column("id"), proto.alias(proto.literal(marker), "m")],
+        ),
+        "SQL text": lambda v: proto.sql_relation(
+            f"SELECT id, '{text}' AS m FROM {h.ORDERS} "
+            f"WHERE buyer <> '{text}' AND amount > {v}"
+        ),
+    }
+    cluster = gauntlet.workspace.create_dedicated_cluster(
+        assigned_user="alice", name=f"gauntlet-efgac-{next(_RUNS)}"
+    )
+    observed: list[Any] = []
+    try:
+        client = cluster.connect("alice")
+        for where, build in probes.items():
+            for value in (5.5, 15.5):  # the second run of a template is a hit
+                try:
+                    _, columns = client.execute_relation(build(value))
+                except LakeguardError as exc:
+                    observed.append(exc)
+                    continue
+                rows = list(zip(*columns)) if columns else []
+                observed.append(rows)
+                if where == "filter expression" or any(
+                    row[0] not in (1, 3) or row[-1] not in (marker, text) for row in rows
+                ):
+                    return leaked(f"marker planted as a {where} answered {rows}", rows=len(rows))
+    finally:
+        cluster.shutdown()
+    return judge(observed, gauntlet.forbidden_tokens(), "forged markers bound nothing")
 
 
 @attack_scenario(

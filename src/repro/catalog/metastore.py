@@ -395,13 +395,15 @@ class UnityCatalog:
         columns: dict[str, list[Any]],
         ctx: UserContext,
         overwrite: bool = False,
+        txn: Any = None,
     ) -> None:
         """Governed bulk write: one transaction, governed as SQL writes are.
 
         An append is a blind INSERT of ``columns`` (named and ordered as the
         table's columns). An overwrite is ``DELETE`` of every row the writer
         may see, then the INSERT: rows the row filter hides survive, and,
-        as for ``DELETE``, the writer needs SELECT as well as MODIFY.
+        as for ``DELETE``, the writer needs SELECT as well as MODIFY. An
+        open ``txn`` (inside ``BEGIN``) stages the write instead.
         """
         names = self.get_table(full_name).schema.names
         if list(columns) != list(names):
@@ -412,12 +414,12 @@ class UnityCatalog:
                 f"match the table's columns {list(names)}"
             )
 
-        def body(txn: Any) -> None:
+        def body(into: Any) -> None:
             if overwrite:
-                txn.delete(full_name, None)
-            txn.insert(full_name, list(columns.values()))
+                into.delete(full_name, None)
+            into.insert(full_name, list(columns.values()))
 
-        self.txn_manager.run(ctx, body)
+        body(txn) if txn is not None else self.txn_manager.run(ctx, body)
 
     # -- views / functions / volumes --------------------------------------------
 

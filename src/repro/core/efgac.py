@@ -5,7 +5,9 @@ rules here then *refine* those leaves by folding safe filters, projections,
 limits, and partial aggregations into the remote payload — so the serverless
 endpoint ships back as little data as possible. The remote side re-analyzes
 the unresolved plan against the catalog, which re-injects the row filters and
-masks the origin compute was never allowed to see.
+masks the origin compute was never allowed to see. A pushed predicate keeps
+its plan-cache parameters as slot markers, so the payload belongs to the
+cached template; :class:`RemoteQueryExecutor` binds them at submit.
 
 Result handling implements the paper's dual mode: small results return
 inline with the query; large results are staged to cloud storage, in the
@@ -23,7 +25,7 @@ from repro.catalog.privileges import UserContext
 from repro.common.context import current_context, span_or_null
 from repro.common.datacodec import decode_data_file, encode_data_file
 from repro.common.ids import new_id
-from repro.core.plan_codec import encode_expression
+from repro.core.plan_codec import bind_markers, encode_expression
 from repro.engine.batch import ColumnBatch
 from repro.engine.expressions import (
     BoundRef,
@@ -265,7 +267,12 @@ class RemoteQueryExecutor:
             tables=sorted(remote.source_tables),
             pushed=dict(remote.pushed),
         ) as span:
-            schema_msg, columns = self._submit(user, remote.payload)
+            # A cached plan's payload: each submit binds its own parameters.
+            payload = bind_markers(
+                remote.payload,
+                lambda slot: {"@type": "expr.literal", "value": eval_ctx.params[slot]},
+            )
+            schema_msg, columns = self._submit(user, payload)
             if len(schema_msg) != len(remote.schema):
                 raise ExecutionError(
                     f"remote result arity {len(schema_msg)} does not match "

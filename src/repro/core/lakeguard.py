@@ -425,13 +425,10 @@ class LakeguardCluster:
         if kind == "command.sql":
             return self._execute_sql_command(session, command["sql"])
         if kind == "command.write_table":
-            self.catalog.write_table(
-                command["table"],
-                command["columns"],
-                session.user_ctx,
-                overwrite=bool(command.get("overwrite")),
-            )
-            return {"status": "ok", "operation": "write_table"}
+            return self._run_write(session, "write_table", lambda txn: self.catalog.write_table(
+                command["table"], command["columns"], session.user_ctx,
+                overwrite=bool(command.get("overwrite")), txn=txn,
+            ))
         if kind == "command.create_temp_view":
             session.temp_views[command["name"]] = command["relation"]
             session.bump_temp_state()

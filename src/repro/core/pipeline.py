@@ -42,8 +42,7 @@ from repro.core.plan_cache import (
 )
 from repro.core.plan_codec import PlanDecoder
 from repro.engine.executor import QueryEngine, QueryResult
-from repro.engine.expressions import Literal, Parameter
-from repro.engine.logical import LogicalPlan, RemoteScan, transform_expressions
+from repro.engine.logical import LogicalPlan, RemoteScan
 from repro.engine.types import Schema
 
 #: Canonical stage names, in execution order.
@@ -143,14 +142,6 @@ def _remote_scans(plan: LogicalPlan) -> list[RemoteScan]:
     return found
 
 
-def _bind_parameters(plan: LogicalPlan, params: tuple[Any, ...]) -> LogicalPlan:
-    """``plan`` with every parameter replaced by its literal value."""
-    return transform_expressions(
-        plan,
-        lambda e: Literal(params[e.slot]) if isinstance(e, Parameter) else e,
-    )
-
-
 def build_enforcement_pipeline(
     engine: QueryEngine,
     decoder: PlanDecoder,
@@ -243,10 +234,6 @@ def build_enforcement_pipeline(
                 "remote_tables",
                 sorted({t for r in remotes for t in r.source_tables}),
             )
-            if not state.cache_hit and state.lifted is not None and state.lifted.params:
-                # Pushed-down predicates travel to the remote endpoint as
-                # values: a template that routes to eFGAC pins them all.
-                state.analyzed = _bind_parameters(state.analyzed, state.lifted.params)
 
     def optimize(ctx: QueryContext, state: PipelineState, span: Span) -> None:
         if state.cache_hit:

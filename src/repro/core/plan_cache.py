@@ -26,9 +26,9 @@ and by what a template-built plan may depend on:
   value (a projected constant names the output column, LIMIT sizes the
   top-k, an IN list or LIKE pattern is compiled), so the entry records the
   pinned values and a hit requires them to be equal — a mismatch is a
-  ``miss:pinned`` and rebuilds the entry. A template whose plan routes to
-  eFGAC (a ``RemoteScan`` ships literal values to the remote endpoint) pins
-  every literal.
+  ``miss:pinned`` and rebuilds the entry. A predicate pushed into an eFGAC
+  ``RemoteScan`` payload keeps its parameters as slot markers, bound to
+  literals only when the sub-plan is submitted: those slots are bound too.
 - Policy literals — row filters, masks, view text — are injected by the
   analyzer *after* lifting, from the catalog: they are never parameters,
   they belong to the template's plan, and the **policy epoch** in the key
@@ -50,8 +50,9 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro.core.plan_codec import bind_markers
 from repro.engine.expressions import Parameter
-from repro.engine.logical import LogicalPlan, plan_expressions
+from repro.engine.logical import LogicalPlan, RemoteScan, plan_expressions
 from repro.errors import LakeguardError
 from repro.sql.lexer import lift_literals
 
@@ -149,8 +150,9 @@ def lift(relation: dict[str, Any], sql_lifts: dict[str, tuple] | None = None) ->
 def _pinned(plan: LogicalPlan, params: tuple[Any, ...]) -> tuple[tuple[int, str], ...]:
     """``(slot, repr(value))`` of every lifted literal ``plan`` was built
     with rather than bound to: the slots it reads through no
-    :class:`Parameter`. ``repr`` keeps what ``==`` would merge — ``-0.0``
-    and ``0.0`` print (and project) differently."""
+    :class:`Parameter` and no ``RemoteScan`` payload marker. ``repr`` keeps
+    what ``==`` would merge — ``-0.0`` and ``0.0`` print (and project)
+    differently."""
     if not params:
         return ()
     bound = {
@@ -159,6 +161,9 @@ def _pinned(plan: LogicalPlan, params: tuple[Any, ...]) -> tuple[tuple[int, str]
         for node in expr.walk()
         if isinstance(node, Parameter)
     }
+    for node in plan.walk():
+        if isinstance(node, RemoteScan):
+            bind_markers(node.payload, bound.add)
     return tuple((slot, repr(params[slot])) for slot in range(len(params)) if slot not in bound)
 
 

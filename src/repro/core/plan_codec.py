@@ -6,7 +6,9 @@ a lifted literal inside a filter or join condition decodes to a
 :class:`~repro.engine.expressions.Parameter`, any other lifted literal to the
 literal itself. Encoding (expressions only) is used by the eFGAC rewriter,
 which wraps a RemoteScan payload with the filters/projections/partial
-aggregates it pushes to the remote endpoint.
+aggregates it pushes to the remote endpoint; a ``Parameter`` is encoded as a
+slot marker that :func:`bind_markers` replaces with its value when the
+sub-plan is submitted.
 """
 
 from __future__ import annotations
@@ -399,16 +401,48 @@ class PlanDecoder:
 # Expression encoding (for eFGAC pushdown payloads)
 # ---------------------------------------------------------------------------
 
+#: ``@type`` of a parameter's slot marker in an eFGAC payload. No decoder
+#: knows it: a marker only exists between planning and submit.
+PARAMETER_MARKER = "expr.parameter"
+
+#: The keys under which the encoder and the eFGAC rules nest expressions and
+#: relations; a literal's value, an IN list or a pattern is never walked.
+_NESTED_KEYS = frozenset(("input", "condition", "expressions", "groupings", "aggregates",
+                          "child", "left", "right", "branches", "otherwise", "args"))
+
+
+def bind_markers(node: Any, bind: Callable[[int], Any]) -> Any:
+    """``node`` (an eFGAC payload) with each slot marker
+    :func:`encode_expression` wrote replaced by ``bind(slot)``.
+
+    Only expression and relation positions are walked, so a marker-shaped
+    value a client put inside a literal (which lifting keeps verbatim) or an
+    IN list stays the value it is.
+    """
+    if isinstance(node, list):
+        return [bind_markers(item, bind) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if node.get("@type") == PARAMETER_MARKER:
+        return bind(node["slot"])
+    return {
+        key: bind_markers(value, bind) if key in _NESTED_KEYS else value
+        for key, value in node.items()
+    }
+
 
 def encode_expression(expr: Expression) -> dict[str, Any]:
     """Encode a *bound, safe* expression back into protocol form.
 
     Column references become names: the remote endpoint re-analyzes the plan
     against its own (policy-injected) schema, which is exactly why eFGAC
-    "operates on the unresolved logical plan level only" (§3.4).
+    "operates on the unresolved logical plan level only" (§3.4). A
+    :class:`Parameter` becomes a slot marker (:func:`bind_markers`).
     """
     if isinstance(expr, Literal):
         return {"@type": "expr.literal", "value": expr.value}
+    if isinstance(expr, Parameter):
+        return {"@type": PARAMETER_MARKER, "slot": expr.slot}
     if isinstance(expr, BoundRef):
         return {"@type": "expr.column", "name": expr.name}
     if isinstance(expr, UnresolvedColumn):

@@ -37,6 +37,7 @@ commits them one at a time; atomicity is per table, as in Delta Lake.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.catalog.privileges import MODIFY, UserContext
@@ -63,7 +64,6 @@ from repro.txn.writes import (
     MergeOp,
     StagedWrite,
     UpdateOp,
-    apply_ops,
     bind_expression,
     bound_row_filter,
     check_write,
@@ -545,14 +545,13 @@ class Transaction:
         staged_paths: list[str],
     ) -> None:
         names = list(staged.schema.names)
+        # Insert-only: the rows are the inserted columns, in op order.
+        inserted = [op.columns for op in staged.ops]
+        columns = inserted[0] if len(inserted) == 1 else [
+            list(chain.from_iterable(parts)) for parts in zip(*inserted)
+        ]
         data_file = self._stage_file(
-            storage,
-            apply_ops(
-                {name: [] for name in names}, staged,
-                eval_context_for(self.ctx), self._manager.compiler,
-            ),
-            credential,
-            staged_paths,
+            storage, dict(zip(names, columns)), credential, staged_paths
         )
 
         def attempt() -> None:

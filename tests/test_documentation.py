@@ -144,7 +144,9 @@ def test_readme_lists_every_system_table():
 #: names that only fed it (grouped likewise). Then deleted: the table
 #: format's own append (every table write is a transaction), the helpers only
 #: it and the overwrite shared, and the catalog's lazily built transaction
-#: manager (grouped likewise).
+#: manager (grouped likewise). Then deleted: the pipeline's parameter
+#: binder for eFGAC templates (a payload binds at submit now; grouped
+#: likewise).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
     r"\b(kernel_cache_capacity|plan_cache_capacity|credential_refresh_ahead|"
@@ -164,7 +166,8 @@ _DELETED = re.compile(
     r"_gauge_(depth|state)_locked)\b|"
     r"\.(counter|gauge|histogram|counters|gauges)\(|\bclass (Counter|Gauge|Histogram)\b|"
     r"\b(LakeTableStorage\.(append)|(storage|table|writer)\.(append)\(|_add_(action)\(|"
-    r"_write_data_(file)|_validate_(columns)|_txn_(manager))"
+    r"_write_data_(file)|_validate_(columns)|_txn_(manager))|"
+    r"\b_bind_(parameters)\b"
 )
 
 
@@ -225,7 +228,7 @@ def test_design_threat_matrix_matches_attack_registry():
     prefixes = {f.split("-")[0] for f in attack_registry.technique_families()}
     prefixes |= {
         "udf", "plan", "credential", "cache", "admission", "profile", "template",
-        "datafile", "staging", "decode", "governed",
+        "datafile", "staging", "decode", "governed", "efgac",
     }
     documented = {
         token

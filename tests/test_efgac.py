@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.common.faults import FaultSpec
 from repro.connect.client import col, udf
 from repro.engine.logical import RemoteScan
-from repro.errors import PermissionDenied
+from repro.errors import LakeguardError, PermissionDenied
 
 
 @pytest.fixture
@@ -194,3 +195,39 @@ class TestDownScopedEfgac:
         alice = ded.connect("alice")
         rows = alice.table("main.sales.orders").collect()
         assert len(rows) == 2  # row filter still applies remotely
+
+
+class TestFaultsAfterATemplateHit:
+    """A ``storage.get`` fault inside a template hit's remote read — the
+    serverless scan or a staged part — must not poison the cached entry."""
+
+    def test_the_next_run_hits_and_is_correct(
+        self, governed_workspace, dedicated, admin_client
+    ):
+        TestResultModes()._big_table(governed_workspace, admin_client)
+        faults = governed_workspace.catalog.faults
+        alice = dedicated.connect("alice")
+
+        def run(floor):
+            rows = alice.sql(f"SELECT id FROM main.sales.big WHERE id > {floor}").collect()
+            assert sorted(rows) == [(i,) for i in range(floor + 1, 3000)]
+            spans = dedicated.backend.telemetry.spans(
+                trace_id=alice.last_trace_id, name="stage:parse"
+            )
+            return spans[0].attributes["plan_cache"]
+
+        run(10)
+        assert run(20) == "hit"  # 2979 rows: the result is staged
+        faults.arm("storage.get", FaultSpec(probability=0.0))
+        run(30)
+        gets = faults.call_count("storage.get")
+        faults.disarm("storage.get")
+        assert gets >= 2
+        for k in range(gets):
+            faults.arm("storage.get", FaultSpec(kind="raise", one_shot=True, after_calls=k))
+            try:
+                run(40 + k)
+            except LakeguardError:
+                pass  # a staged part is read once: its fault fails the query
+            faults.disarm("storage.get")
+            assert run(100 + k) == "hit", k

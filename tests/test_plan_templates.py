@@ -20,10 +20,16 @@ from repro.connect import proto
 from repro.connect.client import col, count
 from repro.connect.sessions import SessionState
 from repro.core.plan_cache import lift
-from repro.core.plan_codec import PlanDecoder
-from repro.engine.expressions import Literal, Parameter
+from repro.core.plan_codec import (
+    PARAMETER_MARKER,
+    PlanDecoder,
+    bind_markers,
+    encode_expression,
+)
+from repro.engine.expressions import Comparison, Literal, Parameter, UnresolvedColumn
 from repro.engine.logical import plan_expressions
-from repro.errors import PermissionDenied, RetryableError
+from repro.engine.types import FLOAT
+from repro.errors import PermissionDenied, ProtocolError, RetryableError
 from repro.platform import Workspace
 from repro.sql.parser import parse_statement
 
@@ -317,12 +323,121 @@ class TestParameterisedExecution:
 
 
 # ---------------------------------------------------------------------------
+# eFGAC sub-plans as templates: parameters ride the payload, bound at submit
+# ---------------------------------------------------------------------------
+
+MARKER = {"@type": PARAMETER_MARKER, "slot": 0}
+
+
+def _record_submits(cluster) -> list[dict]:
+    """Every sub-plan ``cluster`` hands the serverless gateway, as handed."""
+    executor = cluster.backend.remote_executor
+    submit, shipped = executor._submit, []
+
+    def recording(user, payload):
+        shipped.append(payload)
+        return submit(user, payload)
+
+    executor._submit = recording
+    return shipped
+
+
+class TestRemoteTemplates:
+    def test_a_fresh_predicate_literal_is_a_hit(self, governed):
+        cluster = governed.create_dedicated_cluster(assigned_user="alice")
+        alice = cluster.connect("alice")
+        text = f"SELECT id, note FROM {T} WHERE amount > {{}}"
+        alice.sql(text.format(1.5)).collect()
+        rows = alice.sql(text.format(11.5)).collect()
+        assert _parse_reason(cluster, alice) == "hit"
+        assert cluster.backend.plan_cache.stats.pinned_misses == 0
+        assert sorted(rows) == sorted(
+            cold_rows(cluster, "alice", proto.sql_relation(text.format(11.5)))
+        )
+
+    def test_a_hit_ships_the_payload_a_cold_plan_ships(self, governed):
+        cluster = governed.create_dedicated_cluster(assigned_user="alice")
+        shipped = _record_submits(cluster)
+        alice = cluster.connect("alice")
+
+        def read(key, floor):
+            return alice.table(T).filter(
+                (col("id") == key) & (col("amount") > floor)
+            ).select("id", "amount").limit(50)
+
+        read(1, 5.5).collect()
+        hit = read(10, -0.0).collect()
+        assert _parse_reason(cluster, alice) == "hit"
+        cluster.backend.plan_cache.clear()
+        cold = read(10, -0.0).collect()
+        assert _parse_reason(cluster, alice) == "miss:cold"
+        assert hit == cold == [(10, 7.0)]
+        # ``repr`` tells -0.0 from 0.0 and 10 from 10.0.
+        assert repr(shipped[1]) == repr(shipped[2])
+        assert "'value': -0.0}" in repr(shipped[1]) and "'value': 10}" in repr(shipped[1])
+
+    @pytest.mark.parametrize("change", [
+        f"ALTER TABLE {T} SET ROW FILTER (region = 'US')",
+        f"ALTER TABLE {T} ALTER COLUMN note SET MASK ('###')",
+    ], ids=["row-filter", "mask"])
+    def test_a_policy_change_between_remote_reads_is_stale(self, governed, change):
+        cluster = governed.create_dedicated_cluster(assigned_user="alice")
+        alice = cluster.connect("alice")
+        text = f"SELECT id, region, note FROM {T} WHERE amount > {{}}"
+        before = alice.sql(text.format(0.5)).collect()
+        governed.clusters["setup"].connect("admin").sql(change)
+        after = alice.sql(text.format(1.5)).collect()
+        assert _parse_reason(cluster, alice) == "miss:stale-epoch"
+        assert sorted(after) == sorted(
+            cold_rows(cluster, "alice", proto.sql_relation(text.format(1.5)))
+        )
+        if "ROW FILTER" in change:
+            assert {r[1] for r in before} != {"US"} and {r[1] for r in after} == {"US"}
+        else:
+            assert {r[2] for r in before} == {"***"} and {r[2] for r in after} == {"###"}
+
+
+class TestPayloadMarkers:
+    def test_binding_replaces_only_the_markers_the_encoder_wrote(self):
+        forged = proto.binary(
+            "AND",
+            proto.binary("=", proto.column("a"), proto.literal(MARKER)),
+            proto.in_list(proto.column("b"), [MARKER]),
+        )
+        encoded = encode_expression(
+            Comparison(">", UnresolvedColumn("x"), Parameter(0, FLOAT))
+        )
+        payload = proto.filter_relation(
+            proto.read_table(T), proto.binary("AND", forged, encoded)
+        )
+        bound = bind_markers(payload, lambda slot: proto.literal(f"bound-{slot}"))
+        assert bound["condition"]["left"] == forged
+        assert bound["condition"]["right"]["right"] == proto.literal("bound-0")
+
+    def test_the_decoder_refuses_a_marker_on_the_wire(self):
+        relation = proto.filter_relation(
+            proto.read_table(T),
+            proto.binary("AND", proto.binary(">", proto.column("id"), proto.literal(1)),
+                         proto.binary("=", proto.column("id"), MARKER)),
+        )
+        decoder = PlanDecoder("alice", lambda name: None)
+        with pytest.raises(ProtocolError):
+            decoder.relation(relation)
+        with pytest.raises(ProtocolError):
+            decoder.template(lift(relation))
+
+
+# ---------------------------------------------------------------------------
 # Template hit ≡ cold plan, on every execution configuration
 # ---------------------------------------------------------------------------
 
+#: Standard clusters shared by both users, and ``dedicated``: one dedicated
+#: cluster per user, where every read of the governed table is an eFGAC
+#: sub-plan whose predicates are bound at submit.
 CONFIGS = {
     "thread-fused": {},
     "interpreter": {"engine_compile": False},
+    "dedicated": None,
 }
 USERS = ("alice", "carol")
 
@@ -330,15 +445,18 @@ USERS = ("alice", "carol")
 @pytest.fixture(scope="module")
 def configured():
     ws = _governed_workspace()
-    clusters = {
+    shared = {
         name: ws.create_standard_cluster(name=name, num_executors=2, **options)
         for name, options in CONFIGS.items()
+        if options is not None
     }
-    clients = {
-        (name, user): cluster.connect(user)
-        for name, cluster in clusters.items()
+    clusters = {
+        (name, user): shared[name] if name in shared
+        else ws.create_dedicated_cluster(assigned_user=user, name=f"{name}-{user}")
+        for name in CONFIGS
         for user in USERS
     }
+    clients = {key: cluster.connect(key[1]) for key, cluster in clusters.items()}
     yield clusters, clients
     ws.shutdown()
 
@@ -511,14 +629,14 @@ class TestTemplateHitEqualsColdPlan:
                 relation = build(*values)(client)
                 warm = client.execute_relation(relation)
                 got = list(zip(*warm[1])) if warm[1] else []
-                want = cold_rows(clusters[config], user, relation)
+                want = cold_rows(clusters[(config, user)], user, relation)
                 assert _canonical(got) == _canonical(want), (config, user, name, values)
 
     def test_cached_plans_hold_parameters_not_values(self, configured):
         clusters, clients = configured
         client = clients[("thread-fused", "alice")]
         client.sql(f"SELECT id FROM {T} WHERE amount > 1.5 AND region = 'US'").collect()
-        plan = clusters["thread-fused"].backend.last_result.optimized_plan
+        plan = clusters[("thread-fused", "alice")].backend.last_result.optimized_plan
         values = {
             node.value
             for expr in plan_expressions(plan)

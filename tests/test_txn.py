@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.common.clock import VirtualClock
+from repro.common.datacodec import decode_data_file
 from repro.connect.service import error_to_message, raise_from_message
 from repro.errors import (
     AnalysisError,
@@ -22,10 +23,12 @@ from repro.errors import (
     TransactionAbortedError,
     WriteDeniedError,
 )
+from repro.engine.expressions import EvalContext
 from repro.platform import Workspace
 from repro.storage import CredentialVendor, ObjectStore
 from repro.storage.credentials import DELETE, LIST, READ, WRITE
-from repro.txn.writes import TARGET_FILE_ROWS
+from repro.storage.table_format import LakeTableStorage
+from repro.txn.writes import TARGET_FILE_ROWS, InsertOp, StagedWrite, apply_ops
 
 ORDERS = "main.sales.orders"
 
@@ -402,6 +405,58 @@ class TestFileGranularCommits:
             counts[files] = len(calls)
             assert catalog.txn_manager.stats_snapshot()["files_kept"] == kept + files - 1
         assert counts[2] == counts[12] > 0, counts
+
+
+class TestBlindInsertFiles:
+    """An insert-only commit encodes its inserted columns directly: the
+    staged file decodes to what folding the inserts over an empty table
+    (``apply_ops``) gives."""
+
+    @pytest.fixture
+    def staged_files(self, workspace, admin, monkeypatch):
+        catalog, decoded = workspace.catalog, []
+        stage = LakeTableStorage.stage_data_file
+
+        def recording(storage, columns, credential):
+            data_file = stage(storage, columns, credential)
+            decoded.append(decode_data_file(catalog.store.get(data_file.path, credential)))
+            return data_file
+
+        monkeypatch.setattr(LakeTableStorage, "stage_data_file", recording)
+        return decoded
+
+    @staticmethod
+    def _insert_all(workspace, inserts):
+        def body(txn):
+            for columns in inserts:
+                txn.insert(ORDERS, columns)
+
+        ctx = workspace.catalog.principals.context_for("admin")
+        workspace.catalog.txn_manager.run(ctx, body)
+
+    @pytest.mark.parametrize("inserts", [
+        [[[7], ["EU"], [1.5]]],
+        [[[7, 8], ["EU", None], [1.5, -0.0]], [[], [], []], [[9], ["US"], [None]]],
+    ], ids=["append", "multi-insert"])
+    def test_the_staged_file_decodes_to_the_folded_columns(
+        self, workspace, staged_files, inserts
+    ):
+        schema = workspace.catalog.get_table(ORDERS).schema
+        folded = apply_ops(
+            {name: [] for name in schema.names},
+            StagedWrite(ORDERS, schema, None, [InsertOp(list(c)) for c in inserts]),
+            EvalContext(user="admin"),
+        )
+        self._insert_all(workspace, inserts)
+        # ``repr`` tells -0.0 from 0.0.
+        assert [repr(f) for f in staged_files] == [repr(folded)]
+
+    def test_a_ragged_insert_is_still_refused(self, workspace, staged_files):
+        version = workspace.catalog.current_table_version(ORDERS)
+        with pytest.raises(AnalysisError):
+            self._insert_all(workspace, [[[1, 2], ["US"], [1.0]]])
+        assert staged_files == []
+        assert workspace.catalog.current_table_version(ORDERS) == version
 
 
 class TestErrorCodecRoundTrip:

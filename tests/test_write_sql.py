@@ -343,6 +343,25 @@ class TestWriteTableCommand:
         write_command(admin, ONE_ROW, overwrite)
         assert committed(workspace) == before + 1
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_a_write_inside_begin_is_undone_by_rollback(self, admin, overwrite):
+        before = rows(admin, f"SELECT * FROM {ORDERS}")
+        admin.sql("BEGIN")
+        response = write_command(admin, ONE_ROW, overwrite)
+        admin.sql("ROLLBACK")
+        assert rows(admin, f"SELECT * FROM {ORDERS}") == before
+        assert response["staged"] is True
+
+    def test_a_write_inside_begin_commits_with_its_transaction(self, workspace, admin):
+        before = committed(workspace)
+        admin.sql("BEGIN")
+        write_command(admin, ONE_ROW)
+        admin.sql(f"INSERT INTO {ORDERS} VALUES (10, 'US', 1.0, 'p10')")
+        assert committed(workspace) == before
+        admin.sql("COMMIT")
+        assert committed(workspace) == before + 1
+        assert {(9,), (10,)} <= set(rows(admin, f"SELECT id FROM {ORDERS}"))
+
     def test_racing_first_bulk_loads_are_all_counted(self, workspace, cluster):
         """Eight threads' first writes to a fresh catalog commit through one
         manager, so ``txn_stats`` counts every one of them."""

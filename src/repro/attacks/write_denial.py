@@ -21,7 +21,7 @@ from repro.attacks import harness as h
 from repro.attacks.registry import attack_scenario
 from repro.attacks.scenario import AttackResult, judge, leaked
 from repro.connect import proto
-from repro.errors import PermissionDenied, WriteDeniedError
+from repro.errors import AnalysisError, PermissionDenied, WriteDeniedError
 
 #: The hidden (non-US) rows as they must remain in storage: the row filter
 #: makes them untouchable, so any write that alters them escaped the filter.
@@ -247,3 +247,43 @@ def write_predicate_error_oracle(gauntlet: Any) -> AttackResult:
         )
     finally:
         admin.sql(f"REVOKE MODIFY ON {h.LEDGER} FROM analysts")
+
+
+@attack_scenario(
+    name="write-type-confusion",
+    layer="enforcement",
+    technique="write-denial",
+    expected_containment="a write statement is analyzed at staging like a "
+    "read: a SET value whose type its column does not accept is an "
+    "AnalysisError before anything is staged, so no other principal's "
+    "governed aggregate ever reads a value of the wrong type",
+)
+def write_type_confusion(gauntlet: Any) -> AttackResult:
+    """Alice (MODIFY) sets a string into the FLOAT ``amount`` column that
+    carol's governed ``sum()`` reads, betting one bad value breaks every
+    reader of the shared table."""
+    admin = gauntlet.client_for("admin")
+    alice = gauntlet.client_for("alice")
+    carol = gauntlet.client_for("carol")
+    total = f"SELECT sum(amount) FROM {h.ORDERS}"
+    answer = carol.sql(total).collect()
+    admin.sql(f"GRANT MODIFY ON {h.ORDERS} TO analysts")
+    before = _storage_truth(gauntlet)
+    try:
+        try:
+            alice.sql(f"UPDATE {h.ORDERS} SET amount = 'x' WHERE id = 1")
+        except AnalysisError as exc:
+            refusal: Any = exc
+        else:
+            refusal = None
+        try:
+            after = carol.sql(total).collect()
+        except Exception as exc:  # noqa: BLE001 - a broken reader is the leak
+            return leaked(f"another principal's sum() now fails: {exc!r}")
+        if refusal is None or after != answer:
+            return leaked(f"mis-typed SET committed; sum() {answer} -> {after}")
+        return judge(refusal, gauntlet.forbidden_tokens(), "mis-typed SET refused")
+    finally:
+        admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")
+        if _storage_truth(gauntlet) != before:
+            _restore(gauntlet, before)

@@ -54,6 +54,7 @@ from repro.sandbox.policy import SandboxPolicy
 from repro.scheduler.workload import TenantPolicy, WorkloadManager
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_statement
+from repro.sql.to_plan import PlanBuilder
 
 
 def schema_to_message(schema: Schema) -> list[dict[str, str]]:
@@ -550,19 +551,21 @@ class LakeguardCluster:
             )
 
         if isinstance(stmt, ast.UpdateStatement):
+            resolve = self._plan_builder(session).resolve_functions
+            assignments = {col: resolve(e) for col, e in stmt.assignments}
+            where = resolve(stmt.where)
             return self._run_write(
                 session,
                 "update",
-                lambda txn: txn.update(
-                    stmt.table, dict(stmt.assignments), stmt.where
-                ),
+                lambda txn: txn.update(stmt.table, assignments, where),
             )
 
         if isinstance(stmt, ast.DeleteStatement):
+            where = self._plan_builder(session).resolve_functions(stmt.where)
             return self._run_write(
                 session,
                 "delete",
-                lambda txn: txn.delete(stmt.table, stmt.where),
+                lambda txn: txn.delete(stmt.table, where),
             )
 
         if isinstance(stmt, ast.MergeStatement):
@@ -574,6 +577,14 @@ class LakeguardCluster:
             )
             source_alias = stmt.source_alias or stmt.source.rpartition(".")[2]
             target_alias = stmt.target_alias or stmt.target.rpartition(".")[2]
+            resolve = self._plan_builder(session).resolve_functions
+            on = resolve(stmt.on)
+            matched = None if stmt.matched_assignments is None else {
+                col: resolve(e) for col, e in stmt.matched_assignments
+            }
+            inserted = None if stmt.insert_values is None else [
+                resolve(e) for e in stmt.insert_values
+            ]
             return self._run_write(
                 session,
                 "merge",
@@ -583,11 +594,10 @@ class LakeguardCluster:
                     source_schema,
                     source_columns,
                     source_alias,
-                    stmt.on,
-                    None if stmt.matched_assignments is None
-                    else dict(stmt.matched_assignments),
+                    on,
+                    matched,
                     stmt.matched_delete,
-                    stmt.insert_values,
+                    inserted,
                 ),
             )
 
@@ -696,6 +706,11 @@ class LakeguardCluster:
             response["rows"] = staged_rows
         return response
 
+    def _plan_builder(self, session: SessionState) -> PlanBuilder:
+        """Builds plans and resolves function names (a write statement's
+        too) with the session's UDFs and the catalog's."""
+        return PlanBuilder(self._function_lookup(session))
+
     def _materialize_query(
         self, session: SessionState, sql: str
     ) -> tuple[Schema, dict[str, list[Any]]]:
@@ -708,9 +723,7 @@ class LakeguardCluster:
         writes it. The columns are the result's own lists; writers read
         them and never mutate them.
         """
-        from repro.sql.to_plan import PlanBuilder
-
-        plan = PlanBuilder(self._function_lookup(session)).build(parse_statement(sql))
+        plan = self._plan_builder(session).build(parse_statement(sql))
         batch = self._execute_plan(session, plan).batch
         bare = Schema(tuple(Field(f.name, f.dtype) for f in batch.schema))
         return bare, dict(zip(bare.names, batch.columns))

@@ -936,21 +936,19 @@ def conjoin(parts: Sequence[Expression]) -> Expression | None:
 
 def split_equi_condition(
     condition: Expression | None, left_width: int
-) -> tuple[list[Expression], list[Expression], Expression | None] | None:
+) -> tuple[tuple[Expression, ...], tuple[Expression, ...], Expression | None]:
     """Split a conjunctive join condition into left-key = right-key pairs.
 
-    Returns ``(left_keys, right_keys, residual)`` — right keys still bound
-    against combined-schema positions — or ``None`` when no equi pair
-    exists. Module-level so the planner can classify a join at plan time
-    (``left_width`` is known from the logical left child's schema) for
-    fused key extraction, and so MERGE can match on the same split.
+    Returns ``(left_keys, right_keys, residual)``: right keys bound against
+    the right side's own columns, the residual against the combined layout.
+    A condition with no equi pair (or none at all) keys both sides on the
+    constant TRUE and is all residual. The planner splits a join this way
+    at plan time, and MERGE matches on the same split.
     """
-    if condition is None:
-        return None
     left_keys: list[Expression] = []
     right_keys: list[Expression] = []
     residual: list[Expression] = []
-    for conj in conjuncts(condition):
+    for conj in () if condition is None else conjuncts(condition):
         pair = None
         if isinstance(conj, Comparison) and conj.op == "=":
             a, b = conj.children
@@ -964,10 +962,10 @@ def split_equi_condition(
             residual.append(conj)
         else:
             left_keys.append(pair[0])
-            right_keys.append(pair[1])
+            right_keys.append(shift_refs(pair[1], -left_width))
     if not left_keys:
-        return None
-    return left_keys, right_keys, conjoin(residual)
+        return (Literal(True),), (Literal(True),), condition
+    return tuple(left_keys), tuple(right_keys), conjoin(residual)
 
 
 def shift_refs(expr: Expression, delta: int) -> Expression:

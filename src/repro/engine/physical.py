@@ -51,7 +51,6 @@ from repro.engine.expressions import (
     Literal,
     PythonUDFCall,
     SortOrder,
-    shift_refs,
     split_equi_condition,
 )
 from repro.engine.optimizer import (
@@ -1112,15 +1111,12 @@ class PhysicalPlanner:
         if join.how == "full" and not full:
             return None
         how = {"right": "left", "cross": "inner"}.get(join.how, join.how)
-        width = len(join.left.schema)
-        equi = split_equi_condition(join.condition, width)
-        if equi is None:
-            equi = [Literal(True)], [Literal(True)], join.condition
-        left_keys = tuple(equi[0])
-        right_keys = tuple(shift_refs(k, -width) for k in equi[1])
+        left_keys, right_keys, residual = split_equi_condition(
+            join.condition, len(join.left.schema)
+        )
         if join.how == "right":
-            return how, join.right, join.left, right_keys, left_keys, equi[2]
-        return how, join.left, join.right, left_keys, right_keys, equi[2]
+            return how, join.right, join.left, right_keys, left_keys, residual
+        return how, join.left, join.right, left_keys, right_keys, residual
 
     def _compose_source(self, node: LogicalPlan, full: bool = False) -> "_Source":
         """``node``'s fusable chain composed onto the operator it reads —

@@ -9,7 +9,7 @@ subquery aliases resolve the way they do in Spark's analyzer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Any, Iterator
 
 from repro.errors import AnalysisError
@@ -99,7 +99,7 @@ class Field:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
     def with_qualifier(self, qualifier: str | None) -> "Field":
-        return replace(self, qualifier=qualifier)
+        return Field(self.name, self.dtype, self.nullable, qualifier)
 
     def __str__(self) -> str:
         return f"{self.qualified_name()}: {self.dtype}"

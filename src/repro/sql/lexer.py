@@ -149,6 +149,33 @@ def literal_value(token: Token) -> int | float | str:
     return int(token.value)
 
 
+#: What closes an operand, beside an identifier or a literal: a ``-``
+#: after one of these is binary.
+_OPERAND_ENDS = frozenset({"NULL", "TRUE", "FALSE", "END", ")"})
+
+
+def lifted_tokens(text: str) -> list[Token]:
+    """``tokenize(text)`` with each unary minus directly before a NUMBER
+    folded into it, so ``> -5.0`` holds one literal, ``-5.0``, as ``> 5.0``
+    holds ``5.0``. A minus after the end of an operand is binary and stays:
+    ``a - 5``, ``a -5`` and ``(a)-5`` are unchanged."""
+    tokens = tokenize(text)
+    if "-" not in text:
+        return tokens
+    out: list[Token] = []
+    signed = False  # is the last token kept a unary minus?
+    for token in tokens:
+        if signed and token.kind == NUMBER:
+            out[-1] = Token(NUMBER, "-" + token.value, out[-1].position)
+            signed = False
+            continue
+        signed = token.kind == OP and token.value == "-" and not (out and (
+            out[-1].kind in (IDENT, NUMBER, STRING) or out[-1].value in _OPERAND_ENDS
+        ))
+        out.append(token)
+    return out
+
+
 def lift_literals(text: str) -> tuple[tuple[tuple[str, str], ...], tuple[Any, ...]]:
     """``text`` as a literal-free template plus its literal values, in order.
 
@@ -156,11 +183,13 @@ def lift_literals(text: str) -> tuple[tuple[tuple[str, str], ...], tuple[Any, ..
     NUMBER / STRING token replaced by ``(SLOT, <Python type name>)``: two
     texts share a template exactly when everything but their literals'
     values is equal — table names included, since those are identifiers.
-    Raises :class:`ParseError` when ``text`` does not tokenize.
+    A unary minus is part of its number (:func:`lifted_tokens`), so a sign
+    flip keeps the template. Raises :class:`ParseError` when ``text`` does
+    not tokenize.
     """
     template: list[tuple[str, str]] = []
     values: list[Any] = []
-    for token in tokenize(text):
+    for token in lifted_tokens(text):
         if token.kind == NUMBER or token.kind == STRING:
             value = literal_value(token)
             values.append(value)

@@ -37,6 +37,7 @@ from repro.sql.lexer import (
     OP,
     STRING,
     Token,
+    lifted_tokens,
     literal_value,
     tokenize,
 )
@@ -69,7 +70,9 @@ class UnresolvedFunction(Expression):
 class _Parser:
     def __init__(self, text: str, lifted: bool = False):
         self.text = text
-        self.tokens = tokenize(text)
+        # A lifted parse reads the token stream ``lift_literals`` lifts, so
+        # a slot's value (``-5.0``) is the literal the predicate holds.
+        self.tokens = lifted_tokens(text) if lifted else tokenize(text)
         self.pos = 0
         #: Token index -> slot of each literal token (lifted parses only):
         #: the literal's ordinal in the text, as in ``lift_literals``.
@@ -527,7 +530,7 @@ class _Parser:
 
     def _parse_int(self) -> int:
         token = self.peek()
-        if token.kind != NUMBER or any(c in token.value for c in ".eE"):
+        if token.kind != NUMBER or not token.value.isdigit():
             raise ParseError("expected an integer", token.position)
         self.advance()
         return int(token.value)

@@ -60,11 +60,12 @@ class PlanBuilder:
 
     # -- helpers ----------------------------------------------------------------
 
-    def resolve_functions(self, expr: Expression) -> Expression:
-        """Public entry: resolve UDF names in a standalone expression."""
-        return self._resolve_functions(expr)
+    def resolve_functions(self, expr: Expression | None) -> Expression | None:
+        """``expr`` with each UDF name resolved to its call (``None`` stays
+        ``None``); an unknown name is an ``AnalysisError``."""
+        if expr is None:
+            return None
 
-    def _resolve_functions(self, expr: Expression) -> Expression:
         def resolve(node: Expression) -> Expression:
             if isinstance(node, UnresolvedFunction):
                 udf = self._lookup(node.name)
@@ -94,24 +95,17 @@ class PlanBuilder:
 
         for join in stmt.joins:
             right = self._build_source(join.source)
-            condition = (
-                self._resolve_functions(join.condition)
-                if join.condition is not None
-                else None
-            )
-            plan = Join(plan, right, join.how, condition)
+            plan = Join(plan, right, join.how, self.resolve_functions(join.condition))
 
         if stmt.where is not None:
-            plan = Filter(plan, self._resolve_functions(stmt.where))
+            plan = Filter(plan, self.resolve_functions(stmt.where))
 
         items = [
-            ast.SelectItem(self._resolve_functions(item.expr), item.alias)
+            ast.SelectItem(self.resolve_functions(item.expr), item.alias)
             for item in stmt.items
         ]
-        groupings = [self._resolve_functions(g) for g in stmt.group_by]
-        having = (
-            self._resolve_functions(stmt.having) if stmt.having is not None else None
-        )
+        groupings = [self.resolve_functions(g) for g in stmt.group_by]
+        having = self.resolve_functions(stmt.having)
 
         output_exprs = [
             Alias(item.expr, item.alias) if item.alias else item.expr
@@ -142,7 +136,7 @@ class PlanBuilder:
                 )
                 orders.append(
                     SortOrder(
-                        self._resolve_functions(item.expr),
+                        self.resolve_functions(item.expr),
                         item.ascending,
                         nulls_first,
                     )

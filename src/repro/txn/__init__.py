@@ -17,7 +17,6 @@ from repro.txn.writes import (
     StagedWrite,
     UpdateOp,
     apply_ops,
-    bind_expression,
     check_write,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "StagedWrite",
     "UpdateOp",
     "apply_ops",
-    "bind_expression",
     "check_write",
 ]

@@ -44,7 +44,8 @@ from repro.catalog.privileges import MODIFY, UserContext
 from repro.catalog.system_tables import TXN_STATS
 from repro.common.ids import sequential_id
 from repro.engine.compile import KernelCompiler
-from repro.engine.expressions import Expression
+from repro.engine.expressions import Expression, contains_user_code
+from repro.engine.logical import Filter, Join, LogicalPlan
 from repro.engine.types import Schema
 from repro.errors import (
     AnalysisError,
@@ -55,6 +56,7 @@ from repro.errors import (
     StorageError,
     TransactionAbortedError,
     TransientStorageError,
+    WriteDeniedError,
 )
 from repro.scheduler.circuit_breaker import retry_with_backoff
 from repro.storage.credentials import DELETE, LIST, READ, WRITE
@@ -64,13 +66,13 @@ from repro.txn.writes import (
     MergeOp,
     StagedWrite,
     UpdateOp,
-    bind_expression,
-    bound_row_filter,
+    analyze,
+    check_assigned,
+    check_reads,
+    check_values,
     check_write,
-    combined_schema,
     eval_context_for,
-    qualified_schema,
-    referenced_columns,
+    relation,
     rewrite_files,
 )
 
@@ -100,6 +102,9 @@ class TransactionManager:
         #: run as generated kernels of the engine's compiler; literals bind
         #: through the kernel env, so a repeated statement shape is a hit.
         self.compiler = KernelCompiler()
+        #: (table, schema, policy epoch) -> a 1-tuple of the table's analyzed
+        #: row filter (``None``: it has none); see :meth:`row_filter`.
+        self._row_filters: dict[tuple[str, Schema, int], tuple[Expression | None]] = {}
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {
             "begun": 0,
@@ -184,6 +189,27 @@ class TransactionManager:
             self._catalog.bump_data_epoch("txn-recover")
         return report
 
+    def row_filter(self, full_name: str, schema: Schema) -> Expression | None:
+        """``full_name``'s effective row filter, analyzed over its raw
+        ``schema`` (as the read path binds it over the table's scan), once
+        per policy epoch: every policy change bumps the epoch, read first
+        here, so a kept filter is never stale."""
+        key = (full_name, schema, self._catalog.policy_epoch)
+        entry = self._row_filters.get(key)
+        if entry is None:
+            rf = self._catalog.row_filter_of(full_name)
+            if rf is not None and contains_user_code(rf.condition):
+                # Policies are validated against this at creation; defend anyway.
+                raise WriteDeniedError(
+                    f"row filter of '{full_name}' contains user code; refusing "
+                    "to evaluate it in the transaction tier"
+                )
+            if len(self._row_filters) >= 256:
+                self._row_filters.clear()
+            bound = None if rf is None else analyze(Filter(relation(schema), rf.condition))[1]
+            entry = self._row_filters[key] = (bound,)
+        return entry[0]
+
     # -- statistics -----------------------------------------------------------
 
     def _count(self, name: str, n: int = 1) -> None:
@@ -255,13 +281,14 @@ class Transaction:
             self._staged[full_name] = StagedWrite(
                 table=full_name,
                 schema=table.schema,
-                row_filter=bound_row_filter(self._catalog, full_name, table.schema),
+                row_filter=self._manager.row_filter(full_name, table.schema),
             )
         self._pin(full_name)
         return self._staged[full_name]
 
     def insert(self, full_name: str, columns: Sequence[list]) -> int:
-        """Stage rows for appending, given as columns in table column order."""
+        """Stage rows for appending, given as columns in table column order;
+        each value must fit its column's type (:func:`check_values`)."""
         self._require_open()
         check_write(self._catalog, self.ctx, full_name, reads_rows=False)
         staged = self._staged_for(full_name)
@@ -276,6 +303,7 @@ class Transaction:
                 f"INSERT into '{full_name}': ragged columns of "
                 f"{sorted(lengths)} rows"
             )
+        check_values(full_name, staged.schema.fields, columns)
         staged.ops.append(InsertOp(columns=list(columns)))
         return lengths.pop()
 
@@ -286,42 +314,20 @@ class Transaction:
         where: Expression | None,
     ) -> None:
         """Stage ``SET col = expr`` over visible rows matching ``where``."""
-        self._require_open()
-        staged = self._staged_for(full_name)
-        schema = staged.schema
-        assigned = self._validate_assignment_targets(full_name, schema, assignments)
-        referenced: set[str] = referenced_columns(where, schema)
-        for expr in assignments.values():
-            referenced |= referenced_columns(expr, schema)
-        check_write(
-            self._catalog, self.ctx, full_name,
-            reads_rows=True, assigned=assigned, referenced=referenced,
+        staged, target = self._target(full_name, assignments)
+        values, where = analyze(
+            target if where is None else Filter(target, where), list(assignments.values())
         )
-        staged.ops.append(
-            UpdateOp(
-                assignments={
-                    col: bind_expression(expr, schema)
-                    for col, expr in assignments.items()
-                },
-                where=None if where is None else bind_expression(where, schema),
-            )
-        )
+        assignments = self._checked(full_name, target, assignments, values, where)
+        staged.ops.append(UpdateOp(assignments, where))
 
     def delete(self, full_name: str, where: Expression | None) -> None:
         """Stage removal of visible rows matching ``where``."""
-        self._require_open()
-        staged = self._staged_for(full_name)
-        check_write(
-            self._catalog, self.ctx, full_name,
-            reads_rows=True,
-            referenced=referenced_columns(where, staged.schema),
-        )
-        staged.ops.append(
-            DeleteOp(
-                where=None if where is None
-                else bind_expression(where, staged.schema)
-            )
-        )
+        staged, target = self._target(full_name, {})
+        if where is not None:
+            where = analyze(Filter(target, where))[1]
+            check_reads(self._catalog, self.ctx, full_name, [where])
+        staged.ops.append(DeleteOp(where))
 
     def merge(
         self,
@@ -339,68 +345,64 @@ class Transaction:
 
         The source rows arrive pre-materialized through the governed read
         pipeline (full SELECT enforcement applied), so this only has to
-        govern the *target* side. Mask checking is conservative: any
-        expression in ON or a matched clause whose bare column name is a
-        masked target column is refused, even if it syntactically
-        referenced the source side.
+        govern the *target* side. ON and the matched clause bind over an
+        inner join of the target (under ``target_alias``) and the source
+        (under ``source_alias``), NOT MATCHED values over the source alone.
+        Mask checking is conservative: any expression in ON or a matched
+        clause whose bare column name is a masked target column is refused,
+        even if it syntactically referenced the source side.
         """
-        self._require_open()
-        staged = self._staged_for(full_name)
-        schema = staged.schema
-        assigned: set[str] = set()
-        referenced = referenced_columns(on, schema)
-        if matched_assignments is not None:
-            assigned = self._validate_assignment_targets(
-                full_name, schema, matched_assignments
-            )
-            for expr in matched_assignments.values():
-                referenced |= referenced_columns(expr, schema)
-        check_write(
-            self._catalog, self.ctx, full_name,
-            reads_rows=True, assigned=assigned, referenced=referenced,
-        )
-        if insert_values is not None and len(insert_values) != len(schema):
+        assignments = matched_assignments or {}
+        staged, target = self._target(full_name, assignments, target_alias)
+        width = len(staged.schema)
+        if insert_values is not None and len(insert_values) != width:
             raise AnalysisError(
                 f"MERGE into '{full_name}': NOT MATCHED INSERT has "
-                f"{len(insert_values)} values but the table has "
-                f"{len(schema)} columns"
+                f"{len(insert_values)} values but the table has {width} columns"
             )
-        combined = combined_schema(
-            qualified_schema(schema, target_alias),
-            qualified_schema(source_schema, source_alias),
-        )
-        qualified_source = qualified_schema(source_schema, source_alias)
-        staged.ops.append(
-            MergeOp(
-                source_schema=source_schema,
-                source_columns=source_columns,
-                on=bind_expression(on, combined),
-                matched_assignments=None if matched_assignments is None else {
-                    col: bind_expression(expr, combined)
-                    for col, expr in matched_assignments.items()
-                },
-                matched_delete=matched_delete,
-                insert_values=None if insert_values is None else [
-                    bind_expression(expr, qualified_source)
-                    for expr in insert_values
-                ],
-            )
-        )
+        source = relation(source_schema, source_alias)
+        values, on = analyze(Join(target, source, "inner", on), list(assignments.values()))
+        assignments = self._checked(full_name, target, assignments, values, on)
+        if insert_values is not None:
+            insert_values = analyze(source, insert_values)[0]
+            check_assigned(full_name, staged.schema.fields, insert_values)
+        staged.ops.append(MergeOp(
+            source_schema, source_columns, on,
+            None if matched_assignments is None else assignments,
+            matched_delete, insert_values,
+        ))
 
-    @staticmethod
-    def _validate_assignment_targets(
-        full_name: str, schema: Schema, assignments: dict[str, Expression]
-    ) -> set[str]:
-        assigned: set[str] = set()
-        for col in assignments:
-            bare = col.rpartition(".")[2]
-            if not schema.contains(bare):
-                raise AnalysisError(
-                    f"'{full_name}' has no column '{col}' to assign; "
-                    f"columns: {schema.names}"
-                )
-            assigned.add(bare)
-        return assigned
+    def _target(
+        self, full_name: str, assignments: dict[str, Expression], alias: str | None = None
+    ) -> tuple[StagedWrite, LogicalPlan]:
+        """The table's staged write and its rows as the analyzer binds
+        against them (under ``alias``, else the last part of its name), once
+        privileges and assigned masks pass (:func:`check_write`): a statement
+        is checked before it is analyzed, so an analysis error names the
+        schema only to a writer."""
+        self._require_open()
+        staged = self._staged_for(full_name)
+        check_write(
+            self._catalog, self.ctx, full_name, reads_rows=True,
+            assigned=[col.rpartition(".")[2] for col in assignments],
+        )
+        return staged, relation(staged.schema, alias or full_name.rpartition(".")[2])
+
+    def _checked(
+        self,
+        full_name: str,
+        target: LogicalPlan,
+        assignments: dict[str, Expression],
+        values: list[Expression],
+        condition: Expression | None,
+    ) -> dict[str, Expression]:
+        """The bound ``values`` by the column each assigns (resolved over
+        ``target`` as a column reference is), once the statement reads no
+        masked column and each value fits its column's type."""
+        check_reads(self._catalog, self.ctx, full_name, [*values, condition])
+        fields = [target.schema[target.schema.field_index(col)] for col in assignments]
+        check_assigned(full_name, fields, values)
+        return {f.name: value for f, value in zip(fields, values)}
 
     # -- terminal states ------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Staged write operations and their governed materialization.
 
 A transaction never mutates table bytes while statements execute; each
-INSERT / UPDATE / DELETE / MERGE is checked against fine-grained governance
-*at staging time* and recorded as a :class:`WriteOp`. At commit,
-:func:`rewrite_files` picks the pinned snapshot's data files that some op
-touches and calls :func:`apply_ops` to fold the staged ops into their rows;
-every other file is kept as it is.
+INSERT / UPDATE / DELETE / MERGE is analyzed as a read is (:func:`analyze`)
+and checked against fine-grained governance *at staging time*, and
+recorded as a :class:`WriteOp`. At commit, :func:`rewrite_files` picks the
+pinned snapshot's data files that some op touches and calls
+:func:`apply_ops` to fold the staged ops into their rows; every other file
+is kept as it is.
 
-Write-side FGAC rules (enforced by :func:`check_write`):
+Write-side FGAC rules (:func:`check_write`, :func:`check_reads`):
 
 - every write needs ``MODIFY`` on the target table;
 - UPDATE / DELETE / MERGE additionally need ``SELECT`` (they read existing
@@ -28,9 +29,12 @@ from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.catalog.privileges import MODIFY, SELECT, UserContext
+from repro.engine.analyzer import Analyzer, DictResolver
 from repro.engine.batch import ColumnBatch
 from repro.engine.compile import (
+    JoinProbe,
     KernelCompiler,
+    PipelineSpec,
     collect_loop,
     hash_keys,
     join_keys,
@@ -41,14 +45,15 @@ from repro.engine.expressions import (
     BoundRef,
     EvalContext,
     Expression,
-    UnresolvedColumn,
+    Literal,
     conjoin,
     contains_user_code,
-    shift_refs,
     split_equi_condition,
 )
+from repro.engine.logical import LocalRelation, LogicalPlan, Project
+from repro.engine.optimizer import substitute_refs
 from repro.engine.physical import RowSelection
-from repro.engine.types import Field, Schema
+from repro.engine.types import BINARY, BOOL, FLOAT, INT, STRING, Field, Schema
 from repro.errors import AnalysisError, TransactionAbortedError, WriteDeniedError
 from repro.storage.object_store import RowPolicy
 
@@ -63,49 +68,66 @@ TARGET_FILE_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
-# Expression binding
+# Analysis: a write statement is bound as a read is
 # ---------------------------------------------------------------------------
 
+#: A write statement reads no relation by name: its rows are the target's
+#: (and a MERGE source's), given to the analyzer as empty local relations.
+_ANALYZER = Analyzer(DictResolver())
 
-def _strip(name: str) -> str:
-    return name.rpartition(".")[2]
+#: One value of each engine type, so a bound expression's type is checked
+#: by the rule a stored value is (:meth:`~repro.engine.types.DataType.accepts`).
+_SAMPLE = {INT: 0, FLOAT: 0.0, STRING: "", BOOL: False, BINARY: b""}
 
 
-def bind_expression(expr: Expression, schema: Schema) -> Expression:
-    """Resolve column references in ``expr`` to positions in ``schema``.
+def relation(schema: Schema, alias: str | None = None) -> LogicalPlan:
+    """Rows of ``schema`` as the analyzer binds against them: ``alias.col``
+    resolves under ``alias`` (as under a ``SubqueryAlias``), a bare name
+    always does."""
+    return LocalRelation(schema if alias is None else schema.with_qualifier(alias), [])
 
-    Qualified names (``t.col`` or an alias prefix) fall back to the bare
-    column name; the transaction tier evaluates expressions over raw table
-    rows, where a qualifier carries no information.
+
+def analyze(
+    plan: LogicalPlan, values: Sequence[Expression] = ()
+) -> tuple[list[Expression], Expression | None]:
+    """``values`` bound over ``plan``'s rows, and ``plan``'s own condition
+    (a Filter's WHERE, a join's ON; ``None`` without one), by the read
+    path's analyzer: qualifiers, type binding, a boolean condition, no
+    aggregate and no unknown column, as in a SELECT.
+
+    User code is refused: the transaction tier runs engine expressions only.
     """
-
-    def resolve(node: Expression) -> Expression:
-        if isinstance(node, UnresolvedColumn):
-            try:
-                index = schema.field_index(node.name)
-            except AnalysisError:
-                index = schema.field_index(_strip(node.name))
-            f = schema[index]
-            return BoundRef(index, f.name, f.dtype)
-        return node
-
-    return expr.transform(resolve)
+    analyzed = _ANALYZER.analyze(Project(plan, values) if values else plan)
+    bound = [expr for node in analyzed.walk() for expr in node.expressions()]
+    if any(map(contains_user_code, bound)):
+        raise AnalysisError(
+            "a write statement cannot run user code (a UDF): the transaction "
+            "tier evaluates engine expressions only"
+        )
+    return bound[: len(values)], next(iter(bound[len(values) :]), None)
 
 
-def referenced_columns(expr: Expression | None, schema: Schema) -> set[str]:
-    """Bare names of ``schema`` columns that ``expr`` references."""
-    if expr is None:
-        return set()
-    out: set[str] = set()
-    for node in expr.walk():
-        name: str | None = None
-        if isinstance(node, UnresolvedColumn):
-            name = _strip(node.name)
-        elif isinstance(node, BoundRef):
-            name = node.name
-        if name is not None and schema.contains(name):
-            out.add(name)
-    return out
+def check_values(table: str, fields: Sequence[Field], columns: Sequence[Sequence]) -> None:
+    """Refuse a column holding a value its field's type does not accept
+    (NULL fits any column, an INT a FLOAT one, a BOOL no INT one): one
+    ``accepts`` per distinct Python type in a column, not one per cell."""
+    for f, values in zip(fields, columns):
+        for kind in set(map(type, values)) - {type(None)}:
+            value = next(v for v in values if type(v) is kind)
+            if not f.dtype.accepts(value):
+                raise AnalysisError(
+                    f"'{table}': a {type(value).__name__} value does not fit "
+                    f"{f.dtype} column '{f.name}'"
+                )
+
+
+def check_assigned(table: str, fields: Sequence[Field], exprs: Sequence[Expression]) -> None:
+    """:func:`check_values` for bound SET / INSERT expressions, by their
+    engine type; a bare NULL (typed STRING) fits any column."""
+    check_values(table, fields, [
+        [None if isinstance(e, Literal) and e.value is None else _SAMPLE[e.dtype]]
+        for e in exprs
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +162,9 @@ class DeleteOp:
 class MergeOp:
     """MERGE: match target rows against a source relation on a predicate.
 
-    ``on``, and the matched-clause assignment expressions, are bound over
-    the *combined* schema ``target fields + source fields``; not-matched
-    insert values are bound over the source schema alone.
+    ``on``, and the matched-clause assignment expressions (keyed by target
+    column), are bound over the target's fields followed by the source's;
+    not-matched insert values are bound over the source's fields alone.
     """
 
     source_schema: Schema
@@ -182,15 +204,15 @@ def check_write(
     table_name: str,
     *,
     reads_rows: bool,
-    assigned: set[str] = frozenset(),
-    referenced: set[str] = frozenset(),
+    assigned: Iterable[str] = (),
 ) -> None:
-    """Authorize one write statement against the target's governance.
+    """Authorize one write statement against the target's governance,
+    before its expressions are analyzed.
 
     Raises :class:`~repro.errors.PermissionDenied` when the principal lacks
     MODIFY (or SELECT for row-reading statements), and
-    :class:`~repro.errors.WriteDeniedError` when the statement assigns to or
-    references a masked column.
+    :class:`~repro.errors.WriteDeniedError` when the statement assigns to a
+    masked column (:func:`check_reads` refuses reading one).
     """
     catalog.check_privilege(ctx, MODIFY, table_name)
     if reads_rows:
@@ -202,28 +224,28 @@ def check_write(
             f"{ctx.user}: cannot write to masked column(s) {hit} of "
             f"'{table_name}'"
         )
-    hit = sorted(masked & set(referenced))
+
+
+def check_reads(
+    catalog: "UnityCatalog",
+    ctx: UserContext,
+    table_name: str,
+    exprs: Iterable[Expression | None],
+) -> None:
+    """Refuse a statement whose bound expressions read a masked column of
+    the target. Names are read off the bound refs, so a MERGE source column
+    that shares a masked column's name is refused too (conservative)."""
+    masked = {m.column for m in catalog.column_masks_of(table_name)}
+    read = {
+        node.name for expr in exprs if expr is not None
+        for node in expr.walk() if isinstance(node, BoundRef)
+    }
+    hit = sorted(masked & read)
     if hit:
         raise WriteDeniedError(
             f"{ctx.user}: write statement reads masked column(s) {hit} of "
             f"'{table_name}'; masked values must not feed a write"
         )
-
-
-def bound_row_filter(
-    catalog: "UnityCatalog", table_name: str, schema: Schema
-) -> Expression | None:
-    """The target's effective row filter, bound over its raw schema."""
-    rf = catalog.row_filter_of(table_name)
-    if rf is None:
-        return None
-    if contains_user_code(rf.condition):
-        # Policies are validated against this at creation; defend anyway.
-        raise WriteDeniedError(
-            f"row filter of '{table_name}' contains user code; refusing to "
-            "evaluate it in the transaction tier"
-        )
-    return bind_expression(rf.condition, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -233,53 +255,24 @@ def bound_row_filter(
 # One evaluation order for every row-reading op (DESIGN.md §13):
 # row filter -> WHERE / ON -> SET / matched assignments, each stage only
 # over the rows the previous one passed, so a user expression never sees —
-# and can never raise on — a row the filter hides. Row filter -> WHERE is
-# one collect loop, row filter leftmost; later stages run over the
-# positions it yields (take -> eval -> scatter).
+# and can never raise on — a row the filter hides. Every stage is a
+# ``collect`` loop, generated code where the compiler accepts it and
+# interpreted otherwise (``compiler=None`` interprets). Row filter -> WHERE
+# is one loop, row filter leftmost, whose positions the SET loop reads
+# (take -> eval -> scatter); a MERGE is one join probe loop.
 
 
-class _Evaluator:
-    """Compiled-first evaluation: every pass is a ``collect`` loop, generated
-    code where the compiler accepts it and interpreted otherwise.
-
-    ``compiler=None`` (or a compiler that refuses the loop) leaves the
-    interpreter in place; both legs compute the same values.
-    """
-
-    def __init__(self, eval_ctx: EvalContext, compiler: KernelCompiler | None):
-        self._ctx = eval_ctx
-        self._compiler = compiler
-
-    def selection(
-        self, schema: Schema, *conditions: Expression | None
-    ) -> RowSelection | None:
-        """One pass of ``conditions`` in order, compiled here (``None``: no
-        condition — every row passes)."""
-        condition = conjoin([c for c in conditions if c is not None])
-        if condition is None:
-            return None
-        return RowSelection(condition, schema.fields, self._compiler)
-
-    def selected(self, select: RowSelection, columns: dict[str, list]) -> list[int]:
-        """Positions of the rows of ``columns`` (by name) ``select`` admits."""
-        return select.admitted([columns[name] for name in select.columns], self._ctx)
-
-    def predicate(self, condition: Expression) -> Callable[[ColumnBatch], list]:
-        """``batch -> row mask`` (truthy = match; NULL never matches)."""
-        loop = collect_loop(self._compiler, None, (condition,))
-        return lambda batch: run_pipeline(*loop, batch, self._ctx)[0]
-
-    def project(self, exprs: Sequence[Expression], batch: ColumnBatch) -> list[list]:
-        """One value column per expression."""
-        return run_pipeline(*collect_loop(self._compiler, None, exprs), batch, self._ctx)
+def _selection(
+    schema: Schema, compiler: KernelCompiler | None, *conditions: Expression | None
+) -> RowSelection | None:
+    """One pass of ``conditions`` in order (``None``: no condition — every
+    row passes)."""
+    condition = conjoin([c for c in conditions if c is not None])
+    return None if condition is None else RowSelection(condition, schema.fields, compiler)
 
 
 def _references(exprs: Iterable[Expression]) -> set[int]:
     return set().union(*(expr.references() for expr in exprs))
-
-
-def _take(col: list, rows: Sequence[int]) -> list:
-    return list(map(col.__getitem__, rows))
 
 
 def _gather(
@@ -295,7 +288,7 @@ def _gather(
     filler = [None] * len(rows)
     return ColumnBatch(
         schema,
-        [_take(col, rows) if i in needed else filler
+        [list(map(col.__getitem__, rows)) if i in needed else filler
          for i, col in enumerate(columns)],
     )
 
@@ -329,45 +322,44 @@ def apply_ops(
     """
     names = list(staged.schema.names)
     columns = [list(base[name]) for name in names]
-    ev = _Evaluator(eval_ctx, compiler)
     for op in staged.ops:
         if isinstance(op, InsertOp):
             for col, values in zip(columns, op.columns):
                 col.extend(values)
         elif isinstance(op, UpdateOp):
-            _apply_update(columns, staged, op, ev)
+            _apply_update(columns, staged, op, eval_ctx, compiler)
         elif isinstance(op, DeleteOp):
-            rows = _matching_rows(columns, staged, op.where, ev)
+            rows = _matching_rows(columns, staged, op.where, eval_ctx, compiler)
             _drop_rows(columns, range(len(columns[0])) if rows is None else rows)
         elif isinstance(op, MergeOp):
-            _apply_merge(columns, staged, op, ev)
+            _apply_merge(columns, staged, op, eval_ctx, compiler)
         else:  # pragma: no cover - op union is closed
             raise TransactionAbortedError(f"unknown write op {type(op).__name__}")
     return dict(zip(names, columns))
 
 
 def _matching_rows(
-    columns: list[list],
-    staged: StagedWrite,
-    where: Expression | None,
-    ev: _Evaluator,
+    columns: list[list], staged: StagedWrite, where: Expression | None, ctx: EvalContext,
+    compiler: KernelCompiler | None,
 ) -> list[int] | None:
     """Visible row positions matching ``where`` (``None`` = every row)."""
-    select = ev.selection(staged.schema, staged.row_filter, where)
+    select = _selection(staged.schema, compiler, staged.row_filter, where)
     if select is None:
         return None
-    return ev.selected(select, dict(zip(staged.schema.names, columns)))
+    named = dict(zip(staged.schema.names, columns))
+    return select.admitted([named[name] for name in select.columns], ctx)
 
 
 def _apply_update(
-    columns: list[list], staged: StagedWrite, op: UpdateOp, ev: _Evaluator
+    columns: list[list], staged: StagedWrite, op: UpdateOp, ctx: EvalContext,
+    compiler: KernelCompiler | None,
 ) -> None:
-    rows = _matching_rows(columns, staged, op.where, ev)
+    rows = _matching_rows(columns, staged, op.where, ctx, compiler)
     if rows is not None and not rows:
         return
     exprs = list(op.assignments.values())
     sub = _gather(columns, staged.schema, rows, _references(exprs))
-    new_values = ev.project(exprs, sub)
+    new_values = run_pipeline(*collect_loop(compiler, None, exprs), sub, ctx)
     for name, values in zip(op.assignments, new_values):
         index = staged.schema.field_index(name)
         if rows is None:
@@ -378,96 +370,69 @@ def _apply_update(
             _scatter(columns[index], rows, values)
 
 
-def _pair_batch(
-    columns: list[list],
-    staged: StagedWrite,
-    op: MergeOp,
-    source: ColumnBatch,
-    pairs: Sequence[tuple[int, int]],
-    needed: set[int],
-) -> ColumnBatch:
-    """One combined (target ++ source) row per ``(target row, source row)``."""
-    t_rows, s_rows = zip(*pairs)
-    return ColumnBatch(
-        combined_schema(staged.schema, op.source_schema),
-        _gather(columns, staged.schema, t_rows, needed).columns
-        + [_take(col, s_rows) for col in source.columns],
-    )
+def _apply_merge(
+    columns: list[list], staged: StagedWrite, op: MergeOp, ctx: EvalContext,
+    compiler: KernelCompiler | None,
+) -> None:
+    """MERGE as one join probe loop.
 
-
-def _merge_matches(
-    columns: list[list],
-    staged: StagedWrite,
-    op: MergeOp,
-    source: ColumnBatch,
-    ev: _Evaluator,
-) -> list[tuple[int, int]]:
-    """``(target row, source row)`` pairs satisfying ON, visible targets only.
-
-    Equi-conjuncts of ON are hash-matched (``join_keys`` / ``hash_keys``,
-    as a join probe's) and any residual is evaluated over the candidate
-    pairs. An ON without an equi-conjunct falls back to a nested loop: one
-    source row at a time against the visible target columns.
+    The writer's visible target rows (the row filter's own pass, as a
+    governed scan's), each followed by its position, probe the source rows,
+    each followed by its position, hashed on ON's equalities (the constant
+    TRUE when ON has none); the rest of ON is the probe's residual. The loop
+    emits each match's target position, source position and matched SET
+    values.
     """
     schema, width = staged.schema, len(staged.schema)
-    visible = _matching_rows(columns, staged, None, ev)
-    equi = split_equi_condition(op.on, width)
-    if equi is None:
-        targets = _gather(columns, schema, visible, op.on.references())
-        count = targets.num_rows
-        combined = combined_schema(schema, op.source_schema)
-        matches = ev.predicate(op.on)
-        pairs: list[tuple[int, int]] = []
-        for j in range(source.num_rows if count else 0):
-            batch = ColumnBatch(
-                combined,
-                targets.columns + [[col[j]] * count for col in source.columns],
-            )
-            pairs.extend((i, j) for i in compress(range(count), matches(batch)))
-        residual = None
-    else:
-        target_keys, source_keys, residual = equi
-        source_keys = [shift_refs(key, -width) for key in source_keys]
-        targets = _gather(columns, schema, visible, _references(target_keys))
-        probe = hash_keys(
-            join_keys(ev.project(source_keys, source)), range(source.num_rows)
-        ).get
-        target_rows = join_keys(ev.project(target_keys, targets))
-        pairs = [(i, j) for i, key in enumerate(target_rows) for j in probe(key, ())]
-    if visible is not None:
-        pairs = [(visible[i], j) for i, j in pairs]
-    if residual is not None and pairs:
-        batch = _pair_batch(columns, staged, op, source, pairs, residual.references())
-        pairs = list(compress(pairs, ev.predicate(residual)(batch)))
-    return pairs
-
-
-def _apply_merge(
-    columns: list[list], staged: StagedWrite, op: MergeOp, ev: _Evaluator
-) -> None:
     source = ColumnBatch.from_dict(op.source_schema, op.source_columns)
-    matched: dict[int, int] = {}
-    for i, j in _merge_matches(columns, staged, op, source, ev):
-        if i in matched:
-            raise TransactionAbortedError(
-                f"MERGE into '{staged.table}': target row matched by "
-                "multiple source rows (ambiguous matched-clause result)"
-            )
-        matched[i] = j
-    if op.matched_delete:
-        _drop_rows(columns, list(matched))
-    elif op.matched_assignments is not None and matched:
-        exprs = list(op.matched_assignments.values())
-        batch = _pair_batch(
-            columns, staged, op, source, list(matched.items()), _references(exprs)
+    # ON and SET are bound over target ++ source; the probe reads the target
+    # position between the two.
+    layout = {
+        i: BoundRef(i + (i >= width), f.name, f.dtype)
+        for i, f in enumerate((*schema.fields, *op.source_schema.fields))
+    }
+    keys, build_keys, residual = split_equi_condition(op.on, width)
+    assignments = op.matched_assignments or {}
+    spec = PipelineSpec(
+        None,
+        sink="collect",
+        outputs=(
+            BoundRef(width, "#row", INT),
+            BoundRef(width + 1 + len(op.source_schema), "#source", INT),
+            *(substitute_refs(e, layout) for e in assignments.values()),
+        ),
+        probe=JoinProbe(
+            "inner", keys, build_keys, width + 1, len(op.source_schema) + 1,
+            None if residual is None else substitute_refs(residual, layout),
+        ),
+    )
+    table = hash_keys(
+        join_keys([k.eval(source, ctx) for k in spec.probe.build_keys]),
+        [(*row, j) for j, row in enumerate(source.iter_rows())],
+    )
+    visible = _matching_rows(columns, staged, None, ctx, compiler)
+    probing = _gather(columns, schema, visible, _references([op.on, *assignments.values()]))
+    probing = ColumnBatch(
+        Schema((*schema.fields, Field("#row", INT))),
+        [*probing.columns, list(range(probing.num_rows)) if visible is None else visible],
+    )
+    kernel = None if compiler is None else compiler.compile_pipeline_spec(spec)
+    targets, sources, *values = run_pipeline(spec, kernel, probing, ctx, None, table)
+    if len(set(targets)) < len(targets):
+        raise TransactionAbortedError(
+            f"MERGE into '{staged.table}': target row matched by "
+            "multiple source rows (ambiguous matched-clause result)"
         )
-        for name, values in zip(op.matched_assignments, ev.project(exprs, batch)):
-            _scatter(columns[staged.schema.field_index(name)], list(matched), values)
+    if op.matched_delete:
+        _drop_rows(columns, targets)
+    for name, new in zip(assignments, values):
+        _scatter(columns[schema.field_index(name)], targets, new)
     if op.insert_values is not None:
-        taken = set(matched.values())
+        taken = set(sources)
         fresh = [j for j in range(source.num_rows) if j not in taken]
         if fresh:
-            inserted = ev.project(op.insert_values, source.take(fresh))
+            loop = collect_loop(compiler, None, op.insert_values)
+            inserted = run_pipeline(*loop, source.take(fresh), ctx)
             for col, values in zip(columns, inserted):
                 col.extend(values)
 
@@ -521,13 +486,14 @@ def rewrite_files(
     if wipes or any(isinstance(op, MergeOp) for op in staged.ops):
         touched = set(files)
     else:
-        ev = _Evaluator(eval_ctx, compiler)
         row_filter, policy = staged.row_filter, None
         if policy_epoch is not None and row_filter is not None and memoisable_policy(row_filter):
-            policy = RowPolicy.bind(ev.selection(schema, row_filter), eval_ctx, policy_epoch)
+            policy = RowPolicy.bind(
+                RowSelection(row_filter, schema.fields, compiler), eval_ctx, policy_epoch
+            )
             row_filter = None
         passes = [
-            ev.selection(schema, row_filter, op.where)
+            _selection(schema, compiler, row_filter, op.where)
             for op in staged.ops if not isinstance(op, InsertOp)
         ]
         probe = sorted({name for p in passes if p is not None for name in p.columns})
@@ -538,7 +504,10 @@ def rewrite_files(
             probed = read(f, probe, policy)
             if policy is not None and not probed[probe[0]]:
                 return False  # the writer sees no row of this file
-            return any(p is None or ev.selected(p, probed) for p in passes)
+            return any(
+                p is None or p.admitted([probed[n] for n in p.columns], eval_ctx)
+                for p in passes
+            )
 
         touched = {f for f in files if f.num_rows and touches(f)}
     writes = touched or any(isinstance(op, (InsertOp, MergeOp)) for op in staged.ops)
@@ -560,16 +529,3 @@ def rewrite_files(
 def eval_context_for(ctx: UserContext) -> EvalContext:
     """Policy-evaluation context for a writer (mirrors the read pipeline)."""
     return EvalContext(user=ctx.user, groups=frozenset(ctx.groups))
-
-
-def combined_schema(target: Schema, source: Schema) -> Schema:
-    """Target fields followed by source fields (MERGE binding layout)."""
-    return Schema(tuple(target.fields) + tuple(source.fields))
-
-
-def qualified_schema(schema: Schema, qualifier: str | None) -> Schema:
-    """Re-qualify every field (so ``alias.col`` binds in MERGE clauses)."""
-    if qualifier is None:
-        return schema
-    return Schema(tuple(Field(f.name, f.dtype, f.nullable, qualifier)
-                        for f in schema.fields))

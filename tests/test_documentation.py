@@ -146,6 +146,10 @@ def test_readme_lists_every_system_table():
 #: it and the overwrite shared, and the catalog's lazily built transaction
 #: manager (grouped likewise). Then deleted: the pipeline's parameter
 #: binder for eFGAC templates (a payload binds at submit now; grouped
+#: likewise). Then deleted: the transaction tier's own binder and qualifier
+#: stripper, its referenced-column collector, its MERGE schema builders, its
+#: evaluator wrapper and its MERGE matcher with the pair-batch builder (writes
+#: are analyzed like reads and MERGE matches in the join probe; grouped
 #: likewise).
 _DELETED = re.compile(
     r"(?i:distkv|dist_kv|hedg)|"
@@ -167,7 +171,9 @@ _DELETED = re.compile(
     r"\.(counter|gauge|histogram|counters|gauges)\(|\bclass (Counter|Gauge|Histogram)\b|"
     r"\b(LakeTableStorage\.(append)|(storage|table|writer)\.(append)\(|_add_(action)\(|"
     r"_write_data_(file)|_validate_(columns)|_txn_(manager))|"
-    r"\b_bind_(parameters)\b"
+    r"\b_bind_(parameters)\b|"
+    r"\b(writes\.bind_(expression)|_(strip)|referenced_(columns)|(combined|qualified)_(schema)|"
+    r"_(Evaluator)|_merge_(matches)|_pair_(batch))\b"
 )
 
 

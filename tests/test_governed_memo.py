@@ -65,9 +65,9 @@ from repro.txn.writes import (
     DeleteOp,
     StagedWrite,
     UpdateOp,
-    bind_expression,
-    bound_row_filter,
+    analyze,
     eval_context_for,
+    relation,
     rewrite_files,
 )
 
@@ -400,13 +400,13 @@ class TestWriteProbe:
         where_expr = None
         if text is not None:
             statement = parse_statement(f"DELETE FROM {name} WHERE {text}")
-            where_expr = bind_expression(statement.where, schema)
+            where_expr = analyze(Filter(relation(schema), statement.where))[1]
         if op == "update":
-            bump = bind_expression(Arithmetic("+", col("v"), lit(1)), schema)
+            (bump,), _ = analyze(relation(schema), [Arithmetic("+", col("v"), lit(1))])
             ops = [UpdateOp({"v": bump}, where_expr)]
         else:
             ops = [DeleteOp(where_expr)]
-        staged = StagedWrite(name, schema, bound_row_filter(catalog, name, schema), ops)
+        staged = StagedWrite(name, schema, catalog.txn_manager.row_filter(name, schema), ops)
         wendy = catalog.principals.context_for("wendy")
         storage = catalog.table_storage(table)
         credential = catalog.vendor.issue(

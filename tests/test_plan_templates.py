@@ -137,6 +137,21 @@ class TestLifting:
         c = lift(proto.sql_relation("SELECT id FROM t WHERE x = 5.0 AND y = 'a'"))
         assert c.fingerprint != a.fingerprint
 
+    def test_a_sign_flip_keeps_the_template(self):
+        text = "SELECT id FROM t WHERE amount > {}"
+        a = lift(proto.sql_relation(text.format("5.0")))
+        b = lift(proto.sql_relation(text.format("-5.0")))
+        assert a.fingerprint == b.fingerprint
+        assert (a.params, b.params) == ((5.0,), (-5.0,))
+        where = parse_statement(text.format("-5.0"), True).where
+        assert isinstance(where.children[1], Parameter) and str(where) == "(amount > ?0)"
+        # The unlifted parse, and every binary minus, are unchanged.
+        assert str(parse_statement(text.format("-5.0")).where) == "(amount > -5.0)"
+        for minus in ("a - 5", "a -5", "(a)-5"):
+            stmt = parse_statement(f"SELECT id FROM t WHERE {minus} > 0", True)
+            assert str(stmt.where) == "((a - ?0) > ?1)", minus
+            assert lift(proto.sql_relation(f"SELECT id FROM t WHERE {minus} > 0")).params == (5, 0)
+
     def test_identifiers_and_keywords_stay_in_the_template(self):
         a = lift(proto.sql_relation("SELECT id FROM t WHERE x = 5"))
         assert lift(proto.sql_relation("SELECT id FROM u WHERE x = 5")).template != a.template
@@ -247,6 +262,17 @@ REASONS = {
 
 
 class TestMissReasons:
+    def test_a_sign_flip_is_a_hit(self, governed):
+        cluster = governed.create_standard_cluster(name="signs")
+        alice = cluster.connect("alice")
+        text = f"SELECT id FROM {T} WHERE amount > {{}}"
+        alice.sql(text.format("5.0")).collect()
+        rows = alice.sql(text.format("-5.0")).collect()
+        assert _parse_reason(cluster, alice) == "hit"
+        assert sorted(rows) == sorted(
+            cold_rows(cluster, "alice", proto.sql_relation(text.format("-5.0")))
+        )
+
     @pytest.mark.parametrize("reason", list(REASONS))
     def test_parse_span_records_the_reason(self, governed, reason):
         cluster = governed.create_standard_cluster(name="reasons")
@@ -354,6 +380,16 @@ class TestRemoteTemplates:
         assert sorted(rows) == sorted(
             cold_rows(cluster, "alice", proto.sql_relation(text.format(11.5)))
         )
+
+    def test_a_negative_literal_ships_as_a_literal(self, governed):
+        cluster = governed.create_dedicated_cluster(assigned_user="alice")
+        shipped = _record_submits(cluster)
+        alice = cluster.connect("alice")
+        text = f"SELECT id FROM {T} WHERE amount > -0.0"
+        rows = alice.sql(text).collect()
+        assert sorted(rows) == sorted(cold_rows(cluster, "alice", proto.sql_relation(text)))
+        assert "'value': -0.0}" in repr(shipped[0])
+        assert "'op': '-'" not in repr(shipped[0])
 
     def test_a_hit_ships_the_payload_a_cold_plan_ships(self, governed):
         cluster = governed.create_dedicated_cluster(assigned_user="alice")

@@ -43,16 +43,16 @@ from repro.txn.writes import (
     StagedWrite,
     UpdateOp,
     apply_ops,
-    bind_expression,
-    combined_schema,
-    qualified_schema,
 )
 from tests.test_storage import commit_file
 
 CTX = ex.EvalContext(user="writer", groups=frozenset())
 TARGET = Schema((Field("k", INT), Field("g", STRING), Field("v", INT)))
 SOURCE = Schema((Field("sk", INT), Field("sw", INT)))
-COMBINED = combined_schema(qualified_schema(TARGET, "t"), qualified_schema(SOURCE, "s"))
+#: What MERGE clauses bind over: the target under ``t``, then the source
+#: under ``s``; NOT MATCHED values bind over the source alone.
+SOURCE_S = SOURCE.with_qualifier("s")
+COMBINED = TARGET.with_qualifier("t").concat(SOURCE_S)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def reference_apply(rows, staged, model=None):
         elif isinstance(op, DeleteOp):
             rows = [row for row in rows if not touchable(row, op.where)]
         else:
-            both = combined_schema(schema, op.source_schema)
+            both = schema.concat(op.source_schema)
             source = [list(s) for s in zip(*op.source_columns.values())]
             out, used = [], set()
             for row in rows:
@@ -139,7 +139,7 @@ source_rows = st.lists(st.tuples(nullable_small, nullable_small), max_size=4)
 
 
 def _bound(expr, schema=TARGET):
-    return bind_expression(expr, schema)
+    return ex.bind_expression(expr, schema)
 
 
 @st.composite
@@ -191,6 +191,13 @@ ON_SHAPES = {
         ex.Comparison("=", ex.col("t.k"), ex.col("s.sk")),
         ex.Comparison("=", ex.col("t.v"), ex.col("s.sw")),
     ),
+    # The residual reads a NULL-prone source column under NOT: NOT NULL is
+    # NULL, which never matches.
+    "null-residual": ex.BooleanOp(
+        "AND",
+        ex.Comparison("=", ex.col("t.k"), ex.col("s.sk")),
+        ex.Not(ex.Comparison(">", ex.col("s.sw"), ex.col("t.v"))),
+    ),
 }
 
 
@@ -223,7 +230,7 @@ def merges(draw):
         },
         matched_delete=matched == "delete",
         insert_values=None if insert is None else [
-            _bound(e, qualified_schema(SOURCE, "s")) for e in insert
+            _bound(e, SOURCE_S) for e in insert
         ],
     )
 
@@ -302,7 +309,7 @@ class TestMaterializerMatchesTheRowModel:
             matched_assignments=None,
             matched_delete=True,
             insert_values=[
-                _bound(e, qualified_schema(SOURCE, "s"))
+                _bound(e, SOURCE_S)
                 for e in (ex.col("s.sk"), ex.lit("a"), ex.col("s.sw"))
             ],
         )

@@ -481,7 +481,8 @@ class TestWritePredicateErrorOracle:
                 [(1, "1", 41), (2, "2", 0), (3, HIDDEN_CODE, 0)],
             ),
             (
-                # Non-equi ON: the nested-loop fallback is gated the same way.
+                # Non-equi ON: the probe on the constant TRUE key is gated
+                # the same way.
                 f"MERGE INTO {CODES} AS t USING main.sales.src AS s "
                 "ON CAST(t.code AS INT) + 7 < s.k "
                 "WHEN MATCHED THEN DELETE",
@@ -506,3 +507,118 @@ class TestWritePredicateErrorOracle:
         assert "oops" in str(excinfo.value)
         assert HIDDEN_CODE not in str(excinfo.value)
         assert codes() == before
+
+
+class TestWritesAreAnalyzedLikeReads:
+    """UPDATE / DELETE / MERGE expressions go through the read path's
+    analyzer at staging: a statement the analyzer refuses is refused by the
+    statement itself, nothing is staged, and an open transaction stays
+    open."""
+
+    @pytest.fixture
+    def writer(self, admin, alice):
+        admin.sql(f"GRANT MODIFY ON {ORDERS} TO analysts")
+        admin.sql("CREATE TABLE main.sales.src (id int, amount float)")
+        admin.sql("INSERT INTO main.sales.src VALUES (1, 1.5), (7, 7.5)")
+        admin.sql("GRANT SELECT ON main.sales.src TO analysts")
+        return alice
+
+    @pytest.mark.parametrize("statement", [
+        f"DELETE FROM {ORDERS} WHERE amount",
+        f"UPDATE {ORDERS} SET amount = 0.0 WHERE amount",
+        f"MERGE INTO {ORDERS} AS t USING main.sales.src AS s ON t.amount "
+        "WHEN MATCHED THEN DELETE",
+        f"MERGE INTO {ORDERS} AS t USING main.sales.src AS s ON s.id + t.id "
+        "WHEN MATCHED THEN UPDATE SET amount = s.amount",
+    ], ids=["delete", "update", "merge", "merge-arithmetic"])
+    def test_a_non_boolean_condition_is_refused(self, workspace, admin, writer, statement):
+        with pytest.raises(AnalysisError, match="must be boolean"):
+            writer.sql(f"SELECT id FROM {ORDERS} WHERE amount").collect()
+        version = workspace.catalog.current_table_version(ORDERS)
+        with pytest.raises(AnalysisError, match="must be boolean"):
+            writer.sql(statement)
+        assert workspace.catalog.current_table_version(ORDERS) == version
+        assert rows(admin, f"SELECT id FROM {ORDERS}") == [(1,), (2,), (3,)]
+
+    @pytest.mark.parametrize("statement", [
+        f"UPDATE {ORDERS} SET amount = 'x' WHERE id = 1",
+        f"UPDATE {ORDERS} SET id = TRUE",
+        f"UPDATE {ORDERS} SET region = amount",
+        f"MERGE INTO {ORDERS} AS t USING main.sales.src AS s ON t.id = s.id "
+        "WHEN MATCHED THEN UPDATE SET amount = 'x'",
+        f"MERGE INTO {ORDERS} AS t USING main.sales.src AS s ON t.id = s.id "
+        "WHEN NOT MATCHED THEN INSERT VALUES (s.id, 'US', 'x', 'b')",
+        f"INSERT INTO {ORDERS} VALUES (9, 'US', 'x', 'b')",
+        f"INSERT INTO {ORDERS} SELECT id, 'US', 'x', 'b' FROM main.sales.src",
+    ], ids=[
+        "update-string", "update-bool-into-int", "update-float-into-string",
+        "merge-set", "merge-insert", "insert-values", "insert-select",
+    ])
+    def test_a_value_its_column_does_not_accept_is_refused(
+        self, workspace, cluster, admin, writer, statement
+    ):
+        reader = cluster.connect("admin")
+        total = rows(reader, f"SELECT sum(amount) FROM {ORDERS}")
+        version = workspace.catalog.current_table_version(ORDERS)
+        with pytest.raises(AnalysisError, match="does not fit"):
+            writer.sql(statement)
+        assert workspace.catalog.current_table_version(ORDERS) == version
+        assert rows(reader, f"SELECT sum(amount) FROM {ORDERS}") == total
+
+    def test_a_mistyped_bulk_load_is_refused(self, workspace, admin):
+        version = workspace.catalog.current_table_version(ORDERS)
+        with pytest.raises(AnalysisError, match="a str value does not fit float"):
+            write_command(admin, {**ONE_ROW, "amount": ["x"]})
+        with pytest.raises(AnalysisError, match="a bool value does not fit int"):
+            write_command(admin, {**ONE_ROW, "id": [True]})
+        assert workspace.catalog.current_table_version(ORDERS) == version
+
+    def test_int_null_and_a_bare_null_fit_a_float_column(self, admin, writer):
+        writer.sql(f"UPDATE {ORDERS} SET amount = 5 WHERE id = 1")
+        writer.sql(f"UPDATE {ORDERS} SET amount = NULL WHERE id = 2")
+        writer.sql(f"INSERT INTO {ORDERS} VALUES (4, 'US', 4, NULL)")
+        write_command(writer, {**ONE_ROW, "amount": [None]})
+        assert rows(admin, f"SELECT id, amount FROM {ORDERS}")[:2] == [(1, 5), (2, None)]
+        assert rows(admin, f"SELECT sum(amount) FROM {ORDERS}") == [(39.0,)]
+
+    @pytest.mark.parametrize("call", ["nosuch(amount)", "bump(amount)"], ids=["unknown", "udf"])
+    def test_a_refused_function_leaves_the_transaction_open(self, admin, writer, call):
+        from repro.connect.client import udf
+
+        @udf("float")
+        def bump(x):
+            return x + 1.0
+
+        writer.register_udf(bump)
+        writer.sql("BEGIN")
+        writer.sql(f"INSERT INTO {ORDERS} VALUES (4, 'US', 40.0, 'p4')")
+        match = "unknown function" if call.startswith("nosuch") else "user code"
+        with pytest.raises(AnalysisError, match=match):
+            writer.sql(f"UPDATE {ORDERS} SET amount = {call} WHERE id = 1")
+        writer.sql("COMMIT")
+        assert rows(admin, f"SELECT id, amount FROM {ORDERS}") == [
+            (1, 10.0), (2, 20.0), (3, 30.0), (4, 40.0),
+        ]
+
+    def test_qualified_names_and_merge_aliases_bind(self, admin, writer):
+        writer.sql(f"UPDATE {ORDERS} SET amount = orders.amount + 1.0 WHERE orders.id = 1")
+        writer.sql(f"DELETE FROM {ORDERS} WHERE orders.id = 2")
+        writer.sql(
+            f"MERGE INTO {ORDERS} AS t USING main.sales.src AS s ON t.id = s.id "
+            "WHEN MATCHED THEN UPDATE SET amount = t.amount + s.amount "
+            "WHEN NOT MATCHED THEN INSERT VALUES (s.id, 'US', s.amount, NULL)"
+        )
+        writer.sql(
+            f"MERGE INTO {ORDERS} USING main.sales.src ON orders.id = src.id + 2 "
+            "WHEN MATCHED THEN DELETE"
+        )
+        assert rows(admin, f"SELECT id, amount FROM {ORDERS}") == [
+            (1, 12.5), (7, 7.5),
+        ]
+
+    def test_a_fully_qualified_column_resolves_nowhere(self, admin, writer):
+        # As in SELECT: the table binds under the last part of its name.
+        with pytest.raises(AnalysisError, match="not found"):
+            writer.sql(f"SELECT {ORDERS}.id FROM {ORDERS}").collect()
+        with pytest.raises(AnalysisError, match="not found"):
+            writer.sql(f"DELETE FROM {ORDERS} WHERE {ORDERS}.id = 1")

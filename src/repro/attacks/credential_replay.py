@@ -132,3 +132,44 @@ def credential_vend_refusal_efgac(gauntlet: Any) -> AttackResult:
         )
     except PermissionDenied as exc:
         return judge(exc, gauntlet.static_secrets, "cross-trust-domain vend refused")
+
+
+@attack_scenario(
+    name="dedicated-write-raw-credential",
+    layer="storage",
+    technique="credential-replay",
+    expected_containment="a commit's read-write credential is vended like a "
+    "read's, to the compute the write comes from: compute that cannot "
+    "enforce FGAC locally is refused one for a governed table "
+    "(PermissionDenied), and the table's version never advances",
+)
+def dedicated_write_raw_credential(gauntlet: Any) -> AttackResult:
+    """Alice (SELECT + MODIFY) updates the governed table from a dedicated
+    cluster, which is refused a read credential for it, betting the commit
+    path hands her compute raw read-write access anyway."""
+    admin = gauntlet.client_for("admin")
+    admin.sql(f"GRANT MODIFY ON {h.ORDERS} TO analysts")
+    catalog = gauntlet.catalog
+    before = catalog.current_table_version(h.ORDERS)
+    cluster = gauntlet.workspace.create_dedicated_cluster(
+        assigned_user="alice", name="gauntlet-dedicated-write"
+    )
+    issued = catalog.vendor.issued_count
+    try:
+        cluster.connect("alice").sql(f"UPDATE {h.ORDERS} SET amount = amount + 1.0 WHERE id = 1")
+    except PermissionDenied as exc:
+        audited = any(
+            e.details.get("compute") == cluster.backend.caps.compute_id
+            for e in catalog.audit.events(action="catalog.vend_credential", allowed=False)
+        )
+        if catalog.current_table_version(h.ORDERS) != before or (
+                catalog.vendor.issued_count != issued or not audited):
+            return leaked("the refused write committed, got a credential or went unaudited")
+        return judge(exc, gauntlet.forbidden_tokens(), "write credential refused")
+    finally:
+        cluster.shutdown()
+        admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")
+    if catalog.current_table_version(h.ORDERS) != before:
+        admin.sql(f"UPDATE {h.ORDERS} SET amount = amount - 1.0 WHERE id = 1")
+        return leaked("dedicated compute committed a governed write with a raw credential")
+    return leaked("the write neither committed nor was refused")

@@ -15,6 +15,7 @@ rows) and no hidden value ever surfaces, not even inside an error message.
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from repro.attacks import harness as h
@@ -287,3 +288,51 @@ def write_type_confusion(gauntlet: Any) -> AttackResult:
         admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")
         if _storage_truth(gauntlet) != before:
             _restore(gauntlet, before)
+
+
+def _profile(gauntlet: Any, trace_id: str) -> list[tuple]:
+    """alice's ``query_profile`` rows of one trace, less the ids and times
+    that differ between any two runs."""
+    rows = gauntlet.collect("alice", proto.sql_relation(
+        "SELECT name, kind, status, attributes FROM system.access.query_profile "
+        f"WHERE trace_id = '{trace_id}'"
+    ))
+    return [(*row[:3], {k: v for k, v in json.loads(row[3]).items() if not k.endswith("_id")})
+            for row in rows]
+
+
+@attack_scenario(
+    name="write-probe-range-oracle",
+    layer="enforcement",
+    technique="write-denial",
+    expected_containment="a commit skips a file by key bounds that cover "
+    "hidden rows too, but the skip shows in no span, ack, error or table "
+    "row the writer can read: DELETE of a hidden row's key and of a key "
+    "no row has answer identically (only wall time differs)",
+)
+def write_probe_range_oracle(gauntlet: Any) -> AttackResult:
+    """Alice deletes by the key of a row her filter hides, then by a key no
+    row has, and diffs the two answers for a sign of which key exists."""
+    admin = gauntlet.client_for("admin")
+    alice = gauntlet.client_for("alice")
+    admin.sql(f"GRANT MODIFY ON {h.ORDERS} TO analysts")
+    before = _storage_truth(gauntlet)
+    hidden = next(row[0] for row in before if row[1] != "US")
+    absent = max(row[0] for row in before) + 1000
+    seen: list[Any] = []
+    try:
+        # The first run of the shape compiles its kernels (kernel-compile
+        # spans, whichever key it probes); the two compared runs reuse them.
+        for key in (absent, hidden, absent):
+            try:
+                answer: Any = alice.sql(f"DELETE FROM {h.ORDERS} WHERE id = {key}")
+            except Exception as exc:  # noqa: BLE001 - any error text is observed
+                answer = f"{type(exc).__name__}: {exc}"
+            seen.append((answer, _profile(gauntlet, alice.last_trace_id)))
+        if _storage_truth(gauntlet) != before:
+            return leaked("a DELETE of a hidden row's key removed it", rows=1)
+        if seen[1] != seen[2]:
+            return leaked(f"hidden key and absent key answered differently: {seen}")
+        return judge(seen, gauntlet.forbidden_tokens(), "both keys answered alike")
+    finally:
+        admin.sql(f"REVOKE MODIFY ON {h.ORDERS} FROM analysts")

@@ -32,6 +32,7 @@ from repro.catalog.privileges import (
 )
 from repro.catalog.scopes import (
     ANNOTATION_REQUIRES_EXTERNAL_FGAC,
+    COMPUTE_SERVERLESS,
     ComputeCapabilities,
     requires_external_fgac,
 )
@@ -175,6 +176,8 @@ class UnityCatalog:
             cluster_id="unity-catalog",
             prefixes=(MANAGED_ROOT,),
         )
+        #: The compute a catalog API write (not a cluster's) runs on: this service.
+        self.service_caps = ComputeCapabilities("unity-catalog", COMPUTE_SERVERLESS)
 
     # ------------------------------------------------------------------
     # Policy epoch: invalidation token for every enforcement cache

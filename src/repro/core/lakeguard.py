@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from repro.catalog.metastore import UnityCatalog
 from repro.catalog.policies import ColumnMask, RowFilter
-from repro.catalog.privileges import CREATE_TABLE, UserContext
+from repro.catalog.privileges import CREATE_TABLE, MODIFY, UserContext
 from repro.catalog.scopes import COMPUTE_STANDARD, ComputeCapabilities
 from repro.catalog.system_tables import (
     CACHE_STATS,
@@ -476,7 +476,8 @@ class LakeguardCluster:
             self.catalog.check_privilege(ctx, CREATE_TABLE, schema_name)
             bare, columns = self._materialize_query(session, stmt.query_sql)
             self.catalog.create_table(stmt.name, bare, owner=ctx.user)
-            self.catalog.write_table(stmt.name, columns, ctx)
+            self.catalog.txn_manager.run(ctx, lambda txn: self.catalog.write_table(
+                stmt.name, columns, ctx, txn=txn), caps=self.caps)
             return {
                 "status": "ok",
                 "operation": "create_table_as_select",
@@ -543,6 +544,8 @@ class LakeguardCluster:
             if stmt.query_sql is None:
                 columns = _transpose(stmt.table, stmt.rows)
             else:
+                # MODIFY first: a writer that may not write runs no scan.
+                self.catalog.check_privilege(ctx, MODIFY, stmt.table)
                 columns = list(
                     self._materialize_query(session, stmt.query_sql)[1].values()
                 )
@@ -571,7 +574,9 @@ class LakeguardCluster:
         if isinstance(stmt, ast.MergeStatement):
             # The source is read up front through the full governed pipeline
             # (its row filters / masks / privileges all apply), so the
-            # transaction tier only has to govern the target side.
+            # transaction tier only has to govern the target side (MODIFY
+            # first, as for INSERT ... SELECT).
+            self.catalog.check_privilege(ctx, MODIFY, stmt.target)
             source_schema, source_columns = self._materialize_query(
                 session, f"SELECT * FROM {stmt.source}"
             )
@@ -607,12 +612,9 @@ class LakeguardCluster:
                     "a transaction is already open in this session "
                     f"({session.active_txn.txn_id}); COMMIT or ROLLBACK first"
                 )
-            txn = self.catalog.txn_manager.begin(session.user_ctx)
+            # Reads inside it bypass the plan cache: cached plans stay valid.
+            txn = self.catalog.txn_manager.begin(session.user_ctx, self.caps)
             session.active_txn = txn
-            # Plans compiled outside the transaction must not be reused
-            # inside it (and vice versa): reads now resolve at pinned
-            # snapshots.
-            session.bump_temp_state()
             return {"status": "ok", "operation": "begin", "txn_id": txn.txn_id}
 
         if isinstance(stmt, ast.CommitStatement):
@@ -620,7 +622,6 @@ class LakeguardCluster:
             if txn is None:
                 raise AnalysisError("COMMIT without an open transaction")
             session.active_txn = None
-            session.bump_temp_state()
             txn.commit()
             return {"status": "ok", "operation": "commit", "txn_id": txn.txn_id}
 
@@ -629,7 +630,6 @@ class LakeguardCluster:
             if txn is None:
                 raise AnalysisError("ROLLBACK without an open transaction")
             session.active_txn = None
-            session.bump_temp_state()
             txn.rollback()
             return {
                 "status": "ok",
@@ -700,7 +700,7 @@ class LakeguardCluster:
                 "txn_id": txn.txn_id,
             }
         else:
-            staged_rows = self.catalog.txn_manager.run(session.user_ctx, body)
+            staged_rows = self.catalog.txn_manager.run(session.user_ctx, body, caps=self.caps)
             response = {"status": "ok", "operation": operation}
         if isinstance(staged_rows, int):
             response["rows"] = staged_rows

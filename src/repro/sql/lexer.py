@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import re
+from typing import Any, NamedTuple
 
 from repro.errors import ParseError
 
@@ -31,12 +31,8 @@ EOF = "EOF"
 #: :func:`tokenize`.
 SLOT = "SLOT"
 
-_TWO_CHAR_OPS = ("<=", ">=", "!=", "<>")
-_ONE_CHAR_OPS = "+-*/%(),.=<>"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme: kind, raw text, and source position."""
 
     kind: str
@@ -47,96 +43,70 @@ class Token:
         return self.kind == KEYWORD and self.value == word.upper()
 
 
+#: The master pattern: each match skips whitespace (``\s`` is exactly
+#: ``str.isspace``) and ``--`` comments, then takes one lexeme. An identifier
+#: goes on over ``\w`` (exactly ``str.isalnum`` or ``_``); ``{alpha}`` /
+#: ``{digit}`` add the text's non-ASCII ``str.isalpha`` / ``isdigit``
+#: characters. A string's closing quote is no half of a ``''`` pair, so one
+#: without it is an error at its opening quote, not a shorter string.
+_PATTERN = r"""(?s)(?:\s+|--[^\n]*)*(?:
+ (?P<word>[A-Za-z_{alpha}]\w*)
+|(?P<number>(?:[0-9{digit}]+(?:\.[0-9{digit}]+)?|\.[0-9{digit}]+)(?:[eE][+-]?[0-9{digit}]+)?)
+|'(?P<string>(?:[^']|'')*)'(?!')
+|`(?P<quoted>[^`]*)`
+|(?P<op><=|>=|!=|<>|[-+*/%(),.=<>;])
+|(?P<bad>.)
+|(?P<end>\Z))"""
+
+#: The pattern's groups, by number (``Match.lastindex``).
+_WORD, _NUMBER, _STRING, _QUOTED, _OP, _BAD, _END = range(1, 8)
+
+_ASCII = re.compile(_PATTERN.format(alpha="", digit=""), re.VERBOSE).finditer
+
+
+def _scanner(text: str) -> Any:
+    """The master pattern for ``text``'s non-ASCII letters and digits (``re``
+    caches the compiled pattern)."""
+    if text.isascii():
+        return _ASCII
+    wide = sorted({c for c in text if not c.isascii()})
+    alpha, digit = ("".join(filter(test, wide)) for test in (str.isalpha, str.isdigit))
+    return re.compile(_PATTERN.format(alpha=alpha, digit=digit), re.VERBOSE).finditer
+
+
 def tokenize(text: str) -> list[Token]:
     """Turn SQL text into a token list ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text[i : i + 2] == "--":
-            # Line comment.
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+    append, new = tokens.append, tuple.__new__  # ``Token(...)`` minus a frame
+    for m in _scanner(text)(text):
+        group = m.lastindex
+        if group == _WORD:
+            word = m.group(group)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(KEYWORD, upper, start))
+                append(new(Token, (KEYWORD, upper, m.start(group))))
             else:
-                tokens.append(Token(IDENT, word, start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    # A dot not followed by a digit ends the number
-                    # (e.g. ``1.x`` is not valid here anyway).
-                    if i + 1 >= n or not text[i + 1].isdigit():
-                        break
-                    seen_dot = True
-                i += 1
-            # Scientific notation: 1e5, 2.5E-7, 3e+2.
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    while j < n and text[j].isdigit():
-                        j += 1
-                    i = j
-                    seen_dot = True  # exponents always produce floats
-            value = text[start:i]
-            if seen_dot and "." not in value and "e" not in value and "E" not in value:
-                value += ".0"
-            tokens.append(Token(NUMBER, value, start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chunks: list[str] = []
-            while i < n:
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        chunks.append("'")  # escaped quote
-                        i += 2
-                        continue
-                    break
-                chunks.append(text[i])
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated string literal", start)
-            i += 1  # closing quote
-            tokens.append(Token(STRING, "".join(chunks), start))
-            continue
-        if ch == "`":
-            start = i
-            i += 1
-            end = text.find("`", i)
-            if end < 0:
-                raise ParseError("unterminated backquoted identifier", start)
-            tokens.append(Token(IDENT, text[i:end], start))
-            i = end + 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(OP, "!=" if two == "<>" else two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS or ch == ";":
-            tokens.append(Token(OP, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(EOF, "", n))
+                append(new(Token, (IDENT, word, m.start(group))))
+        elif group == _OP:
+            value = m.group(group)
+            append(new(Token, (OP, "!=" if value == "<>" else value, m.start(group))))
+        elif group == _NUMBER:
+            append(new(Token, (NUMBER, m.group(group), m.start(group))))
+        elif group == _STRING:
+            value = m.group(group).replace("''", "'")
+            append(new(Token, (STRING, value, m.start(group) - 1)))
+        elif group == _QUOTED:
+            append(new(Token, (IDENT, m.group(group), m.start(group) - 1)))
+        elif group == _END:
+            break
+        else:
+            ch, at = m.group(group), m.start(group)
+            if ch == "'":
+                raise ParseError("unterminated string literal", at)
+            if ch == "`":
+                raise ParseError("unterminated backquoted identifier", at)
+            raise ParseError(f"unexpected character {ch!r}", at)
+    append(Token(EOF, "", len(text)))
     return tokens
 
 

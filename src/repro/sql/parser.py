@@ -67,6 +67,10 @@ class UnresolvedFunction(Expression):
         return f"{self.name}({', '.join(str(c) for c in self.children)})"
 
 
+#: The keyword literals a VALUES entry may be.
+_CONSTANTS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+
 class _Parser:
     def __init__(self, text: str, lifted: bool = False):
         self.text = text
@@ -89,8 +93,8 @@ class _Parser:
     # -- stream helpers -----------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        index = self.pos + ahead  # ``advance`` never steps past EOF
+        return self.tokens[index] if index < len(self.tokens) else self.tokens[-1]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -285,6 +289,21 @@ class _Parser:
         return ast.InsertStatement(table=table, rows=rows)
 
     def _parse_literal_value(self) -> Any:
+        """One VALUES entry: a lone NUMBER, STRING, NULL, TRUE or FALSE (or
+        ``-`` NUMBER) before ``,`` / ``)`` read off the tokens, else folded."""
+        tokens, at = self.tokens, self.pos
+        negate = tokens[at].kind == OP and tokens[at].value == "-"
+        token = tokens[at + negate]  # not past EOF: a ``-`` is not EOF
+        if token.kind == NUMBER or (not negate and (
+            token.kind == STRING or token.value in _CONSTANTS and token.kind == KEYWORD
+        )):
+            follow = tokens[at + negate + 1]
+            if follow.kind == OP and follow.value in (",", ")"):
+                self.pos = at + negate + 1
+                if token.kind == KEYWORD:
+                    return _CONSTANTS[token.value]
+                value = literal_value(token)
+                return -value if negate else value
         expr = self.parse_expr()
         if isinstance(expr, Literal):
             return expr.value

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol, Sequence
@@ -300,8 +301,11 @@ class ObjectStore:
         self._clock = clock or SystemClock()
         self._audit = audit
         self._objects: dict[str, bytes] = {}
-        #: Serializes conditional writes: ``put_if_absent`` must observe and
-        #: claim a path atomically, or two racing commits could both win.
+        #: Every path in ``_objects``, sorted: a prefix listing is two bisects.
+        self._paths: list[str] = []
+        #: Serializes writes: ``put_if_absent`` must observe and claim a path
+        #: atomically, or two racing commits could both win, and the path
+        #: index must change with the objects.
         self._mutex = threading.Lock()
         #: Modelled per-object fetch latency (cloud stores are remote; a GET
         #: is a network round-trip). A real ``time.sleep`` — it releases the
@@ -375,7 +379,10 @@ class ObjectStore:
         if self.faults is not None:
             self.faults.fire("storage.put")
         self._check(credential, path, StorageOp.WRITE)
-        self._objects[path] = data
+        with self._mutex:
+            if path not in self._objects:
+                insort(self._paths, path)
+            self._objects[path] = data
         self.stats.bytes_written += len(data)
         self.stats.objects_written += 1
 
@@ -402,6 +409,7 @@ class ObjectStore:
                 raise CommitConflictError(
                     f"object already exists at '{path}': commit lost the race"
                 )
+            insort(self._paths, path)
             self._objects[path] = data
         self.stats.bytes_written += len(data)
         self.stats.objects_written += 1
@@ -433,13 +441,22 @@ class ObjectStore:
         if self.faults is not None:
             self.faults.fire("storage.list")
         self._check(credential, prefix, StorageOp.LIST)
-        # ``list(dict)`` is one atomic step; iterating the live dict while
-        # another thread commits raises "dictionary changed size".
-        return sorted(p for p in list(self._objects) if p.startswith(prefix))
+        return self._under(prefix)
+
+    def _under(self, prefix: str) -> list[str]:
+        """The sorted paths from ``prefix`` up to its last character bumped."""
+        with self._mutex:
+            if not prefix:
+                return list(self._paths)
+            start = bisect_left(self._paths, prefix)
+            end = bisect_left(self._paths, prefix[:-1] + chr(ord(prefix[-1]) + 1), start)
+            return self._paths[start:end]
 
     def delete(self, path: str, credential: StorageCredential) -> None:
         self._check(credential, path, StorageOp.DELETE)
-        self._objects.pop(path, None)
+        with self._mutex:
+            if self._objects.pop(path, None) is not None:
+                del self._paths[bisect_left(self._paths, path)]
 
     def size_of(self, path: str, credential: StorageCredential) -> int:
         self._check(credential, path, StorageOp.LIST)

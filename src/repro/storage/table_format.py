@@ -26,7 +26,7 @@ reader. Any failure is :class:`~repro.errors.CorruptObjectError`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.common.datacodec import decode_data_file, encode_data_file
@@ -69,10 +69,29 @@ class DataFile:
     path: str
     num_rows: int
     size_bytes: int
+    #: INT column -> ``[min, max, NULL count]`` (:func:`column_bounds`); a
+    #: column without one (or a file an older log added) is unbounded.
+    bounds: dict[str, list] = field(default_factory=dict, compare=False)
 
     def add_action(self) -> dict:
         """The commit-log action that makes this file live."""
-        return {"add": self.path, "rows": self.num_rows, "bytes": self.size_bytes}
+        action = {"add": self.path, "rows": self.num_rows, "bytes": self.size_bytes}
+        if self.bounds:
+            action["stats"] = self.bounds
+        return action
+
+
+def column_bounds(values: list) -> list:
+    """``[min, max, NULL count]`` of one INT column (``None`` bounds when
+    all are NULL): two C-level passes, as ``min`` raises on a NULL."""
+    try:
+        lo = min(values)
+        if lo is not None:
+            return [lo, max(values), 0]
+    except TypeError:
+        pass
+    present = [v for v in values if v is not None]
+    return [min(present, default=None), max(present, default=None), len(values) - len(present)]
 
 
 @dataclass(frozen=True)
@@ -186,9 +205,10 @@ class LakeTableStorage:
         self.commit_version(0, [], column_names, credential)
 
     def stage_data_file(
-        self, columns: dict[str, list], credential: StorageCredential
+        self, columns: dict[str, list], credential: StorageCredential, bounded: Sequence[str] = ()
     ) -> DataFile:
-        """Write one data file without committing it.
+        """Write one data file without committing it; its add action
+        carries the :func:`column_bounds` of each ``bounded`` (INT) column.
 
         The file stays invisible until a later :meth:`commit_version` adds
         it; a crash or abort between the two leaves an orphan that
@@ -199,7 +219,8 @@ class LakeTableStorage:
         path = f"{self.root}/data/{sequential_id('part')}.part"
         self._store.put(path, blob, credential)
         num_rows = len(next(iter(columns.values()), ()))
-        return DataFile(path=path, num_rows=num_rows, size_bytes=len(blob))
+        bounds = {name: column_bounds(columns[name]) for name in bounded} if num_rows else {}
+        return DataFile(path, num_rows, len(blob), bounds)
 
     def overwrite(
         self, columns: dict[str, list], credential: StorageCredential
@@ -307,9 +328,7 @@ class LakeTableStorage:
         for action in commit["actions"]:
             if "add" in action:
                 live[action["add"]] = DataFile(
-                    path=action["add"],
-                    num_rows=action["rows"],
-                    size_bytes=action["bytes"],
+                    action["add"], action["rows"], action["bytes"], action.get("stats", {})
                 )
             elif "remove" in action:
                 live.pop(action["remove"], None)

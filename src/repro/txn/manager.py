@@ -40,17 +40,19 @@ import threading
 from itertools import chain
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
-from repro.catalog.privileges import MODIFY, UserContext
+from repro.catalog.privileges import UserContext
+from repro.catalog.scopes import ComputeCapabilities
 from repro.catalog.system_tables import TXN_STATS
 from repro.common.ids import sequential_id
 from repro.engine.compile import KernelCompiler
 from repro.engine.expressions import Expression, contains_user_code
 from repro.engine.logical import Filter, Join, LogicalPlan
-from repro.engine.types import Schema
+from repro.engine.types import INT, Schema
 from repro.errors import (
     AnalysisError,
     CommitConflictError,
     FaultInjectedError,
+    PermissionDenied,
     RetryableError,
     SecurableNotFound,
     StorageError,
@@ -116,6 +118,8 @@ class TransactionManager:
             "files_discarded": 0,
             "files_rewritten": 0,
             "files_kept": 0,
+            "files_probed": 0,
+            "files_skipped": 0,
             "recovered_commits": 0,
             "orphans_swept": 0,
         }
@@ -125,10 +129,11 @@ class TransactionManager:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def begin(self, ctx: UserContext) -> "Transaction":
-        """Open a transaction acting as ``ctx``."""
+    def begin(self, ctx: UserContext, caps: ComputeCapabilities | None = None) -> "Transaction":
+        """Open a transaction acting as ``ctx`` on the compute ``caps``
+        describes (default: the catalog service, for catalog API writes)."""
         self._count("begun")
-        return Transaction(self, self._catalog, ctx)
+        return Transaction(self, self._catalog, ctx, caps or self._catalog.service_caps)
 
     def run(
         self,
@@ -136,6 +141,7 @@ class TransactionManager:
         body: Callable[["Transaction"], Any],
         seed: int = 0,
         retries: int = TXN_CONFLICT_RETRIES,
+        caps: ComputeCapabilities | None = None,
     ) -> Any:
         """Run ``body(txn)`` in a fresh transaction, committing on return.
 
@@ -146,7 +152,7 @@ class TransactionManager:
         """
 
         def attempt() -> Any:
-            txn = self.begin(ctx)
+            txn = self.begin(ctx, caps)
             try:
                 result = body(txn)
             except BaseException:
@@ -169,15 +175,13 @@ class TransactionManager:
     def recover_table(self, ctx: UserContext, full_name: str) -> dict[str, int]:
         """Roll back torn commits and sweep orphaned files of one table.
 
-        Requires MODIFY (recovery rewrites the log). Bumps the data epoch
-        when anything was repaired, since the visible tip may have moved.
+        Requires MODIFY (recovery rewrites the log; its credential is vended
+        as a commit's is). Bumps the data epoch when anything was repaired,
+        since the visible tip may have moved.
         """
         table = self._catalog.get_table(full_name)
-        self._catalog.check_privilege(ctx, MODIFY, full_name)
-        credential = self._catalog.vendor.issue(
-            identity=ctx.user,
-            prefixes=[table.storage_root],
-            operations={READ, WRITE, LIST, DELETE},
+        credential = self._catalog.vend_credential(
+            ctx, full_name, {READ, WRITE, LIST, DELETE}, self._catalog.service_caps
         )
         try:
             report = self._catalog.table_storage(table).recover(credential)
@@ -227,11 +231,15 @@ class Transaction:
     """One open multi-statement transaction (snapshot-isolated, optimistic)."""
 
     def __init__(
-        self, manager: TransactionManager, catalog: "UnityCatalog", ctx: UserContext
+        self, manager: TransactionManager, catalog: "UnityCatalog", ctx: UserContext,
+        caps: ComputeCapabilities,
     ):
         self._manager = manager
         self._catalog = catalog
         self.ctx = ctx
+        #: The compute the writes come from, which each commit's credential is
+        #: vended to (so one that cannot enforce FGAC gets none for a policy).
+        self.caps = caps
         self.txn_id = sequential_id("txn")
         self.state = "open"
         #: Table name -> durable snapshot pinned at first touch. Resolved
@@ -437,7 +445,7 @@ class Transaction:
             self._manager._count("aborted")
             self._manager._count("conflicts")
             raise
-        except TransactionAbortedError:
+        except (TransactionAbortedError, PermissionDenied):
             self.state = "aborted"
             self._manager._count("aborted")
             raise
@@ -459,10 +467,8 @@ class Transaction:
     def _commit_table(self, full_name: str, staged: StagedWrite) -> None:
         table = self._catalog.get_table(full_name)
         pin = self._pins[full_name]
-        credential = self._catalog.vendor.issue(
-            identity=self.ctx.user,
-            prefixes=[table.storage_root],
-            operations={READ, WRITE, LIST, DELETE},
+        credential = self._catalog.vend_credential(
+            self.ctx, full_name, {READ, WRITE, LIST, DELETE}, self.caps
         )
         storage = self._catalog.table_storage(table)
         staged_paths: list[str] = []
@@ -509,7 +515,7 @@ class Transaction:
             self._manager.compiler, self._catalog.policy_epoch,
         )
         added = [
-            self._stage_file(storage, chunk, credential, staged_paths)
+            self._stage_file(storage, staged.schema, chunk, credential, staged_paths)
             for chunk in rewrite.chunks
         ]
 
@@ -538,6 +544,8 @@ class Transaction:
         staged_paths.clear()
         self._manager._count("files_rewritten", len(rewrite.removed))
         self._manager._count("files_kept", len(pin.files) - len(rewrite.removed))
+        self._manager._count("files_probed", rewrite.probed)
+        self._manager._count("files_skipped", rewrite.skipped)
 
     def _commit_blind_insert(
         self,
@@ -553,7 +561,7 @@ class Transaction:
             list(chain.from_iterable(parts)) for parts in zip(*inserted)
         ]
         data_file = self._stage_file(
-            storage, dict(zip(names, columns)), credential, staged_paths
+            storage, staged.schema, dict(zip(names, columns)), credential, staged_paths
         )
 
         def attempt() -> None:
@@ -578,13 +586,15 @@ class Transaction:
     def _stage_file(
         self,
         storage: "LakeTableStorage",
+        schema: Schema,
         columns: dict[str, list],
         credential: Any,
         staged_paths: list[str],
     ) -> Any:
         def write() -> Any:
             self._fire("txn.write_file")
-            return storage.stage_data_file(columns, credential)
+            bounded = [f.name for f in schema.fields if f.dtype == INT]
+            return storage.stage_data_file(columns, credential, bounded)
 
         data_file = self._absorb(write)
         staged_paths.append(data_file.path)

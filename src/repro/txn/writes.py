@@ -24,9 +24,11 @@ Write-side FGAC rules (:func:`check_write`, :func:`check_reads`):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from math import inf
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.catalog.privileges import MODIFY, SELECT, UserContext
 from repro.engine.analyzer import Analyzer, DictResolver
@@ -43,10 +45,12 @@ from repro.engine.compile import (
 )
 from repro.engine.expressions import (
     BoundRef,
+    Comparison,
     EvalContext,
     Expression,
     Literal,
     conjoin,
+    conjuncts,
     contains_user_code,
     split_equi_condition,
 )
@@ -298,13 +302,15 @@ def _scatter(col: list, rows: Sequence[int], values: list) -> None:
         col[i] = value
 
 
-def _drop_rows(columns: list[list], rows: Sequence[int]) -> None:
+def _drop_rows(columns: list[list], rows: Sequence[int], lead: int) -> int:
+    """Drop ``rows`` (ascending); returns how many of the first ``lead`` survive."""
     if not rows:
-        return
+        return lead
     keep = [True] * len(columns[0])
     for i in rows:
         keep[i] = False
     columns[:] = [list(compress(col, keep)) for col in columns]
+    return lead - bisect_left(rows, lead)
 
 
 def apply_ops(
@@ -322,6 +328,16 @@ def apply_ops(
     """
     names = list(staged.schema.names)
     columns = [list(base[name]) for name in names]
+    _fold(columns, staged, eval_ctx, compiler)
+    return dict(zip(names, columns))
+
+
+def _fold(
+    columns: list[list], staged: StagedWrite, eval_ctx: EvalContext,
+    compiler: KernelCompiler | None, lead: int = 0,
+) -> int:
+    """:func:`apply_ops` in place; returns how many of the first ``lead``
+    rows survive (an inserted row is appended after every base row)."""
     for op in staged.ops:
         if isinstance(op, InsertOp):
             for col, values in zip(columns, op.columns):
@@ -330,12 +346,12 @@ def apply_ops(
             _apply_update(columns, staged, op, eval_ctx, compiler)
         elif isinstance(op, DeleteOp):
             rows = _matching_rows(columns, staged, op.where, eval_ctx, compiler)
-            _drop_rows(columns, range(len(columns[0])) if rows is None else rows)
+            lead = _drop_rows(columns, range(len(columns[0])) if rows is None else rows, lead)
         elif isinstance(op, MergeOp):
-            _apply_merge(columns, staged, op, eval_ctx, compiler)
+            lead = _apply_merge(columns, staged, op, eval_ctx, compiler, lead)
         else:  # pragma: no cover - op union is closed
             raise TransactionAbortedError(f"unknown write op {type(op).__name__}")
-    return dict(zip(names, columns))
+    return lead
 
 
 def _matching_rows(
@@ -372,8 +388,8 @@ def _apply_update(
 
 def _apply_merge(
     columns: list[list], staged: StagedWrite, op: MergeOp, ctx: EvalContext,
-    compiler: KernelCompiler | None,
-) -> None:
+    compiler: KernelCompiler | None, lead: int,
+) -> int:
     """MERGE as one join probe loop.
 
     The writer's visible target rows (the row filter's own pass, as a
@@ -424,7 +440,7 @@ def _apply_merge(
             "multiple source rows (ambiguous matched-clause result)"
         )
     if op.matched_delete:
-        _drop_rows(columns, targets)
+        lead = _drop_rows(columns, targets, lead)
     for name, new in zip(assignments, values):
         _scatter(columns[schema.field_index(name)], targets, new)
     if op.insert_values is not None:
@@ -435,6 +451,7 @@ def _apply_merge(
             inserted = run_pipeline(*loop, source.take(fresh), ctx)
             for col, values in zip(columns, inserted):
                 col.extend(values)
+    return lead
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +463,45 @@ def _apply_merge(
 class FileRewrite:
     """What one read-dependent commit replaces: ``removed`` files give way
     to new files holding ``chunks`` (at most :data:`TARGET_FILE_ROWS` rows
-    each); every other live file is kept, path and bytes."""
+    each); every other live file is kept, path and bytes. It probed
+    ``probed`` files and ruled ``skipped`` out by their key bounds."""
 
     removed: list["DataFile"]
     chunks: list[dict[str, list]]
+    probed: int = 0
+    skipped: int = 0
+
+
+#: ``literal op col`` read as ``col op' literal``.
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def key_ranges(where: Expression | None, names: Sequence[str]) -> list[tuple[str, Any, Any]]:
+    """Each ``col op literal`` conjunct of a bound ``where`` (``= < <= > >=``,
+    either operand order, a number; a BETWEEN is two) as ``(column, low,
+    high)``: no value outside ``[low, high]`` satisfies it."""
+    ranges = []
+    for part in [] if where is None else conjuncts(where):
+        if not (isinstance(part, Comparison) and part.op in _MIRRORED):
+            continue
+        (column, literal), op = part.children, part.op
+        if isinstance(column, Literal):
+            column, literal, op = literal, column, _MIRRORED[op]
+        if (isinstance(column, BoundRef) and isinstance(literal, Literal)
+                and type(literal.value) in (int, float)):
+            v = literal.value
+            ranges.append((names[column.index], -inf if op[0] == "<" else v,
+                           inf if op[0] == ">" else v))
+    return ranges
+
+
+def _outside(bounds: dict[str, list], ranges: list[tuple[str, Any, Any]]) -> bool:
+    """Does a file's ``[min, max]`` miss some range? (NULLs match none.)"""
+    for name, low, high in ranges:
+        span = bounds.get(name)
+        if span is not None and (span[0] is None or span[1] < low or span[0] > high):
+            return True
+    return False
 
 
 def rewrite_files(
@@ -464,17 +516,25 @@ def rewrite_files(
 
     ``read(file, columns, policy)`` returns the named columns of one file
     (every column for ``None``), only the rows a row ``policy`` admits when
-    it is given one. Each file is probed on the columns its passes read, one
-    pass per op, compiled once per commit, and joins the working set, read
-    whole, only when some op's pass yields a row. With a ``policy_epoch``
-    and a row filter the governed memo may hold (:func:`~repro.engine
-    .compile.memoisable_policy`), the probe reads the writer's admitted rows
-    through it and a pass is the op's WHERE alone; otherwise a pass is row
-    filter, then WHERE, over raw columns. A file no op matches is left
-    untouched by every op, so probing the base bytes for all ops at once is
-    exact. MERGE touches every file: its ambiguity check and its
-    not-matched inserts depend on the whole table. So does a DELETE with
-    neither WHERE nor row filter, which reads no file at all.
+    it is given one. A file stays unread when every row-reading op has a
+    WHERE conjunct (:func:`key_ranges`) its column bounds rule out: a row
+    an op may change satisfies its WHERE, whatever the row filter says.
+    Every other file is probed on the columns its passes read, one pass per
+    op, compiled once per commit. With a ``policy_epoch`` and a row
+    filter the governed memo may hold (:func:`~repro.engine.compile
+    .memoisable_policy`), the probe reads the writer's admitted rows through
+    it and a pass is the op's WHERE alone; otherwise a pass is row filter,
+    then WHERE, over raw columns. A file no op matches is left untouched by
+    every op, so probing the base bytes for all ops at once is exact. MERGE
+    touches every file: its ambiguity check and its not-matched inserts
+    depend on the whole table. So does a DELETE with neither WHERE nor row
+    filter, which reads no file at all.
+
+    A commit that writes replaces the touched files and every file under
+    half of :data:`TARGET_FILE_ROWS` rows. The touched large files' rows go
+    to files of their own; the touched small files' rows, every inserted
+    row and the untouched small files' rows (as they are) to others, so an
+    inserted key never widens a large file's key range.
     """
     schema = staged.schema
     wipes = [i for i, op in enumerate(staged.ops) if staged.row_filter is None
@@ -483,6 +543,7 @@ def rewrite_files(
         # The writer sees every row and deletes them all (an overwrite, say):
         # no row from before the last such delete survives, so none is read.
         staged = replace(staged, ops=staged.ops[wipes[-1] + 1:])
+    probed = skipped = 0
     if wipes or any(isinstance(op, MergeOp) for op in staged.ops):
         touched = set(files)
     else:
@@ -492,38 +553,49 @@ def rewrite_files(
                 RowSelection(row_filter, schema.fields, compiler), eval_ctx, policy_epoch
             )
             row_filter = None
-        passes = [
-            _selection(schema, compiler, row_filter, op.where)
-            for op in staged.ops if not isinstance(op, InsertOp)
-        ]
+        reading = [op for op in staged.ops if not isinstance(op, InsertOp)]
+        passes = [_selection(schema, compiler, row_filter, op.where) for op in reading]
         probe = sorted({name for p in passes if p is not None for name in p.columns})
         if policy is not None:
             probe = probe or [policy.columns[0]]  # carries the admitted row count
 
         def touches(f: "DataFile") -> bool:
-            probed = read(f, probe, policy)
-            if policy is not None and not probed[probe[0]]:
+            seen = read(f, probe, policy)
+            if policy is not None and not seen[probe[0]]:
                 return False  # the writer sees no row of this file
             return any(
-                p is None or p.admitted([probed[n] for n in p.columns], eval_ctx)
+                p is None or p.admitted([seen[n] for n in p.columns], eval_ctx)
                 for p in passes
             )
 
-        touched = {f for f in files if f.num_rows and touches(f)}
-    writes = touched or any(isinstance(op, (InsertOp, MergeOp)) for op in staged.ops)
-    removed = [
-        f for f in files if f in touched or f.num_rows < TARGET_FILE_ROWS // 2
-    ] if writes else []
-    base: dict[str, list] = {name: [] for name in schema.names}
-    for f in [] if wipes else removed:
-        columns = read(f, None)
-        for name, values in base.items():
-            values.extend(columns[name])
-    result = apply_ops(base, staged, eval_ctx, compiler)
+        ranges = [key_ranges(op.where, schema.names) for op in reading]
+        live = [f for f in files if f.num_rows]
+        candidates = [f for f in live if not all(_outside(f.bounds, r) for r in ranges)]
+        probed, skipped = len(candidates), len(live) - len(candidates)
+        touched = {f for f in candidates if touches(f)}
+    if not (touched or any(isinstance(op, (InsertOp, MergeOp)) for op in staged.ops)):
+        return FileRewrite([], [], probed, skipped)
+    small = TARGET_FILE_ROWS // 2
+    removed = [f for f in files if f in touched or f.num_rows < small]
+    columns: list[list] = [[] for _ in schema.names]
+
+    def extend(group: Iterable["DataFile"]) -> None:
+        for f in group:
+            chunk = read(f, None)
+            for values, name in zip(columns, schema.names):
+                values.extend(chunk[name])
+
+    rewritten = [] if wipes else [f for f in removed if f in touched]
+    extend(f for f in rewritten if f.num_rows >= small)
+    lead = len(columns[0])
+    extend(f for f in rewritten if f.num_rows < small)
+    lead = _fold(columns, staged, eval_ctx, compiler, lead)
+    extend(f for f in removed if f not in touched)
     return FileRewrite(removed, [
-        {name: values[lo:lo + TARGET_FILE_ROWS] for name, values in result.items()}
-        for lo in range(0, len(result[schema.names[0]]), TARGET_FILE_ROWS)
-    ])
+        {name: values[at:min(at + TARGET_FILE_ROWS, hi)] for name, values in zip(schema.names, columns)}
+        for lo, hi in ((0, lead), (lead, len(columns[0])))
+        for at in range(lo, hi, TARGET_FILE_ROWS)
+    ], probed, skipped)
 
 
 def eval_context_for(ctx: UserContext) -> EvalContext:

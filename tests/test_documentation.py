@@ -234,7 +234,7 @@ def test_design_threat_matrix_matches_attack_registry():
     prefixes = {f.split("-")[0] for f in attack_registry.technique_families()}
     prefixes |= {
         "udf", "plan", "credential", "cache", "admission", "profile", "template",
-        "datafile", "staging", "decode", "governed", "efgac",
+        "datafile", "staging", "decode", "governed", "efgac", "dedicated",
     }
     documented = {
         token

@@ -347,8 +347,8 @@ class TestFileGranularCommits:
         assert stats["files_rewritten"] == 0
         assert stats["files_kept"] == len(before.files) == 2
 
-        # A visible match rewrites only its own file, in bounded files, and
-        # folds the small one beside it.
+        # A visible match rewrites only its own file, in bounded files of
+        # its own, and folds the small one beside it into a file apart.
         cluster.connect("alice").sql(
             f"UPDATE {ORDERS} SET amount = 2.0 WHERE id = 100"
         )
@@ -360,7 +360,7 @@ class TestFileGranularCommits:
             f.path for f in before.files
         }
         assert [a["rows"] for a in commit["actions"] if "add" in a] == [
-            TARGET_FILE_ROWS, size + 3 - TARGET_FILE_ROWS
+            TARGET_FILE_ROWS, size - TARGET_FILE_ROWS, 3
         ]
 
     def test_compiles_per_commit_not_per_probed_file(
@@ -417,8 +417,8 @@ class TestBlindInsertFiles:
         catalog, decoded = workspace.catalog, []
         stage = LakeTableStorage.stage_data_file
 
-        def recording(storage, columns, credential):
-            data_file = stage(storage, columns, credential)
+        def recording(storage, columns, credential, *bounded):
+            data_file = stage(storage, columns, credential, *bounded)
             decoded.append(decode_data_file(catalog.store.get(data_file.path, credential)))
             return data_file
 

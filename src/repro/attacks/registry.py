@@ -34,6 +34,7 @@ _SCENARIO_MODULES = (
     "repro.attacks.write_denial",
     "repro.attacks.storage_tamper",
     "repro.attacks.decode_memo",
+    "repro.attacks.memo_paths",
 )
 
 

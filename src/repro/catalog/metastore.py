@@ -166,6 +166,10 @@ class UnityCatalog:
         self.system_tables.register_stats_provider(
             CACHE_STATS, "governed_rows[store]", self.store.governed.stats_snapshot
         )
+        for scope, memo in (("decoded", self.store.decoded), ("governed", self.store.governed)):
+            self.system_tables.register_stats_provider(
+                CACHE_STATS, f"{scope}_paths[store]", memo.path_stats
+            )
         #: Attribute-based access control: tags + tag policies (§2.3 ABAC).
         self.tags = TagStore()
         self.tags.on_change = lambda: self.bump_policy_epoch("abac-update")

@@ -35,7 +35,7 @@ from repro.catalog.scopes import ComputeCapabilities
 from repro.engine.batch import ColumnBatch, chunk_batch
 from repro.engine.expressions import EvalContext
 from repro.engine.logical import TableRef
-from repro.engine.physical import RowSelection
+from repro.engine.physical import AccessPath, RowSelection
 from repro.errors import (
     CredentialError,
     ExecutionError,
@@ -239,11 +239,14 @@ class GovernedDataSource:
         eval_ctx: EvalContext,
         columns: Sequence[int],
         policy: RowSelection | None = None,
+        access: AccessPath | None = None,
     ) -> Iterator[ColumnBatch]:
         """Batches of ``columns`` (positions in ``table.schema``) of every
         live file, each file fetched whole under the scan's
         vended credential and only those columns decoded (with a ``policy``,
-        only the rows it admits, under the policy epoch read now)."""
+        only the rows it admits, under the policy epoch read now). With an
+        ``access`` path, a file's batch may hold only a slice's rows, or
+        carry runs (and then is not chunked)."""
         ctx = eval_ctx.auth
         if not isinstance(ctx, UserContext):
             raise ExecutionError(
@@ -292,8 +295,9 @@ class GovernedDataSource:
             data_file: DataFile,
             task_ctx: QueryContext | None,
             rng: "_RetryJitter",
-        ) -> dict[str, list]:
-            """One file read with bounded, deadline-aware retries.
+        ) -> tuple[dict[str, list], list[tuple] | None]:
+            """One file read with bounded, deadline-aware retries: its
+            columns, and its runs when ``access`` got them.
 
             Transient storage faults are simply retried; a credential
             rejection additionally re-vends through the shared holder
@@ -303,7 +307,10 @@ class GovernedDataSource:
             while True:
                 cred = holder.current()
                 try:
-                    decoded = storage.read_file(data_file, cred, names, policy=row_policy)
+                    if access is None:
+                        decoded = storage.read_file(data_file, cred, names, policy=row_policy), None
+                    else:
+                        decoded = storage.read_file(data_file, cred, names, row_policy, access)
                     if attempt:
                         self._catalog.faults.record_recovery("scan.task_retry")
                     return decoded
@@ -338,10 +345,10 @@ class GovernedDataSource:
             ):
                 batches = []
                 for data_file in task_files:
-                    decoded = read_with_recovery(data_file, task_ctx, rng)
+                    decoded, runs = read_with_recovery(data_file, task_ctx, rng)
                     # The decoded lists may be the store memo's own: shared,
                     # never mutated (batches are immutable to operators).
-                    batches.append(ColumnBatch(schema, [decoded[n] for n in names]))
+                    batches.append(ColumnBatch(schema, [decoded[n] for n in names], runs))
                 return batches
 
         produced = False

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -21,6 +21,11 @@ class ColumnBatch:
 
     schema: Schema
     columns: list[list[Any]]
+    #: The same rows again as runs of one GROUP BY key, when a memo entry
+    #: had them: ``(*its values of each column, its positions)`` per run.
+    #: Only an aggregate's run-mode kernel reads them; every transformation
+    #: drops them.
+    runs: list[tuple] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.schema):
@@ -163,8 +168,9 @@ ONE_ROW = OneRowBatch()
 
 
 def chunk_batch(batch: ColumnBatch, batch_size: int) -> Iterator[ColumnBatch]:
-    """Split a batch into ``batch_size``-row slices (0 = unlimited)."""
-    if batch_size <= 0 or batch.num_rows <= batch_size:
+    """Split a batch into ``batch_size``-row slices (0 = unlimited); a batch
+    with runs stays whole, for its runs span it."""
+    if batch_size <= 0 or batch.num_rows <= batch_size or batch.runs is not None:
         yield batch
         return
     for start in range(0, batch.num_rows, batch_size):

@@ -89,7 +89,8 @@ DEFAULT_KERNEL_CACHE_CAPACITY = 256
 ENV_DUMP_KERNELS = "LAKEGUARD_DUMP_KERNELS"
 
 
-#: Heap primitives a top-k sink calls (max-heap ones are public from 3.14).
+#: Heap primitives a top-k sink calls (max-heap ones are public from 3.14),
+#: and the sort key of a run-mode aggregate's new groups.
 _KERNEL_GLOBALS = {
     "_heapify": heapq.heapify,
     "_heapreplace": heapq.heapreplace,
@@ -97,6 +98,7 @@ _KERNEL_GLOBALS = {
     "_heapreplace_max": (
         getattr(heapq, "heapreplace_max", None) or heapq._heapreplace_max
     ),
+    "_first": itemgetter(0),
 }
 
 
@@ -391,6 +393,10 @@ class _SharedState:
         self.walk_index = {id(node): i for i, node in enumerate(walk)}
         self.literal_slots = _literal_slots(walk)
         self.prelude: list[str] = []
+        #: ``_c{i} = <columns>[i]`` per column read: once per call, or once
+        #: per run in a run-mode loop (``columns`` names what holds them).
+        self.loads: list[str] = []
+        self.columns = "_cols"
         #: ``(per-row variable, sequence)`` per leaf: zipped by the loop
         #: header, and assumed non-NULL by the fast path.
         self.leaves: list[tuple[str, str]] = []
@@ -416,14 +422,21 @@ class _SharedState:
         self._env_memo[(walk_pos, kind)] = name
         return name
 
+    def column_seq(self, index: int) -> str:
+        """One input column's sequence, loaded once."""
+        seq = f"_c{index}"
+        line = f"{seq} = {self.columns}[{index}]"
+        if line not in self.loads:
+            self.loads.append(line)
+        return seq
+
     def column_value(self, index: int) -> str:
         """Per-row value of one input column (a leaf the loop zips)."""
         var = self._col_loads.get(index)
         if var is None:
-            self.prelude.append(f"_c{index} = _cols[{index}]")
             var = f"_l{index}"
             self._col_loads[index] = var
-            self.leaves.append((var, f"_c{index}"))
+            self.leaves.append((var, self.column_seq(index)))
         return var
 
     def param(self, slot: int) -> str:
@@ -505,6 +518,10 @@ class _CodeGen:
         return (_node_signature(node, self._shared.literal_slots),) + tuple(
             self._struct_key(c) for c in node.children
         )
+
+    def sequence(self, ref: BoundRef) -> str:
+        """The whole input column ``ref`` reads, not a per-row value."""
+        return self._shared.column_seq(ref.index)
 
     def _leaf(self, var: str) -> tuple[str, bool]:
         """A loaded leaf value: non-NULL by assumption on the fast path."""
@@ -697,13 +714,37 @@ def _assemble(
     loop_setup: list[str],
     loop_body: list[str],
     returns: list[str],
+    run: tuple[list[str], int] | None = None,
 ) -> tuple[str, Callable]:
-    """Render, ``compile()`` and ``exec`` the kernel source."""
+    """Render, ``compile()`` and ``exec`` the kernel source. A run-mode
+    aggregate's ``run`` is the body for a run's rows up to its first passing
+    one, and its number of accumulator slots; ``loop_body`` does the rest."""
     lines = ["def _kernel(_cols, _n, _ctx, _env, _sink=None, _tab=None):"]
-    lines += [f"    {line}" for line in shared.prelude]
-    lines += [f"    {line}" for line in loop_setup]
-    lines.append(f"    {shared.loop_header()}")
-    lines += [f"        {line}" for line in loop_body]
+    lines += [f"    {line}" for line in shared.prelude + loop_setup]
+    if run is not None:
+        # Per run: the first passing row finds (or queues) the group and
+        # loads its state into locals; the rest of the run folds into them
+        # without a lookup; the run writes them back.
+        first, slots = run
+        names = [v for v, _ in shared.leaves] or ["_i"]
+        seqs = [seq for _, seq in shared.leaves] or ["_run[-1]"]
+        rows = f"zip({', '.join(seqs)}, strict=True)" if len(seqs) > 1 else f"iter({seqs[0]})"
+        lines.append("    for _run in _cols:")
+        lines += [f"        {line}" for line in [*shared.loads, f"_it = {rows}"]]
+        target = names[0] if len(names) == 1 else f"({', '.join(names)})"
+        lines.append(f"        for _j, {target} in enumerate(_it):")
+        lines += [f"            {line}" for line in first]
+        lines += ["        else:", "            continue"]
+        lines.append(f"        for {', '.join(names)} in _it:")
+        lines += [f"            {line}" for line in loop_body]
+        lines.append(f"        _st[:] = {''.join(f'_a{s}, ' for s in range(slots))}")
+        # Groups the batch added enter in the order of their first passing
+        # rows, as a row-by-row loop adds them.
+        lines += ["    _new.sort(key=_first)", "    for _i, _k, _st in _new:", "        _sink[_k] = _st"]
+    else:
+        lines += [f"    {line}" for line in shared.loads]
+        lines.append(f"    {shared.loop_header()}")
+        lines += [f"        {line}" for line in loop_body]
     lines.append(f"    return [{', '.join(returns)}]")
     source = "\n".join(lines)
     _maybe_dump_source(fingerprint, source)
@@ -871,45 +912,50 @@ def _guarded(value_tok: str, guarded: bool, body: list[str]) -> list[str]:
     return [f"if {value_tok} is not None:"] + [f"    {line}" for line in body]
 
 
-def _upd_count(s: int, v: str, guarded: bool) -> list[str]:
-    return _guarded(v, guarded, [f"_st[{s}] = _st[{s}] + 1"])
+def _cell(s: int, local: bool) -> tuple[str, str, list[str]]:
+    """Accumulator slot ``s``: where it is stored, the token of its current
+    value and the line loading that — a local of a run-mode loop is both."""
+    if local:
+        return f"_a{s}", f"_a{s}", []
+    return f"_st[{s}]", f"_s{s}", [f"_s{s} = _st[{s}]"]
 
 
-def _upd_sum(s: int, v: str, guarded: bool) -> list[str]:
-    return _guarded(v, guarded, [
-        f"_s{s} = _st[{s}]",
-        f"_st[{s}] = {v} if _s{s} is None else _s{s} + {v}",
-    ])
+def _upd_count(s: int, v: str, guarded: bool, local: bool) -> list[str]:
+    cell = _cell(s, local)[0]
+    return _guarded(v, guarded, [f"{cell} = {cell} + 1"])
 
 
-def _upd_min(s: int, v: str, guarded: bool) -> list[str]:
+def _upd_sum(s: int, v: str, guarded: bool, local: bool) -> list[str]:
+    cell, cur, load = _cell(s, local)
+    return _guarded(v, guarded, [*load, f"{cell} = {v} if {cur} is None else {cur} + {v}"])
+
+
+def _upd_min(s: int, v: str, guarded: bool, local: bool) -> list[str]:
     # min(s, v) keeps s on ties; mirror that exactly.
+    cell, cur, load = _cell(s, local)
     return _guarded(v, guarded, [
-        f"_s{s} = _st[{s}]",
-        f"_st[{s}] = {v} if _s{s} is None else ({v} if {v} < _s{s} else _s{s})",
+        *load, f"{cell} = {v} if {cur} is None else ({v} if {v} < {cur} else {cur})",
     ])
 
 
-def _upd_max(s: int, v: str, guarded: bool) -> list[str]:
+def _upd_max(s: int, v: str, guarded: bool, local: bool) -> list[str]:
+    cell, cur, load = _cell(s, local)
     return _guarded(v, guarded, [
-        f"_s{s} = _st[{s}]",
-        f"_st[{s}] = {v} if _s{s} is None else ({v} if {v} > _s{s} else _s{s})",
+        *load, f"{cell} = {v} if {cur} is None else ({v} if {v} > {cur} else {cur})",
     ])
 
 
-def _upd_avg(s: int, v: str, guarded: bool) -> list[str]:
+def _upd_avg(s: int, v: str, guarded: bool, local: bool) -> list[str]:
     # Two flat slots, (sum, count): no tuple built per row.
-    return _guarded(v, guarded, [
-        f"_st[{s}] = _st[{s}] + {v}",
-        f"_st[{s + 1}] = _st[{s + 1}] + 1",
-    ])
+    total, count = _cell(s, local)[0], _cell(s + 1, local)[0]
+    return _guarded(v, guarded, [f"{total} = {total} + {v}", f"{count} = {count} + 1"])
 
 
-def _upd_count_distinct(s: int, v: str, guarded: bool) -> list[str]:
+def _upd_count_distinct(s: int, v: str, guarded: bool, local: bool) -> list[str]:
     # Mutable set instead of the algebra's frozenset-per-row: ``merge`` and
     # ``final`` (union / len) accept either, and states only leave through
     # pickle or finalization, so results are identical.
-    return _guarded(v, guarded, [f"_st[{s}].add({v})"])
+    return _guarded(v, guarded, [f"{_cell(s, local)[0]}.add({v})"])
 
 
 #: Aggregates the pipeline generator can inline: ``(init source per
@@ -917,7 +963,7 @@ def _upd_count_distinct(s: int, v: str, guarded: bool) -> list[str]:
 #: ``AGGREGATE_FUNCTIONS`` exactly (``avg``'s two slots are its ``(sum,
 #: count)`` state, flattened); an aggregate outside this table refuses the
 #: whole pipeline.
-_AGG_INLINE: dict[str, tuple[tuple[str, ...], Callable[[int, str, bool], list[str]]]] = {
+_AGG_INLINE: dict[str, tuple[tuple[str, ...], Callable[[int, str, bool, bool], list[str]]]] = {
     "count": (("0",), _upd_count),
     "sum": (("None",), _upd_sum),
     "min": (("None",), _upd_min),
@@ -936,14 +982,29 @@ def _slot_layout(agg_specs: Sequence[tuple[str, bool]]) -> list[int]:
     return starts
 
 
-def _aggregate_tail(spec: PipelineSpec, gen: _CodeGen) -> list[str]:
-    """Fold the row into its group's accumulator slots, in place."""
-    inits = ", ".join(
-        init for name, _ in spec.agg_specs for init in _AGG_INLINE[name][0]
-    )
-    key_toks = [gen.emit(g)[0] for g in spec.groupings]
+def _aggregate_tail(spec: PipelineSpec, gen: _CodeGen, run: str = "") -> list[str]:
+    """Fold the row into its group's accumulator slots, in place — or, in a
+    run-mode loop, into locals that hold the run's group: its ``"first"``
+    passing row looks the group up by its own key object (or queues it for
+    the sink, at its position) and loads them, and ends the first loop; the
+    ``"rest"`` only fold."""
+    slots = [init for name, _ in spec.agg_specs for init in _AGG_INLINE[name][0]]
+    inits = ", ".join(slots)
+    key_toks = [] if run else [gen.emit(g)[0] for g in spec.groupings]
     values = [gen.emit(e) for e in spec.agg_inputs]
-    if not key_toks:
+    if run == "first":
+        keys = gen.sequence(spec.groupings[0])
+        tail = [
+            f"_k = {keys}[_j]",
+            "_st = _get(_k)",
+            "if _st is None:",
+            f"    _st = [{inits}]",
+            "    _new.append((_run[-1][_j], _k, _st))",
+            f"{''.join(f'_a{s}, ' for s in range(len(slots)))}= _st",
+        ]
+    elif run:
+        tail = []
+    elif not key_toks:
         tail = ["if _st is None:", f"    _st = _sink[()] = [{inits}]"]
     else:
         tail = []
@@ -961,8 +1022,8 @@ def _aggregate_tail(spec: PipelineSpec, gen: _CodeGen) -> list[str]:
     ):
         # All inlined aggregates ignore NULL inputs; COUNT(*)-style calls
         # feed a constant and never skip, matching the interpreter.
-        tail += _AGG_INLINE[name][1](slot, v_tok, maybe and has_child)
-    return tail
+        tail += _AGG_INLINE[name][1](slot, v_tok, maybe and has_child, bool(run))
+    return tail + ["break"] * (run == "first")
 
 
 def _collect_tail(spec: PipelineSpec, gen: _CodeGen) -> list[str]:
@@ -1038,7 +1099,9 @@ _SINK_TAILS = {
 }
 
 
-def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact:
+def _generate_pipeline(
+    spec: PipelineSpec, fingerprint: str, runs: bool = False
+) -> CompiledArtifact:
     """Lower a chain and its sink into one generated loop.
 
     Per source row the loop tests the chain's conjuncts, probes the join
@@ -1048,11 +1111,19 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
     aggregate keeps a one-column GROUP BY keyed by the bare value and
     ``avg`` in flat slots; :meth:`CompiledPipeline.algebra_groups` converts
     to the aggregate algebra's layout once.
+
+    With ``runs`` (an aggregate with one grouping column, no probe), the
+    loop reads a batch's runs instead of its columns: ``_cols`` is their
+    list, each ``(*columns, positions)``, and each run's rows share a key.
     """
     shared = _SharedState(_canonical_walk(spec.all_exprs()))
+    if runs:
+        shared.columns = "_run"
     outs = [f"_out{j}" for j in range(len(spec.outputs))]
     returns: list[str] = []
-    if spec.sink == "aggregate":
+    if runs:
+        setup = ["_get = _sink.get", "_new = []"]
+    elif spec.sink == "aggregate":
         setup = ["_get = _sink.get"] if spec.groupings else ["_st = _sink.get(())"]
     elif spec.sink == "topk":
         setup = [
@@ -1070,7 +1141,7 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
             miss = "()" if probe.how == "inner" else f"(({'None, ' * probe.row_width}),)"
             setup.append(f"_miss = {miss}")
 
-    def make_body(gen: _CodeGen) -> list[str]:
+    def make_body(gen: _CodeGen, run: str = "") -> list[str]:
         if spec.condition is not None:
             gen.emit_filter(spec.condition)
         head, loop = gen.body, None
@@ -1098,13 +1169,18 @@ def _generate_pipeline(spec: PipelineSpec, fingerprint: str) -> CompiledArtifact
                 gen.body = [f"_sink.add(_b{probe.build_width})"] if probe.how == "full" else []
         if spec.matched is not None:
             gen.emit_filter(spec.matched)
-        body = gen.body + _SINK_TAILS[spec.sink](spec, gen)
+        tail = _aggregate_tail(spec, gen, run) if run else _SINK_TAILS[spec.sink](spec, gen)
+        body = gen.body + tail
         if loop is None:
             return body
         return head + [loop] + [f"    {line}" for line in body]
 
-    body = _dual_body(shared, make_body)
-    source, fn = _assemble(fingerprint, shared, setup, body, returns)
+    first = _dual_body(shared, lambda gen: make_body(gen, "first")) if runs else None
+    body = _dual_body(shared, lambda gen: make_body(gen, "rest" if runs else ""))
+    slots = sum(len(_AGG_INLINE[name][0]) for name, _ in spec.agg_specs)
+    source, fn = _assemble(
+        fingerprint, shared, setup, body, returns, (first, slots) if runs else None
+    )
     return CompiledArtifact(
         fingerprint=fingerprint,
         source=source,
@@ -1305,11 +1381,13 @@ class CompiledPipeline:
     every structurally congruent one.
     """
 
-    __slots__ = ("artifact", "spec", "_env", "_slots")
+    __slots__ = ("artifact", "spec", "runs", "_env", "_slots")
 
     def __init__(self, artifact: CompiledArtifact, spec: PipelineSpec):
         self.artifact = artifact
         self.spec = spec
+        #: The run-mode twin of an aggregate loop, run on a batch with runs.
+        self.runs: CompiledPipeline | None = None
         self._env = _bind_env(artifact, _canonical_walk(spec.all_exprs()))
         #: ``(first slot, is avg)`` per aggregate call, for the conversion.
         self._slots = [
@@ -1332,6 +1410,9 @@ class CompiledPipeline:
         side, if any) and feeding ``sink`` (:func:`sink_state`; aggregate
         groups in the loop's own layout, see :meth:`algebra_groups`).
         Returns the batch's output columns for ``collect`` / ``limit``."""
+        if batch.runs is not None and self.runs is not None:
+            twin = self.runs
+            return twin.artifact.fn(batch.runs, batch.num_rows, ctx, twin._env, sink, table)
         return self.artifact.fn(batch.columns, batch.num_rows, ctx, self._env, sink, table)
 
     def algebra_groups(self, groups: dict[Any, list[Any]]) -> dict[tuple, list[Any]]:
@@ -1488,6 +1569,24 @@ class KernelCompiler:
             self.cache.note_error()
             return None
 
+    def compile_runs(self, pipeline: CompiledPipeline) -> None:
+        """Give a compiled aggregate loop its run-mode twin
+        (:attr:`CompiledPipeline.runs`) where :func:`runs_apply` allows one."""
+        spec = pipeline.spec
+        if not runs_apply(spec):
+            return
+        try:
+            fingerprint = expression_fingerprint(
+                spec.all_exprs(), mode=spec.mode_string() + "|runs"
+            )
+            pipeline.runs = CompiledPipeline(self._lookup_or_generate(
+                fingerprint,
+                lambda: _generate_pipeline(spec, fingerprint, True),
+                outputs=len(spec.agg_specs),
+            ), spec)
+        except Exception:  # noqa: BLE001 - the row-by-row kernel runs every batch
+            self.cache.note_error()
+
     def note_fusion(self, hit: bool) -> None:
         """Planner hook: count one fusion attempt on the shared cache."""
         self.cache.note_fusion(hit)
@@ -1511,6 +1610,28 @@ class KernelCompiler:
         self.cache.put(fingerprint, artifact)
         return artifact
 
+
+
+#: Nodes the generator assigns eagerly: the ones that can raise.
+_EAGER = (Arithmetic, Cast, FunctionCall, Like, CaseWhen)
+
+
+def runs_apply(spec: PipelineSpec) -> bool:
+    """Whether an aggregate loop may fold a batch run by run: one bare
+    column as its grouping, no join probe, and nothing that can raise in
+    its condition, grouping or inputs — a run-by-run order must not decide
+    which row raises first."""
+    return (
+        spec.sink == "aggregate"
+        and spec.probe is None
+        and len(spec.groupings) == 1
+        and isinstance(spec.groupings[0], BoundRef)
+        and not any(
+            isinstance(node, _EAGER)
+            for expr in (spec.condition, *spec.agg_inputs) if expr is not None
+            for node in expr.walk()
+        )
+    )
 
 
 def _worth_compiling(exprs: Sequence[Expression]) -> bool:

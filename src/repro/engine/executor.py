@@ -57,7 +57,10 @@ class LocalDataSource:
         eval_ctx: EvalContext,
         columns: Sequence[int],
         policy: RowSelection | None = None,
+        access: Any = None,
     ) -> Iterator[ColumnBatch]:
+        """Every row of ``columns`` (``access`` paths are a memo's; this
+        source has none and reads the whole table)."""
         try:
             data = self._tables[table.full_name]
         except KeyError:

@@ -925,6 +925,21 @@ def conjuncts(condition: Expression) -> list[Expression]:
     return [condition]
 
 
+#: ``value op col`` read as ``col op' value``.
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def column_bound(part: Expression) -> tuple[BoundRef, str, Expression] | None:
+    """``(column, op, other)`` of a ``col op other`` comparison (``= < <= >
+    >=``, either operand order, read column first), or ``None``."""
+    if not (isinstance(part, Comparison) and part.op in _MIRRORED):
+        return None
+    (column, other), op = part.children, part.op
+    if not isinstance(column, BoundRef):
+        column, other, op = other, column, _MIRRORED[op]
+    return (column, op, other) if isinstance(column, BoundRef) else None
+
+
 def conjoin(parts: Sequence[Expression]) -> Expression | None:
     """``parts`` joined left to right with ``AND`` (``None`` when empty) —
     the inverse of :func:`conjuncts`, keeping their evaluation order."""

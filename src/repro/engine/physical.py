@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Protocol, Sequence
 
 from repro.common.context import span_or_null
 from repro.engine.aggregates import AggregateCall
@@ -49,8 +49,11 @@ from repro.engine.expressions import (
     EvalContext,
     Expression,
     Literal,
+    Parameter,
     PythonUDFCall,
     SortOrder,
+    column_bound,
+    conjuncts,
     split_equi_condition,
 )
 from repro.engine.optimizer import (
@@ -78,7 +81,7 @@ from repro.engine.logical import (
     TableRef,
     Union,
 )
-from repro.engine.types import INT, STRING, Field, Schema
+from repro.engine.types import FLOAT, INT, STRING, Field, Schema
 from repro.errors import ExecutionError, UnsupportedOperationError
 
 DEFAULT_BATCH_SIZE = 4096
@@ -91,6 +94,9 @@ class DataSource(Protocol):
     batches carry exactly those columns, in that order, and a source
     decodes nothing else. With a ``policy``, only the rows it admits (passed
     only when set: a source without the keyword fails, never ignores it).
+    An ``access`` path (also passed only when set) is a hint: a source may
+    serve fewer rows that still hold every row the loop keeps, or runs
+    (:attr:`ColumnBatch.runs`), or ignore it.
     """
 
     def scan(
@@ -99,6 +105,7 @@ class DataSource(Protocol):
         eval_ctx: EvalContext,
         columns: Sequence[int],
         policy: "RowSelection | None" = None,
+        access: AccessPath | None = None,
     ) -> Iterator[ColumnBatch]: ...
 
 
@@ -307,6 +314,9 @@ class PhysScan(PhysicalOperator):
     operator: the planner unfolds them into the stages of the loop that
     reads the scan (see :func:`_unfold_scan`), so every later conjunct runs
     there, on admitted rows only.
+
+    The compiled loop that reads the scan may set its :attr:`path`: what
+    the memo entries of its files can serve it instead of every row.
     """
 
     def __init__(self, node: Scan, compiler: KernelCompiler | None = None):
@@ -321,17 +331,95 @@ class PhysScan(PhysicalOperator):
         self.policy: RowSelection | None = None
         if node.policy_filter is not None:
             self.policy = RowSelection(node.policy_filter, fields, compiler)
+        self.path: AccessPath | None = None
 
     def execute(self, ctx: ExecContext) -> Iterator[ColumnBatch]:
         if ctx.data_source is None:
             raise ExecutionError(
                 f"no data source configured; cannot scan {self._node.table.full_name}"
             )
-        policy = () if self.policy is None else (self.policy,)
-        scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns, *policy)
+        extra: dict[str, Any] = {}
+        if self.policy is not None:
+            extra["policy"] = self.policy
+        if self.path is not None:
+            extra["access"] = self.path.resolve(ctx.eval_ctx.params)
+        scan = ctx.data_source.scan(self._node.table, ctx.eval_ctx, self.columns, **extra)
         for batch in scan:
             ctx.metrics.rows_scanned += batch.num_rows
             yield batch
+
+
+class AccessPath(NamedTuple):
+    """What one loop over a memo entry may read instead of every row.
+
+    ``bounds`` — ``(op, value)`` pairs, ``op`` one of ``= < <= > >=`` — are
+    the loop's leading conjuncts on ``column``: the rows they pass are a
+    slice of the column's sorted index. ``top`` is ``(k + offset,
+    descending)`` of a top-k ordered by ``column`` whose condition is only
+    those bounds. ``group`` is the GROUP BY column of an aggregate loop that
+    can fold the entry run by run. As planned, a value is a
+    :class:`Literal` or a :class:`Parameter`; :meth:`resolve` makes it the
+    number a memo bisects by.
+    """
+
+    column: str | None = None
+    bounds: tuple[tuple[str, Any], ...] = ()
+    top: tuple[int, bool] | None = None
+    group: str | None = None
+
+    def resolve(self, params: Sequence[Any]) -> "AccessPath":
+        """This path under one execution's ``params``: no slice unless every
+        bound is a number other than NaN."""
+        bounds = []
+        for op, value in self.bounds:
+            v = value.value if isinstance(value, Literal) else params[value.slot]
+            if type(v) not in (int, float) or v != v:
+                return AccessPath(group=self.group)
+            bounds.append((op, v))
+        return self._replace(bounds=tuple(bounds))
+
+
+def loop_path(
+    spec: PipelineSpec, fields: Sequence[Field], limit: int | None, runs: bool
+) -> AccessPath | None:
+    """What a compiled loop over a bare scan of ``fields`` may read instead
+    of every row: a slice by its leading conjuncts when they bound one INT
+    or FLOAT column by values, just the top ``limit`` of it for a top-k by
+    that column that tests and probes nothing else, and with ``runs`` the
+    runs of the aggregate's grouping column (``None``: none of these)."""
+    column, bounds = None, []
+    parts = [] if spec.condition is None else conjuncts(spec.condition)
+    for part in parts:
+        found = column_bound(part)
+        if found is None:
+            break
+        ref, op, value = found
+        if (
+            not isinstance(value, (Literal, Parameter))
+            or ref.index >= len(fields)
+            or fields[ref.index].dtype not in (INT, FLOAT)
+            or column not in (None, ref.index)
+        ):
+            break
+        column = ref.index
+        bounds.append((op, value))
+    top = None
+    if (
+        spec.sink == "topk"
+        and limit
+        and spec.probe is None
+        and len(bounds) == len(parts)
+        and len(spec.order) == 1
+        and isinstance(spec.order[0], BoundRef)
+        and spec.order[0].index == column
+    ):
+        top = (limit, spec.descending)
+    group = fields[spec.groupings[0].index].name if runs else None
+    if column is None and group is None:
+        return None
+    return AccessPath(
+        None if column is None else fields[column].name, tuple(bounds), top, group
+    )
 
 
 class PhysRemoteScan(PhysicalOperator):
@@ -1246,12 +1334,20 @@ class PhysicalPlanner:
         children = [self.plan(boundary)]
         if source.build is not None:
             children.append(self.plan(source.build))
+        limit = (node.limit, node.offset) if isinstance(node, Limit) else (None, 0)
+        if pipeline is not None and isinstance(children[0], PhysScan):
+            # The compiled loop reads its scan's memo entries through an
+            # access path; an interpreted one always reads every row.
+            if aggregate:
+                self._compiler.compile_runs(pipeline)
+            top = None if limit[0] is None else limit[0] + limit[1]
+            fields = [boundary.table.schema.fields[i] for i in children[0].columns]
+            children[0].path = loop_path(spec, fields, top, pipeline.runs is not None)
         if aggregate:
             return PhysHashAggregate(
                 children, node.groupings, node.aggregates, node.schema, node.mode,
                 spec=spec, pipeline=pipeline,
             )
-        limit = (node.limit, node.offset) if isinstance(node, Limit) else (None, 0)
         return PhysPipeline(children, node.schema, spec, pipeline, *limit)
 
 

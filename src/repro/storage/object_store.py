@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Protocol, Sequence
@@ -37,6 +38,7 @@ from repro.storage.credentials import DELETE, LIST, READ, WRITE, TemporaryCreden
 
 if TYPE_CHECKING:
     from repro.common.faults import FaultInjector
+    from repro.engine.physical import AccessPath
     from repro.storage.credentials import CredentialVendor
 
 
@@ -137,6 +139,84 @@ class ReplayedLogs:
 #: ≈ 372 k cells.
 DECODED_CELLS_CAP = 1 << 20
 
+#: Entries under this many rows never build an access path (their loop is
+#: short already); nor does one on its first probe of a column, only on its
+#: second (:class:`DecodedColumns`).
+PATH_MIN_ROWS = 1024
+
+
+#: Runs with fewer rows than this on average are not worth a partition.
+_MIN_RUN_ROWS = 16
+
+
+def _build_index(values: list) -> tuple[list, array] | None:
+    """``values``' non-NULL numbers ascending, and their positions (ties in
+    position order); ``None`` for a column holding a NaN or a non-number."""
+    if not set(map(type, values)) <= {int, float, type(None)}:
+        return None
+    order = sorted((i for i, v in enumerate(values) if v is not None), key=values.__getitem__)
+    ranked = list(map(values.__getitem__, order))
+    if any(v != v for v in ranked):
+        return None  # NaN orders with nothing
+    return ranked, array("q", order)
+
+
+def _build_runs(values: list) -> list[array] | None:
+    """Positions of each distinct value of ``values``, by first occurrence
+    (the dict a GROUP BY keys on decides what is distinct); ``None`` when
+    the runs would be too short to pay."""
+    runs: dict[Any, list[int]] = {}
+    most = len(values) // _MIN_RUN_ROWS
+    get = runs.get
+    for i, v in enumerate(values):
+        run = get(v)
+        if run is None:
+            if len(runs) == most:
+                return None
+            runs[v] = [i]
+        else:
+            run.append(i)
+    return [array("q", run) for run in runs.values()]
+
+
+def _slice(index: tuple[list, array], access: AccessPath) -> array:
+    """Positions of the rows ``access.bounds`` pass, and of a top-k only the
+    ``k + offset`` it prefers plus every row tied with the last of them."""
+    ranked, positions = index
+    lo, hi = 0, len(ranked)
+    for op, value in access.bounds:
+        if op in ("=", ">="):
+            lo = max(lo, bisect_left(ranked, value))
+        elif op == ">":
+            lo = max(lo, bisect_right(ranked, value))
+        if op in ("=", "<="):
+            hi = min(hi, bisect_right(ranked, value))
+        elif op == "<":
+            hi = min(hi, bisect_left(ranked, value))
+    if access.top is not None and hi - lo > access.top[0]:
+        need, descending = access.top
+        if descending:
+            lo = bisect_left(ranked, ranked[hi - need], lo, hi)
+        else:
+            hi = bisect_right(ranked, ranked[lo + need - 1], lo, hi)
+    return positions[lo:max(lo, hi)]
+
+
+class _Paths:
+    """One entry's access paths: probe counts until the second probe of a
+    path builds it (``None`` when it cannot be built), and their cells."""
+
+    __slots__ = ("probes", "built", "gathered", "cells")
+
+    def __init__(self) -> None:
+        self.probes: dict[tuple[str, str], int] = {}
+        #: ("index", column) -> (values ascending, their positions) | None;
+        #: ("runs", column) -> positions per run | None.
+        self.built: dict[tuple[str, str], Any] = {}
+        #: Runs column -> {column: its values per run}, gathered lazily.
+        self.gathered: dict[str, dict[str, list[list]]] = {}
+        self.cells = 0
+
 
 class RowPolicy(NamedTuple):
     """One governed read's row filter, as :class:`DecodedColumns` runs it."""
@@ -175,6 +255,10 @@ class DecodedColumns:
 
     Columns decode lazily (a hit on some columns decodes only the missing
     ones) and outside the lock; of two racing decodes the first insert wins.
+    An entry of at least :data:`PATH_MIN_ROWS` rows also builds, on its
+    second probe of one, access paths from the rows it holds: a sorted index
+    of a numeric column, and runs of a GROUP BY column (:meth:`_serve`).
+    They die with the entry and their cells count against the cap.
     The lists are handed out as they are — batches are immutable to
     operators. Entries are dropped when a snapshot folds their file's
     ``remove`` (:meth:`drop`), and evicted LRU past :data:`DECODED_CELLS_CAP`.
@@ -189,6 +273,8 @@ class DecodedColumns:
         )
         #: path -> keys of its entries (what :meth:`drop` visits).
         self._keys_of: dict[str, set[tuple]] = {}
+        #: Entry key -> its access paths (they die with the entry).
+        self._paths: dict[tuple, _Paths] = {}
         self.cells = 0
         self.hits = 0
         self.misses = 0
@@ -199,16 +285,28 @@ class DecodedColumns:
         self.rows_rejected = 0
         self.drops = 0
         self.evictions = 0
+        #: Access paths built, and the reads a slice or runs served.
+        self.index_builds = 0
+        self.run_builds = 0
+        self.slices_read = 0
+        self.runs_read = 0
+        self.path_cells = 0
 
     def columns(
         self, identity: str, path: str, blob: bytes, columns: Sequence[str],
-        policy: RowPolicy | None = None,
-    ) -> dict[str, list]:
+        policy: RowPolicy | None = None, access: AccessPath | None = None,
+    ) -> Any:
         """``columns`` of ``blob``, the object just read from ``path`` with
-        ``identity``'s credential, doing only what the memo lacks."""
-        if not columns:
-            return {}  # nothing to serve or decode: neither a hit nor a miss
+        ``identity``'s credential, doing only what the memo lacks. With an
+        ``access`` path, ``(columns, runs)`` as :meth:`_serve` gives them."""
         key = (identity, path) if policy is None else (identity, *policy.key, path)
+        out = self._columns(key, path, blob, columns, policy) if columns else {}
+        return out if access is None else self._serve(key, blob, out, columns, access)
+
+    def _columns(
+        self, key: tuple, path: str, blob: bytes, columns: Sequence[str],
+        policy: RowPolicy | None,
+    ) -> dict[str, list]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] is not blob:
@@ -250,10 +348,102 @@ class DecodedColumns:
                     held[name] = values
                     self.cells += len(values)
             out = {name: held[name] for name in columns}
-            while self.cells > self._max_cells and self._entries:
-                self._forget(next(iter(self._entries)))
-                self.evictions += 1
+            self._evict()
             return out
+
+    def _serve(
+        self, key: tuple, blob: bytes, out: dict[str, list], columns: Sequence[str],
+        access: AccessPath,
+    ) -> tuple[dict[str, list], list[tuple] | None]:
+        """The entry's ``columns`` (``out``) as ``access`` reads them: gathered
+        at the rows of a slice, in entry order, when it holds at most a
+        quarter of the entry; else with the runs of ``access.group``, each
+        ``(*its values of each column, its positions)``, in the order of
+        their keys' first rows; else as they are, without runs."""
+        rows = len(out[columns[0]]) if columns else 0
+        if rows < PATH_MIN_ROWS:
+            return out, None
+        if access.column is not None:
+            values = out[access.column]
+            index = self._path(key, blob, ("index", access.column), lambda: _build_index(values))
+            if index is not None:
+                picked = _slice(index, access)
+                if len(picked) * 4 <= rows:
+                    picked = sorted(picked)
+                    with self._lock:
+                        self.slices_read += 1
+                    return {n: list(map(out[n].__getitem__, picked)) for n in columns}, None
+        if access.group is None:
+            return out, None
+        keys = out[access.group]
+        runs = self._path(key, blob, ("runs", access.group), lambda: _build_runs(keys))
+        if runs is None:
+            return out, None
+        gathered = self._gathered(key, access.group, runs, out, columns, rows)
+        with self._lock:
+            self.runs_read += 1
+        return out, [(*(gathered[n][r] for n in columns), at) for r, at in enumerate(runs)]
+
+    def _path(self, key: tuple, blob: bytes, kind: tuple[str, str], build: Callable[[], Any]) -> Any:
+        """The entry's access path ``kind``, built (outside the lock; the
+        first insert wins) on its second probe; ``None`` before, or when it
+        cannot be built."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] is not blob:
+                return None
+            paths = self._paths.setdefault(key, _Paths())
+            if kind in paths.built:
+                return paths.built[kind]
+            paths.probes[kind] = seen = paths.probes.get(kind, 0) + 1
+            if seen < 2:
+                return None
+        built = build()
+        with self._lock:
+            if self._paths.get(key) is not paths:
+                return built  # the entry left meanwhile: serve, keep nothing
+            if kind in paths.built:
+                return paths.built[kind]
+            paths.built[kind] = built
+            if built is not None:
+                # An index holds its values and their positions; runs, their
+                # positions.
+                if kind[0] == "index":
+                    self.index_builds += 1
+                    self._add_path_cells(paths, 2 * len(built[0]))
+                else:
+                    self.run_builds += 1
+                    self._add_path_cells(paths, sum(map(len, built)))
+            return built
+
+    def _gathered(
+        self, key: tuple, group: str, runs: list[array], out: dict[str, list],
+        columns: Sequence[str], rows: int,
+    ) -> dict[str, list[list]]:
+        """``columns`` of the entry gathered run by run, each once."""
+        with self._lock:
+            paths = self._paths.get(key)
+            held = {} if paths is None else paths.gathered.setdefault(group, {})
+            missing = [n for n in columns if n not in held]
+        fresh = {n: [list(map(out[n].__getitem__, at)) for at in runs] for n in missing}
+        with self._lock:
+            for name, values in fresh.items():
+                if name not in held:
+                    held[name] = values
+                    if paths is not None and self._paths.get(key) is paths:
+                        self._add_path_cells(paths, rows)
+            return {n: held[n] for n in columns}
+
+    def _add_path_cells(self, paths: _Paths, cells: int) -> None:
+        paths.cells += cells
+        self.path_cells += cells
+        self.cells += cells
+        self._evict()
+
+    def _evict(self) -> None:
+        while self.cells > self._max_cells and self._entries:
+            self._forget(next(iter(self._entries)))
+            self.evictions += 1
 
     def drop(self, path: str) -> None:
         """Forget ``path`` in every partition (its file left the table)."""
@@ -267,6 +457,10 @@ class DecodedColumns:
         if entry is None:
             return
         self.cells -= len(entry[1] or ()) + sum(map(len, entry[2].values()))
+        paths = self._paths.pop(key, None)
+        if paths is not None:
+            self.cells -= paths.cells
+            self.path_cells -= paths.cells
         keys = self._keys_of[key[-1]]
         keys.discard(key)
         if not keys:
@@ -287,6 +481,23 @@ class DecodedColumns:
                 "entries": len(self._entries),
                 "cells": self.cells,
             }
+
+    def path_stats(self) -> dict[str, int]:
+        """The access paths' counters, for ``system.access.cache_stats``
+        (admin-only, as :meth:`stats_snapshot`)."""
+        with self._lock:
+            return {
+                "index_builds": self.index_builds,
+                "run_builds": self.run_builds,
+                "slices_read": self.slices_read,
+                "runs_read": self.runs_read,
+                "path_cells": self.path_cells,
+            }
+
+
+def _successor(prefix: str) -> str:
+    """The least string above every string that starts with ``prefix``."""
+    return prefix[:-1] + chr(ord(prefix[-1]) + 1)
 
 
 class ObjectStore:
@@ -443,14 +654,26 @@ class ObjectStore:
         self._check(credential, prefix, StorageOp.LIST)
         return self._under(prefix)
 
+    def last(self, prefix: str, credential: StorageCredential) -> str | None:
+        """The greatest object path under ``prefix`` (``list(prefix)[-1]``),
+        or ``None``: one bisect, with the same authorization, audit record
+        and ``storage.list`` fault point as a listing."""
+        if self.faults is not None:
+            self.faults.fire("storage.list")
+        self._check(credential, prefix, StorageOp.LIST)
+        with self._mutex:
+            end = bisect_left(self._paths, _successor(prefix)) if prefix else len(self._paths)
+            if end and self._paths[end - 1].startswith(prefix):
+                return self._paths[end - 1]
+            return None
+
     def _under(self, prefix: str) -> list[str]:
         """The sorted paths from ``prefix`` up to its last character bumped."""
         with self._mutex:
             if not prefix:
                 return list(self._paths)
             start = bisect_left(self._paths, prefix)
-            end = bisect_left(self._paths, prefix[:-1] + chr(ord(prefix[-1]) + 1), start)
-            return self._paths[start:end]
+            return self._paths[start:bisect_left(self._paths, _successor(prefix), start)]
 
     def delete(self, path: str, credential: StorageCredential) -> None:
         self._check(credential, path, StorageOp.DELETE)

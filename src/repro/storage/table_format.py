@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.common.datacodec import decode_data_file, encode_data_file
 from repro.common.ids import sequential_id
@@ -38,6 +38,9 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage.object_store import ObjectStore, RowPolicy, StorageCredential
+
+if TYPE_CHECKING:
+    from repro.engine.physical import AccessPath
 
 #: Bounded retries for transaction-log reads. The log is tiny JSON read on
 #: every snapshot resolution — a transient GET flake here would fail whole
@@ -135,13 +138,12 @@ class LakeTableStorage:
 
     def latest_version(self, credential: StorageCredential) -> int:
         """Highest committed version, or -1 if the table was never created."""
-        entries = self._with_log_retry(
-            lambda: self._store.list(f"{self.root}/_txn_log/", credential)
+        tip = self._with_log_retry(
+            lambda: self._store.last(f"{self.root}/_txn_log/", credential)
         )
-        if not entries:
+        if tip is None:
             return -1
-        last = entries[-1].rsplit("/", 1)[-1]
-        return int(last.split(".", 1)[0])
+        return int(tip.rsplit("/", 1)[-1].split(".", 1)[0])
 
     def _read_commit(self, version: int, credential: StorageCredential) -> dict:
         raw = self._with_log_retry(
@@ -404,7 +406,8 @@ class LakeTableStorage:
         credential: StorageCredential,
         columns: Sequence[str] | None = None,
         policy: RowPolicy | None = None,
-    ) -> dict[str, list]:
+        access: AccessPath | None = None,
+    ) -> Any:
         """Fetch one data file whole (object-level access: all bytes or
         none) and decode ``columns`` of it (default: every column).
 
@@ -414,6 +417,9 @@ class LakeTableStorage:
         this identity before; with a row ``policy``, only the rows it
         admits, from the store's ``governed`` memo. Whole-file reads
         (``columns=None``: a commit about to supersede the file) bypass both.
+        With an ``access`` path (named columns only), ``(columns, runs)``:
+        the memo entry's slice or runs where it has them
+        (:meth:`~repro.storage.object_store.DecodedColumns.columns`).
 
         A blob that fails to decode raises
         :class:`~repro.errors.CorruptObjectError` — retryable, because a
@@ -424,7 +430,7 @@ class LakeTableStorage:
         if columns is None:
             return decode_data_file(blob, None, f"data file '{data_file.path}'")
         memo = self._store.decoded if policy is None else self._store.governed
-        return memo.columns(credential.identity, data_file.path, blob, columns, policy)
+        return memo.columns(credential.identity, data_file.path, blob, columns, policy, access)
 
     def read_raw(
         self, data_file: DataFile, credential: StorageCredential

@@ -47,6 +47,7 @@ from repro.common.ids import sequential_id
 from repro.engine.compile import KernelCompiler
 from repro.engine.expressions import Expression, contains_user_code
 from repro.engine.logical import Filter, Join, LogicalPlan
+from repro.engine.physical import RowSelection
 from repro.engine.types import INT, Schema
 from repro.errors import (
     AnalysisError,
@@ -104,9 +105,9 @@ class TransactionManager:
         #: run as generated kernels of the engine's compiler; literals bind
         #: through the kernel env, so a repeated statement shape is a hit.
         self.compiler = KernelCompiler()
-        #: (table, schema, policy epoch) -> a 1-tuple of the table's analyzed
-        #: row filter (``None``: it has none); see :meth:`row_filter`.
-        self._row_filters: dict[tuple[str, Schema, int], tuple[Expression | None]] = {}
+        #: (table, schema, policy epoch) -> ``[analyzed row filter (None:
+        #: none), (compiler, its selection) once built]``; see :meth:`row_filter`.
+        self._row_filters: dict[tuple[str, Schema, int], list] = {}
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {
             "begun": 0,
@@ -198,6 +199,20 @@ class TransactionManager:
         ``schema`` (as the read path binds it over the table's scan), once
         per policy epoch: every policy change bumps the epoch, read first
         here, so a kept filter is never stale."""
+        return self._row_filter_entry(full_name, schema)[0]
+
+    def row_selection(self, full_name: str, schema: Schema) -> RowSelection | None:
+        """:meth:`row_filter` as one :class:`RowSelection` under
+        :attr:`compiler`, kept with it: every commit of the epoch runs it."""
+        entry = self._row_filter_entry(full_name, schema)
+        if entry[0] is None:
+            return None
+        held = entry[1]
+        if held is None or held[0] is not self.compiler:
+            held = entry[1] = (self.compiler, RowSelection(entry[0], schema.fields, self.compiler))
+        return held[1]
+
+    def _row_filter_entry(self, full_name: str, schema: Schema) -> list:
         key = (full_name, schema, self._catalog.policy_epoch)
         entry = self._row_filters.get(key)
         if entry is None:
@@ -211,8 +226,8 @@ class TransactionManager:
             if len(self._row_filters) >= 256:
                 self._row_filters.clear()
             bound = None if rf is None else analyze(Filter(relation(schema), rf.condition))[1]
-            entry = self._row_filters[key] = (bound,)
-        return entry[0]
+            entry = self._row_filters[key] = [bound, None]
+        return entry
 
     # -- statistics -----------------------------------------------------------
 
@@ -290,6 +305,7 @@ class Transaction:
                 table=full_name,
                 schema=table.schema,
                 row_filter=self._manager.row_filter(full_name, table.schema),
+                row_selection=self._manager.row_selection(full_name, table.schema),
             )
         self._pin(full_name)
         return self._staged[full_name]

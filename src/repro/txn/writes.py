@@ -45,10 +45,10 @@ from repro.engine.compile import (
 )
 from repro.engine.expressions import (
     BoundRef,
-    Comparison,
     EvalContext,
     Expression,
     Literal,
+    column_bound,
     conjoin,
     conjuncts,
     contains_user_code,
@@ -190,6 +190,9 @@ class StagedWrite:
     schema: Schema
     row_filter: Expression | None
     ops: list[WriteOp] = dc_field(default_factory=list)
+    #: ``row_filter``'s selection, built once per policy epoch by the
+    #: transaction manager (a commit builds it when this is ``None``).
+    row_selection: RowSelection | None = None
 
     @property
     def read_dependent(self) -> bool:
@@ -262,8 +265,14 @@ def check_reads(
 # and can never raise on — a row the filter hides. Every stage is a
 # ``collect`` loop, generated code where the compiler accepts it and
 # interpreted otherwise (``compiler=None`` interprets). Row filter -> WHERE
-# is one loop, row filter leftmost, whose positions the SET loop reads
-# (take -> eval -> scatter); a MERGE is one join probe loop.
+# is one loop, row filter leftmost — or, where a commit already holds the
+# row filter's own selection, that one and then WHERE's over the rows it
+# admits — whose positions the SET loop reads (take -> eval -> scatter); a
+# MERGE is one join probe loop.
+#
+#: Per row-reading op (by ``id``), the selections that find its rows, in
+#: order (``None``: every row passes that one).
+Passes = dict[int, tuple["RowSelection | None", ...]]
 
 
 def _selection(
@@ -273,6 +282,23 @@ def _selection(
     row passes)."""
     condition = conjoin([c for c in conditions if c is not None])
     return None if condition is None else RowSelection(condition, schema.fields, compiler)
+
+
+def _passes(
+    staged: StagedWrite, compiler: KernelCompiler | None, row_filter: RowSelection | None = None
+) -> Passes:
+    """Each row-reading op's :data:`Passes`: row filter and WHERE as one
+    selection, or the given ``row_filter`` selection first and WHERE's own."""
+    out = {}
+    for op in staged.ops:
+        if not isinstance(op, InsertOp):
+            where = None if isinstance(op, MergeOp) else op.where
+            out[id(op)] = (
+                (_selection(staged.schema, compiler, staged.row_filter, where),)
+                if row_filter is None
+                else (row_filter, _selection(staged.schema, compiler, where))
+            )
+    return out
 
 
 def _references(exprs: Iterable[Expression]) -> set[int]:
@@ -328,13 +354,13 @@ def apply_ops(
     """
     names = list(staged.schema.names)
     columns = [list(base[name]) for name in names]
-    _fold(columns, staged, eval_ctx, compiler)
+    _fold(columns, staged, eval_ctx, compiler, _passes(staged, compiler))
     return dict(zip(names, columns))
 
 
 def _fold(
     columns: list[list], staged: StagedWrite, eval_ctx: EvalContext,
-    compiler: KernelCompiler | None, lead: int = 0,
+    compiler: KernelCompiler | None, passes: Passes, lead: int = 0,
 ) -> int:
     """:func:`apply_ops` in place; returns how many of the first ``lead``
     rows survive (an inserted row is appended after every base row)."""
@@ -342,35 +368,42 @@ def _fold(
         if isinstance(op, InsertOp):
             for col, values in zip(columns, op.columns):
                 col.extend(values)
-        elif isinstance(op, UpdateOp):
-            _apply_update(columns, staged, op, eval_ctx, compiler)
+            continue
+        rows = _matching_rows(columns, staged.schema, passes[id(op)], eval_ctx)
+        if isinstance(op, UpdateOp):
+            _apply_update(columns, staged, op, rows, eval_ctx, compiler)
         elif isinstance(op, DeleteOp):
-            rows = _matching_rows(columns, staged, op.where, eval_ctx, compiler)
             lead = _drop_rows(columns, range(len(columns[0])) if rows is None else rows, lead)
         elif isinstance(op, MergeOp):
-            lead = _apply_merge(columns, staged, op, eval_ctx, compiler, lead)
+            lead = _apply_merge(columns, staged, op, rows, eval_ctx, compiler, lead)
         else:  # pragma: no cover - op union is closed
             raise TransactionAbortedError(f"unknown write op {type(op).__name__}")
     return lead
 
 
 def _matching_rows(
-    columns: list[list], staged: StagedWrite, where: Expression | None, ctx: EvalContext,
-    compiler: KernelCompiler | None,
+    columns: list[list], schema: Schema, passes: Sequence[RowSelection | None],
+    ctx: EvalContext,
 ) -> list[int] | None:
-    """Visible row positions matching ``where`` (``None`` = every row)."""
-    select = _selection(staged.schema, compiler, staged.row_filter, where)
-    if select is None:
-        return None
-    named = dict(zip(staged.schema.names, columns))
-    return select.admitted([named[name] for name in select.columns], ctx)
+    """Positions of the rows every one of ``passes`` admits, each run over
+    the rows the ones before it admitted (``None`` = every row)."""
+    named = dict(zip(schema.names, columns))
+    rows = None
+    for select in passes:
+        if select is None:
+            continue
+        values = [named[name] for name in select.columns]
+        if rows is not None:
+            values = [list(map(col.__getitem__, rows)) for col in values]
+        admitted = select.admitted(values, ctx)
+        rows = admitted if rows is None else list(map(rows.__getitem__, admitted))
+    return rows
 
 
 def _apply_update(
-    columns: list[list], staged: StagedWrite, op: UpdateOp, ctx: EvalContext,
-    compiler: KernelCompiler | None,
+    columns: list[list], staged: StagedWrite, op: UpdateOp, rows: list[int] | None,
+    ctx: EvalContext, compiler: KernelCompiler | None,
 ) -> None:
-    rows = _matching_rows(columns, staged, op.where, ctx, compiler)
     if rows is not None and not rows:
         return
     exprs = list(op.assignments.values())
@@ -387,12 +420,12 @@ def _apply_update(
 
 
 def _apply_merge(
-    columns: list[list], staged: StagedWrite, op: MergeOp, ctx: EvalContext,
-    compiler: KernelCompiler | None, lead: int,
+    columns: list[list], staged: StagedWrite, op: MergeOp, visible: list[int] | None,
+    ctx: EvalContext, compiler: KernelCompiler | None, lead: int,
 ) -> int:
     """MERGE as one join probe loop.
 
-    The writer's visible target rows (the row filter's own pass, as a
+    The writer's ``visible`` target rows (the row filter's own pass, as a
     governed scan's), each followed by its position, probe the source rows,
     each followed by its position, hashed on ON's equalities (the constant
     TRUE when ON has none); the rest of ON is the probe's residual. The loop
@@ -426,7 +459,6 @@ def _apply_merge(
         join_keys([k.eval(source, ctx) for k in spec.probe.build_keys]),
         [(*row, j) for j, row in enumerate(source.iter_rows())],
     )
-    visible = _matching_rows(columns, staged, None, ctx, compiler)
     probing = _gather(columns, schema, visible, _references([op.on, *assignments.values()]))
     probing = ColumnBatch(
         Schema((*schema.fields, Field("#row", INT))),
@@ -472,23 +504,17 @@ class FileRewrite:
     skipped: int = 0
 
 
-#: ``literal op col`` read as ``col op' literal``.
-_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 def key_ranges(where: Expression | None, names: Sequence[str]) -> list[tuple[str, Any, Any]]:
     """Each ``col op literal`` conjunct of a bound ``where`` (``= < <= > >=``,
     either operand order, a number; a BETWEEN is two) as ``(column, low,
     high)``: no value outside ``[low, high]`` satisfies it."""
     ranges = []
     for part in [] if where is None else conjuncts(where):
-        if not (isinstance(part, Comparison) and part.op in _MIRRORED):
+        found = column_bound(part)
+        if found is None:
             continue
-        (column, literal), op = part.children, part.op
-        if isinstance(column, Literal):
-            column, literal, op = literal, column, _MIRRORED[op]
-        if (isinstance(column, BoundRef) and isinstance(literal, Literal)
-                and type(literal.value) in (int, float)):
+        column, op, literal = found
+        if isinstance(literal, Literal) and type(literal.value) in (int, float):
             v = literal.value
             ranges.append((names[column.index], -inf if op[0] == "<" else v,
                            inf if op[0] == ">" else v))
@@ -544,17 +570,23 @@ def rewrite_files(
         # no row from before the last such delete survives, so none is read.
         staged = replace(staged, ops=staged.ops[wipes[-1] + 1:])
     probed = skipped = 0
+    memo = (
+        policy_epoch is not None
+        and staged.row_filter is not None
+        and memoisable_policy(staged.row_filter)
+    )
+    # With the governed memo the row filter is a pass of its own, whose
+    # rows a probe reads admitted; otherwise it leads each op's one pass.
+    row_filter = staged.row_selection
+    if memo and row_filter is None:
+        row_filter = RowSelection(staged.row_filter, schema.fields, compiler)
+    op_passes = _passes(staged, compiler, row_filter if memo else None)
     if wipes or any(isinstance(op, MergeOp) for op in staged.ops):
         touched = set(files)
     else:
-        row_filter, policy = staged.row_filter, None
-        if policy_epoch is not None and row_filter is not None and memoisable_policy(row_filter):
-            policy = RowPolicy.bind(
-                RowSelection(row_filter, schema.fields, compiler), eval_ctx, policy_epoch
-            )
-            row_filter = None
+        policy = RowPolicy.bind(row_filter, eval_ctx, policy_epoch) if memo else None
         reading = [op for op in staged.ops if not isinstance(op, InsertOp)]
-        passes = [_selection(schema, compiler, row_filter, op.where) for op in reading]
+        passes = [op_passes[id(op)][-1] for op in reading]
         probe = sorted({name for p in passes if p is not None for name in p.columns})
         if policy is not None:
             probe = probe or [policy.columns[0]]  # carries the admitted row count
@@ -589,7 +621,7 @@ def rewrite_files(
     extend(f for f in rewritten if f.num_rows >= small)
     lead = len(columns[0])
     extend(f for f in rewritten if f.num_rows < small)
-    lead = _fold(columns, staged, eval_ctx, compiler, lead)
+    lead = _fold(columns, staged, eval_ctx, compiler, op_passes, lead)
     extend(f for f in removed if f not in touched)
     return FileRewrite(removed, [
         {name: values[at:min(at + TARGET_FILE_ROWS, hi)] for name, values in zip(schema.names, columns)}

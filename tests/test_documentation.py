@@ -235,6 +235,7 @@ def test_design_threat_matrix_matches_attack_registry():
     prefixes |= {
         "udf", "plan", "credential", "cache", "admission", "profile", "template",
         "datafile", "staging", "decode", "governed", "efgac", "dedicated",
+        "index",
     }
     documented = {
         token

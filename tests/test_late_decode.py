@@ -375,10 +375,10 @@ class TestDecodedColumns:
         seen: dict[str, list[set[str]]] = {}
         original = LakeTableStorage.read_file
 
-        def recording(self, data_file, credential, columns=None, policy=None):
+        def recording(self, data_file, credential, columns=None, policy=None, access=None):
             # Recorded once the read returned: a read the chaos schedule
             # failed is retried, and only the retry decodes.
-            decoded = original(self, data_file, credential, columns, policy)
+            decoded = original(self, data_file, credential, columns, policy, access)
             read = set(columns) | set(policy.columns if policy else ())
             seen.setdefault(table_of[self.root], []).append(read)
             return decoded
@@ -451,10 +451,10 @@ def test_a_join_build_side_that_selects_columns_decodes_only_them(
         decoded: dict[str, set[str]] = {}
         original = LakeTableStorage.read_file
 
-        def recording(self, data_file, credential, columns=None, policy=None):
+        def recording(self, data_file, credential, columns=None, policy=None, access=None):
             read = set(columns) | set(policy.columns if policy else ())
             decoded.setdefault(roots[self.root], set()).update(read)
-            return original(self, data_file, credential, columns, policy)
+            return original(self, data_file, credential, columns, policy, access)
 
         monkeypatch.setattr(LakeTableStorage, "read_file", recording)
         monkeypatch.setenv("LAKEGUARD_DUMP_KERNELS", str(tmp_path))

@@ -3,6 +3,7 @@
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.errors import CredentialError, StorageAccessDenied, StorageError
@@ -214,6 +215,51 @@ class TestObjectStore:
     def test_put_requires_bytes(self, store, root_cred):
         with pytest.raises(StorageError):
             store.put("s3://b/k", "not-bytes", root_cred)
+
+    @given(
+        steps=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(["a", "a/", "a/b", "ab", "a/c0", "b/a", "a0"])),
+            max_size=30,
+        ),
+        prefix=st.sampled_from(["", "a", "a/", "a/b", "b", "c"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_last_is_the_listing_tip(self, steps, prefix):
+        """Under any put / delete sequence, ``last`` names what the sorted
+        listing ends with, with the same LIST check and audit."""
+        vendor = CredentialVendor(clock=VirtualClock(), ttl_seconds=60.0)
+        cred = vendor.issue("root", ["s3://"], {READ, WRITE, LIST, "DELETE"})
+        store = ObjectStore(clock=VirtualClock())
+        for put, key in steps:
+            path = f"s3://{key}"
+            if put:
+                store.put(path, b"x", cred)
+            else:
+                store.delete(path, cred)
+            listing = store.list(f"s3://{prefix}", cred)
+            assert store.last(f"s3://{prefix}", cred) == (listing[-1] if listing else None)
+        outsider = vendor.issue("eve", ["s3://c"], {LIST})
+        with pytest.raises(StorageAccessDenied):
+            store.last("s3://a", outsider)
+
+    def test_latest_version_visits_a_logarithm_of_the_log(self, store, root_cred):
+        table = LakeTableStorage(store, "s3://wh/long")
+        table.create(["id"], root_cred)
+        for version in range(1, 500):
+            table.commit_version(version, [], ["id"], root_cred)
+        visits = []
+
+        class Counting(list):
+            """Counts the keys read, a slice's every key included."""
+
+            def __getitem__(self, index):
+                got = super().__getitem__(index)
+                visits.append(len(got) if isinstance(index, slice) else 1)
+                return got
+
+        store._paths = Counting(store._paths)
+        assert table.latest_version(root_cred) == 499
+        assert 0 < sum(visits) <= 2 * len(store._paths).bit_length() + 2
 
 
 class TestLakeTableStorage:

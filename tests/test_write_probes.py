@@ -428,3 +428,45 @@ class TestObjectStorePrefixIndex:
         # Two bisects of ~log2(10 000) comparisons each, whatever the keys
         # returned; a scan would test all 10 000.
         assert _Counted.calls <= 2 * 15 + len(target), _Counted.calls
+
+
+# ---------------------------------------------------------------------------
+# Selections built once per commit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("warm", "measured", "changed"),
+    [
+        (f"UPDATE {T} SET v = v + 1 WHERE id = 6", f"UPDATE {T} SET v = v + 1 WHERE id = 6",
+         {(6, "US", 7): (6, "US", 8)}),
+        (f"DELETE FROM {T} WHERE id = 8", f"DELETE FROM {T} WHERE id = 9", {(9, "US", 9): None}),
+        (f"UPDATE {T} SET v = 1 WHERE v = 3 AND id < 500", f"UPDATE {T} SET v = 0 WHERE v = 1 AND id < 20",
+         {(1, "US", 1): (1, "US", 0), (3, "US", 1): (3, "US", 0), (12, "US", 1): (12, "US", 0)}),
+    ],
+)
+def test_a_warm_commit_builds_one_selection_per_op(ws, cluster, monkeypatch, warm, measured, changed):
+    """The row filter's selection is the manager's, kept per policy epoch;
+    the WHERE probe's selection is the one the fold runs again over the
+    rows the row filter admits. So a warm one-op commit builds one, and
+    changes just the rows it should."""
+    from repro.engine import physical
+
+    _load(ws, cluster, [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)])
+    alice = cluster.connect("alice")
+    alice.sql(warm)  # warms the manager's row filter selection
+    built = []
+    original = physical.RowSelection.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(physical.RowSelection, "__init__", counting)
+    before = _rows(ws)
+    assert alice.sql(measured)["status"] == "ok"
+    assert len(built) <= 1, [str(p) for p in built]
+    expected = sorted(
+        changed.get(row, row) for row in before if changed.get(row, row) is not None
+    )
+    assert _rows(ws) == expected
